@@ -137,7 +137,7 @@ class Tracer:
 
 
 class NullTracer:
-    """The untraced stand-in: same interface, records nothing."""
+    """The untraced stand-in for the calls a lap makes: records nothing."""
 
     enabled = False
     lap = 0
@@ -145,9 +145,6 @@ class NullTracer:
 
     def span(self, name: str) -> nullcontext:
         return nullcontext()
-
-    def add(self, name: str, start: float, end: float, **_: Any) -> int:
-        return 0
 
     def note(self, name: str, value: float, *, seconds: bool = False) -> None:
         pass
