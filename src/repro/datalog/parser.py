@@ -14,9 +14,14 @@ Lexical rules:
 
 * ``VARIABLE``  — identifier starting with an uppercase letter or ``_``;
 * ``CONSTANT``  — identifier starting with a lowercase letter;
-* ``INTEGER``   — optional ``-`` followed by digits;
+* ``INTEGER``   — optional ``-`` followed by ASCII digits ``0-9`` only;
 * ``STRING``    — double-quoted, no escapes;
 * comments run from ``%`` or ``#`` to end of line.
+
+One ``findall`` of a compiled pattern splits the source into token texts,
+which the recursive-descent parser walks by index; token kinds and line and
+column numbers are only worked out for an error.  Each parse builds one term
+per distinct token text and shares it.
 
 ``parse_program`` returns a validated :class:`~repro.datalog.program.Program`;
 ``parse_database`` parses a list of ground facts into a
@@ -25,8 +30,8 @@ Lexical rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from collections import defaultdict
 
 from repro.datalog.atoms import Atom, Literal
 from repro.datalog.database import Database
@@ -37,177 +42,162 @@ from repro.errors import ParseError
 
 __all__ = ["parse_program", "parse_rules", "parse_database", "parse_atom"]
 
-_PUNCT = {":-": "IMPLIES", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT"}
-_NEGATION_WORDS = {"not"}
-_NEGATION_SYMBOLS = {"!", "¬", "\\+"}
+# Group 1 is the token text: "" only at the end of the source (the EOF
+# token), and a single character the grammar rejects falls to ``.``.
+_TOKEN = re.compile(
+    r"""(?:\s|[%#][^\n]*)*
+    ( :- | \\\+ | [(),.!¬] | "[^"]*" | -?[0-9]+ | [^\W\d]\w* | . | \Z )""",
+    re.VERBOSE,
+)
+_NEGATIONS = frozenset({"not", "!", "¬", "\\+"})
+_KINDS = {":-": "IMPLIES", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "": "EOF"}
+_KINDS.update(dict.fromkeys(_NEGATIONS, "NEG"))
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # IDENT, VARIABLE, INTEGER, STRING, punctuation kinds, NEG, EOF
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(source: str) -> Iterator[_Token]:
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in "%#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith(":-", i):
-            yield _Token("IMPLIES", ":-", line, col)
-            i += 2
-            col += 2
-            continue
-        if source.startswith("\\+", i):
-            yield _Token("NEG", "\\+", line, col)
-            i += 2
-            col += 2
-            continue
-        if ch in "(),.":
-            yield _Token(_PUNCT[ch], ch, line, col)
-            i += 1
-            col += 1
-            continue
-        if ch in "!¬":
-            yield _Token("NEG", ch, line, col)
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = source.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string literal", line, col)
-            text = source[i + 1 : j]
-            yield _Token("STRING", text, line, col)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            yield _Token("INTEGER", source[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            if text in _NEGATION_WORDS:
-                kind = "NEG"
-            elif text[0].isupper() or text[0] == "_":
-                kind = "VARIABLE"
-            else:
-                kind = "IDENT"
-            yield _Token(kind, text, line, col)
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    yield _Token("EOF", "", line, col)
+def _kind(tok: str) -> str | None:
+    """The kind of a token text, or None if the lexical rules reject it."""
+    kind = _KINDS.get(tok)
+    if kind is not None:
+        return kind
+    head = tok[0]
+    if head == '"':
+        return "STRING" if len(tok) > 1 else None
+    if head == "-" or "0" <= head <= "9":
+        return "INTEGER" if tok != "-" else None
+    if head == "_" or head.isalpha():
+        return "VARIABLE" if head == "_" or head.isupper() else "IDENT"
+    return None
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token texts of one source."""
 
     def __init__(self, source: str):
-        self._tokens = list(_tokenize(source))
-        self._pos = 0
+        self._source = source
+        self._toks: list[str] = _TOKEN.findall(source)
+        self._i = 0
+        self._terms: dict[str, Term] = {}
+        self._names: set[str] = set()
+        self._saw_variable = False
+        self._starts: list[int] = []  # token index of each rule
 
-    @property
-    def _current(self) -> _Token:
-        return self._tokens[self._pos]
+    def _error(self, index: int, message: str) -> ParseError:
+        """A :class:`ParseError` at token ``index``.  A character the lexical
+        rules reject comes first, wherever it is in the source."""
+        source = self._source
+        offset = len(source)
+        for k, match in enumerate(_TOKEN.finditer(source)):
+            tok = match.group(1)
+            if tok and _kind(tok) is None:
+                offset = match.start(1)
+                bad = f"unexpected character {tok[0]!r}"
+                message = "unterminated string literal" if tok == '"' else bad
+                break
+            if k == index:
+                offset = match.start(1)
+                if not tok:  # EOF sits before a comment that ends the source
+                    start = max(match.start(), source.rfind("\n") + 1)
+                    offset = len(source) - len(source[start:].lstrip())
+        line = source.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "EOF":
-            self._pos += 1
-        return tok
+    def _unexpected(self, expected: str) -> ParseError:
+        tok = self._toks[self._i]
+        text = tok[1:-1] if tok[:1] == '"' else tok
+        return self._error(self._i, f"expected {expected}, found {_kind(tok)} ({text!r})")
 
-    def _expect(self, kind: str) -> _Token:
-        tok = self._current
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {tok.kind} ({tok.text!r})", tok.line, tok.column
-            )
-        return self._advance()
+    def _expect(self, tok: str) -> None:
+        if self._toks[self._i] != tok:
+            raise self._unexpected(_KINDS[tok])
+        self._i += 1
 
-    def parse_rules(self) -> list[Rule]:
+    def _rules(self) -> list[Rule]:
         rules: list[Rule] = []
-        while self._current.kind != "EOF":
+        while self._toks[self._i]:
+            self._starts.append(self._i)
             rules.append(self._rule())
         return rules
 
     def _rule(self) -> Rule:
         head = self._atom()
-        body: tuple[Literal, ...] = ()
-        if self._current.kind == "IMPLIES":
-            self._advance()
-            literals = [self._literal()]
-            while self._current.kind == "COMMA":
-                self._advance()
-                literals.append(self._literal())
-            body = tuple(literals)
-        self._expect("DOT")
-        return Rule(head, body)
-
-    def _literal(self) -> Literal:
-        positive = True
-        if self._current.kind == "NEG":
-            self._advance()
-            positive = False
-        return Literal(self._atom(), positive)
+        body: list[Literal] = []
+        separator = ":-"  # before the first body literal, then ","
+        while self._toks[self._i] == separator:
+            self._i += 1
+            positive = self._toks[self._i] not in _NEGATIONS
+            if not positive:
+                self._i += 1
+            body.append(Literal(self._atom(), positive))
+            separator = ","
+        self._expect(".")
+        return Rule(head, tuple(body))
 
     def _atom(self) -> Atom:
-        name = self._expect("IDENT")
-        args: tuple[Term, ...] = ()
-        if self._current.kind == "LPAREN":
-            self._advance()
-            terms = [self._term()]
-            while self._current.kind == "COMMA":
-                self._advance()
-                terms.append(self._term())
-            self._expect("RPAREN")
-            args = tuple(terms)
-        return Atom(name.text, args)
+        return Atom(self._name(), self._args())
 
-    def _term(self) -> Term:
-        tok = self._current
-        if tok.kind == "VARIABLE":
-            self._advance()
-            return Variable(tok.text)
-        if tok.kind == "IDENT":
-            self._advance()
-            return Constant(tok.text)
-        if tok.kind == "INTEGER":
-            self._advance()
-            return Constant(int(tok.text))
-        if tok.kind == "STRING":
-            self._advance()
-            return Constant(tok.text)
-        raise ParseError(f"expected a term, found {tok.kind} ({tok.text!r})", tok.line, tok.column)
+    def _name(self) -> str:
+        tok = self._toks[self._i]
+        if tok not in self._names:
+            if _kind(tok) != "IDENT":
+                raise self._unexpected("IDENT")
+            self._names.add(tok)
+        self._i += 1
+        return tok
+
+    def _args(self) -> tuple[Term, ...]:
+        toks, i = self._toks, self._i
+        if toks[i] != "(":
+            return ()
+        terms = self._terms
+        args: list[Term] = []
+        while True:
+            i += 1
+            term = terms.get(toks[i])
+            if term is None:
+                self._i = i
+                term = self._new_term()
+            args.append(term)
+            i += 1
+            if toks[i] != ",":
+                break
+        self._i = i
+        self._expect(")")
+        return tuple(args)
+
+    def _new_term(self) -> Term:
+        tok = self._toks[self._i]
+        kind = _kind(tok)
+        if kind == "VARIABLE":
+            term: Term = Variable(tok)
+            self._saw_variable = True
+        elif kind == "INTEGER":
+            term = Constant(int(tok))
+        elif kind in ("IDENT", "STRING"):
+            term = Constant(tok.strip('"'))
+        else:
+            raise self._unexpected("a term")
+        self._terms[tok] = term
+        return term
+
+    def _facts(self) -> dict[str, set[tuple[Constant, ...]]] | None:
+        """Each statement's constant tuple, by predicate; None when some
+        statement is a rule, is not ground, or changes a predicate's arity."""
+        toks = self._toks
+        relations: defaultdict[str, set] = defaultdict(set)
+        arity: dict[str, int] = {}
+        while toks[self._i]:
+            name = self._name()
+            row = self._args()
+            if toks[self._i] != "." or arity.setdefault(name, len(row)) != len(row):
+                return None
+            self._i += 1
+            relations[name].add(row)
+        return None if self._saw_variable else dict(relations)
 
 
 def parse_rules(source: str) -> list[Rule]:
     """Parse source text into a list of rules without program validation."""
-    return _Parser(source).parse_rules()
+    return _Parser(source)._rules()
 
 
 def parse_program(source: str) -> Program:
@@ -229,13 +219,19 @@ def parse_database(source: str) -> Database:
     >>> len(db)
     3
     """
-    rules = parse_rules(source)
+    relations = _Parser(source)._facts()
+    if relations is not None:
+        return Database(relations)
+    # Some statement is not a ground fact of a consistent arity.  Parse
+    # again into rules to report the first such one, after any syntax error.
+    parser = _Parser(source)
+    rules = parser._rules()
     db = Database()
-    for r in rules:
+    for start, r in zip(parser._starts, rules):
         if r.body:
-            raise ParseError(f"database may contain only facts, found rule {r}")
+            raise parser._error(start, f"database may contain only facts, found rule {r}")
         if not r.head.is_ground:
-            raise ParseError(f"database fact {r.head} is not ground")
+            raise parser._error(start, f"database fact {r.head} is not ground")
         db.add_atom(r.head)
     return db
 
@@ -244,5 +240,5 @@ def parse_atom(source: str) -> Atom:
     """Parse a single atom (without trailing dot)."""
     parser = _Parser(source)
     result = parser._atom()
-    parser._expect("EOF")
+    parser._expect("")
     return result

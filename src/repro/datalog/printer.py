@@ -33,7 +33,8 @@ def format_term(term: Term) -> str:
     value = term.value
     if isinstance(value, int):
         return str(value)
-    if value and value[0].islower() and all(c.isalnum() or c == "_" for c in value):
+    bare = value[:1].islower() and all(c.isalnum() or c == "_" for c in value)
+    if bare and value != "not":  # ``not`` would re-parse as a negation
         return value
     return f'"{value}"'
 

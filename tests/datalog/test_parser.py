@@ -7,7 +7,7 @@ from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.printer import format_program
 from repro.datalog.rules import rule
 from repro.datalog.terms import Constant, Variable
-from repro.errors import ParseError
+from repro.errors import ParseError, ValidationError
 
 
 class TestParseProgram:
@@ -103,6 +103,48 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_program("p :- q & r.")
 
+    @pytest.mark.parametrize("digit", ["²", "٣", "０", "½"])
+    def test_non_ascii_digits_rejected_with_location(self, digit):
+        # INTEGER is ASCII digits only: ``int("²")`` used to escape as a bare
+        # ValueError and ``٣`` used to parse silently as Constant(3).
+        for parse in (parse_program, parse_database):
+            with pytest.raises(ParseError) as excinfo:
+                parse(f"p(1).\nq(a, {digit}).")
+            assert str(excinfo.value) == (
+                f"unexpected character {digit!r} at line 2, column 6"
+            )
+        with pytest.raises(ParseError):
+            parse_atom(f"p({digit})")
+        with pytest.raises(ParseError):
+            parse_program(f"p(-{digit}).")
+
+    def test_non_ascii_digits_inside_identifiers_still_allowed(self):
+        assert parse_atom("p(x٣, y²)") == atom("p", "x٣", "y²")
+
+    def test_line_numbers_after_multiline_string(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program('p("a\nb").\nq(b) :- .')
+        assert (excinfo.value.line, excinfo.value.column) == (3, 9)
+        with pytest.raises(ParseError) as excinfo:
+            parse_program('p("a\nbc", &).')
+        assert (excinfo.value.line, excinfo.value.column) == (2, 6)
+
+    def test_column_counts_from_line_start(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("p(a).\n\tq(b) :- r(,).")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 12)
+
+    def test_end_of_input_sits_before_trailing_comment(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("p(a) % no dot")
+        assert str(excinfo.value) == "expected DOT, found EOF ('') at line 1, column 6"
+
+    def test_lexical_error_beats_earlier_syntax_error(self):
+        # the whole source is tokenized before it is parsed
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("p( . q & r.")
+        assert str(excinfo.value) == "unexpected character '&' at line 1, column 8"
+
 
 class TestParseDatabase:
     def test_facts(self):
@@ -118,6 +160,42 @@ class TestParseDatabase:
     def test_rejects_nonground_facts(self):
         with pytest.raises(ParseError):
             parse_database("p(X).")
+
+    def test_rule_error_carries_statement_location(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_database("p(a).\n  q(X) :- r(X).")
+        assert str(excinfo.value) == (
+            "database may contain only facts, found rule q(X) :- r(X). at line 2, column 3"
+        )
+
+    def test_nonground_error_carries_statement_location(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_database("p(a). p(b).\nq(a, _Y).")
+        assert str(excinfo.value) == "database fact q(a, _Y) is not ground at line 2, column 1"
+
+    def test_first_offending_statement_is_reported(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_database("p(a).\nq(X).\nr :- s.")
+        assert "q(X) is not ground" in str(excinfo.value)
+        assert excinfo.value.line == 2
+
+    def test_syntax_error_beats_earlier_rule(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_database("p(X) :- q(X).\nr(")
+        assert str(excinfo.value) == "expected a term, found EOF ('') at line 2, column 3"
+
+    def test_inconsistent_arity(self):
+        with pytest.raises(ValidationError, match="inconsistent arity"):
+            parse_database("p(a). p(a, b).")
+
+    def test_repeated_constants_are_shared(self):
+        db = parse_database("e(1, a). e(a, 1).")
+        first, second = db["e"]
+        assert first[0] is second[1] and first[1] is second[0]
+
+    def test_zero_ary_facts(self):
+        db = parse_database("q. q. r(1).")
+        assert db.contains("q") and len(db) == 2
 
 
 class TestParseAtom:

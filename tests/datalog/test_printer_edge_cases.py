@@ -29,6 +29,12 @@ class TestFormatTerm:
     def test_empty_string_quoted(self):
         assert format_term(Constant("")) == '""'
 
+    def test_negation_word_quoted(self):
+        # a bare ``not`` would re-parse as a negation sign
+        assert format_term(Constant("not")) == '"not"'
+        db = Database.from_dict({"p": [("not",)]})
+        assert parse_database(format_database(db)) == db
+
 
 class TestFormatRuleAndProgram:
     def test_negation_spelled_not(self):
