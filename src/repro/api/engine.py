@@ -34,7 +34,6 @@ from repro.datalog.program import Program
 from repro.datalog.terms import Constant
 from repro.engine.plan import ConstantPool
 from repro.errors import GroundingError, SemanticsError
-from repro.ground.backend import BACKENDS
 from repro.io.artifact import ArtifactCache, cache_key, load_artifact, save_ground_program
 from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_spec
 from repro.api.solution import Solution
@@ -57,14 +56,6 @@ class Engine:
     mode, the engine looks up the ``repro-ground/1`` artifact keyed by
     (program hash, mode, pool fingerprint) and warm-starts from it; after
     a fresh grounding, the artifact is written back for the next process.
-
-    ``backend`` fixes the default evaluation kernel for the semantics
-    that run on the ground graph: ``"python"`` (the portable pure-Python
-    kernel, the default), ``"array"`` (the NumPy-vectorized kernel;
-    raises :class:`~repro.errors.BackendUnavailableError` when numpy is
-    not importable), or ``"auto"`` (array when numpy is available and
-    the graph is large enough to amortize vectorization, python
-    otherwise).  A per-call ``backend=`` option overrides it.
     """
 
     def __init__(
@@ -76,7 +67,6 @@ class Engine:
         ground_program: GroundProgram | None = None,
         policy: Any | None = None,
         artifact_cache: ArtifactCache | str | Path | None = None,
-        backend: str | None = None,
     ) -> None:
         t0 = perf_counter()
         if isinstance(program, str):
@@ -88,11 +78,6 @@ class Engine:
         self.database = database if database is not None else Database()
         self.default_grounding = grounding
         self.default_policy = policy
-        if backend is not None and backend not in BACKENDS:
-            raise SemanticsError(
-                f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
-            )
-        self.default_backend = backend
         self.ground_calls = 0
         self.index_builds = 0
         self.artifact_hits = 0
@@ -261,7 +246,6 @@ class Engine:
         *,
         policy: Any | None = None,
         artifact_cache: ArtifactCache | str | Path | None = None,
-        backend: str | None = None,
     ) -> "Engine":
         """Warm-start an engine from a ``repro-ground/1`` artifact.
 
@@ -285,7 +269,6 @@ class Engine:
             grounding=gp.mode,
             policy=policy,
             artifact_cache=artifact_cache,
-            backend=backend,
         )
         engine._pool = artifact.pool
         engine._ground_cache[gp.mode] = gp
@@ -306,8 +289,6 @@ class Engine:
         max_instances = options.pop("max_instances", None)
         if "policy" in spec.options and options.get("policy") is None:
             options["policy"] = self.default_policy
-        if "backend" in spec.options and options.get("backend") is None:
-            options["backend"] = self.default_backend
         # ``limit`` is engine-managed and only meaningful when enumerating;
         # on solve() it is rejected like any other unknown option.
         checked = {k: v for k, v in options.items() if not (enumerating and k == "limit")}
@@ -649,7 +630,6 @@ class Engine:
     def stats(self) -> dict[str, Any]:
         """Pipeline counters: how often the engine actually compiled."""
         return {
-            "backend": self.default_backend or "python",
             "ground_calls": self.ground_calls,
             "index_builds": self.index_builds,
             "artifact_hits": self.artifact_hits,

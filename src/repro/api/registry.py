@@ -151,7 +151,6 @@ def _solve_well_founded(req: SolveRequest) -> Solution:
         req.program,
         req.database,
         ground_program=req.gp(),
-        backend=req.options.get("backend"),
     )
     return Solution.from_interpretation(
         "well_founded",
@@ -183,7 +182,6 @@ def _solve_tie_breaking(req: SolveRequest) -> Solution:
         req.database,
         policy=req.options.get("policy"),
         ground_program=req.gp(),
-        backend=req.options.get("backend"),
     )
     return _tie_solution("tie_breaking", run)
 
@@ -196,7 +194,6 @@ def _solve_pure_tie_breaking(req: SolveRequest) -> Solution:
         req.database,
         policy=req.options.get("policy"),
         ground_program=req.gp(),
-        backend=req.options.get("backend"),
     )
     return _tie_solution("pure_tie_breaking", run)
 
@@ -311,7 +308,6 @@ register(
         solver=_solve_well_founded,
         aliases=("wf", "well-founded"),
         default_grounding="relevant",
-        options=("backend",),
     )
 )
 
@@ -323,7 +319,7 @@ register(
         enumerator=_enumerate_tie_breaking,
         aliases=("wf-tb", "tie-breaking", "well-founded-tie-breaking"),
         default_grounding="relevant",
-        options=("policy", "backend"),
+        options=("policy",),
     )
 )
 
@@ -336,7 +332,7 @@ register(
         aliases=("pure-tb", "pure"),
         default_grounding="full",
         grounding_locked=True,
-        options=("policy", "backend"),
+        options=("policy",),
     )
 )
 

@@ -177,7 +177,7 @@ _KERNELS: dict[str, Callable] = {
 }
 
 
-def _drive(state, semantics: str, *, batched: bool = False) -> dict:
+def _drive(state, semantics: str) -> dict:
     """Run one interpreter to completion, timing each phase separately.
 
     The production kernel is driven through its v2 hot path (the fused
@@ -187,19 +187,12 @@ def _drive(state, semantics: str, *, batched: bool = False) -> dict:
     identical trajectories, so the recorded models and decision trails
     stay comparable.  For the fused path the internal re-closes are
     accounted under ``unfounded_s``.
-
-    ``batched`` drives the round-based schedule (``select_ties``: every
-    independent bottom tie per round) instead of one tie per round — the
-    array backend's production path.  Bottom ties are disjoint with no
-    incoming edges, so the final model is identical; only the round
-    count (and the *order* of the decision trail) changes.
     """
     policy = FirstSideTrue()
     fused = hasattr(state, "falsify_unfounded")
     close_s = unfounded_s = tie_s = 0.0
     unfounded_iterations = 0
     tie_choices = 0
-    tie_rounds = 0
     decisions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     t0 = perf_counter()
@@ -223,15 +216,10 @@ def _drive(state, semantics: str, *, batched: bool = False) -> dict:
                 continue
         if semantics != "wf-tb":
             break
-        if fused and batched:
-            t0 = perf_counter()
-            ties = state.select_ties()
-            tie_s += perf_counter() - t0
-        elif fused:
+        if fused:
             t0 = perf_counter()
             tie = state.select_tie()
             tie_s += perf_counter() - t0
-            ties = [tie] if tie is not None else []
         else:
             t0 = perf_counter()
             bottoms = state.bottom_components_live()
@@ -244,30 +232,27 @@ def _drive(state, semantics: str, *, batched: bool = False) -> dict:
                 key = min(component.atom_ids)
                 if tie_key is None or key < tie_key:
                     tie, tie_key = component, key
-            ties = [tie] if tie is not None else []
-        if not ties:
+        if tie is None:
             break
-        tie_rounds += 1
-        for tie in ties:
-            sides = tie.side_of_atom()
-            side_atoms: tuple[list[int], list[int]] = ([], [])
-            for atom_id, side in sides.items():
-                side_atoms[side].append(atom_id)
-            side_nodes = [0, 0]
-            assert tie.analysis.sides is not None
-            for side in tie.analysis.sides.values():
-                side_nodes[side] += 1
-            true_side = forced_orientation(side_nodes[0], side_nodes[1])
-            if true_side is None:
-                true_side = policy.choose_true_side(side_atoms[0], side_atoms[1])
-            tie_choices += 1
-            # Sorted assignment order: identical trajectories whether the
-            # sides came from a fresh BFS or the incremental cache.
-            made_true = sorted(side_atoms[true_side])
-            made_false = sorted(side_atoms[1 - true_side])
-            decisions.append((tuple(made_true), tuple(made_false)))
-            state.assign_many(made_true, TRUE, ("tie", true_side))
-            state.assign_many(made_false, FALSE, ("tie", 1 - true_side))
+        sides = tie.side_of_atom()
+        side_atoms: tuple[list[int], list[int]] = ([], [])
+        for atom_id, side in sides.items():
+            side_atoms[side].append(atom_id)
+        side_nodes = [0, 0]
+        assert tie.analysis.sides is not None
+        for side in tie.analysis.sides.values():
+            side_nodes[side] += 1
+        true_side = forced_orientation(side_nodes[0], side_nodes[1])
+        if true_side is None:
+            true_side = policy.choose_true_side(side_atoms[0], side_atoms[1])
+        tie_choices += 1
+        # Sorted assignment order: identical trajectories whether the
+        # sides came from a fresh BFS or the incremental cache.
+        made_true = sorted(side_atoms[true_side])
+        made_false = sorted(side_atoms[1 - true_side])
+        decisions.append((tuple(made_true), tuple(made_false)))
+        state.assign_many(made_true, TRUE, ("tie", true_side))
+        state.assign_many(made_false, FALSE, ("tie", 1 - true_side))
         t0 = perf_counter()
         state.close()
         close_s += perf_counter() - t0
@@ -279,7 +264,6 @@ def _drive(state, semantics: str, *, batched: bool = False) -> dict:
         "tie_s": tie_s,
         "unfounded_iterations": unfounded_iterations,
         "tie_choices": tie_choices,
-        "tie_rounds": tie_rounds,
         "is_total": interp.is_total,
         "true_count": sum(1 for s in interp.status if s == TRUE),
         "_true_set": frozenset(i for i, s in enumerate(interp.status) if s == TRUE),
@@ -298,20 +282,20 @@ def _normalized_sides(sides: Mapping[int, int]) -> dict[int, int]:
     return {node: side ^ flip for node, side in sides.items()}
 
 
-def _verify_tie_sides(name: str, gp, state_cls) -> int:
+def _verify_tie_sides(name: str, gp) -> int:
     """Lockstep differential of the incremental (K, L) sides cache.
 
-    Drives one untimed well-founded tie-breaking run on ``state_cls``;
-    before every tie round, each bottom component served by the
-    incremental path (cached condensation + sides cache) is compared
-    against a ``full_recompute=True`` pass on a clone — the fresh-Tarjan,
+    Drives one untimed well-founded tie-breaking run; before every tie
+    round, each bottom component served by the incremental path (cached
+    condensation + sides cache) is compared against a
+    ``full_recompute=True`` pass on a clone — the fresh-Tarjan,
     fresh-``analyze_component`` oracle.  Components are matched by node
     set and sides are compared through the canonical relabelling.
     Returns the number of (component, round) pairs verified; raises
     :class:`ReproError` on any divergence.
     """
     policy = FirstSideTrue()
-    state = state_cls(gp)
+    state = GroundGraphState(gp)
     state.close()
     checked = 0
     while True:
@@ -343,21 +327,18 @@ def _verify_tie_sides(name: str, gp, state_cls) -> int:
                         f"diverge from the full_recompute oracle"
                     )
             checked += 1
-        ties = state.select_ties()
-        if not ties:
+        tie = state.select_tie()
+        if tie is None:
             return checked
-        for tie in ties:
-            sides = tie.side_of_atom()
-            side_atoms: tuple[list[int], list[int]] = ([], [])
-            for atom_id, side in sides.items():
-                side_atoms[side].append(atom_id)
-            true_side = forced_orientation(len(side_atoms[0]), len(side_atoms[1]))
-            if true_side is None:
-                true_side = policy.choose_true_side(side_atoms[0], side_atoms[1])
-            state.assign_many(sorted(side_atoms[true_side]), TRUE, ("tie", true_side))
-            state.assign_many(
-                sorted(side_atoms[1 - true_side]), FALSE, ("tie", 1 - true_side)
-            )
+        sides = tie.side_of_atom()
+        side_atoms: tuple[list[int], list[int]] = ([], [])
+        for atom_id, side in sides.items():
+            side_atoms[side].append(atom_id)
+        true_side = forced_orientation(len(side_atoms[0]), len(side_atoms[1]))
+        if true_side is None:
+            true_side = policy.choose_true_side(side_atoms[0], side_atoms[1])
+        state.assign_many(sorted(side_atoms[true_side]), TRUE, ("tie", true_side))
+        state.assign_many(sorted(side_atoms[1 - true_side]), FALSE, ("tie", 1 - true_side))
         state.close()
 
 
@@ -376,59 +357,6 @@ def _measure_kernel(gp, kernel: str, semantics: str, repeat: int) -> dict:
             best = phases
     assert best is not None
     return best
-
-
-def _measure_array_backend(gp, semantics: str, repeat: int) -> dict:
-    """Best-of-``repeat`` timing of the array kernel on one ground program.
-
-    Driven through its production path: the batched ``select_ties``
-    round schedule (every independent bottom tie per round).
-    """
-    from repro.ground.array_state import ArrayGroundGraphState
-
-    best: dict | None = None
-    for _ in range(max(1, repeat)):
-        t0 = perf_counter()
-        state = ArrayGroundGraphState(gp)
-        init_s = perf_counter() - t0
-        phases = _drive(state, semantics, batched=True)
-        phases["init_s"] = init_s
-        phases["run_s"] = init_s + phases["close_s"] + phases["unfounded_s"] + phases["tie_s"]
-        if best is None or phases["run_s"] < best["run_s"]:
-            best = phases
-    assert best is not None
-    return best
-
-
-def _backend_section(name: str, gp, semantics: str, repeat: int, python: dict) -> dict:
-    """The python-vs-array backend comparison of one family.
-
-    ``python`` is the already-measured production-kernel entry (the
-    ``kernels["kernel"]`` drive).  The array kernel is cross-checked
-    against it: identical model, and identical tie decisions *as a set*
-    (the batched round schedule may reorder independent ties within a
-    round, but must make exactly the same orientation choices).
-    """
-    from repro.ground.array_state import numpy_available
-
-    if not numpy_available():
-        return {"available": False, "reason": "numpy not importable"}
-    array = _measure_array_backend(gp, semantics, repeat)
-    if array["_true_set"] != python["_true_set"]:
-        raise ReproError(f"bench family {name!r}: python and array backends disagree on model")
-    if set(array["_decisions"]) != set(python["_decisions"]):
-        raise ReproError(
-            f"bench family {name!r}: python and array backends disagree on tie decisions"
-        )
-    del array["_true_set"]
-    del array["_decisions"]
-    return {
-        "available": True,
-        "array": array,
-        "python_run_s": python["run_s"],
-        "tie_rounds": {"python": python["tie_rounds"], "array": array["tie_rounds"]},
-        "backend_speedup": python["run_s"] / max(array["run_s"], 1e-12),
-    }
 
 
 _ENGINE_SEMANTICS = {"wf": "well_founded", "wf-tb": "tie_breaking"}
@@ -495,9 +423,7 @@ def _replay_on_seed_grounding(
     return frozenset(i for i, s in enumerate(interp.status) if s == TRUE)
 
 
-def _bench_family(
-    name: str, spec: FamilySpec, base_n: int, repeat: int, baseline: bool, backends: bool = True
-) -> dict:
+def _bench_family(name: str, spec: FamilySpec, base_n: int, repeat: int, baseline: bool) -> dict:
     n = spec.size(base_n)
     program, database = spec.generator(n)
     # The production pipeline: one Engine grounds and kernel-compiles once;
@@ -544,12 +470,6 @@ def _bench_family(
         if mapped_true != replay_true:
             raise ReproError(f"bench family {name!r}: seed and compiled groundings disagree")
 
-    backend_section = None
-    if backends:
-        backend_section = _backend_section(
-            name, gp, spec.semantics, repeat, kernels["kernel"]
-        )
-
     # Cross-check the public Engine path against the timed drive loop: the
     # registry runner must reproduce the exact model (same FirstSideTrue
     # trajectory), and must do so without grounding again.  Warm the lazy
@@ -571,15 +491,10 @@ def _bench_family(
 
     # Differential guard on the incremental (K, L) sides cache: every
     # bench run re-verifies it per tie round against the full_recompute
-    # oracle, on every backend the run exercises.
+    # oracle.
     tie_sides_checked = 0
     if spec.semantics == "wf-tb":
-        tie_sides_checked = _verify_tie_sides(name, gp, GroundGraphState)
-        if backends:
-            from repro.ground.array_state import ArrayGroundGraphState, numpy_available
-
-            if numpy_available():
-                tie_sides_checked += _verify_tie_sides(name, gp, ArrayGroundGraphState)
+        tie_sides_checked = _verify_tie_sides(name, gp)
 
     return {
         "n": n,
@@ -617,7 +532,6 @@ def _bench_family(
         # whose semantics never queries ties).
         "tie_sides_checked": tie_sides_checked,
         "speedup": speedup,
-        "backends": backend_section,
     }
 
 
@@ -1380,7 +1294,6 @@ def run_bench(
     load: bool = True,
     load_concurrency: int | None = None,
     workers: int | None = None,
-    backends: bool = True,
     results_mode: bool = True,
 ) -> dict:
     """Run the benchmark suite and return the JSON-ready record.
@@ -1398,13 +1311,10 @@ def run_bench(
     segments (default :func:`_default_workers`; ``0`` skips the
     throughput sharding segment, and the load mode then falls back to
     the default width for its ``workers`` configuration);
-    ``backends`` records the python-vs-array kernel backend comparison
-    per family (``backend_speedup``, models and tie decisions
-    cross-checked identical; recorded as unavailable when numpy is not
-    importable); ``results_mode`` records the id-native result tier per
-    family (:func:`_results_family`: query answers/sec vs the eager
-    comparator, streaming encode MB/s vs the buffered oracle, both
-    differentially checked).  Raises
+    ``results_mode`` records the id-native result tier per family
+    (:func:`_results_family`: query answers/sec vs the eager comparator,
+    streaming encode MB/s vs the buffered oracle, both differentially
+    checked).  Raises
     :class:`~repro.errors.ReproError` for unknown scales or families,
     and whenever any cross-check fails.
     """
@@ -1416,7 +1326,7 @@ def run_bench(
     if unknown:
         raise ReproError(f"unknown families {unknown}; choose from {sorted(FAMILIES)}")
     results = {
-        name: _bench_family(name, FAMILIES[name], base_n, repeat, baseline, backends)
+        name: _bench_family(name, FAMILIES[name], base_n, repeat, baseline)
         for name in names
     }
     pool_workers = _default_workers() if workers is None else workers
@@ -1477,12 +1387,6 @@ def run_bench(
     speedups = [r["speedup"] for r in results.values() if r["speedup"]]
     ground_speedups = [r["ground_speedup"] for r in results.values() if r["ground_speedup"]]
     summary: dict = {**_stats(speedups, "speedup"), **_stats(ground_speedups, "ground_speedup")}
-    backend_speedups = [
-        r["backends"]["backend_speedup"]
-        for r in results.values()
-        if r.get("backends") and r["backends"].get("available")
-    ]
-    summary.update(_stats(backend_speedups, "backend_speedup"))
     if throughput_results:
         warm_speedups = [t["warm_speedup"] for t in throughput_results.values()]
         summary.update(_stats(warm_speedups, "warm_speedup"))
@@ -1578,41 +1482,6 @@ def format_table(record: Mapping) -> str:
                 f"geomean {summary['geomean_ground_speedup']:.2f}x / "
                 f"max {summary['max_ground_speedup']:.2f}x"
             )
-    backend_rows = {
-        name: fam["backends"]
-        for name, fam in record["families"].items()
-        if fam.get("backends")
-    }
-    if backend_rows:
-        lines.append("")
-        if any(not b.get("available") for b in backend_rows.values()):
-            reason = next(
-                b.get("reason", "unavailable")
-                for b in backend_rows.values()
-                if not b.get("available")
-            )
-            lines.append(f"backends (python vs array): unavailable — {reason}")
-        else:
-            lines.append(
-                f"backends (python vs array kernel): "
-                f"{'family':<18} {'python':>9} {'array':>9} {'speedup':>8} "
-                f"{'rounds py/arr':>14}"
-            )
-            for name, b in backend_rows.items():
-                rounds = b["tie_rounds"]
-                lines.append(
-                    f"{'':<35}{name:<18} "
-                    f"{b['python_run_s']:>8.3f}s "
-                    f"{b['array']['run_s']:>8.3f}s "
-                    f"{b['backend_speedup']:>7.2f}x "
-                    f"{rounds['python']:>6}/{rounds['array']:<7}"
-                )
-            if "geomean_backend_speedup" in summary:
-                lines.append(
-                    f"backend speedup: min {summary['min_backend_speedup']:.2f}x / "
-                    f"geomean {summary['geomean_backend_speedup']:.2f}x / "
-                    f"max {summary['max_backend_speedup']:.2f}x"
-                )
     throughput = record.get("throughput")
     if throughput:
         lines.append("")

@@ -68,9 +68,7 @@ _RUN_SEMANTICS = {
 
 
 def _engine(args) -> Engine:
-    return Engine.from_files(
-        args.program, getattr(args, "db", None), backend=getattr(args, "backend", None)
-    )
+    return Engine.from_files(args.program, getattr(args, "db", None))
 
 
 def _emit(command: str, payload: dict[str, Any]) -> None:
@@ -351,7 +349,6 @@ def _cmd_serve(args) -> int:
         database=database,
         grounding=args.grounding,
         workers=args.workers,
-        backend=args.backend,
     ) as solver:
         t0 = perf_counter()
         results = solver.solve_file(args.batch, materialize=False)
@@ -425,7 +422,6 @@ def _cmd_server(args) -> int:
         session_ttl_s=args.session_ttl,
         max_sessions=args.max_sessions,
         session_cache=args.session_cache,
-        backend=args.backend,
     )
     try:
         asyncio.run(run_server(server, ready_stream=sys.stderr))
@@ -460,7 +456,6 @@ def _cmd_bench(args) -> int:
         load=not args.no_load,
         load_concurrency=args.load_concurrency,
         workers=args.bench_workers,
-        backends=not args.no_backends,
         results_mode=not args.no_results,
     )
     path = write_bench(record, Path(args.output) if args.output else None)
@@ -501,12 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "modular, ...), or 'help' to list them",
     )
     p.add_argument("--grounding", choices=["full", "relevant", "edb"], default="full")
-    p.add_argument(
-        "--backend",
-        choices=["python", "array", "auto"],
-        help="evaluation kernel: python (default), array (NumPy, needs the "
-        "[array] extra), or auto (array on large graphs when numpy imports)",
-    )
     p.add_argument("--seed", type=int, help="random tie orientation seed")
     p.add_argument("--show-false", action="store_true")
     p.set_defaults(func=_cmd_run)
@@ -571,11 +560,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grounding mode used when compiling the artifact",
     )
     p.add_argument("--workers", type=int, default=0, help="worker processes (0 = inline)")
-    p.add_argument(
-        "--backend",
-        choices=["python", "array", "auto"],
-        help="default kernel backend for every serving engine",
-    )
     p.add_argument("--output", help="write result lines here instead of stdout")
     p.set_defaults(func=_cmd_serve)
 
@@ -624,11 +608,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--session-cache",
         help="artifact cache directory expired sessions snapshot into",
     )
-    p.add_argument(
-        "--backend",
-        choices=["python", "array", "auto"],
-        help="default kernel backend for every serving engine",
-    )
     p.set_defaults(func=_cmd_server)
 
     from repro.bench.runner import FAMILIES, SCALES
@@ -665,11 +644,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-load",
         action="store_true",
         help="skip the concurrent-server load mode (req/s, p50/p99 latency)",
-    )
-    p.add_argument(
-        "--no-backends",
-        action="store_true",
-        help="skip the python-vs-array kernel backend comparison",
     )
     p.add_argument(
         "--no-results",

@@ -425,8 +425,8 @@ class GroundIndex:
     of the same adjacency: CPython iterates and indexes tuples faster than
     typed arrays, so the worklist hot loops read the views.  The flat CSR
     form is the interchange surface (buffer-protocol arrays, ready for
-    serialization or a vectorized backend); view/CSR consistency is pinned
-    by ``tests/datalog/test_ground_index.py``.
+    serialization); view/CSR consistency is pinned by
+    ``tests/datalog/test_ground_index.py``.
     """
 
     __slots__ = (
@@ -459,10 +459,6 @@ class GroundIndex:
         "initial_rule_alive",
         "live_rules_init",
         "rule_slot_init",
-        # NumPy mirror of the CSR arrays plus the static node-graph
-        # adjacency, built lazily by repro.ground.array_state and shared
-        # by every array-backend state over this index.
-        "_array_cache",
     )
 
     def __getattr__(self, name: str):

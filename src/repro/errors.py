@@ -14,7 +14,6 @@ __all__ = [
     "ArityError",
     "GroundingError",
     "ArtifactError",
-    "BackendUnavailableError",
     "SolveTimeoutError",
     "SessionLimitError",
     "CloseConflictError",
@@ -64,16 +63,6 @@ class ArtifactError(ReproError):
     (:mod:`repro.io.artifact`): bad magic, unsupported format version,
     truncated files (short reads), checksum mismatches, and payloads
     whose section table disagrees with the bytes on disk.
-    """
-
-
-class BackendUnavailableError(ReproError):
-    """Raised when an explicitly requested kernel backend cannot run here.
-
-    The array backend (:mod:`repro.ground.array_state`) needs NumPy,
-    which is an optional extra (``pip install repro-datalog[array]``).
-    Asking for ``backend="array"`` without it raises this error;
-    ``backend="auto"`` silently falls back to the pure-Python kernel.
     """
 
 

@@ -1,13 +1,10 @@
 """Ground graph machinery: models, close(M, G), unfounded sets, bottom ties."""
 
-from repro.ground.backend import AUTO_ARRAY_THRESHOLD, BACKENDS, make_state, resolve_backend
 from repro.ground.explain import Explanation, explain, format_explanation
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 from repro.ground.state import BottomComponent, GroundGraphState
 
 __all__ = [
-    "AUTO_ARRAY_THRESHOLD",
-    "BACKENDS",
     "FALSE",
     "TRUE",
     "UNDEF",
@@ -17,6 +14,4 @@ __all__ = [
     "Interpretation",
     "explain",
     "format_explanation",
-    "make_state",
-    "resolve_backend",
 ]

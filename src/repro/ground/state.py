@@ -318,8 +318,8 @@ class GroundGraphState:
         # any subgraph); a full rebuild assigns new cids, so the dict is
         # simply reset there.
         self._tie_sides: dict[int, TieSides] = {}
-        # tie_analysis_s seconds accrued inside the current select_tie /
-        # select_ties window, subtracted so the two phases never overlap.
+        # tie_analysis_s seconds accrued inside the current select_tie
+        # window, subtracted so the two phases never overlap.
         self._ta_overlap = 0.0
 
         # Min-keyed schedule of bottom components: (smallest node, cid)
@@ -339,11 +339,6 @@ class GroundGraphState:
             "tie_apply_s": 0.0,
             "tie_analysis_s": 0.0,
         }
-
-        # Number of nonempty tie rounds served by select_ties() — the
-        # batched-round property tests assert the array backend collapses
-        # independent ties into O(DAG depth) rounds against this counter.
-        self.tie_rounds = 0
 
         # Rule nodes that start with no incoming edges (empty bodies) fire
         # during the first close; atoms with no support start falsifiable.
@@ -936,17 +931,14 @@ class GroundGraphState:
             if self.atom_alive[head]:
                 yield head, True
 
-    def _rebuild_scc(self, *, eager_sides: bool = True) -> None:
+    def _rebuild_scc(self) -> None:
         """Full Tarjan over the live graph; installs a fresh condensation.
 
         Component ids continue from ``_scc_next_cid`` so ids are never
         reused across rebuilds — stale schedule entries and trail records
         referring to pre-rebuild components can be recognized as such.
-        The sides cache is reset (its keys are pre-rebuild cids); the
-        pure-Python kernel repopulates it lazily per bottom query, while
-        the array backend overrides this to run one pooled Lemma-1 pass
-        when ``eager_sides`` is set (``full_recompute`` clears it so the
-        oracle path stays on fresh :func:`analyze_component` calls).
+        The sides cache is reset (its keys are pre-rebuild cids) and
+        repopulated lazily per bottom query.
         """
         if self._trail is not None:
             self._trail.append((_T_REBUILD,))
@@ -1269,7 +1261,7 @@ class GroundGraphState:
         """
         self._require_closed()
         if full_recompute or self._scc_comps is None:
-            self._rebuild_scc(eager_sides=not full_recompute)
+            self._rebuild_scc()
         elif self._scc_dirty:
             self._refine_scc()
 
@@ -1336,23 +1328,6 @@ class GroundGraphState:
         # tie_analysis_s; subtract it so the phase totals stay disjoint.
         self.phase_s["tie_select_s"] += (perf_counter() - t0) - self._ta_overlap
         return result
-
-    def select_ties(self) -> list[BottomComponent]:
-        """The bottom ties to break in this round (one batched round).
-
-        The pure-Python kernel keeps the sequential semantics — one tie
-        per round, the one :meth:`select_tie` returns — so existing golden
-        trails are unchanged; the array backend overrides this to return
-        *all* current bottom ties at once (they are disjoint and have no
-        incoming cross edges, so breaking them in one round reaches the
-        same closure as breaking them one by one).  Every nonempty round
-        increments :attr:`tie_rounds`.
-        """
-        tie = self.select_tie()
-        if tie is None:
-            return []
-        self.tie_rounds += 1
-        return [tie]
 
     # -- trail-based undo ----------------------------------------------------
 
@@ -1576,7 +1551,6 @@ class GroundGraphState:
         other._tie_heap = list(self._tie_heap)
         other._trail = None
         other.phase_s = dict(self.phase_s)
-        other.tie_rounds = self.tie_rounds
         return other
 
     # -- results -------------------------------------------------------------

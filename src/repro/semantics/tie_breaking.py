@@ -40,7 +40,6 @@ from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram, ground
 from repro.datalog.program import Program
-from repro.ground.backend import make_state
 from repro.ground.model import FALSE, TRUE, Interpretation
 from repro.ground.state import BottomComponent, GroundGraphState
 from repro.semantics.choices import ChoicePolicy, FirstSideTrue, forced_orientation
@@ -174,7 +173,7 @@ def _apply_tie(
 
     Assignment batches are sorted by atom id so the trail/decision
     trajectory is independent of the side dict's iteration order (fresh
-    BFS, cached sides, and the array backend enumerate differently).
+    BFS and cached sides enumerate differently).
     """
     made_true: list[int] = []
     made_false: list[int] = []
@@ -227,25 +226,19 @@ def _run(
 ) -> list[TieChoice]:
     """Drive a (pure or well-founded) tie-breaking run to completion.
 
-    Backend-agnostic: each round breaks *every* independent bottom tie the
-    kernel reports (:meth:`GroundGraphState.select_ties`).  Bottom ties
-    are disjoint and have no incoming edges, so orienting one cannot
-    change another's tie-ness or partition — batching a round is
-    observably identical to the one-tie-per-round schedule.  The python
-    kernel reports one tie per round (preserving its sequential
-    schedule); the array kernel reports all of them, collapsing a
-    committee-style cascade of n rounds into O(DAG depth).
+    Each round breaks one bottom tie — the one
+    :meth:`GroundGraphState.select_tie` returns (smallest atom id) — and
+    re-closes, so the choice trail follows the sequential schedule.
     """
     choices: list[TieChoice] = []
     state.close()
     while True:
         if well_founded:
             state.falsify_unfounded(numbered=False)
-        ties = state.select_ties()
-        if not ties:
+        tie = state.select_tie()
+        if tie is None:
             return choices
-        for tie in ties:
-            choices.append(_break_tie(state, tie, policy))
+        choices.append(_break_tie(state, tie, policy))
         state.close()
 
 
@@ -256,11 +249,10 @@ def _pure_tie_breaking(
     policy: ChoicePolicy | None = None,
     grounding: GroundingMode = "full",
     ground_program: GroundProgram | None = None,
-    backend: str | None = None,
 ) -> TieBreakingRun:
     """Implementation behind the ``pure_tie_breaking`` registry entry."""
     gp = ground_program or ground(program, database or Database(), mode=grounding)
-    state = make_state(gp, backend)
+    state = GroundGraphState(gp)
     chosen = policy or FirstSideTrue()
     choices = _run(state, chosen, well_founded=False)
     return TieBreakingRun(
@@ -280,11 +272,10 @@ def _well_founded_tie_breaking(
     policy: ChoicePolicy | None = None,
     grounding: GroundingMode = "relevant",
     ground_program: GroundProgram | None = None,
-    backend: str | None = None,
 ) -> TieBreakingRun:
     """Implementation behind the ``tie_breaking`` registry entry."""
     gp = ground_program or ground(program, database or Database(), mode=grounding)
-    state = make_state(gp, backend)
+    state = GroundGraphState(gp)
     chosen = policy or FirstSideTrue()
     choices = _run(state, chosen, well_founded=True)
     return TieBreakingRun(

@@ -17,7 +17,6 @@ from typing import Mapping
 from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram, ground
 from repro.datalog.program import Program
-from repro.ground.backend import make_state
 from repro.ground.model import Interpretation
 from repro.ground.state import GroundGraphState
 
@@ -48,9 +47,7 @@ class WellFoundedRun:
         return self.model.is_total
 
 
-def well_founded_state(
-    ground_program: GroundProgram, backend: str | None = None
-) -> tuple[GroundGraphState, int]:
+def well_founded_state(ground_program: GroundProgram) -> tuple[GroundGraphState, int]:
     """Run the well-founded interpreter, returning the live state.
 
     Exposed separately so callers that need the final evaluation state
@@ -58,10 +55,9 @@ def well_founded_state(
     The unfounded loop is the kernel's fused
     :meth:`~repro.ground.state.GroundGraphState.falsify_unfounded`
     cascade — each round reuses the source pointers maintained by
-    ``close`` instead of re-deriving the whole live graph.  ``backend``
-    selects the kernel (:func:`repro.ground.backend.make_state`).
+    ``close`` instead of re-deriving the whole live graph.
     """
-    state = make_state(ground_program, backend)
+    state = GroundGraphState(ground_program)
     state.close()
     iterations = state.falsify_unfounded(numbered=True)
     return state, iterations
@@ -73,11 +69,10 @@ def _well_founded_model(
     *,
     grounding: GroundingMode = "relevant",
     ground_program: GroundProgram | None = None,
-    backend: str | None = None,
 ) -> WellFoundedRun:
     """Implementation behind the ``well_founded`` registry entry."""
     gp = ground_program or ground(program, database or Database(), mode=grounding)
-    state, iterations = well_founded_state(gp, backend)
+    state, iterations = well_founded_state(gp)
     return WellFoundedRun(state.interpretation(), iterations, state, dict(state.phase_s))
 
 

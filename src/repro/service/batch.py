@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from multiprocessing.pool import AsyncResult, Pool
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, get_args
 
 from repro.api.engine import Engine
 from repro.datalog.database import Database
@@ -41,7 +41,6 @@ from repro.datalog.grounding import GroundingMode
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import Program
 from repro.errors import ReproError, SessionLimitError, SolveTimeoutError, ValidationError
-from repro.ground.backend import BACKENDS
 from repro.io.artifact import program_fingerprint, read_artifact_header
 from repro.io.json_io import solution_to_obj
 from repro.semantics.choices import (
@@ -72,7 +71,6 @@ _REQUEST_FIELDS = frozenset(
         "id",
         "semantics",
         "grounding",
-        "backend",
         "policy",
         "seed",
         "atoms",
@@ -81,6 +79,8 @@ _REQUEST_FIELDS = frozenset(
         "session",
     }
 )
+
+_GROUNDING_MODES: tuple[str, ...] = get_args(GroundingMode)
 
 _POLICIES = {
     "first_side_true": FirstSideTrue,
@@ -100,8 +100,6 @@ class BatchRequest:
     * ``semantics`` — any registry name or alias (default
       ``tie_breaking``);
     * ``grounding`` — per-request grounding mode override, if any;
-    * ``backend`` — per-request kernel backend override (``python``,
-      ``array``, or ``auto``); the serving engine's default otherwise;
     * ``policy`` / ``seed`` — tie-orientation policy by name
       (``first_side_true``, ``second_side_true``, ``fewest_true``,
       ``most_true``, ``random``) and the seed for ``random``; a bare
@@ -124,7 +122,6 @@ class BatchRequest:
     id: Any = None
     semantics: str = "tie_breaking"
     grounding: GroundingMode | None = None
-    backend: str | None = None
     policy: str | None = None
     seed: int | None = None
     atoms: tuple[str, ...] = ()
@@ -158,23 +155,29 @@ class BatchRequest:
             return tuple(str(a) for a in value)
 
         atoms = atom_list("atoms")
+        semantics = obj.get("semantics", "tie_breaking")
+        if not isinstance(semantics, str):
+            raise ValidationError("'semantics' must be a string")
+        grounding = obj.get("grounding")
+        if grounding is not None and grounding not in _GROUNDING_MODES:
+            raise ValidationError(
+                f"unknown grounding mode {grounding!r}; allowed: {', '.join(_GROUNDING_MODES)}"
+            )
+        policy = obj.get("policy")
+        if policy is not None and not isinstance(policy, str):
+            raise ValidationError("'policy' must be a string")
         seed = obj.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        # bool is an int subclass; {"seed": true} is a typo, not seed 1.
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
             raise ValidationError("'seed' must be an integer")
         session = obj.get("session")
         if session is not None and (not isinstance(session, str) or not session):
             raise ValidationError("'session' must be a non-empty string")
-        backend = obj.get("backend")
-        if backend is not None and backend not in BACKENDS:
-            raise ValidationError(
-                f"unknown backend {backend!r}; allowed: {', '.join(BACKENDS)}"
-            )
         return cls(
             id=obj.get("id", default_id),
-            semantics=obj.get("semantics", "tie_breaking"),
-            grounding=obj.get("grounding"),
-            backend=backend,
-            policy=obj.get("policy"),
+            semantics=semantics,
+            grounding=grounding,
+            policy=policy,
             seed=seed,
             atoms=atoms,
             insert=atom_list("insert"),
@@ -187,8 +190,6 @@ class BatchRequest:
         obj: dict[str, Any] = {"id": self.id, "semantics": self.semantics}
         if self.grounding is not None:
             obj["grounding"] = self.grounding
-        if self.backend is not None:
-            obj["backend"] = self.backend
         if self.policy is not None:
             obj["policy"] = self.policy
         if self.seed is not None:
@@ -361,8 +362,6 @@ def solve_one(
         options: dict[str, Any] = {}
         if request.grounding is not None:
             options["grounding"] = request.grounding
-        if request.backend is not None:
-            options["backend"] = request.backend
         policy = request.resolve_policy()
         if policy is not None:
             options["policy"] = policy
@@ -431,11 +430,9 @@ _WORKER_ENGINE: Engine | None = None
 _WORKER_TIMEOUT_S: float | None = None
 
 
-def _worker_init(
-    artifact_path: str, timeout_s: float | None = None, backend: str | None = None
-) -> None:
+def _worker_init(artifact_path: str, timeout_s: float | None = None) -> None:
     global _WORKER_ENGINE, _WORKER_TIMEOUT_S
-    _WORKER_ENGINE = Engine.from_artifact(artifact_path, backend=backend)
+    _WORKER_ENGINE = Engine.from_artifact(artifact_path)
     _WORKER_TIMEOUT_S = timeout_s
 
 
@@ -476,8 +473,6 @@ class BatchSolver:
       a request whose solve exceeds it is answered with a structured
       ``"error_kind": "timeout"`` result, enforced by ``SIGALRM`` inline
       and inside every worker process;
-    * ``backend`` — default kernel backend for every serving engine
-      (inline and in each worker); per-request ``backend`` overrides it;
     * ``chunksize`` — requests handed to a worker per dispatch.  The
       default 1 maximizes load balancing: per-task IPC is microseconds
       while solves are typically milliseconds, so at every measured batch
@@ -498,7 +493,6 @@ class BatchSolver:
         workers: int = 0,
         timeout_s: float | None = None,
         chunksize: int = 1,
-        backend: str | None = None,
     ) -> None:
         if workers < 0:
             raise ValidationError(f"workers must be >= 0, got {workers}")
@@ -506,12 +500,9 @@ class BatchSolver:
             raise ValidationError(f"timeout_s must be positive, got {timeout_s}")
         if chunksize < 1:
             raise ValidationError(f"chunksize must be >= 1, got {chunksize}")
-        if backend is not None and backend not in BACKENDS:
-            raise ValidationError(f"unknown backend {backend!r}; allowed: {', '.join(BACKENDS)}")
         self.workers = workers
         self.timeout_s = timeout_s
         self.chunksize = chunksize
-        self.backend = backend
         self._pool: Pool | None = None
         self._engine: Engine | None = None
         self._owns_artifact = False
@@ -525,7 +516,7 @@ class BatchSolver:
                 self._check_artifact_matches(path, program, database)
             self._artifact_path = path  # inline engine loads lazily (see .engine)
         elif program is not None:
-            engine = Engine(program, database, grounding=grounding, backend=backend)
+            engine = Engine(program, database, grounding=grounding)
             if path is None:
                 fd, tmp = tempfile.mkstemp(prefix="repro-ground-", suffix=".repro-ground")
                 os.close(fd)
@@ -568,7 +559,7 @@ class BatchSolver:
         parent process.
         """
         if self._engine is None:
-            self._engine = Engine.from_artifact(self._artifact_path, backend=self.backend)
+            self._engine = Engine.from_artifact(self._artifact_path)
         return self._engine
 
     def _ensure_pool(self) -> Pool:
@@ -579,7 +570,7 @@ class BatchSolver:
             self._pool = get_context().Pool(
                 processes=self.workers,
                 initializer=_worker_init,
-                initargs=(str(self._artifact_path), self.timeout_s, self.backend),
+                initargs=(str(self._artifact_path), self.timeout_s),
             )
         return self._pool
 
@@ -661,7 +652,7 @@ class BatchSolver:
                     continue
                 except ValidationError as exc:
                     error = exc
-            results.append({"schema": BATCH_SCHEMA, "id": rid, "ok": False, "error": str(error)})
+            results.append(failure_result(rid, error))
 
         stateful = any(r.has_updates or r.session is not None for _, r in solvable)
         if self.workers and solvable and not stateful:

@@ -130,7 +130,6 @@ class ReproServer:
         session_cache: ArtifactCache | str | Path | None = None,
         session_threads: int = 4,
         drain_timeout_s: float = 30.0,
-        backend: str | None = None,
     ) -> None:
         if max_pending < 1:
             raise ValidationError(f"max_pending must be >= 1, got {max_pending}")
@@ -141,7 +140,6 @@ class ReproServer:
             grounding=grounding,
             workers=workers,
             timeout_s=timeout_s,
-            backend=backend,
         )
         self.host = host
         self.port = port
@@ -152,7 +150,7 @@ class ReproServer:
         if session_cache is not None and not isinstance(session_cache, ArtifactCache):
             session_cache = ArtifactCache(session_cache)
         self.sessions = SessionManager(
-            lambda: Engine.from_artifact(self.solver.artifact_path, backend=backend),
+            lambda: Engine.from_artifact(self.solver.artifact_path),
             ttl_s=session_ttl_s,
             max_sessions=max_sessions,
             cache=session_cache,

@@ -85,6 +85,26 @@ def _run_key(run) -> tuple:
     )
 
 
+def _orient_min(state: GroundGraphState, tie) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orient one tie deterministically (min-atom side true); return sides."""
+    sides = tie.side_of_atom()
+    side_atoms: tuple[list[int], list[int]] = ([], [])
+    for atom_id, side in sides.items():
+        side_atoms[side].append(atom_id)
+    if not side_atoms[0]:
+        true_side = 0
+    elif not side_atoms[1]:
+        true_side = 1
+    else:
+        true_side = 0 if min(side_atoms[0]) <= min(side_atoms[1]) else 1
+    state.assign_many(side_atoms[true_side], TRUE, ("tie", true_side))
+    state.assign_many(side_atoms[1 - true_side], FALSE, ("tie", 1 - true_side))
+    return (
+        tuple(sorted(side_atoms[true_side])),
+        tuple(sorted(side_atoms[1 - true_side])),
+    )
+
+
 def _drive_stepwise_oracle(gp) -> tuple[list[int], int]:
     """Well-founded tie-breaking via the escape hatches only.
 
@@ -112,18 +132,7 @@ def _drive_stepwise_oracle(gp) -> tuple[list[int], int]:
                 tie, tie_key = component, key
         if tie is None:
             return list(state.status), iterations
-        sides = tie.side_of_atom()
-        side_atoms: tuple[list[int], list[int]] = ([], [])
-        for atom_id, side in sides.items():
-            side_atoms[side].append(atom_id)
-        if not side_atoms[0]:
-            true_side = 0
-        elif not side_atoms[1]:
-            true_side = 1
-        else:
-            true_side = 0 if min(side_atoms[0]) <= min(side_atoms[1]) else 1
-        state.assign_many(side_atoms[true_side], TRUE, ("tie", true_side))
-        state.assign_many(side_atoms[1 - true_side], FALSE, ("tie", 1 - true_side))
+        _orient_min(state, tie)
         state.close()
     pytest.fail("stepwise oracle did not converge")
 
@@ -138,18 +147,7 @@ def _drive_fused(gp) -> tuple[list[int], int]:
         tie = state.select_tie()
         if tie is None:
             return list(state.status), iterations
-        sides = tie.side_of_atom()
-        side_atoms: tuple[list[int], list[int]] = ([], [])
-        for atom_id, side in sides.items():
-            side_atoms[side].append(atom_id)
-        if not side_atoms[0]:
-            true_side = 0
-        elif not side_atoms[1]:
-            true_side = 1
-        else:
-            true_side = 0 if min(side_atoms[0]) <= min(side_atoms[1]) else 1
-        state.assign_many(side_atoms[true_side], TRUE, ("tie", true_side))
-        state.assign_many(side_atoms[1 - true_side], FALSE, ("tie", 1 - true_side))
+        _orient_min(state, tie)
         state.close()
     pytest.fail("fused drive did not converge")
 
@@ -272,11 +270,8 @@ _DERIVED_CACHES = frozenset(
 # the fingerprint asserts identity for the overlay's atom order.
 _SHARED_IMMUTABLE = frozenset({"gp", "_idx", "n_atoms", "n_rules", "_order"})
 # MACHINERY is the trail itself, the epoch-disciplined query scratch,
-# and accounting (wall-clock phases, the select_ties round counter) —
-# definitionally outside state equality.
-_MACHINERY = frozenset(
-    {"_trail", "_scratch", "phase_s", "tie_rounds", "_ta_overlap"}
-)
+# and wall-clock accounting — definitionally outside state equality.
+_MACHINERY = frozenset({"_trail", "_scratch", "phase_s", "_ta_overlap"})
 
 
 def test_state_fields_are_classified():
@@ -463,18 +458,7 @@ def _drive_from(state: GroundGraphState) -> tuple[list[int], int]:
         tie = state.select_tie()
         if tie is None:
             return list(state.status), iterations
-        sides = tie.side_of_atom()
-        side_atoms: tuple[list[int], list[int]] = ([], [])
-        for atom_id, side in sides.items():
-            side_atoms[side].append(atom_id)
-        if not side_atoms[0]:
-            true_side = 0
-        elif not side_atoms[1]:
-            true_side = 1
-        else:
-            true_side = 0 if min(side_atoms[0]) <= min(side_atoms[1]) else 1
-        state.assign_many(side_atoms[true_side], TRUE, ("tie", true_side))
-        state.assign_many(side_atoms[1 - true_side], FALSE, ("tie", 1 - true_side))
+        _orient_min(state, tie)
         state.close()
     pytest.fail("post-undo drive did not converge")
 
@@ -493,3 +477,99 @@ def test_hypothesis_trail_enumeration_matches_clone(program):
         _run_key(run) for run in _enumerate_reference(gp, variant="well-founded")
     ]
     assert trail_runs == clone_runs
+
+
+# ---------------------------------------------------------------------------
+# select_tie lazy-discard edge cases under trail undo.  The min-keyed
+# schedule keeps stale heap entries around after assignments and undos;
+# every resurfaced entry must be re-validated against live state, pinned
+# here by the schedule-free oracle.
+# ---------------------------------------------------------------------------
+
+
+def _assert_schedule_matches_oracle(state: GroundGraphState) -> None:
+    scheduled = state.select_tie()
+    scanned = _select_tie(state)
+    if scheduled is None:
+        assert scanned is None
+    else:
+        assert scanned is not None
+        assert sorted(scheduled.atom_ids) == sorted(scanned.atom_ids)
+        assert scheduled.side_of_atom() == scanned.side_of_atom()
+
+
+def test_select_tie_revalidates_after_undo_of_consumed_tie():
+    """Undoing a tie orientation resurrects it as the scheduled minimum."""
+    program, db = families.tie_chain(8)
+    state = GroundGraphState(ground(program, db, mode="relevant"))
+    state.trail_begin()
+    state.close()
+    state.falsify_unfounded(numbered=False)
+    first = state.select_tie()
+    assert first is not None
+    first_atoms = tuple(first.atom_ids)
+    mark = state.trail_mark()
+    _orient_min(state, first)
+    state.close()
+    # The heap has discarded/consumed entries for the orientation above;
+    # after undo the same component must be offered again.
+    state.trail_undo(mark)
+    again = state.select_tie()
+    assert again is not None
+    assert tuple(again.atom_ids) == first_atoms
+    _assert_schedule_matches_oracle(state)
+
+
+def test_select_tie_discards_stale_entries_after_partial_assignment():
+    """Assigning a tie's atoms outside select-tie flow lazily discards it."""
+    program, db = families.committee(4)
+    state = GroundGraphState(ground(program, db, mode="relevant"))
+    state.trail_begin()
+    state.close()
+    state.falsify_unfounded(numbered=False)
+    tie = state.select_tie()
+    assert tie is not None
+    mark = state.trail_mark()
+    # Orient the scheduled minimum *and* the next tie, then undo only to
+    # the mark: the schedule must resurface exactly the oracle's pick,
+    # not a stale heap head.
+    _orient_min(state, tie)
+    state.close()
+    second = state.select_tie()
+    assert second is not None
+    _orient_min(state, second)
+    state.close()
+    state.trail_undo(mark)
+    _assert_schedule_matches_oracle(state)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    program=propositional_programs(),
+    plan=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=4),
+)
+def test_select_tie_schedule_survives_random_undo_cycles(program, plan):
+    """Random orient/undo interleavings: schedule ≡ oracle at every stop.
+
+    Each plan step orients up to three scheduled ties and then either
+    keeps them or undoes back to the step's mark; after every step the
+    min-keyed schedule must agree with the schedule-free scan.
+    """
+    gp = ground(program, Database(), mode="full")
+    state = GroundGraphState(gp)
+    state.trail_begin()
+    state.close()
+    state.falsify_unfounded(numbered=False)
+    for breaks, keep in plan:
+        mark = state.trail_mark()
+        for _ in range(breaks):
+            tie = state.select_tie()
+            if tie is None:
+                break
+            _orient_min(state, tie)
+            state.close()
+            state.falsify_unfounded(numbered=False)
+            state.close()
+        if not keep:
+            state.trail_undo(mark)
+        _assert_schedule_matches_oracle(state)

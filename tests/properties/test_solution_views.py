@@ -4,7 +4,7 @@ The PR-10 contract: a model-backed solution stores only the kernel's
 status array; ``true_ids`` / ``false_ids`` / ``undefined_ids`` partition
 it without decoding, and the ``*_atoms`` frozensets decode lazily on
 first touch (booking wall clock into ``timings["result_s"]``).  Every
-(family, semantics, backend) combination here cross-checks:
+(family, semantics) combination here cross-checks:
 
 * the id partition against a direct status-array scan;
 * the lazy atom views against an eager oracle decoded straight from the
@@ -22,7 +22,6 @@ import pytest
 
 from repro.api.engine import Engine
 from repro.errors import ReproError
-from repro.ground.array_state import numpy_available
 from repro.ground.model import FALSE, TRUE, UNDEF
 from repro.io.json_io import (
     solution_to_jsonl_chunks,
@@ -55,24 +54,17 @@ SEMANTICS = [
     "well_founded",
 ]
 
-#: Semantics that accept a ``backend=`` option (the kernel-backed ones).
-BACKEND_SEMANTICS = {"well_founded", "tie_breaking", "pure_tie_breaking"}
-
-BACKENDS = ["python"] + (["array"] if numpy_available() else [])
-
 
 def _solutions(name, make):
-    """Every solvable (semantics, backend, solution) triple of one family."""
+    """Every solvable (semantics, engine, solution) triple of one family."""
     out = []
     for semantics in SEMANTICS:
-        for backend in BACKENDS if semantics in BACKEND_SEMANTICS else [None]:
-            engine = Engine(*make())
-            options = {} if backend is None else {"backend": backend}
-            try:
-                solution = engine.solve(semantics, **options)
-            except ReproError:
-                continue  # semantics does not apply to this family
-            out.append((semantics, backend, engine, solution))
+        engine = Engine(*make())
+        try:
+            solution = engine.solve(semantics)
+        except ReproError:
+            continue  # semantics does not apply to this family
+        out.append((semantics, engine, solution))
     return out
 
 
@@ -89,8 +81,8 @@ def _eager_oracle(model):
 def test_lazy_views_match_eager_oracle(name, make):
     solved = _solutions(name, make)
     assert solved, name
-    for semantics, backend, _engine, solution in solved:
-        label = (name, semantics, backend)
+    for semantics, _engine, solution in solved:
+        label = (name, semantics)
         if solution.model is None:
             # Closed-world results are born eager; the id views are absent.
             assert solution.true_ids is None, label
@@ -129,8 +121,8 @@ def test_lazy_views_match_eager_oracle(name, make):
 
 @pytest.mark.parametrize("name,make", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES])
 def test_streaming_encode_matches_buffered_bytes(name, make):
-    for semantics, backend, _engine, solution in _solutions(name, make):
-        label = (name, semantics, backend)
+    for semantics, _engine, solution in _solutions(name, make):
+        label = (name, semantics)
         # Warm both paths once: the first encodes book the one-time decode
         # into the live timings, so only the warm pair is byte-stable.
         "".join(solution_to_jsonl_chunks(solution))

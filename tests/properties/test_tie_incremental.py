@@ -12,7 +12,7 @@ Three layers, all lockstep against a fresh-analysis oracle:
 * **kernel level** — a full well-founded tie-breaking drive on each bench
   family where, before every tie round, the incremental path (cached
   condensation + sides cache) is compared against a
-  ``full_recompute=True`` clone, on both kernel backends.
+  ``full_recompute=True`` clone.
 * **trail level** — undoing a prefix of a trailed run must restore the
   exact pre-round fingerprint (including the served tie partitions), and
   redoing from there must land on the original final model.
@@ -27,7 +27,6 @@ from repro.workloads import families
 from repro.bench.runner import _verify_tie_sides
 from repro.datalog.grounding import ground
 from repro.graphs.ties import TieSides
-from repro.ground.array_state import ArrayGroundGraphState, numpy_available
 from repro.ground.model import FALSE, TRUE
 from repro.ground.state import GroundGraphState
 
@@ -42,10 +41,6 @@ FAMILY_CASES = [
     ("grounded_argumentation", families.grounded_argumentation, 17, "relevant"),
     ("adversarial_scc", families.adversarial_scc, 10, "relevant"),
 ]
-
-BACKENDS = [("python", GroundGraphState)]
-if numpy_available():
-    BACKENDS.append(("array", ArrayGroundGraphState))
 
 
 # -- structure level ------------------------------------------------------
@@ -207,16 +202,15 @@ def test_restricted_partition_stays_valid(case):
 # -- kernel level ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend,state_cls", BACKENDS, ids=[b for b, _ in BACKENDS])
 @pytest.mark.parametrize(
     "name,generator,n,mode", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES]
 )
-def test_kernel_lockstep_vs_full_recompute(name, generator, n, mode, backend, state_cls):
-    """Per-round incremental sides ≡ the full_recompute oracle, both
-    backends (the same differential the bench runs on every record)."""
+def test_kernel_lockstep_vs_full_recompute(name, generator, n, mode):
+    """Per-round incremental sides ≡ the full_recompute oracle (the same
+    differential the bench runs on every record)."""
     program, db = generator(n)
     gp = ground(program, db, mode=mode)
-    checked = _verify_tie_sides(f"{name}({n})", gp, state_cls)
+    checked = _verify_tie_sides(f"{name}({n})", gp)
     assert checked > 0
 
 
@@ -243,33 +237,29 @@ def _fingerprint(state) -> tuple:
 def _drive_round(state) -> bool:
     """One wf-tb round; returns False when the run is complete."""
     state.falsify_unfounded(numbered=False)
-    ties = state.select_ties()
-    if not ties:
+    tie = state.select_tie()
+    if tie is None:
         return False
-    for tie in ties:
-        sides = tie.side_of_atom()
-        side_atoms: tuple[list[int], list[int]] = ([], [])
-        for atom_id, side in sides.items():
-            side_atoms[side].append(atom_id)
-        if not side_atoms[0]:
-            true_side = 0
-        elif not side_atoms[1]:
-            true_side = 1
-        else:
-            true_side = 0 if min(side_atoms[0]) <= min(side_atoms[1]) else 1
-        state.assign_many(sorted(side_atoms[true_side]), TRUE, ("tie", true_side))
-        state.assign_many(
-            sorted(side_atoms[1 - true_side]), FALSE, ("tie", 1 - true_side)
-        )
+    sides = tie.side_of_atom()
+    side_atoms: tuple[list[int], list[int]] = ([], [])
+    for atom_id, side in sides.items():
+        side_atoms[side].append(atom_id)
+    if not side_atoms[0]:
+        true_side = 0
+    elif not side_atoms[1]:
+        true_side = 1
+    else:
+        true_side = 0 if min(side_atoms[0]) <= min(side_atoms[1]) else 1
+    state.assign_many(sorted(side_atoms[true_side]), TRUE, ("tie", true_side))
+    state.assign_many(sorted(side_atoms[1 - true_side]), FALSE, ("tie", 1 - true_side))
     state.close()
     return True
 
 
-@pytest.mark.parametrize("backend,state_cls", BACKENDS, ids=[b for b, _ in BACKENDS])
 @pytest.mark.parametrize(
     "name,generator,n,mode", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES]
 )
-def test_trail_undo_replay_preserves_tie_state(name, generator, n, mode, backend, state_cls):
+def test_trail_undo_replay_preserves_tie_state(name, generator, n, mode):
     """Undo a prefix of a trailed run, redo it, compare fingerprints.
 
     The rewound state must reproduce the exact pre-round fingerprint —
@@ -278,7 +268,7 @@ def test_trail_undo_replay_preserves_tie_state(name, generator, n, mode, backend
     """
     program, db = generator(n)
     gp = ground(program, db, mode=mode)
-    state = state_cls(gp)
+    state = GroundGraphState(gp)
     state.trail_begin()
     state.close()
 
@@ -297,7 +287,7 @@ def test_trail_undo_replay_preserves_tie_state(name, generator, n, mode, backend
     for target in {0, len(marks) // 2, len(marks) - 1}:
         state.trail_undo(marks[target])
         assert _fingerprint(state) == fingerprints[target], (
-            f"{name}/{backend}: fingerprint diverges after undo to round {target}"
+            f"{name}: fingerprint diverges after undo to round {target}"
         )
         for _ in range(MAX_ROUNDS):
             if not _drive_round(state):
@@ -305,5 +295,5 @@ def test_trail_undo_replay_preserves_tie_state(name, generator, n, mode, backend
         else:
             pytest.fail("redo did not converge")
         assert (tuple(state.status), frozenset(state.live_atom_ids())) == final, (
-            f"{name}/{backend}: redo from round {target} missed the original model"
+            f"{name}: redo from round {target} missed the original model"
         )

@@ -54,6 +54,39 @@ class TestBatchRequest:
         with pytest.raises(ValidationError, match="schema"):
             BatchRequest.from_obj({"schema": "repro-batchreq/999"})
 
+    @pytest.mark.parametrize(
+        "obj,match",
+        [
+            ({"grounding": "bogus"}, "unknown grounding mode"),
+            ({"grounding": ["full"]}, "unknown grounding mode"),
+            ({"policy": ["x"]}, "'policy' must be a string"),
+            ({"semantics": ["wf"]}, "'semantics' must be a string"),
+            ({"seed": True}, "'seed'"),
+            ({"seed": 1.5}, "'seed'"),
+        ],
+        ids=[
+            "grounding-unknown",
+            "grounding-list",
+            "policy-list",
+            "semantics-list",
+            "seed-bool",
+            "seed-float",
+        ],
+    )
+    def test_rejects_malformed_field_values(self, obj, match):
+        with pytest.raises(ValidationError, match=match):
+            BatchRequest.from_obj(obj)
+
+    def test_accepts_every_grounding_mode(self):
+        for mode in ("full", "relevant", "edb"):
+            assert BatchRequest.from_obj({"grounding": mode}).grounding == mode
+
+    def test_removed_backend_field_is_an_unknown_field(self):
+        """The kernel ``backend`` field is gone from the wire: a line that
+        still carries it fails loudly instead of being silently ignored."""
+        with pytest.raises(ValidationError, match="unknown batch request field.*backend"):
+            BatchRequest.from_obj({"backend": "python"})
+
     def test_policy_resolution(self):
         assert BatchRequest().resolve_policy() is None
         assert repr(BatchRequest(policy="first_side_true").resolve_policy()) == "FirstSideTrue()"
@@ -139,6 +172,22 @@ class TestBatchSolverInline:
             results = solver.solve_many(read_requests(['{"id": 1}', "garbage"]))
         assert results[0]["ok"]
         assert not results[1]["ok"] and "invalid JSON" in results[1]["error"]
+
+    def test_malformed_fields_fail_their_request_only(self, tmp_path):
+        with BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD) as solver:
+            results = solver.solve_many(
+                [
+                    {"id": 1, "grounding": "bogus"},
+                    {"id": 2, "policy": ["x"]},
+                    {"id": 3, "semantics": ["wf"]},
+                    {"id": 4, "seed": True},
+                    {"id": 5, "atoms": ["win(1)"]},
+                ]
+            )
+        assert [r["id"] for r in results] == [1, 2, 3, 4, 5]
+        for bad in results[:4]:
+            assert not bad["ok"] and bad["error_kind"] == "validation", bad
+        assert results[4]["ok"]
 
     def test_failed_validation_echoes_request_id(self, tmp_path):
         with BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD) as solver:
@@ -397,53 +446,3 @@ class TestServeCli:
         batch = tmp_path / "requests.jsonl"
         batch.write_text("{}\n")
         assert main(["serve", "--batch", str(batch)]) == 2
-
-
-class TestBackendField:
-    """Per-request and per-solver kernel backend selection."""
-
-    def test_round_trip_and_validation(self):
-        req = BatchRequest.from_obj({"backend": "auto"})
-        assert req.backend == "auto"
-        assert BatchRequest.from_obj(req.to_obj()) == req
-        assert BatchRequest.from_obj({}).backend is None
-        with pytest.raises(ValidationError, match="unknown backend"):
-            BatchRequest.from_obj({"backend": "gpu"})
-        with pytest.raises(ValidationError, match="unknown backend"):
-            BatchRequest.from_obj({"backend": 3})
-
-    def test_solver_rejects_unknown_backend(self, tmp_path):
-        with pytest.raises(ValidationError, match="backend"):
-            BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD, backend="gpu")
-
-    def test_request_backend_routes_through_solver(self, tmp_path):
-        from repro.ground.array_state import numpy_available
-
-        with BatchSolver(
-            tmp_path / "c.rg", program=COMMITTEE, database=MEMBERS, grounding="relevant"
-        ) as solver:
-            atoms = ["in(a)", "in(b)", "in(c)"]
-            python_r, array_r = solver.solve_many(
-                [
-                    {"id": "p", "backend": "python", "atoms": atoms},
-                    {"id": "a", "backend": "array", "atoms": atoms},
-                ]
-            )
-        assert python_r["ok"]
-        if numpy_available():
-            assert array_r["ok"]
-            assert array_r["values"] == python_r["values"]
-        else:
-            assert not array_r["ok"]
-            assert "requires numpy" in array_r["error"]
-
-    def test_solver_default_backend_applies(self, tmp_path):
-        with BatchSolver(
-            tmp_path / "c.rg",
-            program=COMMITTEE,
-            database=MEMBERS,
-            grounding="relevant",
-            backend="auto",  # tiny program: auto resolves to python
-        ) as solver:
-            (result,) = solver.solve_many([{"id": 1, "atoms": ["in(a)"]}])
-        assert result["ok"] and result["total"]

@@ -123,6 +123,27 @@ class TestConcurrentServing:
         assert responses[None]["error_kind"] == "validation"
         assert responses["ok"]["ok"]
 
+    def test_malformed_fields_fail_that_line_only(self, artifact):
+        """Malformed field values and the removed ``backend`` field are
+        answered with a validation error; the connection keeps serving."""
+        bad = [
+            {"id": 1, "grounding": "bogus"},
+            {"id": 2, "policy": ["x"]},
+            {"id": 3, "semantics": ["wf"]},
+            {"id": 4, "backend": "python"},
+        ]
+
+        async def main():
+            async with ReproServer(artifact, workers=0) as server:
+                return await send_requests(server.address, bad + [{"id": "ok", "atoms": PROBE}])
+
+        responses = {r["id"]: r for r in asyncio.run(main())}
+        for request in bad:
+            response = responses[request["id"]]
+            assert not response["ok"], response
+            assert response["error_kind"] == "validation", response
+        assert responses["ok"]["ok"]
+
 
 class TestAdmissionControl:
     def test_overload_sheds_with_structured_result(self, artifact):

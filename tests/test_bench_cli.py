@@ -85,14 +85,12 @@ class TestRunBench:
         assert family["seed_ground_s"] is None
         assert family["ground_speedup"] is None
         # No seed-kernel/grounder speedups; the serving (warm),
-        # enumeration (trail-vs-clone), backend (python-vs-array), and
-        # result-tier (query/encode) summaries are independent of the
-        # frozen baselines and survive.
+        # enumeration (trail-vs-clone), and result-tier (query/encode)
+        # summaries are independent of the frozen baselines and survive.
         assert not any(
             k.endswith("_speedup")
             and "warm" not in k
             and "enumerate" not in k
-            and "backend" not in k
             and "query" not in k
             and "encode" not in k
             for k in record["summary"]
@@ -106,51 +104,12 @@ class TestRunBench:
             throughput=False,
             enumerate_mode=False,
             load=False,
-            backends=False,
             results_mode=False,
         )
         assert "throughput" not in record
         assert "enumerate" not in record
         assert "results" not in record
         assert record["summary"] == {}
-
-    def test_no_backends_mode(self):
-        record = run_bench(
-            scale="smoke",
-            family_names=["committee"],
-            baseline=False,
-            throughput=False,
-            enumerate_mode=False,
-            updates=False,
-            load=False,
-            backends=False,
-        )
-        assert record["families"]["committee"]["backends"] is None
-        assert not any("backend" in k for k in record["summary"])
-
-    def test_backend_section_cross_checks(self):
-        from repro.ground.array_state import numpy_available
-
-        record = run_bench(
-            scale="smoke",
-            family_names=["committee"],
-            baseline=False,
-            throughput=False,
-            enumerate_mode=False,
-            updates=False,
-            load=False,
-        )
-        backends = record["families"]["committee"]["backends"]
-        if not numpy_available():
-            assert backends == {"available": False, "reason": "numpy not importable"}
-            return
-        # Reaching here means the runner's model + tie-decision
-        # cross-check against the python kernel passed (it raises on
-        # any divergence).
-        assert backends["available"]
-        assert backends["backend_speedup"] > 0
-        assert backends["tie_rounds"]["array"] <= backends["tie_rounds"]["python"]
-        assert "geomean_backend_speedup" in record["summary"]
 
     def test_results_mode_records_query_and_encode(self):
         record = run_bench(
@@ -161,7 +120,6 @@ class TestRunBench:
             enumerate_mode=False,
             updates=False,
             load=False,
-            backends=False,
         )
         assert set(record["results"]) == {"win_move_line", "committee"}
         for fam in record["results"].values():
@@ -194,7 +152,6 @@ class TestRunBench:
             enumerate_mode=False,
             updates=False,
             load=False,
-            backends=False,
             results_mode=False,
         )
         assert "results" not in record
