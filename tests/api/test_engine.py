@@ -271,6 +271,29 @@ class TestAnalysisSurface:
         assert engine.solve("tie_breaking").total
 
 
+class TestRemovedBackendOption:
+    """The kernel ``backend`` option is gone from every entry point; a
+    caller that still passes it fails loudly instead of being ignored."""
+
+    def test_constructor_rejects_backend(self):
+        with pytest.raises(TypeError, match="backend"):
+            Engine(WIN_MOVE, DRAW_DB, backend="python")
+
+    def test_from_artifact_rejects_backend(self, tmp_path):
+        path = tmp_path / "game.repro-ground"
+        Engine(WIN_MOVE, DRAW_DB).save_artifact(path)
+        with pytest.raises(TypeError, match="backend"):
+            Engine.from_artifact(path, backend="python")
+
+    @pytest.mark.parametrize("semantics", ["well_founded", "tie_breaking", "pure_tie_breaking"])
+    def test_solve_rejects_backend_option(self, semantics):
+        engine = Engine(WIN_MOVE, DRAW_DB)
+        with pytest.raises(SemanticsError, match="does not accept option.*backend"):
+            engine.solve(semantics, backend="python")
+
+    def test_stats_have_no_backend_entry(self):
+        assert "backend" not in Engine(WIN_MOVE, DRAW_DB).stats()
+
 class TestModuleLevelHelpers:
     def test_solve_helper(self):
         assert solve("tie_breaking", WIN_MOVE, DRAW_DB).total

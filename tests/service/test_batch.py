@@ -63,6 +63,8 @@ class TestBatchRequest:
             ({"semantics": ["wf"]}, "'semantics' must be a string"),
             ({"seed": True}, "'seed'"),
             ({"seed": 1.5}, "'seed'"),
+            ({"policy": 3}, "'policy' must be a string"),
+            ({"semantics": 3}, "'semantics' must be a string"),
         ],
         ids=[
             "grounding-unknown",
@@ -71,6 +73,8 @@ class TestBatchRequest:
             "semantics-list",
             "seed-bool",
             "seed-float",
+            "policy-int",
+            "semantics-int",
         ],
     )
     def test_rejects_malformed_field_values(self, obj, match):

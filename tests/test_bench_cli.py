@@ -329,6 +329,24 @@ class TestBenchCli:
         assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["run", "game.dl", "--backend", "python"], "--backend"),
+        (["serve", "game.dl", "--batch", "requests.jsonl", "--backend", "python"], "--backend"),
+        (["server", "game.dl", "--backend", "python"], "--backend"),
+        (["bench", "--no-backends"], "--no-backends"),
+    ],
+    ids=["run", "serve", "server", "bench"],
+)
+def test_removed_backend_flags_are_rejected(argv, flag, capsys):
+    """The kernel-backend flags are gone; argparse refuses them."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestWriteBench:
     def test_write_bench_round_trips(self, tmp_path):
         record = run_bench(
