@@ -5,7 +5,7 @@ pair: parse → ground → compile the :class:`~repro.datalog.grounding.GroundIn
 kernel view, each exactly once per grounding mode, then answer any number
 of ``solve`` / ``enumerate`` / ``query_many`` / ``explain`` calls against
 the shared compiled ground graph.  This is the production entry point: the
-CLI, the examples, and the bench pipeline all ride it, and the legacy
+CLI, the examples, and the repository benchmark all ride it, and the legacy
 per-semantics free functions are deprecated shims over it.
 
     >>> from repro.api import Engine

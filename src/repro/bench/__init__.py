@@ -1,27 +1,12 @@
-"""Benchmark pipeline: ``repro bench`` and the frozen seed kernel.
+"""Frozen seed oracles.
 
-* :mod:`repro.bench.runner` — the timing harness behind the ``bench``
-  CLI subcommand; writes per-phase timings to ``BENCH_<rev>.json``;
 * :mod:`repro.bench.seed_kernel` — the pre-compilation evaluation kernel,
-  preserved as the speedup baseline and differential-test oracle.
+  the well-founded oracle of the property suite and of the repository
+  benchmark (``perfbench/``);
+* :mod:`repro.bench.seed_grounder` — the pre-compilation grounder, the
+  differential oracle of the grounder property suite.
 """
 
-from repro.bench.runner import (
-    FAMILIES,
-    SCALES,
-    default_output_path,
-    format_table,
-    run_bench,
-    write_bench,
-)
 from repro.bench.seed_kernel import SeedGroundGraphState
 
-__all__ = [
-    "FAMILIES",
-    "SCALES",
-    "SeedGroundGraphState",
-    "default_output_path",
-    "format_table",
-    "run_bench",
-    "write_bench",
-]
+__all__ = ["SeedGroundGraphState"]

@@ -1,4 +1,4 @@
-"""The pre-compilation grounding front-end, preserved verbatim as a baseline.
+"""The pre-compilation grounding front-end, preserved verbatim as an oracle.
 
 This is the original parse→ground pipeline from before the compiled
 join-plan grounder landed: :class:`~repro.datalog.atoms.Atom`-object
@@ -7,16 +7,12 @@ per-binding ``dict`` copies, a semi-naive loop that re-scans every rule
 plan each round, and grounders that materialize an ``Atom`` per body
 literal before the kernel compile.
 
-It is kept for two purposes (mirroring :mod:`repro.bench.seed_kernel`):
-
-* the ``repro bench`` pipeline times it against the production grounder
-  so every recorded ``BENCH_*.json`` carries an honest apples-to-apples
-  ``ground_speedup`` figure (same program, same database, same modes);
-* the property suite (``tests/properties/test_grounder_properties.py``)
-  compares its output — ground atoms, ground rule instances, and the
-  upper-bound model U\\* — against the compiled grounder as a
-  differential oracle, and replays kernel trajectories across the two
-  groundings through an atom bijection.
+It is kept as a test oracle (mirroring :mod:`repro.bench.seed_kernel`):
+the property suite (``tests/properties/test_grounder_properties.py``)
+compares its output — ground atoms, ground rule instances, and the
+upper-bound model U\\* — against the compiled grounder as a differential
+oracle, and replays kernel trajectories across the two groundings through
+an atom bijection.
 
 Do not "improve" this module; its value is being frozen.
 """

@@ -1,4 +1,4 @@
-"""The pre-compilation evaluation kernel, preserved verbatim as a baseline.
+"""The pre-compilation evaluation kernel, preserved verbatim as an oracle.
 
 This is the original :class:`~repro.ground.state.GroundGraphState`
 implementation from before the compiled CSR kernel landed: per-state
@@ -7,14 +7,13 @@ rebuilds an O(rules) counter array on every call, and a
 ``bottom_components_live`` that re-runs Tarjan over the whole live graph
 on every query.
 
-It is kept for two purposes:
+It is kept as the well-founded oracle, in two places:
 
-* the ``repro bench`` pipeline times it against the production kernel so
-  every recorded ``BENCH_*.json`` carries an honest apples-to-apples
-  speedup figure (same ground program, same interpreters, same results);
 * the property suite (``tests/properties/test_kernel_properties.py``)
   drives it in lockstep with the production kernel as a differential
-  oracle for the incremental unfounded-set and cached bottom-SCC paths.
+  oracle for the incremental unfounded-set and cached bottom-SCC paths;
+* the repository benchmark (``perfbench/checks.py``) checks every
+  well-founded answer it times against this kernel's model.
 
 Do not "improve" this module; its value is being frozen.
 """

@@ -17,10 +17,7 @@ Subcommands:
 * ``server``                  — long-lived concurrent TCP/JSONL server:
   asyncio front-end over the same artifact with per-session serialized
   updates, bounded admission (shed responses under overload), and
-  graceful drain on SIGTERM;
-* ``bench``                   — per-phase kernel timings plus the
-  cold-vs-warm throughput and streaming-update modes, written to
-  ``BENCH_<rev>.json``.
+  graceful drain on SIGTERM.
 
 Program files use the Datalog syntax of :mod:`repro.datalog.parser`;
 databases are fact files (``--db``).  Every subcommand evaluates through
@@ -437,33 +434,6 @@ def _cmd_server(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.runner import format_table, run_bench, write_bench
-
-    family_names = (
-        [f.strip() for f in args.families.split(",") if f.strip()]
-        if args.families
-        else None
-    )
-    record = run_bench(
-        scale=args.scale,
-        family_names=family_names,
-        repeat=args.repeat,
-        baseline=not args.no_baseline,
-        throughput=not args.no_throughput,
-        enumerate_mode=not args.no_enumerate,
-        updates=not args.no_updates,
-        load=not args.no_load,
-        load_concurrency=args.load_concurrency,
-        workers=args.bench_workers,
-        results_mode=not args.no_results,
-    )
-    path = write_bench(record, Path(args.output) if args.output else None)
-    print(format_table(record))
-    print(f"wrote {path}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-datalog",
@@ -610,58 +580,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_server)
 
-    from repro.bench.runner import FAMILIES, SCALES
-
-    p = sub.add_parser("bench", help="kernel benchmark suite (per-phase timings)")
-    p.add_argument("--scale", choices=list(SCALES), default="small")
-    p.add_argument(
-        "--families",
-        help=f"comma-separated subset of: {', '.join(FAMILIES)}",
-    )
-    p.add_argument("--output", help="output path (default: ./BENCH_<rev>.json)")
-    p.add_argument("--repeat", type=int, default=1, help="best-of-N timing runs")
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the seed-kernel baseline column (no speedup recorded)",
-    )
-    p.add_argument(
-        "--no-throughput",
-        action="store_true",
-        help="skip the cold-vs-warm artifact serving (throughput) mode",
-    )
-    p.add_argument(
-        "--no-enumerate",
-        action="store_true",
-        help="skip the trail-vs-clone enumeration (models/sec) mode",
-    )
-    p.add_argument(
-        "--no-updates",
-        action="store_true",
-        help="skip the streaming-update vs full-rebuild (updates/sec) mode",
-    )
-    p.add_argument(
-        "--no-load",
-        action="store_true",
-        help="skip the concurrent-server load mode (req/s, p50/p99 latency)",
-    )
-    p.add_argument(
-        "--no-results",
-        action="store_true",
-        help="skip the result-tier mode (query answers/sec, encode MB/s)",
-    )
-    p.add_argument(
-        "--load-concurrency",
-        type=int,
-        help="in-flight request cap for the load mode (default per scale)",
-    )
-    p.add_argument(
-        "--workers",
-        dest="bench_workers",
-        type=int,
-        help="pool width for the sharding/load segments (default 2-4, CPU-capped)",
-    )
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -439,8 +439,8 @@ def _enumerate_reference(
     Branches by copying the whole evaluation state and uses the
     schedule-free queries (``unfounded_atoms`` + ``bottom_components_live``
     scan), so it shares none of the trail/undo or tie-schedule machinery —
-    the differential oracle the property suite and the enumerate bench
-    drive against the trail-based explorer.
+    the differential oracle the property suite drives against the
+    trail-based explorer.
     """
     well_founded = _check_variant(variant)
     emitted = 0

@@ -7,7 +7,7 @@ afterwards is answered by an engine warm-started from that artifact.
 :class:`BatchSolver` runs a whole batch:
 
 * ``workers=0`` (the default) answers inline on one warm engine — the
-  deterministic mode used by tests and the bench pipeline;
+  deterministic mode used by tests;
 * ``workers=N`` shards the batch across ``N`` worker processes; each
   worker loads the artifact once (process-pool initializer), so the
   per-request cost is pure solve time, never grounding.
@@ -467,17 +467,14 @@ class BatchSolver:
       process;
     * ``workers=0`` — answer inline on one warm engine in this process;
     * ``workers=N`` — fork ``N`` workers, each warm-starting from the
-      artifact once; requests are sharded across them (no engine is
-      loaded in the parent);
+      artifact once; requests are handed out one per dispatch (no engine
+      is loaded in the parent).  Per-task IPC is microseconds while
+      solves are typically milliseconds, so single-request dispatch
+      balances load best;
     * ``timeout_s`` — per-request solve deadline (see :func:`solve_one`):
       a request whose solve exceeds it is answered with a structured
       ``"error_kind": "timeout"`` result, enforced by ``SIGALRM`` inline
-      and inside every worker process;
-    * ``chunksize`` — requests handed to a worker per dispatch.  The
-      default 1 maximizes load balancing: per-task IPC is microseconds
-      while solves are typically milliseconds, so at every measured batch
-      shape chunk 1 beats coarser shards (see ``docs/serving.md``); raise
-      it only for huge batches of sub-millisecond requests.
+      and inside every worker process.
 
     Use as a context manager (or call :meth:`close`) to reclaim the
     worker pool and any temporary artifact.
@@ -492,17 +489,13 @@ class BatchSolver:
         grounding: GroundingMode | None = None,
         workers: int = 0,
         timeout_s: float | None = None,
-        chunksize: int = 1,
     ) -> None:
         if workers < 0:
             raise ValidationError(f"workers must be >= 0, got {workers}")
         if timeout_s is not None and timeout_s <= 0:
             raise ValidationError(f"timeout_s must be positive, got {timeout_s}")
-        if chunksize < 1:
-            raise ValidationError(f"chunksize must be >= 1, got {chunksize}")
         self.workers = workers
         self.timeout_s = timeout_s
-        self.chunksize = chunksize
         self._pool: Pool | None = None
         self._engine: Engine | None = None
         self._owns_artifact = False
@@ -657,9 +650,8 @@ class BatchSolver:
         stateful = any(r.has_updates or r.session is not None for _, r in solvable)
         if self.workers and solvable and not stateful:
             pool = self._ensure_pool()
-            answers = pool.map(
-                _worker_solve, [r.to_obj() for _, r in solvable], self.chunksize
-            )
+            # One request per dispatch (see the class docstring).
+            answers = pool.map(_worker_solve, [r.to_obj() for _, r in solvable], 1)
             for (i, _), answer in zip(solvable, answers):
                 results[i] = answer
         else:

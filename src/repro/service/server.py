@@ -133,6 +133,16 @@ class ReproServer:
     ) -> None:
         if max_pending < 1:
             raise ValidationError(f"max_pending must be >= 1, got {max_pending}")
+        # Sessions validate their bounds before the solver compiles or
+        # saves an artifact; the factory reads the solver only when called.
+        if session_cache is not None and not isinstance(session_cache, ArtifactCache):
+            session_cache = ArtifactCache(session_cache)
+        self.sessions = SessionManager(
+            lambda: Engine.from_artifact(self.solver.artifact_path),
+            ttl_s=session_ttl_s,
+            max_sessions=max_sessions,
+            cache=session_cache,
+        )
         self.solver = BatchSolver(
             artifact,
             program=program,
@@ -147,14 +157,6 @@ class ReproServer:
         self.max_pending = max_pending
         self.timeout_s = timeout_s
         self.drain_timeout_s = drain_timeout_s
-        if session_cache is not None and not isinstance(session_cache, ArtifactCache):
-            session_cache = ArtifactCache(session_cache)
-        self.sessions = SessionManager(
-            lambda: Engine.from_artifact(self.solver.artifact_path),
-            ttl_s=session_ttl_s,
-            max_sessions=max_sessions,
-            cache=session_cache,
-        )
         # One solve thread for the shared inline engine (it is not
         # thread-safe); a small pool for session engines, which are
         # private per session and already serialized by the session lock.

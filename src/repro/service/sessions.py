@@ -40,7 +40,7 @@ from time import monotonic
 from typing import Any, Awaitable, Callable, TypeVar
 
 from repro.api.engine import Engine
-from repro.errors import ReproError, SessionLimitError
+from repro.errors import ReproError, SessionLimitError, ValidationError
 from repro.io.artifact import ArtifactCache, cache_key
 
 __all__ = ["Session", "SessionManager"]
@@ -125,9 +125,9 @@ class SessionManager:
         clock: Callable[[], float] = monotonic,
     ):
         if ttl_s <= 0:
-            raise ValueError(f"ttl_s must be positive, got {ttl_s!r}")
+            raise ValidationError(f"ttl_s must be positive, got {ttl_s!r}")
         if max_sessions < 1:
-            raise ValueError(f"max_sessions must be >= 1, got {max_sessions!r}")
+            raise ValidationError(f"max_sessions must be >= 1, got {max_sessions!r}")
         self.factory = factory
         self.ttl_s = ttl_s
         self.max_sessions = max_sessions

@@ -9,6 +9,7 @@ from repro.datalog.grounding import GroundIndex, ground
 from repro.datalog.terms import Constant
 from repro.datalog.parser import parse_database, parse_program
 from repro.errors import SemanticsError
+from repro.workloads import families
 
 WIN_MOVE = "win(X) :- move(X, Y), not win(Y)."
 DRAW_DB = "move(1, 2). move(2, 1)."
@@ -102,6 +103,23 @@ class TestSolve:
         assert solution.grounding == "relevant"
         for key in ("parse_s", "ground_s", "compile_s", "solve_s"):
             assert solution.timings[key] >= 0.0
+
+    @pytest.mark.parametrize(
+        "semantics,generator",
+        [("tie_breaking", families.committee), ("well_founded", families.unfounded_tower)],
+        ids=["tie_breaking", "well_founded"],
+    )
+    def test_kernel_phases_stay_inside_the_solve(self, semantics, generator):
+        # The kernel's per-phase breakdown is non-overlapping, so it sums
+        # to at most the solve; the solution is id-native, so no decode
+        # (result_s) is booked until an atom view is read.
+        engine = Engine(*generator(20), grounding="relevant")
+        timings = engine.solve(semantics).timings
+        phases = ("close_s", "unfounded_s", "tie_select_s", "tie_apply_s", "tie_analysis_s")
+        assert all(timings[key] >= 0.0 for key in phases)
+        assert sum(timings[key] for key in phases) <= timings["solve_s"] + 1e-6
+        assert timings.get("result_s", 0.0) == 0.0
+        assert (timings["tie_select_s"] > 0.0) == (semantics == "tie_breaking")
 
     def test_unknown_semantics_lists_available(self):
         engine = Engine(WIN_MOVE)

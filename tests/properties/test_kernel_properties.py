@@ -16,8 +16,9 @@ random programs, checking after every step:
   fresh state driven with the same decisions.
 
 Random inputs come from both the hypothesis strategies and the library's
-own :mod:`repro.workloads.random_programs` generators (the latter also
-being what the bench pipeline scales up).
+own :mod:`repro.workloads.random_programs` generators; the seven
+:mod:`repro.workloads.families` at smoke size are driven to the same total
+model on both kernels.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import ground
 from repro.ground.model import FALSE, TRUE
 from repro.ground.state import GroundGraphState
+from repro.workloads import families
 from repro.workloads.random_programs import random_propositional_program
 
 from tests.properties.strategies import propositional_programs
@@ -81,9 +83,16 @@ def _canonical_tie_assignment(component):
     return side1, side0
 
 
-def _drive_lockstep(gp, *, check_full_recompute: bool = True, clone_at: int | None = None):
+def _drive_lockstep(
+    gp,
+    *,
+    check_full_recompute: bool = True,
+    clone_at: int | None = None,
+    break_ties: bool = True,
+):
     """Run well-founded tie-breaking on both kernels, comparing each step.
 
+    With ``break_ties=False`` the drive stops at the well-founded model.
     Returns ``(fast, clone_pair)`` where ``clone_pair`` is a
     ``(fast_clone, step)`` snapshot taken before step ``clone_at``.
     """
@@ -115,7 +124,7 @@ def _drive_lockstep(gp, *, check_full_recompute: bool = True, clone_at: int | No
             assert _bottoms_key(bottoms_fast) == _bottoms_key(bottoms_full)
 
         ties = [c for c in bottoms_fast if c.is_tie]
-        if not ties:
+        if not ties or not break_ties:
             break
         tie_fast = min(ties, key=lambda c: min(c.atom_ids))
         tie_slow = min(
@@ -203,7 +212,7 @@ def test_clone_independence_under_interleaving(program, clone_at):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_programs_generator_lockstep(seed):
-    """The bench-scale generator distribution, pinned at small sizes."""
+    """The random-program generator distribution, pinned at small sizes."""
     program = random_propositional_program(
         n_predicates=8,
         n_rules=14,
@@ -228,3 +237,28 @@ def test_relevant_grounding_lockstep(seed):
     )
     gp = ground(program, Database(), mode="relevant")
     _drive_lockstep(gp)
+
+
+# The seven workload families at smoke size (base n = 60, scaled down for
+# the families whose seed-kernel runs are quadratic), relevant grounding:
+# wf where the well-founded model is already total, wf-tb for the rest.
+FAMILY_CASES = [
+    ("win_move_line", families.win_move_line, 60, "wf"),
+    ("win_move_cycle", families.win_move_cycle, 60, "wf-tb"),
+    ("unfounded_tower", families.unfounded_tower, 15, "wf"),
+    ("tie_chain", families.tie_chain, 15, "wf-tb"),
+    ("committee", families.committee, 30, "wf-tb"),
+    ("grounded_argumentation", families.grounded_argumentation, 30, "wf-tb"),
+    ("adversarial_scc", families.adversarial_scc, 15, "wf-tb"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,generator,n,semantics", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES]
+)
+def test_workload_families_reach_identical_models(name, generator, n, semantics):
+    """Both kernels reach the same total model on every workload family."""
+    program, database = generator(n)
+    gp = ground(program, database, mode="relevant")
+    fast, _ = _drive_lockstep(gp, break_ties=semantics == "wf-tb")
+    assert fast.interpretation().is_total

@@ -18,9 +18,8 @@ of its bookkeeping:
   ``clone`` taken at the mark.
 
 Random inputs come from the hypothesis strategies and from the library's
-own :mod:`repro.workloads.random_programs` distributions (the latter also
-being what the bench pipeline scales up), plus every named workload
-family at small sizes.
+own :mod:`repro.workloads.random_programs` distributions, plus every
+named workload family at small sizes.
 """
 
 from __future__ import annotations

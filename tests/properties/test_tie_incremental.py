@@ -9,7 +9,7 @@ Three layers, all lockstep against a fresh-analysis oracle:
   splits the component the mutator reports it (``False``) and the caller
   falls back to fresh analyses per piece — exactly the kernel's
   ``_refine_scc`` contract.
-* **kernel level** — a full well-founded tie-breaking drive on each bench
+* **kernel level** — a full well-founded tie-breaking drive on each workload
   family where, before every tie round, the incremental path (cached
   condensation + sides cache) is compared against a
   ``full_recompute=True`` clone.
@@ -20,15 +20,18 @@ Three layers, all lockstep against a fresh-analysis oracle:
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.workloads import families
-from repro.bench.runner import _verify_tie_sides
 from repro.datalog.grounding import ground
+from repro.errors import ReproError
 from repro.graphs.ties import TieSides
 from repro.ground.model import FALSE, TRUE
 from repro.ground.state import GroundGraphState
+from repro.semantics.choices import FirstSideTrue, forced_orientation
 
 from tests.properties.strategies import signed_tie_components, tie_deletion_traces
 
@@ -202,12 +205,82 @@ def test_restricted_partition_stays_valid(case):
 # -- kernel level ---------------------------------------------------------
 
 
+def _normalized_sides(sides: Mapping[int, int]) -> dict[int, int]:
+    """Sides flipped so the smallest node sits on side 0.
+
+    The K/L naming is root-dependent (a global flip yields the same
+    partition), so differential comparisons go through this canonical
+    relabelling.
+    """
+    flip = sides[min(sides)]
+    return {node: side ^ flip for node, side in sides.items()}
+
+
+def _verify_tie_sides(name: str, gp) -> int:
+    """Lockstep differential of the incremental (K, L) sides cache.
+
+    Drives one untimed well-founded tie-breaking run; before every tie
+    round, each bottom component served by the incremental path (cached
+    condensation + sides cache) is compared against a
+    ``full_recompute=True`` pass on a clone — the fresh-Tarjan,
+    fresh-``analyze_component`` oracle.  Components are matched by node
+    set and sides are compared through the canonical relabelling.
+    Returns the number of (component, round) pairs verified; raises
+    :class:`ReproError` on any divergence.
+    """
+    policy = FirstSideTrue()
+    state = GroundGraphState(gp)
+    state.close()
+    checked = 0
+    while True:
+        state.falsify_unfounded(numbered=False)
+        incremental = {
+            frozenset(c.atom_ids): c for c in state.bottom_components_live()
+        }
+        oracle = state.clone().bottom_components_live(full_recompute=True)
+        if len(oracle) != len(incremental):
+            raise ReproError(
+                f"bench family {name!r}: incremental tie sides report "
+                f"{len(incremental)} bottom components, oracle {len(oracle)}"
+            )
+        for ref in oracle:
+            inc = incremental.get(frozenset(ref.atom_ids))
+            if inc is None or inc.is_tie != ref.is_tie:
+                raise ReproError(
+                    f"bench family {name!r}: incremental tie sides diverge "
+                    f"from the full_recompute oracle (component membership)"
+                )
+            if ref.is_tie:
+                assert inc.analysis.sides is not None
+                assert ref.analysis.sides is not None
+                if _normalized_sides(inc.analysis.sides) != _normalized_sides(
+                    ref.analysis.sides
+                ):
+                    raise ReproError(
+                        f"bench family {name!r}: incremental (K, L) sides "
+                        f"diverge from the full_recompute oracle"
+                    )
+            checked += 1
+        tie = state.select_tie()
+        if tie is None:
+            return checked
+        sides = tie.side_of_atom()
+        side_atoms: tuple[list[int], list[int]] = ([], [])
+        for atom_id, side in sides.items():
+            side_atoms[side].append(atom_id)
+        true_side = forced_orientation(len(side_atoms[0]), len(side_atoms[1]))
+        if true_side is None:
+            true_side = policy.choose_true_side(side_atoms[0], side_atoms[1])
+        state.assign_many(sorted(side_atoms[true_side]), TRUE, ("tie", true_side))
+        state.assign_many(sorted(side_atoms[1 - true_side]), FALSE, ("tie", 1 - true_side))
+        state.close()
+
+
 @pytest.mark.parametrize(
     "name,generator,n,mode", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES]
 )
 def test_kernel_lockstep_vs_full_recompute(name, generator, n, mode):
-    """Per-round incremental sides ≡ the full_recompute oracle (the same
-    differential the bench runs on every record)."""
+    """Per-round incremental sides ≡ the full_recompute oracle."""
     program, db = generator(n)
     gp = ground(program, db, mode=mode)
     checked = _verify_tie_sides(f"{name}({n})", gp)

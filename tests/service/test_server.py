@@ -365,3 +365,25 @@ class TestLifecycle:
     def test_cli_server_needs_program_or_artifact(self, capsys):
         assert main(["server"]) == 2
         assert "needs a program file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--session-ttl", "-5"], "ttl_s must be positive"),
+            (["--session-ttl", "0"], "ttl_s must be positive"),
+            (["--max-sessions", "0"], "max_sessions must be >= 1"),
+            (["--timeout", "0"], "timeout_s must be positive"),
+            (["--workers", "-1"], "workers must be >= 0"),
+        ],
+        ids=["ttl-negative", "ttl-zero", "max-sessions-zero", "timeout-zero", "workers-negative"],
+    )
+    def test_cli_server_rejects_bad_bounds(self, tmp_path, capsys, flags, message):
+        program = tmp_path / "committee.dl"
+        program.write_text(COMMITTEE)
+        artifact = tmp_path / "committee.repro-ground"
+        argv = ["server", str(program), "--artifact", str(artifact), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        # Bounds are checked before anything is compiled or saved.
+        assert not artifact.exists()

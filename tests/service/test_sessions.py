@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro import Engine
-from repro.errors import SessionLimitError
+from repro.errors import SessionLimitError, ValidationError
 from repro.io.artifact import ArtifactCache
 from repro.service import SessionManager
 
@@ -81,6 +81,21 @@ class TestSerializedApply:
         # The converse — both ops on ONE session — would deadlock (work_a
         # holds the lock work_b needs), which is exactly the serialization
         # the manager promises; covered by the interleaving test above.
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            ({"ttl_s": 0}, "ttl_s"),
+            ({"ttl_s": -5.0}, "ttl_s"),
+            ({"max_sessions": 0}, "max_sessions"),
+        ],
+        ids=["ttl-zero", "ttl-negative", "max-sessions-zero"],
+    )
+    def test_non_positive_bounds_are_validation_errors(self, artifact, bounds, message):
+        with pytest.raises(ValidationError, match=message):
+            SessionManager(lambda: Engine.from_artifact(artifact), **bounds)
 
 
 class TestExpiry:

