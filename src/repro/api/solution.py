@@ -24,7 +24,8 @@ ground program's dense atom ids).  ``true_ids`` / ``false_ids`` /
 ``true_atoms`` / ``false_atoms`` / ``undefined_atoms`` decode the ids
 into :class:`~repro.datalog.atoms.Atom` sets *once, on first touch* —
 callers that only need membership (``value``, ``query_many``) or the
-streaming JSONL encoder never pay for the eager sets at all.  Decode
+``repro-solution/1`` encoder (which reads sorted atom strings decoded
+straight from the ids) never pay for the eager sets at all.  Decode
 wall-clock is booked into ``timings["result_s"]``.
 """
 
@@ -117,8 +118,8 @@ class Solution:
     Thread-safety of the lazy views: decode is idempotent (two racing
     readers build equal frozensets and one wins the cache slot), so
     concurrent reads are safe; only the ``result_s`` booking may
-    undercount under a race.  The serving tier decodes at write time on
-    the owning thread.
+    undercount under a race.  The serving tier encodes a solution on
+    the thread that solved it.
     """
 
     def __init__(
@@ -214,9 +215,10 @@ class Solution:
     def _sorted_strings(self, which: int) -> list[str]:
         """Sorted atom strings of one partition (0=true, 1=false, 2=undefined).
 
-        The streaming encoder's decode path: id → atom → str, sorted, with
-        no intermediate frozenset.  Cached per partition; the first compute
-        books into ``result_s``.
+        The ``repro-solution/1`` encoder's decode path: id → atom → str,
+        sorted, with no intermediate frozenset.  Cached per partition (the
+        cached list itself is returned: copy it before handing it out); the
+        first compute books into ``result_s``.
         """
         strings = self._strs[which]
         if strings is None:

@@ -43,7 +43,7 @@ from repro.constructions.theorem5 import theorem5_variant
 from repro.datalog.printer import format_database, format_program
 from repro.errors import ReproError
 from repro.io.dot import ground_graph_dot, program_graph_dot
-from repro.io.json_io import explanation_to_obj, result_to_json_chunks, solution_to_obj
+from repro.io.json_io import explanation_to_obj, solution_to_obj
 from repro.semantics.choices import RandomChoice
 from repro.semantics.stable import is_stable_model
 
@@ -70,20 +70,6 @@ def _engine(args) -> Engine:
 
 def _emit(command: str, payload: dict[str, Any]) -> None:
     print(json.dumps({"schema": CLI_SCHEMA, "command": command, **payload}, indent=2))
-
-
-def _emit_stream(command: str, payload: dict[str, Any]) -> None:
-    """``_emit`` for payloads carrying live :class:`Solution` values.
-
-    Streams the ``repro-cli/1`` envelope chunk-by-chunk; embedded
-    solutions decode straight from kernel ids at write time, producing
-    bytes identical to ``_emit`` on the materialized payload.
-    """
-    envelope = {"schema": CLI_SCHEMA, "command": command, **payload}
-    out = sys.stdout
-    for chunk in result_to_json_chunks(envelope, indent=2):
-        out.write(chunk)
-    out.write("\n")
 
 
 def _print_model(solution: Solution, show_false: bool) -> None:
@@ -171,7 +157,7 @@ def _cmd_run(args) -> int:
         options["policy"] = RandomChoice(args.seed)
     solution = engine.solve(name, **options)
     if args.json:
-        _emit_stream("run", {"solution": solution})
+        _emit("run", {"solution": solution_to_obj(solution)})
         return 0 if args.semantics == "stratified" or solution.total else 3
     if args.semantics == "wf":
         print(f"well-founded model ({solution.iterations} unfounded iterations):")
@@ -348,20 +334,13 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
     ) as solver:
         t0 = perf_counter()
-        results = solver.solve_file(args.batch, materialize=False)
+        results = solver.solve_file(args.batch)
         elapsed = perf_counter() - t0
-    # Inline results carry live solutions; encode streams them from
-    # kernel ids directly to the output, one JSONL line per request.
+    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in results)
     if args.output:
-        with Path(args.output).open("w") as out:
-            for r in results:
-                for chunk in result_to_json_chunks(r, sort_keys=True):
-                    out.write(chunk)
-                out.write("\n")
+        Path(args.output).write_text(lines)
     else:
-        for r in results:
-            sys.stdout.write("".join(result_to_json_chunks(r, sort_keys=True)))
-            sys.stdout.write("\n")
+        sys.stdout.write(lines)
     failed = sum(1 for r in results if not r.get("ok"))
     rate = len(results) / elapsed if elapsed > 0 else float("inf")
     # Aggregate solve-phase stats over *distinct* solves: requests served

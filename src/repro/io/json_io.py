@@ -14,6 +14,10 @@ The JSON shape is deliberately simple and stable:
 
 Atom lists are sorted by their text form, so serializations are
 deterministic and diffable (the CLI golden tests rely on this).
+
+:func:`solution_to_obj` is the one ``repro-solution/1`` encoder: the CLI,
+the batch service and the concurrent server all write ``json.dumps`` of
+its object.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ __all__ = [
     "solution_to_obj",
     "solution_to_json",
     "solution_to_jsonl_chunks",
-    "result_to_json_chunks",
     "explanation_to_obj",
 ]
 
@@ -154,174 +157,12 @@ def solution_to_obj(solution: "Solution") -> dict[str, Any]:
     stable / completion / modular): everything not listed true or undefined
     is false.  ``timings`` are wall-clock seconds and therefore the only
     nondeterministic part of the payload.
+
+    The model lists come from the solution's cached sorted atom strings,
+    decoded straight from kernel ids (no ``frozenset[Atom]`` is built);
+    each call returns fresh lists, so mutating the result cannot corrupt
+    the cache.
     """
-    ties = None
-    if solution.choices or solution.policy is not None:
-        ties = {
-            "policy": solution.policy,
-            "free_choices": solution.free_choice_count,
-            "choices": [
-                {
-                    "made_true": _sorted_atoms(choice.made_true),
-                    "made_false": _sorted_atoms(choice.made_false),
-                    "forced": choice.forced,
-                }
-                for choice in solution.choices
-            ],
-        }
-    false_atoms = None if solution.false_atoms is None else _sorted_atoms(solution.false_atoms)
-    return {
-        "schema": SOLUTION_SCHEMA,
-        "semantics": solution.semantics,
-        "found": solution.found,
-        "total": solution.total,
-        "grounding": solution.grounding,
-        "model": {
-            "true": _sorted_atoms(solution.true_atoms),
-            "false": false_atoms,
-            "undefined": _sorted_atoms(solution.undefined_atoms),
-        },
-        "counts": {
-            "true": len(solution.true_atoms),
-            "false": None if false_atoms is None else len(false_atoms),
-            "undefined": len(solution.undefined_atoms),
-        },
-        "ties": ties,
-        "iterations": solution.iterations,
-        "timings": dict(solution.timings),
-    }
-
-
-def solution_to_json(solution: "Solution", *, indent: int | None = 2) -> str:
-    """JSON text of :func:`solution_to_obj`."""
-    return json.dumps(solution_to_obj(solution), indent=indent)
-
-
-# ---------------------------------------------------------------------------
-# Streaming encoder.  Emits the exact bytes json.dumps would produce for the
-# buffered object, as an iterator of text chunks — but for model-backed
-# solutions the atom lists are decoded *straight from the kernel's status
-# ids* through the lazy atom table: no frozenset of Atom objects and no
-# whole-document buffer is ever built.  The buffered path
-# (solution_to_obj + json.dumps) is the differential oracle; the property
-# suite asserts byte equality on every family × semantics.
-# ---------------------------------------------------------------------------
-
-
-class _ModelAtomList:
-    """A ``repro-solution/1`` model list, decoded from ids at encode time."""
-
-    __slots__ = ("solution", "which")
-
-    def __init__(self, solution: "Solution", which: int) -> None:
-        self.solution = solution
-        self.which = which
-
-    def strings(self) -> list[str]:
-        return self.solution._sorted_strings(self.which)
-
-
-def _json_key(key: Any) -> str:
-    # Stdlib key coercion: strings pass through, scalars render as JSON.
-    return key if isinstance(key, str) else json.dumps(key)
-
-
-def _is_plain(value: Any, special: tuple[type, ...]) -> bool:
-    """True when a subtree holds no lazily-decoded objects, so the whole
-    subtree can be delegated to ``json.dumps`` in one C-speed chunk."""
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, special):
-            return False
-        if isinstance(v, dict):
-            stack.extend(v.values())
-        elif isinstance(v, (list, tuple)):
-            stack.extend(v)
-    return True
-
-
-def _encode_chunks(
-    value: Any, indent: int | None, sort_keys: bool, level: int
-) -> Iterable[str]:
-    from repro.api.solution import Solution
-
-    if isinstance(value, Solution):
-        yield from _encode_chunks(_solution_stream_obj(value), indent, sort_keys, level)
-        return
-    if isinstance(value, (dict, list, tuple)) and _is_plain(
-        value, (Solution, _ModelAtomList)
-    ):
-        # No lazy objects below: one stdlib encode, re-padded to this
-        # nesting level (raw newlines only ever come from indentation —
-        # string content escapes them as ``\n``).
-        text = json.dumps(value, indent=indent, sort_keys=sort_keys)
-        if indent is not None and level:
-            text = text.replace("\n", "\n" + " " * (indent * level))
-        yield text
-        return
-    if isinstance(value, _ModelAtomList):
-        strings = value.strings()
-        if not strings:
-            yield "[]"
-            return
-        if indent is None:
-            open_pad, item_sep, close_pad = "", ", ", ""
-        else:
-            open_pad = "\n" + " " * (indent * (level + 1))
-            item_sep = "," + open_pad
-            close_pad = "\n" + " " * (indent * level)
-        yield "[" + open_pad
-        # Model lists dominate the document; emit them in fixed-size
-        # slabs (bounded chunks, so still streaming) instead of one
-        # generator frame per atom.
-        encode = json.dumps
-        for start in range(0, len(strings), 1024):
-            slab = item_sep.join(map(encode, strings[start : start + 1024]))
-            yield slab if start == 0 else item_sep + slab
-        yield close_pad + "]"
-        return
-    if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        if indent is None:
-            open_pad, item_sep, close_pad = "", ", ", ""
-        else:
-            open_pad = "\n" + " " * (indent * (level + 1))
-            item_sep = "," + open_pad
-            close_pad = "\n" + " " * (indent * level)
-        keys = sorted(value) if sort_keys else list(value)
-        yield "{" + open_pad
-        for position, key in enumerate(keys):
-            if position:
-                yield item_sep
-            yield json.dumps(_json_key(key)) + ": "
-            yield from _encode_chunks(value[key], indent, sort_keys, level + 1)
-        yield close_pad + "}"
-        return
-    if isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
-        if indent is None:
-            open_pad, item_sep, close_pad = "", ", ", ""
-        else:
-            open_pad = "\n" + " " * (indent * (level + 1))
-            item_sep = "," + open_pad
-            close_pad = "\n" + " " * (indent * level)
-        yield "[" + open_pad
-        for position, item in enumerate(value):
-            if position:
-                yield item_sep
-            yield from _encode_chunks(item, indent, sort_keys, level + 1)
-        yield close_pad + "]"
-        return
-    yield json.dumps(value)
-
-
-def _solution_stream_obj(solution: "Solution") -> dict[str, Any]:
-    """The ``repro-solution/1`` skeleton with id-decoded lazy model lists."""
     ties = None
     if solution.choices or solution.policy is not None:
         ties = {
@@ -345,9 +186,9 @@ def _solution_stream_obj(solution: "Solution") -> dict[str, Any]:
         "total": solution.total,
         "grounding": solution.grounding,
         "model": {
-            "true": _ModelAtomList(solution, 0),
-            "false": None if closed_world else _ModelAtomList(solution, 1),
-            "undefined": _ModelAtomList(solution, 2),
+            "true": list(solution._sorted_strings(0)),
+            "false": None if closed_world else list(solution._sorted_strings(1)),
+            "undefined": list(solution._sorted_strings(2)),
         },
         "counts": {
             "true": true_count,
@@ -360,33 +201,21 @@ def _solution_stream_obj(solution: "Solution") -> dict[str, Any]:
     }
 
 
+def solution_to_json(solution: "Solution", *, indent: int | None = 2) -> str:
+    """JSON text of :func:`solution_to_obj`."""
+    return json.dumps(solution_to_obj(solution), indent=indent)
+
+
 def solution_to_jsonl_chunks(
     solution: "Solution", *, indent: int | None = None, sort_keys: bool = False
 ) -> Iterator[str]:
-    """Stream one solution's ``repro-solution/1`` JSON as text chunks.
+    """One solution's ``repro-solution/1`` JSON as an iterator of one chunk.
 
-    Joining the chunks yields exactly
-    ``json.dumps(solution_to_obj(solution), indent=indent,
-    sort_keys=sort_keys)`` — but the model's atom lists are decoded
-    incrementally from the kernel's status ids (the ``timings`` snapshot
-    is taken up front, so ``result_s`` booked *by this encode* lands in
-    the solution's live timings, not the emitted document).  No trailing
-    newline is emitted; JSONL writers append their own.
+    The chunk is exactly ``json.dumps(solution_to_obj(solution),
+    indent=indent, sort_keys=sort_keys)``.  No trailing newline is
+    emitted; JSONL writers append their own.
     """
-    return iter(_encode_chunks(solution, indent, sort_keys, 0))
-
-
-def result_to_json_chunks(
-    result: Any, *, indent: int | None = None, sort_keys: bool = False
-) -> Iterator[str]:
-    """Stream any JSON-shaped object, encoding embedded live ``Solution``
-    values as their ``repro-solution/1`` objects via the id-native path.
-
-    The serving tier (``repro serve`` / ``repro server``) keeps the live
-    :class:`~repro.api.Solution` inside its result dicts and only decodes
-    here, at write time — one pass from ids to wire bytes.
-    """
-    return iter(_encode_chunks(result, indent, sort_keys, 0))
+    return iter((json.dumps(solution_to_obj(solution), indent=indent, sort_keys=sort_keys),))
 
 
 def explanation_to_obj(explanation: "Explanation") -> dict[str, Any]:

@@ -252,7 +252,8 @@ def read_requests(source: str | Path | Iterable[str]) -> list[BatchRequest | Val
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # RecursionError: nesting deeper than the recursion limit.
             out.append(failure(f"line {lineno}: invalid JSON: {error}"))
             index += 1
             continue
@@ -335,7 +336,6 @@ def solve_one(
     request: BatchRequest,
     *,
     timeout_s: float | None = None,
-    materialize: bool = True,
 ) -> dict[str, Any]:
     """Answer one request on a warm engine (wire schema ``repro-batch/1``).
 
@@ -344,13 +344,6 @@ def solve_one(
     full ``repro-solution/1`` object; or ``{"ok": false, "error": ...,
     "error_kind": ...}`` when the request fails.  Library errors never
     propagate — a batch is fault-isolated per request.
-
-    With ``materialize=False`` the ``solution`` value stays the live
-    :class:`~repro.api.Solution` instead of a decoded dict — the
-    streaming path for same-process writers that encode at write time via
-    :func:`repro.io.json_io.result_to_json_chunks` (the atom sets are
-    then decoded straight from kernel ids into wire bytes).  Pool workers
-    must materialize: result dicts cross a process boundary.
 
     ``timeout_s`` arms a per-request deadline around the *solve* (never
     around the stateful ``insert``/``retract`` section, which must not be
@@ -415,7 +408,7 @@ def solve_one(
             # Answered per atom from the interned ids — no set decode.
             result["values"] = {str(a): solution.value(a) for a in parsed}
         else:
-            result["solution"] = solution if not materialize else solution_to_obj(solution)
+            result["solution"] = solution_to_obj(solution)
         return result
     except ReproError as error:
         return failure_result(request.id, error)
@@ -606,8 +599,6 @@ class BatchSolver:
     def solve_many(
         self,
         requests: Iterable[BatchRequest | dict[str, Any] | ValidationError],
-        *,
-        materialize: bool = True,
     ) -> list[dict[str, Any]]:
         """Answer a batch, preserving request order.
 
@@ -621,11 +612,6 @@ class BatchSolver:
         answered inline in request order instead — worker engines live in
         separate processes and would neither share nor order the streamed
         state.
-
-        ``materialize=False`` applies only to inline-answered requests
-        (see :func:`solve_one`): their ``solution`` values stay live for
-        streaming encode.  Pool answers crossed a process boundary and
-        are always plain dicts.
         """
         results: list[dict[str, Any] | None] = []
         solvable: list[tuple[int, BatchRequest]] = []
@@ -656,16 +642,12 @@ class BatchSolver:
                 results[i] = answer
         else:
             for i, req in solvable:
-                results[i] = solve_one(
-                    self.engine, req, timeout_s=self.timeout_s, materialize=materialize
-                )
+                results[i] = solve_one(self.engine, req, timeout_s=self.timeout_s)
         return [r for r in results if r is not None]
 
-    def solve_file(
-        self, source: str | Path | Iterable[str], *, materialize: bool = True
-    ) -> list[dict[str, Any]]:
+    def solve_file(self, source: str | Path | Iterable[str]) -> list[dict[str, Any]]:
         """Answer a JSONL request stream (see :func:`read_requests`)."""
-        return self.solve_many(read_requests(source), materialize=materialize)
+        return self.solve_many(read_requests(source))
 
     def close(self) -> None:
         """Terminate the worker pool and delete a temporary artifact."""

@@ -64,7 +64,6 @@ from repro.datalog.grounding import GroundingMode
 from repro.datalog.program import Program
 from repro.errors import ReproError, SolveTimeoutError, ValidationError
 from repro.io.artifact import ArtifactCache
-from repro.io.json_io import result_to_json_chunks
 from repro.service.batch import (
     BATCH_SCHEMA,
     BatchRequest,
@@ -309,11 +308,7 @@ class ReproServer:
     async def _write(
         writer: asyncio.StreamWriter, write_lock: asyncio.Lock, result: dict[str, Any]
     ) -> None:
-        # Inline- and session-served results carry the live Solution;
-        # result_to_json_chunks decodes it from kernel ids to wire bytes
-        # here, at write time (byte-identical to json.dumps of the
-        # materialized dict).  Pool results are already plain dicts.
-        data = "".join(result_to_json_chunks(result, sort_keys=True)).encode("utf-8") + b"\n"
+        data = json.dumps(result, sort_keys=True).encode("utf-8") + b"\n"
         async with write_lock:
             if writer.is_closing():
                 return
@@ -336,7 +331,9 @@ class ReproServer:
         t_recv = perf_counter()
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # Invalid JSON, a line that is not UTF-8, or nesting deeper
+            # than the recursion limit: each is one malformed request.
             self.failed += 1
             return failure_result(None, ValidationError(f"invalid JSON: {error}"))
         if isinstance(obj, dict) and "op" in obj:
@@ -436,7 +433,7 @@ class ReproServer:
 
         def job() -> dict[str, Any]:
             started.append(perf_counter())
-            return solve_one(self.solver.engine, request, materialize=False)
+            return solve_one(self.solver.engine, request)
 
         future = loop.run_in_executor(self._inline_executor, job)
         result = await self._supervised(future, request.id)
@@ -482,7 +479,7 @@ class ReproServer:
                 # No hard deadline here: the apply section must never be
                 # torn.  The dispatcher's soft deadline answers the
                 # client; the operation itself runs to completion.
-                return solve_one(session.engine, request, materialize=False)
+                return solve_one(session.engine, request)
 
             result = await loop.run_in_executor(self._session_executor, job)
             result["session"] = {

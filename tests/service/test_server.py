@@ -123,6 +123,37 @@ class TestConcurrentServing:
         assert responses[None]["error_kind"] == "validation"
         assert responses["ok"]["ok"]
 
+    def test_undecodable_and_too_deep_lines_get_validation_replies(self, artifact):
+        """A line that is not UTF-8 and one nested past the recursion
+        limit are each answered and counted; the connection keeps serving."""
+        bad = [b'\xff\xfe{"id": 1}', b"[" * 100000]
+
+        async def main():
+            async with ReproServer(artifact) as server:
+                direct = [await server.handle_line(line) for line in bad]
+                failed = server.stats()["failed"]
+                reader, writer = await asyncio.open_connection(*server.address)
+                for line in bad:
+                    writer.write(line + b"\n")
+                writer.write(json.dumps({"id": "ok", "atoms": PROBE}).encode() + b"\n")
+                await writer.drain()
+                over_socket = [
+                    json.loads(await asyncio.wait_for(reader.readline(), timeout=30))
+                    for _ in range(3)
+                ]
+                writer.close()
+                return direct, failed, over_socket
+
+        direct, failed, over_socket = asyncio.run(main())
+        for response in direct:
+            assert not response["ok"] and response["error_kind"] == "validation", response
+        assert failed == 2
+        answered = [r for r in over_socket if r["id"] == "ok"]
+        rejected = [r for r in over_socket if r["id"] is None]
+        assert len(answered) == 1 and answered[0]["ok"]
+        assert len(rejected) == 2
+        assert all(r["error_kind"] == "validation" for r in rejected), rejected
+
     def test_malformed_fields_fail_that_line_only(self, artifact):
         """Malformed field values and the removed ``backend`` field are
         answered with a validation error; the connection keeps serving."""
