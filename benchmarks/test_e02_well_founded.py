@@ -14,7 +14,7 @@ import pytest
 
 from repro.datalog.atoms import Atom
 from repro.datalog.grounding import ground
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 from repro.workloads.families import unfounded_tower, win_move_line
 
 
@@ -25,7 +25,7 @@ def test_win_move_line(benchmark, n):
     gp = ground(program, db, mode="relevant")
 
     def run():
-        return well_founded_model(program, db, ground_program=gp)
+        return Engine(program, db, ground_program=gp).solve("well_founded")
 
     result = benchmark(run)
     assert result.is_total
@@ -43,7 +43,7 @@ def test_unfounded_tower(benchmark, n):
     gp = ground(program, db, mode="full")
 
     def run():
-        return well_founded_model(program, db, ground_program=gp)
+        return Engine(program, db, ground_program=gp).solve("well_founded")
 
     result = benchmark(run)
     assert result.is_total
@@ -58,7 +58,7 @@ def test_grounding_plus_wf_end_to_end(benchmark, n):
     program, db = win_move_line(n)
 
     def run():
-        return well_founded_model(program, db, grounding="relevant")
+        return Engine(program, db).solve("well_founded", grounding="relevant")
 
     result = benchmark(run)
     assert result.is_total

@@ -16,7 +16,7 @@ import pytest
 
 from repro.datalog.grounding import ground
 from repro.semantics.stable import is_stable_model
-from repro.semantics.tie_breaking import pure_tie_breaking, well_founded_tie_breaking
+from repro.api import Engine
 from repro.workloads.families import committee, tie_chain, win_move_cycle
 
 
@@ -27,7 +27,7 @@ def test_wftb_tie_chain(benchmark, n):
     gp = ground(program, db, mode="full")
 
     def run():
-        return well_founded_tie_breaking(program, db, ground_program=gp)
+        return Engine(program, db, ground_program=gp).solve("tie_breaking")
 
     result = benchmark(run)
     assert result.is_total and result.free_choice_count == n
@@ -41,7 +41,7 @@ def test_wftb_committee(benchmark, n):
     gp = ground(program, db, mode="relevant")
 
     def run():
-        return well_founded_tie_breaking(program, db, ground_program=gp)
+        return Engine(program, db, ground_program=gp).solve("tie_breaking")
 
     result = benchmark(run)
     assert result.is_total
@@ -56,7 +56,7 @@ def test_pure_tb_even_draw_cycle(benchmark, n):
     gp = ground(program, db, mode="relevant")
 
     def run():
-        return pure_tie_breaking(program, db, ground_program=gp)
+        return Engine(program, db, ground_program=gp).solve("pure_tie_breaking")
 
     result = benchmark(run)
     assert result.is_total
@@ -72,7 +72,7 @@ def test_wftb_results_are_stable(benchmark):
     program, db = committee(6)
 
     def run():
-        result = well_founded_tie_breaking(program, db, grounding="relevant")
+        result = Engine(program, db).solve("tie_breaking", grounding="relevant")
         assert is_stable_model(program, db, result.model.true_set())
         return result
 

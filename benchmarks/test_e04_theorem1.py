@@ -12,8 +12,7 @@ import pytest
 
 from repro.analysis.structural import is_call_consistent
 from repro.semantics.choices import FirstSideTrue, SecondSideTrue
-from repro.semantics.tie_breaking import well_founded_tie_breaking
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 from repro.workloads.random_programs import (
     random_call_consistent_program,
     random_propositional_program,
@@ -23,7 +22,7 @@ from repro.workloads.random_programs import (
 def success_rate(programs, policy):
     total = 0
     for program in programs:
-        run = well_founded_tie_breaking(program, policy=policy, grounding="full")
+        run = Engine(program).solve("tie_breaking", policy=policy, grounding="full")
         total += run.is_total
     return total / len(programs)
 
@@ -59,10 +58,10 @@ def test_unrestricted_programs_stall_sometimes(benchmark):
 
     def sweep():
         tb_total = sum(
-            well_founded_tie_breaking(p, grounding="full").is_total for p in programs
+            Engine(p).solve("tie_breaking", grounding="full").is_total for p in programs
         )
         wf_total = sum(
-            well_founded_model(p, grounding="full").is_total for p in programs
+            Engine(p).solve("well_founded", grounding="full").is_total for p in programs
         )
         return tb_total, wf_total
 

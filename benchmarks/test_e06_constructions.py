@@ -14,7 +14,7 @@ from repro.constructions.theorem3 import theorem3_variant
 from repro.datalog.atoms import Atom, Literal
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
-from repro.semantics.completion import has_fixpoint
+from repro.api import Engine
 
 
 def odd_cycle_program(k):
@@ -42,7 +42,7 @@ def test_theorem2_build_and_refute(benchmark, k):
 
     def build_and_refute():
         variant, delta = theorem2_variant(program)
-        assert not has_fixpoint(variant, delta, grounding="full")
+        assert not Engine(variant, delta).solve("completion", grounding="full").found
         return variant
 
     variant = benchmark(build_and_refute)
@@ -57,7 +57,7 @@ def test_theorem2_constant_free_build_and_refute(benchmark, k):
 
     def build_and_refute():
         variant, delta = theorem2_constant_free_variant(program)
-        assert not has_fixpoint(variant, delta, grounding="full")
+        assert not Engine(variant, delta).solve("completion", grounding="full").found
         return variant
 
     variant = benchmark(build_and_refute)
@@ -72,7 +72,7 @@ def test_theorem3_build_and_refute(benchmark, k):
 
     def build_and_refute():
         variant, delta = theorem3_variant(program)
-        assert not has_fixpoint(variant, delta, grounding="full")
+        assert not Engine(variant, delta).solve("completion", grounding="full").found
         return variant
 
     variant = benchmark(build_and_refute)

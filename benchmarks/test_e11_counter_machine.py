@@ -12,8 +12,7 @@ import pytest
 from repro.constructions.counter_machines import alternating_machine, bounded_counter_machine
 from repro.constructions.theorem6 import machine_to_program, natural_database
 from repro.datalog.grounding import ground
-from repro.semantics.completion import has_fixpoint
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 
 
 @pytest.mark.bench
@@ -25,7 +24,7 @@ def test_halting_machine_refutation(benchmark, n):
     db = natural_database(horizon)
 
     def decide():
-        return has_fixpoint(program, db, grounding="edb")
+        return Engine(program, db).solve("completion", grounding="edb").found
 
     result = benchmark(decide)
     assert result is False  # the halting run kills every fixpoint
@@ -40,7 +39,7 @@ def test_looping_machine_fixpoint(benchmark, horizon):
     db = natural_database(horizon)
 
     def decide():
-        return has_fixpoint(program, db, grounding="edb")
+        return Engine(program, db).solve("completion", grounding="edb").found
 
     result = benchmark(decide)
     assert result is True
@@ -57,7 +56,7 @@ def test_simulation_via_well_founded(benchmark, horizon):
     gp = ground(program, db, mode="relevant")
 
     def run():
-        return well_founded_model(program, db, ground_program=gp)
+        return Engine(program, db, ground_program=gp).solve("well_founded")
 
     result = benchmark(run)
     assert result.is_total

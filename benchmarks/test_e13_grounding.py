@@ -18,7 +18,7 @@ import pytest
 from repro.constructions.counter_machines import alternating_machine
 from repro.constructions.theorem6 import machine_to_program, natural_database
 from repro.datalog.grounding import ground
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 from repro.workloads.families import win_move_line
 
 
@@ -37,8 +37,8 @@ def test_wf_equivalence_across_groundings(benchmark):
     program, db = win_move_line(25)
 
     def compare():
-        full = well_founded_model(program, db, grounding="full")
-        relevant = well_founded_model(program, db, grounding="relevant")
+        full = Engine(program, db).solve("well_founded", grounding="full")
+        relevant = Engine(program, db).solve("well_founded", grounding="relevant")
         assert full.model.agrees_with(relevant.model)
         return full
 

@@ -12,8 +12,7 @@ engine must search; this bench tracks:
 
 import pytest
 
-from repro.semantics.completion import count_fixpoints, has_fixpoint
-from repro.semantics.stable import enumerate_stable_models
+from repro.api import Engine
 from repro.workloads.families import committee
 from repro.workloads.random_programs import random_propositional_program
 
@@ -23,7 +22,10 @@ from repro.workloads.random_programs import random_propositional_program
 def test_fixpoint_counting_exponential(benchmark, n):
     program, db = committee(n)
 
-    count = benchmark(count_fixpoints, program, db, grounding="relevant")
+    def count_all():
+        return sum(1 for _ in Engine(program, db).enumerate("completion", grounding="relevant"))
+
+    count = benchmark(count_all)
     assert count == 2**n
     benchmark.extra_info["models"] = count
 
@@ -39,7 +41,7 @@ def test_fixpoint_decision_random_programs(benchmark, n_rules):
     ]
 
     def sweep():
-        return sum(has_fixpoint(p, grounding="full") for p in programs)
+        return sum(Engine(p).solve("completion", grounding="full").found for p in programs)
 
     sat_count = benchmark(sweep)
     assert 0 <= sat_count <= len(programs)
@@ -51,7 +53,7 @@ def test_stable_model_enumeration(benchmark):
     program, db = committee(4)
 
     def enumerate_all():
-        return list(enumerate_stable_models(program, db, grounding="relevant"))
+        return list(Engine(program, db).enumerate("stable", grounding="relevant"))
 
     models = benchmark(enumerate_all)
     assert len(models) == 2**4  # every committee split is stable

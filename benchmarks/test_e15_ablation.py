@@ -12,7 +12,7 @@ import pytest
 
 from repro.datalog.grounding import ground
 from repro.ground.reference import naive_well_founded
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 from repro.workloads.families import unfounded_tower, win_move_line
 
 
@@ -22,7 +22,7 @@ def test_worklist_close_win_move(benchmark, n):
     program, db = win_move_line(n)
     gp = ground(program, db, mode="relevant")
 
-    result = benchmark(lambda: well_founded_model(program, db, ground_program=gp))
+    result = benchmark(lambda: Engine(program, db, ground_program=gp).solve("well_founded"))
     assert result.is_total
     benchmark.extra_info["implementation"] = "worklist"
 
@@ -32,7 +32,7 @@ def test_worklist_close_win_move(benchmark, n):
 def test_naive_close_win_move(benchmark, n):
     program, db = win_move_line(n)
     gp = ground(program, db, mode="relevant")
-    fast = well_founded_model(program, db, ground_program=gp)
+    fast = Engine(program, db, ground_program=gp).solve("well_founded")
 
     slow = benchmark(lambda: naive_well_founded(gp))
     assert slow.status == fast.model.status  # differential check while timing
@@ -45,7 +45,7 @@ def test_worklist_close_unfounded_tower(benchmark, n):
     program, db = unfounded_tower(n)
     gp = ground(program, db, mode="full")
 
-    result = benchmark(lambda: well_founded_model(program, db, ground_program=gp))
+    result = benchmark(lambda: Engine(program, db, ground_program=gp).solve("well_founded"))
     assert result.iterations >= n
     benchmark.extra_info["implementation"] = "worklist"
 
@@ -55,7 +55,7 @@ def test_worklist_close_unfounded_tower(benchmark, n):
 def test_naive_close_unfounded_tower(benchmark, n):
     program, db = unfounded_tower(n)
     gp = ground(program, db, mode="full")
-    fast = well_founded_model(program, db, ground_program=gp)
+    fast = Engine(program, db, ground_program=gp).solve("well_founded")
 
     slow = benchmark(lambda: naive_well_founded(gp))
     assert slow.status == fast.model.status

@@ -12,8 +12,7 @@ components), not a raw-speed one, until layers grow much larger.
 
 import pytest
 
-from repro.semantics.modular import modular_well_founded_model
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 from repro.workloads.families import layered_games
 
 
@@ -23,7 +22,7 @@ def test_monolithic_layered(benchmark, layers):
     program, db = layered_games(layers, 10)
 
     result = benchmark(
-        lambda: well_founded_model(program, db, grounding="relevant")
+        lambda: Engine(program, db).solve("well_founded", grounding="relevant")
     )
     assert result.is_total
     benchmark.extra_info["implementation"] = "monolithic"
@@ -34,14 +33,14 @@ def test_monolithic_layered(benchmark, layers):
 @pytest.mark.parametrize("layers", [4, 8, 16])
 def test_modular_layered(benchmark, layers):
     program, db = layered_games(layers, 10)
-    monolithic = well_founded_model(program, db, grounding="relevant")
+    monolithic = Engine(program, db).solve("well_founded", grounding="relevant")
 
     result = benchmark(
-        lambda: modular_well_founded_model(program, db, grounding="relevant")
+        lambda: Engine(program, db).solve("modular", grounding="relevant")
     )
     # differential check while timing
     assert result.is_total == monolithic.is_total
     for atom in monolithic.model.true_atoms():
         assert result.value(atom) is True
     benchmark.extra_info["implementation"] = "modular"
-    benchmark.extra_info["components"] = result.component_count
+    benchmark.extra_info["components"] = result.iterations

@@ -18,9 +18,10 @@ Quick start::
     assert engine.solve("tie_breaking").total       # ... until a tie-break
     assert engine.ground_calls == 1                 # one compile served both
 
-See README.md for a tour and DESIGN.md for the module map.  The
-per-semantics free functions (``well_founded_model`` & co) are deprecated
-shims over :mod:`repro.api`.
+See README.md for a tour and DESIGN.md for the module map.  Every
+semantics is evaluated through :class:`Engine` (or the one-shot
+:func:`solve` / :func:`enumerate_solutions`); :mod:`repro.semantics`
+exports the model checkers.
 """
 
 from repro.analysis import (
@@ -53,22 +54,7 @@ from repro.datalog import (
 )
 from repro.api import Engine, Solution, available_semantics, enumerate_solutions, solve
 from repro.datalog.grounding import ground
-from repro.semantics import (
-    enumerate_fixpoints,
-    enumerate_stable_models,
-    enumerate_tie_breaking_models,
-    fitting_model,
-    has_fixpoint,
-    has_stable_model,
-    is_fixpoint,
-    is_stable_model,
-    is_stratified,
-    perfect_model,
-    pure_tie_breaking,
-    stratified_model,
-    well_founded_model,
-    well_founded_tie_breaking,
-)
+from repro.semantics import is_fixpoint, is_stable_model, is_stratified
 
 __version__ = "1.0.0"
 
@@ -87,13 +73,7 @@ __all__ = [
     "enumerate_solutions",
     "solve",
     "classify_program",
-    "enumerate_fixpoints",
-    "enumerate_stable_models",
-    "enumerate_tie_breaking_models",
-    "fitting_model",
     "ground",
-    "has_fixpoint",
-    "has_stable_model",
     "is_alphabetic_variant",
     "is_call_consistent",
     "is_fixpoint",
@@ -105,17 +85,12 @@ __all__ = [
     "odd_cycle_in_program_graph",
     "parse_database",
     "parse_program",
-    "perfect_model",
     "pos",
     "program_graph",
-    "pure_tie_breaking",
     "reduced_program",
     "rule",
     "skeleton_of",
-    "stratified_model",
     "structural_report",
     "useless_predicates",
-    "well_founded_model",
-    "well_founded_tie_breaking",
     "__version__",
 ]

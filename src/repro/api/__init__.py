@@ -5,16 +5,12 @@ compile the kernel index once, then serve every semantics through one
 result schema (:class:`Solution`).  The semantics themselves are
 declarative :class:`~repro.api.registry.SemanticsSpec` entries — see
 :func:`available_semantics` — so new semantics plug in without new module
-exports.
-
-The historical per-semantics free functions
-(``well_founded_model``, ``pure_tie_breaking``, ``enumerate_stable_models``,
-...) remain importable but are deprecated shims over this package.
+exports.  This package is the only way to evaluate a program: the
+:mod:`repro.semantics` modules keep the private implementations behind
+the registry entries plus the model checkers.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.api.engine import Engine, enumerate_solutions, solve
 from repro.api.registry import (
@@ -39,12 +35,3 @@ __all__ = [
     "register",
     "solve",
 ]
-
-
-def warn_deprecated(old: str, replacement: str) -> None:
-    """Emit the standard deprecation warning for a legacy free function."""
-    warnings.warn(
-        f"{old} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )

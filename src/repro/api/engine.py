@@ -4,9 +4,9 @@ One :class:`Engine` owns the full pipeline for one (program, database)
 pair: parse → ground → compile the :class:`~repro.datalog.grounding.GroundIndex`
 kernel view, each exactly once per grounding mode, then answer any number
 of ``solve`` / ``enumerate`` / ``query_many`` / ``explain`` calls against
-the shared compiled ground graph.  This is the production entry point: the
-CLI, the examples, and the repository benchmark all ride it, and the legacy
-per-semantics free functions are deprecated shims over it.
+the shared compiled ground graph.  This is the one entry point for
+evaluating a program: the CLI, the examples, the server and the repository
+benchmark all ride it.
 
     >>> from repro.api import Engine
     >>> engine = Engine("win(X) :- move(X, Y), not win(Y).", "move(1, 2). move(2, 1).")
@@ -48,7 +48,7 @@ class Engine:
     text.  ``grounding`` fixes a default mode for every semantics (each
     spec carries its own default otherwise); ``ground_program`` seeds the
     cache with an existing compiled ground program (it is then used for
-    every solve — the legacy ``ground_program=`` calling convention);
+    every solve);
     ``policy`` is the default tie-orientation policy.
 
     ``artifact_cache`` (an :class:`~repro.io.artifact.ArtifactCache` or a
@@ -513,11 +513,11 @@ class Engine:
         Returns a :class:`~repro.semantics.queries.QueryResult` with the
         predicate's ``true_rows`` / ``undefined_rows`` constant tuples;
         raises :class:`~repro.errors.SemanticsError` when ``predicate``
-        occurs in neither the program nor the database.  Unlike the
-        deprecated :func:`repro.semantics.queries.query`, the engine
-        evaluates the *whole* program once (shared with every other query
-        on this engine) instead of re-grounding the predicate's support
-        cone per call; ``total`` reports the totality of that full model.
+        occurs in neither the program nor the database.  The engine
+        evaluates its *whole* program once (shared with every other query
+        on this engine); ``total`` reports the totality of that full model.
+        To ground only the predicate's support cone, build the engine over
+        :func:`~repro.analysis.dependencies.relevant_subprogram` instead.
         """
         from repro.semantics.queries import QueryResult
 

@@ -6,8 +6,7 @@ requirements, accepted options, and the runner (plus optional enumerator)
 that produces :class:`~repro.api.solution.Solution` objects.  The
 :class:`~repro.api.engine.Engine` resolves names through this table, so a
 new semantics plugs in with one :func:`register` call instead of another
-hand-written module export; the deprecated per-semantics free functions
-delegate here as well.
+hand-written module export.
 """
 
 from __future__ import annotations
@@ -139,8 +138,7 @@ def _check_options(spec: SemanticsSpec, options: Mapping[str, Any]) -> None:
 
 # ---------------------------------------------------------------------------
 # Built-in semantics runners.  Each wraps the private implementation living
-# in its repro.semantics module; the public free functions there are the
-# deprecated shims delegating back to this registry.
+# in its repro.semantics module.
 # ---------------------------------------------------------------------------
 
 
@@ -157,7 +155,6 @@ def _solve_well_founded(req: SolveRequest) -> Solution:
         run.model,
         iterations=run.iterations,
         state=run.state,
-        run=run,
         timings=dict(run.timings or {}),
     )
 
@@ -169,7 +166,6 @@ def _tie_solution(name: str, run: Any) -> Solution:
         choices=run.choices,
         policy=run.policy,
         state=run.state,
-        run=run,
         timings=dict(run.timings or {}),
     )
 
@@ -223,21 +219,21 @@ def _solve_fitting(req: SolveRequest) -> Solution:
     from repro.semantics.fitting import _fitting_model
 
     model = _fitting_model(req.program, req.database, ground_program=req.gp())
-    return Solution.from_interpretation("fitting", model, run=model)
+    return Solution.from_interpretation("fitting", model)
 
 
 def _solve_perfect(req: SolveRequest) -> Solution:
     from repro.semantics.perfect import _perfect_model
 
     model = _perfect_model(req.program, req.database, ground_program=req.gp())
-    return Solution.from_interpretation("perfect", model, run=model)
+    return Solution.from_interpretation("perfect", model)
 
 
 def _solve_alternating(req: SolveRequest) -> Solution:
     from repro.semantics.alternating import _alternating_fixpoint_model
 
     model = _alternating_fixpoint_model(req.program, req.database, ground_program=req.gp())
-    return Solution.from_interpretation("alternating", model, run=model)
+    return Solution.from_interpretation("alternating", model)
 
 
 def _solve_stratified(req: SolveRequest) -> Solution:
@@ -247,7 +243,7 @@ def _solve_stratified(req: SolveRequest) -> Solution:
     if "max_branch" in req.options:
         kwargs["max_branch"] = req.options["max_branch"]
     trues = _stratified_model(req.program, req.database, **kwargs)
-    return Solution.from_true_set("stratified", trues, run=trues)
+    return Solution.from_true_set("stratified", trues)
 
 
 def _solve_modular(req: SolveRequest) -> Solution:
@@ -261,7 +257,6 @@ def _solve_modular(req: SolveRequest) -> Solution:
         result.true_atoms,
         undefined_atoms=result.undefined_atoms,
         iterations=result.component_count,
-        run=result,
     )
 
 
@@ -274,7 +269,7 @@ def _enumerate_completion(req: SolveRequest) -> Iterator[Solution]:
         ground_program=req.gp(),
         limit=req.options.get("limit"),
     ):
-        yield Solution.from_true_set("completion", trues, run=trues)
+        yield Solution.from_true_set("completion", trues)
 
 
 def _solve_completion(req: SolveRequest) -> Solution:
@@ -292,7 +287,7 @@ def _enumerate_stable(req: SolveRequest) -> Iterator[Solution]:
         ground_program=req.gp(),
         limit=req.options.get("limit"),
     ):
-        yield Solution.from_true_set("stable", trues, run=trues)
+        yield Solution.from_true_set("stable", trues)
 
 
 def _solve_stable(req: SolveRequest) -> Solution:

@@ -3,8 +3,8 @@
 Every entrypoint of :class:`repro.api.Engine` — ``solve``, ``enumerate``,
 ``query_many`` — produces a :class:`Solution`: a three-valued model
 partition, totality flags, the tie trail (with the policy that oriented
-it), per-phase timings, and the legacy run object for backward
-compatibility.  JSON serialization lives in
+it), per-phase timings, and the evaluation state for ``explain``.  JSON
+serialization lives in
 :func:`repro.io.json_io.solution_to_json` (schema ``repro-solution/1``).
 
 Two model conventions coexist, mirroring the interpreters:
@@ -62,7 +62,6 @@ _FIELDS = (
     "grounding",
     "timings",
     "state",
-    "run",
 )
 
 
@@ -108,12 +107,7 @@ class Solution:
       ``result_s`` accumulates lazy-decode/encode wall clock as views
       are touched (booked non-overlapping with ``solve_s``);
     * ``state`` — the retained evaluation state for ``explain``, or
-      ``None``;
-    * ``run`` — the legacy result object (``WellFoundedRun``,
-      ``TieBreakingRun``, ``Interpretation``, ``frozenset`` of true
-      atoms, or ``None`` when nothing was found), kept so the deprecated
-      free functions can delegate here without changing their return
-      types.
+      ``None``.
 
     Thread-safety of the lazy views: decode is idempotent (two racing
     readers build equal frozensets and one wins the cache slot), so
@@ -137,7 +131,6 @@ class Solution:
         grounding: str | None = None,
         timings: Mapping[str, float] | None = None,
         state: Optional["GroundGraphState"] = None,
-        run: Any = None,
     ) -> None:
         self.semantics = semantics
         self.found = found
@@ -149,7 +142,6 @@ class Solution:
         self.grounding = grounding
         self.timings = {} if timings is None else timings
         self.state = state
-        self.run = run
         if model is None:
             # Set-based results are born eager; unset fields default to
             # the closed-world empty answer.
@@ -278,7 +270,7 @@ class Solution:
 
     @property
     def is_total(self) -> bool:
-        """Alias for ``total`` matching the legacy run dataclasses."""
+        """Alias for ``total`` matching the run dataclasses."""
         return self.total
 
     @property

@@ -191,7 +191,9 @@ def _cmd_fixpoints(args) -> int:
     count = 0
     solutions = []
     for solution in engine.enumerate("completion", limit=args.limit, grounding=args.grounding):
-        if args.stable and not is_stable_model(engine.program, engine.database, solution.run):
+        if args.stable and not is_stable_model(
+            engine.program, engine.database, solution.true_atoms
+        ):
             continue
         count += 1
         if args.json:

@@ -1,9 +1,11 @@
 """Semantics of Datalog¬: every interpreter and model-checker in the paper.
 
-The per-semantics free functions exported here are **deprecated shims**
-over :mod:`repro.api` — prefer ``Engine(program, database).solve(name)``,
-which grounds and compiles once per engine.  The checkers
-(``is_stable_model``, ``is_fixpoint``, ...) remain first-class.
+The interpreters are evaluated through :mod:`repro.api` —
+``Engine(program, database).solve(name)`` grounds and compiles once per
+engine; each module here holds the private implementation behind one
+registry entry.  This package exports the model checkers
+(``is_stable_model``, ``is_fixpoint``, ...), the choice policies and the
+run/result types.
 
 * fixpoints (supported models): :mod:`repro.semantics.fixpoint`,
   exact SAT enumeration in :mod:`repro.semantics.completion`;
@@ -15,11 +17,7 @@ which grounds and compiles once per engine.  The checkers
 * stratified / perfect / Fitting baselines.
 """
 
-from repro.semantics.alternating import (
-    alternating_fixpoint_model,
-    gamma_operator,
-    is_stable_via_gamma,
-)
+from repro.semantics.alternating import gamma_operator, is_stable_via_gamma
 from repro.semantics.choices import (
     ChoicePolicy,
     FewestTrue,
@@ -28,49 +26,22 @@ from repro.semantics.choices import (
     RandomChoice,
     SecondSideTrue,
 )
-from repro.semantics.completion import (
-    clark_completion,
-    count_fixpoints,
-    enumerate_fixpoints,
-    find_fixpoint,
-    has_fixpoint,
-)
-from repro.semantics.fitting import fitting_model
+from repro.semantics.completion import clark_completion
 from repro.semantics.fixpoint import FixpointViolation, check_fixpoint, is_fixpoint
-from repro.semantics.modular import ModularResult, modular_well_founded_model
-from repro.semantics.perfect import is_locally_stratified, perfect_model
-from repro.semantics.stable import (
-    enumerate_stable_models,
-    find_stable_model,
-    has_stable_model,
-    is_stable_model,
-    reduct_least_model,
-)
-from repro.semantics.stratified import (
-    Stratification,
-    is_stratified,
-    stratification,
-    stratified_model,
-)
-from repro.semantics.tie_breaking import (
-    TieBreakingRun,
-    TieChoice,
-    enumerate_tie_breaking_models,
-    pure_tie_breaking,
-    well_founded_tie_breaking,
-)
-from repro.semantics.queries import QueryResult, query
-from repro.semantics.well_founded import WellFoundedRun, well_founded_model
+from repro.semantics.modular import ModularResult
+from repro.semantics.perfect import is_locally_stratified
+from repro.semantics.stable import is_stable_model, reduct_least_model
+from repro.semantics.stratified import Stratification, is_stratified, stratification
+from repro.semantics.tie_breaking import TieBreakingRun, TieChoice
+from repro.semantics.queries import QueryResult
+from repro.semantics.well_founded import WellFoundedRun
 
 __all__ = [
     "ChoicePolicy",
     "ModularResult",
     "QueryResult",
-    "modular_well_founded_model",
-    "alternating_fixpoint_model",
     "gamma_operator",
     "is_stable_via_gamma",
-    "query",
     "FewestTrue",
     "FirstSideTrue",
     "FixpointViolation",
@@ -83,24 +54,10 @@ __all__ = [
     "WellFoundedRun",
     "check_fixpoint",
     "clark_completion",
-    "count_fixpoints",
-    "enumerate_fixpoints",
-    "enumerate_stable_models",
-    "enumerate_tie_breaking_models",
-    "find_fixpoint",
-    "find_stable_model",
-    "fitting_model",
-    "has_fixpoint",
-    "has_stable_model",
     "is_fixpoint",
     "is_locally_stratified",
     "is_stable_model",
     "is_stratified",
-    "perfect_model",
-    "pure_tie_breaking",
     "reduct_least_model",
     "stratification",
-    "stratified_model",
-    "well_founded_model",
-    "well_founded_tie_breaking",
 ]

@@ -13,6 +13,12 @@ This is a *second, independent implementation* of the §2 semantics — it
 never touches the ground-graph machinery (no close(), no unfounded sets) —
 used by the test suite to cross-validate Algorithm Well-Founded, and by the
 stable-model theory: S is stable iff Γ(S) = S.
+
+>>> from repro.api import Engine
+>>> from repro.datalog.atoms import Atom
+>>> solution = Engine("p :- not q. q :- not p. r :- r.").solve("alternating")
+>>> solution.value(Atom("r")), solution.value(Atom("p"))
+(False, None)
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from repro.datalog.grounding import GroundingMode, GroundProgram, ground
 from repro.datalog.program import Program
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
-__all__ = ["gamma_operator", "alternating_fixpoint_model", "is_stable_via_gamma"]
+__all__ = ["gamma_operator", "is_stable_via_gamma"]
 
 
 def _gamma(gp: GroundProgram, true_set: set[int], edb_true: set[int]) -> set[int]:
@@ -83,36 +89,6 @@ def gamma_operator(gp: GroundProgram) -> "callable":
     return gamma
 
 
-def alternating_fixpoint_model(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "relevant",
-    ground_program: GroundProgram | None = None,
-) -> Interpretation:
-    """The well-founded model via the alternating fixpoint of Γ².
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.solve("alternating")``.
-
-    >>> from repro.datalog.parser import parse_program
-    >>> from repro.datalog.atoms import Atom
-    >>> m = alternating_fixpoint_model(parse_program("p :- not q. q :- not p. r :- r."))
-    >>> m.value(Atom("r")), m.value(Atom("p"))
-    (False, None)
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("alternating_fixpoint_model()", 'Engine.solve("alternating")')
-    return solve(
-        "alternating",
-        program,
-        database,
-        grounding=grounding,
-        ground_program=ground_program,
-    ).run
-
-
 def _alternating_fixpoint_model(
     program: Program,
     database: Database | None = None,
@@ -125,7 +101,7 @@ def _alternating_fixpoint_model(
     Iterates ``under ← Γ(over)``, ``over ← Γ(under)`` from ``under = ∅``
     until both stabilize; atoms in ``under`` are true, atoms outside
     ``over`` are false, the gap is undefined.  Agrees with
-    :func:`repro.semantics.well_founded.well_founded_model` on every input
+    the ``well_founded`` registry entry on every input
     (property-tested).
     """
     gp = ground_program or ground(program, database or Database(), mode=grounding)

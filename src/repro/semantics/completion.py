@@ -17,6 +17,11 @@ true atoms are *self-supported outside U\\** are missed.  UNSAT therefore
 implies "no fixpoint" under relevant grounding only when no positive cycle
 escapes U\\* — the Theorem 6 tests document this argument; when in doubt,
 use full grounding.
+
+>>> from repro.api import Engine
+>>> engine = Engine("p :- not q. q :- not p.")
+>>> sorted(sorted(str(a) for a in s.true_atoms) for s in engine.enumerate("completion"))
+[['p'], ['q']]
 """
 
 from __future__ import annotations
@@ -29,15 +34,11 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram, ground
 from repro.datalog.program import Program
 from repro.sat.cnf import CNF
-from repro.sat.solver import enumerate_models, solve
+from repro.sat.solver import enumerate_models
 
 __all__ = [
     "CompletionEncoding",
     "clark_completion",
-    "enumerate_fixpoints",
-    "find_fixpoint",
-    "has_fixpoint",
-    "count_fixpoints",
 ]
 
 
@@ -136,75 +137,3 @@ def _enumerate_fixpoints(
     encoding = _encoding_for(program, database, grounding, ground_program, max_instances)
     for projection in enumerate_models(encoding.cnf, encoding.free_vars, limit=limit):
         yield encoding.model_to_atoms(projection)
-
-
-def enumerate_fixpoints(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "full",
-    ground_program: GroundProgram | None = None,
-    limit: int | None = None,
-    max_instances: int = 2_000_000,
-) -> Iterator[frozenset[Atom]]:
-    """Yield the true set of every fixpoint of Π, Δ (projected, deduplicated).
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.enumerate("completion")``.
-
-    >>> from repro.datalog.parser import parse_program
-    >>> prog = parse_program("p :- not q. q :- not p.")
-    >>> models = sorted(sorted(str(a) for a in m) for m in enumerate_fixpoints(prog))
-    >>> models
-    [['p'], ['q']]
-    """
-    from repro.api import enumerate_solutions, warn_deprecated
-
-    warn_deprecated("enumerate_fixpoints()", 'Engine.enumerate("completion")')
-    for solution in enumerate_solutions(
-        "completion",
-        program,
-        database,
-        ground_program=ground_program,
-        limit=limit,
-        grounding=grounding,
-        max_instances=max_instances,
-    ):
-        yield solution.run
-
-
-def find_fixpoint(
-    program: Program,
-    database: Database | None = None,
-    **kwargs,
-) -> frozenset[Atom] | None:
-    """One fixpoint's true set, or None if Π, Δ has no fixpoint.
-
-    .. deprecated:: use ``Engine.solve("completion")`` (check ``found``).
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("find_fixpoint()", 'Engine.solve("completion")')
-    return solve("completion", program, database, **kwargs).run
-
-
-def has_fixpoint(program: Program, database: Database | None = None, **kwargs) -> bool:
-    """True iff Π, Δ has at least one fixpoint (NP-complete in general).
-
-    .. deprecated:: use ``Engine.solve("completion").found``.
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("has_fixpoint()", 'Engine.solve("completion").found')
-    return solve("completion", program, database, **kwargs).found
-
-
-def count_fixpoints(program: Program, database: Database | None = None, **kwargs) -> int:
-    """Number of distinct fixpoints (enumerates them all).
-
-    .. deprecated:: use ``Engine.enumerate("completion")``.
-    """
-    from repro.api import enumerate_solutions, warn_deprecated
-
-    warn_deprecated("count_fixpoints()", 'Engine.enumerate("completion")')
-    return sum(1 for _ in enumerate_solutions("completion", program, database, **kwargs))

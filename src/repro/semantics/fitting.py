@@ -10,10 +10,15 @@ it to show where the tie-breaking ladder starts.
 
 Requires full grounding: relevant grounding prunes instances whose bodies
 Fitting regards as *undefined*, not false.
+
+>>> from repro.api import Engine
+>>> from repro.datalog.atoms import Atom
+>>> solution = Engine("p :- p.").solve("fitting")
+>>> solution.value(Atom("p")) is None   # undefined: Fitting does not falsify loops
+True
 """
 
 from __future__ import annotations
-
 
 from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram, ground
@@ -21,37 +26,7 @@ from repro.datalog.program import Program
 from repro.errors import SemanticsError
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
-__all__ = ["fitting_model"]
-
-
-def fitting_model(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "full",
-    ground_program: GroundProgram | None = None,
-) -> Interpretation:
-    """The Kripke-Kleene / Fitting three-valued model of Π, Δ.
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.solve("fitting")``.
-
-    >>> from repro.datalog.parser import parse_program
-    >>> from repro.datalog.atoms import Atom
-    >>> m = fitting_model(parse_program("p :- p."))
-    >>> m.value(Atom("p")) is None   # undefined: Fitting does not falsify loops
-    True
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("fitting_model()", 'Engine.solve("fitting")')
-    return solve(
-        "fitting",
-        program,
-        database,
-        grounding=grounding,
-        ground_program=ground_program,
-    ).run
+__all__: list[str] = []
 
 
 def _fitting_model(
@@ -70,8 +45,8 @@ def _fitting_model(
     gp = ground_program or ground(program, database or Database(), mode=grounding)
     if gp.mode != "full":
         raise SemanticsError(
-            "fitting_model requires full grounding (relevant pruning treats "
-            "undefined bodies as false)"
+            "the fitting semantics requires full grounding (relevant pruning "
+            "treats undefined bodies as false)"
         )
     database = gp.database
     n_atoms = gp.atom_count

@@ -14,6 +14,11 @@ pair, §3).  The result equals the monolithic well-founded model on every
 input (differentially tested), while grounding each component against only
 its own slice of the program — the classic win when a program has many
 independent layers.
+
+>>> from repro.api import Engine
+>>> solution = Engine("a :- not b. b :- not a. safe :- e, not a.", "e.").solve("modular")
+>>> sorted(str(x) for x in solution.undefined_atoms)
+['a', 'b', 'safe']
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.datalog.rules import Rule
 from repro.graphs.scc import strongly_connected_components
 from repro.semantics.well_founded import _well_founded_model
 
-__all__ = ["ModularResult", "modular_well_founded_model"]
+__all__ = ["ModularResult"]
 
 _AUX_PREFIX = "undef_aux__"
 
@@ -38,50 +43,13 @@ _AUX_PREFIX = "undef_aux__"
 class ModularResult:
     """Three-valued outcome of a modular evaluation.
 
-    ``true_atoms`` / ``undefined_atoms`` cover the IDB; everything else is
-    false (EDB atoms resolve against Δ via :meth:`value`).
+    ``true_atoms`` holds Δ's facts plus the derived IDB atoms, and
+    ``undefined_atoms`` the IDB atoms left open; everything else is false.
     """
 
     true_atoms: frozenset[Atom]
     undefined_atoms: frozenset[Atom]
-    database: Database
     component_count: int
-
-    @property
-    def is_total(self) -> bool:
-        """True iff no atom was left undefined."""
-        return not self.undefined_atoms
-
-    def value(self, atom: Atom):
-        """True / False / None for any ground atom."""
-        if atom in self.true_atoms or self.database.contains_atom(atom):
-            return True
-        if atom in self.undefined_atoms:
-            return None
-        return False
-
-
-def modular_well_founded_model(
-    program: Program,
-    database: Database,
-    *,
-    grounding: GroundingMode = "relevant",
-) -> ModularResult:
-    """The well-founded model, one predicate component at a time.
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.solve("modular")``.
-
-    >>> from repro.datalog.parser import parse_database, parse_program
-    >>> prog = parse_program("a :- not b. b :- not a. safe :- e, not a.")
-    >>> result = modular_well_founded_model(prog, parse_database("e."))
-    >>> sorted(str(x) for x in result.undefined_atoms)
-    ['a', 'b', 'safe']
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("modular_well_founded_model()", 'Engine.solve("modular")')
-    return solve("modular", program, database, grounding=grounding).run
 
 
 def _modular_well_founded_model(
@@ -148,8 +116,7 @@ def _modular_well_founded_model(
                 undefined.add(atom)
 
     return ModularResult(
-        true_atoms=frozenset(true_idb),
+        true_atoms=frozenset(true_idb).union(database.atoms()),
         undefined_atoms=frozenset(undefined),
-        database=database,
         component_count=evaluated,
     )

@@ -24,7 +24,7 @@ from repro.errors import SemanticsError
 from repro.graphs.scc import strongly_connected_components
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
-__all__ = ["is_locally_stratified", "perfect_model"]
+__all__ = ["is_locally_stratified"]
 
 
 def _static_components(gp: GroundProgram) -> tuple[list[list[int]], list[int]]:
@@ -66,33 +66,6 @@ def is_locally_stratified(
     return True
 
 
-def perfect_model(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "full",
-    ground_program: GroundProgram | None = None,
-) -> Interpretation:
-    """The perfect model of a locally stratified Π, Δ.
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.solve("perfect")``.
-
-    Raises :class:`SemanticsError` when some ground SCC contains a negative
-    edge (the program is not locally stratified for this database).
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("perfect_model()", 'Engine.solve("perfect")')
-    return solve(
-        "perfect",
-        program,
-        database,
-        grounding=grounding,
-        ground_program=ground_program,
-    ).run
-
-
 def _perfect_model(
     program: Program,
     database: Database | None = None,
@@ -100,7 +73,11 @@ def _perfect_model(
     grounding: GroundingMode = "full",
     ground_program: GroundProgram | None = None,
 ) -> Interpretation:
-    """Implementation behind the ``perfect`` registry entry."""
+    """Implementation behind the ``perfect`` registry entry.
+
+    Raises :class:`SemanticsError` when some ground SCC contains a negative
+    edge (the program is not locally stratified for this database).
+    """
     gp = ground_program or ground(program, database or Database(), mode=grounding)
     database = gp.database
     components, comp_id = _static_components(gp)

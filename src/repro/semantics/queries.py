@@ -1,25 +1,23 @@
-"""Query-level API: ask for a predicate's rows under a chosen semantics.
+"""Query results: one predicate's rows under a chosen semantics.
 
-The downstream-friendly wrapper over the interpreters: restrict the program
-to the query's support cone (a sound cut — see
-:func:`repro.analysis.dependencies.relevant_subprogram`), evaluate under
-the requested semantics, and return the rows with three-valued results.
+:meth:`repro.api.Engine.query` returns a :class:`QueryResult`.  To ground
+and evaluate only a predicate's support cone, restrict the program first
+(a sound cut — see :func:`repro.analysis.dependencies.relevant_subprogram`):
+
+>>> from repro.analysis.dependencies import relevant_subprogram
+>>> from repro.api import Engine
+>>> from repro.datalog.parser import parse_program
+>>> prog = parse_program("win(X) :- move(X, Y), not win(Y). junk :- not junk.")
+>>> result = Engine(relevant_subprogram(prog, ["win"]), "move(1, 2).").query("win")
+>>> result.holds(1), result.total
+(True, True)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal as TypingLiteral, Optional
 
-from repro.analysis.dependencies import relevant_subprogram
-from repro.datalog.database import Database
-from repro.datalog.program import Program
-from repro.errors import SemanticsError
-from repro.semantics.choices import ChoicePolicy
-
-__all__ = ["QueryResult", "query"]
-
-Semantics = TypingLiteral["well-founded", "tie-breaking"]
+__all__ = ["QueryResult"]
 
 
 @dataclass(frozen=True)
@@ -41,42 +39,3 @@ class QueryResult:
 
     def __len__(self) -> int:
         return len(self.true_rows)
-
-
-def query(
-    program: Program,
-    database: Database,
-    predicate: str,
-    *,
-    semantics: Semantics = "well-founded",
-    policy: Optional[ChoicePolicy] = None,
-    grounding: str = "relevant",
-) -> QueryResult:
-    """Evaluate ``predicate`` under the chosen semantics.
-
-    Only the rules in the predicate's support cone are grounded and
-    evaluated; the rest of the program cannot influence the answer.
-
-    >>> from repro.datalog.parser import parse_database, parse_program
-    >>> prog = parse_program("win(X) :- move(X, Y), not win(Y). junk :- not junk.")
-    >>> db = parse_database("move(1, 2).")
-    >>> result = query(prog, db, "win")
-    >>> result.holds(1), result.total
-    (True, True)
-    """
-    from repro.api import Engine, warn_deprecated
-
-    warn_deprecated("query()", "Engine.query() / Engine.query_many()")
-    if predicate not in program.predicates and predicate not in database.predicates():
-        raise SemanticsError(f"unknown predicate {predicate!r}")
-    if semantics == "well-founded":
-        name = "well_founded"
-        options = {}
-    elif semantics == "tie-breaking":
-        name = "tie_breaking"
-        options = {"policy": policy}
-    else:
-        raise SemanticsError(f"unknown semantics {semantics!r}")
-    restricted = relevant_subprogram(program, [predicate])
-    engine = Engine(restricted, database, grounding=grounding)  # type: ignore[arg-type]
-    return engine.query(predicate, semantics=name, **options)

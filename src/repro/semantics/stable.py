@@ -17,7 +17,7 @@ existence is NP-hard even propositionally.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator
 
 from repro.datalog.atoms import Atom
@@ -35,9 +35,6 @@ from repro.semantics.fixpoint import is_fixpoint, normalize_candidate
 __all__ = [
     "is_stable_model",
     "reduct_least_model",
-    "enumerate_stable_models",
-    "find_stable_model",
-    "has_stable_model",
 ]
 
 
@@ -195,56 +192,6 @@ def _enumerate_stable_models(
 ) -> Iterator[frozenset[Atom]]:
     """Implementation behind the ``stable`` registry entry."""
     database = database or Database()
-    found = 0
-    for model in _enumerate_fixpoints(program, database, grounding=grounding, **kwargs):
-        if is_stable_model(program, database, model):
-            yield model
-            found += 1
-            if limit is not None and found >= limit:
-                return
-
-
-def enumerate_stable_models(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "full",
-    limit: int | None = None,
-    **kwargs,
-) -> Iterator[frozenset[Atom]]:
-    """All stable models: fixpoints (via completion SAT) filtered by stability.
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.enumerate("stable")``.
-    """
-    from repro.api import enumerate_solutions, warn_deprecated
-
-    warn_deprecated("enumerate_stable_models()", 'Engine.enumerate("stable")')
-    for solution in enumerate_solutions(
-        "stable", program, database, limit=limit, grounding=grounding, **kwargs
-    ):
-        yield solution.run
-
-
-def find_stable_model(
-    program: Program, database: Database | None = None, **kwargs
-) -> frozenset[Atom] | None:
-    """One stable model's true set, or None.
-
-    .. deprecated:: use ``Engine.solve("stable")`` (check ``found``).
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("find_stable_model()", 'Engine.solve("stable")')
-    return solve("stable", program, database, **kwargs).run
-
-
-def has_stable_model(program: Program, database: Database | None = None, **kwargs) -> bool:
-    """True iff Π, Δ has a stable model (NP-hard in general).
-
-    .. deprecated:: use ``Engine.solve("stable").found``.
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("has_stable_model()", 'Engine.solve("stable").found')
-    return solve("stable", program, database, **kwargs).found
+    fixpoints = _enumerate_fixpoints(program, database, grounding=grounding, **kwargs)
+    stable = (model for model in fixpoints if is_stable_model(program, database, model))
+    yield from islice(stable, None if limit is None else max(limit, 0))

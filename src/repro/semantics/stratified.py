@@ -27,7 +27,7 @@ from repro.errors import SemanticsError
 from repro.analysis.program_graph import program_graph
 from repro.graphs.scc import strongly_connected_components
 
-__all__ = ["Stratification", "stratification", "is_stratified", "stratified_model"]
+__all__ = ["Stratification", "stratification", "is_stratified"]
 
 
 @dataclass(frozen=True)
@@ -91,27 +91,6 @@ def stratification(program: Program) -> Optional[Stratification]:
 def is_stratified(program: Program) -> bool:
     """True iff G(Π) has no cycle containing a negative edge."""
     return stratification(program) is not None
-
-
-def stratified_model(
-    program: Program,
-    database: Database,
-    *,
-    max_branch: int = 200_000,
-) -> frozenset[Atom]:
-    """The standard (perfect) model of a stratified program, as its true set.
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.solve("stratified")``.
-
-    >>> from repro.datalog.parser import parse_database, parse_program
-    >>> prog = parse_program("odd(X) :- succ(Y, X), not odd(Y).")
-    >>> # not stratified? odd depends negatively on itself -> SemanticsError
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("stratified_model()", 'Engine.solve("stratified")')
-    return solve("stratified", program, database, max_branch=max_branch).run
 
 
 def _stratified_model(

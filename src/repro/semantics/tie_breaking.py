@@ -25,7 +25,7 @@ tie selection is the kernel's min-keyed schedule
 rescan of the live graph.  Tie orientation is nondeterministic; a
 :class:`~repro.semantics.choices.ChoicePolicy` resolves it and every run
 records its trace of :class:`TieChoice` decisions (id-based, decoded to
-atoms lazily).  :func:`enumerate_tie_breaking_models` explores *all*
+atoms lazily).  ``Engine.enumerate("tie_breaking")`` explores *all*
 orientations with a trail-based undo log — branching costs the work
 undone, not a state copy.
 """
@@ -47,9 +47,6 @@ from repro.semantics.choices import ChoicePolicy, FirstSideTrue, forced_orientat
 __all__ = [
     "TieChoice",
     "TieBreakingRun",
-    "pure_tie_breaking",
-    "well_founded_tie_breaking",
-    "enumerate_tie_breaking_models",
 ]
 
 
@@ -250,7 +247,13 @@ def _pure_tie_breaking(
     grounding: GroundingMode = "full",
     ground_program: GroundProgram | None = None,
 ) -> TieBreakingRun:
-    """Implementation behind the ``pure_tie_breaking`` registry entry."""
+    """Implementation behind the ``pure_tie_breaking`` registry entry.
+
+    Defaults to full grounding: pure tie-breaking is defined on the paper's
+    exact ground graph, and may assign unfounded atoms *true* (e.g.
+    ``p :- p, ¬q``/``q :- q, ¬p``), so the relevant grounding's pruning
+    would change its outcomes.
+    """
     gp = ground_program or ground(program, database or Database(), mode=grounding)
     state = GroundGraphState(gp)
     chosen = policy or FirstSideTrue()
@@ -273,7 +276,12 @@ def _well_founded_tie_breaking(
     grounding: GroundingMode = "relevant",
     ground_program: GroundProgram | None = None,
 ) -> TieBreakingRun:
-    """Implementation behind the ``tie_breaking`` registry entry."""
+    """Implementation behind the ``tie_breaking`` registry entry.
+
+    Extends the well-founded semantics: deviates from it only where the
+    well-founded interpreter is stuck, and every total result is a stable
+    model (Lemma 3).  Relevant grounding is exact for this semantics.
+    """
     gp = ground_program or ground(program, database or Database(), mode=grounding)
     state = GroundGraphState(gp)
     chosen = policy or FirstSideTrue()
@@ -286,67 +294,6 @@ def _well_founded_tie_breaking(
         repr(chosen),
         dict(state.phase_s),
     )
-
-
-def pure_tie_breaking(
-    program: Program,
-    database: Database | None = None,
-    *,
-    policy: ChoicePolicy | None = None,
-    grounding: GroundingMode = "full",
-    ground_program: GroundProgram | None = None,
-) -> TieBreakingRun:
-    """Algorithm Pure Tie-Breaking (§3).
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.solve("pure_tie_breaking")``.
-
-    Defaults to full grounding: pure tie-breaking is defined on the paper's
-    exact ground graph, and may assign unfounded atoms *true* (e.g.
-    ``p :- p, ¬q``/``q :- q, ¬p``), so the relevant grounding's pruning
-    would change its outcomes.
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("pure_tie_breaking()", 'Engine.solve("pure_tie_breaking")')
-    return solve(
-        "pure_tie_breaking",
-        program,
-        database,
-        policy=policy,
-        grounding=grounding,
-        ground_program=ground_program,
-    ).run
-
-
-def well_founded_tie_breaking(
-    program: Program,
-    database: Database | None = None,
-    *,
-    policy: ChoicePolicy | None = None,
-    grounding: GroundingMode = "relevant",
-    ground_program: GroundProgram | None = None,
-) -> TieBreakingRun:
-    """Algorithm Well-Founded Tie-Breaking (§3, with the K/L typo fixed).
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.solve("tie_breaking")``.
-
-    Extends the well-founded semantics: deviates from it only where the
-    well-founded interpreter is stuck, and every total result is a stable
-    model (Lemma 3).  Relevant grounding is exact for this semantics.
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("well_founded_tie_breaking()", 'Engine.solve("tie_breaking")')
-    return solve(
-        "tie_breaking",
-        program,
-        database,
-        policy=policy,
-        grounding=grounding,
-        ground_program=ground_program,
-    ).run
 
 
 def _check_variant(variant: str) -> bool:
@@ -483,41 +430,3 @@ def _enumerate_reference(
             pending.append((other, other_trail))
             trail.append(_apply_tie(state, tie, 0, forced=False))
             state.close()
-
-
-def enumerate_tie_breaking_models(
-    program: Program,
-    database: Database | None = None,
-    *,
-    variant: str = "well-founded",
-    grounding: GroundingMode | None = None,
-    ground_program: GroundProgram | None = None,
-    limit: int | None = None,
-) -> Iterator[TieBreakingRun]:
-    """Every outcome of the tie-breaking interpreter over all free choices.
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine.enumerate("tie_breaking")`` (or
-       ``"pure_tie_breaking"``).
-
-    Performs a depth-first search over tie orientations (two branches per
-    genuinely free decision).  Distinct choice sequences may converge to
-    the same model; runs are yielded per *sequence* — deduplicate on
-    ``run.model.true_set()`` if only models matter.
-
-    Worst-case exponential in the number of free choices — this is the
-    exhaustive verifier behind the paper's "for all choices" statements,
-    not an interpreter.
-    """
-    from repro.api import enumerate_solutions, warn_deprecated
-
-    warn_deprecated("enumerate_tie_breaking_models()", 'Engine.enumerate("tie_breaking")')
-    _check_variant(variant)
-    name = "tie_breaking" if variant == "well-founded" else "pure_tie_breaking"
-    options: dict = {}
-    if grounding is not None:
-        options["grounding"] = grounding
-    for solution in enumerate_solutions(
-        name, program, database, ground_program=ground_program, limit=limit, **options
-    ):
-        yield solution.run

@@ -6,7 +6,16 @@ The result is the (unique) well-founded partial model; when it is total it
 is a fixpoint and in fact the unique stable model [VRS].
 
 Runs in polynomial time: each iteration falsifies at least one atom, and
-each iteration is linear in the ground graph.
+each iteration is linear in the ground graph.  Relevant grounding (the
+registry default) is exact for this semantics: atoms outside the
+upper-bound model form an unfounded set and are false in the well-founded
+model either way (property-tested against ``'full'``).
+
+>>> from repro.api import Engine
+>>> engine = Engine("win(X) :- move(X, Y), not win(Y).", "move(1, 2). move(2, 3).")
+>>> solution = engine.solve("well_founded")
+>>> solution.is_total, sorted(t[0].value for t in solution.true_rows("win"))
+(True, [2])
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from repro.datalog.program import Program
 from repro.ground.model import Interpretation
 from repro.ground.state import GroundGraphState
 
-__all__ = ["well_founded_model", "well_founded_state", "WellFoundedRun"]
+__all__ = ["well_founded_state", "WellFoundedRun"]
 
 
 @dataclass(frozen=True)
@@ -74,38 +83,3 @@ def _well_founded_model(
     gp = ground_program or ground(program, database or Database(), mode=grounding)
     state, iterations = well_founded_state(gp)
     return WellFoundedRun(state.interpretation(), iterations, state, dict(state.phase_s))
-
-
-def well_founded_model(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "relevant",
-    ground_program: GroundProgram | None = None,
-) -> WellFoundedRun:
-    """Compute the well-founded (possibly partial) model of Π, Δ.
-
-    .. deprecated:: delegates to the :mod:`repro.api` registry; new code
-       should use ``Engine(program, database).solve("well_founded")``.
-
-    ``grounding='relevant'`` (default) is exact for this semantics: atoms
-    outside the upper-bound model form an unfounded set and are false in
-    the well-founded model either way (property-tested against ``'full'``).
-
-    >>> from repro.datalog.parser import parse_database, parse_program
-    >>> prog = parse_program("win(X) :- move(X, Y), not win(Y).")
-    >>> db = parse_database("move(1, 2). move(2, 3).")
-    >>> run = well_founded_model(prog, db)
-    >>> run.is_total, sorted(t[0].value for t in run.model.true_rows("win"))
-    (True, [2])
-    """
-    from repro.api import solve, warn_deprecated
-
-    warn_deprecated("well_founded_model()", 'Engine.solve("well_founded")')
-    return solve(
-        "well_founded",
-        program,
-        database,
-        grounding=grounding,
-        ground_program=ground_program,
-    ).run

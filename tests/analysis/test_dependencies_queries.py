@@ -10,8 +10,7 @@ from repro.analysis.dependencies import (
 )
 from repro.datalog.parser import parse_database, parse_program
 from repro.errors import SemanticsError
-from repro.semantics.queries import query
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 
 
 class TestDependsOn:
@@ -91,7 +90,7 @@ class TestRelevantSubprogram:
 
     def test_semantics_preserved_on_cone(self):
         prog = parse_program("a :- not b. b :- c. junk :- not junk.")
-        full = well_founded_model(relevant_subprogram(prog, ["a"]))
+        full = Engine(relevant_subprogram(prog, ["a"])).solve("well_founded")
         assert full.is_total  # the odd loop on junk is gone
         assert full.model.value(parse_program("a.").rules[0].head) is True
 
@@ -100,33 +99,36 @@ class TestQuery:
     def test_query_ignores_unrelated_odd_loops(self):
         prog = parse_program("win(X) :- move(X, Y), not win(Y). junk :- not junk.")
         db = parse_database("move(1, 2).")
-        result = query(prog, db, "win")
+        result = Engine(relevant_subprogram(prog, ["win"]), db).query("win")
         assert result.total and result.holds(1) and not result.holds(2)
 
     def test_query_reports_undefined_rows(self):
         prog = parse_program("win(X) :- move(X, Y), not win(Y).")
         db = parse_database("move(1, 2). move(2, 1).")
-        result = query(prog, db, "win")
+        result = Engine(relevant_subprogram(prog, ["win"]), db).query("win")
         assert not result.total
         assert result.undefined_rows == {(1,), (2,)}
 
     def test_tie_breaking_query_totalizes(self):
         prog = parse_program("win(X) :- move(X, Y), not win(Y).")
         db = parse_database("move(1, 2). move(2, 1).")
-        result = query(prog, db, "win", semantics="tie-breaking")
+        engine = Engine(relevant_subprogram(prog, ["win"]), db)
+        result = engine.query("win", semantics="tie-breaking")
         assert result.total
         assert len(result.true_rows) == 1  # one side of the draw wins
 
     def test_edb_query(self):
         prog = parse_program("p(X) :- e(X).")
         db = parse_database("e(1). e(2).")
-        result = query(prog, db, "e")
+        result = Engine(relevant_subprogram(prog, ["e"]), db).query("e")
         assert result.true_rows == {(1,), (2,)}
 
     def test_unknown_predicate_rejected(self):
+        engine = Engine(relevant_subprogram(parse_program("p :- q."), ["nope"]), parse_database(""))
         with pytest.raises(SemanticsError):
-            query(parse_program("p :- q."), parse_database(""), "nope")
+            engine.query("nope")
 
     def test_unknown_semantics_rejected(self):
+        engine = Engine(relevant_subprogram(parse_program("p :- q."), ["p"]), parse_database(""))
         with pytest.raises(SemanticsError):
-            query(parse_program("p :- q."), parse_database(""), "p", semantics="magic")
+            engine.query("p", semantics="magic")

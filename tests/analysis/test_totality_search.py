@@ -6,7 +6,7 @@ from repro.analysis.totality_search import candidate_databases, search_nontotali
 from repro.constructions.theorem2 import theorem2_variant
 from repro.datalog.parser import parse_program
 from repro.errors import SemanticsError
-from repro.semantics.completion import has_fixpoint
+from repro.api import Engine
 
 
 class TestCandidateDatabases:
@@ -42,7 +42,7 @@ class TestSearch:
         prog = parse_program("p(X, Y) :- not p(Y, Y), e(X).")
         witness = search_nontotality_witness(prog, max_constants=1)
         assert witness is not None
-        assert not has_fixpoint(prog, witness, grounding="edb")
+        assert not Engine(prog, witness).solve("completion", grounding="edb").found
 
     def test_program_1_no_small_witness(self):
         """Paper program (1): total — no counterexample at any bound we try."""

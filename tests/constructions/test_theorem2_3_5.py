@@ -19,9 +19,7 @@ from repro.constructions.variants import assign_arc_rules
 from repro.datalog.parser import parse_program
 from repro.datalog.skeleton import is_alphabetic_variant
 from repro.errors import ConstructionError
-from repro.semantics.completion import has_fixpoint
-from repro.semantics.tie_breaking import well_founded_tie_breaking
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 
 # Programs whose graph has an odd cycle (not structurally total).
 ODD_PROGRAMS = [
@@ -49,7 +47,7 @@ class TestTheorem2:
         variant, delta = theorem2_variant(program)
         assert is_alphabetic_variant(program, variant)
         assert all(arity == 1 for arity in variant.arities.values())
-        assert not has_fixpoint(variant, delta, grounding="full")
+        assert not Engine(variant, delta).solve("completion", grounding="full").found
 
     @pytest.mark.parametrize("source", ODD_PROGRAMS)
     def test_constant_free_variant_has_no_fixpoint(self, source):
@@ -58,7 +56,7 @@ class TestTheorem2:
         assert is_alphabetic_variant(program, variant)
         assert len(variant.constants) == 0
         assert all(arity == 3 for arity in variant.arities.values())
-        assert not has_fixpoint(variant, delta, grounding="full")
+        assert not Engine(variant, delta).solve("completion", grounding="full").found
 
     def test_structurally_total_program_rejected(self):
         with pytest.raises(ConstructionError):
@@ -86,7 +84,7 @@ class TestTheorem3:
         assert all(arity == 2 for arity in variant.arities.values())
         # Nonuniform: Δ holds EDB facts only.
         assert all(a.predicate in variant.edb_predicates for a in delta.atoms())
-        assert not has_fixpoint(variant, delta, grounding="full")
+        assert not Engine(variant, delta).solve("completion", grounding="full").found
 
     @pytest.mark.parametrize("source", ODD_AFTER_REDUCTION)
     def test_constant_free_variant_no_fixpoint(self, source):
@@ -95,7 +93,7 @@ class TestTheorem3:
         assert is_alphabetic_variant(program, variant)
         assert len(variant.constants) == 0
         assert all(arity == 4 for arity in variant.arities.values())
-        assert not has_fixpoint(variant, delta, grounding="full")
+        assert not Engine(variant, delta).solve("completion", grounding="full").found
 
     def test_odd_cycle_through_useless_predicate_rejected(self):
         """u :- u; p :- ¬p, u is structurally nonuniformly total: no variant."""
@@ -127,23 +125,23 @@ class TestTheorem5:
         program = parse_program("p(X) :- not q(X). q(X) :- not p(X).")
         assert is_structurally_total(program)  # even cycle: TB always succeeds
         variant, delta = theorem5_variant(program)
-        wf = well_founded_model(variant, delta, grounding="full")
+        wf = Engine(variant, delta).solve("well_founded", grounding="full")
         assert not wf.is_total
-        assert has_fixpoint(variant, delta, grounding="full")
-        tb = well_founded_tie_breaking(variant, delta, grounding="full")
+        assert Engine(variant, delta).solve("completion", grounding="full").found
+        tb = Engine(variant, delta).solve("tie_breaking", grounding="full")
         assert tb.is_total
 
     def test_odd_cycle_variant_has_no_fixpoint_at_all(self):
         program = parse_program("p(X) :- not p(X), e(X).")
         variant, delta = theorem5_variant(program)
-        assert not has_fixpoint(variant, delta, grounding="full")
-        assert not well_founded_model(variant, delta, grounding="full").is_total
+        assert not Engine(variant, delta).solve("completion", grounding="full").found
+        assert not Engine(variant, delta).solve("well_founded", grounding="full").is_total
 
     def test_nonuniform_variant(self):
         program = parse_program("p(X) :- e(X), not q(X). q(X) :- e(X), not p(X).")
         variant, delta = theorem5_variant(program, nonuniform=True)
         assert all(a.predicate in variant.edb_predicates for a in delta.atoms())
-        wf = well_founded_model(variant, delta, grounding="full")
+        wf = Engine(variant, delta).solve("well_founded", grounding="full")
         assert not wf.is_total
 
     def test_stratified_program_rejected(self):

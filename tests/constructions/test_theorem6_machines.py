@@ -18,9 +18,8 @@ from repro.constructions.theorem6 import (
     uniformize,
 )
 from repro.datalog.parser import parse_program
-from repro.semantics.completion import find_fixpoint, has_fixpoint
+from repro.api import Engine
 from repro.semantics.fixpoint import is_fixpoint
-from repro.semantics.well_founded import well_founded_model
 
 
 class TestCounterMachines:
@@ -86,7 +85,7 @@ class TestReductionProgram:
         result = machine.run(50)
         prog = machine_to_program(machine)
         horizon = max(result.steps, machine.halting_state)
-        run = well_founded_model(prog, natural_database(horizon))
+        run = Engine(prog, natural_database(horizon)).solve("well_founded")
         for t, config in enumerate(result.trace):
             assert run.model.value(
                 parse_atom(f"state({t}, {config.state})")
@@ -106,14 +105,14 @@ class TestHaltingDirection:
         prog = machine_to_program(machine)
         horizon = max(result.steps, machine.halting_state)
         db = natural_database(horizon)
-        assert not has_fixpoint(prog, db, grounding="edb"), label
+        assert not Engine(prog, db).solve("completion", grounding="edb").found, label
 
     def test_wf_detects_the_contradiction(self):
         """The well-founded model leaves p undefined on a halting run."""
         machine = bounded_counter_machine(2)
         prog = machine_to_program(machine)
         db = natural_database(2)
-        run = well_founded_model(prog, db)
+        run = Engine(prog, db).solve("well_founded")
         assert not run.is_total
         assert run.model.value(parse_atom("p")) is None
 
@@ -123,9 +122,9 @@ class TestNonHaltingDirection:
     def test_fixpoint_exists_on_natural_db(self, machine):
         prog = machine_to_program(machine)
         db = natural_database(4)
-        model = find_fixpoint(prog, db, grounding="edb")
-        assert model is not None
-        assert is_fixpoint(prog, db, model)
+        solution = Engine(prog, db).solve("completion", grounding="edb")
+        assert solution.found
+        assert is_fixpoint(prog, db, solution.true_atoms)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_fixpoint_exists_on_adversarial_dbs(self, seed):
@@ -133,13 +132,13 @@ class TestNonHaltingDirection:
         guard rules (1a), (1b), (2) must absorb nonsense arithmetics."""
         prog = machine_to_program(alternating_machine())
         db = random_database(3, seed=seed)
-        model = find_fixpoint(prog, db, grounding="edb")
-        assert model is not None, f"seed {seed}"
-        assert is_fixpoint(prog, db, model)
+        solution = Engine(prog, db).solve("completion", grounding="edb")
+        assert solution.found, f"seed {seed}"
+        assert is_fixpoint(prog, db, solution.true_atoms)
 
     def test_wf_total_on_natural_db_for_looping_machine(self):
         prog = machine_to_program(looping_machine())
-        run = well_founded_model(prog, natural_database(4))
+        run = Engine(prog, natural_database(4)).solve("well_founded")
         assert run.is_total
         assert run.model.value(parse_atom("p")) is False
 

@@ -13,8 +13,8 @@ from repro.extensions.default_logic import (
     find_extension_tie_breaking,
     theory_to_program,
 )
-from repro.semantics.stable import enumerate_stable_models, is_stable_model
-from repro.semantics.tie_breaking import well_founded_tie_breaking
+from repro.semantics.stable import is_stable_model
+from repro.api import Engine
 
 NIXON = DefaultTheory(
     frozenset({"quaker", "republican"}),
@@ -80,17 +80,17 @@ class TestSubsetChoice:
     def test_two_to_the_n_models(self):
         program = Program(subset_choice("invited", "person"))
         db = Database.from_dict({"person": [("ann",), ("bob",)]})
-        models = list(enumerate_stable_models(program, db, grounding="full"))
+        solutions = Engine(program, db).enumerate("stable", grounding="full")
         invited_sets = {
-            frozenset(a.args[0].value for a in m if a.predicate == "invited")
-            for m in models
+            frozenset(a.args[0].value for a in s.true_atoms if a.predicate == "invited")
+            for s in solutions
         }
         assert len(invited_sets) == 4
 
     def test_tie_breaking_executes_it(self):
         program = Program(subset_choice("invited", "person"))
         db = Database.from_dict({"person": [("ann",), ("bob",)]})
-        run = well_founded_tie_breaking(program, db, grounding="full")
+        run = Engine(program, db).solve("tie_breaking", grounding="full")
         assert run.is_total and run.free_choice_count == 2
 
 
@@ -104,23 +104,23 @@ class TestOneOf:
         program = Program(one_of("leader", "member"))
         for names in (["a", "b"], ["a", "b", "c"]):
             db = self.setup_db(names)
-            models = list(enumerate_stable_models(program, db, grounding="full"))
+            solutions = list(Engine(program, db).enumerate("stable", grounding="full"))
             leaders = sorted(
                 a.args[0].value
-                for m in models
-                for a in m
+                for s in solutions
+                for a in s.true_atoms
                 if a.predicate == "leader"
             )
             assert leaders == sorted(names), names
-            for m in models:
-                assert sum(1 for a in m if a.predicate == "leader") == 1
+            for s in solutions:
+                assert sum(1 for a in s.true_atoms if a.predicate == "leader") == 1
 
     def test_two_candidates_is_a_tie(self):
         """With two candidates the component is a tie: tie-breaking picks
         the leader directly (the §6 thesis in miniature)."""
         program = Program(one_of("leader", "member"))
         db = self.setup_db(["a", "b"])
-        run = well_founded_tie_breaking(program, db, grounding="full")
+        run = Engine(program, db).solve("tie_breaking", grounding="full")
         assert run.is_total
         leaders = [a for a in run.model.true_set() if a.predicate == "leader"]
         assert len(leaders) == 1
@@ -132,12 +132,12 @@ class TestOneOf:
         stable search still finds all three choices."""
         program = Program(one_of("leader", "member"))
         db = self.setup_db(["a", "b", "c"])
-        run = well_founded_tie_breaking(program, db, grounding="full")
+        run = Engine(program, db).solve("tie_breaking", grounding="full")
         assert not run.is_total
 
     def test_single_candidate_forced(self):
         program = Program(one_of("leader", "member"))
         db = self.setup_db(["solo"])
-        run = well_founded_tie_breaking(program, db, grounding="full")
+        run = Engine(program, db).solve("tie_breaking", grounding="full")
         assert run.is_total
         assert any(a.predicate == "leader" for a in run.model.true_set())

@@ -6,13 +6,13 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import ground
 from repro.datalog.parser import parse_database, parse_program
 from repro.ground.model import FALSE, TRUE, Interpretation
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 
 
 def model_for(source, db_source="", mode="full"):
     program = parse_program(source)
     db = parse_database(db_source) if db_source else Database()
-    return well_founded_model(program, db, grounding=mode).model
+    return Engine(program, db).solve("well_founded", grounding=mode).model
 
 
 class TestValueLookup:

@@ -12,7 +12,7 @@ from repro.ground.reference import (
     naive_well_founded,
 )
 from repro.ground.state import GroundGraphState
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 
 from tests.properties.strategies import propositional_cases, small_predicate_cases
 
@@ -57,7 +57,7 @@ class TestNaiveClose:
             program = parse_program(source)
             db = parse_database(db_source) if db_source else Database()
             gp = ground(program, db, mode="full")
-            fast = well_founded_model(program, db, ground_program=gp)
+            fast = Engine(program, db, ground_program=gp).solve("well_founded")
             slow = naive_well_founded(gp)
             assert fast.model.status == slow.status, source
 
@@ -67,7 +67,7 @@ class TestNaiveClose:
 def test_naive_wf_equals_production_wf_random(case):
     program, db = case
     gp = ground(program, db, mode="full")
-    fast = well_founded_model(program, db, ground_program=gp)
+    fast = Engine(program, db, ground_program=gp).solve("well_founded")
     slow = naive_well_founded(ground(program, db, mode="full"))
     assert fast.model.status == slow.status
 
@@ -76,6 +76,6 @@ def test_naive_wf_equals_production_wf_random(case):
 @given(case=small_predicate_cases())
 def test_naive_wf_equals_production_wf_predicates(case):
     program, db = case
-    fast = well_founded_model(program, db, grounding="full")
+    fast = Engine(program, db).solve("well_founded", grounding="full")
     slow = naive_well_founded(ground(program, db, mode="full"))
     assert fast.model.status == slow.status

@@ -10,13 +10,10 @@ import itertools
 from hypothesis import HealthCheck, given, settings
 
 from repro.datalog.atoms import Atom
-from repro.semantics.alternating import alternating_fixpoint_model, is_stable_via_gamma
-from repro.semantics.completion import enumerate_fixpoints
-from repro.semantics.fitting import fitting_model
+from repro.semantics.alternating import is_stable_via_gamma
+from repro.api import Engine
 from repro.semantics.fixpoint import is_fixpoint
 from repro.semantics.stable import is_stable_model
-from repro.semantics.tie_breaking import pure_tie_breaking, well_founded_tie_breaking
-from repro.semantics.well_founded import well_founded_model
 
 from tests.properties.strategies import propositional_cases, small_predicate_cases
 
@@ -31,8 +28,8 @@ COMMON = dict(
 def test_wf_equals_alternating_fixpoint_propositional(case):
     """Algorithm Well-Founded ≡ Van Gelder's alternating fixpoint."""
     program, db = case
-    wf = well_founded_model(program, db, grounding="full")
-    alt = alternating_fixpoint_model(program, db, grounding="full")
+    wf = Engine(program, db).solve("well_founded", grounding="full")
+    alt = Engine(program, db).solve("alternating", grounding="full").model
     assert wf.model.agrees_with(alt)
 
 
@@ -40,8 +37,8 @@ def test_wf_equals_alternating_fixpoint_propositional(case):
 @given(case=small_predicate_cases())
 def test_wf_equals_alternating_fixpoint_predicates(case):
     program, db = case
-    wf = well_founded_model(program, db, grounding="full")
-    alt = alternating_fixpoint_model(program, db, grounding="full")
+    wf = Engine(program, db).solve("well_founded", grounding="full")
+    alt = Engine(program, db).solve("alternating", grounding="full").model
     assert wf.model.agrees_with(alt)
 
 
@@ -50,8 +47,8 @@ def test_wf_equals_alternating_fixpoint_predicates(case):
 def test_wf_full_equals_wf_relevant(case):
     """The relevant-grounding substitution is invisible to the WF semantics."""
     program, db = case
-    full = well_founded_model(program, db, grounding="full")
-    relevant = well_founded_model(program, db, grounding="relevant")
+    full = Engine(program, db).solve("well_founded", grounding="full")
+    relevant = Engine(program, db).solve("well_founded", grounding="relevant")
     assert full.model.agrees_with(relevant.model)
 
 
@@ -59,8 +56,8 @@ def test_wf_full_equals_wf_relevant(case):
 @given(case=small_predicate_cases())
 def test_wf_full_equals_wf_relevant_predicates(case):
     program, db = case
-    full = well_founded_model(program, db, grounding="full")
-    relevant = well_founded_model(program, db, grounding="relevant")
+    full = Engine(program, db).solve("well_founded", grounding="full")
+    relevant = Engine(program, db).solve("well_founded", grounding="relevant")
     assert full.model.agrees_with(relevant.model)
 
 
@@ -69,8 +66,8 @@ def test_wf_full_equals_wf_relevant_predicates(case):
 def test_wftb_extends_wf(case):
     """WFTB never contradicts the well-founded model (§3 consistency)."""
     program, db = case
-    wf = well_founded_model(program, db, grounding="full").model
-    tb = well_founded_tie_breaking(program, db, grounding="full").model
+    wf = Engine(program, db).solve("well_founded", grounding="full").model
+    tb = Engine(program, db).solve("tie_breaking", grounding="full").model
     for atom in wf.true_atoms():
         assert tb.value(atom) is True
     for atom in wf.false_atoms():
@@ -83,8 +80,8 @@ def test_lemma2_total_tie_breaking_models_are_fixpoints(case):
     """Lemma 2 for both interpreter variants (default policy)."""
     program, db = case
     for run in (
-        pure_tie_breaking(program, db, grounding="full"),
-        well_founded_tie_breaking(program, db, grounding="full"),
+        Engine(program, db).solve("pure_tie_breaking", grounding="full"),
+        Engine(program, db).solve("tie_breaking", grounding="full"),
     ):
         if run.is_total:
             assert is_fixpoint(program, db, run.model.true_set())
@@ -95,7 +92,7 @@ def test_lemma2_total_tie_breaking_models_are_fixpoints(case):
 def test_lemma3_total_wftb_models_are_stable_all_checkers(case):
     """Lemma 3 via three independent stable-model checkers."""
     program, db = case
-    run = well_founded_tie_breaking(program, db, grounding="full")
+    run = Engine(program, db).solve("tie_breaking", grounding="full")
     if not run.is_total:
         return
     trues = run.model.true_set()
@@ -118,7 +115,8 @@ def test_completion_enumeration_equals_brute_force(case):
         candidate = fixed_true | {Atom(p) for p, b in zip(free, bits) if b}
         if is_fixpoint(program, db, candidate):
             brute.add(frozenset(candidate))
-    via_sat = set(enumerate_fixpoints(program, db, grounding="full"))
+    engine = Engine(program, db)
+    via_sat = {s.true_atoms for s in engine.enumerate("completion", grounding="full")}
     assert via_sat == brute
 
 
@@ -126,8 +124,8 @@ def test_completion_enumeration_equals_brute_force(case):
 @given(case=propositional_cases())
 def test_every_enumerated_fixpoint_verifies(case):
     program, db = case
-    for model in enumerate_fixpoints(program, db, grounding="full", limit=8):
-        assert is_fixpoint(program, db, model)
+    for solution in Engine(program, db).enumerate("completion", grounding="full", limit=8):
+        assert is_fixpoint(program, db, solution.true_atoms)
 
 
 @settings(max_examples=60, **COMMON)
@@ -137,7 +135,8 @@ def test_stable_checkers_agree(case):
     enumerated fixpoint (stable ⊆ fixpoints, so these are the candidates
     that matter)."""
     program, db = case
-    for model in enumerate_fixpoints(program, db, grounding="full", limit=6):
+    for solution in Engine(program, db).enumerate("completion", grounding="full", limit=6):
+        model = solution.true_atoms
         reduct = is_stable_model(program, db, model, method="reduct")
         close = is_stable_model(program, db, model, method="close", grounding="full")
         gamma = is_stable_via_gamma(program, db, model)
@@ -150,15 +149,15 @@ def test_wf_total_implies_unique_stable_model(case):
     """[VRS] as cited in §2: a total well-founded model is the unique
     stable model."""
     program, db = case
-    wf = well_founded_model(program, db, grounding="full")
+    wf = Engine(program, db).solve("well_founded", grounding="full")
     if not wf.is_total:
         return
     trues = wf.model.true_set()
     assert is_stable_model(program, db, trues)
     stables = [
-        m
-        for m in enumerate_fixpoints(program, db, grounding="full")
-        if is_stable_model(program, db, m)
+        s.true_atoms
+        for s in Engine(program, db).enumerate("completion", grounding="full")
+        if is_stable_model(program, db, s.true_atoms)
     ]
     assert stables == [trues]
 
@@ -168,8 +167,8 @@ def test_wf_total_implies_unique_stable_model(case):
 def test_wf_extends_fitting(case):
     """The Kripke-Kleene model is always a sub-model of the WF model."""
     program, db = case
-    fitting = fitting_model(program, db)
-    wf = well_founded_model(program, db, grounding="full").model
+    fitting = Engine(program, db).solve("fitting").model
+    wf = Engine(program, db).solve("well_founded", grounding="full").model
     for atom in fitting.true_atoms():
         assert wf.value(atom) is True
     for atom in fitting.false_atoms():

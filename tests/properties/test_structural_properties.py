@@ -15,9 +15,8 @@ from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
 from repro.datalog.printer import format_program
 from repro.datalog.skeleton import is_alphabetic_variant, skeleton_of
-from repro.semantics.completion import has_fixpoint
+from repro.api import Engine
 from repro.semantics.stable import is_stable_model
-from repro.semantics.tie_breaking import well_founded_tie_breaking
 from repro.workloads.random_programs import random_call_consistent_program
 
 from tests.properties.strategies import (
@@ -81,7 +80,7 @@ def test_theorem2_variant_never_has_fixpoint(program):
         return
     variant, delta = theorem2_variant(program)
     assert is_alphabetic_variant(program, variant)
-    assert not has_fixpoint(variant, delta, grounding="full")
+    assert not Engine(variant, delta).solve("completion", grounding="full").found
 
 
 @settings(max_examples=40, **COMMON)
@@ -91,7 +90,7 @@ def test_theorem3_variant_never_has_fixpoint(program):
         return
     variant, delta = theorem3_variant(program)
     assert is_alphabetic_variant(program, variant)
-    assert not has_fixpoint(variant, delta, grounding="full")
+    assert not Engine(variant, delta).solve("completion", grounding="full").found
 
 
 @settings(max_examples=30, **COMMON)
@@ -104,7 +103,7 @@ def test_theorem1_on_random_call_consistent_programs(seed, db_bits):
     for offset, name in enumerate(sorted(program.predicates)):
         if (db_bits >> (offset % 8)) & 1:
             db.add(name)
-    run = well_founded_tie_breaking(program, db, grounding="full")
+    run = Engine(program, db).solve("tie_breaking", grounding="full")
     assert run.is_total
     assert is_stable_model(program, db, run.model.true_set())
 

@@ -5,12 +5,8 @@ from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
 from repro.datalog.grounding import ground
 from repro.datalog.parser import parse_database, parse_program
-from repro.semantics.alternating import (
-    alternating_fixpoint_model,
-    gamma_operator,
-    is_stable_via_gamma,
-)
-from repro.semantics.well_founded import well_founded_model
+from repro.semantics.alternating import gamma_operator, is_stable_via_gamma
+from repro.api import Engine
 
 
 class TestGammaOperator:
@@ -54,9 +50,7 @@ class TestGammaOperator:
 
 class TestAlternatingModel:
     def test_three_zones(self):
-        model = alternating_fixpoint_model(
-            parse_program("t :- not f. f :- u. p :- not q. q :- not p.")
-        )
+        model = Engine("t :- not f. f :- u. p :- not q. q :- not p.").solve("alternating").model
         assert model.value(Atom("t")) is True
         assert model.value(Atom("f")) is False
         assert model.value(Atom("u")) is False
@@ -68,14 +62,14 @@ class TestAlternatingModel:
 
         prog = machine_to_program(alternating_machine())
         db = natural_database(3)
-        wf = well_founded_model(prog, db)
-        alt = alternating_fixpoint_model(prog, db)
+        wf = Engine(prog, db).solve("well_founded")
+        alt = Engine(prog, db).solve("alternating").model
         assert wf.model.agrees_with(alt)
 
     def test_uniform_case_delta_idb(self):
         prog = parse_program("p :- q.")
         db = parse_database("p.")
-        model = alternating_fixpoint_model(prog, db)
+        model = Engine(prog, db).solve("alternating").model
         assert model.value(Atom("p")) is True
         assert model.value(Atom("q")) is False
 

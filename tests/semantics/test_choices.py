@@ -57,11 +57,11 @@ class TestRandomChoice:
 
     def test_policies_change_models(self):
         from repro.datalog.parser import parse_program
-        from repro.semantics.tie_breaking import well_founded_tie_breaking
+        from repro.api import Engine
 
         program = parse_program("p :- not q. q :- not p.")
-        first = well_founded_tie_breaking(program, policy=FirstSideTrue(), grounding="full")
-        second = well_founded_tie_breaking(program, policy=SecondSideTrue(), grounding="full")
+        first = Engine(program).solve("tie_breaking", policy=FirstSideTrue(), grounding="full")
+        second = Engine(program).solve("tie_breaking", policy=SecondSideTrue(), grounding="full")
         assert first.model.true_set() != second.model.true_set()
 
 
@@ -92,6 +92,6 @@ class TestSelfDescription:
         engine = Engine("p :- not q. q :- not p.")
         solution = engine.solve("tie_breaking", policy=RandomChoice(9), grounding="full")
         assert solution.policy == "RandomChoice(seed=9)"
-        assert solution.run.policy == "RandomChoice(seed=9)"
+        assert solution.to_json_dict()["ties"]["policy"] == "RandomChoice(seed=9)"
         default = engine.solve("tie_breaking", grounding="full")
         assert default.policy == "FirstSideTrue()"

@@ -6,19 +6,9 @@ from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_database, parse_program
 from repro.errors import SemanticsError
-from repro.semantics.completion import (
-    count_fixpoints,
-    enumerate_fixpoints,
-    find_fixpoint,
-    has_fixpoint,
-)
+from repro.api import Engine
 from repro.semantics.fixpoint import check_fixpoint, is_fixpoint
-from repro.semantics.stable import (
-    enumerate_stable_models,
-    has_stable_model,
-    is_stable_model,
-    reduct_least_model,
-)
+from repro.semantics.stable import is_stable_model, reduct_least_model
 
 
 class TestCheckFixpoint:
@@ -82,21 +72,22 @@ class TestCheckFixpoint:
 
 class TestEnumerateFixpoints:
     def test_no_fixpoint_odd_loop(self):
-        assert not has_fixpoint(parse_program("p :- not p."))
-        assert find_fixpoint(parse_program("p :- not p.")) is None
+        solution = Engine(parse_program("p :- not p.")).solve("completion")
+        assert not solution.found
+        assert not solution.true_atoms
 
     def test_count_on_independent_choices(self):
         prog = parse_program("a :- not b. b :- not a. c :- not d. d :- not c.")
-        assert count_fixpoints(prog) == 4
+        assert len(list(Engine(prog).enumerate("completion"))) == 4
 
     def test_positive_loop_two_fixpoints(self):
-        assert count_fixpoints(parse_program("p :- p.")) == 2
+        assert len(list(Engine(parse_program("p :- p.")).enumerate("completion"))) == 2
 
     def test_every_enumerated_model_verifies(self):
         prog = parse_program(
             "p :- not q. q :- not p. r :- p, q. s :- s. t :- not r, p."
         )
-        models = list(enumerate_fixpoints(prog))
+        models = [s.true_atoms for s in Engine(prog).enumerate("completion")]
         assert models
         for m in models:
             assert is_fixpoint(prog, Database(), m), sorted(str(a) for a in m)
@@ -104,7 +95,7 @@ class TestEnumerateFixpoints:
     def test_predicate_case_with_database(self):
         prog = parse_program("win(X) :- move(X, Y), not win(Y).")
         db = parse_database("move(1, 2). move(2, 1).")
-        models = list(enumerate_fixpoints(prog, db))
+        models = [s.true_atoms for s in Engine(prog, db).enumerate("completion")]
         # Draw cycle: win(1) xor win(2), two fixpoints.
         assert len(models) == 2
         for m in models:
@@ -113,13 +104,13 @@ class TestEnumerateFixpoints:
     def test_conflicting_requirements_unsat(self):
         prog = parse_program("p :- not p, e.")
         db = parse_database("e.")
-        assert not has_fixpoint(prog, db)
+        assert not Engine(prog, db).solve("completion").found
 
     def test_delta_makes_it_sat(self):
         """Same program, but Δ contains p: p is supported by Δ, rule is vacuous."""
         prog = parse_program("p :- not p, e.")
         db = parse_database("e. p.")
-        assert has_fixpoint(prog, db)
+        assert Engine(prog, db).solve("completion").found
 
 
 class TestStableCheckers:
@@ -152,20 +143,21 @@ class TestStableCheckers:
 
     def test_enumerate_stable_subset_of_fixpoints(self):
         prog = parse_program("p :- not q. q :- not p. r :- r.")
-        fixpoints = set(enumerate_fixpoints(prog))
-        stables = set(enumerate_stable_models(prog))
+        engine = Engine(prog)
+        fixpoints = {s.true_atoms for s in engine.enumerate("completion")}
+        stables = {s.true_atoms for s in engine.enumerate("stable")}
         assert stables <= fixpoints
         assert len(fixpoints) == 4  # (p xor q) x (r or not)
         assert len(stables) == 2  # r must be false
 
     def test_has_stable_model(self):
-        assert has_stable_model(parse_program("p :- not q. q :- not p."))
-        assert not has_stable_model(parse_program("p :- not p."))
+        assert Engine(parse_program("p :- not q. q :- not p.")).solve("stable").found
+        assert not Engine(parse_program("p :- not p.")).solve("stable").found
 
     def test_stable_with_database(self):
         prog = parse_program("win(X) :- move(X, Y), not win(Y).")
         db = parse_database("move(1, 2). move(2, 1).")
-        models = list(enumerate_stable_models(prog, db))
+        models = list(Engine(prog, db).enumerate("stable"))
         assert len(models) == 2
 
     def test_unknown_method_rejected(self):

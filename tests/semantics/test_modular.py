@@ -6,15 +6,14 @@ from hypothesis import HealthCheck, given, settings
 from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_database, parse_program
-from repro.semantics.modular import modular_well_founded_model
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 
 from tests.properties.strategies import propositional_cases, small_predicate_cases
 
 
 def assert_matches_monolithic(program, db):
-    modular = modular_well_founded_model(program, db, grounding="full")
-    monolithic = well_founded_model(program, db, grounding="full").model
+    modular = Engine(program, db).solve("modular", grounding="full")
+    monolithic = Engine(program, db).solve("well_founded", grounding="full").model
     for a in monolithic.true_atoms():
         assert modular.value(a) is True, str(a)
     for a in monolithic.false_atoms():
@@ -42,26 +41,26 @@ class TestModularEquivalence:
     def test_undefinedness_propagates_through_gadgets(self):
         program = parse_program("a :- not b. b :- not a. down :- a, e.")
         db = parse_database("e.")
-        result = modular_well_founded_model(program, db)
+        result = Engine(program, db).solve("modular")
         assert result.value(Atom("down")) is None
 
     def test_definite_layers_stay_definite(self):
         program = parse_program("base :- e. mid :- base, not off. top :- mid.")
         db = parse_database("e.")
-        result = modular_well_founded_model(program, db)
+        result = Engine(program, db).solve("modular")
         assert result.is_total
         assert result.value(Atom("top")) is True
 
     def test_component_count(self):
         program = parse_program("a :- b. b :- a. c :- not a. d :- c.")
-        result = modular_well_founded_model(program, Database())
+        result = Engine(program, Database()).solve("modular")
         # components: {a, b}, {c}, {d} (EDB-only components skipped)
-        assert result.component_count == 3
+        assert result.iterations == 3
 
     def test_value_resolves_edb(self):
         program = parse_program("p(X) :- e(X).")
         db = parse_database("e(1).")
-        result = modular_well_founded_model(program, db)
+        result = Engine(program, db).solve("modular")
         assert result.value(atom("e", 1)) is True
         assert result.value(atom("e", 2)) is False
 

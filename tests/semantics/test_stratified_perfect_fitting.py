@@ -6,11 +6,9 @@ from repro.datalog.atoms import Atom, atom
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_database, parse_program
 from repro.errors import SemanticsError
-from repro.semantics.fitting import fitting_model
-from repro.semantics.perfect import is_locally_stratified, perfect_model
-from repro.semantics.stratified import is_stratified, stratification, stratified_model
-from repro.semantics.tie_breaking import pure_tie_breaking, well_founded_tie_breaking
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
+from repro.semantics.perfect import is_locally_stratified
+from repro.semantics.stratified import is_stratified, stratification
 
 
 class TestStratification:
@@ -58,26 +56,26 @@ class TestStratifiedModel:
         db = parse_database(
             "start(1). edge(1, 2). edge(3, 4). node(1). node(2). node(3). node(4)."
         )
-        sm = stratified_model(prog, db)
-        wf = well_founded_model(prog, db)
+        sm = Engine(prog, db).solve("stratified").true_atoms
+        wf = Engine(prog, db).solve("well_founded")
         assert wf.is_total
         assert sm == wf.model.true_set()
 
     def test_rejects_unstratified(self):
         with pytest.raises(SemanticsError):
-            stratified_model(parse_program("p :- not p."), Database())
+            Engine(parse_program("p :- not p."), Database()).solve("stratified")
 
     def test_two_strata_negation(self):
         prog = parse_program("good(X) :- item(X), not bad(X). bad(X) :- flag(X).")
         db = parse_database("item(1). item(2). flag(2).")
-        sm = stratified_model(prog, db)
+        sm = Engine(prog, db).solve("stratified").true_atoms
         names = {str(a) for a in sm if a.predicate in ("good", "bad")}
         assert names == {"good(1)", "bad(2)"}
 
     def test_uniform_initial_idb_seeds(self):
         prog = parse_program("p(X) :- q(X).")
         db = parse_database("q(1). p(7).")
-        sm = stratified_model(prog, db)
+        sm = Engine(prog, db).solve("stratified").true_atoms
         assert atom("p", 7) in sm and atom("p", 1) in sm
 
 
@@ -86,7 +84,7 @@ class TestPerfectModel:
         """A ground program with negation across levels: perfect model exists."""
         prog = parse_program("a :- not b. b :- c. c.")
         assert is_locally_stratified(prog)
-        pm = perfect_model(prog)
+        pm = Engine(prog).solve("perfect").model
         assert pm.value(Atom("c")) is True
         assert pm.value(Atom("b")) is True
         assert pm.value(Atom("a")) is False
@@ -95,7 +93,7 @@ class TestPerfectModel:
         prog = parse_program("p :- not q. q :- not p.")
         assert not is_locally_stratified(prog)
         with pytest.raises(SemanticsError):
-            perfect_model(prog)
+            Engine(prog).solve("perfect")
 
     def test_relevant_grounding_recovers_even_odd(self):
         """even/odd over a succ chain is locally stratified once irrelevant
@@ -104,31 +102,31 @@ class TestPerfectModel:
         db = parse_database("num(0). num(1). num(2). s(0, 1). s(1, 2).")
         assert not is_locally_stratified(prog, db, grounding="full")
         assert is_locally_stratified(prog, db, grounding="relevant")
-        pm = perfect_model(prog, db, grounding="relevant")
+        pm = Engine(prog, db).solve("perfect", grounding="relevant").model
         trues = {str(a) for a in pm.true_set() if a.predicate in ("e", "o")}
         assert trues == {"e(0)", "o(1)", "e(2)"}
 
     def test_tie_breaking_computes_perfect_model(self):
         """§3: 'The tie-breaking algorithm ... will compute the perfect model.'"""
         prog = parse_program("a :- not b. b :- c. c. d :- d. z :- not d.")
-        pm = perfect_model(prog)
+        pm = Engine(prog).solve("perfect").model
         for run in (
-            pure_tie_breaking(prog),
-            well_founded_tie_breaking(prog, grounding="full"),
+            Engine(prog).solve("pure_tie_breaking"),
+            Engine(prog).solve("tie_breaking", grounding="full"),
         ):
             assert run.is_total
             assert run.model.true_set() == pm.true_set()
 
     def test_positive_loop_minimized(self):
-        pm = perfect_model(parse_program("p :- p."))
+        pm = Engine(parse_program("p :- p.")).solve("perfect").model
         assert pm.value(Atom("p")) is False
 
 
 class TestFitting:
     def test_loop_undefined_under_fitting_false_under_wf(self):
         prog = parse_program("p :- p.")
-        fm = fitting_model(prog)
-        wf = well_founded_model(prog, grounding="full")
+        fm = Engine(prog).solve("fitting").model
+        wf = Engine(prog).solve("well_founded", grounding="full")
         assert fm.value(Atom("p")) is None
         assert wf.model.value(Atom("p")) is False
 
@@ -140,8 +138,8 @@ class TestFitting:
         ]
         for source in progs:
             prog = parse_program(source)
-            fm = fitting_model(prog)
-            wf = well_founded_model(prog, grounding="full").model
+            fm = Engine(prog).solve("fitting").model
+            wf = Engine(prog).solve("well_founded", grounding="full").model
             for a in fm.true_atoms():
                 assert wf.value(a) is True, (source, str(a))
             for a in fm.false_atoms():
@@ -150,7 +148,7 @@ class TestFitting:
     def test_definite_values_propagate(self):
         prog = parse_program("p :- not q. q :- r. r :- e.")
         db = parse_database("e.")
-        fm = fitting_model(prog, db)
+        fm = Engine(prog, db).solve("fitting").model
         assert fm.value(Atom("r")) is True
         assert fm.value(Atom("q")) is True
         assert fm.value(Atom("p")) is False
@@ -160,5 +158,5 @@ class TestFitting:
 
         prog = parse_program("p :- p.")
         gp = ground(prog, Database(), mode="relevant")
-        with pytest.raises(SemanticsError):
-            fitting_model(prog, ground_program=gp)
+        with pytest.raises(SemanticsError, match="fitting semantics requires full grounding"):
+            Engine(prog, ground_program=gp).solve("fitting")

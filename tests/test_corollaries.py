@@ -21,11 +21,9 @@ from repro.constructions.theorem2 import theorem2_variant
 from repro.constructions.theorem6 import machine_to_program, natural_database
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program
-from repro.semantics.completion import enumerate_fixpoints
+from repro.api import Engine
 from repro.semantics.fixpoint import is_fixpoint
-from repro.semantics.stable import has_stable_model, is_stable_model
-from repro.semantics.tie_breaking import well_founded_tie_breaking
-from repro.semantics.well_founded import well_founded_model
+from repro.semantics.stable import is_stable_model
 from repro.workloads.random_programs import random_call_consistent_program
 
 
@@ -37,8 +35,8 @@ class TestCorollary1:
         program = random_call_consistent_program(8, 14, seed=seed)
         assert is_structurally_total(program)
         db = Database()
-        wf = well_founded_model(program, db, grounding="full").model
-        run = well_founded_tie_breaking(program, db, grounding="full")
+        wf = Engine(program, db).solve("well_founded", grounding="full").model
+        run = Engine(program, db).solve("tie_breaking", grounding="full")
         assert run.is_total
         assert is_fixpoint(program, db, run.model.true_set())
         # extension of the WF partial model:
@@ -49,9 +47,9 @@ class TestCorollary1:
 
     def test_even_cycle_instance(self):
         program = parse_program("p :- not q. q :- not p. r :- p.")
-        wf = well_founded_model(program).model
+        wf = Engine(program).solve("well_founded").model
         assert wf.undefined_count == 3
-        run = well_founded_tie_breaking(program)
+        run = Engine(program).solve("tie_breaking")
         assert run.is_total and is_fixpoint(program, Database(), run.model.true_set())
 
 
@@ -61,7 +59,7 @@ class TestCorollary2:
     @pytest.mark.parametrize("seed", range(8))
     def test_structurally_total_implies_stable_model_exists(self, seed):
         program = random_call_consistent_program(7, 12, seed=seed)
-        run = well_founded_tie_breaking(program, grounding="full")
+        run = Engine(program).solve("tie_breaking", grounding="full")
         assert run.is_total
         assert is_stable_model(program, Database(), run.model.true_set())
 
@@ -70,7 +68,7 @@ class TestCorollary2:
         no stable model (stable ⊆ fixpoints)."""
         program = parse_program("p :- e, not p.")
         variant, delta = theorem2_variant(program)
-        assert not has_stable_model(variant, delta, grounding="full")
+        assert not Engine(variant, delta).solve("stable", grounding="full").found
 
 
 class TestCorollary3:
@@ -80,12 +78,12 @@ class TestCorollary3:
     def test_wf_is_total_and_stable_on_natural_database(self, machine):
         program = machine_to_program(machine)
         db = natural_database(4)
-        run = well_founded_model(program, db)
+        run = Engine(program, db).solve("well_founded")
         assert run.is_total
         trues = run.model.true_set()
         assert is_stable_model(program, db, trues)
         # tie-breaking agrees (nothing left to break):
-        tb = well_founded_tie_breaking(program, db)
+        tb = Engine(program, db).solve("tie_breaking")
         assert tb.is_total and tb.model.true_set() == trues
 
 
@@ -99,11 +97,11 @@ class TestGireEquivalence:
         program = random_call_consistent_program(6, 10, seed=seed)
         assert is_call_consistent(program)
         db = Database()
-        wf = well_founded_model(program, db, grounding="full")
+        wf = Engine(program, db).solve("well_founded", grounding="full")
         stable_models = [
-            m
-            for m in enumerate_fixpoints(program, db, grounding="full")
-            if is_stable_model(program, db, m)
+            s.true_atoms
+            for s in Engine(program, db).enumerate("completion", grounding="full")
+            if is_stable_model(program, db, s.true_atoms)
         ]
         assert stable_models, "Dung: call-consistent programs have stable models"
         if wf.is_total:

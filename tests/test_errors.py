@@ -87,11 +87,11 @@ class TestLibraryRaisesOwnTypes:
 
     def test_semantics_domain(self):
         from repro.datalog.parser import parse_program
-        from repro.semantics.stratified import stratified_model
+        from repro.api import Engine
         from repro.datalog.database import Database
 
         with pytest.raises(SemanticsError):
-            stratified_model(parse_program("p :- not p."), Database())
+            Engine(parse_program("p :- not p."), Database()).solve("stratified")
 
     def test_construction_domain(self):
         from repro.constructions.theorem2 import theorem2_variant

@@ -23,8 +23,7 @@ from repro.io.json_io import (
     program_to_json,
 )
 from repro.semantics.stratified import is_stratified
-from repro.semantics.tie_breaking import well_founded_tie_breaking
-from repro.semantics.well_founded import well_founded_model
+from repro.api import Engine
 from repro.workloads.families import (
     committee,
     negation_tower,
@@ -43,31 +42,29 @@ from repro.workloads.random_programs import (
 class TestFamilies:
     def test_win_move_line_total(self):
         prog, db = win_move_line(20)
-        run = well_founded_model(prog, db)
+        run = Engine(prog, db).solve("well_founded")
         assert run.is_total
 
     def test_win_move_even_cycle_is_draw(self):
         prog, db = win_move_cycle(4)
-        run = well_founded_model(prog, db)
+        run = Engine(prog, db).solve("well_founded")
         assert not run.is_total
-        tb = well_founded_tie_breaking(prog, db, grounding="full")
+        tb = Engine(prog, db).solve("tie_breaking", grounding="full")
         assert tb.is_total
 
     def test_win_move_odd_cycle_no_fixpoint(self):
-        from repro.semantics.completion import has_fixpoint
-
         prog, db = win_move_cycle(3)
-        assert not has_fixpoint(prog, db, grounding="full")
+        assert not Engine(prog, db).solve("completion", grounding="full").found
 
     def test_unfounded_tower_iteration_count(self):
         prog, db = unfounded_tower(6)
-        run = well_founded_model(prog, db, grounding="full")
+        run = Engine(prog, db).solve("well_founded", grounding="full")
         assert run.is_total
         assert run.iterations >= 6
 
     def test_tie_chain_choice_count(self):
         prog, db = tie_chain(5)
-        run = well_founded_tie_breaking(prog, db, grounding="full")
+        run = Engine(prog, db).solve("tie_breaking", grounding="full")
         assert run.is_total
         assert run.free_choice_count == 5
 
@@ -76,10 +73,8 @@ class TestFamilies:
         assert is_stratified(prog)
 
     def test_committee_model_count(self):
-        from repro.semantics.completion import count_fixpoints
-
         prog, db = committee(3)
-        assert count_fixpoints(prog, db, grounding="full") == 8
+        assert len(list(Engine(prog, db).enumerate("completion", grounding="full"))) == 8
 
 
 class TestRandomGenerators:
@@ -117,7 +112,7 @@ class TestDot:
     def test_ground_graph_dot_with_model(self):
         prog = parse_program("p :- not q.")
         gp = ground(prog, Database(), mode="full")
-        run = well_founded_model(prog, ground_program=gp)
+        run = Engine(prog, ground_program=gp).solve("well_founded")
         dot = ground_graph_dot(gp, run.model)
         assert "palegreen" in dot and "lightcoral" in dot
 
@@ -137,7 +132,7 @@ class TestJson:
 
     def test_interpretation_json(self):
         prog = parse_program("p :- not q. q :- not p.")
-        run = well_founded_model(prog)
+        run = Engine(prog).solve("well_founded")
         payload = json.loads(interpretation_to_json(run.model))
         assert payload["total"] is False
         assert len(payload["undefined"]) == 2
