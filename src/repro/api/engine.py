@@ -28,7 +28,13 @@ from repro.analysis.classify import ProgramClassification, classify_program
 from repro.analysis.structural import StructuralReport, structural_report
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
-from repro.datalog.grounding import GroundingMode, GroundProgram, apply_facts_delta, ground
+from repro.datalog.grounding import (
+    GROUNDING_MODES,
+    GroundingMode,
+    GroundProgram,
+    apply_facts_delta,
+    ground,
+)
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import Program
 from repro.datalog.terms import Constant
@@ -39,6 +45,13 @@ from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_
 from repro.api.solution import Solution
 
 __all__ = ["Engine", "solve", "enumerate_solutions"]
+
+
+def _check_grounding(mode: str | None) -> None:
+    if mode is not None and mode not in GROUNDING_MODES:
+        raise SemanticsError(
+            f"unknown grounding mode {mode!r}; allowed: {', '.join(GROUNDING_MODES)}"
+        )
 
 
 class Engine:
@@ -68,6 +81,7 @@ class Engine:
         policy: Any | None = None,
         artifact_cache: ArtifactCache | str | Path | None = None,
     ) -> None:
+        _check_grounding(grounding)
         t0 = perf_counter()
         if isinstance(program, str):
             program = parse_program(program)
@@ -284,8 +298,15 @@ class Engine:
 
     def _request(
         self, spec: SemanticsSpec, options: dict[str, Any], *, enumerating: bool = False
-    ) -> SolveRequest:
+    ) -> tuple[SolveRequest, dict[str, GroundingMode | None]]:
+        """The runner's request, plus a record of the grounding it used.
+
+        The record starts at the resolved mode and becomes the mode of the
+        ground program the runner fetches (a pinned program keeps its own
+        mode), so a solution reports the grounding it was computed on.
+        """
         requested = options.pop("grounding", None)
+        _check_grounding(requested)
         max_instances = options.pop("max_instances", None)
         if "policy" in spec.options and options.get("policy") is None:
             options["policy"] = self.default_policy
@@ -294,13 +315,21 @@ class Engine:
         checked = {k: v for k, v in options.items() if not (enumerating and k == "limit")}
         _check_options(spec, checked)
         grounding = self._resolve_grounding(spec, requested)
-        return SolveRequest(
+        used: dict[str, GroundingMode | None] = {"mode": grounding}
+
+        def fetch() -> GroundProgram:
+            gp = self.ground_for(grounding, max_instances=max_instances)
+            used["mode"] = gp.mode
+            return gp
+
+        request = SolveRequest(
             program=self.program,
             database=self.database,
             grounding=grounding,
-            gp=lambda: self.ground_for(grounding, max_instances=max_instances),
+            gp=fetch,
             options=options,
         )
+        return request, used
 
     @staticmethod
     def _cache_key(spec: SemanticsSpec, options: Mapping[str, Any]) -> tuple | None:
@@ -319,10 +348,13 @@ class Engine:
             parts.append((key, description))
         return (spec.name, tuple(parts))
 
-    def _finalize(self, solution: Solution, solve_s: float) -> Solution:
+    def _finalize(
+        self, solution: Solution, solve_s: float, grounding: GroundingMode | None
+    ) -> Solution:
         # Keep whatever the solver recorded (the kernel's per-phase solve
         # breakdown: close_s / unfounded_s / tie_select_s / tie_apply_s /
-        # tie_analysis_s) and add the engine-level pipeline costs on top.
+        # tie_analysis_s), add the engine-level pipeline costs on top, and
+        # stamp the grounding mode the solve actually ran on.
         # Any result_s the solver already accumulated (a lazy view touched
         # inside the solve window) is subtracted from solve_s, so the
         # result phase books non-overlapping — the same discipline as
@@ -331,6 +363,7 @@ class Engine:
         if overlap:
             solve_s = max(0.0, solve_s - overlap)
         return solution.replace(
+            grounding=grounding,
             timings={**solution.timings, **self._timings, "solve_s": solve_s},
         )
 
@@ -360,11 +393,9 @@ class Engine:
             if cached is not None:
                 self.solution_cache_hits += 1
                 return cached
-        request = self._request(spec, dict(options))
+        request, used = self._request(spec, dict(options))
         t0 = perf_counter()
-        solution = spec.solver(request)
-        solution = solution.replace(grounding=request.grounding)
-        solution = self._finalize(solution, perf_counter() - t0)
+        solution = self._finalize(spec.solver(request), perf_counter() - t0, used["mode"])
         if key is not None:
             self._solution_cache[key] = solution
         return solution
@@ -384,20 +415,17 @@ class Engine:
         spec = get_spec(semantics)
         all_options = dict(options)
         all_options["limit"] = limit
-        request = self._request(spec, all_options, enumerating=True)
+        request, used = self._request(spec, all_options, enumerating=True)
         if spec.enumerator is None:
             if limit is not None and limit <= 0:
                 return
             t0 = perf_counter()
             solution = spec.solver(request)
-            solution = solution.replace(grounding=request.grounding)
-            yield self._finalize(solution, perf_counter() - t0)
+            yield self._finalize(solution, perf_counter() - t0, used["mode"])
             return
         t0 = perf_counter()
         for solution in spec.enumerator(request):
-            solve_s = perf_counter() - t0
-            solution = solution.replace(grounding=request.grounding)
-            yield self._finalize(solution, solve_s)
+            yield self._finalize(solution, perf_counter() - t0, used["mode"])
             t0 = perf_counter()
 
     # -- streaming updates -------------------------------------------------

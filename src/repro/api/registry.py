@@ -12,6 +12,7 @@ hand-written module export.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.datalog.database import Database
@@ -137,103 +138,68 @@ def _check_options(spec: SemanticsSpec, options: Mapping[str, Any]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Built-in semantics runners.  Each wraps the private implementation living
-# in its repro.semantics module.
+# Built-in semantics runners.  Each hands the engine's ground program to
+# the private implementation in its repro.semantics module and wraps the
+# kernel values it returns — this is the one place a Solution is built.
 # ---------------------------------------------------------------------------
 
 
 def _solve_well_founded(req: SolveRequest) -> Solution:
-    from repro.semantics.well_founded import _well_founded_model
+    from repro.semantics.well_founded import well_founded_state
 
-    run = _well_founded_model(
-        req.program,
-        req.database,
-        ground_program=req.gp(),
-    )
+    state, iterations = well_founded_state(req.gp())
     return Solution.from_interpretation(
         "well_founded",
-        run.model,
-        iterations=run.iterations,
-        state=run.state,
-        timings=dict(run.timings or {}),
+        state.interpretation(),
+        iterations=iterations,
+        state=state,
+        timings=dict(state.phase_s),
     )
 
 
-def _tie_solution(name: str, run: Any) -> Solution:
+def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
+    from repro.ground.state import GroundGraphState
+    from repro.semantics.choices import FirstSideTrue
+    from repro.semantics.tie_breaking import _run
+
+    state = GroundGraphState(req.gp())
+    policy = req.options.get("policy") or FirstSideTrue()
+    choices = _run(state, policy, well_founded=well_founded)
     return Solution.from_interpretation(
         name,
-        run.model,
-        choices=run.choices,
-        policy=run.policy,
-        state=run.state,
-        timings=dict(run.timings or {}),
+        state.interpretation(),
+        choices=tuple(choices),
+        policy=repr(policy),
+        state=state,
+        timings=dict(state.phase_s),
     )
 
 
-def _solve_tie_breaking(req: SolveRequest) -> Solution:
-    from repro.semantics.tie_breaking import _well_founded_tie_breaking
-
-    run = _well_founded_tie_breaking(
-        req.program,
-        req.database,
-        policy=req.options.get("policy"),
-        ground_program=req.gp(),
-    )
-    return _tie_solution("tie_breaking", run)
-
-
-def _solve_pure_tie_breaking(req: SolveRequest) -> Solution:
-    from repro.semantics.tie_breaking import _pure_tie_breaking
-
-    run = _pure_tie_breaking(
-        req.program,
-        req.database,
-        policy=req.options.get("policy"),
-        ground_program=req.gp(),
-    )
-    return _tie_solution("pure_tie_breaking", run)
-
-
-def _enumerate_ties(req: SolveRequest, name: str, variant: str) -> Iterator[Solution]:
+def _enumerate_ties(req: SolveRequest, name: str, well_founded: bool) -> Iterator[Solution]:
     from repro.semantics.tie_breaking import _enumerate_tie_breaking_models
 
-    for run in _enumerate_tie_breaking_models(
-        req.program,
-        req.database,
-        variant=variant,
-        ground_program=req.gp(),
-        limit=req.options.get("limit"),
+    for model, choices in _enumerate_tie_breaking_models(
+        req.gp(), well_founded=well_founded, limit=req.options.get("limit")
     ):
-        yield _tie_solution(name, run)
-
-
-def _enumerate_tie_breaking(req: SolveRequest) -> Iterator[Solution]:
-    return _enumerate_ties(req, "tie_breaking", "well-founded")
-
-
-def _enumerate_pure_tie_breaking(req: SolveRequest) -> Iterator[Solution]:
-    return _enumerate_ties(req, "pure_tie_breaking", "pure")
+        yield Solution.from_interpretation(name, model, choices=choices, policy="enumerated")
 
 
 def _solve_fitting(req: SolveRequest) -> Solution:
     from repro.semantics.fitting import _fitting_model
 
-    model = _fitting_model(req.program, req.database, ground_program=req.gp())
-    return Solution.from_interpretation("fitting", model)
+    return Solution.from_interpretation("fitting", _fitting_model(req.gp()))
 
 
 def _solve_perfect(req: SolveRequest) -> Solution:
     from repro.semantics.perfect import _perfect_model
 
-    model = _perfect_model(req.program, req.database, ground_program=req.gp())
-    return Solution.from_interpretation("perfect", model)
+    return Solution.from_interpretation("perfect", _perfect_model(req.gp()))
 
 
 def _solve_alternating(req: SolveRequest) -> Solution:
     from repro.semantics.alternating import _alternating_fixpoint_model
 
-    model = _alternating_fixpoint_model(req.program, req.database, ground_program=req.gp())
-    return Solution.from_interpretation("alternating", model)
+    return Solution.from_interpretation("alternating", _alternating_fixpoint_model(req.gp()))
 
 
 def _solve_stratified(req: SolveRequest) -> Solution:
@@ -247,28 +213,18 @@ def _solve_stratified(req: SolveRequest) -> Solution:
 
 
 def _solve_modular(req: SolveRequest) -> Solution:
-    from repro.semantics.modular import _modular_well_founded_model
+    from repro.semantics.modular import _modular_model
 
-    result = _modular_well_founded_model(
-        req.program, req.database, grounding=req.grounding or "relevant"
-    )
+    trues, undefined, components = _modular_model(req.program, req.database, req.grounding)
     return Solution.from_true_set(
-        "modular",
-        result.true_atoms,
-        undefined_atoms=result.undefined_atoms,
-        iterations=result.component_count,
+        "modular", trues, undefined_atoms=undefined, iterations=components
     )
 
 
 def _enumerate_completion(req: SolveRequest) -> Iterator[Solution]:
     from repro.semantics.completion import _enumerate_fixpoints
 
-    for trues in _enumerate_fixpoints(
-        req.program,
-        req.database,
-        ground_program=req.gp(),
-        limit=req.options.get("limit"),
-    ):
+    for trues in _enumerate_fixpoints(req.gp(), limit=req.options.get("limit")):
         yield Solution.from_true_set("completion", trues)
 
 
@@ -281,12 +237,7 @@ def _solve_completion(req: SolveRequest) -> Solution:
 def _enumerate_stable(req: SolveRequest) -> Iterator[Solution]:
     from repro.semantics.stable import _enumerate_stable_models
 
-    for trues in _enumerate_stable_models(
-        req.program,
-        req.database,
-        ground_program=req.gp(),
-        limit=req.options.get("limit"),
-    ):
+    for trues in _enumerate_stable_models(req.gp(), limit=req.options.get("limit")):
         yield Solution.from_true_set("stable", trues)
 
 
@@ -310,8 +261,8 @@ register(
     SemanticsSpec(
         name="tie_breaking",
         summary="Algorithm Well-Founded Tie-Breaking (§3): total results are stable",
-        solver=_solve_tie_breaking,
-        enumerator=_enumerate_tie_breaking,
+        solver=partial(_solve_ties, name="tie_breaking", well_founded=True),
+        enumerator=partial(_enumerate_ties, name="tie_breaking", well_founded=True),
         aliases=("wf-tb", "tie-breaking", "well-founded-tie-breaking"),
         default_grounding="relevant",
         options=("policy",),
@@ -322,8 +273,8 @@ register(
     SemanticsSpec(
         name="pure_tie_breaking",
         summary="Algorithm Pure Tie-Breaking (§3): break ties without the unfounded step",
-        solver=_solve_pure_tie_breaking,
-        enumerator=_enumerate_pure_tie_breaking,
+        solver=partial(_solve_ties, name="pure_tie_breaking", well_founded=False),
+        enumerator=partial(_enumerate_ties, name="pure_tie_breaking", well_founded=False),
         aliases=("pure-tb", "pure"),
         default_grounding="full",
         grounding_locked=True,

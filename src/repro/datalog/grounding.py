@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence as AbcSequence
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Literal as TypingLiteral, Sequence
+from typing import Iterable, Literal as TypingLiteral, Sequence, get_args
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
@@ -64,9 +64,11 @@ __all__ = [
     "apply_facts_delta",
     "universe_of",
     "GroundingMode",
+    "GROUNDING_MODES",
 ]
 
 GroundingMode = TypingLiteral["full", "relevant", "edb"]
+GROUNDING_MODES: tuple[str, ...] = get_args(GroundingMode)
 
 
 class AtomTable:

@@ -63,9 +63,9 @@ def _value_of(status: int) -> Optional[bool]:
 def explain(state: GroundGraphState, atom: Atom, *, max_depth: int = 12) -> Explanation:
     """Explain the value of ``atom`` in a finished interpreter state.
 
-    Pass the ``state`` attribute of a
-    :class:`~repro.semantics.well_founded.WellFoundedRun` or
-    :class:`~repro.semantics.tie_breaking.TieBreakingRun`.
+    Pass the ``state`` of a ground-graph :class:`~repro.api.Solution`
+    (``well_founded``, ``tie_breaking`` or ``pure_tie_breaking``), or the
+    state returned by :func:`~repro.semantics.well_founded.well_founded_state`.
     """
     gp = state.gp
     index = gp.atoms.get(atom)

@@ -3,9 +3,11 @@
 The interpreters are evaluated through :mod:`repro.api` —
 ``Engine(program, database).solve(name)`` grounds and compiles once per
 engine; each module here holds the private implementation behind one
-registry entry.  This package exports the model checkers
-(``is_stable_model``, ``is_fixpoint``, ...), the choice policies and the
-run/result types.
+registry entry, which takes the engine's ground program and returns
+kernel values (an ``Interpretation``, a choice trail, atom sets) for the
+registry to wrap into a ``Solution``.  This package exports the model
+checkers (``is_stable_model``, ``is_fixpoint``, ...), the choice policies,
+the :class:`TieChoice` trail entries and :class:`QueryResult`.
 
 * fixpoints (supported models): :mod:`repro.semantics.fixpoint`,
   exact SAT enumeration in :mod:`repro.semantics.completion`;
@@ -28,17 +30,14 @@ from repro.semantics.choices import (
 )
 from repro.semantics.completion import clark_completion
 from repro.semantics.fixpoint import FixpointViolation, check_fixpoint, is_fixpoint
-from repro.semantics.modular import ModularResult
 from repro.semantics.perfect import is_locally_stratified
 from repro.semantics.stable import is_stable_model, reduct_least_model
 from repro.semantics.stratified import Stratification, is_stratified, stratification
-from repro.semantics.tie_breaking import TieBreakingRun, TieChoice
+from repro.semantics.tie_breaking import TieChoice
 from repro.semantics.queries import QueryResult
-from repro.semantics.well_founded import WellFoundedRun
 
 __all__ = [
     "ChoicePolicy",
-    "ModularResult",
     "QueryResult",
     "gamma_operator",
     "is_stable_via_gamma",
@@ -49,9 +48,7 @@ __all__ = [
     "RandomChoice",
     "SecondSideTrue",
     "Stratification",
-    "TieBreakingRun",
     "TieChoice",
-    "WellFoundedRun",
     "check_fixpoint",
     "clark_completion",
     "is_fixpoint",

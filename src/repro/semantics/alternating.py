@@ -89,13 +89,7 @@ def gamma_operator(gp: GroundProgram) -> "callable":
     return gamma
 
 
-def _alternating_fixpoint_model(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "relevant",
-    ground_program: GroundProgram | None = None,
-) -> Interpretation:
+def _alternating_fixpoint_model(gp: GroundProgram) -> Interpretation:
     """Implementation behind the ``alternating`` registry entry.
 
     Iterates ``under ← Γ(over)``, ``over ← Γ(under)`` from ``under = ∅``
@@ -104,7 +98,6 @@ def _alternating_fixpoint_model(
     the ``well_founded`` registry entry on every input
     (property-tested).
     """
-    gp = ground_program or ground(program, database or Database(), mode=grounding)
     gamma = gamma_operator(gp)
 
     under: set[int] = set()

@@ -108,8 +108,7 @@ class RandomChoice:
     When constructed without a seed, one is drawn from the system entropy
     source and *recorded* on the instance, so every run — including
     "unseeded" ones — can be replayed from its reported policy
-    (``repr(policy)`` appears in :class:`~repro.api.Solution` metadata and
-    ``TieBreakingRun.policy``).
+    (``repr(policy)`` is the :class:`~repro.api.Solution`'s ``policy``).
     """
 
     def __init__(self, seed: int | None = None):

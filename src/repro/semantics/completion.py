@@ -30,9 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.datalog.atoms import Atom
-from repro.datalog.database import Database
-from repro.datalog.grounding import GroundingMode, GroundProgram, ground
-from repro.datalog.program import Program
+from repro.datalog.grounding import GroundProgram
 from repro.sat.cnf import CNF
 from repro.sat.solver import enumerate_models
 
@@ -111,29 +109,10 @@ def clark_completion(ground_program: GroundProgram) -> CompletionEncoding:
     return CompletionEncoding(gp, cnf, atom_var, free_vars)
 
 
-def _encoding_for(
-    program: Program,
-    database: Database | None,
-    grounding: GroundingMode,
-    ground_program: GroundProgram | None,
-    max_instances: int,
-) -> CompletionEncoding:
-    gp = ground_program or ground(
-        program, database or Database(), mode=grounding, max_instances=max_instances
-    )
-    return clark_completion(gp)
-
-
 def _enumerate_fixpoints(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "full",
-    ground_program: GroundProgram | None = None,
-    limit: int | None = None,
-    max_instances: int = 2_000_000,
+    gp: GroundProgram, *, limit: int | None = None
 ) -> Iterator[frozenset[Atom]]:
     """Implementation behind the ``completion`` registry entry."""
-    encoding = _encoding_for(program, database, grounding, ground_program, max_instances)
+    encoding = clark_completion(gp)
     for projection in enumerate_models(encoding.cnf, encoding.free_vars, limit=limit):
         yield encoding.model_to_atoms(projection)

@@ -20,29 +20,20 @@ True
 
 from __future__ import annotations
 
-from repro.datalog.database import Database
-from repro.datalog.grounding import GroundingMode, GroundProgram, ground
-from repro.datalog.program import Program
+from repro.datalog.grounding import GroundProgram
 from repro.errors import SemanticsError
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
 __all__: list[str] = []
 
 
-def _fitting_model(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "full",
-    ground_program: GroundProgram | None = None,
-) -> Interpretation:
+def _fitting_model(gp: GroundProgram) -> Interpretation:
     """Implementation behind the ``fitting`` registry entry.
 
     Iterates the three-valued consequence operator to its least fixpoint:
     an atom becomes true when some instance body is (all) true, false when
     every instance body contains a false literal.
     """
-    gp = ground_program or ground(program, database or Database(), mode=grounding)
     if gp.mode != "full":
         raise SemanticsError(
             "the fitting semantics requires full grounding (relevant pruning "

@@ -23,8 +23,6 @@ independent layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analysis.program_graph import program_graph
 from repro.datalog.atoms import Atom, Literal
 from repro.datalog.database import Database
@@ -32,33 +30,25 @@ from repro.datalog.grounding import GroundingMode, ground, universe_of
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.graphs.scc import strongly_connected_components
-from repro.semantics.well_founded import _well_founded_model
+from repro.semantics.well_founded import well_founded_state
 
-__all__ = ["ModularResult"]
+__all__: list[str] = []
 
 _AUX_PREFIX = "undef_aux__"
 
 
-@dataclass(frozen=True)
-class ModularResult:
-    """Three-valued outcome of a modular evaluation.
-
-    ``true_atoms`` holds Δ's facts plus the derived IDB atoms, and
-    ``undefined_atoms`` the IDB atoms left open; everything else is false.
-    """
-
-    true_atoms: frozenset[Atom]
-    undefined_atoms: frozenset[Atom]
-    component_count: int
-
-
-def _modular_well_founded_model(
+def _modular_model(
     program: Program,
     database: Database,
-    *,
-    grounding: GroundingMode = "relevant",
-) -> ModularResult:
-    """Implementation behind the ``modular`` registry entry."""
+    grounding: GroundingMode,
+) -> tuple[frozenset[Atom], frozenset[Atom], int]:
+    """Implementation behind the ``modular`` registry entry.
+
+    Grounds each component itself, in ``grounding`` mode, and returns
+    ``(true_atoms, undefined_atoms, component_count)``: Δ's facts plus the
+    derived IDB atoms, the IDB atoms left open (everything else is false),
+    and the number of components evaluated.
+    """
     graph = program_graph(program)
     succ = graph.successor_lists()
     components = strongly_connected_components(
@@ -104,19 +94,15 @@ def _modular_well_founded_model(
         gp = ground(
             subprogram, decided, mode=grounding, extra_constants=global_universe
         )
-        run = _well_founded_model(subprogram, decided, ground_program=gp)
+        model = well_founded_state(gp)[0].interpretation()
 
         component_set = set(predicates)
-        for atom in run.model.true_atoms():
+        for atom in model.true_atoms():
             if atom.predicate in component_set and atom.predicate in idb:
                 true_idb.add(atom)
                 decided.add_atom(atom)
-        for atom in run.model.undefined_atoms():
+        for atom in model.undefined_atoms():
             if atom.predicate in component_set:
                 undefined.add(atom)
 
-    return ModularResult(
-        true_atoms=frozenset(true_idb).union(database.atoms()),
-        undefined_atoms=frozenset(undefined),
-        component_count=evaluated,
-    )
+    return frozenset(true_idb).union(database.atoms()), frozenset(undefined), evaluated

@@ -66,19 +66,12 @@ def is_locally_stratified(
     return True
 
 
-def _perfect_model(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "full",
-    ground_program: GroundProgram | None = None,
-) -> Interpretation:
+def _perfect_model(gp: GroundProgram) -> Interpretation:
     """Implementation behind the ``perfect`` registry entry.
 
     Raises :class:`SemanticsError` when some ground SCC contains a negative
     edge (the program is not locally stratified for this database).
     """
-    gp = ground_program or ground(program, database or Database(), mode=grounding)
     database = gp.database
     components, comp_id = _static_components(gp)
     n_atoms = gp.atom_count

@@ -183,15 +183,10 @@ def is_stable_model(
 
 
 def _enumerate_stable_models(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "full",
-    limit: int | None = None,
-    **kwargs,
+    gp: GroundProgram, *, limit: int | None = None
 ) -> Iterator[frozenset[Atom]]:
     """Implementation behind the ``stable`` registry entry."""
-    database = database or Database()
-    fixpoints = _enumerate_fixpoints(program, database, grounding=grounding, **kwargs)
+    program, database = gp.program, gp.database
+    fixpoints = _enumerate_fixpoints(gp)
     stable = (model for model in fixpoints if is_stable_model(program, database, model))
     yield from islice(stable, None if limit is None else max(limit, 0))

@@ -1,16 +1,21 @@
 """The tie-breaking semantics — §3 of the paper, the primary contribution.
 
-Two interpreters:
+Two interpreters, one loop (:func:`_run`) that differs only in the
+unfounded step:
 
-* **Pure tie-breaking** (Algorithm Pure Tie-Breaking): after ``close``,
-  repeatedly find a bottom strongly connected component that is a tie,
-  orient its Lemma-1 partition (K true, L false), and close again.
-* **Well-founded tie-breaking** (Algorithm Well-Founded Tie-Breaking):
-  interleave the well-founded unfounded-set step with tie-breaking, trying
-  the unfounded step first — ties are only broken when no nonempty
-  unfounded set exists, which keeps the result consistent with the
-  well-founded semantics, and (Lemma 3) makes every total result a
-  *stable* model.
+* **Pure tie-breaking** (Algorithm Pure Tie-Breaking,
+  ``well_founded=False``): after ``close``, repeatedly find a bottom
+  strongly connected component that is a tie, orient its Lemma-1
+  partition (K true, L false), and close again.  It is defined on the
+  paper's exact ground graph and may assign unfounded atoms *true*
+  (e.g. ``p :- p, ¬q``/``q :- q, ¬p``), so the registry runs it on the
+  full grounding — relevant pruning would change its outcomes.
+* **Well-founded tie-breaking** (Algorithm Well-Founded Tie-Breaking,
+  ``well_founded=True``): interleave the well-founded unfounded-set step
+  with tie-breaking, trying the unfounded step first — ties are only
+  broken when no nonempty unfounded set exists, which keeps the result
+  consistent with the well-founded semantics, and (Lemma 3) makes every
+  total result a *stable* model.  Relevant grounding is exact for it.
 
   The paper's pseudocode for this algorithm contains a typo ("for each
   atom a ∈ K set M(a) := true; for each atom a ∈ K set M(a) := false");
@@ -24,30 +29,26 @@ tie selection is the kernel's min-keyed schedule
 (:meth:`~repro.ground.state.GroundGraphState.select_tie`) — no per-round
 rescan of the live graph.  Tie orientation is nondeterministic; a
 :class:`~repro.semantics.choices.ChoicePolicy` resolves it and every run
-records its trace of :class:`TieChoice` decisions (id-based, decoded to
+returns its trace of :class:`TieChoice` decisions (id-based, decoded to
 atoms lazily).  ``Engine.enumerate("tie_breaking")`` explores *all*
 orientations with a trail-based undo log — branching costs the work
-undone, not a state copy.
+undone, not a state copy.  Everything here takes the engine's
+:class:`~repro.datalog.grounding.GroundProgram` and returns kernel values;
+:mod:`repro.api.registry` wraps them into solutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from repro.datalog.atoms import Atom
-from repro.datalog.database import Database
-from repro.datalog.grounding import GroundingMode, GroundProgram, ground
-from repro.datalog.program import Program
+from repro.datalog.grounding import GroundProgram
 from repro.ground.model import FALSE, TRUE, Interpretation
 from repro.ground.state import BottomComponent, GroundGraphState
-from repro.semantics.choices import ChoicePolicy, FirstSideTrue, forced_orientation
+from repro.semantics.choices import ChoicePolicy, forced_orientation
 
-__all__ = [
-    "TieChoice",
-    "TieBreakingRun",
-]
+__all__ = ["TieChoice"]
 
 
 class TieChoice:
@@ -106,39 +107,6 @@ class TieChoice:
             f"TieChoice(true_ids={self.true_ids}, false_ids={self.false_ids}, "
             f"forced={self.forced})"
         )
-
-
-@dataclass(frozen=True)
-class TieBreakingRun:
-    """Result of one tie-breaking run: the model plus the decision trace.
-
-    ``state`` retains the final evaluation state for provenance queries
-    (:func:`repro.ground.explain.explain`); enumerated runs carry
-    ``state=None`` (the trail-based explorer reuses one state for every
-    branch).  ``policy`` records ``repr(policy)`` of the orientation
-    policy that drove the run (e.g. ``RandomChoice(seed=7)``), so
-    nondeterministic runs are reproducible from their own output.
-    ``timings`` carries the kernel's per-phase solve accounting
-    (``close_s`` / ``unfounded_s`` / ``tie_select_s`` / ``tie_apply_s`` /
-    ``tie_analysis_s``).
-    """
-
-    model: Interpretation
-    choices: tuple[TieChoice, ...]
-    variant: str  # "pure" or "well-founded"
-    state: GroundGraphState | None = None
-    policy: str | None = None
-    timings: Mapping[str, float] | None = field(default=None, compare=False)
-
-    @property
-    def is_total(self) -> bool:
-        """True iff the interpreter assigned every materialized atom."""
-        return self.model.is_total
-
-    @property
-    def free_choice_count(self) -> int:
-        """Number of genuinely nondeterministic decisions taken."""
-        return sum(1 for c in self.choices if not c.forced)
 
 
 def _select_tie(state: GroundGraphState) -> BottomComponent | None:
@@ -239,97 +207,26 @@ def _run(
         state.close()
 
 
-def _pure_tie_breaking(
-    program: Program,
-    database: Database | None = None,
-    *,
-    policy: ChoicePolicy | None = None,
-    grounding: GroundingMode = "full",
-    ground_program: GroundProgram | None = None,
-) -> TieBreakingRun:
-    """Implementation behind the ``pure_tie_breaking`` registry entry.
-
-    Defaults to full grounding: pure tie-breaking is defined on the paper's
-    exact ground graph, and may assign unfounded atoms *true* (e.g.
-    ``p :- p, ¬q``/``q :- q, ¬p``), so the relevant grounding's pruning
-    would change its outcomes.
-    """
-    gp = ground_program or ground(program, database or Database(), mode=grounding)
-    state = GroundGraphState(gp)
-    chosen = policy or FirstSideTrue()
-    choices = _run(state, chosen, well_founded=False)
-    return TieBreakingRun(
-        state.interpretation(),
-        tuple(choices),
-        "pure",
-        state,
-        repr(chosen),
-        dict(state.phase_s),
-    )
-
-
-def _well_founded_tie_breaking(
-    program: Program,
-    database: Database | None = None,
-    *,
-    policy: ChoicePolicy | None = None,
-    grounding: GroundingMode = "relevant",
-    ground_program: GroundProgram | None = None,
-) -> TieBreakingRun:
-    """Implementation behind the ``tie_breaking`` registry entry.
-
-    Extends the well-founded semantics: deviates from it only where the
-    well-founded interpreter is stuck, and every total result is a stable
-    model (Lemma 3).  Relevant grounding is exact for this semantics.
-    """
-    gp = ground_program or ground(program, database or Database(), mode=grounding)
-    state = GroundGraphState(gp)
-    chosen = policy or FirstSideTrue()
-    choices = _run(state, chosen, well_founded=True)
-    return TieBreakingRun(
-        state.interpretation(),
-        tuple(choices),
-        "well-founded",
-        state,
-        repr(chosen),
-        dict(state.phase_s),
-    )
-
-
-def _check_variant(variant: str) -> bool:
-    if variant not in ("pure", "well-founded"):
-        raise ValueError(f"variant must be 'pure' or 'well-founded', not {variant!r}")
-    return variant == "well-founded"
-
-
 def _enumerate_tie_breaking_models(
-    program: Program,
-    database: Database | None = None,
+    gp: GroundProgram,
     *,
-    variant: str = "well-founded",
-    grounding: GroundingMode | None = None,
-    ground_program: GroundProgram | None = None,
+    well_founded: bool,
     limit: int | None = None,
-) -> Iterator[TieBreakingRun]:
+) -> Iterator[tuple[Interpretation, tuple[TieChoice, ...]]]:
     """Every outcome of the tie-breaking interpreter over all free choices.
 
     Performs a depth-first search over tie orientations (two branches per
     genuinely free decision) on **one** evaluation state with a
     trail-based undo log: entering a branch marks the trail, leaving it
     rewinds assignments, counters, and the kernel caches — branch cost is
-    proportional to the work undone, never an O(state) copy.  Runs are
-    yielded per *sequence* with ``state=None``; deduplicate on
-    ``run.model.true_set()`` if only models matter.
+    proportional to the work undone, never an O(state) copy.  Yields one
+    ``(model, choice trail)`` pair per decision *sequence*; deduplicate on
+    ``model.true_set()`` if only models matter.
 
     Worst-case exponential in the number of free choices — this is the
     exhaustive verifier behind the paper's "for all choices" statements,
     not an interpreter.
     """
-    well_founded = _check_variant(variant)
-    if grounding is None:
-        grounding = "relevant" if well_founded else "full"
-    gp = ground_program or ground(program, database or Database(), mode=grounding)
-
     emitted = 0
     state = GroundGraphState(gp)
     state.trail_begin()
@@ -349,9 +246,7 @@ def _enumerate_tie_breaking_models(
             tie = state.select_tie()
             if tie is None:
                 emitted += 1
-                yield TieBreakingRun(
-                    state.interpretation(), tuple(trail), variant, None, "enumerated"
-                )
+                yield state.interpretation(), tuple(trail)
                 advancing = False
                 continue
             assert tie.analysis.sides is not None
@@ -378,9 +273,9 @@ def _enumerate_tie_breaking_models(
 def _enumerate_reference(
     gp: GroundProgram,
     *,
-    variant: str = "well-founded",
+    well_founded: bool,
     limit: int | None = None,
-) -> Iterator[TieBreakingRun]:
+) -> Iterator[tuple[Interpretation, tuple[TieChoice, ...]]]:
     """Clone-based reference explorer (the pre-trail algorithm).
 
     Branches by copying the whole evaluation state and uses the
@@ -389,7 +284,6 @@ def _enumerate_reference(
     the differential oracle the property suite drives against the
     trail-based explorer.
     """
-    well_founded = _check_variant(variant)
     emitted = 0
     start = GroundGraphState(gp)
     start.close()
@@ -410,9 +304,7 @@ def _enumerate_reference(
             tie = _select_tie(state)
             if tie is None:
                 emitted += 1
-                yield TieBreakingRun(
-                    state.interpretation(), tuple(trail), variant, state, "enumerated"
-                )
+                yield state.interpretation(), tuple(trail)
                 break
             assert tie.analysis.sides is not None
             count0, count1 = tie.side_counts()

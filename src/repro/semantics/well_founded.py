@@ -20,48 +20,20 @@ model either way (property-tested against ``'full'``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
-
-from repro.datalog.database import Database
-from repro.datalog.grounding import GroundingMode, GroundProgram, ground
-from repro.datalog.program import Program
-from repro.ground.model import Interpretation
+from repro.datalog.grounding import GroundProgram
 from repro.ground.state import GroundGraphState
 
-__all__ = ["well_founded_state", "WellFoundedRun"]
-
-
-@dataclass(frozen=True)
-class WellFoundedRun:
-    """A completed well-founded computation.
-
-    ``iterations`` counts executions of the unfounded-set loop body; the
-    model is total iff ``model.is_total``.  ``state`` retains the final
-    evaluation state for provenance queries
-    (:func:`repro.ground.explain.explain`); ``timings`` carries the
-    kernel's per-phase solve accounting (``close_s`` / ``unfounded_s`` /
-    ``tie_select_s`` / ``tie_apply_s`` / ``tie_analysis_s`` — the tie
-    phases are zero here).
-    """
-
-    model: Interpretation
-    iterations: int
-    state: GroundGraphState | None = None
-    timings: Mapping[str, float] | None = field(default=None, compare=False)
-
-    @property
-    def is_total(self) -> bool:
-        """True iff every materialized atom received a value."""
-        return self.model.is_total
+__all__ = ["well_founded_state"]
 
 
 def well_founded_state(ground_program: GroundProgram) -> tuple[GroundGraphState, int]:
-    """Run the well-founded interpreter, returning the live state.
+    """Run the well-founded interpreter: the final state and its iterations.
 
-    Exposed separately so callers that need the final evaluation state
-    (provenance, tie-breaking continuations) can share one computation.
-    The unfounded loop is the kernel's fused
+    ``state.interpretation()`` is the well-founded model (total iff
+    ``is_total``); the state itself serves provenance queries
+    (:func:`repro.ground.explain.explain`) and ``state.phase_s`` carries
+    the kernel's per-phase solve accounting.  ``iterations`` counts
+    executions of the unfounded-set loop body.  The unfounded loop is the kernel's fused
     :meth:`~repro.ground.state.GroundGraphState.falsify_unfounded`
     cascade — each round reuses the source pointers maintained by
     ``close`` instead of re-deriving the whole live graph.
@@ -71,15 +43,3 @@ def well_founded_state(ground_program: GroundProgram) -> tuple[GroundGraphState,
     iterations = state.falsify_unfounded(numbered=True)
     return state, iterations
 
-
-def _well_founded_model(
-    program: Program,
-    database: Database | None = None,
-    *,
-    grounding: GroundingMode = "relevant",
-    ground_program: GroundProgram | None = None,
-) -> WellFoundedRun:
-    """Implementation behind the ``well_founded`` registry entry."""
-    gp = ground_program or ground(program, database or Database(), mode=grounding)
-    state, iterations = well_founded_state(gp)
-    return WellFoundedRun(state.interpretation(), iterations, state, dict(state.phase_s))

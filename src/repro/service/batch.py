@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from multiprocessing.pool import AsyncResult, Pool
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, get_args
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.api.engine import Engine
 from repro.datalog.database import Database
-from repro.datalog.grounding import GroundingMode
+from repro.datalog.grounding import GROUNDING_MODES, GroundingMode
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import Program
 from repro.errors import ReproError, SessionLimitError, SolveTimeoutError, ValidationError
@@ -79,8 +79,6 @@ _REQUEST_FIELDS = frozenset(
         "session",
     }
 )
-
-_GROUNDING_MODES: tuple[str, ...] = get_args(GroundingMode)
 
 _POLICIES = {
     "first_side_true": FirstSideTrue,
@@ -159,9 +157,9 @@ class BatchRequest:
         if not isinstance(semantics, str):
             raise ValidationError("'semantics' must be a string")
         grounding = obj.get("grounding")
-        if grounding is not None and grounding not in _GROUNDING_MODES:
+        if grounding is not None and grounding not in GROUNDING_MODES:
             raise ValidationError(
-                f"unknown grounding mode {grounding!r}; allowed: {', '.join(_GROUNDING_MODES)}"
+                f"unknown grounding mode {grounding!r}; allowed: {', '.join(GROUNDING_MODES)}"
             )
         policy = obj.get("policy")
         if policy is not None and not isinstance(policy, str):

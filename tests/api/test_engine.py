@@ -3,7 +3,7 @@
 import pytest
 
 import repro.api.engine as engine_module
-from repro.api import Engine, Solution, available_semantics, solve
+from repro.api import Engine, Solution, available_semantics, get_spec, solve
 from repro.datalog.atoms import Atom
 from repro.datalog.grounding import GroundIndex, ground
 from repro.datalog.terms import Constant
@@ -13,6 +13,10 @@ from repro.workloads import families
 
 WIN_MOVE = "win(X) :- move(X, Y), not win(Y)."
 DRAW_DB = "move(1, 2). move(2, 1)."
+# Stratified (so every registry semantics, stratified and perfect
+# included, has an answer) with a relevant grounding smaller than full.
+STRATIFIED = "t(X) :- e(X), not f(X). f(X) :- g(X). r(X) :- r(X)."
+STRATIFIED_DB = "e(1). e(2). g(2)."
 
 
 class TestGroundOnce:
@@ -219,7 +223,7 @@ class TestModularSemantics:
 class TestGroundingSafety:
     """Engine-level defaults must not silently change semantics results."""
 
-    def test_engine_default_does_not_override_pure_tie_breaking(self):
+    def test_engine_default_does_not_override_pure_tb(self):
         # Pure tie-breaking may assign unfounded atoms true; relevant
         # grounding would prune them and change the outcome.
         engine = Engine("p :- p, not q. q :- q, not p.", grounding="relevant")
@@ -236,6 +240,45 @@ class TestGroundingSafety:
         engine = Engine("p :- p, not q. q :- q, not p.", grounding="relevant")
         solution = engine.solve("pure_tie_breaking", grounding="relevant")
         assert solution.grounding == "relevant"
+
+    @pytest.mark.parametrize("pinned", [None, "relevant", "full"])
+    @pytest.mark.parametrize("semantics", available_semantics())
+    def test_solution_reports_the_grounding_it_ran_on(self, semantics, pinned):
+        program = parse_program(STRATIFIED)
+        database = parse_database(STRATIFIED_DB)
+        gp = ground(program, database, mode=pinned) if pinned else None
+        engine = Engine(program, database, ground_program=gp)
+        if semantics == "fitting" and pinned == "relevant":
+            with pytest.raises(SemanticsError, match="full grounding"):
+                engine.solve(semantics)
+            return
+        solution = engine.solve(semantics)
+        if semantics == "stratified":
+            expected = None  # evaluates the program directly
+        elif semantics == "modular" or pinned is None:
+            expected = get_spec(semantics).default_grounding  # grounds itself
+        else:
+            expected = pinned
+        assert solution.grounding == expected
+        if solution.model is not None:
+            assert solution.model.ground_program.mode == expected
+        if pinned is not None:
+            assert engine.ground_calls == 0
+
+    def test_unknown_grounding_mode_is_rejected(self):
+        gp = ground(parse_program(WIN_MOVE), parse_database(DRAW_DB), mode="relevant")
+        unpinned = Engine(WIN_MOVE, DRAW_DB)
+        pinned = Engine(WIN_MOVE, DRAW_DB, ground_program=gp)
+        allowed = "allowed: full, relevant, edb"
+        for engine in (unpinned, pinned):
+            with pytest.raises(SemanticsError, match=allowed):
+                engine.solve("well_founded", grounding="bogus")
+            with pytest.raises(SemanticsError, match=allowed):
+                list(engine.enumerate("tie_breaking", grounding="bogus"))
+        with pytest.raises(SemanticsError, match=allowed):
+            Engine(WIN_MOVE, DRAW_DB, grounding="bogus")
+        with pytest.raises(ValueError, match="unknown grounding mode"):
+            ground(parse_program(WIN_MOVE), parse_database(DRAW_DB), mode="bogus")
 
     def test_cached_grounding_refuses_smaller_max_instances(self):
         from repro.errors import GroundingError

@@ -106,6 +106,13 @@ RETIRED_FUNCTIONS = [
     ("queries", "que" + "ry"),
 ]
 
+# The retired intermediate run/result types, spelt in pieces likewise.
+RETIRED_RESULT_TYPES = [
+    ("well_founded", "WellFounded" + "Run"),
+    ("tie_breaking", "TieBreaking" + "Run"),
+    ("modular", "Modular" + "Result"),
+]
+
 
 class TestRetiredFreeFunctions:
     """The Engine is the only evaluation API: the free functions are gone."""
@@ -114,6 +121,15 @@ class TestRetiredFreeFunctions:
         "module, name", RETIRED_FUNCTIONS, ids=[name for _, name in RETIRED_FUNCTIONS]
     )
     def test_name_is_gone(self, module, name):
+        defining = importlib.import_module(f"repro.semantics.{module}")
+        for namespace in (repro, repro.semantics, defining):
+            assert not hasattr(namespace, name), (namespace.__name__, name)
+            assert name not in namespace.__all__, (namespace.__name__, name)
+
+    @pytest.mark.parametrize(
+        "module, name", RETIRED_RESULT_TYPES, ids=[name for _, name in RETIRED_RESULT_TYPES]
+    )
+    def test_result_type_is_gone(self, module, name):
         defining = importlib.import_module(f"repro.semantics.{module}")
         for namespace in (repro, repro.semantics, defining):
             assert not hasattr(namespace, name), (namespace.__name__, name)

@@ -69,10 +69,8 @@ def _solve_sig(gp, policy):
 def _enum_model_set(gp):
     """The set of reachable tie-breaking models, decoded."""
     return frozenset(
-        frozenset(str(a) for a in run.model.true_set())
-        for run in _enumerate_tie_breaking_models(
-            None, None, ground_program=gp, limit=_ENUM_LIMIT
-        )
+        frozenset(str(a) for a in model.true_set())
+        for model, _ in _enumerate_tie_breaking_models(gp, well_founded=True, limit=_ENUM_LIMIT)
     )
 
 

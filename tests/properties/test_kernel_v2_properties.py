@@ -77,10 +77,11 @@ GROUND_CASES = list(_grounds())
 
 
 def _run_key(run) -> tuple:
-    """Comparable view of one run: (true set, id-based decision trail)."""
+    """Comparable view of one (model, trail) run: (true set, id-based trail)."""
+    model, choices = run
     return (
-        frozenset(run.model.true_set()),
-        tuple((c.true_ids, c.false_ids, c.forced) for c in run.choices),
+        frozenset(model.true_set()),
+        tuple((c.true_ids, c.false_ids, c.forced) for c in choices),
     )
 
 
@@ -194,13 +195,11 @@ def test_incremental_queries_match_oracles_per_step(name, gp):
 @pytest.mark.parametrize("name,gp", GROUND_CASES, ids=[n for n, _ in GROUND_CASES])
 def test_trail_enumeration_matches_clone_reference(name, gp, variant):
     """Identical (model, choice-trail) run sequences, trail vs clone."""
+    well_founded = variant == "well-founded"
     trail_runs = [
-        _run_key(run)
-        for run in _enumerate_tie_breaking_models(
-            gp.program, gp.database, variant=variant, ground_program=gp
-        )
+        _run_key(run) for run in _enumerate_tie_breaking_models(gp, well_founded=well_founded)
     ]
-    clone_runs = [_run_key(run) for run in _enumerate_reference(gp, variant=variant)]
+    clone_runs = [_run_key(run) for run in _enumerate_reference(gp, well_founded=well_founded)]
     assert trail_runs == clone_runs
     assert trail_runs  # at least one run is always emitted
 
@@ -209,9 +208,7 @@ def test_trail_enumeration_matches_clone_reference(name, gp, variant):
 def test_trail_enumeration_respects_limit(limit):
     program, db = families.committee(4)
     gp = ground(program, db, mode="relevant")
-    runs = list(
-        _enumerate_tie_breaking_models(program, db, ground_program=gp, limit=limit)
-    )
+    runs = list(_enumerate_tie_breaking_models(gp, well_founded=True, limit=limit))
     assert len(runs) == min(limit, 16)
 
 
@@ -466,15 +463,8 @@ def _drive_from(state: GroundGraphState) -> tuple[list[int], int]:
 @given(program=propositional_programs())
 def test_hypothesis_trail_enumeration_matches_clone(program):
     gp = ground(program, Database(), mode="full")
-    trail_runs = [
-        _run_key(run)
-        for run in _enumerate_tie_breaking_models(
-            gp.program, gp.database, variant="well-founded", ground_program=gp
-        )
-    ]
-    clone_runs = [
-        _run_key(run) for run in _enumerate_reference(gp, variant="well-founded")
-    ]
+    trail_runs = [_run_key(run) for run in _enumerate_tie_breaking_models(gp, well_founded=True)]
+    clone_runs = [_run_key(run) for run in _enumerate_reference(gp, well_founded=True)]
     assert trail_runs == clone_runs
 
 
