@@ -54,6 +54,14 @@ def _check_grounding(mode: str | None) -> None:
         )
 
 
+def _change(database: Database, inserted: Iterable[Atom], retracted: Iterable[Atom]) -> None:
+    """Apply one update to ``database``: retractions first, then insertions."""
+    for a in retracted:
+        database.discard_atom(a)
+    for a in inserted:
+        database.add_atom(a)
+
+
 class Engine:
     """Session-style evaluation engine over one (program, database) pair.
 
@@ -465,9 +473,13 @@ class Engine:
         dropped and rebuilt on next use (counted in ``delta_rebuilds``).
 
         Returns the atoms that were actually new (already-present facts
-        are no-ops).  Cached solutions are invalidated either way.
+        are no-ops).  Cached solutions are invalidated either way.  A
+        rejected update — a non-ground fact, an arity clash, or a pinned
+        ground program it cannot stream into — raises and leaves the
+        engine exactly as it was.
         """
         atoms = self._parse_facts(facts)
+        self.database.check_addable(atoms)
         applied = []
         seen: set[Atom] = set()
         for a in atoms:
@@ -502,26 +514,21 @@ class Engine:
 
     def _apply_update(self, inserted: list[Atom], retracted: list[Atom]) -> None:
         t0 = perf_counter()
-        self.update_calls += 1
-        self.facts_inserted += len(inserted)
-        self.facts_retracted += len(retracted)
-        synced: set[int] = {id(self.database)}
-        for a in retracted:
-            self.database.discard_atom(a)
-        for a in inserted:
-            self.database.add_atom(a)
+        # A pinned/loaded grounding may carry its own database object;
+        # mirror the change so its view stays consistent.
+        databases = {id(self.database): self.database}
+        for gp in self._ground_cache.values():
+            databases.setdefault(id(gp.database), gp.database)
+        for database in databases.values():
+            _change(database, inserted, retracted)
         for mode, gp in list(self._ground_cache.items()):
-            if id(gp.database) not in synced:
-                # A pinned/loaded grounding may carry its own database
-                # object; mirror the change so its view stays consistent.
-                synced.add(id(gp.database))
-                for a in retracted:
-                    gp.database.discard_atom(a)
-                for a in inserted:
-                    gp.database.add_atom(a)
             if apply_facts_delta(gp, inserted, retracted):
                 self.delta_applied += 1
             elif gp is self._pinned:
+                # apply_facts_delta left the ground program untouched;
+                # undo the database change so the engine is unchanged too.
+                for database in databases.values():
+                    _change(database, retracted, inserted)
                 raise SemanticsError(
                     "update falls outside the incremental envelope of the pinned "
                     "ground program (the universe changed or its mode cannot be "
@@ -530,6 +537,9 @@ class Engine:
             else:
                 del self._ground_cache[mode]
                 self.delta_rebuilds += 1
+        self.update_calls += 1
+        self.facts_inserted += len(inserted)
+        self.facts_retracted += len(retracted)
         self._solution_cache.clear()
         self._timings["update_s"] = self._timings.get("update_s", 0.0) + perf_counter() - t0
 

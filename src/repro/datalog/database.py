@@ -80,6 +80,26 @@ class Database:
             raise ValidationError(f"cannot add non-ground atom {atom} to database")
         self.add(atom.predicate, *[t for t in atom.args])
 
+    def check_addable(self, atoms: Iterable[Atom]) -> None:
+        """Raise the :class:`ValidationError` that adding ``atoms`` would, adding none.
+
+        Checks groundness and arity — against the stored facts and among
+        ``atoms`` themselves — so a batch can be validated before any of
+        it is applied.
+        """
+        arity: dict[str, int] = {}
+        for atom in atoms:
+            if not atom.is_ground:
+                raise ValidationError(f"cannot add non-ground atom {atom} to database")
+            rows = self._relations.get(atom.predicate)
+            expected = arity.setdefault(
+                atom.predicate, len(next(iter(rows))) if rows else len(atom.args)
+            )
+            if expected != len(atom.args):
+                raise ValidationError(
+                    f"predicate {atom.predicate!r} used with inconsistent arity in database"
+                )
+
     def discard(self, predicate: str, *values: _Value) -> bool:
         """Remove the fact ``predicate(values...)``; True iff it was present."""
         row = tuple(_to_constant(v) for v in values)

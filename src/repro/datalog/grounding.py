@@ -32,10 +32,11 @@ ids), and the originating substitutions.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Sequence as AbcSequence
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Literal as TypingLiteral, Sequence, get_args
 
 from repro.datalog.atoms import Atom
@@ -1318,10 +1319,17 @@ class GroundDeltaSession:
       grounding would assign them (predicate-major, rows ascending), so
       deterministic tie-breaking trajectories match a full rebuild.
 
-    Each update ends by publishing a fresh :class:`GroundIndex` built
-    over the shared arrays; solves construct pristine states from it, so
-    an update costs the delta joins plus O(atoms + instances) array
-    copies — no ground-from-scratch, no recompile of join plans.
+    The session also owns the published index's per-atom and per-rule
+    arrays (M₀, EDB mask, the sorted ``initial_valued`` and
+    ``zero_support_atoms`` worklists, identity permutations, live-rule
+    slots, atom order) and patches only the ids an update touched:
+    atoms it created or whose Δ membership, support or U\\* membership
+    changed, and the rule slots and order ranks from the first changed
+    position on.  An update therefore costs the delta joins plus work
+    proportional to the touched atoms and instances; publishing the new
+    :class:`GroundIndex` adds C-level copies of the patched arrays, so an
+    index handed out earlier is never mutated — no ground-from-scratch,
+    no recompile of join plans, no Python pass over every atom or rule.
     """
 
     def __init__(self, gp: "GroundProgram") -> None:
@@ -1353,8 +1361,7 @@ class GroundDeltaSession:
         self.neg_occ_lists: list[tuple[int, ...]] = list(idx.neg_occ_t)
         self.head_lists: list[tuple[int, ...]] = list(idx.rules_by_head_t)
         self.support_live = array("i", idx.support)
-        alive = idx.initial_rule_alive
-        self.alive = bytearray(alive) if alive is not None else bytearray(b"\x01" * n_rules)
+        self.alive = bytearray(b"\x01" * n_rules)
         self.body_len = array("i", idx.body_len)
         self.pos_len = array("i", idx.pos_len)
         self.empty_body_rules = idx.empty_body_rules
@@ -1362,9 +1369,13 @@ class GroundDeltaSession:
         store = self.sem.store
         pred_of, row_of = self.pred_of, self.row_of
         self.in_ustar = bytearray(n_atoms)
+        # Atom ids outside U*: ghosts and never-in-U* extras.
+        self.outside: set[int] = set()
         for a in range(n_atoms):
             if store.contains(pred_of[a], row_of[a]):
                 self.in_ustar[a] = 1
+            else:
+                self.outside.add(a)
         # Canonical order: a fresh relevant grounding assigns ids
         # predicate-major with rows ascending under a pool that interned
         # the (string-sorted) universe first — so ranking live atoms by
@@ -1398,6 +1409,30 @@ class GroundDeltaSession:
                 self._ground_rules.append(
                     (rule_index, r.head.predicate, head_spec, body_probes, pos_rows)
                 )
+
+        # The published index's arrays, patched per update (_publish).
+        self.initial_status = array("b", idx.initial_status)
+        self.edb_mask = bytearray(idx.edb_mask)
+        self.initial_valued = array("i", idx.initial_valued)
+        self.zero_support = array("i", idx.zero_support_atoms)
+        self.iota_atoms = array("i", idx.iota_atoms)
+        self.iota_rules = array("i", idx.iota_rules)
+        self.live_rules = array("i", idx.iota_rules)
+        self.rule_slot = array("i", idx.iota_rules)
+        # Ghosts and never-in-U* extras are inert (zero live support
+        # falsifies them before any tie forms); they rank after every
+        # canonical atom, at n_atoms + id.
+        self.atom_order = array("i", range(n_atoms, 2 * n_atoms))
+        for rank, (_key, a) in enumerate(self.sorted_keys):
+            self.atom_order[a] = rank
+        # What the current update touched: atoms whose M₀, support or U*
+        # membership may have changed, the first instance whose alive flag
+        # changed, and the first sorted_keys position that moved.
+        self._touched: set[int] = set()
+        self._first_rule = n_rules
+        self._first_rank = len(self.sorted_keys)
+        self._published = idx
+
         self.log: list[dict] = []
         self.stats = {
             "inserts": 0,
@@ -1422,12 +1457,23 @@ class GroundDeltaSession:
             self.pred_of.append(pred)
             self.row_of.append(row)
             self.in_ustar.append(0)
+            self.outside.add(a)
             self.support_live.append(0)
             self.pos_occ_lists.append(())
             self.neg_occ_lists.append(())
             self.head_lists.append(())
             self.stats["atoms_added"] += 1
         return a
+
+    def _set_alive(self, rid: int, flag: int) -> None:
+        """Enable (1) or disable (0) instance ``rid``, keeping its head's support."""
+        self.alive[rid] = flag
+        head = self.csr.heads[rid]
+        self.support_live[head] += 1 if flag else -1
+        self._touched.add(head)
+        if rid < self._first_rule:
+            self._first_rule = rid
+        self.stats["instances_enabled" if flag else "instances_disabled"] += 1
 
     def _emit_instance(
         self,
@@ -1466,6 +1512,7 @@ class GroundDeltaSession:
             self.neg_occ_lists[a] = self.neg_occ_lists[a] + (rid,)
         self.head_lists[head_id] = self.head_lists[head_id] + (rid,)
         self.support_live[head_id] += 1
+        self._touched.add(head_id)
         self.alive.append(1)
         self.ledger[(rule_index, sub)] = rid
         self.stats["instances_added"] += 1
@@ -1478,9 +1525,7 @@ class GroundDeltaSession:
                 # The delta join only emits substitutions whose whole
                 # positive body lies in the updated U*, so rediscovery is
                 # exactly the re-enable condition.
-                self.alive[rid] = 1
-                self.support_live[self.csr.heads[rid]] += 1
-                self.stats["instances_enabled"] += 1
+                self._set_alive(rid, 1)
             return
         self._emit_instance(
             plan.rule_index, plan.head_pred, plan.head_spec, plan.body_probes, sub, slots
@@ -1516,18 +1561,20 @@ class GroundDeltaSession:
                 continue
             if all(store.contains(pred, row) for pred, row in pos_rows):
                 if rid is not None:
-                    self.alive[rid] = 1
-                    self.support_live[self.csr.heads[rid]] += 1
-                    self.stats["instances_enabled"] += 1
+                    self._set_alive(rid, 1)
                 else:
                     self._emit_instance(rule_index, head_pred, head_spec, body_probes, (), ())
 
     def apply(self, inserted: Sequence[Atom], retracted: Sequence[Atom]) -> None:
         """Apply one update (retractions first, then insertions)."""
         intern = self.pool.intern
+        sorted_keys = self.sorted_keys
+        touched = self._touched
+        facts: list[tuple[str, IntRow]] = []
         if retracted:
-            facts = [(a.predicate, tuple([intern(t) for t in a.args])) for a in retracted]
-            removed = self.sem.retract(facts)
+            retract = [(a.predicate, tuple([intern(t) for t in a.args])) for a in retracted]
+            facts += retract
+            removed = self.sem.retract(retract)
             dead: list[int] = []
             for pred, rows in removed.items():
                 ids = self.ids_by_pred.get(pred)
@@ -1537,114 +1584,214 @@ class GroundDeltaSession:
                     a = ids.get(row)
                     if a is not None and self.in_ustar[a]:
                         self.in_ustar[a] = 0
+                        self.outside.add(a)
                         k = (self._key(a), a)
-                        i = bisect_left(self.sorted_keys, k)
-                        if i < len(self.sorted_keys) and self.sorted_keys[i] == k:
-                            self.sorted_keys.pop(i)
+                        i = bisect_left(sorted_keys, k)
+                        if i < len(sorted_keys) and sorted_keys[i] == k:
+                            sorted_keys.pop(i)
+                            self._first_rank = min(self._first_rank, i)
+                        touched.add(a)
                         dead.append(a)
                         self.stats["atoms_ghosted"] += 1
-            heads = self.csr.heads
             for a in dead:
                 for rid in self.pos_occ_lists[a]:
                     if self.alive[rid]:
-                        self.alive[rid] = 0
-                        self.support_live[heads[rid]] -= 1
-                        self.stats["instances_disabled"] += 1
+                        self._set_alive(rid, 0)
             self.stats["retracts"] += len(retracted)
             self.log.append({"op": "retract", "facts": [str(a) for a in retracted]})
         if inserted:
-            facts = [(a.predicate, tuple([intern(t) for t in a.args])) for a in inserted]
-            added = self.sem.insert(facts)
+            insert = [(a.predicate, tuple([intern(t) for t in a.args])) for a in inserted]
+            facts += insert
+            added = self.sem.insert(insert)
             for pred in sorted(added.predicates()):
-                ids = self.ids_by_pred.setdefault(pred, {})
                 for row in sorted(added.rows(pred)):
-                    a = ids.get(row)
-                    if a is None:
-                        a = self._atom_id(pred, row)
+                    a = self._atom_id(pred, row)
                     if not self.in_ustar[a]:
                         self.in_ustar[a] = 1
-                        insort(self.sorted_keys, (self._key(a), a))
+                        self.outside.discard(a)
+                        k = (self._key(a), a)
+                        i = bisect_left(sorted_keys, k)
+                        sorted_keys.insert(i, k)
+                        self._first_rank = min(self._first_rank, i)
             if len(added):
                 self._ground_delta(added)
                 self._recheck_ground_rules()
             self.stats["inserts"] += len(inserted)
             self.log.append({"op": "insert", "facts": [str(a) for a in inserted]})
+        for pred, row in facts:
+            a = self.ids_by_pred.get(pred, {}).get(row)
+            if a is not None:
+                touched.add(a)
         if self.table._eager:
             self.table._materialize()  # resync the eager mirror with the appends
-        self._rebuild_index()
+        self._publish()
 
-    def _rebuild_index(self) -> None:
-        """Publish a fresh :class:`GroundIndex` over the shared arrays."""
+    def _publish(self) -> None:
+        """Patch the touched ids, then publish a :class:`GroundIndex` of copies."""
+        from repro.ground.model import FALSE, TRUE, UNDEF
+
         csr = self.csr
         n_atoms = len(self.pred_of)
         n_rules = len(csr.heads)
-        edb_mask, initial_status = _initial_model(
-            n_atoms, self.pred_of, self.ids_by_pred, self.sem.base, self.edb
-        )
+        old_atoms = len(self.iota_atoms)
+        touched = self._touched
+        order = self.atom_order
+        if n_atoms > old_atoms:
+            new_atoms = range(old_atoms, n_atoms)
+            edb = self.edb
+            self.edb_mask.extend([pred in edb for pred in self.pred_of[old_atoms:]])
+            self.initial_status.frombytes(bytes(len(new_atoms)))
+            self.iota_atoms.extend(new_atoms)
+            order.extend(new_atoms)
+            touched.update(new_atoms)
+            # Every outside rank is n_atoms + id, so growth re-ranks them all.
+            for a in self.outside:
+                order[a] = n_atoms + a
+        if n_rules > len(self.iota_rules):
+            self.iota_rules.extend(range(len(self.iota_rules), n_rules))
+
+        # M₀(Δ) and the two sorted worklists, for the touched atoms only.
+        base = self.sem.base
+        status, edb_mask, support = self.initial_status, self.edb_mask, self.support_live
+        for a in touched:
+            if base.contains(self.pred_of[a], self.row_of[a]):
+                status[a] = TRUE
+            else:
+                status[a] = FALSE if edb_mask[a] else UNDEF
+            _set_member(self.initial_valued, a, status[a] != UNDEF)
+            _set_member(self.zero_support, a, support[a] == 0)
+            if not self.in_ustar[a]:
+                order[a] = n_atoms + a
+
+        # Live-rule slots from the first instance whose alive flag changed.
+        first = self._first_rule
+        if first < n_rules:
+            live, slot = self.live_rules, self.rule_slot
+            p = bisect_left(live, first)
+            del live[p:]
+            live.extend(compress(range(first, n_rules), self.alive[first:]))
+            slot[first:] = array("i", [-1]) * (n_rules - first)
+            for i, r in enumerate(live[p:], p):
+                slot[r] = i
+        # Canonical ranks from the first sorted_keys position that moved.
+        first = self._first_rank
+        for rank, (_key, a) in enumerate(self.sorted_keys[first:], first):
+            order[a] = rank
+
+        prev = self._published
         idx = GroundIndex.__new__(GroundIndex)
         idx.n_atoms = n_atoms
         idx.n_rules = n_rules
         idx.head_of = csr.heads
-        idx.head_of_t = tuple(csr.heads)
-        idx.body_len = array("i", self.body_len)
-        idx.pos_len = array("i", self.pos_len)
         idx.pos_off, idx.pos_atoms = csr.pos_off, csr.pos
         idx.neg_off, idx.neg_atoms = csr.neg_off, csr.neg
-        idx.pos_occ_t = tuple(self.pos_occ_lists)
-        idx.neg_occ_t = tuple(self.neg_occ_lists)
-        idx.rules_by_head_t = tuple(self.head_lists)
+        if n_atoms == prev.n_atoms and n_rules == prev.n_rules:
+            # No atom or instance was added: the structure is unchanged,
+            # so the previous index's immutable views serve as they are.
+            idx.head_of_t = prev.head_of_t
+            idx.body_len, idx.pos_len = prev.body_len, prev.pos_len
+            idx.pos_occ_t, idx.neg_occ_t = prev.pos_occ_t, prev.neg_occ_t
+            idx.rules_by_head_t = prev.rules_by_head_t
+        else:
+            idx.head_of_t = prev.head_of_t + tuple(csr.heads[prev.n_rules :])
+            idx.body_len = array("i", self.body_len)
+            idx.pos_len = array("i", self.pos_len)
+            idx.pos_occ_t = tuple(self.pos_occ_lists)
+            idx.neg_occ_t = tuple(self.neg_occ_lists)
+            idx.rules_by_head_t = tuple(self.head_lists)
         # The flat occurrence CSR stays unset: GroundIndex.__getattr__
         # rebuilds it from the views on first (serialization) touch.
-        idx.support = array("i", self.support_live)
-        idx.initial_status = initial_status
-        idx.initial_valued = array("i", (a for a in range(n_atoms) if initial_status[a]))
-        idx.edb_mask = edb_mask
+        idx.support = array("i", support)
+        idx.initial_status = array("b", status)
+        idx.initial_valued = array("i", self.initial_valued)
+        idx.edb_mask = bytearray(edb_mask)
         idx.empty_body_rules = self.empty_body_rules
-        idx.zero_support_atoms = array(
-            "i", (a for a in range(n_atoms) if self.support_live[a] == 0)
-        )
-        idx.iota_atoms = array("i", range(n_atoms))
-        idx.iota_rules = array("i", range(n_rules))
-        alive = self.alive
-        idx.initial_rule_alive = bytes(alive)
-        live = array("i")
-        slot = array("i", [-1]) * n_rules
-        for r in range(n_rules):
-            if alive[r]:
-                slot[r] = len(live)
-                live.append(r)
-        idx.live_rules_init = live
-        idx.rule_slot_init = slot
-        order = array("i", bytes(4 * n_atoms))
-        for rank, (_key, a) in enumerate(self.sorted_keys):
-            order[a] = rank
-        in_ustar = self.in_ustar
-        for a in range(n_atoms):
-            if not in_ustar[a]:
-                # Ghosts and never-in-U* extras: inert (zero live support
-                # falsifies them before any tie forms), ranked after every
-                # canonical atom.
-                order[a] = n_atoms + a
-        idx.atom_order = order
+        idx.zero_support_atoms = array("i", self.zero_support)
+        idx.iota_atoms = array("i", self.iota_atoms)
+        idx.iota_rules = array("i", self.iota_rules)
+        idx.initial_rule_alive = bytes(self.alive)
+        idx.live_rules_init = array("i", self.live_rules)
+        idx.rule_slot_init = array("i", self.rule_slot)
+        idx.atom_order = array("i", order)
         csr.n_atoms = n_atoms
-        csr.edb_mask = edb_mask
-        csr.initial_status = initial_status
+        csr.edb_mask = idx.edb_mask
+        csr.initial_status = idx.initial_status
         self.gp._index_cache = idx
+        self._published = idx
+        touched.clear()
+        self._first_rule = n_rules
+        self._first_rank = len(self.sorted_keys)
 
 
-def _with_initial_status(idx: GroundIndex, initial_status: array) -> GroundIndex:
-    """A light index copy sharing everything except M₀."""
-    new = GroundIndex.__new__(GroundIndex)
-    for name in GroundIndex.__slots__:
-        if name in ("initial_status", "initial_valued"):
-            continue
-        try:
-            setattr(new, name, object.__getattribute__(idx, name))
-        except AttributeError:
-            pass  # lazily rebuilt flat occurrence arrays stay lazy
-    new.initial_status = initial_status
-    new.initial_valued = array("i", (a for a in range(idx.n_atoms) if initial_status[a]))
-    return new
+def _set_member(ids: array, a: int, member: bool) -> None:
+    """Insert ``a`` into / remove it from the ascending id array ``ids``."""
+    i = bisect_left(ids, a)
+    found = i < len(ids) and ids[i] == a
+    if member and not found:
+        ids.insert(i, a)
+    elif found and not member:
+        del ids[i]
+
+
+class _ConstantRefs:
+    """Per-constant occurrence counts over a ground program's database.
+
+    Answers "did this fact delta change the universe?" in O(|Δ|) instead
+    of rescanning the database: the universe moves only when an inserted
+    fact brings a constant outside ``gp.universe``, or a retraction drops
+    a constant's count to zero and the program does not mention it.
+    """
+
+    __slots__ = ("counts", "universe", "program_constants")
+
+    def __init__(self, gp: "GroundProgram") -> None:
+        database = gp.database
+        self.counts = Counter(
+            c for pred in database.predicates() for row in database[pred] for c in row
+        )
+        self.universe = frozenset(gp.universe)
+        self.program_constants = gp.program.constants
+
+    def _shift(self, inserted: Sequence[Atom], retracted: Sequence[Atom], sign: int) -> None:
+        counts = self.counts
+        for atom_ in inserted:
+            for c in atom_.args:
+                counts[c] += sign
+        for atom_ in retracted:
+            for c in atom_.args:
+                counts[c] -= sign
+
+    def keeps_universe(self, inserted: Sequence[Atom], retracted: Sequence[Atom]) -> bool:
+        """Count the delta in; on a universe change, count it back out and say so."""
+        self._shift(inserted, retracted, 1)
+        counts = self.counts
+        gained = any(c not in self.universe for atom_ in inserted for c in atom_.args)
+        lost = any(
+            counts[c] == 0 and c not in self.program_constants
+            for atom_ in retracted
+            for c in atom_.args
+        )
+        if not (gained or lost):
+            return True
+        self._shift(inserted, retracted, -1)
+        return False
+
+
+def _universe_unchanged(
+    gp: "GroundProgram", inserted: Sequence[Atom], retracted: Sequence[Atom]
+) -> bool:
+    """Whether a delta already applied to ``gp.database`` kept ``gp.universe``.
+
+    The first call scans the database once to build the counts; later
+    calls cost O(|Δ|).  A False answer leaves the counts as they were.
+    """
+    refs: _ConstantRefs | None = getattr(gp, "_constant_refs", None)
+    if refs is None:
+        if universe_of(gp.program, gp.database) != gp.universe:
+            return False
+        gp._constant_refs = _ConstantRefs(gp)
+        return True
+    return refs.keeps_universe(inserted, retracted)
 
 
 def _apply_full_delta(
@@ -1654,11 +1801,10 @@ def _apply_full_delta(
     total over the universe, so a fact delta is a pure M₀ flip."""
     from repro.ground.model import FALSE, TRUE, UNDEF
 
-    if universe_of(gp.program, gp.database) != gp.universe:
-        return False
     idx = gp.index
     table = gp.atoms
     status = array("b", idx.initial_status)
+    touched: list[int] = []
     # Retractions first, then insertions — the same convention as the
     # relevant-mode session, so a retract+insert of one fact nets present.
     for atom_ in retracted:
@@ -1666,12 +1812,27 @@ def _apply_full_delta(
         if i is None:
             return False
         status[i] = FALSE if idx.edb_mask[i] else UNDEF
+        touched.append(i)
     for atom_ in inserted:
         i = table.get(atom_)
         if i is None:
             return False
         status[i] = TRUE
-    gp._index_cache = _with_initial_status(idx, status)
+        touched.append(i)
+    if not _universe_unchanged(gp, inserted, retracted):
+        return False
+    valued = array("i", idx.initial_valued)
+    for i in touched:
+        _set_member(valued, i, status[i] != UNDEF)
+    new = GroundIndex.__new__(GroundIndex)
+    for name in GroundIndex.__slots__:
+        try:
+            setattr(new, name, object.__getattribute__(idx, name))
+        except AttributeError:
+            pass  # lazily rebuilt flat occurrence arrays stay lazy
+    new.initial_status = status
+    new.initial_valued = valued
+    gp._index_cache = new
     csr = getattr(gp, "_csr", None)
     if csr is not None:
         csr.initial_status = status
@@ -1687,12 +1848,14 @@ def apply_facts_delta(
 
     The caller must already have applied the same change to
     ``gp.database`` (the ground program aliases the live database
-    object).  Returns True when the ground program was updated
-    incrementally; False when the change falls outside the incremental
-    envelope — mode ``edb``, a universe that gained or lost a constant,
-    negative extensional literals (whose Δ-prune would need instance
-    resurrection), or a hand-grown atom table — in which case the caller
-    should re-ground from scratch.
+    object), and every inserted fact must have been absent from it and
+    every retracted one present.  Returns True when the ground program
+    was updated incrementally; False when the change falls outside the
+    incremental envelope — mode ``edb``, a universe that gained or lost a
+    constant, negative extensional literals (whose Δ-prune would need
+    instance resurrection), or a hand-grown atom table — in which case
+    the ground program is left as it was and the caller should re-ground
+    from scratch.
     """
     inserted = list(inserted)
     retracted = list(retracted)
@@ -1712,8 +1875,6 @@ def apply_facts_delta(
         return True
     if gp.mode != "relevant":
         return False
-    if universe_of(gp.program, gp.database) != gp.universe:
-        return False
     session: GroundDeltaSession | None = getattr(gp, "_delta_session", None)
     if session is None:
         if getattr(gp, "_delta_ctx", None) is None:
@@ -1730,6 +1891,9 @@ def apply_facts_delta(
             return False
         if table._eager and len(table._atoms) != len(table._pred_of):
             return False
+    if not _universe_unchanged(gp, inserted, retracted):
+        return False
+    if session is None:
         session = GroundDeltaSession(gp)
         gp._delta_session = session
         gp._delta_log = session.log

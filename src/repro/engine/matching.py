@@ -8,7 +8,7 @@ conjunction of positive literals (an indexed nested-loop join).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.datalog.atoms import Atom, Literal
 from repro.datalog.terms import Constant, Variable
@@ -85,31 +85,35 @@ def enumerate_bindings(
     yield from recurse(0, dict(initial or {}))
 
 
-def order_body_for_join(literals: Sequence[Literal]) -> list[Literal]:
+def order_body_for_join(
+    literals: Sequence[Literal], bound: Iterable[Variable] = ()
+) -> list[Literal]:
     """Greedy join order: prefer literals sharing variables with earlier ones.
 
     Starts from the literal with the most constant arguments, then repeatedly
     picks the literal with the largest number of already-bound variables
     (ties: fewer unbound variables first).  A cheap heuristic that turns the
     paper's ``[X = i]`` chains (zero/succ/succ/...) into linear probes.
+    ``bound`` names variables a preceding probe already binds (such as a
+    plan led by the rule's head), so literals sharing them go first.
     """
     remaining = list(literals)
     if len(remaining) <= 1:
         return remaining
     ordered: list[Literal] = []
-    bound: set[Variable] = set()
+    known: set[Variable] = set(bound)
 
     def constant_count(lit: Literal) -> int:
         return sum(1 for t in lit.atom.args if isinstance(t, Constant))
 
     def score(lit: Literal) -> tuple[int, int]:
         variables = set(lit.variables())
-        return (len(variables & bound) + constant_count(lit), -len(variables - bound))
+        return (len(variables & known) + constant_count(lit), -len(variables - known))
 
     remaining.sort(key=constant_count, reverse=True)
     while remaining:
         best = max(remaining, key=score)
         remaining.remove(best)
         ordered.append(best)
-        bound.update(best.variables())
+        known.update(best.variables())
     return ordered

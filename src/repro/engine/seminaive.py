@@ -437,7 +437,9 @@ class SemiNaiveSession:
                     continue
                 variables = rule.variables()
                 slot_of = {v: i for i, v in enumerate(variables)}
-                literals = [Literal(rule.head, True)] + order_body_for_join(list(rule.body))
+                literals = [Literal(rule.head, True)] + order_body_for_join(
+                    list(rule.body), rule.head.variables()
+                )
                 plans.append((JoinPlan.compile(literals, slot_of, self.pool), len(variables)))
             self._rederive_plans[pred] = plans
         return plans

@@ -6,9 +6,9 @@ import repro.api.engine as engine_module
 from repro.api import Engine, Solution, available_semantics, get_spec, solve
 from repro.datalog.atoms import Atom
 from repro.datalog.grounding import GroundIndex, ground
-from repro.datalog.terms import Constant
+from repro.datalog.terms import Constant, Variable
 from repro.datalog.parser import parse_database, parse_program
-from repro.errors import SemanticsError
+from repro.errors import SemanticsError, ValidationError
 from repro.workloads import families
 
 WIN_MOVE = "win(X) :- move(X, Y), not win(Y)."
@@ -406,6 +406,66 @@ class TestRemovedBackendOption:
 
     def test_stats_have_no_backend_entry(self):
         assert "backend" not in Engine(WIN_MOVE, DRAW_DB).stats()
+
+
+def _model(engine: Engine) -> tuple[frozenset, frozenset]:
+    solution = engine.solve("well_founded")
+    return (
+        frozenset(str(a) for a in solution.true_atoms),
+        frozenset(str(a) for a in solution.undefined_atoms),
+    )
+
+
+class TestRejectedUpdates:
+    """A rejected update raises and leaves the engine exactly as it was."""
+
+    GAME_DB = "move(1, 2). move(2, 1). move(2, 3)."
+
+    def test_arity_clash_applies_no_fact(self):
+        engine = Engine(WIN_MOVE, self.GAME_DB)
+        before = engine.database.copy()
+        _model(engine)  # cache a solution the rejected update must not strand
+        with pytest.raises(ValidationError, match="inconsistent arity"):
+            engine.insert_facts("move(3, 1)", "move(1)")
+        assert engine.database == before
+        assert engine.update_calls == 0
+        assert _model(engine) == _model(Engine(engine.program, engine.database.copy()))
+        # The engine still streams the valid half on its own.
+        assert engine.insert_facts("move(3, 1)") == [Atom("move", (Constant(3), Constant(1)))]
+        assert _model(engine) == _model(Engine(engine.program, engine.database.copy()))
+
+    def test_non_ground_fact_applies_no_fact(self):
+        engine = Engine(WIN_MOVE, self.GAME_DB)
+        before = engine.database.copy()
+        with pytest.raises(ValidationError, match="non-ground"):
+            engine.insert_facts("move(3, 1)", Atom("move", (Constant(3), Variable("X"))))
+        assert engine.database == before
+
+    @pytest.mark.parametrize("mode", ["relevant", "full"])
+    @pytest.mark.parametrize(
+        "op,fact",
+        [("insert_facts", "move(3, 4)"), ("retract_facts", "move(2, 3)")],
+        ids=["new-constant", "last-occurrence"],
+    )
+    def test_pinned_out_of_envelope_rolls_back(self, mode, op, fact):
+        program, database = parse_program(WIN_MOVE), parse_database(self.GAME_DB)
+        gp = ground(program, database, mode=mode)
+        engine = Engine(program, database.copy(), ground_program=gp)
+        before = engine.database.copy()
+        _model(engine)
+        with pytest.raises(SemanticsError, match="incremental envelope"):
+            getattr(engine, op)(fact)
+        assert engine.database == before
+        assert gp.database == before
+        assert engine.update_calls == 0
+        assert _model(engine) == _model(Engine(engine.program, engine.database.copy()))
+        # The refcounts were rolled back too: an in-envelope update still
+        # streams and matches a fresh engine.
+        assert engine.insert_facts("move(3, 1)")
+        assert engine.delta_applied == 1
+        assert _model(engine) == _model(Engine(engine.program, engine.database.copy()))
+        assert engine.retract_facts("move(2, 1)")
+        assert _model(engine) == _model(Engine(engine.program, engine.database.copy()))
 
 
 class TestModuleLevelHelpers:

@@ -5,8 +5,11 @@ import pytest
 from repro.datalog.database import Database
 from repro.datalog.grounding import universe_of
 from repro.datalog.parser import parse_database, parse_program
-from repro.engine.seminaive import least_model, upper_bound_model
+from repro.datalog.rules import Rule
+from repro.engine.plan import ConstantPool
+from repro.engine.seminaive import SemiNaiveSession, least_model, upper_bound_model
 from repro.errors import GroundingError
+from repro.workloads import families
 
 
 def rows(store, pred):
@@ -82,3 +85,32 @@ class TestUpperBoundModel:
         prog = parse_program("p :- p.")
         store = upper_bound_model(prog, Database())
         assert store.count("p") == 0
+
+
+class TestSemiNaiveSession:
+    def test_rederive_plan_probes_head_bound_literal_first(self):
+        # defeated(X) :- attacks(Y, X), accepted(Y): with X bound by the
+        # head probe, attacks(Y, X) is a keyed lookup and binds Y for
+        # accepted(Y) — the other order scans every accepted row.
+        program, database = families.grounded_argumentation(9)
+        rules = [Rule(r.head, r.positive_body()) for r in program.rules]
+        session = SemiNaiveSession(rules, database, pool=ConstantPool())
+        [(plan, _n_slots)] = session._rederive_plans_for("defeated")
+        assert [step.predicate for step in plan.steps] == ["defeated", "attacks", "accepted"]
+        assert plan.steps[1].key_positions == (1,)
+
+    def test_retract_rederives_through_head_bound_plan(self):
+        prog = parse_program(
+            "accepted(X) :- arg(X), not defeated(X). defeated(X) :- attacks(Y, X), accepted(Y)."
+        )
+        db = parse_database("arg(1). arg(2). arg(3). attacks(1, 3). attacks(2, 3).")
+        rules = [Rule(r.head, r.positive_body()) for r in prog.rules]
+        pool = ConstantPool()
+        session = SemiNaiveSession(rules, db, pool=pool)
+        one, two, three = (pool.intern(c) for c in sorted(db.constants(), key=str))
+        removed = session.retract([("attacks", (one, three))])
+        # defeated(3) keeps its derivation through attacks(2, 3).
+        assert session.store.contains("defeated", (three,))
+        assert not removed.contains("defeated", (three,))
+        removed = session.retract([("attacks", (two, three))])
+        assert removed.contains("defeated", (three,))
