@@ -40,7 +40,7 @@ from repro.datalog.program import Program
 from repro.datalog.terms import Constant
 from repro.engine.plan import ConstantPool
 from repro.errors import GroundingError, SemanticsError
-from repro.io.artifact import ArtifactCache, cache_key, load_artifact, save_ground_program
+from repro.io.artifact import load_artifact, save_ground_program
 from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_spec
 from repro.api.solution import Solution
 
@@ -71,12 +71,6 @@ class Engine:
     cache with an existing compiled ground program (it is then used for
     every solve);
     ``policy`` is the default tie-orientation policy.
-
-    ``artifact_cache`` (an :class:`~repro.io.artifact.ArtifactCache` or a
-    directory path) enables the on-disk compile cache: before grounding a
-    mode, the engine looks up the ``repro-ground/1`` artifact keyed by
-    (program hash, mode, pool fingerprint) and warm-starts from it; after
-    a fresh grounding, the artifact is written back for the next process.
     """
 
     def __init__(
@@ -87,7 +81,6 @@ class Engine:
         grounding: GroundingMode | None = None,
         ground_program: GroundProgram | None = None,
         policy: Any | None = None,
-        artifact_cache: ArtifactCache | str | Path | None = None,
     ) -> None:
         _check_grounding(grounding)
         t0 = perf_counter()
@@ -102,15 +95,11 @@ class Engine:
         self.default_policy = policy
         self.ground_calls = 0
         self.index_builds = 0
-        self.artifact_hits = 0
         self.update_calls = 0
         self.facts_inserted = 0
         self.facts_retracted = 0
         self.delta_applied = 0
         self.delta_rebuilds = 0
-        if artifact_cache is not None and not isinstance(artifact_cache, ArtifactCache):
-            artifact_cache = ArtifactCache(artifact_cache)
-        self.artifact_cache = artifact_cache
         self._timings: dict[str, float] = {"parse_s": parse_s, "ground_s": 0.0, "compile_s": 0.0}
         # One interning session: every grounding mode of this engine shares
         # the same constant → dense-id mapping (and hence row encodings).
@@ -154,9 +143,7 @@ class Engine:
 
         A pinned ``ground_program`` (constructor argument) is always
         returned as-is; otherwise each mode is grounded and kernel-compiled
-        on first use and served from the cache afterwards.  With an
-        ``artifact_cache`` configured, a first use consults the on-disk
-        artifact before grounding and writes one back after.
+        on first use and served from the cache afterwards.
 
         Raises :class:`~repro.errors.GroundingError` when a cached
         grounding exceeds a newly requested ``max_instances`` cap.
@@ -166,35 +153,17 @@ class Engine:
         resolved: GroundingMode = mode or self.default_grounding or "relevant"
         gp = self._ground_cache.get(resolved)
         if gp is None:
-            key = None
-            if self.artifact_cache is not None:
-                key = cache_key(self.program, self.database, resolved, self._pool)
-                gp = self._load_cached_artifact(key, max_instances)
-            if gp is None:
-                kwargs: dict[str, Any] = {}
-                if max_instances is not None:
-                    kwargs["max_instances"] = max_instances
-                t0 = perf_counter()
-                gp = ground(self.program, self.database, mode=resolved, pool=self._pool, **kwargs)
-                self.ground_calls += 1
-                self._timings["ground_s"] += perf_counter() - t0
-                t0 = perf_counter()
-                gp.index  # compile the CSR kernel arrays once, shared by every state
-                self.index_builds += 1
-                self._timings["compile_s"] += perf_counter() - t0
-                if key is not None:
-                    # Store after the timed compile: the artifact freezes
-                    # the compiled index, so putting it first would smuggle
-                    # the compile cost into an untimed serialization call.
-                    assert self.artifact_cache is not None
-                    t0 = perf_counter()
-                    self.artifact_cache.put(key, gp)
-                    self._timings["artifact_save_s"] = (
-                        self._timings.get("artifact_save_s", 0.0) + perf_counter() - t0
-                    )
-            # Artifact-loaded ground programs arrive with their index
-            # restored (GroundIndex.from_arrays), so there is nothing to
-            # compile or count on that path.
+            kwargs: dict[str, Any] = {}
+            if max_instances is not None:
+                kwargs["max_instances"] = max_instances
+            t0 = perf_counter()
+            gp = ground(self.program, self.database, mode=resolved, pool=self._pool, **kwargs)
+            self.ground_calls += 1
+            self._timings["ground_s"] += perf_counter() - t0
+            t0 = perf_counter()
+            gp.index  # compile the CSR kernel arrays once, shared by every state
+            self.index_builds += 1
+            self._timings["compile_s"] += perf_counter() - t0
             self._ground_cache[resolved] = gp
         elif max_instances is not None and gp.rule_count > max_instances:
             # The cache holds a grounding that violates the caller's cap;
@@ -204,46 +173,6 @@ class Engine:
                 f"exceeding the requested max_instances={max_instances}"
             )
         return gp
-
-    def _load_cached_artifact(self, key: str, max_instances: int | None) -> GroundProgram | None:
-        """One artifact-cache probe: a warm ground program, or ``None``.
-
-        Misses (absent, corrupt, or version-mismatched entries), pool
-        incompatibilities, and cached groundings that would violate the
-        caller's ``max_instances`` cap all return ``None`` — the caller
-        falls back to grounding from source.
-        """
-        assert self.artifact_cache is not None
-        t0 = perf_counter()
-        artifact = self.artifact_cache.get(key)
-        if artifact is None:
-            return None
-        gp = artifact.ground_program
-        if max_instances is not None and gp.rule_count > max_instances:
-            return None
-        if not self._adopt_pool(artifact.pool):
-            return None
-        self.artifact_hits += 1
-        self._timings["artifact_load_s"] = (
-            self._timings.get("artifact_load_s", 0.0) + perf_counter() - t0
-        )
-        return gp
-
-    def _adopt_pool(self, pool: ConstantPool) -> bool:
-        """Merge an artifact's interning session into the engine's.
-
-        Pools are compatible iff one extends the other (same constant at
-        every shared dense id); the longer session wins, so every row
-        encoding — cached, loaded, or yet to be grounded — stays valid.
-        Returns ``False`` (and leaves the engine untouched) otherwise.
-        """
-        mine = self._pool
-        shorter, longer = (mine, pool) if len(mine) <= len(pool) else (pool, mine)
-        for i in range(len(shorter)):
-            if shorter.constant(i) != longer.constant(i):
-                return False
-        self._pool = longer
-        return True
 
     def save_artifact(self, path: str | Path, mode: GroundingMode | None = None) -> Path:
         """Serialize one mode's compiled grounding as a binary artifact.
@@ -267,7 +196,6 @@ class Engine:
         source: str | Path | bytes,
         *,
         policy: Any | None = None,
-        artifact_cache: ArtifactCache | str | Path | None = None,
     ) -> "Engine":
         """Warm-start an engine from a ``repro-ground/1`` artifact.
 
@@ -285,13 +213,7 @@ class Engine:
         t0 = perf_counter()
         artifact = load_artifact(source)
         gp = artifact.ground_program
-        engine = cls(
-            gp.program,
-            gp.database,
-            grounding=gp.mode,
-            policy=policy,
-            artifact_cache=artifact_cache,
-        )
+        engine = cls(gp.program, gp.database, grounding=gp.mode, policy=policy)
         engine._pool = artifact.pool
         engine._ground_cache[gp.mode] = gp
         engine._timings["artifact_load_s"] = perf_counter() - t0
@@ -670,7 +592,6 @@ class Engine:
         return {
             "ground_calls": self.ground_calls,
             "index_builds": self.index_builds,
-            "artifact_hits": self.artifact_hits,
             "update_calls": self.update_calls,
             "facts_inserted": self.facts_inserted,
             "facts_retracted": self.facts_retracted,

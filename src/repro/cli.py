@@ -399,7 +399,6 @@ def _cmd_server(args) -> int:
         timeout_s=args.timeout,
         session_ttl_s=args.session_ttl,
         max_sessions=args.max_sessions,
-        session_cache=args.session_cache,
     )
     try:
         asyncio.run(run_server(server, ready_stream=sys.stderr))
@@ -408,8 +407,7 @@ def _cmd_server(args) -> int:
     stats = server.stats()
     print(
         f"repro server stopped: {stats['served']} served / {stats['failed']} failed / "
-        f"{stats['shed']} shed; sessions: {stats['sessions']['created']} created, "
-        f"{stats['sessions']['snapshots']} snapshotted",
+        f"{stats['shed']} shed; sessions: {stats['sessions']['created']} created",
         file=sys.stderr,
     )
     return 0
@@ -554,10 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="bound on live stateful sessions (default 64)",
-    )
-    p.add_argument(
-        "--session-cache",
-        help="artifact cache directory expired sessions snapshot into",
     )
     p.set_defaults(func=_cmd_server)
 

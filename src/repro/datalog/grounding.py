@@ -1433,17 +1433,6 @@ class GroundDeltaSession:
         self._first_rank = len(self.sorted_keys)
         self._published = idx
 
-        self.log: list[dict] = []
-        self.stats = {
-            "inserts": 0,
-            "retracts": 0,
-            "instances_added": 0,
-            "instances_disabled": 0,
-            "instances_enabled": 0,
-            "atoms_added": 0,
-            "atoms_ghosted": 0,
-        }
-
     def _key(self, a: int) -> tuple:
         rank = self._rank_of
         return (self.pred_of[a], tuple([rank[v] for v in self.row_of[a]]))
@@ -1462,7 +1451,6 @@ class GroundDeltaSession:
             self.pos_occ_lists.append(())
             self.neg_occ_lists.append(())
             self.head_lists.append(())
-            self.stats["atoms_added"] += 1
         return a
 
     def _set_alive(self, rid: int, flag: int) -> None:
@@ -1473,7 +1461,6 @@ class GroundDeltaSession:
         self._touched.add(head)
         if rid < self._first_rule:
             self._first_rule = rid
-        self.stats["instances_enabled" if flag else "instances_disabled"] += 1
 
     def _emit_instance(
         self,
@@ -1515,7 +1502,6 @@ class GroundDeltaSession:
         self._touched.add(head_id)
         self.alive.append(1)
         self.ledger[(rule_index, sub)] = rid
-        self.stats["instances_added"] += 1
 
     def _instantiate(self, plan: _DeltaRulePlan, slots: list[int]) -> None:
         sub = tuple(slots)
@@ -1592,13 +1578,10 @@ class GroundDeltaSession:
                             self._first_rank = min(self._first_rank, i)
                         touched.add(a)
                         dead.append(a)
-                        self.stats["atoms_ghosted"] += 1
             for a in dead:
                 for rid in self.pos_occ_lists[a]:
                     if self.alive[rid]:
                         self._set_alive(rid, 0)
-            self.stats["retracts"] += len(retracted)
-            self.log.append({"op": "retract", "facts": [str(a) for a in retracted]})
         if inserted:
             insert = [(a.predicate, tuple([intern(t) for t in a.args])) for a in inserted]
             facts += insert
@@ -1616,8 +1599,6 @@ class GroundDeltaSession:
             if len(added):
                 self._ground_delta(added)
                 self._recheck_ground_rules()
-            self.stats["inserts"] += len(inserted)
-            self.log.append({"op": "insert", "facts": [str(a) for a in inserted]})
         for pred, row in facts:
             a = self.ids_by_pred.get(pred, {}).get(row)
             if a is not None:
@@ -1862,17 +1843,7 @@ def apply_facts_delta(
     if not inserted and not retracted:
         return True
     if gp.mode == "full":
-        if not _apply_full_delta(gp, inserted, retracted):
-            return False
-        log = getattr(gp, "_delta_log", None)
-        if log is None:
-            log = []
-            gp._delta_log = log
-        if retracted:
-            log.append({"op": "retract", "facts": [str(a) for a in retracted]})
-        if inserted:
-            log.append({"op": "insert", "facts": [str(a) for a in inserted]})
-        return True
+        return _apply_full_delta(gp, inserted, retracted)
     if gp.mode != "relevant":
         return False
     session: GroundDeltaSession | None = getattr(gp, "_delta_session", None)
@@ -1896,6 +1867,5 @@ def apply_facts_delta(
     if session is None:
         session = GroundDeltaSession(gp)
         gp._delta_session = session
-        gp._delta_log = session.log
     session.apply(inserted, retracted)
     return True

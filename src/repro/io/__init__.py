@@ -1,7 +1,7 @@
 """Interchange formats: binary ground artifacts, Graphviz DOT, and JSON.
 
 * :mod:`repro.io.artifact` — the ``repro-ground/1`` binary artifact
-  format (compile-once serving) and the on-disk :class:`ArtifactCache`;
+  format (compile-once serving);
 * :mod:`repro.io.dot` — Graphviz export of program and ground graphs;
 * :mod:`repro.io.json_io` — JSON (de)serialization of programs,
   databases, models, and ``repro-solution/1`` solutions.
@@ -9,12 +9,9 @@
 
 from repro.io.artifact import (
     ARTIFACT_SCHEMA,
-    ArtifactCache,
     GroundArtifact,
-    cache_key,
     dump_ground_program,
     load_artifact,
-    pool_fingerprint,
     program_fingerprint,
     read_artifact_header,
     save_ground_program,
@@ -34,10 +31,8 @@ from repro.io.json_io import (
 
 __all__ = [
     "ARTIFACT_SCHEMA",
-    "ArtifactCache",
     "GroundArtifact",
     "SOLUTION_SCHEMA",
-    "cache_key",
     "database_from_json",
     "database_to_json",
     "dump_ground_program",
@@ -45,7 +40,6 @@ __all__ = [
     "ground_graph_dot",
     "interpretation_to_json",
     "load_artifact",
-    "pool_fingerprint",
     "program_fingerprint",
     "program_from_json",
     "program_graph_dot",

@@ -19,7 +19,7 @@ Byte layout of one artifact (all integers little-endian; see
     0             8     magic  b"REPROGND"
     8             4     header length H (uint32)
     12            H     header: UTF-8 JSON (schema, mode, counts,
-                        fingerprints, and the section table)
+                        program fingerprint, and the section table)
     12 + H        P     payload: the sections' raw bytes, concatenated in
                         section-table order
     12 + H + P    4     CRC-32 of header + payload (uint32)
@@ -28,13 +28,8 @@ Sections are ``(name, kind, nbytes)`` triples; ``kind`` is ``"i"``
 (int32 ``array``), ``"b"`` (signed-char ``array``), ``"raw"`` (bytes), or
 ``"json"`` (UTF-8 JSON).  Loading verifies magic, schema version, section
 table, and checksum, and raises :class:`~repro.errors.ArtifactError` on
-any mismatch — including short reads — so a corrupt cache entry can never
-be mistaken for a grounding.
-
-:class:`ArtifactCache` is the on-disk compile cache over this format,
-keyed by :func:`cache_key` — (program hash, grounding mode, constant-pool
-fingerprint) — the key the :class:`~repro.api.Engine` consults before
-grounding when constructed with ``artifact_cache=``.
+any mismatch — including short reads — so a corrupt file can never be
+mistaken for a grounding.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import (
     GroundIndex,
     GroundProgram,
-    GroundingMode,
     _CsrEmitter,
     _DenseAtomTable,
     _InternedAtomTable,
@@ -71,14 +65,10 @@ from repro.io.json_io import database_to_json, program_to_json
 __all__ = [
     "ARTIFACT_SCHEMA",
     "GroundArtifact",
-    "ArtifactCache",
     "dump_ground_program",
     "save_ground_program",
     "load_artifact",
-    "read_artifact_deltas",
     "program_fingerprint",
-    "pool_fingerprint",
-    "cache_key",
 ]
 
 ARTIFACT_SCHEMA = "repro-ground/1"
@@ -111,7 +101,7 @@ class GroundArtifact:
     ``pool`` is the constant-interning session the arrays are encoded
     against (adopt it before grounding further modes in the same engine).
     ``header`` is the verified artifact header (schema, mode, counts,
-    fingerprints), useful for logging and cache bookkeeping.
+    program fingerprint), useful for logging.
     """
 
     ground_program: GroundProgram
@@ -120,7 +110,7 @@ class GroundArtifact:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints and cache keys
+# Fingerprints
 # ---------------------------------------------------------------------------
 
 
@@ -136,38 +126,6 @@ def program_fingerprint(program: Program, database: Database) -> str:
     digest.update(b"\x00")
     digest.update(database_to_json(database, indent=None).encode("utf-8"))
     return digest.hexdigest()
-
-
-def pool_fingerprint(pool: ConstantPool | None) -> str:
-    """SHA-256 hex digest of a pool's constants, in interning order.
-
-    Two pools fingerprint equal iff they map every dense id to the same
-    constant — the compatibility condition for reusing row encodings.
-    ``None`` (and the empty pool) fingerprint as the empty session.
-    """
-    values = [] if pool is None else [pool.constant(i).value for i in range(len(pool))]
-    blob = json.dumps(values, separators=(",", ":"), ensure_ascii=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def cache_key(
-    program: Program,
-    database: Database,
-    mode: GroundingMode,
-    pool: ConstantPool | None = None,
-) -> str:
-    """The :class:`ArtifactCache` key of one grounding.
-
-    Keys combine the artifact schema version, the grounding ``mode``, the
-    (program, database) fingerprint, and the fingerprint of the constant
-    pool *as it stands before grounding* — an engine that already interned
-    constants for another mode looks up (and stores) under the extended
-    session, never colliding with a fresh one.
-    """
-    parts = "\x00".join(
-        (ARTIFACT_SCHEMA, mode, program_fingerprint(program, database), pool_fingerprint(pool))
-    )
-    return hashlib.sha256(parts.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +358,12 @@ def dump_ground_program(gp: GroundProgram) -> bytes:
     frozen alongside the rule arrays — serialization is the *build step*,
     so loading restores a ready-to-solve index with no recompilation.
 
-    Ground programs that received streaming updates
-    (:func:`~repro.datalog.grounding.apply_facts_delta`) are
+    A relevant-mode ground program that received streaming updates
+    (:func:`~repro.datalog.grounding.apply_facts_delta`) is
     *canonicalized* first: the artifact stores a fresh grounding of the
-    updated database — live overlay state (ghost atoms, disabled
-    instances, the session atom order) never leaks into the wire format —
-    and the applied update log rides along as an additive ``deltas``
-    section plus a header summary, which pre-delta readers ignore.
+    updated database, so live overlay state (ghost atoms, disabled
+    instances, the session atom order) never leaks into the wire format.
+    A full-mode update only flips M₀, which is already canonical.
 
     Returns the complete artifact (header, payload, checksum).  Raises
     :class:`~repro.errors.ArtifactError` if the platform's C ``int`` is
@@ -414,12 +371,7 @@ def dump_ground_program(gp: GroundProgram) -> bytes:
     """
     if array(_INT_KIND).itemsize != 4:  # pragma: no cover - exotic platforms
         raise ArtifactError("repro-ground/1 requires 32-bit array('i') elements")
-    delta_log = list(getattr(gp, "_delta_log", None) or ())
-    delta_stats = None
-    if delta_log:
-        session = getattr(gp, "_delta_session", None)
-        if session is not None:
-            delta_stats = dict(session.stats)
+    if getattr(gp, "_delta_session", None) is not None:
         gp = ground(gp.program, gp.database, mode=gp.mode)
     layout, pool, table_sections = _atom_table_sections(gp)
     arrays = _collect_arrays(gp, pool)
@@ -436,11 +388,6 @@ def dump_ground_program(gp: GroundProgram) -> bytes:
         **_index_sections(index),
         **table_sections,
     }
-    if delta_log:
-        deltas_obj: dict[str, Any] = {"updates": delta_log}
-        if delta_stats is not None:
-            deltas_obj["stats"] = delta_stats
-        sections["deltas"] = ("json", deltas_obj)
 
     payload = bytearray()
     section_table: list[list[Any]] = []
@@ -465,17 +412,8 @@ def dump_ground_program(gp: GroundProgram) -> bytes:
             "universe": len(gp.universe),
         },
         "program_fingerprint": program_fingerprint(gp.program, gp.database),
-        "pool_fingerprint": pool_fingerprint(pool),
         "sections": section_table,
     }
-    if delta_log:
-        inserted = sum(len(e["facts"]) for e in delta_log if e["op"] == "insert")
-        retracted = sum(len(e["facts"]) for e in delta_log if e["op"] == "retract")
-        header_obj["deltas"] = {
-            "updates": len(delta_log),
-            "facts_inserted": inserted,
-            "facts_retracted": retracted,
-        }
     header = json.dumps(header_obj, separators=(",", ":"), ensure_ascii=True).encode("utf-8")
     body = _MAGIC + len(header).to_bytes(4, "little") + header + payload
     crc = zlib.crc32(header + bytes(payload)) & 0xFFFFFFFF
@@ -487,12 +425,12 @@ def save_ground_program(gp: GroundProgram, path: str | Path) -> Path:
 
     The artifact is written to a sibling temporary file and renamed into
     place, so a crashed writer never leaves a half-written artifact where
-    a reader (or the :class:`ArtifactCache`) would find it.
+    a reader would find it.
     """
     target = Path(path)
     blob = dump_ground_program(gp)
     # mkstemp (not a PID-suffixed name) so concurrent savers — including
-    # threads of one process racing on the same cache key — never share a
+    # threads of one process racing on the same path — never share a
     # temp file; whoever renames last wins with a complete artifact.
     fd, tmp_name = tempfile.mkstemp(prefix=f"{target.name}.tmp.", dir=target.parent)
     try:
@@ -740,29 +678,12 @@ def read_artifact_header(source: bytes | str | Path) -> dict[str, Any]:
 
     Runs the full container verification (magic, schema, framing,
     checksum) but constructs no Python objects from the payload — the
-    cheap way to inspect ``mode``, ``counts``, and the fingerprints
+    cheap way to inspect ``mode``, ``counts``, and the fingerprint
     before deciding to load.  Raises like :func:`load_artifact`.
     """
     data = Path(source).read_bytes() if isinstance(source, (str, Path)) else bytes(source)
     header, _ = _verify_container(data)
     return header
-
-
-def read_artifact_deltas(source: bytes | str | Path) -> dict[str, Any] | None:
-    """The streaming-update provenance of one artifact, or ``None``.
-
-    Artifacts dumped from a ground program that received streaming
-    updates carry an additive ``deltas`` section (the applied update log
-    as ``{"op", "facts"}`` entries, plus session statistics when the
-    relevant-mode delta session produced them).  Returns that decoded
-    section, or ``None`` for artifacts serialized without updates.
-    Raises like :func:`load_artifact` on a corrupt container.
-    """
-    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else bytes(source)
-    _, sections = _verify_container(data)
-    if "deltas" not in sections._views:
-        return None
-    return sections.json("deltas")
 
 
 def load_artifact(source: bytes | str | Path) -> GroundArtifact:
@@ -852,56 +773,3 @@ def load_artifact(source: bytes | str | Path) -> GroundArtifact:
     )
     object.__setattr__(gp, "_index_cache", index)
     return GroundArtifact(ground_program=gp, pool=pool, header=header)
-
-
-# ---------------------------------------------------------------------------
-# The on-disk compile cache
-# ---------------------------------------------------------------------------
-
-
-class ArtifactCache:
-    """A directory of ground artifacts keyed by :func:`cache_key`.
-
-    The cache is content-addressed: one file per (program hash, grounding
-    mode, pool fingerprint) triple, written atomically.  Corrupt or
-    unreadable entries behave as misses (and are evicted best-effort), so
-    a torn write can only ever cost a re-grounding, never a wrong answer.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        """Create the cache over ``root``, creating the directory if needed."""
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, key: str) -> Path:
-        """The artifact path of one cache ``key``."""
-        return self.root / f"{key}.repro-ground"
-
-    def get(self, key: str) -> GroundArtifact | None:
-        """The cached artifact under ``key``, or ``None`` on miss.
-
-        A present-but-invalid entry (truncated, corrupted, or written by
-        an incompatible format version) is treated as a miss and removed;
-        an unreadable or concurrently evicted entry is simply a miss.
-        """
-        path = self.path_for(key)
-        try:
-            return load_artifact(path)
-        except ArtifactError:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - concurrent eviction
-                pass
-            return None
-        except OSError:
-            return None
-
-    def put(self, key: str, gp: GroundProgram) -> Path:
-        """Serialize ``gp`` under ``key``; returns the artifact path."""
-        return save_ground_program(gp, self.path_for(key))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.repro-ground"))
-
-    def __repr__(self) -> str:
-        return f"ArtifactCache({str(self.root)!r}, entries={len(self)})"

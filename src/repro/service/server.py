@@ -26,7 +26,7 @@ Three concerns live here, layered over :mod:`repro.service.batch` and
   :class:`~repro.service.sessions.SessionManager` serialized apply-loop;
   this is the only way to use ``insert`` / ``retract`` on the server
   (the shared serving engines are read-only).  Idle sessions expire and
-  snapshot their compiled state back to the artifact cache.
+  are discarded with their engines.
 
 Dispatch by request shape:
 
@@ -63,7 +63,6 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode
 from repro.datalog.program import Program
 from repro.errors import ReproError, SolveTimeoutError, ValidationError
-from repro.io.artifact import ArtifactCache
 from repro.service.batch import (
     BATCH_SCHEMA,
     BatchRequest,
@@ -100,9 +99,8 @@ class ReproServer:
     ``timeout_s``
         Per-request solve deadline (hard in pool workers, soft on the
         inline/session paths).
-    ``session_ttl_s`` / ``max_sessions`` / ``session_cache``
-        Session expiry, table bound, and the artifact cache expired
-        sessions snapshot into (see :mod:`repro.service.sessions`).
+    ``session_ttl_s`` / ``max_sessions``
+        Session expiry and table bound (see :mod:`repro.service.sessions`).
 
     Use :meth:`start` / :meth:`drain` directly, or as an async context
     manager::
@@ -126,7 +124,6 @@ class ReproServer:
         timeout_s: float | None = None,
         session_ttl_s: float = 600.0,
         max_sessions: int = 64,
-        session_cache: ArtifactCache | str | Path | None = None,
         session_threads: int = 4,
         drain_timeout_s: float = 30.0,
     ) -> None:
@@ -134,13 +131,10 @@ class ReproServer:
             raise ValidationError(f"max_pending must be >= 1, got {max_pending}")
         # Sessions validate their bounds before the solver compiles or
         # saves an artifact; the factory reads the solver only when called.
-        if session_cache is not None and not isinstance(session_cache, ArtifactCache):
-            session_cache = ArtifactCache(session_cache)
         self.sessions = SessionManager(
             lambda: Engine.from_artifact(self.solver.artifact_path),
             ttl_s=session_ttl_s,
             max_sessions=max_sessions,
-            cache=session_cache,
         )
         self.solver = BatchSolver(
             artifact,
@@ -201,12 +195,12 @@ class ReproServer:
         return self.address
 
     async def drain(self) -> None:
-        """Graceful shutdown: stop admitting, finish in-flight, snapshot.
+        """Graceful shutdown: stop admitting, finish in-flight, close sessions.
 
         New requests (and new connections) are shed with
         ``error_kind: "draining"``; requests already admitted get up to
-        ``drain_timeout_s`` seconds to finish; live sessions snapshot to
-        the artifact cache on the way down.
+        ``drain_timeout_s`` seconds to finish; live sessions are closed
+        on the way down.
         """
         self._draining = True
         if self._server is not None:
@@ -228,7 +222,7 @@ class ReproServer:
         if self._reaper is not None:
             self._reaper.cancel()
             self._reaper = None
-        self.sessions.close_all(snapshot=True)
+        self.sessions.close_all()
         self._inline_executor.shutdown(wait=False)
         self._session_executor.shutdown(wait=False)
         self.solver.close()

@@ -19,12 +19,10 @@ Sessions are bounded in two dimensions:
 * **time** — a session idle for ``ttl_s`` seconds is expired by
   :meth:`SessionManager.expire_idle` (the server runs it periodically).
 
-On expiry — and on graceful server drain — a session that absorbed
-updates **snapshots back to the artifact cache**: its mutated grounding
-is frozen under ``cache_key(program, database, mode, None)``, exactly
-the key a fresh ``Engine(program, mutated_database, artifact_cache=...)``
-would probe, so the compiled state of a long-lived session outlives the
-server process.
+A closed session — expired, or dropped on graceful server drain — is
+discarded with its engine: session state lives only as long as the
+server process.  A caller that wants a mutated grounding to outlive it
+saves one explicitly with :meth:`~repro.api.engine.Engine.save_artifact`.
 
 The manager is an asyncio-native object: all bookkeeping runs on the
 event loop thread, so its dict/counter mutations need no locks of their
@@ -35,13 +33,11 @@ typically hops to an executor for the actual solve).
 from __future__ import annotations
 
 import asyncio
-from pathlib import Path
 from time import monotonic
 from typing import Any, Awaitable, Callable, TypeVar
 
 from repro.api.engine import Engine
-from repro.errors import ReproError, SessionLimitError, ValidationError
-from repro.io.artifact import ArtifactCache, cache_key
+from repro.errors import SessionLimitError, ValidationError
 
 __all__ = ["Session", "SessionManager"]
 
@@ -83,10 +79,6 @@ class Session:
         self.last_active_s = now
         self.closed = False
 
-    @property
-    def idle_s(self) -> float:
-        return monotonic() - self.last_active_s
-
     def stats(self) -> dict[str, Any]:
         return {
             "seq": self.seq,
@@ -108,9 +100,6 @@ class SessionManager:
         Idle seconds after which :meth:`expire_idle` closes a session.
     max_sessions:
         Bound on simultaneously live sessions.
-    cache:
-        Optional :class:`~repro.io.artifact.ArtifactCache` that closed
-        sessions snapshot their mutated groundings into.
     clock:
         Injectable monotonic clock (tests freeze it to drive expiry).
     """
@@ -121,7 +110,6 @@ class SessionManager:
         *,
         ttl_s: float = 600.0,
         max_sessions: int = 256,
-        cache: ArtifactCache | None = None,
         clock: Callable[[], float] = monotonic,
     ):
         if ttl_s <= 0:
@@ -131,12 +119,10 @@ class SessionManager:
         self.factory = factory
         self.ttl_s = ttl_s
         self.max_sessions = max_sessions
-        self.cache = cache
         self.clock = clock
         self._sessions: dict[str, Session] = {}
         self.created = 0
         self.expired = 0
-        self.snapshots = 0
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -195,7 +181,7 @@ class SessionManager:
                 session.pending -= 1
 
     def expire_idle(self, now: float | None = None) -> list[str]:
-        """Close (and snapshot) every session idle for ``ttl_s`` seconds.
+        """Close every session idle for ``ttl_s`` seconds.
 
         Sessions with queued or running operations are never expired.
         Returns the names closed, for logging.
@@ -211,51 +197,23 @@ class SessionManager:
                 closed.append(name)
         return closed
 
-    def close_all(self, *, snapshot: bool = True) -> list[str]:
+    def close_all(self) -> list[str]:
         """Close every session (server drain).  Returns the names closed."""
         closed = []
         for session in list(self._sessions.values()):
-            self._close(session, snapshot=snapshot)
+            self._close(session)
             closed.append(session.name)
         return closed
 
-    def _close(self, session: Session, *, snapshot: bool = True) -> None:
+    def _close(self, session: Session) -> None:
         session.closed = True
         self._sessions.pop(session.name, None)
-        if snapshot:
-            self.snapshot(session)
-
-    def snapshot(self, session: Session) -> Path | None:
-        """Freeze a session's compiled state into the artifact cache.
-
-        Only sessions that actually absorbed updates are written — a
-        read-only session's grounding is identical to the serving
-        artifact, so storing it would be pure duplication.  The key uses
-        the *empty* pool fingerprint (``pool=None``), which is exactly
-        what a fresh ``Engine(program, mutated_database,
-        artifact_cache=cache)`` computes before grounding, so the next
-        process to ask for this (program, database) pair warm-starts
-        from the session's final state instead of re-grounding.
-        """
-        if self.cache is None or not session.engine.update_calls:
-            return None
-        engine = session.engine
-        mode = engine.default_grounding or "full"
-        try:
-            ground = engine.ground_for(mode)
-            key = cache_key(engine.program, engine.database, ground.mode, None)
-            path = self.cache.put(key, ground)
-        except ReproError:
-            return None
-        self.snapshots += 1
-        return path
 
     def stats(self) -> dict[str, Any]:
         return {
             "live": len(self._sessions),
             "created": self.created,
             "expired": self.expired,
-            "snapshots": self.snapshots,
             "max_sessions": self.max_sessions,
             "ttl_s": self.ttl_s,
         }

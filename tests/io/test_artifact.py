@@ -1,4 +1,4 @@
-"""The ``repro-ground/1`` binary artifact layer: format, cache, engine wiring."""
+"""The ``repro-ground/1`` binary artifact layer: format and engine wiring."""
 
 import json
 import zlib
@@ -12,11 +12,8 @@ from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.errors import ArtifactError, GroundingError
 from repro.io.artifact import (
     ARTIFACT_SCHEMA,
-    ArtifactCache,
-    cache_key,
     dump_ground_program,
     load_artifact,
-    pool_fingerprint,
     program_fingerprint,
     save_ground_program,
 )
@@ -99,6 +96,23 @@ class TestRoundTrip:
         assert not list(tmp_path.glob("*.tmp.*"))
 
 
+def _reframe(blob: bytes, edit) -> bytes:
+    """Rebuild an artifact after ``edit(header, payload)``, with a fresh CRC."""
+    header_len = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + header_len])
+    payload = bytearray(blob[12 + header_len : -4])
+    edit(header, payload)
+    new_header = json.dumps(header, separators=(",", ":")).encode()
+    crc = zlib.crc32(new_header + bytes(payload)) & 0xFFFFFFFF
+    return (
+        blob[:8]
+        + len(new_header).to_bytes(4, "little")
+        + new_header
+        + bytes(payload)
+        + crc.to_bytes(4, "little")
+    )
+
+
 class TestCorruption:
     def _blob(self):
         return dump_ground_program(_game())
@@ -125,40 +139,18 @@ class TestCorruption:
             load_artifact(bytes(blob))
 
     def test_version_mismatch(self):
-        blob = self._blob()
-        header_len = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12 : 12 + header_len])
-        header["schema"] = "repro-ground/999"
-        new_header = json.dumps(header, separators=(",", ":")).encode()
-        payload = blob[12 + header_len : -4]
-        crc = zlib.crc32(new_header + payload) & 0xFFFFFFFF
-        rebuilt = (
-            blob[:8]
-            + len(new_header).to_bytes(4, "little")
-            + new_header
-            + payload
-            + crc.to_bytes(4, "little")
-        )
+        def bump(header, payload):
+            header["schema"] = "repro-ground/999"
+
         with pytest.raises(ArtifactError, match="version mismatch"):
-            load_artifact(rebuilt)
+            load_artifact(_reframe(self._blob(), bump))
 
     def test_tampered_counts_fail_consistency(self):
-        blob = self._blob()
-        header_len = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12 : 12 + header_len])
-        header["counts"]["rules"] += 1
-        new_header = json.dumps(header, separators=(",", ":")).encode()
-        payload = blob[12 + header_len : -4]
-        crc = zlib.crc32(new_header + payload) & 0xFFFFFFFF
-        rebuilt = (
-            blob[:8]
-            + len(new_header).to_bytes(4, "little")
-            + new_header
-            + payload
-            + crc.to_bytes(4, "little")
-        )
+        def tamper(header, payload):
+            header["counts"]["rules"] += 1
+
         with pytest.raises(ArtifactError):
-            load_artifact(rebuilt)
+            load_artifact(_reframe(self._blob(), tamper))
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -226,43 +218,6 @@ class TestFingerprints:
         assert program_fingerprint(p1, d1) == program_fingerprint(p2, d2)
         assert program_fingerprint(p1, d1) != program_fingerprint(p1, parse_database("move(9, 9)."))
 
-    def test_pool_fingerprint_distinguishes_type_and_order(self):
-        from repro.datalog.terms import Constant
-        from repro.engine.plan import ConstantPool
-
-        assert pool_fingerprint(None) == pool_fingerprint(ConstantPool())
-        ints = ConstantPool([Constant(1), Constant(2)])
-        strs = ConstantPool([Constant("1"), Constant("2")])
-        flipped = ConstantPool([Constant(2), Constant(1)])
-        assert len({pool_fingerprint(p) for p in (ints, strs, flipped)}) == 3
-
-    def test_cache_key_varies_by_mode(self):
-        p, d = parse_program(GAME), parse_database(BOARD)
-        assert cache_key(p, d, "relevant") != cache_key(p, d, "full")
-
-
-class TestArtifactCache:
-    def test_put_get_round_trip(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        gp = _game()
-        key = cache_key(gp.program, gp.database, gp.mode)
-        assert cache.get(key) is None
-        cache.put(key, gp)
-        assert len(cache) == 1
-        art = cache.get(key)
-        assert art is not None
-        assert art.header["schema"] == ARTIFACT_SCHEMA
-        assert art.ground_program.rule_count == gp.rule_count
-
-    def test_corrupt_entry_is_a_miss_and_evicted(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        gp = _game()
-        key = cache_key(gp.program, gp.database, gp.mode)
-        path = cache.put(key, gp)
-        path.write_bytes(path.read_bytes()[:40])
-        assert cache.get(key) is None
-        assert not path.exists()
-
 
 class TestEngineArtifacts:
     def test_save_and_warm_start(self, tmp_path):
@@ -278,44 +233,61 @@ class TestEngineArtifacts:
         # query paths ride the restored atom table and database
         assert warm.query_many(["win(1)", "win(3)"]) == engine.query_many(["win(1)", "win(3)"])
 
-    def test_engine_artifact_cache_skips_grounding(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        e1 = Engine(GAME, BOARD, artifact_cache=cache_dir)
-        e1.ground_for("relevant")
-        assert (e1.ground_calls, e1.artifact_hits) == (1, 0)
-        e2 = Engine(GAME, BOARD, artifact_cache=cache_dir)
-        e2.ground_for("relevant")
-        assert (e2.ground_calls, e2.artifact_hits, e2.index_builds) == (0, 1, 0)
-        assert _true_set(e1.solve("tie_breaking")) == _true_set(e2.solve("tie_breaking"))
-
-    def test_engine_cache_key_distinguishes_modes_and_inputs(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        e1 = Engine(GAME, BOARD, artifact_cache=cache_dir)
-        e1.ground_for("relevant")
-        e2 = Engine(GAME, BOARD, artifact_cache=cache_dir)
-        e2.ground_for("full")
-        assert e2.ground_calls == 1  # different mode: no false hit
-        e3 = Engine(GAME, "move(5, 6).", artifact_cache=cache_dir)
-        e3.ground_for("relevant")
-        assert e3.ground_calls == 1  # different database: no false hit
-
-    def test_cached_artifact_respects_max_instances(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        e1 = Engine(GAME, BOARD, artifact_cache=cache_dir)
-        e1.ground_for("relevant")
-        e2 = Engine(GAME, BOARD, artifact_cache=cache_dir)
+    def test_loaded_artifact_respects_max_instances(self, tmp_path):
+        path = Engine(GAME, BOARD).save_artifact(tmp_path / "game.repro-ground")
+        warm = Engine.from_artifact(path)
         with pytest.raises(GroundingError):
-            e2.ground_for("relevant", max_instances=1)
+            warm.ground_for("relevant", max_instances=1)
 
-    def test_pool_adoption_across_modes(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        e1 = Engine(GAME, BOARD, artifact_cache=cache_dir)
-        e1.ground_for("relevant")
-        warm = Engine(GAME, BOARD, artifact_cache=cache_dir)
-        warm.ground_for("relevant")
-        assert warm.artifact_hits == 1
-        # Grounding another mode afterwards extends the adopted pool and
-        # still produces the same models.
+    def test_full_grounding_extends_loaded_pool(self, tmp_path):
+        cold = Engine(GAME, BOARD)
+        path = cold.save_artifact(tmp_path / "game.repro-ground")
+        warm = Engine.from_artifact(path)
+        # Grounding another mode on top of the loaded relevant grounding
+        # extends the restored pool and still produces the same models.
         assert _true_set(warm.solve("fitting", grounding="full")) == _true_set(
-            e1.solve("fitting", grounding="full")
+            cold.solve("fitting", grounding="full")
         )
+        assert warm.ground_calls == 1
+
+
+class TestCanonicalSaves:
+    @pytest.mark.parametrize("mode", ["relevant", "full"])
+    def test_save_after_updates_is_canonical(self, mode, tmp_path):
+        # An artifact stores G(Π, Δ) for the current Δ only: a live engine
+        # saved after updates writes the bytes of a fresh engine over the
+        # mutated database, with no trace of the updates that led there.
+        live = Engine(GAME, BOARD, grounding=mode)
+        live.ground_for()
+        live.insert_facts("move(3, 1)")
+        live.retract_facts("move(2, 3)")
+        live.insert_facts("move(1, 1)")
+        assert live.stats()["delta_applied"] == 3
+        saved = live.save_artifact(tmp_path / "live.repro-ground").read_bytes()
+        fresh = Engine(GAME, live.database.copy(), grounding=mode)
+        expected = fresh.save_artifact(tmp_path / "fresh.repro-ground").read_bytes()
+        assert saved == expected
+
+
+class TestUnknownNames:
+    def test_loader_ignores_unknown_sections_and_header_keys(self):
+        # Artifacts written by earlier releases carry a ``deltas`` JSON
+        # section and a ``pool_fingerprint`` header key; readers ignore
+        # names they do not know, so those artifacts stay loadable.
+        blob = dump_ground_program(_game())
+        extra = json.dumps({"updates": [{"op": "insert", "facts": ["move(3, 1)"]}]}).encode()
+
+        def add_legacy_names(header, payload):
+            header["pool_fingerprint"] = "0" * 64
+            header["deltas"] = {"updates": 1, "facts_inserted": 1, "facts_retracted": 0}
+            header["sections"].append(["deltas", "json", len(extra)])
+            payload.extend(extra)
+
+        legacy = _reframe(blob, add_legacy_names)
+        assert legacy != blob
+        art = load_artifact(legacy)
+        assert dump_ground_program(art.ground_program) == blob
+        original = Engine.from_artifact(blob)
+        warm = Engine.from_artifact(legacy)
+        for semantics in ("well_founded", "tie_breaking", "stable"):
+            assert _true_set(warm.solve(semantics)) == _true_set(original.solve(semantics))

@@ -277,15 +277,12 @@ class TestServerSessions:
         )["values"]
         assert final["values"] == expected
 
-    def test_independent_sessions_and_snapshot_on_drain(self, tmp_path):
-        from repro.io.artifact import ArtifactCache
-
+    def test_independent_sessions_and_close_on_drain(self, tmp_path):
         artifact = tmp_path / "game.repro-ground"
         Engine(GAME, BOARD).save_artifact(artifact)
-        cache = ArtifactCache(tmp_path / "cache")
 
         async def main():
-            async with ReproServer(artifact, session_cache=cache) as server:
+            async with ReproServer(artifact) as server:
                 responses = await send_requests(
                     server.address,
                     [
@@ -293,15 +290,15 @@ class TestServerSessions:
                         {"id": "b", "session": "b", "semantics": "well_founded"},
                     ],
                 )
-                return {r["id"]: r for r in responses}, server.sessions.stats()
+            return {r["id"]: r for r in responses}, server
 
-        responses, stats = asyncio.run(main())
+        responses, server = asyncio.run(main())
         assert responses["a"]["ok"] and responses["b"]["ok"]
         assert responses["a"]["session"]["name"] == "a"
-        assert stats["created"] == 2
-        # Drain snapshotted the mutated session only; session "b" was
-        # read-only and stores nothing.
-        assert len(cache) == 1
+        assert server.sessions.stats()["created"] == 2
+        # Drain closed both sessions and wrote nothing next to the artifact.
+        assert len(server.sessions) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [artifact.name]
 
     def test_session_limit_is_a_structured_error(self, artifact):
         async def main():

@@ -1,4 +1,4 @@
-"""Session manager: serialized apply, parallel sessions, expiry, snapshots."""
+"""Session manager: serialized apply, parallel sessions, expiry, bounds."""
 
 import asyncio
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro import Engine
 from repro.errors import SessionLimitError, ValidationError
-from repro.io.artifact import ArtifactCache
 from repro.service import SessionManager
 
 GAME = "win(X) :- move(X, Y), not win(Y)."
@@ -166,74 +165,3 @@ class TestExpiry:
             assert await manager.run("only", work) == "only"
 
         asyncio.run(main())
-
-
-class TestSnapshots:
-    def test_expired_session_snapshots_mutated_state(self, artifact, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        clock = [0.0]
-
-        async def main():
-            manager = SessionManager(
-                lambda: Engine.from_artifact(artifact),
-                ttl_s=10.0,
-                cache=cache,
-                clock=lambda: clock[0],
-            )
-
-            async def work(session):
-                session.engine.insert_facts("move(3, 1)")
-                return session.engine.database.copy()
-
-            database = await manager.run("s", work)
-            clock[0] = 20.0
-            assert manager.expire_idle() == ["s"]
-            assert manager.stats()["snapshots"] == 1
-            return database
-
-        database = asyncio.run(main())
-        assert len(cache) == 1
-        # The snapshot key is exactly what a fresh engine over the mutated
-        # inputs probes: it warm-starts without grounding.
-        warm = Engine(GAME, database, artifact_cache=cache)
-        warm.solve("well_founded")
-        assert warm.stats()["artifact_hits"] == 1
-        assert warm.ground_calls == 0
-
-    def test_read_only_sessions_do_not_snapshot(self, artifact, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-
-        async def main():
-            manager = SessionManager(
-                lambda: Engine.from_artifact(artifact), cache=cache
-            )
-
-            async def work(session):
-                return true_set(session.engine)
-
-            await manager.run("reader", work)
-            assert manager.close_all() == ["reader"]
-            assert manager.stats()["snapshots"] == 0
-
-        asyncio.run(main())
-        assert len(cache) == 0
-
-    def test_close_all_snapshots_every_mutated_session(self, artifact, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-
-        async def main():
-            manager = SessionManager(
-                lambda: Engine.from_artifact(artifact), cache=cache
-            )
-
-            async def mutate(session):
-                session.engine.insert_facts(f"move({session.name}, 1)")
-
-            await manager.run("7", mutate)
-            await manager.run("8", mutate)
-            assert sorted(manager.close_all()) == ["7", "8"]
-            assert manager.stats()["snapshots"] == 2
-            assert len(manager) == 0
-
-        asyncio.run(main())
-        assert len(cache) == 2
