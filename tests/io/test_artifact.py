@@ -95,6 +95,24 @@ class TestRoundTrip:
         assert load_artifact(target).ground_program.rule_count == _game().rule_count
         assert not list(tmp_path.glob("*.tmp.*"))
 
+    def test_pool_keeps_constant_types(self):
+        # The integer 1 and the string "1" stay distinct constants through
+        # a round trip, in the pool and in the atoms built on them.
+        gp = ground(
+            parse_program("p(X) :- q(X)."), parse_database('q(2). q("1"). q(1).'), mode="relevant"
+        )
+        pool = load_artifact(dump_ground_program(gp)).pool
+        constants = [pool.constant(i) for i in range(len(pool))]
+        assert sorted((type(c.value).__name__, str(c.value)) for c in constants) == [
+            ("int", "1"),
+            ("int", "2"),
+            ("str", "1"),
+        ]
+        warm = Engine.from_artifact(dump_ground_program(gp))
+        assert _true_set(warm.solve("well_founded")) == {
+            'p("1")', "p(1)", "p(2)", 'q("1")', "q(1)", "q(2)"
+        }
+
 
 def _reframe(blob: bytes, edit) -> bytes:
     """Rebuild an artifact after ``edit(header, payload)``, with a fresh CRC."""
@@ -151,6 +169,14 @@ class TestCorruption:
 
         with pytest.raises(ArtifactError):
             load_artifact(_reframe(self._blob(), tamper))
+
+    def test_corrupt_artifact_file_is_an_error_and_left_in_place(self, tmp_path):
+        path = tmp_path / "game.repro-ground"
+        path.write_bytes(self._blob()[:40])
+        with pytest.raises(ArtifactError):
+            Engine.from_artifact(path)
+        # Loading never deletes or rewrites what it was given.
+        assert path.read_bytes() == self._blob()[:40]
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -233,13 +259,13 @@ class TestEngineArtifacts:
         # query paths ride the restored atom table and database
         assert warm.query_many(["win(1)", "win(3)"]) == engine.query_many(["win(1)", "win(3)"])
 
-    def test_loaded_artifact_respects_max_instances(self, tmp_path):
+    def test_cached_artifact_respects_max_instances(self, tmp_path):
         path = Engine(GAME, BOARD).save_artifact(tmp_path / "game.repro-ground")
         warm = Engine.from_artifact(path)
         with pytest.raises(GroundingError):
             warm.ground_for("relevant", max_instances=1)
 
-    def test_full_grounding_extends_loaded_pool(self, tmp_path):
+    def test_pool_adoption_across_modes(self, tmp_path):
         cold = Engine(GAME, BOARD)
         path = cold.save_artifact(tmp_path / "game.repro-ground")
         warm = Engine.from_artifact(path)
@@ -249,6 +275,19 @@ class TestEngineArtifacts:
             cold.solve("fitting", grounding="full")
         )
         assert warm.ground_calls == 1
+
+    def test_artifact_records_its_grounding_mode(self, tmp_path):
+        engine = Engine(GAME, BOARD)
+        relevant = engine.save_artifact(tmp_path / "relevant.repro-ground")
+        full = engine.save_artifact(tmp_path / "full.repro-ground", mode="full")
+        assert relevant.read_bytes() != full.read_bytes()
+        for path, mode in ((relevant, "relevant"), (full, "full")):
+            warm = Engine.from_artifact(path)
+            assert warm.default_grounding == mode
+            assert _true_set(warm.solve("tie_breaking")) == _true_set(
+                engine.solve("tie_breaking", grounding=mode)
+            )
+            assert warm.ground_calls == 0
 
 
 class TestCanonicalSaves:

@@ -97,6 +97,36 @@ class TestBounds:
             SessionManager(lambda: Engine.from_artifact(artifact), **bounds)
 
 
+class TestClose:
+    def test_close_all_closes_every_session(self, artifact):
+        async def main():
+            manager = SessionManager(lambda: Engine.from_artifact(artifact))
+
+            async def mutate(session):
+                session.engine.insert_facts(f"move({session.name}, 1)")
+                return session
+
+            async def read(session):
+                true_set(session.engine)
+                return session
+
+            sessions = [
+                await manager.run("7", mutate),
+                await manager.run("8", mutate),
+                await manager.run("reader", read),
+            ]
+            assert sorted(manager.close_all()) == ["7", "8", "reader"]
+            assert len(manager) == 0
+            assert all(session.closed for session in sessions)
+            assert manager.close_all() == []
+            # A closed name opens a fresh session from the factory.
+            reopened = await manager.run("7", read)
+            assert reopened.engine.update_calls == 0
+            assert manager.stats()["created"] == 4
+
+        asyncio.run(main())
+
+
 class TestExpiry:
     def test_idle_sessions_expire_after_ttl(self, artifact):
         clock = [0.0]
@@ -121,6 +151,35 @@ class TestExpiry:
             assert manager.stats()["expired"] == 1
 
         asyncio.run(main())
+
+    def test_expired_mutated_session_restarts_from_the_factory(self, artifact):
+        clock = [0.0]
+
+        async def main():
+            manager = SessionManager(
+                lambda: Engine.from_artifact(artifact),
+                ttl_s=10.0,
+                clock=lambda: clock[0],
+            )
+
+            async def mutate(session):
+                session.engine.insert_facts("move(3, 1)")
+                return true_set(session.engine)
+
+            async def read(session):
+                return session.engine.update_calls, true_set(session.engine)
+
+            mutated = await manager.run("s", mutate)
+            clock[0] = 20.0
+            assert manager.expire_idle() == ["s"]
+            return mutated, await manager.run("s", read)
+
+        mutated, (updates, restarted) = asyncio.run(main())
+        # Expiry drops the session's updates: the name comes back with the
+        # artifact's state, not the mutated one.
+        assert updates == 0
+        assert restarted == true_set(Engine.from_artifact(artifact))
+        assert restarted != mutated
 
     def test_sessions_with_queued_work_never_expire(self, artifact):
         clock = [0.0]
