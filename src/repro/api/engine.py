@@ -40,6 +40,7 @@ from repro.datalog.program import Program
 from repro.datalog.terms import Constant
 from repro.engine.plan import ConstantPool
 from repro.errors import GroundingError, SemanticsError
+from repro.ground.state import GroundGraphState
 from repro.io.artifact import load_artifact, save_ground_program
 from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_spec
 from repro.api.solution import Solution
@@ -100,12 +101,16 @@ class Engine:
         self.facts_retracted = 0
         self.delta_applied = 0
         self.delta_rebuilds = 0
+        self.checkpoint_builds = 0
         self._timings: dict[str, float] = {"parse_s": parse_s, "ground_s": 0.0, "compile_s": 0.0}
         # One interning session: every grounding mode of this engine shares
         # the same constant → dense-id mapping (and hence row encodings).
         self._pool = ConstantPool()
         self._ground_cache: dict[GroundingMode, GroundProgram] = {}
         self._solution_cache: dict[tuple, Solution] = {}
+        # Kernel states at the end of the tie-breaking prefix, keyed by
+        # (grounding mode, well_founded); see _tie_state.
+        self._checkpoints: dict[tuple[GroundingMode, bool], GroundGraphState] = {}
         self.solution_cache_hits = 0
         self._pinned = ground_program
         if ground_program is not None:
@@ -133,7 +138,8 @@ class Engine:
 
     @property
     def timings(self) -> Mapping[str, float]:
-        """Accumulated one-time pipeline costs (parse / ground / compile)."""
+        """Accumulated one-time pipeline costs (parse / ground / compile /
+        tie-breaking checkpoint builds)."""
         return dict(self._timings)
 
     def ground_for(
@@ -258,8 +264,38 @@ class Engine:
             grounding=grounding,
             gp=fetch,
             options=options,
+            tie_state=lambda well_founded: self._tie_state(fetch(), well_founded),
         )
         return request, used
+
+    def _tie_state(self, gp: GroundProgram, well_founded: bool) -> GroundGraphState:
+        """A private kernel state at the end of the tie-breaking prefix.
+
+        Every tie-breaking run on one ground program starts the same way:
+        ``close``, the unfounded-set cascade (well-founded variant only),
+        and the first ``select_tie``.  No policy or seed can change that
+        prefix, so it runs once per (grounding mode, ``well_founded``) and
+        each solve gets a clone of the result with ``phase_s`` zeroed.
+        The build is booked once under ``timings["checkpoint_s"]``;
+        updates drop every checkpoint.
+        """
+        key = (gp.mode, well_founded)
+        checkpoint = self._checkpoints.get(key)
+        if checkpoint is None:
+            t0 = perf_counter()
+            checkpoint = GroundGraphState(gp)
+            checkpoint.close()
+            if well_founded:
+                checkpoint.falsify_unfounded(numbered=False)
+            checkpoint.select_tie()
+            self._checkpoints[key] = checkpoint
+            self.checkpoint_builds += 1
+            self._timings["checkpoint_s"] = (
+                self._timings.get("checkpoint_s", 0.0) + perf_counter() - t0
+            )
+        state = checkpoint.clone()
+        state.phase_s = dict.fromkeys(state.phase_s, 0.0)
+        return state
 
     @staticmethod
     def _cache_key(spec: SemanticsSpec, options: Mapping[str, Any]) -> tuple | None:
@@ -463,6 +499,7 @@ class Engine:
         self.facts_inserted += len(inserted)
         self.facts_retracted += len(retracted)
         self._solution_cache.clear()
+        self._checkpoints.clear()
         self._timings["update_s"] = self._timings.get("update_s", 0.0) + perf_counter() - t0
 
     # -- batched queries ---------------------------------------------------
@@ -597,6 +634,7 @@ class Engine:
             "facts_retracted": self.facts_retracted,
             "delta_applied": self.delta_applied,
             "delta_rebuilds": self.delta_rebuilds,
+            "checkpoint_builds": self.checkpoint_builds,
             "interned_constants": len(self._pool),
             "cached_modes": sorted(self._ground_cache),
             "cached_solutions": len(self._solution_cache),

@@ -11,6 +11,7 @@ hand-written module export.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterator, Mapping
@@ -19,6 +20,7 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram
 from repro.datalog.program import Program
 from repro.errors import SemanticsError
+from repro.ground.state import GroundGraphState
 from repro.api.solution import Solution
 
 __all__ = [
@@ -37,7 +39,11 @@ class SolveRequest:
 
     ``gp`` is a zero-argument callable returning the (cached) ground
     program for the resolved grounding mode — runners that never call it
-    never trigger a grounding.
+    never trigger a grounding.  ``tie_state(well_founded)`` returns a
+    private kernel state over that ground program, already past the
+    tie-breaking prefix every run shares (``close``, the unfounded step
+    when ``well_founded``, and the first ``select_tie``), with zeroed
+    ``phase_s``.
     """
 
     program: Program
@@ -45,6 +51,7 @@ class SolveRequest:
     grounding: GroundingMode | None
     gp: Callable[[], GroundProgram]
     options: Mapping[str, Any]
+    tie_state: Callable[[bool], GroundGraphState]
 
 
 @dataclass(frozen=True)
@@ -158,13 +165,15 @@ def _solve_well_founded(req: SolveRequest) -> Solution:
 
 
 def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
-    from repro.ground.state import GroundGraphState
     from repro.semantics.choices import FirstSideTrue
     from repro.semantics.tie_breaking import _run
 
-    state = GroundGraphState(req.gp())
+    state = req.tie_state(well_founded)
     policy = req.options.get("policy") or FirstSideTrue()
-    choices = _run(state, policy, well_founded=well_founded)
+    # Run on a copy: a stateful policy (RandomChoice) must replay from its
+    # reported description on every solve, not continue where the last
+    # solve left the caller's instance.
+    choices = _run(state, copy.deepcopy(policy), well_founded=well_founded)
     return Solution.from_interpretation(
         name,
         state.interpretation(),

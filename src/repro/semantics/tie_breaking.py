@@ -33,8 +33,18 @@ returns its trace of :class:`TieChoice` decisions (id-based, decoded to
 atoms lazily).  ``Engine.enumerate("tie_breaking")`` explores *all*
 orientations with a trail-based undo log — branching costs the work
 undone, not a state copy.  Everything here takes the engine's
-:class:`~repro.datalog.grounding.GroundProgram` and returns kernel values;
-:mod:`repro.api.registry` wraps them into solutions.
+:class:`~repro.datalog.grounding.GroundProgram` (or a kernel state over
+it) and returns kernel values; :mod:`repro.api.registry` wraps them into
+solutions.
+
+A solve does not start :func:`_run` on a fresh state.  Every run on one
+ground program shares the prefix ``close`` → unfounded step (well-founded
+variant) → first ``select_tie``, since the algorithm chooses only once no
+nonempty unfounded set is left; the engine keeps the state after that
+prefix as a checkpoint and hands each solve a clone
+(:meth:`repro.api.engine.Engine._tie_state`).  On the clone, the prefix
+``_run`` repeats changes nothing and serves the same first tie, so the
+schedule, trail and provenance are those of a fresh-state run.
 """
 
 from __future__ import annotations

@@ -334,6 +334,42 @@ class TestSolutionCache:
         assert engine.stats()["solution_cache_hits"] == 0
 
 
+class TestTieCheckpoint:
+    """Tie-breaking solves share one prefix checkpoint per engine state."""
+
+    def test_many_seeds_build_one_checkpoint(self):
+        from repro.semantics.choices import RandomChoice
+
+        engine = Engine(*families.grounded_argumentation(40))
+        assert engine.stats()["checkpoint_builds"] == 0
+        for seed in range(10):
+            engine.solve("tie_breaking", policy=RandomChoice(seed))
+        stats = engine.stats()
+        assert stats["checkpoint_builds"] == 1
+        assert stats["cached_solutions"] == 10
+        assert engine.timings["checkpoint_s"] > 0
+        assert "checkpoint_s" in stats
+
+    def test_an_update_drops_the_checkpoint(self):
+        engine = Engine(*families.grounded_argumentation(40))
+        engine.solve("tie_breaking")
+        engine.insert_facts("attacks(0, 39)")
+        engine.solve("tie_breaking")
+        assert engine.stats()["checkpoint_builds"] == 2
+
+    def test_well_founded_solves_build_none(self):
+        engine = Engine(*families.grounded_argumentation(40))
+        engine.solve("well_founded")
+        engine.solve("well_founded", grounding="full")
+        assert engine.stats()["checkpoint_builds"] == 0
+        assert "checkpoint_s" not in engine.timings
+
+    def test_first_solve_books_the_build_inside_solve_s(self):
+        engine = Engine(*families.grounded_argumentation(40))
+        first = engine.solve("tie_breaking")
+        assert first.timings["solve_s"] >= engine.timings["checkpoint_s"]
+
+
 class TestOptionStrictness:
     def test_solve_rejects_limit(self):
         with pytest.raises(SemanticsError, match="limit"):

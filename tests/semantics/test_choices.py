@@ -95,3 +95,30 @@ class TestSelfDescription:
         assert solution.to_json_dict()["ties"]["policy"] == "RandomChoice(seed=9)"
         default = engine.solve("tie_breaking", grounding="full")
         assert default.policy == "FirstSideTrue()"
+
+    def test_reused_random_policy_replays_from_its_seed(self):
+        """Every solve under ``RandomChoice(seed=3)`` draws the same sequence,
+        however often the engine has run the caller's instance before."""
+        from repro.api import Engine
+        from repro.workloads.families import grounded_argumentation
+
+        engine = Engine(*grounded_argumentation(60), policy=RandomChoice(3))
+        first = engine.solve("tie_breaking")
+        assert first.free_choice_count > 1
+        engine.insert_facts("attacks(0, 59)")
+        engine.retract_facts("attacks(0, 59)")
+        again = engine.solve("tie_breaking")
+        fresh = Engine(*grounded_argumentation(60), policy=RandomChoice(3)).solve("tie_breaking")
+        assert again.policy == first.policy == "RandomChoice(seed=3)"
+        assert again.true_atoms == first.true_atoms == fresh.true_atoms
+        assert again.choices == first.choices == fresh.choices
+
+    def test_solving_leaves_the_callers_policy_untouched(self):
+        from repro.api import Engine
+        from repro.workloads.families import committee
+
+        policy = RandomChoice(5)
+        Engine(*committee(12)).solve("tie_breaking", policy=policy)
+        replay = RandomChoice(5)
+        draws = [policy.choose_true_side([1], [2]) for _ in range(20)]
+        assert draws == [replay.choose_true_side([1], [2]) for _ in range(20)]
