@@ -102,6 +102,7 @@ class Engine:
         self.delta_applied = 0
         self.delta_rebuilds = 0
         self.checkpoint_builds = 0
+        self.wf_patches = 0
         self._timings: dict[str, float] = {"parse_s": parse_s, "ground_s": 0.0, "compile_s": 0.0}
         # One interning session: every grounding mode of this engine shares
         # the same constant → dense-id mapping (and hence row encodings).
@@ -111,6 +112,9 @@ class Engine:
         # Kernel states at the end of the tie-breaking prefix, keyed by
         # (grounding mode, well_founded); see _tie_state.
         self._checkpoints: dict[tuple[GroundingMode, bool], GroundGraphState] = {}
+        # The last well-founded end state per grounding mode, with the atom
+        # ids every update since has touched; see _wf_state.
+        self._wf_bases: dict[GroundingMode, tuple[GroundGraphState, set[int]]] = {}
         self.solution_cache_hits = 0
         self._pinned = ground_program
         if ground_program is not None:
@@ -265,8 +269,30 @@ class Engine:
             gp=fetch,
             options=options,
             tie_state=lambda well_founded: self._tie_state(fetch(), well_founded),
+            wf_state=lambda: self._wf_state(fetch(), used),
         )
         return request, used
+
+    def _wf_state(self, gp: GroundProgram, used: dict[str, Any]) -> GroundGraphState:
+        """The kernel state a ``well_founded`` solve runs its cascade on.
+
+        After a well-founded solve the engine keeps its end state as the
+        mode's base, and updates add the atom ids they touched to the
+        base's set.  The next solve runs on ``base.reopened(touched)``: a
+        copy where only the forward cone of those atoms is reset
+        (counted in ``wf_patches``).  Without a base it is a fresh state.
+        The state is noted in ``used`` so :meth:`solve` can keep it as
+        the next base once the solve has finished.
+        """
+        entry = self._wf_bases.get(gp.mode)
+        if entry is not None:
+            base, touched = entry
+            state = base.reopened(touched)
+            self.wf_patches += 1
+        else:
+            state = GroundGraphState(gp)
+        used["wf_state"] = state
+        return state
 
     def _tie_state(self, gp: GroundProgram, well_founded: bool) -> GroundGraphState:
         """A private kernel state at the end of the tie-breaking prefix.
@@ -362,6 +388,9 @@ class Engine:
         request, used = self._request(spec, dict(options))
         t0 = perf_counter()
         solution = self._finalize(spec.solver(request), perf_counter() - t0, used["mode"])
+        state = used.get("wf_state")
+        if state is not None:
+            self._wf_bases[state.gp.mode] = (state, set())
         if key is not None:
             self._solution_cache[key] = solution
         return solution
@@ -480,7 +509,9 @@ class Engine:
         for database in databases.values():
             _change(database, inserted, retracted)
         for mode, gp in list(self._ground_cache.items()):
-            if apply_facts_delta(gp, inserted, retracted):
+            base = self._wf_bases.get(mode)
+            touched = base[1] if base is not None else None
+            if apply_facts_delta(gp, inserted, retracted, touched=touched):
                 self.delta_applied += 1
             elif gp is self._pinned:
                 # apply_facts_delta left the ground program untouched;
@@ -494,6 +525,7 @@ class Engine:
                 )
             else:
                 del self._ground_cache[mode]
+                self._wf_bases.pop(mode, None)
                 self.delta_rebuilds += 1
         self.update_calls += 1
         self.facts_inserted += len(inserted)
@@ -635,6 +667,7 @@ class Engine:
             "delta_applied": self.delta_applied,
             "delta_rebuilds": self.delta_rebuilds,
             "checkpoint_builds": self.checkpoint_builds,
+            "wf_patches": self.wf_patches,
             "interned_constants": len(self._pool),
             "cached_modes": sorted(self._ground_cache),
             "cached_solutions": len(self._solution_cache),

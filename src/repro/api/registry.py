@@ -43,7 +43,10 @@ class SolveRequest:
     private kernel state over that ground program, already past the
     tie-breaking prefix every run shares (``close``, the unfounded step
     when ``well_founded``, and the first ``select_tie``), with zeroed
-    ``phase_s``.
+    ``phase_s``.  ``wf_state()`` returns the private, not yet closed
+    state a ``well_founded`` solve runs its cascade on: fresh, or the
+    engine's last well-founded end state reopened on the forward cone of
+    what updates touched since.
     """
 
     program: Program
@@ -52,6 +55,7 @@ class SolveRequest:
     gp: Callable[[], GroundProgram]
     options: Mapping[str, Any]
     tie_state: Callable[[bool], GroundGraphState]
+    wf_state: Callable[[], GroundGraphState]
 
 
 @dataclass(frozen=True)
@@ -152,9 +156,10 @@ def _check_options(spec: SemanticsSpec, options: Mapping[str, Any]) -> None:
 
 
 def _solve_well_founded(req: SolveRequest) -> Solution:
-    from repro.semantics.well_founded import well_founded_state
+    from repro.semantics.well_founded import finish_well_founded
 
-    state, iterations = well_founded_state(req.gp())
+    state = req.wf_state()
+    iterations = finish_well_founded(state)
     return Solution.from_interpretation(
         "well_founded",
         state.interpretation(),

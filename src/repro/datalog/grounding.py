@@ -1551,8 +1551,14 @@ class GroundDeltaSession:
                 else:
                     self._emit_instance(rule_index, head_pred, head_spec, body_probes, (), ())
 
-    def apply(self, inserted: Sequence[Atom], retracted: Sequence[Atom]) -> None:
-        """Apply one update (retractions first, then insertions)."""
+    def apply(
+        self,
+        inserted: Sequence[Atom],
+        retracted: Sequence[Atom],
+        out: set[int] | None = None,
+    ) -> None:
+        """Apply one update (retractions first, then insertions); the ids
+        it touched are added to ``out`` when one is given."""
         intern = self.pool.intern
         sorted_keys = self.sorted_keys
         touched = self._touched
@@ -1605,10 +1611,11 @@ class GroundDeltaSession:
                 touched.add(a)
         if self.table._eager:
             self.table._materialize()  # resync the eager mirror with the appends
-        self._publish()
+        self._publish(out)
 
-    def _publish(self) -> None:
-        """Patch the touched ids, then publish a :class:`GroundIndex` of copies."""
+    def _publish(self, out: set[int] | None = None) -> None:
+        """Patch the touched ids, then publish a :class:`GroundIndex` of copies
+        (and hand the touched ids to ``out``)."""
         from repro.ground.model import FALSE, TRUE, UNDEF
 
         csr = self.csr
@@ -1699,6 +1706,8 @@ class GroundDeltaSession:
         csr.initial_status = idx.initial_status
         self.gp._index_cache = idx
         self._published = idx
+        if out is not None:
+            out.update(touched)
         touched.clear()
         self._first_rule = n_rules
         self._first_rank = len(self.sorted_keys)
@@ -1776,7 +1785,10 @@ def _universe_unchanged(
 
 
 def _apply_full_delta(
-    gp: "GroundProgram", inserted: Sequence[Atom], retracted: Sequence[Atom]
+    gp: "GroundProgram",
+    inserted: Sequence[Atom],
+    retracted: Sequence[Atom],
+    out: set[int] | None,
 ) -> bool:
     """Full-mode fast path: the dense atom/instance space is already
     total over the universe, so a fact delta is a pure M₀ flip."""
@@ -1817,6 +1829,8 @@ def _apply_full_delta(
     csr = getattr(gp, "_csr", None)
     if csr is not None:
         csr.initial_status = status
+    if out is not None:
+        out.update(touched)
     return True
 
 
@@ -1824,6 +1838,8 @@ def apply_facts_delta(
     gp: "GroundProgram",
     inserted: Sequence[Atom] = (),
     retracted: Sequence[Atom] = (),
+    *,
+    touched: set[int] | None = None,
 ) -> bool:
     """Apply EDB fact deltas to a live ground program, in place.
 
@@ -1837,13 +1853,18 @@ def apply_facts_delta(
     instance resurrection), or a hand-grown atom table — in which case
     the ground program is left as it was and the caller should re-ground
     from scratch.
+
+    On success the atom ids the update touched are added to ``touched``
+    when one is given: atoms whose M₀, support or U\\* membership changed,
+    new atoms, and the heads of added, enabled or disabled instances —
+    the seeds of :meth:`~repro.ground.state.GroundGraphState.reopened`.
     """
     inserted = list(inserted)
     retracted = list(retracted)
     if not inserted and not retracted:
         return True
     if gp.mode == "full":
-        return _apply_full_delta(gp, inserted, retracted)
+        return _apply_full_delta(gp, inserted, retracted, touched)
     if gp.mode != "relevant":
         return False
     session: GroundDeltaSession | None = getattr(gp, "_delta_session", None)
@@ -1867,5 +1888,5 @@ def apply_facts_delta(
     if session is None:
         session = GroundDeltaSession(gp)
         gp._delta_session = session
-    session.apply(inserted, retracted)
+    session.apply(inserted, retracted, touched)
     return True

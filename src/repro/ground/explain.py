@@ -64,8 +64,8 @@ def explain(state: GroundGraphState, atom: Atom, *, max_depth: int = 12) -> Expl
     """Explain the value of ``atom`` in a finished interpreter state.
 
     Pass the ``state`` of a ground-graph :class:`~repro.api.Solution`
-    (``well_founded``, ``tie_breaking`` or ``pure_tie_breaking``), or the
-    state returned by :func:`~repro.semantics.well_founded.well_founded_state`.
+    (``well_founded``, ``tie_breaking`` or ``pure_tie_breaking``), or a
+    state :func:`~repro.semantics.well_founded.finish_well_founded` ran on.
     """
     gp = state.gp
     index = gp.atoms.get(atom)

@@ -45,11 +45,13 @@ class Interpretation:
     def value(self, atom: Atom) -> Optional[bool]:
         """Truth value of a ground atom: True / False / None (undefined)."""
         index = self.ground_program.atoms.get(atom)
-        # Streaming updates can append atoms to the shared table after
-        # this snapshot was taken; ids beyond the snapshot degrade to the
-        # same closed-world default as unmaterialized atoms.
-        if index is not None and index < len(self.status):
-            return _BOOL_OF[self.status[index]]
+        if index is not None:
+            # Streaming updates can append atoms to the shared table after
+            # this snapshot was taken.  Such an atom was not materialized
+            # when the snapshot was taken, and every Δ fact of a grounding
+            # is, so the snapshot reads it as false — never from the live
+            # database, which has moved on since.
+            return _BOOL_OF[self.status[index]] if index < len(self.status) else False
         if atom.predicate in self.ground_program.program.edb_predicates:
             return self.ground_program.database.contains_atom(atom)
         return False

@@ -84,6 +84,7 @@ _R_EDB_ABSENT = 2
 _R_FIRED = 3
 _R_NO_SUPPORT = 4
 _R_ASSIGNED = 5
+_R_UNFOUNDED = 6  # argument: the round number, or -1 for an unnumbered round
 
 _KIND_TUPLES = {
     _R_DELTA: ("delta",),
@@ -246,7 +247,9 @@ class GroundGraphState:
         #   ("edb-absent",)     — EDB atom outside Δ
         #   ("fired", r)        — head of rule instance r, body all true
         #   ("no-support",)     — every rule instance for it was deleted
-        #   ("assigned", label) — external assignment (unfounded set / tie)
+        #   ("assigned", label) — external assignment (unfounded set / tie);
+        #                           falsify_unfounded stores its round number
+        #                           instead of interning ("unfounded", k)
         self._reason_kind = bytearray(n_atoms)
         self._reason_arg: list[int] = [0] * n_atoms
         self._labels: list[tuple | None] = []
@@ -364,6 +367,9 @@ class GroundGraphState:
             return ("fired", self._reason_arg[index])
         if kind == _R_ASSIGNED:
             return ("assigned", self._labels[self._reason_arg[index]])
+        if kind == _R_UNFOUNDED:
+            k = self._reason_arg[index]
+            return ("assigned", ("unfounded", None if k < 0 else k))
         return _KIND_TUPLES[kind]
 
     # -- assignment and closure --------------------------------------------
@@ -404,7 +410,9 @@ class GroundGraphState:
         """
         if value not in (TRUE, FALSE):
             raise SemanticsError("assign() takes TRUE or FALSE")
-        arg = self._intern_label(label)
+        self._assign_batch(indices, value, _R_ASSIGNED, self._intern_label(label))
+
+    def _assign_batch(self, indices: Iterable[int], value: int, reason: int, arg: int) -> None:
         status = self.status
         kind = self._reason_kind
         reason_arg = self._reason_arg
@@ -417,7 +425,7 @@ class GroundGraphState:
             if current != UNDEF:
                 raise CloseConflictError(index)
             status[index] = value
-            kind[index] = _R_ASSIGNED
+            kind[index] = reason
             reason_arg[index] = arg
             if trail is not None:
                 trail.append((_T_SET, index))
@@ -702,7 +710,9 @@ class GroundGraphState:
         the number of nonempty rounds.  Provenance labels are
         ``("unfounded", k)`` with ``k`` counting from ``start``
         (``numbered=False`` records ``("unfounded", None)``, matching the
-        tie-breaking interpreter's convention).
+        tie-breaking interpreter's convention).  The round number is
+        stored in the atom's reason slot, so no label is interned and a
+        state that runs many cascades keeps a bounded label table.
         """
         self._require_closed()
         rounds = 0
@@ -713,12 +723,12 @@ class GroundGraphState:
             if not sourceless:
                 self.phase_s["unfounded_s"] += perf_counter() - t0
                 return rounds
-            label = ("unfounded", start + rounds if numbered else None)
+            k = start + rounds if numbered else -1
             rounds += 1
             # Sorted order keeps the close trajectory (and hence
             # fired-rule provenance) identical to the step-by-step
             # unfounded_atoms()/assign_many() loop.
-            self.assign_many(sorted(sourceless), FALSE, label)
+            self._assign_batch(sorted(sourceless), FALSE, _R_UNFOUNDED, k)
             self.phase_s["unfounded_s"] += perf_counter() - t0
             self.close()
 
@@ -1551,6 +1561,170 @@ class GroundGraphState:
         other._tie_heap = list(self._tie_heap)
         other._trail = None
         other.phase_s = dict(self.phase_s)
+        return other
+
+    def reopened(self, touched: Iterable[int]) -> "GroundGraphState":
+        """A copy of this finished well-founded state, moved onto the ground
+        program's current index, with the forward cone of ``touched`` reset.
+
+        ``self`` must be the end state of a well-founded run (``close``
+        and :meth:`falsify_unfounded` to fixpoint) over an earlier index
+        of the same ground program, and ``touched`` must hold every atom
+        the streaming updates since then touched: atoms whose M₀, support
+        or U\\* membership changed, new atoms, and the heads of added,
+        enabled or disabled instances.  The well-founded model is
+        relevant — an atom's value depends only on the rule instances in
+        its backward cone — so only atoms in the forward closure of
+        ``touched`` (through instances the current index keeps alive) can
+        change value.  The copy resets exactly those atoms to undefined
+        and live with no reason and no source, recomputes liveness and
+        counters of every instance whose head is in the cone from the
+        current values of its body, and queues the cone's M₀ values, the
+        instances that fire at once and the unsupported atoms for
+        ``close``.  The cone is queued as the unfounded query's lost set,
+        so the next query re-derives sources inside it only: no atom
+        outside the cone depends on one inside it.
+
+        The caller finishes the copy with ``close()`` and
+        ``falsify_unfounded()``, which then count only the cone's rounds.
+        ``self`` is not mutated.  Reasons outside the cone carry over and
+        stay valid derivations, since their backward cones did not change.
+        """
+        self._require_closed()
+        other = self.clone()
+        idx = self.gp.index
+        n_atoms, n_rules = idx.n_atoms, idx.n_rules
+        grow = n_atoms - self.n_atoms
+        if grow:
+            other.status.extend([UNDEF] * grow)
+            other.atom_alive.extend(bytes(grow))
+            other._atom_slot.extend([-1] * grow)
+            other._reason_kind.extend(bytes(grow))
+            other._reason_arg.extend([0] * grow)
+            other.atom_support.extend([0] * grow)
+            other._src.extend([-1] * grow)
+        if n_rules > self.n_rules:
+            grow = n_rules - self.n_rules
+            other.rule_alive.extend(bytes(grow))
+            other._rule_slot.extend([-1] * grow)
+            other.rule_pending.extend([0] * grow)
+            other.pos_live.extend([0] * grow)
+        other._idx = idx
+        other.n_atoms = n_atoms
+        other.n_rules = n_rules
+        other._order = idx.atom_order
+        # Nothing here keeps the condensation: it is rebuilt on demand.
+        other._scc_comps = None
+        other._scc_comp_of = None
+        other._scc_incross = {}
+        other._scc_bottom = set()
+        other._scc_bottom_obj = {}
+        other._scc_dirty = set()
+        other._tie_sides = {}
+        other._tie_heap = []
+        other.phase_s = dict.fromkeys(other.phase_s, 0.0)
+
+        # The cone: forward closure of the touched atoms through every
+        # instance the index keeps alive, fired or killed ones included.
+        scratch = other._scratch
+        scratch.grow(n_atoms, n_rules)
+        scratch.epoch += 1
+        epoch = scratch.epoch
+        mark = scratch.atom_mark
+        index_alive = idx.initial_rule_alive
+        head_of = idx.head_of_t
+        pos_occ_t, neg_occ_t = idx.pos_occ_t, idx.neg_occ_t
+        cone: list[int] = []
+        for a in touched:
+            if mark[a] != epoch:
+                mark[a] = epoch
+                cone.append(a)
+        for a in cone:  # grows while iterated: a breadth-first sweep
+            for occ in (pos_occ_t[a], neg_occ_t[a]):
+                for r in occ:
+                    if index_alive is None or index_alive[r]:
+                        h = head_of[r]
+                        if mark[h] != epoch:
+                            mark[h] = epoch
+                            cone.append(h)
+
+        status = other.status
+        atom_alive = other.atom_alive
+        live_atoms, atom_slot = other._live_atoms, other._atom_slot
+        kind, src = other._reason_kind, other._src
+        for a in cone:
+            status[a] = UNDEF
+            kind[a] = _R_NONE
+            src[a] = -1
+            if not atom_alive[a]:
+                atom_alive[a] = 1
+                atom_slot[a] = len(live_atoms)
+                live_atoms.append(a)
+                other._live_atom_count += 1
+
+        # Every instance headed in the cone, from its body's current values
+        # (live = undefined at this point: the base was closed).  Any
+        # instance the index keeps alive with a cone atom in its body is
+        # headed in the cone; the others are dead and never read.
+        rule_alive = other.rule_alive
+        live_rules, rule_slot = other._live_rules, other._rule_slot
+        rule_pending, pos_live, support = other.rule_pending, other.pos_live, other.atom_support
+        pos_off, pos_atoms = idx.pos_off, idx.pos_atoms
+        neg_off, neg_atoms = idx.neg_off, idx.neg_atoms
+        ready: list[int] = []
+        for a in cone:
+            count = 0
+            for r in idx.rules_by_head_t[a]:
+                dead = index_alive is not None and not index_alive[r]
+                live_pos = 0
+                for b in pos_atoms[pos_off[r] : pos_off[r + 1]]:
+                    value = status[b]
+                    if value == UNDEF:
+                        live_pos += 1
+                    elif value == FALSE:
+                        dead = True
+                pending = live_pos
+                for b in neg_atoms[neg_off[r] : neg_off[r + 1]]:
+                    value = status[b]
+                    if value == UNDEF:
+                        pending += 1
+                    elif value == TRUE:
+                        dead = True
+                pos_live[r] = live_pos
+                rule_pending[r] = pending
+                if dead:
+                    if rule_alive[r]:
+                        rule_alive[r] = 0
+                        slot = rule_slot[r]
+                        last = live_rules.pop()
+                        if last != r:
+                            live_rules[slot] = last
+                            rule_slot[last] = slot
+                        rule_slot[r] = -1
+                    continue
+                if not rule_alive[r]:
+                    rule_alive[r] = 1
+                    rule_slot[r] = len(live_rules)
+                    live_rules.append(r)
+                count += 1
+                if pending == 0:
+                    ready.append(r)
+            support[a] = count
+
+        # The work close() would have found for the cone in a fresh run:
+        # M₀ values, instances with every premise satisfied, atoms left
+        # without a live instance.
+        initial = idx.initial_status
+        for a in cone:
+            value = initial[a]
+            if value != UNDEF:
+                other._set(a, value, _R_DELTA if value == TRUE else _R_EDB_ABSENT)
+        for r in ready:
+            other._fire(r)
+        for a in cone:
+            if status[a] == UNDEF and support[a] == 0:
+                other._set(a, FALSE, _R_NO_SUPPORT)
+        other._unf_lost = cone
         return other
 
     # -- results -------------------------------------------------------------

@@ -30,7 +30,8 @@ from repro.datalog.grounding import GroundingMode, ground, universe_of
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.graphs.scc import strongly_connected_components
-from repro.semantics.well_founded import well_founded_state
+from repro.ground.state import GroundGraphState
+from repro.semantics.well_founded import finish_well_founded
 
 __all__: list[str] = []
 
@@ -94,7 +95,9 @@ def _modular_model(
         gp = ground(
             subprogram, decided, mode=grounding, extra_constants=global_universe
         )
-        model = well_founded_state(gp)[0].interpretation()
+        state = GroundGraphState(gp)
+        finish_well_founded(state)
+        model = state.interpretation()
 
         component_set = set(predicates)
         for atom in model.true_atoms():

@@ -11,6 +11,17 @@ registry default) is exact for this semantics: atoms outside the
 upper-bound model form an unfounded set and are false in the well-founded
 model either way (property-tested against ``'full'``).
 
+The well-founded model is also *relevant* in the other direction: an
+atom's value depends only on the rule instances in its backward
+dependency cone.  A live :class:`~repro.api.Engine` uses that across
+streaming updates.  It keeps the end state of its last well-founded solve
+per grounding mode, and the next solve runs the same cascade
+(:func:`finish_well_founded`) on
+:meth:`~repro.ground.state.GroundGraphState.reopened`: a copy where only
+the forward cone of the atoms the updates touched is reset.  The
+solution's ``iterations`` then counts the unfounded rounds that solve
+ran, inside the cone only.
+
 >>> from repro.api import Engine
 >>> engine = Engine("win(X) :- move(X, Y), not win(Y).", "move(1, 2). move(2, 3).")
 >>> solution = engine.solve("well_founded")
@@ -20,26 +31,25 @@ model either way (property-tested against ``'full'``).
 
 from __future__ import annotations
 
-from repro.datalog.grounding import GroundProgram
 from repro.ground.state import GroundGraphState
 
-__all__ = ["well_founded_state"]
+__all__ = ["finish_well_founded"]
 
 
-def well_founded_state(ground_program: GroundProgram) -> tuple[GroundGraphState, int]:
-    """Run the well-founded interpreter: the final state and its iterations.
+def finish_well_founded(state: GroundGraphState) -> int:
+    """Run Algorithm Well-Founded on ``state`` to its end; return the rounds.
 
-    ``state.interpretation()`` is the well-founded model (total iff
-    ``is_total``); the state itself serves provenance queries
+    Afterwards ``state.interpretation()`` is the well-founded model (total
+    iff ``is_total``); the state itself serves provenance queries
     (:func:`repro.ground.explain.explain`) and ``state.phase_s`` carries
-    the kernel's per-phase solve accounting.  ``iterations`` counts
-    executions of the unfounded-set loop body.  The unfounded loop is the kernel's fused
+    the kernel's per-phase solve accounting.  The loop is ``close`` and
+    then the kernel's fused
     :meth:`~repro.ground.state.GroundGraphState.falsify_unfounded`
-    cascade — each round reuses the source pointers maintained by
-    ``close`` instead of re-deriving the whole live graph.
+    cascade: each round reuses the source pointers maintained by
+    ``close`` instead of re-deriving the whole live graph.  The return
+    value counts the nonempty unfounded rounds *this* call ran, so a
+    reopened state reports the rounds its cone needed.
     """
-    state = GroundGraphState(ground_program)
     state.close()
-    iterations = state.falsify_unfounded(numbered=True)
-    return state, iterations
+    return state.falsify_unfounded(numbered=True)
 

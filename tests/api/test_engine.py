@@ -370,6 +370,59 @@ class TestTieCheckpoint:
         assert first.timings["solve_s"] >= engine.timings["checkpoint_s"]
 
 
+class TestWellFoundedPatch:
+    """A well_founded solve after an update reopens the last end state."""
+
+    # Retracting e(2) kills b(2)'s only support: the fresh solve over the
+    # new database still runs the a(1)/b(1) unfounded round; the patched
+    # solve re-solves the cone of e(2) only, which needs none.
+    CONE = "a(X) :- b(X), e(X). b(X) :- a(X). c(X) :- e(X), not a(X)."
+    CONE_DB = "e(1). e(2). k(2)."
+
+    def test_solves_after_updates_are_patches(self):
+        engine = Engine(*families.grounded_argumentation(40))
+        engine.solve("well_founded")
+        assert engine.stats()["wf_patches"] == 0
+        engine.insert_facts("attacks(0, 39)")
+        engine.retract_facts("attacks(0, 39)")
+        engine.solve("well_founded")
+        engine.solve("well_founded")  # a cache hit, not a patch
+        assert engine.stats()["wf_patches"] == 1
+
+    def test_iterations_count_the_rounds_of_this_solve(self):
+        engine = Engine(self.CONE, self.CONE_DB, grounding="full")
+        assert engine.solve("well_founded").iterations == 1
+        engine.retract_facts("e(2)")
+        patched = engine.solve("well_founded")
+        fresh = Engine(self.CONE, engine.database.copy(), grounding="full").solve("well_founded")
+        assert (patched.iterations, fresh.iterations) == (0, 1)
+        assert patched.true_atoms == fresh.true_atoms
+        assert patched.undefined_atoms == fresh.undefined_atoms
+        assert engine.wf_patches == 1
+
+    def test_a_solution_keeps_its_model_after_a_patch(self):
+        engine = Engine(WIN_MOVE, "move(1, 2). move(2, 3).")
+        before = engine.solve("well_founded")
+        engine.insert_facts("move(3, 1)")
+        after = engine.solve("well_founded")
+        assert {str(a) for a in before.true_atoms} == {"move(1, 2)", "move(2, 3)", "win(2)"}
+        assert {str(a) for a in after.undefined_atoms} == {"win(1)", "win(2)", "win(3)"}
+        assert after.state is not before.state
+
+    def test_a_snapshot_does_not_read_facts_inserted_after_it(self):
+        """Regression: an atom id created by a later update was answered
+        from the live database, against the snapshot's own partitions."""
+        from repro.datalog.parser import parse_atom
+
+        engine = Engine(WIN_MOVE, "move(1, 2). move(2, 1). move(2, 3). move(3, 4).")
+        old = engine.solve("well_founded")
+        engine.insert_facts("move(4, 1)")
+        atom = parse_atom("move(4, 1)")
+        assert old.value(atom) is False
+        assert atom not in old.true_atoms
+        assert engine.solve("well_founded").value(atom) is True
+
+
 class TestOptionStrictness:
     def test_solve_rejects_limit(self):
         with pytest.raises(SemanticsError, match="limit"):
