@@ -48,7 +48,7 @@ PAPER_NOTES: dict[str, dict[str, str]] = {
         "paper": "§2 [ABW]",
         "total": "yes (stratified Π)",
         "deterministic": "yes",
-        "notes": "layer-by-layer evaluation",
+        "notes": "well-founded kernel on a stratified Π (Theorem 5, [VRS])",
     },
     "perfect": {
         "paper": "§2 [Prz]",
@@ -155,7 +155,7 @@ def render() -> str:
     for name in names:
         spec = _REGISTRY[name]
         aliases = ", ".join(f"`{a}`" for a in spec.aliases) or "—"
-        grounding = f"`{spec.default_grounding}`" if spec.default_grounding else "(none)"
+        grounding = f"`{spec.default_grounding}`"
         locked = "yes" if spec.grounding_locked else "no"
         options = ", ".join(f"`{o}`" for o in spec.options) or "—"
         lines.append(

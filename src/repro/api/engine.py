@@ -231,14 +231,14 @@ class Engine:
 
     def _resolve_grounding(
         self, spec: SemanticsSpec, requested: GroundingMode | None
-    ) -> GroundingMode | None:
+    ) -> GroundingMode:
         if spec.grounding_locked:
             return requested or spec.default_grounding
         return requested or self.default_grounding or spec.default_grounding
 
     def _request(
         self, spec: SemanticsSpec, options: dict[str, Any], *, enumerating: bool = False
-    ) -> tuple[SolveRequest, dict[str, GroundingMode | None]]:
+    ) -> tuple[SolveRequest, dict[str, Any]]:
         """The runner's request, plus a record of the grounding it used.
 
         The record starts at the resolved mode and becomes the mode of the
@@ -255,7 +255,7 @@ class Engine:
         checked = {k: v for k, v in options.items() if not (enumerating and k == "limit")}
         _check_options(spec, checked)
         grounding = self._resolve_grounding(spec, requested)
-        used: dict[str, GroundingMode | None] = {"mode": grounding}
+        used: dict[str, Any] = {"mode": grounding}
 
         def fetch() -> GroundProgram:
             gp = self.ground_for(grounding, max_instances=max_instances)
@@ -340,9 +340,7 @@ class Engine:
             parts.append((key, description))
         return (spec.name, tuple(parts))
 
-    def _finalize(
-        self, solution: Solution, solve_s: float, grounding: GroundingMode | None
-    ) -> Solution:
+    def _finalize(self, solution: Solution, solve_s: float, grounding: GroundingMode) -> Solution:
         # Keep whatever the solver recorded (the kernel's per-phase solve
         # breakdown: close_s / unfounded_s / tie_select_s / tie_apply_s /
         # tie_analysis_s), add the engine-level pipeline costs on top, and
@@ -556,31 +554,19 @@ class Engine:
         ):
             raise SemanticsError(f"unknown predicate {predicate!r}")
         solution = self.solve(semantics, **options)
-        if solution.model is not None:
-            # Id-native path: walk the partition ids and decode only the
-            # queried predicate's atoms — the full sets are never built.
-            table = solution.model.ground_program.atoms
-            true_rows = frozenset(
-                tuple(c.value for c in a.args)
-                for a in map(table.atom, solution.true_ids)
-                if a.predicate == predicate
-            )
-            undefined_rows = frozenset(
-                tuple(c.value for c in a.args)
-                for a in map(table.atom, solution.undefined_ids)
-                if a.predicate == predicate
-            )
-        else:
-            true_rows = frozenset(
-                tuple(c.value for c in a.args)
-                for a in solution.true_atoms
-                if a.predicate == predicate
-            )
-            undefined_rows = frozenset(
-                tuple(c.value for c in a.args)
-                for a in solution.undefined_atoms
-                if a.predicate == predicate
-            )
+        # Walk the partition ids and decode only the queried predicate's
+        # atoms — the full sets are never built.
+        table = solution.model.ground_program.atoms
+        true_rows = frozenset(
+            tuple(c.value for c in a.args)
+            for a in map(table.atom, solution.true_ids)
+            if a.predicate == predicate
+        )
+        undefined_rows = frozenset(
+            tuple(c.value for c in a.args)
+            for a in map(table.atom, solution.undefined_ids)
+            if a.predicate == predicate
+        )
         if predicate in self.database.predicates():
             true_rows |= frozenset(
                 tuple(c.value for c in row) for row in self.database[predicate]

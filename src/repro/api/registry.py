@@ -20,6 +20,7 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram
 from repro.datalog.program import Program
 from repro.errors import SemanticsError
+from repro.ground.model import Interpretation
 from repro.ground.state import GroundGraphState
 from repro.api.solution import Solution
 
@@ -51,7 +52,7 @@ class SolveRequest:
 
     program: Program
     database: Database
-    grounding: GroundingMode | None
+    grounding: GroundingMode
     gp: Callable[[], GroundProgram]
     options: Mapping[str, Any]
     tie_state: Callable[[bool], GroundGraphState]
@@ -63,8 +64,7 @@ class SemanticsSpec:
     """One semantics, declaratively.
 
     * ``default_grounding`` — mode used when neither the engine nor the
-      call site picks one; ``None`` means the semantics never touches the
-      ground graph (it evaluates on the program/database directly);
+      call site picks one;
     * ``grounding_locked`` — the semantics' *results* depend on its
       grounding mode (e.g. Fitting requires full grounding; pure
       tie-breaking, completion, and stable enumeration are sound only on
@@ -82,7 +82,7 @@ class SemanticsSpec:
     solver: Callable[[SolveRequest], Solution]
     enumerator: Callable[[SolveRequest], Iterator[Solution]] | None = None
     aliases: tuple[str, ...] = ()
-    default_grounding: GroundingMode | None = "relevant"
+    default_grounding: GroundingMode = "relevant"
     grounding_locked: bool = False
     options: tuple[str, ...] = ()
 
@@ -151,7 +151,9 @@ def _check_options(spec: SemanticsSpec, options: Mapping[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 # Built-in semantics runners.  Each hands the engine's ground program to
 # the private implementation in its repro.semantics module and wraps the
-# kernel values it returns — this is the one place a Solution is built.
+# model it returns over that program — this is the one place a Solution is
+# built.  The set-based semantics (stratified, modular, completion, stable)
+# mark their solutions closed_world.
 # ---------------------------------------------------------------------------
 
 
@@ -217,48 +219,48 @@ def _solve_alternating(req: SolveRequest) -> Solution:
 
 
 def _solve_stratified(req: SolveRequest) -> Solution:
-    from repro.semantics.stratified import _stratified_model
+    # On a stratified program the well-founded model is total and equals
+    # the stratified model (Van Gelder, Ross and Schlipf).
+    from repro.semantics.stratified import stratification
 
-    kwargs = {}
-    if "max_branch" in req.options:
-        kwargs["max_branch"] = req.options["max_branch"]
-    trues = _stratified_model(req.program, req.database, **kwargs)
-    return Solution.from_true_set("stratified", trues)
+    if stratification(req.program) is None:
+        raise SemanticsError("program is not stratified")
+    return _solve_well_founded(req).replace(
+        semantics="stratified", iterations=None, closed_world=True
+    )
 
 
 def _solve_modular(req: SolveRequest) -> Solution:
     from repro.semantics.modular import _modular_model
 
-    trues, undefined, components = _modular_model(req.program, req.database, req.grounding)
-    return Solution.from_true_set(
-        "modular", trues, undefined_atoms=undefined, iterations=components
-    )
+    model, components = _modular_model(req.gp())
+    return Solution.from_interpretation("modular", model, iterations=components, closed_world=True)
 
 
 def _enumerate_completion(req: SolveRequest) -> Iterator[Solution]:
     from repro.semantics.completion import _enumerate_fixpoints
 
-    for trues in _enumerate_fixpoints(req.gp(), limit=req.options.get("limit")):
-        yield Solution.from_true_set("completion", trues)
+    for model in _enumerate_fixpoints(req.gp(), limit=req.options.get("limit")):
+        yield Solution.from_interpretation("completion", model, closed_world=True)
 
 
 def _solve_completion(req: SolveRequest) -> Solution:
     for solution in _enumerate_completion(req):
         return solution
-    return Solution.not_found("completion")
+    return Solution.not_found("completion", Interpretation(req.gp(), ()))
 
 
 def _enumerate_stable(req: SolveRequest) -> Iterator[Solution]:
     from repro.semantics.stable import _enumerate_stable_models
 
-    for trues in _enumerate_stable_models(req.gp(), limit=req.options.get("limit")):
-        yield Solution.from_true_set("stable", trues)
+    for model in _enumerate_stable_models(req.gp(), limit=req.options.get("limit")):
+        yield Solution.from_interpretation("stable", model, closed_world=True)
 
 
 def _solve_stable(req: SolveRequest) -> Solution:
     for solution in _enumerate_stable(req):
         return solution
-    return Solution.not_found("stable")
+    return Solution.not_found("stable", Interpretation(req.gp(), ()))
 
 
 register(
@@ -320,10 +322,9 @@ register(
 register(
     SemanticsSpec(
         name="stratified",
-        summary="level-by-level standard model of a stratified program (no grounding)",
+        summary="standard model of a stratified program (the total well-founded model)",
         solver=_solve_stratified,
-        default_grounding=None,
-        options=("max_branch",),
+        default_grounding="relevant",
     )
 )
 

@@ -7,26 +7,24 @@ it), per-phase timings, and the evaluation state for ``explain``.  JSON
 serialization lives in
 :func:`repro.io.json_io.solution_to_json` (schema ``repro-solution/1``).
 
-Two model conventions coexist, mirroring the interpreters:
-
-* **materialized** — ``false_atoms`` is a set: the ground program's atom
-  table was walked and every materialized atom received a value (the
-  ground-graph semantics);
-* **closed-world** — ``false_atoms`` is ``None``: only the true (and
-  possibly undefined) atoms are listed and everything else is false
-  (the set-based semantics: stratified, stable, completion, modular).
-
-Since PR 10 the materialized convention is **id-native and lazy**: a
-model-backed solution stores only the kernel's
-:class:`~repro.ground.model.Interpretation` (a status array over the
-ground program's dense atom ids).  ``true_ids`` / ``false_ids`` /
-``undefined_ids`` partition those ids with one status scan;
-``true_atoms`` / ``false_atoms`` / ``undefined_atoms`` decode the ids
-into :class:`~repro.datalog.atoms.Atom` sets *once, on first touch* —
-callers that only need membership (``value``, ``query_many``) or the
+A solution has one representation: the
+:class:`~repro.ground.model.Interpretation` its runner computed over the
+engine's ground program — a status array over the program's dense atom
+ids.  ``true_ids`` / ``false_ids`` / ``undefined_ids`` partition those ids
+with one status scan; ``true_atoms`` / ``false_atoms`` /
+``undefined_atoms`` decode the ids into
+:class:`~repro.datalog.atoms.Atom` sets *once, on first touch* — callers
+that only need membership (``value``, ``query_many``) or the
 ``repro-solution/1`` encoder (which reads sorted atom strings decoded
 straight from the ids) never pay for the eager sets at all.  Decode
 wall-clock is booked into ``timings["result_s"]``.
+
+One flag changes how the false part is *reported*, never how it is
+stored.  ``closed_world`` is set by the set-based semantics (stratified,
+stable, completion, modular), whose answer is "these atoms are true (or
+undefined), everything else is false": ``false_atoms``, ``false_ids`` and
+the false count then read ``None``, and the wire form writes
+``"false": null``.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycles at type-check time only
 
 __all__ = ["Solution"]
 
-_UNSET = object()
-
 #: (true_ids, false_ids, undefined_ids) — one status scan, cached.
 _IdPartition = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -52,10 +48,8 @@ _FIELDS = (
     "semantics",
     "found",
     "total",
-    "true_atoms",
-    "undefined_atoms",
-    "false_atoms",
     "model",
+    "closed_world",
     "choices",
     "policy",
     "iterations",
@@ -76,19 +70,19 @@ class Solution:
       model (``stable``, ``completion``); deterministic semantics always
       produce their (possibly partial) model;
     * ``total`` — every atom is true or false, nothing undefined;
-    * ``true_atoms`` / ``undefined_atoms`` — frozensets of atoms.  For
-      model-backed solutions these are **lazy views**: nothing is decoded
-      until a property is first read, then the decoded frozenset is
-      cached on the instance (see the module docstring);
-    * ``false_atoms`` — a (lazy) set under the *materialized* convention,
-      or ``None`` under the *closed-world* convention (everything not
-      listed true or undefined is false);
+    * ``model`` — the :class:`~repro.ground.model.Interpretation` over the
+      engine's ground program that every view below reads;
+    * ``closed_world`` — set by the set-based semantics (stratified,
+      stable, completion, modular): the false part is reported as
+      ``None``, meaning "everything not listed true or undefined";
+    * ``true_atoms`` / ``undefined_atoms`` / ``false_atoms`` — **lazy
+      views**: nothing is decoded until a property is first read, then
+      the decoded frozenset is cached on the instance (see the module
+      docstring).  ``false_atoms`` is ``None`` when ``closed_world``;
     * ``true_ids`` / ``false_ids`` / ``undefined_ids`` — the id-native
       partition of the atom table backing the lazy views: sorted tuples
       of dense atom ids, computed with one status scan and no atom
-      decode.  ``None`` for model-less (closed-world) solutions;
-    * ``model`` — the full :class:`~repro.ground.model.Interpretation`
-      for ground-graph semantics, ``None`` for set-based ones;
+      decode.  ``false_ids`` is ``None`` when ``closed_world``;
     * ``choices`` — the tie-orientation trail (one ``TieChoice`` per
       orientation, forced or free), empty for tie-free semantics;
     * ``policy`` — ``repr()`` of the policy that oriented the ties
@@ -96,8 +90,8 @@ class Solution:
     * ``iterations`` — semantics-specific loop count (unfounded-set
       rounds for ``well_founded``, components for ``modular``), or
       ``None``;
-    * ``grounding`` — the grounding mode actually used, ``None`` for
-      semantics that never ground;
+    * ``grounding`` — the grounding mode of the ground program the
+      model is over;
     * ``timings`` — wall-clock seconds per pipeline phase (``parse_s``,
       ``ground_s``, ``compile_s``, ``solve_s``; ``artifact_load_s`` /
       ``artifact_save_s`` when binary artifacts are involved).  The
@@ -121,10 +115,8 @@ class Solution:
         semantics: str,
         found: bool,
         total: bool,
-        true_atoms: frozenset[Atom] | Any = _UNSET,
-        undefined_atoms: frozenset[Atom] | Any = _UNSET,
-        false_atoms: frozenset[Atom] | None | Any = _UNSET,
-        model: Interpretation | None = None,
+        model: Interpretation,
+        closed_world: bool = False,
         choices: tuple["TieChoice", ...] = (),
         policy: str | None = None,
         iterations: int | None = None,
@@ -136,34 +128,17 @@ class Solution:
         self.found = found
         self.total = total
         self.model = model
+        self.closed_world = closed_world
         self.choices = choices
         self.policy = policy
         self.iterations = iterations
         self.grounding = grounding
         self.timings = {} if timings is None else timings
         self.state = state
-        if model is None:
-            # Set-based results are born eager; unset fields default to
-            # the closed-world empty answer.
-            self._true = frozenset() if true_atoms is _UNSET else frozenset(true_atoms)
-            self._undefined = (
-                frozenset() if undefined_atoms is _UNSET else frozenset(undefined_atoms)
-            )
-            self._false = (
-                None
-                if false_atoms is _UNSET or false_atoms is None
-                else frozenset(false_atoms)
-            )
-            self._false_decoded = True
-        else:
-            # Model-backed: whatever was not passed eagerly stays an
-            # undecoded lazy view over the status array.
-            self._true = None if true_atoms is _UNSET else frozenset(true_atoms)
-            self._undefined = (
-                None if undefined_atoms is _UNSET else frozenset(undefined_atoms)
-            )
-            self._false = None if false_atoms is _UNSET else false_atoms
-            self._false_decoded = false_atoms is not _UNSET
+        # Decoded views, filled on first read.
+        self._true: frozenset[Atom] | None = None
+        self._undefined: frozenset[Atom] | None = None
+        self._false: frozenset[Atom] | None = None
         self._ids: _IdPartition | None = None
         self._strs: list[list[str] | None] = [None, None, None]
         self._result_s = 0.0
@@ -215,36 +190,28 @@ class Solution:
         strings = self._strs[which]
         if strings is None:
             t0 = perf_counter()
-            if self.model is not None:
-                ids = self._id_partition()[which]
-                table = self.model.ground_program.atoms
-                strings = sorted(str(table.atom(i)) for i in ids)
-            else:
-                atoms = (self._true, self._false or frozenset(), self._undefined)[which]
-                strings = sorted(str(a) for a in atoms)
+            ids = self._id_partition()[which]
+            table = self.model.ground_program.atoms
+            strings = sorted(str(table.atom(i)) for i in ids)
             self._strs[which] = strings
             self._book_result(perf_counter() - t0)
         return strings
 
     @property
-    def true_ids(self) -> tuple[int, ...] | None:
-        """Atom-table ids with value true (``None`` when model-less)."""
-        if self.model is None:
-            return None
+    def true_ids(self) -> tuple[int, ...]:
+        """Atom-table ids with value true."""
         return self._id_partition()[0]
 
     @property
     def false_ids(self) -> tuple[int, ...] | None:
-        """Atom-table ids with value false (``None`` when model-less)."""
-        if self.model is None:
+        """Atom-table ids with value false (``None`` when ``closed_world``)."""
+        if self.closed_world:
             return None
         return self._id_partition()[1]
 
     @property
-    def undefined_ids(self) -> tuple[int, ...] | None:
-        """Atom-table ids left undefined (``None`` when model-less)."""
-        if self.model is None:
-            return None
+    def undefined_ids(self) -> tuple[int, ...]:
+        """Atom-table ids left undefined."""
         return self._id_partition()[2]
 
     @property
@@ -261,9 +228,11 @@ class Solution:
 
     @property
     def false_atoms(self) -> frozenset[Atom] | None:
-        if self.model is not None and not self._false_decoded:
+        """Atoms with value false (``None`` when ``closed_world``)."""
+        if self.closed_world:
+            return None
+        if self._false is None:
             self._false = self._decode(1)
-            self._false_decoded = True
         return self._false
 
     # -- derived views -----------------------------------------------------
@@ -281,34 +250,19 @@ class Solution:
     def counts(self) -> tuple[int, int | None, int]:
         """``(true, false, undefined)`` cardinalities without atom decode.
 
-        ``false`` is ``None`` under the closed-world convention.  For
-        model-backed solutions this scans the status array once (cached)
-        and never builds an atom set.
+        Scans the status array once (cached) and never builds an atom
+        set.  ``false`` is ``None`` when ``closed_world``.
         """
-        if self.model is not None:
-            true_ids, false_ids, undef_ids = self._id_partition()
-            return len(true_ids), len(false_ids), len(undef_ids)
-        return (
-            len(self._true),
-            None if self._false is None else len(self._false),
-            len(self._undefined),
-        )
+        true_ids, false_ids, undef_ids = self._id_partition()
+        return len(true_ids), None if self.closed_world else len(false_ids), len(undef_ids)
 
     def value(self, atom: Atom) -> bool | None:
         """Three-valued lookup: True / False / None (undefined).
 
-        Model-backed solutions answer straight from the interned atom id
-        (O(1), no set construction); set-based ones consult their sets.
+        Answers straight from the interned atom id (O(1), no set
+        construction).
         """
-        if self.model is not None:
-            return self.model.value(atom)
-        if atom in self.true_atoms:
-            return True
-        if atom in self.undefined_atoms:
-            return None
-        if self.false_atoms is None:  # closed world
-            return False
-        return False if atom in self.false_atoms else None
+        return self.model.value(atom)
 
     def holds(self, atom: Atom) -> bool:
         """True iff the atom is *true* (undefined does not hold)."""
@@ -340,36 +294,21 @@ class Solution:
         """A copy with ``changes`` applied (the ``dataclasses.replace`` of old).
 
         Lazy-view caches (the id partition, any already-decoded sets, the
-        accumulated ``result_s``) carry over, so replacing ``timings`` or
-        ``grounding`` never forces or repeats a decode.
+        accumulated ``result_s``) carry over while the model is unchanged,
+        so replacing ``timings`` or ``grounding`` never forces or repeats
+        a decode.
         """
         unknown = sorted(set(changes) - set(_FIELDS))
         if unknown:
             raise TypeError(f"unknown Solution field(s): {', '.join(unknown)}")
-        lazy_fields = ("true_atoms", "undefined_atoms", "false_atoms")
-        # Read the raw slots, not the properties: touching the properties
-        # here would defeat the laziness this class exists for.
-        kwargs = {
-            name: getattr(self, name)
-            for name in _FIELDS
-            if name not in changes and name not in lazy_fields
-        }
-        if self.model is None:
-            kwargs["true_atoms"] = self._true
-            kwargs["undefined_atoms"] = self._undefined
-            kwargs["false_atoms"] = self._false
+        kwargs = {name: getattr(self, name) for name in _FIELDS}
         kwargs.update(changes)
         new = Solution(**kwargs)
-        if self.model is not None and new.model is self.model:
-            if "true_atoms" not in changes:
-                new._true = self._true
-            if "undefined_atoms" not in changes:
-                new._undefined = self._undefined
-            if "false_atoms" not in changes and self._false_decoded:
-                new._false = self._false
-                new._false_decoded = True
-            if new._ids is None:
-                new._ids = self._ids
+        if new.model is self.model:
+            new._true = self._true
+            new._undefined = self._undefined
+            new._false = self._false
+            new._ids = self._ids
             new._strs = self._strs
             new._result_s = self._result_s
             if self._result_s and isinstance(new.timings, dict):
@@ -383,7 +322,7 @@ class Solution:
         model: Interpretation,
         **extra: Any,
     ) -> "Solution":
-        """Wrap a materialized three-valued model (the ground-graph result).
+        """Wrap a runner's three-valued model over the engine's ground program.
 
         Purely id-native: no atom set is built here — the views decode
         lazily on first read.
@@ -397,35 +336,18 @@ class Solution:
         )
 
     @classmethod
-    def from_true_set(
-        cls,
-        semantics: str,
-        true_atoms: frozenset[Atom],
-        *,
-        undefined_atoms: frozenset[Atom] = frozenset(),
-        **extra: Any,
-    ) -> "Solution":
-        """Wrap a closed-world result (everything unlisted is false)."""
-        return cls(
-            semantics=semantics,
-            found=True,
-            total=not undefined_atoms,
-            true_atoms=frozenset(true_atoms),
-            undefined_atoms=frozenset(undefined_atoms),
-            false_atoms=None,
-            **extra,
-        )
+    def not_found(cls, semantics: str, model: Interpretation, **extra: Any) -> "Solution":
+        """The empty answer of a search semantics with no model.
 
-    @classmethod
-    def not_found(cls, semantics: str, **extra: Any) -> "Solution":
-        """The empty answer of a search semantics with no model."""
+        ``model`` is ``Interpretation(gp, ())`` over the ground program
+        that was searched: no atom has a value.
+        """
         return cls(
             semantics=semantics,
             found=False,
             total=False,
-            true_atoms=frozenset(),
-            undefined_atoms=frozenset(),
-            false_atoms=None,
+            model=model,
+            closed_world=True,
             **extra,
         )
 

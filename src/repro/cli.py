@@ -148,7 +148,7 @@ def _cmd_run(args) -> int:
     else:
         spec = get_spec(args.semantics)  # raises with available names
         name = spec.name
-        takes_grounding = spec.default_grounding is not None
+        takes_grounding = True
         takes_seed = "policy" in spec.options
     options: dict[str, Any] = {}
     if takes_grounding:
@@ -158,7 +158,7 @@ def _cmd_run(args) -> int:
     solution = engine.solve(name, **options)
     if args.json:
         _emit("run", {"solution": solution_to_obj(solution)})
-        return 0 if args.semantics == "stratified" or solution.total else 3
+        return 0 if solution.total else 3
     if args.semantics == "wf":
         print(f"well-founded model ({solution.iterations} unfounded iterations):")
     elif args.semantics == "pure-tb":

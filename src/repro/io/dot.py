@@ -13,7 +13,7 @@ from typing import Optional
 from repro.analysis.program_graph import program_graph
 from repro.datalog.grounding import GroundProgram
 from repro.datalog.program import Program
-from repro.ground.model import FALSE, TRUE, Interpretation
+from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
 __all__ = ["program_graph_dot", "ground_graph_dot"]
 
@@ -55,15 +55,12 @@ def ground_graph_dot(
     gp = ground_program
     lines = ["digraph ground_graph {", "  rankdir=LR;"]
 
+    fill = {TRUE: "palegreen", FALSE: "lightcoral", UNDEF: "lightgray"}
+
     def colour(index: int) -> str:
-        if model is None:
-            return ""
-        status = model.status[index]
-        if status == TRUE:
-            return ', style=filled, fillcolor="palegreen"'
-        if status == FALSE:
-            return ', style=filled, fillcolor="lightcoral"'
-        return ', style=filled, fillcolor="lightgray"'
+        if model:
+            return f', style=filled, fillcolor="{fill[model.status[index]]}"'
+        return ""
 
     for index in range(gp.atom_count):
         label = _quote(str(gp.atoms.atom(index)))

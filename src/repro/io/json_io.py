@@ -153,10 +153,10 @@ def _sorted_atoms(atoms: Iterable[Atom]) -> list[str]:
 def solution_to_obj(solution: "Solution") -> dict[str, Any]:
     """The ``repro-solution/1`` JSON object of one :class:`repro.api.Solution`.
 
-    ``model.false`` is ``null`` for closed-world results (stratified /
-    stable / completion / modular): everything not listed true or undefined
-    is false.  ``timings`` are wall-clock seconds and therefore the only
-    nondeterministic part of the payload.
+    ``model.false`` is ``null`` when ``solution.closed_world`` is set
+    (stratified / stable / completion / modular): everything not listed
+    true or undefined is false.  ``timings`` are wall-clock seconds and
+    therefore the only nondeterministic part of the payload.
 
     The model lists come from the solution's cached sorted atom strings,
     decoded straight from kernel ids (no ``frozenset[Atom]`` is built);
@@ -178,7 +178,6 @@ def solution_to_obj(solution: "Solution") -> dict[str, Any]:
             ],
         }
     true_count, false_count, undefined_count = solution.counts()
-    closed_world = solution.model is None and solution.false_atoms is None
     return {
         "schema": SOLUTION_SCHEMA,
         "semantics": solution.semantics,
@@ -187,7 +186,7 @@ def solution_to_obj(solution: "Solution") -> dict[str, Any]:
         "grounding": solution.grounding,
         "model": {
             "true": list(solution._sorted_strings(0)),
-            "false": None if closed_world else list(solution._sorted_strings(1)),
+            "false": None if solution.closed_world else list(solution._sorted_strings(1)),
             "undefined": list(solution._sorted_strings(2)),
         },
         "counts": {

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.datalog.atoms import Atom
 from repro.datalog.grounding import GroundProgram
+from repro.ground.model import FALSE, TRUE, Interpretation
 from repro.sat.cnf import CNF
 from repro.sat.solver import enumerate_models
 
@@ -54,14 +54,15 @@ class CompletionEncoding:
     atom_var: list[int]
     free_vars: list[int]
 
-    def model_to_atoms(self, projection: dict[int, bool]) -> frozenset[Atom]:
-        """Translate a projected SAT model into the fixpoint's true set."""
-        gp = self.ground_program
-        true_atoms: set[Atom] = set(gp.database.atoms())
-        for index, var in enumerate(self.atom_var):
-            if projection.get(var):
-                true_atoms.add(gp.atoms.atom(index))
-        return frozenset(true_atoms)
+    def model_to_interpretation(self, projection: dict[int, bool]) -> Interpretation:
+        """Translate a projected SAT model into the fixpoint over the ground
+        program: Δ and the projected true atoms TRUE, every other atom FALSE."""
+        initial = self.ground_program.index.initial_status
+        status = tuple(
+            TRUE if initial[index] == TRUE or projection.get(var) else FALSE
+            for index, var in enumerate(self.atom_var)
+        )
+        return Interpretation(self.ground_program, status)
 
 
 def clark_completion(ground_program: GroundProgram) -> CompletionEncoding:
@@ -111,8 +112,8 @@ def clark_completion(ground_program: GroundProgram) -> CompletionEncoding:
 
 def _enumerate_fixpoints(
     gp: GroundProgram, *, limit: int | None = None
-) -> Iterator[frozenset[Atom]]:
+) -> Iterator[Interpretation]:
     """Implementation behind the ``completion`` registry entry."""
     encoding = clark_completion(gp)
     for projection in enumerate_models(encoding.cnf, encoding.free_vars, limit=limit):
-        yield encoding.model_to_atoms(projection)
+        yield encoding.model_to_interpretation(projection)

@@ -11,9 +11,9 @@ into the sub-evaluation by a two-rule **tie gadget** —
 — which the well-founded semantics leaves undefined, propagating
 three-valuedness exactly (a ground even cycle is the canonical undefined
 pair, §3).  The result equals the monolithic well-founded model on every
-input (differentially tested), while grounding each component against only
-its own slice of the program — the classic win when a program has many
-independent layers.
+input (differentially tested).  Each component is grounded against only
+its own slice of the program, in the mode of the engine's ground program,
+and the answer is reported over that program's atom table.
 
 >>> from repro.api import Engine
 >>> solution = Engine("a :- not b. b :- not a. safe :- e, not a.", "e.").solve("modular")
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from repro.analysis.program_graph import program_graph
 from repro.datalog.atoms import Atom, Literal
-from repro.datalog.database import Database
-from repro.datalog.grounding import GroundingMode, ground, universe_of
+from repro.datalog.grounding import GroundProgram, ground, universe_of
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.graphs.scc import strongly_connected_components
+from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 from repro.ground.state import GroundGraphState
 from repro.semantics.well_founded import finish_well_founded
 
@@ -38,18 +38,32 @@ __all__: list[str] = []
 _AUX_PREFIX = "undef_aux__"
 
 
-def _modular_model(
-    program: Program,
-    database: Database,
-    grounding: GroundingMode,
-) -> tuple[frozenset[Atom], frozenset[Atom], int]:
+def _on_table(
+    gp: GroundProgram, true_atoms: set[Atom], undefined_atoms: set[Atom]
+) -> Interpretation:
+    """The modular answer as a status array over ``gp``'s atom table.
+
+    Every true or undefined atom lies in the upper-bound model U\\*, which
+    each grounding mode materializes, so each has an id.  Every other atom
+    is FALSE.
+    """
+    table = gp.atoms
+    status = [FALSE] * gp.atom_count
+    for value, atoms in ((TRUE, true_atoms), (UNDEF, undefined_atoms)):
+        for atom in atoms:
+            status[table.get(atom)] = value
+    return Interpretation(gp, tuple(status))
+
+
+def _modular_model(gp: GroundProgram) -> tuple[Interpretation, int]:
     """Implementation behind the ``modular`` registry entry.
 
-    Grounds each component itself, in ``grounding`` mode, and returns
-    ``(true_atoms, undefined_atoms, component_count)``: Δ's facts plus the
-    derived IDB atoms, the IDB atoms left open (everything else is false),
-    and the number of components evaluated.
+    Grounds each component itself, in ``gp``'s mode, and returns the
+    model over ``gp`` with the number of components evaluated: Δ's facts
+    and the derived IDB atoms true, the IDB atoms left open undefined,
+    everything else false.
     """
+    program, database = gp.program, gp.database
     graph = program_graph(program)
     succ = graph.successor_lists()
     components = strongly_connected_components(
@@ -92,10 +106,8 @@ def _modular_model(
             gadget_rules.append(Rule(aux, (Literal(atom, False),)))
 
         subprogram = Program(tuple(component_rules) + tuple(gadget_rules))
-        gp = ground(
-            subprogram, decided, mode=grounding, extra_constants=global_universe
-        )
-        state = GroundGraphState(gp)
+        component_gp = ground(subprogram, decided, mode=gp.mode, extra_constants=global_universe)
+        state = GroundGraphState(component_gp)
         finish_well_founded(state)
         model = state.interpretation()
 
@@ -108,4 +120,4 @@ def _modular_model(
             if atom.predicate in component_set:
                 undefined.add(atom)
 
-    return frozenset(true_idb).union(database.atoms()), frozenset(undefined), evaluated
+    return _on_table(gp, true_idb.union(database.atoms()), undefined), evaluated

@@ -184,7 +184,7 @@ def is_stable_model(
 
 def _enumerate_stable_models(
     gp: GroundProgram, *, limit: int | None = None
-) -> Iterator[frozenset[Atom]]:
+) -> Iterator[Interpretation]:
     """Implementation behind the ``stable`` registry entry."""
     program, database = gp.program, gp.database
     fixpoints = _enumerate_fixpoints(gp)

@@ -253,15 +253,9 @@ class TestGroundingSafety:
                 engine.solve(semantics)
             return
         solution = engine.solve(semantics)
-        if semantics == "stratified":
-            expected = None  # evaluates the program directly
-        elif semantics == "modular" or pinned is None:
-            expected = get_spec(semantics).default_grounding  # grounds itself
-        else:
-            expected = pinned
+        expected = pinned or get_spec(semantics).default_grounding
         assert solution.grounding == expected
-        if solution.model is not None:
-            assert solution.model.ground_program.mode == expected
+        assert solution.model.ground_program.mode == expected
         if pinned is not None:
             assert engine.ground_calls == 0
 

@@ -18,6 +18,7 @@ from repro.api import (
 )
 from repro.api.registry import _ALIASES, _REGISTRY
 from repro.errors import SemanticsError
+from repro.ground.model import FALSE, Interpretation
 
 WIN_MOVE = "win(X) :- move(X, Y), not win(Y)."
 
@@ -55,13 +56,16 @@ class TestRegistry:
 
     def test_new_semantics_plugs_in_with_a_spec(self):
         def solver(req):
-            return Solution.from_true_set("always_empty", frozenset())
+            gp = req.gp()
+            return Solution.from_interpretation(
+                "always_empty", Interpretation(gp, (FALSE,) * gp.atom_count)
+            )
 
         spec = SemanticsSpec(
             name="always_empty",
             summary="test-only: the empty model",
             solver=solver,
-            default_grounding=None,
+            default_grounding="relevant",
             aliases=("nothing",),
         )
         register(spec)
@@ -156,7 +160,7 @@ class TestSolutionSchema:
         assert payload["model"]["false"] is None  # closed world
         assert payload["counts"]["false"] is None
         assert payload["model"]["true"] == ["e(1)", "t(1)"]
-        assert payload["grounding"] is None  # stratified never grounds
+        assert payload["grounding"] == "relevant"  # the well-founded kernel's grounding
 
     def test_materialized_solution_json_sorted_deterministically(self):
         engine = Engine(WIN_MOVE, "move(2, 1). move(1, 2).")

@@ -90,15 +90,8 @@ def test_lazy_views_match_eager_oracle(name, make):
     assert solved, name
     for semantics, _engine, solution in solved:
         label = (name, semantics)
-        if solution.model is None:
-            # Closed-world results are born eager; the id views are absent.
-            assert solution.true_ids is None, label
-            assert solution.false_ids is None, label
-            assert solution.undefined_ids is None, label
-            true, false, undefined = solution.counts()
-            assert true == len(solution.true_atoms), label
-            assert undefined == len(solution.undefined_atoms), label
-            continue
+        # A closed-world solution reports no false part.
+        closed = solution.closed_world
         # Nothing read yet: the solve itself must not have decoded.
         assert solution.timings.get("result_s", 0.0) == 0.0, label
         status = solution.model.status
@@ -106,11 +99,11 @@ def test_lazy_views_match_eager_oracle(name, make):
         expect_false = tuple(i for i, s in enumerate(status) if s == FALSE)
         expect_undef = tuple(i for i, s in enumerate(status) if s == UNDEF)
         assert solution.true_ids == expect_true, label
-        assert solution.false_ids == expect_false, label
+        assert solution.false_ids == (None if closed else expect_false), label
         assert solution.undefined_ids == expect_undef, label
         assert solution.counts() == (
             len(expect_true),
-            len(expect_false),
+            None if closed else len(expect_false),
             len(expect_undef),
         ), label
         oracle_true, oracle_false, oracle_undef = _eager_oracle(solution.model)
@@ -121,7 +114,7 @@ def test_lazy_views_match_eager_oracle(name, make):
             assert solution.value(atom) is None, label
         # First touch decodes; the decoded views must equal the oracle.
         assert solution.true_atoms == oracle_true, label
-        assert solution.false_atoms == oracle_false, label
+        assert solution.false_atoms == (None if closed else oracle_false), label
         assert solution.undefined_atoms == oracle_undef, label
         assert solution.timings["result_s"] > 0.0, label
 
