@@ -14,10 +14,14 @@ ids.  ``true_ids`` / ``false_ids`` / ``undefined_ids`` partition those ids
 with one status scan; ``true_atoms`` / ``false_atoms`` /
 ``undefined_atoms`` decode the ids into
 :class:`~repro.datalog.atoms.Atom` sets *once, on first touch* — callers
-that only need membership (``value``, ``query_many``) or the
-``repro-solution/1`` encoder (which reads sorted atom strings decoded
-straight from the ids) never pay for the eager sets at all.  Decode
-wall-clock is booked into ``timings["result_s"]``.
+that only need membership (``value``, ``query_many``) never pay for the
+eager sets at all.  Decode wall-clock is booked into
+``timings["result_s"]``.
+
+``texts()`` — what the ``repro-solution/1`` encoder and the CLI print —
+reads the atom table's :class:`~repro.datalog.grounding.LiteralTable`
+(every atom's text, in string order, built once per table) and keeps
+nothing on the solution: a cached solution holds no encode output.
 
 One flag changes how the false part is *reported*, never how it is
 stored.  ``closed_world`` is set by the set-based semantics (stratified,
@@ -98,8 +102,8 @@ class Solution:
       ground-graph interpreters additionally break ``solve_s`` down into
       the kernel phases ``close_s`` / ``unfounded_s`` / ``tie_select_s``
       / ``tie_apply_s`` / ``tie_analysis_s`` (summing to ~``solve_s``);
-      ``result_s`` accumulates lazy-decode/encode wall clock as views
-      are touched (booked non-overlapping with ``solve_s``);
+      ``result_s`` accumulates the ``*_atoms`` decode wall clock as those
+      views are touched (booked non-overlapping with ``solve_s``);
     * ``state`` — the retained evaluation state for ``explain``, or
       ``None``.
 
@@ -140,13 +144,12 @@ class Solution:
         self._undefined: frozenset[Atom] | None = None
         self._false: frozenset[Atom] | None = None
         self._ids: _IdPartition | None = None
-        self._strs: list[list[str] | None] = [None, None, None]
         self._result_s = 0.0
 
     # -- lazy id partition and decoded views -------------------------------
 
     def _book_result(self, dt: float) -> None:
-        """Accumulate decode/encode wall clock into ``timings["result_s"]``."""
+        """Accumulate ``*_atoms`` decode wall clock into ``timings["result_s"]``."""
         self._result_s += dt
         timings = self.timings
         if isinstance(timings, dict):
@@ -155,7 +158,6 @@ class Solution:
     def _id_partition(self) -> _IdPartition:
         ids = self._ids
         if ids is None:
-            t0 = perf_counter()
             true_ids: list[int] = []
             false_ids: list[int] = []
             undef_ids: list[int] = []
@@ -168,7 +170,6 @@ class Solution:
                 push[status](index)
             ids = (tuple(true_ids), tuple(false_ids), tuple(undef_ids))
             self._ids = ids
-            self._book_result(perf_counter() - t0)
         return ids
 
     def _decode(self, which: int) -> frozenset[Atom]:
@@ -179,23 +180,23 @@ class Solution:
         self._book_result(perf_counter() - t0)
         return decoded
 
-    def _sorted_strings(self, which: int) -> list[str]:
-        """Sorted atom strings of one partition (0=true, 1=false, 2=undefined).
+    def texts(self) -> tuple[list[str], list[str] | None, list[str]]:
+        """The true / false / undefined atom texts, each in string order.
 
-        The ``repro-solution/1`` encoder's decode path: id → atom → str,
-        sorted, with no intermediate frozenset.  Cached per partition (the
-        cached list itself is returned: copy it before handing it out); the
-        first compute books into ``result_s``.
+        One pass over the atom table's string order reading the status
+        array; fresh lists on every call, nothing cached here and nothing
+        booked.  The false list is ``None`` when ``closed_world``.
         """
-        strings = self._strs[which]
-        if strings is None:
-            t0 = perf_counter()
-            ids = self._id_partition()[which]
-            table = self.model.ground_program.atoms
-            strings = sorted(str(table.atom(i)) for i in ids)
-            self._strs[which] = strings
-            self._book_result(perf_counter() - t0)
-        return strings
+        table = self.model.ground_program.atoms.literal_table()
+        literals, status = table.literals, self.model.status
+        parts: tuple[list[str], ...] = ([], [], [])  # indexed by status
+        push = [part.append for part in parts]
+        n = len(status)
+        for index in table.order:
+            if index < n:  # atoms the table gained after this solve are not in it
+                push[status[index]](literals[index])
+        false = None if self.closed_world else parts[FALSE]
+        return parts[TRUE], false, parts[UNDEF]
 
     @property
     def true_ids(self) -> tuple[int, ...]:
@@ -309,7 +310,6 @@ class Solution:
             new._undefined = self._undefined
             new._false = self._false
             new._ids = self._ids
-            new._strs = self._strs
             new._result_s = self._result_s
             if self._result_s and isinstance(new.timings, dict):
                 new.timings.setdefault("result_s", self._result_s)

@@ -73,13 +73,14 @@ def _emit(command: str, payload: dict[str, Any]) -> None:
 
 
 def _print_model(solution: Solution, show_false: bool) -> None:
-    for atom in sorted(solution.true_atoms, key=str):
-        print(f"  {atom} = true")
-    if show_false and solution.false_atoms is not None:
-        for atom in sorted(solution.false_atoms, key=str):
-            print(f"  {atom} = false")
-    for atom in sorted(solution.undefined_atoms, key=str):
-        print(f"  {atom} = undefined")
+    true, false, undefined = solution.texts()
+    for text in true:
+        print(f"  {text} = true")
+    if show_false and false is not None:
+        for text in false:
+            print(f"  {text} = false")
+    for text in undefined:
+        print(f"  {text} = undefined")
 
 
 def _odd_cycle_obj(cycle) -> list[list] | None:
@@ -169,8 +170,8 @@ def _cmd_run(args) -> int:
         )
     elif args.semantics == "stratified":
         print("stratified model:")
-        for atom in sorted(solution.true_atoms, key=str):
-            print(f"  {atom} = true")
+        for text in solution.texts()[0]:
+            print(f"  {text} = true")
         return 0
     elif args.semantics == "perfect":
         print("perfect model:")
@@ -200,7 +201,7 @@ def _cmd_fixpoints(args) -> int:
             solutions.append(solution_to_obj(solution))
             continue
         label = "stable model" if args.stable else "fixpoint"
-        body = ", ".join(sorted(str(a) for a in solution.true_atoms)) or "(empty)"
+        body = ", ".join(solution.texts()[0]) or "(empty)"
         print(f"{label} {count}: {body}")
     if args.json:
         _emit("fixpoints", {"stable_only": args.stable, "count": count, "solutions": solutions})
@@ -348,10 +349,13 @@ def _cmd_serve(args) -> int:
     # Aggregate solve-phase stats over *distinct* solves: requests served
     # from an engine's solution cache echo the timings of the solve that
     # populated it, and double-counting those would report more solve
-    # seconds than wall-clock time.
+    # seconds than wall-clock time.  A full reply's encode_s is its own:
+    # it sums over every reply and does not tell solves apart.
     distinct_solves: set[tuple] = set()
+    encode_s = 0.0
     for r in results:
-        timings = r.get("timings")
+        timings = dict(r.get("timings") or {})
+        encode_s += timings.pop("encode_s", 0.0)
         if timings:
             distinct_solves.add(tuple(sorted(timings.items())))
     solve_stats: dict[str, float] = {}
@@ -366,8 +370,8 @@ def _cmd_serve(args) -> int:
             f" / unfounded {solve_stats.get('unfounded_s', 0.0):.3f}"
             f" / tie-select {solve_stats.get('tie_select_s', 0.0):.3f}"
             f" / tie-analysis {solve_stats.get('tie_analysis_s', 0.0):.3f}"
-            f" / tie-apply {solve_stats.get('tie_apply_s', 0.0):.3f}"
-            f" / result {solve_stats.get('result_s', 0.0):.3f})"
+            f" / tie-apply {solve_stats.get('tie_apply_s', 0.0):.3f})"
+            f"; encode {encode_s:.3f}s"
         )
     print(
         f"served {len(results)} request(s) ({failed} failed) in {elapsed:.3f}s "

@@ -57,6 +57,7 @@ from repro.errors import GroundingError
 
 __all__ = [
     "AtomTable",
+    "LiteralTable",
     "GroundRule",
     "GroundIndex",
     "GroundProgram",
@@ -72,8 +73,27 @@ GroundingMode = TypingLiteral["full", "relevant", "edb"]
 GROUNDING_MODES: tuple[str, ...] = get_args(GroundingMode)
 
 
+@dataclass(frozen=True, slots=True)
+class LiteralTable:
+    """The text of every atom of one :class:`AtomTable`, and its string order.
+
+    ``literals[i]`` is ``str()`` of atom ``i``; ``order`` lists the atom
+    ids sorted by that text; ``rank`` is its inverse
+    (``rank[order[k]] == k``).  Every ``repro-solution/1`` encode reads
+    its sorted atom lists from here.  A published table is never mutated:
+    :meth:`AtomTable.literal_table` publishes a new one when the atom
+    table has grown.
+    """
+
+    literals: list[str]
+    order: array
+    rank: array
+
+
 class AtomTable:
     """Bidirectional mapping between ground atoms and dense integer ids."""
+
+    _literal_table: LiteralTable | None = None
 
     def __init__(self) -> None:
         self._ids: dict[Atom, int] = {}
@@ -105,6 +125,38 @@ class AtomTable:
     def atoms(self) -> Sequence[Atom]:
         """All materialized atoms, in id order."""
         return tuple(self._atoms)
+
+    def literal_table(self) -> LiteralTable:
+        """The atoms' texts, in id order and in string order.
+
+        Built on first use.  Atom tables only ever append (delta-overlay
+        growth, the eager ``id_of`` fallback), so a table that has grown
+        since is caught up here, on the next read: the new atoms' texts
+        are appended and the order re-sorted, which is near-linear on a
+        sorted prefix.  The update path itself never touches it.
+        """
+        cached = self._literal_table
+        n = len(self)
+        if cached is not None and len(cached.literals) == n:
+            return cached
+        if cached is None:
+            literals, order = self._texts(0, n), list(range(n))
+        else:
+            done = len(cached.literals)
+            literals = cached.literals + self._texts(done, n)
+            order = cached.order.tolist()
+            order.extend(range(done, n))
+        order.sort(key=literals.__getitem__)
+        rank = array("i", [0]) * n
+        for position, index in enumerate(order):
+            rank[index] = position
+        table = LiteralTable(literals, array("i", order), rank)
+        self._literal_table = table
+        return table
+
+    def _texts(self, start: int, stop: int) -> list[str]:
+        """``str()`` of atoms ``start`` to ``stop - 1``."""
+        return [str(a) for a in self._atoms[start:stop]]
 
 
 class _InternedAtomTable(AtomTable):
@@ -201,6 +253,19 @@ class _InternedAtomTable(AtomTable):
         self._materialize()
         return tuple(self._atoms)
 
+    def _texts(self, start: int, stop: int) -> list[str]:
+        # Rows format from the pool's constant texts; only atoms the eager
+        # id_of fallback appended past the rows go through str(Atom).
+        texts = self._pool.texts()
+        rows_end = min(stop, len(self._pred_of))
+        out = [
+            f"{pred}({', '.join([texts[v] for v in row])})" if row else pred
+            for pred, row in zip(self._pred_of[start:rows_end], self._row_of[start:rows_end])
+        ]
+        if stop > rows_end:
+            out += super()._texts(max(start, rows_end), stop)
+        return out
+
 
 class _DenseAtomTable(AtomTable):
     """Full-grounding atom table with arithmetic (id ↔ atom) conversion.
@@ -290,6 +355,24 @@ class _DenseAtomTable(AtomTable):
     def atoms(self) -> Sequence[Atom]:
         self._materialize()
         return tuple(self._atoms)
+
+    def _texts(self, start: int, stop: int) -> list[str]:
+        # The dense block in id order is every predicate's argument tuples
+        # in universe-lexicographic order; the pool interned the universe
+        # first, so its first n_u texts are the universe's.
+        dense = self._dense_count
+        out: list[str] = []
+        if start < dense:
+            texts = self._pool.texts()[: self._n_u]
+            for pred, arity in zip(self._preds, self._arities):
+                if arity == 0:
+                    out.append(pred)
+                else:
+                    out += [f"{pred}({', '.join(args)})" for args in product(texts, repeat=arity)]
+            out = out[start : min(stop, dense)]
+        if stop > dense:
+            out += super()._texts(max(start, dense), stop)
+        return out
 
 
 @dataclass(frozen=True, slots=True)

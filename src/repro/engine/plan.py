@@ -60,11 +60,12 @@ class ConstantPool:
     serves every grounding mode of an :class:`~repro.api.Engine` session.
     """
 
-    __slots__ = ("_ids", "_constants")
+    __slots__ = ("_ids", "_constants", "_texts")
 
     def __init__(self, constants: Iterable[Constant] = ()) -> None:
         self._ids: dict[Constant, int] = {}
         self._constants: list[Constant] = []
+        self._texts: list[str] = []
         for c in constants:
             self.intern(c)
 
@@ -84,6 +85,18 @@ class ConstantPool:
     def constant(self, index: int) -> Constant:
         """The constant with dense id ``index``."""
         return self._constants[index]
+
+    def texts(self) -> list[str]:
+        """``str()`` of every constant, by id; extended lazily as the pool grows.
+
+        A grown pool publishes a new list rather than appending to the
+        old one, so a reader racing the extension sees a complete list.
+        """
+        texts = self._texts
+        if len(texts) < len(self._constants):
+            texts = texts + [str(c) for c in self._constants[len(texts) :]]
+            self._texts = texts
+        return texts
 
     def __len__(self) -> int:
         return len(self._constants)

@@ -547,6 +547,20 @@ class _ArtifactAtomTable(_InternedAtomTable):
         self._ensure_rows()
         return super().atoms()
 
+    def _texts(self, start: int, stop: int) -> list[str]:
+        if self._built:
+            return super()._texts(start, stop)
+        # Straight from the flat arrays: no row tuples, no lookup dicts.
+        texts = self._pool.texts()
+        preds, atom_pred = self._apreds, self._atom_pred
+        row_off, rows = self._arow_off, self._arows
+        out = []
+        for i in range(start, stop):
+            pred = preds[atom_pred[i]]
+            lo, hi = row_off[i], row_off[i + 1]
+            out.append(f"{pred}({', '.join([texts[v] for v in rows[lo:hi]])})" if hi > lo else pred)
+        return out
+
 
 class _Sections:
     """Typed access to the verified payload sections of one artifact."""

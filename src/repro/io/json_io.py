@@ -23,7 +23,7 @@ its object.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.datalog.atoms import Atom, Literal
 from repro.datalog.database import Database
@@ -146,10 +146,6 @@ def interpretation_to_json(model: Interpretation, *, indent: int | None = 2) -> 
     return json.dumps(payload, indent=indent)
 
 
-def _sorted_atoms(atoms: Iterable[Atom]) -> list[str]:
-    return sorted(str(a) for a in atoms)
-
-
 def solution_to_obj(solution: "Solution") -> dict[str, Any]:
     """The ``repro-solution/1`` JSON object of one :class:`repro.api.Solution`.
 
@@ -158,41 +154,40 @@ def solution_to_obj(solution: "Solution") -> dict[str, Any]:
     true or undefined is false.  ``timings`` are wall-clock seconds and
     therefore the only nondeterministic part of the payload.
 
-    The model lists come from the solution's cached sorted atom strings,
-    decoded straight from kernel ids (no ``frozenset[Atom]`` is built);
-    each call returns fresh lists, so mutating the result cannot corrupt
-    the cache.
+    Every atom list is read from the atom table's
+    :class:`~repro.datalog.grounding.LiteralTable`: the model lists by
+    :meth:`~repro.api.Solution.texts`, each tie choice's ids sorted by
+    their string-order rank.  No atom is decoded and nothing is cached on
+    the solution, so each call returns fresh lists.
     """
     ties = None
     if solution.choices or solution.policy is not None:
+        table = solution.model.ground_program.atoms.literal_table()
+        literals, rank = table.literals, table.rank.__getitem__
         ties = {
             "policy": solution.policy,
             "free_choices": solution.free_choice_count,
             "choices": [
                 {
-                    "made_true": _sorted_atoms(choice.made_true),
-                    "made_false": _sorted_atoms(choice.made_false),
+                    "made_true": [literals[i] for i in sorted(choice.true_ids, key=rank)],
+                    "made_false": [literals[i] for i in sorted(choice.false_ids, key=rank)],
                     "forced": choice.forced,
                 }
                 for choice in solution.choices
             ],
         }
-    true_count, false_count, undefined_count = solution.counts()
+    true, false, undefined = solution.texts()
     return {
         "schema": SOLUTION_SCHEMA,
         "semantics": solution.semantics,
         "found": solution.found,
         "total": solution.total,
         "grounding": solution.grounding,
-        "model": {
-            "true": list(solution._sorted_strings(0)),
-            "false": None if solution.closed_world else list(solution._sorted_strings(1)),
-            "undefined": list(solution._sorted_strings(2)),
-        },
+        "model": {"true": true, "false": false, "undefined": undefined},
         "counts": {
-            "true": true_count,
-            "false": false_count,
-            "undefined": undefined_count,
+            "true": len(true),
+            "false": None if false is None else len(false),
+            "undefined": len(undefined),
         },
         "ties": ties,
         "iterations": solution.iterations,

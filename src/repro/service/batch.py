@@ -394,7 +394,6 @@ def solve_one(
                 "tie_select_s",
                 "tie_apply_s",
                 "tie_analysis_s",
-                "result_s",
             )
             if key in solution.timings
         }
@@ -406,7 +405,11 @@ def solve_one(
             # Answered per atom from the interned ids — no set decode.
             result["values"] = {str(a): solution.value(a) for a in parsed}
         else:
+            # This request's own encode, never a cached solution's.
+            t0 = perf_counter()
             result["solution"] = solution_to_obj(solution)
+            timings["encode_s"] = perf_counter() - t0
+            result.setdefault("timings", timings)
         return result
     except ReproError as error:
         return failure_result(request.id, error)

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.api.engine import Engine
 from repro.cli import main
 from repro.errors import (
     ReproError,
@@ -21,6 +22,7 @@ from repro.service import (
     read_requests,
     solve_one,
 )
+from repro.workloads import families
 
 GAME = "win(X) :- move(X, Y), not win(Y)."
 BOARD = "move(1, 2). move(2, 1). move(2, 3)."
@@ -384,6 +386,26 @@ class TestOneResultShape:
             with pytest.raises(TypeError):
                 solver.solve_file(['{"id": 1}'], **removed)
             assert isinstance(solver.solve_many([{"id": 1}])[0]["solution"], dict)
+
+
+class TestReplyTimings:
+    def test_each_reply_reports_its_own_encode(self):
+        # Full, full again (a solution-cache hit), then values, on one
+        # engine: only full replies carry encode_s, each measured around
+        # its own encode, and no reply carries a decode time booked by
+        # another request.
+        engine = Engine(*families.committee(50))
+        first = solve_one(engine, BatchRequest(id=1, seed=3))
+        again = solve_one(engine, BatchRequest(id=2, seed=3))
+        values = solve_one(engine, BatchRequest(id=3, seed=3, atoms=("in(m1)",)))
+        assert all(r["ok"] for r in (first, again, values))
+        for reply in (first, again):
+            assert reply["timings"]["encode_s"] > 0.0
+            assert "result_s" not in reply["timings"]
+        assert again["solution"]["model"] == first["solution"]["model"]
+        assert again["timings"]["solve_s"] == first["timings"]["solve_s"]  # the cached solve
+        assert "encode_s" not in values["timings"]
+        assert "result_s" not in values["timings"]
 
 
 class TestApplyAsync:
