@@ -21,7 +21,9 @@ eager sets at all.  Decode wall-clock is booked into
 ``texts()`` — what the ``repro-solution/1`` encoder and the CLI print —
 reads the atom table's :class:`~repro.datalog.grounding.LiteralTable`
 (every atom's text, in string order, built once per table) and keeps
-nothing on the solution: a cached solution holds no encode output.
+nothing on the solution: a cached solution holds no encode output.  A
+closed-world solution (below) lists only its true and undefined atoms, so
+it formats and sorts just those ids instead.
 
 One flag changes how the false part is *reported*, never how it is
 stored.  ``closed_world`` is set by the set-based semantics (stratified,
@@ -185,9 +187,21 @@ class Solution:
 
         One pass over the atom table's string order reading the status
         array; fresh lists on every call, nothing cached here and nothing
-        booked.  The false list is ``None`` when ``closed_world``.
+        booked.  A ``closed_world`` solution lists no false atoms (the
+        false list is ``None``), so it formats and sorts only its true and
+        undefined ids and never builds the literal table: on a full
+        grounding that table is the whole Herbrand base, while the listed
+        atoms are usually a small part of it.
         """
-        table = self.model.ground_program.atoms.literal_table()
+        atoms = self.model.ground_program.atoms
+        if self.closed_world:
+            true_ids, _, undefined_ids = self._id_partition()
+            return (
+                sorted([str(atoms.atom(i)) for i in true_ids]),
+                None,
+                sorted([str(atoms.atom(i)) for i in undefined_ids]),
+            )
+        table = atoms.literal_table()
         literals, status = table.literals, self.model.status
         parts: tuple[list[str], ...] = ([], [], [])  # indexed by status
         push = [part.append for part in parts]

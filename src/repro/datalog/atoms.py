@@ -11,11 +11,25 @@ Atoms and literals are immutable; substitution produces new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from repro.datalog.terms import Constant, Term, Variable, term_from_value
 
-__all__ = ["Atom", "Literal", "atom", "pos", "neg"]
+__all__ = ["Atom", "Literal", "atom", "atom_text", "pos", "neg"]
+
+
+def atom_text(predicate: str, args: Sequence[str]) -> str:
+    """The text of an atom from its predicate and its arguments' texts.
+
+    The one place the atom format is decided: ``str(Atom)`` and every
+    atom table's literal texts go through it.
+
+    >>> atom_text("edge", ["1", "X"])
+    'edge(1, X)'
+    >>> atom_text("p", [])
+    'p'
+    """
+    return f"{predicate}({', '.join(args)})" if args else predicate
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,9 +93,7 @@ class Atom:
         return self.predicate, tuple(t.value for t in self.args)  # type: ignore[union-attr]
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.predicate
-        return f"{self.predicate}({', '.join(str(t) for t in self.args)})"
+        return atom_text(self.predicate, [str(t) for t in self.args])
 
     def __repr__(self) -> str:
         return f"Atom({self.predicate!r}, {self.args!r})"

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import compress, product
 from typing import Iterable, Literal as TypingLiteral, Sequence, get_args
 
-from repro.datalog.atoms import Atom
+from repro.datalog.atoms import Atom, atom_text
 from repro.datalog.database import Database
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
@@ -156,7 +156,7 @@ class AtomTable:
 
     def _texts(self, start: int, stop: int) -> list[str]:
         """``str()`` of atoms ``start`` to ``stop - 1``."""
-        return [str(a) for a in self._atoms[start:stop]]
+        return [str(self.atom(i)) for i in range(start, stop)]
 
 
 class _InternedAtomTable(AtomTable):
@@ -259,7 +259,7 @@ class _InternedAtomTable(AtomTable):
         texts = self._pool.texts()
         rows_end = min(stop, len(self._pred_of))
         out = [
-            f"{pred}({', '.join([texts[v] for v in row])})" if row else pred
+            atom_text(pred, [texts[v] for v in row])
             for pred, row in zip(self._pred_of[start:rows_end], self._row_of[start:rows_end])
         ]
         if stop > rows_end:
@@ -355,24 +355,6 @@ class _DenseAtomTable(AtomTable):
     def atoms(self) -> Sequence[Atom]:
         self._materialize()
         return tuple(self._atoms)
-
-    def _texts(self, start: int, stop: int) -> list[str]:
-        # The dense block in id order is every predicate's argument tuples
-        # in universe-lexicographic order; the pool interned the universe
-        # first, so its first n_u texts are the universe's.
-        dense = self._dense_count
-        out: list[str] = []
-        if start < dense:
-            texts = self._pool.texts()[: self._n_u]
-            for pred, arity in zip(self._preds, self._arities):
-                if arity == 0:
-                    out.append(pred)
-                else:
-                    out += [f"{pred}({', '.join(args)})" for args in product(texts, repeat=arity)]
-            out = out[start : min(stop, dense)]
-        if stop > dense:
-            out += super()._texts(max(start, dense), stop)
-        return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.datalog.atoms import Atom, Literal
+from repro.datalog.atoms import Atom, Literal, atom_text
 from repro.datalog.database import Database
 from repro.datalog.grounding import (
     GroundIndex,
@@ -554,12 +554,10 @@ class _ArtifactAtomTable(_InternedAtomTable):
         texts = self._pool.texts()
         preds, atom_pred = self._apreds, self._atom_pred
         row_off, rows = self._arow_off, self._arows
-        out = []
-        for i in range(start, stop):
-            pred = preds[atom_pred[i]]
-            lo, hi = row_off[i], row_off[i + 1]
-            out.append(f"{pred}({', '.join([texts[v] for v in rows[lo:hi]])})" if hi > lo else pred)
-        return out
+        return [
+            atom_text(preds[atom_pred[i]], [texts[v] for v in rows[row_off[i] : row_off[i + 1]]])
+            for i in range(start, stop)
+        ]
 
 
 class _Sections:

@@ -154,11 +154,12 @@ def solution_to_obj(solution: "Solution") -> dict[str, Any]:
     true or undefined is false.  ``timings`` are wall-clock seconds and
     therefore the only nondeterministic part of the payload.
 
-    Every atom list is read from the atom table's
+    The atom lists come in string order from the atom table's
     :class:`~repro.datalog.grounding.LiteralTable`: the model lists by
-    :meth:`~repro.api.Solution.texts`, each tie choice's ids sorted by
-    their string-order rank.  No atom is decoded and nothing is cached on
-    the solution, so each call returns fresh lists.
+    :meth:`~repro.api.Solution.texts` (a closed-world solution sorts only
+    its listed atoms instead), each tie choice's ids sorted by their
+    string-order rank.  Nothing is cached on the solution, so each call
+    returns fresh lists.
     """
     ties = None
     if solution.choices or solution.policy is not None:

@@ -14,6 +14,10 @@ on a never-seen atom takes the eager fallback.  After every step:
 * the literal table equals a from-scratch build over ``atom(i)``;
 * every encode is byte-equal to the frozenset reference of
   ``test_solution_views``.
+
+A closed-world solution (``stable`` here) lists no false atoms and sorts
+only its true and undefined ids; it rides the same traces, and a
+full-grounding encode of one must leave the literal table unbuilt.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ def _check_encodes(engine: Engine, mode: str, label: str) -> None:
         engine.solve("well_founded", grounding=mode),
         engine.solve("tie_breaking", grounding=mode, policy=FirstSideTrue()),
         engine.solve("tie_breaking", grounding=mode, policy=SecondSideTrue()),
+        engine.solve("stable", grounding=mode),  # closed world: sorts only its listed ids
     ]
     for solution in solutions:
         _check_table(solution.model.ground_program.atoms)
@@ -145,3 +150,14 @@ def test_in_place_growth_extends_the_table():
     _check_table(table)
     # An unchanged table serves the published literal table as is.
     assert table.literal_table() is grown
+
+
+def test_closed_world_encode_builds_no_literal_table():
+    # A full grounding's table is the whole Herbrand base; a closed-world
+    # encode formats only the atoms it lists, so no literal table is built.
+    engine = Engine("p(X, Y) :- b(X, Y), not p(Y, X).", "b(1, 9). b(10, 0). b(9, 10).")
+    solution = engine.solve("stable", grounding="full")
+    table = solution.model.ground_program.atoms
+    expect = _without_timings(json.dumps(_reference_obj(solution)))
+    assert _without_timings(solution_to_json(solution, indent=None)) == expect
+    assert table._literal_table is None
