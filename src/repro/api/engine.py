@@ -299,11 +299,14 @@ class Engine:
 
         Every tie-breaking run on one ground program starts the same way:
         ``close``, the unfounded-set cascade (well-founded variant only),
-        and the first ``select_tie``.  No policy or seed can change that
-        prefix, so it runs once per (grounding mode, ``well_founded``) and
-        each solve gets a clone of the result with ``phase_s`` zeroed.
-        The build is booked once under ``timings["checkpoint_s"]``;
-        updates drop every checkpoint.
+        and the analysis of the first round's bottom components.  No
+        policy or seed can change that prefix, so it runs once per
+        (grounding mode, ``well_founded``) and each solve gets a clone of
+        the result with ``phase_s`` zeroed.  ``bottom_components_live``
+        memoizes every first-round :class:`BottomComponent` and its
+        sides on the checkpoint; clones share them, so no solve analyses
+        them again.  The build is booked once under
+        ``timings["checkpoint_s"]``; updates drop every checkpoint.
         """
         key = (gp.mode, well_founded)
         checkpoint = self._checkpoints.get(key)
@@ -313,7 +316,7 @@ class Engine:
             checkpoint.close()
             if well_founded:
                 checkpoint.falsify_unfounded(numbered=False)
-            checkpoint.select_tie()
+            checkpoint.bottom_components_live()
             self._checkpoints[key] = checkpoint
             self.checkpoint_builds += 1
             self._timings["checkpoint_s"] = (

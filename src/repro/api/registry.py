@@ -43,11 +43,11 @@ class SolveRequest:
     never trigger a grounding.  ``tie_state(well_founded)`` returns a
     private kernel state over that ground program, already past the
     tie-breaking prefix every run shares (``close``, the unfounded step
-    when ``well_founded``, and the first ``select_tie``), with zeroed
-    ``phase_s``.  ``wf_state()`` returns the private, not yet closed
-    state a ``well_founded`` solve runs its cascade on: fresh, or the
-    engine's last well-founded end state reopened on the forward cone of
-    what updates touched since.
+    when ``well_founded``, and the analysis of the first round's bottom
+    components), with zeroed ``phase_s``.  ``wf_state()`` returns the
+    private, not yet closed state a ``well_founded`` solve runs its
+    cascade on: fresh, or the engine's last well-founded end state
+    reopened on the forward cone of what updates touched since.
     """
 
     program: Program
@@ -181,6 +181,8 @@ def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
     # reported description on every solve, not continue where the last
     # solve left the caller's instance.
     choices = _run(state, copy.deepcopy(policy), well_founded=well_founded)
+    # A cached solution keeps its state only for explain.
+    state.finish()
     return Solution.from_interpretation(
         name,
         state.interpretation(),

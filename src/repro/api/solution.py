@@ -42,7 +42,7 @@ from repro.datalog.atoms import Atom
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles at type-check time only
-    from repro.ground.state import GroundGraphState
+    from repro.ground.state import FinishedState
     from repro.semantics.tie_breaking import TieChoice
 
 __all__ = ["Solution"]
@@ -107,7 +107,9 @@ class Solution:
       ``result_s`` accumulates the ``*_atoms`` decode wall clock as those
       views are touched (booked non-overlapping with ``solve_s``);
     * ``state`` — the retained evaluation state for ``explain``, or
-      ``None``.
+      ``None``.  A tie-breaking solve keeps a
+      :class:`~repro.ground.state.FinishedState`: the model and its
+      reasons, without the kernel's search machinery.
 
     Thread-safety of the lazy views: decode is idempotent (two racing
     readers build equal frozensets and one wins the cache slot), so
@@ -128,7 +130,7 @@ class Solution:
         iterations: int | None = None,
         grounding: str | None = None,
         timings: Mapping[str, float] | None = None,
-        state: Optional["GroundGraphState"] = None,
+        state: Optional["FinishedState"] = None,
     ) -> None:
         self.semantics = semantics
         self.found = found

@@ -349,13 +349,14 @@ def _cmd_serve(args) -> int:
     # Aggregate solve-phase stats over *distinct* solves: requests served
     # from an engine's solution cache echo the timings of the solve that
     # populated it, and double-counting those would report more solve
-    # seconds than wall-clock time.  A full reply's encode_s is its own:
-    # it sums over every reply and does not tell solves apart.
+    # seconds than wall-clock time.  A full reply's encode_s and a pooled
+    # reply's worker_s are its own: they do not tell solves apart.
     distinct_solves: set[tuple] = set()
     encode_s = 0.0
     for r in results:
         timings = dict(r.get("timings") or {})
         encode_s += timings.pop("encode_s", 0.0)
+        timings.pop("worker_s", None)
         if timings:
             distinct_solves.add(tuple(sorted(timings.items())))
     solve_stats: dict[str, float] = {}

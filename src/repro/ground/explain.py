@@ -30,7 +30,7 @@ from typing import Optional
 from repro.datalog.atoms import Atom
 from repro.errors import SemanticsError
 from repro.ground.model import FALSE, TRUE, UNDEF
-from repro.ground.state import GroundGraphState
+from repro.ground.state import FinishedState
 
 __all__ = ["Explanation", "explain", "format_explanation"]
 
@@ -60,7 +60,7 @@ def _value_of(status: int) -> Optional[bool]:
     return {TRUE: True, FALSE: False, UNDEF: None}[status]
 
 
-def explain(state: GroundGraphState, atom: Atom, *, max_depth: int = 12) -> Explanation:
+def explain(state: FinishedState, atom: Atom, *, max_depth: int = 12) -> Explanation:
     """Explain the value of ``atom`` in a finished interpreter state.
 
     Pass the ``state`` of a ground-graph :class:`~repro.api.Solution`
@@ -85,7 +85,7 @@ def explain(state: GroundGraphState, atom: Atom, *, max_depth: int = 12) -> Expl
 
 
 def _explain_index(
-    state: GroundGraphState, index: int, visited: set[int], depth: int
+    state: FinishedState, index: int, visited: set[int], depth: int
 ) -> Explanation:
     gp = state.gp
     atom = gp.atoms.atom(index)

@@ -44,7 +44,8 @@ views, built once per ground program):
   pushed onto a heap keyed by its smallest atom id, and
   :meth:`select_tie` peeks the schedule (lazily discarding entries whose
   component split, resolved, or turned out not to be a tie) instead of
-  rescanning all bottom components per round.
+  rescanning all bottom components per round; :meth:`select_ties`
+  drains it for a batched round.
   ``bottom_components_live(full_recompute=True)`` bypasses the cache (the
   escape hatch the property suite pins against the incremental path);
 * branching interpreters use a **trail-based undo log** instead of
@@ -73,7 +74,7 @@ from repro.graphs.scc import strongly_connected_components
 from repro.graphs.ties import TieAnalysis, TieSides, analyze_component
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
-__all__ = ["GroundGraphState", "BottomComponent"]
+__all__ = ["GroundGraphState", "FinishedState", "BottomComponent"]
 
 # Provenance kinds, stored in the flat ``_reason_kind`` buffer.  The
 # argument buffer holds the fired rule id (R_FIRED) or the interned label
@@ -200,7 +201,55 @@ class _QueryScratch:
             self.atom_mark.extend([0] * (n_atoms - len(self.atom_mark)))
 
 
-class GroundGraphState:
+class FinishedState:
+    """The model and provenance a finished run leaves behind.
+
+    :meth:`GroundGraphState.finish` turns a live state into one of these
+    in place.  It holds :attr:`FIELDS` only — the ground program, the
+    status array and the flat reason buffers with their labels, plus the
+    run's ``phase_s`` — which is what ``explain`` reads.  The live
+    :class:`GroundGraphState` extends it with the search machinery.
+    """
+
+    FIELDS = (
+        "gp",
+        "n_atoms",
+        "n_rules",
+        "status",
+        "_reason_kind",
+        "_reason_arg",
+        "_labels",
+        "phase_s",
+    )
+
+    def reason_of(self, index: int) -> tuple | None:
+        """Why atom ``index`` received its value (legacy tuple form).
+
+        Returns ``None`` for unvalued atoms; otherwise one of the
+        provenance tuples documented on :class:`GroundGraphState`
+        (``("fired", r)``, ``("assigned", label)``, ``("delta",)``, ...).
+        """
+        kind = self._reason_kind[index]
+        if kind == _R_NONE:
+            return None
+        if kind == _R_FIRED:
+            return ("fired", self._reason_arg[index])
+        if kind == _R_ASSIGNED:
+            return ("assigned", self._labels[self._reason_arg[index]])
+        if kind == _R_UNFOUNDED:
+            k = self._reason_arg[index]
+            return ("assigned", ("unfounded", None if k < 0 else k))
+        return _KIND_TUPLES[kind]
+
+    def interpretation(self) -> Interpretation:
+        """Snapshot the current (possibly partial) model."""
+        return Interpretation(self.gp, tuple(self.status))
+
+    def __repr__(self) -> str:
+        return f"FinishedState(atoms={self.n_atoms}, rules={self.n_rules})"
+
+
+class GroundGraphState(FinishedState):
     """Mutable evaluation state over a :class:`GroundProgram`.
 
     The constructor installs the initial model M₀(Δ) — true for every atom
@@ -352,25 +401,6 @@ class GroundGraphState:
     def _intern_label(self, label: tuple | None) -> int:
         self._labels.append(label)
         return len(self._labels) - 1
-
-    def reason_of(self, index: int) -> tuple | None:
-        """Why atom ``index`` received its value (legacy tuple form).
-
-        Returns ``None`` for unvalued atoms; otherwise one of the
-        provenance tuples documented on the class (``("fired", r)``,
-        ``("assigned", label)``, ``("delta",)``, ...).
-        """
-        kind = self._reason_kind[index]
-        if kind == _R_NONE:
-            return None
-        if kind == _R_FIRED:
-            return ("fired", self._reason_arg[index])
-        if kind == _R_ASSIGNED:
-            return ("assigned", self._labels[self._reason_arg[index]])
-        if kind == _R_UNFOUNDED:
-            k = self._reason_arg[index]
-            return ("assigned", ("unfounded", None if k < 0 else k))
-        return _KIND_TUPLES[kind]
 
     # -- assignment and closure --------------------------------------------
 
@@ -1229,20 +1259,33 @@ class GroundGraphState:
             assert comps is not None
             component = comps[cid]
             n_atoms = self.n_atoms
+            # Side 0 is the side of the component's first atom in
+            # canonical order, so order-sensitive policies see the same
+            # orientation on a streamed index as on a fresh grounding.
+            # Without an overlay that is the first node (atoms sort
+            # before shifted rule nodes).
+            order = self._order
+            root = (
+                component[0]
+                if order is None
+                else min((n for n in component if n < n_atoms), key=order.__getitem__)
+            )
             analysis: TieAnalysis | None = None
             sides_map: dict[int, int] | None = None
             if not fresh:
                 sides = self._cached_sides(cid, component)
                 if sides is not None:
-                    # Canonicalize (component head on side 0) without the
-                    # TieAnalysis round trip; flip 0 shares the cached
-                    # dict, which the kernel never mutates in place.
+                    # Canonicalize without the TieAnalysis round trip;
+                    # flip 0 shares the cached dict, which the kernel
+                    # never mutates in place.
                     s = sides.side
-                    sides_map = (
-                        s if s[component[0]] == 0 else {n: s[n] ^ 1 for n in component}
-                    )
+                    sides_map = s if s[root] == 0 else {n: s[n] ^ 1 for n in component}
             if sides_map is None:
                 analysis = analyze_component(component, self._live_successors)
+                if analysis.sides is not None and analysis.sides[root]:
+                    analysis = TieAnalysis(
+                        is_tie=True, sides={n: v ^ 1 for n, v in analysis.sides.items()}
+                    )
             # Component node lists are sorted, so the atom/rule halves are
             # contiguous slices.
             cut = bisect_left(component, n_atoms)
@@ -1251,6 +1294,19 @@ class GroundGraphState:
             obj = BottomComponent(atom_ids, rule_ids, analysis, n_atoms, sides_map)
             self._scc_bottom_obj[cid] = obj
         return obj
+
+    def _current_scc(self, *, rebuild: bool = False) -> dict[int, list[int]]:
+        """The cached condensation, brought up to date: a full Tarjan on
+        first use (or ``rebuild``), else Tarjan inside the components that
+        lost a node since the last query."""
+        self._require_closed()
+        if rebuild or self._scc_comps is None:
+            self._rebuild_scc()
+        elif self._scc_dirty:
+            self._refine_scc()
+        comps = self._scc_comps
+        assert comps is not None
+        return comps
 
     def bottom_components_live(
         self, *, full_recompute: bool = False
@@ -1269,14 +1325,7 @@ class GroundGraphState:
         :func:`analyze_component`, bypassing the incremental sides cache
         (the differential oracle for it).
         """
-        self._require_closed()
-        if full_recompute or self._scc_comps is None:
-            self._rebuild_scc()
-        elif self._scc_dirty:
-            self._refine_scc()
-
-        comps = self._scc_comps
-        assert comps is not None
+        comps = self._current_scc(rebuild=full_recompute)
         result: list[BottomComponent] = []
         for cid in sorted(self._scc_bottom):
             if len(comps[cid]) == 1:
@@ -1301,13 +1350,7 @@ class GroundGraphState:
         """
         t0 = perf_counter()
         self._ta_overlap = 0.0
-        self._require_closed()
-        if self._scc_comps is None:
-            self._rebuild_scc()
-        elif self._scc_dirty:
-            self._refine_scc()
-        comps = self._scc_comps
-        assert comps is not None
+        comps = self._current_scc()
         bottom = self._scc_bottom
         heap = self._tie_heap
         result: BottomComponent | None = None
@@ -1338,6 +1381,42 @@ class GroundGraphState:
         # tie_analysis_s; subtract it so the phase totals stay disjoint.
         self.phase_s["tie_select_s"] += (perf_counter() - t0) - self._ta_overlap
         return result
+
+    def select_ties(self) -> list[BottomComponent]:
+        """Every bottom tie, in schedule order, popped off the schedule.
+
+        Drains the min-keyed heap that :meth:`select_tie` only peeks: the
+        result lists each current bottom tie once, by its smallest atom
+        in canonical order, and the stale and non-tie entries are
+        discarded on the way.  Pops are permanent, so the caller orients
+        every returned tie before the next :meth:`close` (bottom ties are
+        disjoint and have no incoming cross edges, so orienting one
+        leaves the others bottom ties with the same sides).  Components
+        that become bottom later are pushed by ``close`` as usual.
+        """
+        t0 = perf_counter()
+        self._ta_overlap = 0.0
+        comps = self._current_scc()
+        bottom = self._scc_bottom
+        heap = self._tie_heap
+        ties: list[BottomComponent] = []
+        last = -1
+        while heap:
+            cid = heappop(heap)[1]
+            # A trail undo may re-push an entry that is still queued;
+            # equal entries pop back to back.
+            if cid == last or cid not in bottom:
+                continue
+            last = cid
+            if len(comps[cid]) == 1:
+                raise AssertionError(
+                    "singleton bottom component survived close(); graph state corrupt"
+                )
+            obj = self._bottom_component(cid)
+            if obj.is_tie:
+                ties.append(obj)
+        self.phase_s["tie_select_s"] += (perf_counter() - t0) - self._ta_overlap
+        return ties
 
     # -- trail-based undo ----------------------------------------------------
 
@@ -1729,9 +1808,24 @@ class GroundGraphState:
 
     # -- results -------------------------------------------------------------
 
-    def interpretation(self) -> Interpretation:
-        """Snapshot the current (possibly partial) model."""
-        return Interpretation(self.gp, tuple(self.status))
+    def finish(self) -> None:
+        """Drop the search machinery of a finished run, in place.
+
+        Keeps :attr:`FinishedState.FIELDS` — the model and its reasons,
+        all that :meth:`reason_of`, :meth:`interpretation` and
+        :func:`~repro.ground.explain.explain` read — and frees the rest:
+        the SCC cache and tie schedule, the unfounded-set sources, the
+        counters and the live-slot arrays.  The state becomes a
+        :class:`FinishedState`, which has no kernel methods, so any
+        later ``close``, assignment, query, trail call or ``clone``
+        raises ``AttributeError`` before it touches anything.
+        """
+        self._require_closed()
+        fields = vars(self)
+        kept = {name: fields[name] for name in FinishedState.FIELDS}
+        fields.clear()
+        fields.update(kept)
+        self.__class__ = FinishedState
 
     def __repr__(self) -> str:
         return (

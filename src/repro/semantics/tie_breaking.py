@@ -25,9 +25,17 @@ unfounded step:
 Both are polynomial-time, and both ride the v2 kernel hot path: the
 unfounded step is the fused
 :meth:`~repro.ground.state.GroundGraphState.falsify_unfounded` cascade and
-tie selection is the kernel's min-keyed schedule
-(:meth:`~repro.ground.state.GroundGraphState.select_tie`) — no per-round
-rescan of the live graph.  Tie orientation is nondeterministic; a
+tie selection is the kernel's min-keyed schedule — no per-round rescan
+of the live graph.  :func:`_run` goes in batched rounds: each round
+orients every current bottom tie
+(:meth:`~repro.ground.state.GroundGraphState.select_ties`, in canonical
+order) and then closes once.  Bottom ties are disjoint and have no
+incoming cross edges, so this makes the decisions the one-tie-per-round
+schedule makes, in another order: a tie that becomes bottom only after
+an earlier choice is served a round later.  The enumerators branch per
+tie and keep the sequential
+:meth:`~repro.ground.state.GroundGraphState.select_tie`.  Tie
+orientation is nondeterministic; a
 :class:`~repro.semantics.choices.ChoicePolicy` resolves it and every run
 returns its trace of :class:`TieChoice` decisions (id-based, decoded to
 atoms lazily).  ``Engine.enumerate("tie_breaking")`` explores *all*
@@ -39,12 +47,13 @@ solutions.
 
 A solve does not start :func:`_run` on a fresh state.  Every run on one
 ground program shares the prefix ``close`` → unfounded step (well-founded
-variant) → first ``select_tie``, since the algorithm chooses only once no
-nonempty unfounded set is left; the engine keeps the state after that
-prefix as a checkpoint and hands each solve a clone
-(:meth:`repro.api.engine.Engine._tie_state`).  On the clone, the prefix
-``_run`` repeats changes nothing and serves the same first tie, so the
-schedule, trail and provenance are those of a fresh-state run.
+variant) → analysis of the first round's bottom components, since the
+algorithm chooses only once no nonempty unfounded set is left; the
+engine keeps the state after that prefix as a checkpoint and hands each
+solve a clone (:meth:`repro.api.engine.Engine._tie_state`).  On the
+clone, the prefix ``_run`` repeats changes nothing and its first round
+serves the same, already analysed, ties, so the schedule, trail and
+provenance are those of a fresh-state run.
 """
 
 from __future__ import annotations
@@ -201,19 +210,20 @@ def _run(
 ) -> list[TieChoice]:
     """Drive a (pure or well-founded) tie-breaking run to completion.
 
-    Each round breaks one bottom tie — the one
-    :meth:`GroundGraphState.select_tie` returns (smallest atom id) — and
-    re-closes, so the choice trail follows the sequential schedule.
+    Each round orients every current bottom tie —
+    :meth:`GroundGraphState.select_ties`, in canonical order, so the
+    policy sees them in that order — and then re-closes once (and, in
+    the well-founded variant, runs the unfounded step once).
     """
     choices: list[TieChoice] = []
     state.close()
     while True:
         if well_founded:
             state.falsify_unfounded(numbered=False)
-        tie = state.select_tie()
-        if tie is None:
+        ties = state.select_ties()
+        if not ties:
             return choices
-        choices.append(_break_tie(state, tie, policy))
+        choices.extend(_break_tie(state, tie, policy) for tie in ties)
         state.close()
 
 

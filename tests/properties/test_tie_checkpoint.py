@@ -18,7 +18,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.engine import Engine
@@ -151,6 +151,10 @@ def test_checkpoints_do_not_cross_modes_or_variants(name, build):
     steps=st.integers(min_value=2, max_value=8),
     policy=st.sampled_from(POLICIES),
 )
+# Retract-then-reinsert leaves a tie's lowest atom id off its lowest
+# canonical rank; side 0 must follow the rank.
+@example(case=5, seed=17, steps=5, policy=FirstSideTrue())
+@example(case=3, seed=3378, steps=5, policy=FirstSideTrue())
 def test_solves_after_updates_equal_a_fresh_engine(case, seed, steps, policy):
     """Updates drop the checkpoint: every solve between updates equals a
     fresh engine's solve over the same database, and a fresh-state run

@@ -491,6 +491,21 @@ class TestServeCli:
 
         assert scrub(warm) == scrub(lines)
 
+    def test_serve_summary_counts_one_solve_for_pooled_cache_hits(self, tmp_path, capsys):
+        # Every pooled reply carries its own worker_s; the three replies
+        # still come from one solve in the worker's engine.
+        program, db = self._files(tmp_path)
+        batch = tmp_path / "requests.jsonl"
+        batch.write_text('{"id": "v", "semantics": "tie_breaking", "atoms": ["win(2)"]}\n' * 3)
+        code = main(
+            ["serve", str(program), "--db", str(db), "--batch", str(batch), "--workers", "1"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        replies = [json.loads(x) for x in captured.out.splitlines()]
+        assert len({r["timings"]["worker_s"] for r in replies}) == 3
+        assert "; 1 solve(s) " in captured.err
+
     def test_serve_failed_request_exit_code(self, tmp_path, capsys):
         program, db = self._files(tmp_path)
         batch = tmp_path / "requests.jsonl"
