@@ -177,9 +177,9 @@ def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
 
     state = req.tie_state(well_founded)
     policy = req.options.get("policy") or FirstSideTrue()
-    # Run on a copy: a stateful policy (RandomChoice) must replay from its
-    # reported description on every solve, not continue where the last
-    # solve left the caller's instance.
+    # Run on a copy: a stateful policy must replay from its reported
+    # description on every solve, not continue where the caller's
+    # instance stands (a copy of a RandomChoice restarts from its seed).
     choices = _run(state, copy.deepcopy(policy), well_founded=well_founded)
     # A cached solution keeps its state only for explain.
     state.finish()
@@ -197,7 +197,7 @@ def _enumerate_ties(req: SolveRequest, name: str, well_founded: bool) -> Iterato
     from repro.semantics.tie_breaking import _enumerate_tie_breaking_models
 
     for model, choices in _enumerate_tie_breaking_models(
-        req.gp(), well_founded=well_founded, limit=req.options.get("limit")
+        req.tie_state(well_founded), well_founded=well_founded, limit=req.options.get("limit")
     ):
         yield Solution.from_interpretation(name, model, choices=choices, policy="enumerated")
 

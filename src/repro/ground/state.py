@@ -42,10 +42,9 @@ views, built once per ground program):
   exactly when that count hits zero.  On top of the cache sits a
   **min-keyed tie schedule**: every component that becomes bottom is
   pushed onto a heap keyed by its smallest atom id, and
-  :meth:`select_tie` peeks the schedule (lazily discarding entries whose
-  component split, resolved, or turned out not to be a tie) instead of
-  rescanning all bottom components per round; :meth:`select_ties`
-  drains it for a batched round.
+  :meth:`select_ties` drains the schedule for a batched round (discarding
+  entries whose component split, resolved, or turned out not to be a
+  tie) instead of rescanning all bottom components per round.
   ``bottom_components_live(full_recompute=True)`` bypasses the cache (the
   escape hatch the property suite pins against the incremental path);
 * branching interpreters use a **trail-based undo log** instead of
@@ -77,8 +76,9 @@ from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 __all__ = ["GroundGraphState", "FinishedState", "BottomComponent"]
 
 # Provenance kinds, stored in the flat ``_reason_kind`` buffer.  The
-# argument buffer holds the fired rule id (R_FIRED) or the interned label
-# id (R_ASSIGNED); reason_of() reconstitutes the legacy tuples.
+# argument buffer holds the fired rule id (R_FIRED), the interned label
+# id (R_ASSIGNED), an unfounded round (R_UNFOUNDED) or a tie side
+# (R_TIE); reason_of() reconstitutes the legacy tuples.
 _R_NONE = 0
 _R_DELTA = 1
 _R_EDB_ABSENT = 2
@@ -86,6 +86,7 @@ _R_FIRED = 3
 _R_NO_SUPPORT = 4
 _R_ASSIGNED = 5
 _R_UNFOUNDED = 6  # argument: the round number, or -1 for an unnumbered round
+_R_TIE = 7  # argument: the tie side the atom is on
 
 _KIND_TUPLES = {
     _R_DELTA: ("delta",),
@@ -239,6 +240,8 @@ class FinishedState:
         if kind == _R_UNFOUNDED:
             k = self._reason_arg[index]
             return ("assigned", ("unfounded", None if k < 0 else k))
+        if kind == _R_TIE:
+            return ("assigned", ("tie", self._reason_arg[index]))
         return _KIND_TUPLES[kind]
 
     def interpretation(self) -> Interpretation:
@@ -298,7 +301,8 @@ class GroundGraphState(FinishedState):
         #   ("no-support",)     — every rule instance for it was deleted
         #   ("assigned", label) — external assignment (unfounded set / tie);
         #                           falsify_unfounded stores its round number
-        #                           instead of interning ("unfounded", k)
+        #                           and a tie orientation its side instead
+        #                           of interning ("unfounded", k) / ("tie", s)
         self._reason_kind = bytearray(n_atoms)
         self._reason_arg: list[int] = [0] * n_atoms
         self._labels: list[tuple | None] = []
@@ -370,14 +374,14 @@ class GroundGraphState(FinishedState):
         # any subgraph); a full rebuild assigns new cids, so the dict is
         # simply reset there.
         self._tie_sides: dict[int, TieSides] = {}
-        # tie_analysis_s seconds accrued inside the current select_tie
+        # tie_analysis_s seconds accrued inside the current select_ties
         # window, subtracted so the two phases never overlap.
         self._ta_overlap = 0.0
 
         # Min-keyed schedule of bottom components: (smallest node, cid)
         # heap entries pushed whenever a component becomes bottom; stale
         # entries (split, resolved, or non-tie components) are discarded
-        # lazily by select_tie().
+        # by select_ties().
         self._tie_heap: list[tuple[int, int]] = []
 
         # Undo trail (None = disabled).  See trail_begin/trail_mark/undo.
@@ -1337,62 +1341,25 @@ class GroundGraphState(FinishedState):
             result.append(self._bottom_component(cid, fresh=full_recompute))
         return result
 
-    def select_tie(self) -> BottomComponent | None:
-        """The bottom tie containing the smallest atom id, or ``None``.
-
-        Serves from the min-keyed schedule: the heap holds every
-        component that became bottom, and this peeks the smallest valid
-        entry, lazily discarding components that split (their cid left
-        the condensation), resolved (no longer bottom), or analyze as
-        non-ties.  Equivalent to scanning
-        ``bottom_components_live()`` for the tie with the smallest atom
-        id, at O(log n) instead of O(components) per round.
-        """
-        t0 = perf_counter()
-        self._ta_overlap = 0.0
-        comps = self._current_scc()
-        bottom = self._scc_bottom
-        heap = self._tie_heap
-        result: BottomComponent | None = None
-        while heap:
-            cid = heap[0][1]
-            component = comps.get(cid)
-            if component is None or cid not in bottom:
-                # Stale: the component split, resolved, or (under an
-                # active trail) belongs to an undone timeline.  Pops are
-                # permanent — component ids are never reused, and the
-                # trail undo re-pushes any component it restores to
-                # bottom, so a dropped entry can never be missed.
-                heappop(heap)
-                continue
-            if len(component) == 1:
-                raise AssertionError(
-                    "singleton bottom component survived close(); graph state corrupt"
-                )
-            obj = self._bottom_component(cid)
-            if not obj.is_tie:
-                # Non-ties stay non-ties until the component splits, at
-                # which point the fresh pieces get their own entries.
-                heappop(heap)
-                continue
-            result = obj
-            break
-        # Sides work done inside this window was already booked under
-        # tie_analysis_s; subtract it so the phase totals stay disjoint.
-        self.phase_s["tie_select_s"] += (perf_counter() - t0) - self._ta_overlap
-        return result
-
     def select_ties(self) -> list[BottomComponent]:
         """Every bottom tie, in schedule order, popped off the schedule.
 
-        Drains the min-keyed heap that :meth:`select_tie` only peeks: the
-        result lists each current bottom tie once, by its smallest atom
-        in canonical order, and the stale and non-tie entries are
-        discarded on the way.  Pops are permanent, so the caller orients
-        every returned tie before the next :meth:`close` (bottom ties are
-        disjoint and have no incoming cross edges, so orienting one
-        leaves the others bottom ties with the same sides).  Components
-        that become bottom later are pushed by ``close`` as usual.
+        Drains the min-keyed heap: the result lists each current bottom
+        tie once, by its smallest atom in canonical order, and the stale
+        entries (the component split, resolved, or belongs to a timeline
+        a trail undo rewound) and the non-tie entries are discarded on
+        the way.  Equivalent to scanning ``bottom_components_live()`` for
+        its ties, at O(log n) per entry instead of O(components) per
+        round.  Pops are permanent, so the caller orients every returned
+        tie before the next :meth:`close` (bottom ties are disjoint and
+        have no incoming cross edges, so orienting one leaves the others
+        bottom ties with the same sides).  Components that become bottom
+        later are pushed by ``close`` as usual, and a trail undo pushes
+        again every bottom component whose removal by a refinement it
+        rewinds; component ids are never reused, so a stale entry is
+        never served.  A round's own entries are gone once popped: a
+        caller that rewinds into the middle of a round carries the rest
+        of the round itself.
         """
         t0 = perf_counter()
         self._ta_overlap = 0.0

@@ -120,5 +120,11 @@ class RandomChoice:
     def choose_true_side(self, side0_atoms: Sequence[int], side1_atoms: Sequence[int]) -> int:
         return self._rng.randrange(2)
 
+    def __deepcopy__(self, memo: dict) -> RandomChoice:
+        # A copy is the policy its description names: a fresh stream from
+        # the seed, not the state this instance has advanced to (and no
+        # copy of a random.Random state).
+        return RandomChoice(self.seed)
+
     def __repr__(self) -> str:
         return f"RandomChoice(seed={self.seed})"

@@ -32,28 +32,27 @@ orients every current bottom tie
 order) and then closes once.  Bottom ties are disjoint and have no
 incoming cross edges, so this makes the decisions the one-tie-per-round
 schedule makes, in another order: a tie that becomes bottom only after
-an earlier choice is served a round later.  The enumerators branch per
-tie and keep the sequential
-:meth:`~repro.ground.state.GroundGraphState.select_tie`.  Tie
-orientation is nondeterministic; a
-:class:`~repro.semantics.choices.ChoicePolicy` resolves it and every run
-returns its trace of :class:`TieChoice` decisions (id-based, decoded to
-atoms lazily).  ``Engine.enumerate("tie_breaking")`` explores *all*
-orientations with a trail-based undo log — branching costs the work
-undone, not a state copy.  Everything here takes the engine's
-:class:`~repro.datalog.grounding.GroundProgram` (or a kernel state over
-it) and returns kernel values; :mod:`repro.api.registry` wraps them into
-solutions.
+an earlier choice is served a round later.  Tie orientation is
+nondeterministic; a :class:`~repro.semantics.choices.ChoicePolicy`
+resolves it and every run returns its trace of :class:`TieChoice`
+decisions (id-based, decoded to atoms lazily).
+``Engine.enumerate("tie_breaking")`` explores *all* orientations on the
+same rounds, branching inside each round with a trail-based undo log —
+branching costs the work undone, not a state copy.  Everything here
+takes a kernel state over the engine's
+:class:`~repro.datalog.grounding.GroundProgram` and returns kernel
+values; :mod:`repro.api.registry` wraps them into solutions.
 
-A solve does not start :func:`_run` on a fresh state.  Every run on one
-ground program shares the prefix ``close`` → unfounded step (well-founded
-variant) → analysis of the first round's bottom components, since the
-algorithm chooses only once no nonempty unfounded set is left; the
-engine keeps the state after that prefix as a checkpoint and hands each
-solve a clone (:meth:`repro.api.engine.Engine._tie_state`).  On the
-clone, the prefix ``_run`` repeats changes nothing and its first round
-serves the same, already analysed, ties, so the schedule, trail and
-provenance are those of a fresh-state run.
+A solve or an enumeration does not start on a fresh state.  Every run on
+one ground program shares the prefix ``close`` → unfounded step
+(well-founded variant) → analysis of the first round's bottom
+components, since the algorithm chooses only once no nonempty unfounded
+set is left; the engine keeps the state after that prefix as a
+checkpoint and hands each solve and enumeration a clone
+(:meth:`repro.api.engine.Engine._tie_state`).  On the clone, the prefix
+a run repeats changes nothing and its first round serves the same,
+already analysed, ties, so the schedule, trail and provenance are those
+of a fresh-state run.
 """
 
 from __future__ import annotations
@@ -62,9 +61,8 @@ from time import perf_counter
 from typing import Iterator
 
 from repro.datalog.atoms import Atom
-from repro.datalog.grounding import GroundProgram
 from repro.ground.model import FALSE, TRUE, Interpretation
-from repro.ground.state import BottomComponent, GroundGraphState
+from repro.ground.state import _R_TIE, BottomComponent, GroundGraphState
 from repro.semantics.choices import ChoicePolicy, forced_orientation
 
 __all__ = ["TieChoice"]
@@ -128,28 +126,6 @@ class TieChoice:
         )
 
 
-def _select_tie(state: GroundGraphState) -> BottomComponent | None:
-    """Reference tie selection: scan all bottom components for the min.
-
-    Equivalent to :meth:`GroundGraphState.select_tie` (the property suite
-    pins the two against each other); kept as the schedule-free oracle
-    and for the clone-based reference explorer.  Bottom components are
-    disjoint and breaking one cannot affect another bottom component (it
-    has no incoming edges), so the processing *order* does not change the
-    set of reachable outcomes — only the orientation choices do.
-    """
-    best: BottomComponent | None = None
-    best_key: int | None = None
-    order = state.order_key
-    for component in state.bottom_components_live():
-        if not component.is_tie:
-            continue
-        key = min(order(a) for a in component.atom_ids)
-        if best_key is None or key < best_key:
-            best, best_key = component, key
-    return best
-
-
 def _apply_tie(
     state: GroundGraphState, component: BottomComponent, true_side: int, *, forced: bool
 ) -> TieChoice:
@@ -166,8 +142,8 @@ def _apply_tie(
     made_true.sort()
     made_false.sort()
     t0 = perf_counter()
-    state.assign_many(made_true, TRUE, ("tie", true_side))
-    state.assign_many(made_false, FALSE, ("tie", 1 - true_side))
+    state._assign_batch(made_true, TRUE, _R_TIE, true_side)
+    state._assign_batch(made_false, FALSE, _R_TIE, 1 - true_side)
     state.phase_s["tie_apply_s"] += perf_counter() - t0
     return TieChoice(made_true, made_false, forced, state.gp.atoms)
 
@@ -228,19 +204,24 @@ def _run(
 
 
 def _enumerate_tie_breaking_models(
-    gp: GroundProgram,
+    state: GroundGraphState,
     *,
     well_founded: bool,
     limit: int | None = None,
 ) -> Iterator[tuple[Interpretation, tuple[TieChoice, ...]]]:
     """Every outcome of the tie-breaking interpreter over all free choices.
 
-    Performs a depth-first search over tie orientations (two branches per
-    genuinely free decision) on **one** evaluation state with a
-    trail-based undo log: entering a branch marks the trail, leaving it
-    rewinds assignments, counters, and the kernel caches — branch cost is
-    proportional to the work undone, never an O(state) copy.  Yields one
-    ``(model, choice trail)`` pair per decision *sequence*; deduplicate on
+    Starts from ``state`` (the engine hands a clone of its checkpoint)
+    and goes in the rounds :func:`_run` goes in: each round's ties come
+    from :meth:`GroundGraphState.select_ties`, the search branches over
+    their free orientations depth-first inside the round (side 0 first),
+    and each round leaf re-closes once (and, in the well-founded variant,
+    runs the unfounded step once).  One state with a trail-based undo
+    log serves the whole search: every free tie takes a trail mark, and
+    leaving a branch rewinds assignments, counters and the kernel caches
+    — branch cost is proportional to the work undone, never an O(state)
+    copy.  Yields one ``(model, choice trail)`` pair per decision
+    *sequence*, the trail in round order; deduplicate on
     ``model.true_set()`` if only models matter.
 
     Worst-case exponential in the number of free choices — this is the
@@ -248,97 +229,37 @@ def _enumerate_tie_breaking_models(
     not an interpreter.
     """
     emitted = 0
-    state = GroundGraphState(gp)
     state.trail_begin()
-    state.close()
     trail: list[TieChoice] = []
-    # Unexplored second branches, deepest last: (trail mark, choice depth,
-    # the tie to re-orient).  Iterative so depth is bounded by memory, not
-    # the interpreter stack, and each yield is O(1), not O(depth).
+    # Unexplored side-1 branches, deepest last: (trail mark, choice depth,
+    # the round's ties, the tie's index).  select_ties pops the schedule
+    # for good, so a branch carries the rest of its round itself; the
+    # entries an undo pushes again go stale once the round is closed.
+    # Iterative so depth is bounded by memory, not the interpreter stack.
     pending: list[tuple] = []
-    advancing = True
-    while True:
-        if advancing:
-            if limit is not None and emitted >= limit:
-                return
-            if well_founded:
-                state.falsify_unfounded(numbered=False)
-            tie = state.select_tie()
-            if tie is None:
-                emitted += 1
-                yield state.interpretation(), tuple(trail)
-                advancing = False
-                continue
-            assert tie.analysis.sides is not None
-            count0, count1 = tie.side_counts()
-            forced = forced_orientation(count0, count1)
-            if forced is not None:
+    ties: list[BottomComponent] = []
+    first = 0
+    while limit is None or emitted < limit:
+        for i in range(first, len(ties)):
+            tie = ties[i]
+            forced = forced_orientation(*tie.side_counts())
+            if forced is None:
+                pending.append((state.trail_mark(), len(trail), ties, i))
+                trail.append(_apply_tie(state, tie, 0, forced=False))
+            else:
                 trail.append(_apply_tie(state, tie, forced, forced=True))
-                state.close()
-                continue
-            pending.append((state.trail_mark(), len(trail), tie))
-            trail.append(_apply_tie(state, tie, 0, forced=False))
-            state.close()
-        else:
-            if not pending or (limit is not None and emitted >= limit):
-                return
-            mark, depth, tie = pending.pop()
-            del trail[depth:]
-            state.trail_undo(mark)
-            trail.append(_apply_tie(state, tie, 1, forced=False))
-            state.close()
-            advancing = True
-
-
-def _enumerate_reference(
-    gp: GroundProgram,
-    *,
-    well_founded: bool,
-    limit: int | None = None,
-) -> Iterator[tuple[Interpretation, tuple[TieChoice, ...]]]:
-    """Clone-based reference explorer (the pre-trail algorithm).
-
-    Branches by copying the whole evaluation state and uses the
-    schedule-free queries (``unfounded_atoms`` + ``bottom_components_live``
-    scan), so it shares none of the trail/undo or tie-schedule machinery —
-    the differential oracle the property suite drives against the
-    trail-based explorer.
-    """
-    emitted = 0
-    start = GroundGraphState(gp)
-    start.close()
-    # Closed states ready to drive, deepest last (depth-first, side 0
-    # first — the same (model, trail) sequence the trail explorer emits).
-    pending: list[tuple[GroundGraphState, list[TieChoice]]] = [(start, [])]
-    while pending:
-        state, trail = pending.pop()
-        while True:
-            if limit is not None and emitted >= limit:
-                return
-            if well_founded:
-                unfounded = state.unfounded_atoms()
-                if unfounded:
-                    state.assign_many(unfounded, FALSE, ("unfounded", None))
-                    state.close()
-                    continue
-            tie = _select_tie(state)
-            if tie is None:
-                emitted += 1
-                yield state.interpretation(), tuple(trail)
-                break
-            assert tie.analysis.sides is not None
-            count0, count1 = tie.side_counts()
-            forced = forced_orientation(count0, count1)
-            if forced is not None:
-                trail.append(_apply_tie(state, tie, forced, forced=True))
-                state.close()
-                continue
-            # Side 1 continues later on an independent copy; side 0
-            # consumes this state now.
-            other = state.clone()
-            other_trail = list(trail)
-            other_trail.append(_apply_tie(other, tie, 1, forced=False))
-            other.close()
-            pending.append((other, other_trail))
-            trail.append(_apply_tie(state, tie, 0, forced=False))
-            state.close()
+        state.close()
+        if well_founded:
+            state.falsify_unfounded(numbered=False)
+        ties, first = state.select_ties(), 0
+        if ties:
+            continue
+        emitted += 1
+        yield state.interpretation(), tuple(trail)
+        if not pending:
+            return
+        mark, depth, ties, i = pending.pop()
+        del trail[depth:]
+        state.trail_undo(mark)
+        trail.append(_apply_tie(state, ties[i], 1, forced=False))
+        first = i + 1

@@ -344,6 +344,35 @@ class TestTieCheckpoint:
         assert engine.timings["checkpoint_s"] > 0
         assert "checkpoint_s" in stats
 
+    def test_enumeration_shares_the_checkpoint_with_solve(self):
+        engine = Engine(*families.committee(6))
+        runs = list(engine.enumerate("tie_breaking"))
+        assert len(runs) == 2**6
+        assert engine.stats()["checkpoint_builds"] == 1
+        solution = engine.solve("tie_breaking")
+        assert engine.stats()["checkpoint_builds"] == 1
+        assert solution.true_atoms in {run.true_atoms for run in runs}
+        assert len(list(engine.enumerate("tie_breaking", limit=3))) == 3
+        assert engine.stats()["checkpoint_builds"] == 1
+
+    @pytest.mark.parametrize("semantics", ["tie_breaking", "pure_tie_breaking"])
+    def test_enumeration_after_updates_equals_a_fresh_engines(self, semantics):
+        engine = Engine(*families.grounded_argumentation(13))
+
+        def runs(e):
+            # Atom ids differ after updates; compare decoded trails.
+            return [
+                (s.true_atoms, [(c.made_true, c.made_false, c.forced) for c in s.choices])
+                for s in e.enumerate(semantics)
+            ]
+
+        runs(engine)
+        engine.insert_facts("attacks(0, 12)", "attacks(12, 3)")
+        engine.retract_facts("attacks(0, 12)")
+        fresh = Engine(engine.program, engine.database.copy())
+        assert runs(engine) == runs(fresh)
+        assert engine.stats()["checkpoint_builds"] == 2
+
     def test_an_update_drops_the_checkpoint(self):
         engine = Engine(*families.grounded_argumentation(40))
         engine.solve("tie_breaking")

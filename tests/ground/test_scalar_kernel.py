@@ -1,14 +1,15 @@
-"""Whole-drive tests for the scalar kernel's sequential tie schedule.
+"""Whole-drive tests for the scalar kernel's batched tie schedule.
 
 :class:`~repro.ground.state.GroundGraphState` is the one evaluation
 kernel.  These tests drive it through complete well-founded tie-breaking
-runs (close, falsify unfounded sets, orient one bottom tie, repeat) on
+runs (close, falsify unfounded sets, orient every bottom tie, repeat) on
 the named workload families at medium sizes and on random programs, and
 pin every run at four granularities:
 
-* **lockstep** — the min-keyed schedule (``select_tie``) against the
-  schedule-free scan (``_select_tie``), with a full raw-buffer snapshot
-  compared after every round;
+* **lockstep** — the min-keyed schedule (``select_ties``) against the
+  schedule-free scan (``_scan_ties``), with a full raw-buffer snapshot
+  compared after every round, and a whole batched drive against the
+  one-tie-per-step drive of ``_select_tie``;
 * **sides cache** — the incremental (K, L) sides cache against fresh
   analyses on every round;
 * **clone / trail** — a ``clone`` or a ``trail_undo`` to the start
@@ -20,6 +21,8 @@ pin every run at four granularities:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -28,11 +31,11 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import ground
 from repro.ground.model import FALSE, TRUE
 from repro.ground.state import GroundGraphState
-from repro.semantics.tie_breaking import _select_tie
 from repro.workloads import families
 from repro.workloads.random_programs import random_propositional_program
 
 from tests.properties.strategies import propositional_programs
+from tests.semantics.tie_oracle import _scan_ties, _select_tie
 
 MAX_STEPS = 256
 
@@ -102,20 +105,30 @@ def _settle(state: GroundGraphState) -> None:
     state.close()
 
 
-def _drive(state: GroundGraphState, pick=GroundGraphState.select_tie):
-    """Sequential well-founded tie-breaking with ``pick`` choosing each tie.
+def _one_tie(state: GroundGraphState) -> list:
+    """The one-tie-per-step schedule: the oracle's single pick."""
+    tie = _select_tie(state)
+    return [] if tie is None else [tie]
+
+
+def _drive(state: GroundGraphState, pick=GroundGraphState.select_ties):
+    """Well-founded tie-breaking, orienting the ties ``pick`` serves per round.
 
     Returns ``(final status, orientation decisions in order)``.
     """
     decisions = []
     _settle(state)
     for _ in range(MAX_STEPS):
-        tie = pick(state)
-        if tie is None:
+        ties = pick(state)
+        if not ties:
             return list(state.status), decisions
-        decisions.append(_orient_min(state, tie))
+        decisions.extend(_orient_min(state, tie) for tie in ties)
         _settle(state)
     pytest.fail("drive did not converge")
+
+
+def _atoms(ties) -> list[tuple[int, ...]]:
+    return [tuple(tie.atom_ids) for tie in ties]
 
 
 @pytest.mark.parametrize("name,gp", GROUND_CASES, ids=GROUND_IDS)
@@ -130,15 +143,16 @@ def test_lockstep_schedule_vs_oracle(name, gp):
     _settle(scanned)
     assert _snapshot(scheduled) == _snapshot(scanned), "divergence after unfounded cascade"
     for _ in range(MAX_STEPS):
-        ts = scheduled.select_tie()
-        to = _select_tie(scanned)
-        if ts is None or to is None:
-            assert ts is None and to is None
+        ts = scheduled.select_ties()
+        to = _scan_ties(scanned)
+        assert _atoms(ts) == _atoms(to)
+        if not ts:
             break
-        assert tuple(ts.atom_ids) == tuple(to.atom_ids)
-        assert ts.side_of_atom() == to.side_of_atom()
-        _orient_min(scheduled, ts)
-        _orient_min(scanned, to)
+        assert [t.side_of_atom() for t in ts] == [t.side_of_atom() for t in to]
+        for tie in ts:
+            _orient_min(scheduled, tie)
+        for tie in to:
+            _orient_min(scanned, tie)
         _settle(scheduled)
         _settle(scanned)
         assert _snapshot(scheduled) == _snapshot(scanned), "divergence after tie round"
@@ -165,13 +179,12 @@ def test_lockstep_with_and_without_sides_cache(name, gp):
     for _ in range(MAX_STEPS):
         uncached._tie_sides.clear()  # cache-off leg: every analysis fresh
         uncached._scc_bottom_obj.clear()
-        tc = cached.select_tie()
-        tu = uncached.select_tie()
-        if tc is None or tu is None:
-            assert tc is None and tu is None
+        tc = cached.select_ties()
+        tu = uncached.select_ties()
+        assert _atoms(tc) == _atoms(tu)
+        if not tc:
             break
-        assert tuple(tc.atom_ids) == tuple(tu.atom_ids)
-        assert _orient_min(cached, tc) == _orient_min(uncached, tu), (
+        assert [_orient_min(cached, t) for t in tc] == [_orient_min(uncached, t) for t in tu], (
             "tie decisions diverge without the cache"
         )
         _settle(cached)
@@ -230,8 +243,14 @@ def test_finished_drive_is_a_tie_free_fixpoint(name, gp):
 @settings(max_examples=30, deadline=None)
 @given(program=propositional_programs())
 def test_schedule_drive_matches_oracle_drive_on_random_programs(program):
+    """Batched rounds reach the one-tie-per-step model with the same
+    decisions; a layered tie is only served a round later."""
     gp = ground(program, Database(), mode="full")
-    assert _drive(GroundGraphState(gp)) == _drive(GroundGraphState(gp), _select_tie)
+    status, decisions = _drive(GroundGraphState(gp))
+    assert _drive(GroundGraphState(gp), _scan_ties) == (status, decisions)
+    oracle_status, oracle_decisions = _drive(GroundGraphState(gp), _one_tie)
+    assert status == oracle_status
+    assert Counter(decisions) == Counter(oracle_decisions)
 
 
 @pytest.mark.parametrize("n", [6, 12, 24])
@@ -246,16 +265,18 @@ def test_committee_needs_one_choice_per_member(n):
     assert len(solution.choices) == n
 
 
-def test_select_tie_is_the_oracle_pick_among_independent_ties():
+def test_select_ties_serves_every_independent_tie_in_oracle_order():
     program, db = families.committee(8)
     state = GroundGraphState(ground(program, db, mode="relevant"))
     _settle(state)
     ties = [c for c in state.bottom_components_live() if c.is_tie]
     assert len(ties) == 8
-    picked = state.select_tie()
-    assert picked is not None
-    assert tuple(picked.atom_ids) == tuple(_select_tie(state).atom_ids)
-    assert min(picked.atom_ids) == min(min(t.atom_ids) for t in ties)
+    oracle_pick = _select_tie(state)
+    served = state.select_ties()
+    assert _atoms(served) == _atoms(_scan_ties(state))
+    assert tuple(served[0].atom_ids) == tuple(oracle_pick.atom_ids)
+    assert min(served[0].atom_ids) == min(min(t.atom_ids) for t in ties)
+    assert state.select_ties() == []  # the round was drained
 
 
 def test_state_clone_is_independent():
@@ -263,15 +284,19 @@ def test_state_clone_is_independent():
     gp = ground(program, db, mode="relevant")
     state = GroundGraphState(gp)
     _settle(state)
-    assert state.select_tie() is not None
+    expected = _atoms(_scan_ties(state))
+    assert expected
     copy = state.clone()
     assert type(copy) is GroundGraphState
     assert _snapshot(copy) == _snapshot(state)
     # Diverge the clone; the original must not move.
     before = _snapshot(state)
-    tie = copy.select_tie()
-    assert tie is not None
-    _orient_min(copy, tie)
+    ties = copy.select_ties()
+    assert _atoms(ties) == expected
+    for tie in ties:
+        _orient_min(copy, tie)
     copy.close()
     assert _snapshot(state) == before
     assert _snapshot(copy) != before
+    # Draining the clone's schedule left the original's intact.
+    assert _atoms(state.select_ties()) == expected

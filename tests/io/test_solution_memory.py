@@ -68,6 +68,32 @@ def test_finished_state_explains_like_the_live_state(semantics, grounding, well_
         assert engine.explain(atom, **options) == expected
 
 
+@pytest.mark.parametrize(
+    "semantics,grounding",
+    [("tie_breaking", "relevant"), ("pure_tie_breaking", "full")],
+)
+def test_tie_reasons_are_stored_without_labels(semantics, grounding):
+    """A tie orientation stores its side in each atom's reason slot, as
+    the unfounded step stores its round: the finished state interns no
+    label, and ``reason_of`` still reads ``("assigned", ("tie", side))``."""
+    engine = Engine(*families.grounded_argumentation(40))
+    solution = engine.solve(semantics, policy=RandomChoice(5), grounding=grounding)
+    state = solution.state
+    assert state._labels == []
+    assert solution.free_choice_count > 0
+    for choice in solution.choices:
+        true_reasons = {state.reason_of(a) for a in choice.true_ids}
+        false_reasons = {state.reason_of(a) for a in choice.false_ids}
+        assert len(true_reasons) <= 1 and len(false_reasons) <= 1
+        sides = set()
+        for kind, (label, side) in true_reasons | false_reasons:
+            assert (kind, label) == ("assigned", "tie") and side in (0, 1)
+            sides.add(side)
+        assert len(sides) == len(true_reasons) + len(false_reasons)
+        for a in choice.true_ids:
+            assert "broken tie" in explain(state, state.gp.atoms.atom(a)).detail
+
+
 def test_kernel_calls_on_a_finished_state_raise():
     engine = Engine(*families.grounded_argumentation(40))
     state = engine.solve("tie_breaking").state
@@ -76,7 +102,6 @@ def test_kernel_calls_on_a_finished_state_raise():
         lambda: state.close(),
         lambda: state.assign(0, 1),
         lambda: state.assign_many([0], 1),
-        lambda: state.select_tie(),
         lambda: state.select_ties(),
         lambda: state.falsify_unfounded(),
         lambda: state.bottom_components_live(),

@@ -3,10 +3,11 @@
 :func:`repro.semantics.tie_breaking._run` orients every current bottom
 tie per round before it re-closes.  The oracle here is the one-tie-per-
 round loop it replaced (:func:`_run_sequential`): each round orients
-only the tie :meth:`~repro.ground.state.GroundGraphState.select_tie`
-serves, then re-closes (and runs the unfounded step in the well-founded
-variant).  Bottom ties are disjoint and have no incoming cross edges, so
-both schedules make the same decisions, possibly in another order:
+only the tie the schedule-free scan
+(:func:`tests.semantics.tie_oracle._select_tie`) picks, then re-closes
+(and runs the unfounded step in the well-founded variant).  Bottom ties
+are disjoint and have no incoming cross edges, so both schedules make
+the same decisions, possibly in another order:
 
 * a deterministic policy gives the same model and the same multiset of
   :class:`~repro.semantics.tie_breaking.TieChoice` on both;
@@ -32,6 +33,7 @@ from repro.semantics.tie_breaking import TieChoice, _break_tie, _run
 
 from tests.properties.strategies import propositional_cases
 from tests.properties.test_tie_checkpoint import FAMILIES, POLICIES, VARIANTS
+from tests.semantics.tie_oracle import _select_tie
 
 # Sequential serves the ties keyed 0 (a/b), 2 (c/d: bottom only once a
 # is decided) and 4 (x/y); a batched round serves 0 and 4, then 2.
@@ -43,14 +45,14 @@ x :- not y.  y :- not x.
 
 
 def _run_sequential(state: GroundGraphState, policy, *, well_founded: bool) -> list[TieChoice]:
-    """The one-tie-per-round schedule: orient the tie ``select_tie``
-    serves, re-close, repeat."""
+    """The one-tie-per-round schedule: orient the tie ``_select_tie``
+    picks, re-close, repeat."""
     choices: list[TieChoice] = []
     state.close()
     while True:
         if well_founded:
             state.falsify_unfounded(numbered=False)
-        tie = state.select_tie()
+        tie = _select_tie(state)
         if tie is None:
             return choices
         choices.append(_break_tie(state, tie, policy))
@@ -131,3 +133,51 @@ def test_layered_ties_are_served_in_another_order(semantics, grounding, well_fou
     status, _ = _solve(gp, RandomChoice(1), well_founded, _run)
     seq_status, _ = _solve(gp, RandomChoice(1), well_founded, _run_sequential)
     assert status != seq_status
+
+
+def _assert_enumerated_trails_are_run_trails(engine, semantics, grounding, well_founded):
+    """Every enumerated trail is the trail ``_run`` takes when it makes
+    the same orientations: same model, same choices in the same order."""
+    gp = engine.ground_for(grounding)
+    runs = list(engine.enumerate(semantics, grounding=grounding, limit=64))
+    assert runs
+    for solution in runs:
+        state = GroundGraphState(gp)
+        choices = _run(state, _Replay(solution.choices), well_founded=well_founded)
+        assert list(state.status) == list(solution.model.status)
+        assert choices == list(solution.choices)
+    return runs
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+@pytest.mark.parametrize("name,build", FAMILIES, ids=[name for name, _ in FAMILIES])
+def test_enumerated_trails_follow_the_rounds(name, build, semantics, grounding, well_founded):
+    _assert_enumerated_trails_are_run_trails(
+        Engine(*build()), semantics, grounding, well_founded
+    )
+
+
+# As LAYERED, but c/d becomes a tie on the side-1 branch of a/b, which
+# the search reaches by a rewind into the middle of the first round.
+LAYERED_ON_SIDE_1 = """
+a :- not b.  b :- not a.
+c :- b, not d.  d :- b, not c.
+x :- not y.  y :- not x.
+"""
+
+
+@pytest.mark.parametrize(
+    "program", [LAYERED, LAYERED_ON_SIDE_1], ids=["layered", "layered_on_side_1"]
+)
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+def test_enumerated_layered_ties_are_served_a_round_later(
+    program, semantics, grounding, well_founded
+):
+    runs = _assert_enumerated_trails_are_run_trails(
+        Engine(program), semantics, grounding, well_founded
+    )
+    # c/d is a tie on one branch of a/b only: 2 × 2 sequences there, 2 on
+    # the other.
+    atom = runs[0].model.ground_program.atoms.atom
+    served = [[str(atom(min(c.true_ids + c.false_ids))) for c in s.choices] for s in runs]
+    assert Counter(map(tuple, served)) == {("a", "x", "c"): 4, ("a", "x"): 2}

@@ -70,7 +70,9 @@ def _enum_model_set(gp):
     """The set of reachable tie-breaking models, decoded."""
     return frozenset(
         frozenset(str(a) for a in model.true_set())
-        for model, _ in _enumerate_tie_breaking_models(gp, well_founded=True, limit=_ENUM_LIMIT)
+        for model, _ in _enumerate_tie_breaking_models(
+            GroundGraphState(gp), well_founded=True, limit=_ENUM_LIMIT
+        )
     )
 
 
@@ -344,11 +346,12 @@ def test_full_recompute_queries_tolerate_grown_csr():
             state.assign_many(unfounded, FALSE, ("unfounded", 1))
             state.close()
             continue
-        tie = state.select_tie()
-        if tie is None:
+        ties = state.select_ties()
+        if not ties:
             return
-        sides = tie.side_of_atom()
-        state.assign_many([a for a, s in sides.items() if s == 0], TRUE, ("tie", 0))
-        state.assign_many([a for a, s in sides.items() if s == 1], FALSE, ("tie", 1))
+        for tie in ties:
+            sides = tie.side_of_atom()
+            state.assign_many([a for a, s in sides.items() if s == 0], TRUE, ("tie", 0))
+            state.assign_many([a for a, s in sides.items() if s == 1], FALSE, ("tie", 1))
         state.close()
     pytest.fail("solve trajectory did not converge")

@@ -9,13 +9,14 @@ of its bookkeeping:
   ``unfounded_atoms(full_recompute=True)`` — the read-only full cascade;
 * the **incremental unfounded query** against ``full_recompute=True`` at
   every interpreter step;
-* the **min-keyed tie schedule** (``select_tie``) against the
-  schedule-free scan of ``bottom_components_live()`` at every step;
-* the **trail-based undo log** — the trail-undo DFS enumerator must emit
-  the identical (model, choice-trail) sequence as the clone-based
-  reference explorer, and a ``trail_undo`` must land on a state
-  indistinguishable (statuses, liveness, counters, query answers) from a
-  ``clone`` taken at the mark.
+* the **min-keyed tie schedule** (``select_ties``) against the
+  schedule-free scan of ``bottom_components_live()`` at every round;
+* the **trail-based undo log** — the trail-undo DFS enumerator, which
+  branches inside batched rounds, must emit the same multiset of
+  (model, multiset of choices) runs as the clone-based reference
+  explorer, which branches one tie per step, and a ``trail_undo`` must
+  land on a state indistinguishable (statuses, liveness, counters, query
+  answers) from a ``clone`` taken at the mark.
 
 Random inputs come from the hypothesis strategies and from the library's
 own :mod:`repro.workloads.random_programs` distributions, plus every
@@ -23,6 +24,8 @@ named workload family at small sizes.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,15 +35,12 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import apply_facts_delta, ground
 from repro.ground.model import FALSE, TRUE
 from repro.ground.state import GroundGraphState
-from repro.semantics.tie_breaking import (
-    _enumerate_reference,
-    _enumerate_tie_breaking_models,
-    _select_tie,
-)
+from repro.semantics.tie_breaking import _enumerate_tie_breaking_models
 from repro.workloads import families
 from repro.workloads.random_programs import random_propositional_program
 
 from tests.properties.strategies import propositional_programs
+from tests.semantics.tie_oracle import _enumerate_reference, _scan_ties, _select_tie
 
 MAX_STEPS = 64
 
@@ -77,12 +77,24 @@ GROUND_CASES = list(_grounds())
 
 
 def _run_key(run) -> tuple:
-    """Comparable view of one (model, trail) run: (true set, id-based trail)."""
+    """Comparable view of one (model, trail) run: the true set and the
+    multiset of id-based choices.  Batched rounds serve a tie that becomes
+    bottom only after an earlier choice a round later, so the order of
+    choices within a trail is the schedule's, not the run's."""
     model, choices = run
     return (
         frozenset(model.true_set()),
-        tuple((c.true_ids, c.false_ids, c.forced) for c in choices),
+        frozenset(Counter((c.true_ids, c.false_ids, c.forced) for c in choices).items()),
     )
+
+
+def _runs(runs) -> Counter:
+    """The multiset of runs an explorer emits."""
+    return Counter(_run_key(run) for run in runs)
+
+
+def _atoms(ties) -> list[tuple[int, ...]]:
+    return [tuple(tie.atom_ids) for tie in ties]
 
 
 def _orient_min(state: GroundGraphState, tie) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -110,7 +122,8 @@ def _drive_stepwise_oracle(gp) -> tuple[list[int], int]:
 
     Uses ``unfounded_atoms(full_recompute=True)`` +
     ``bottom_components_live(full_recompute=True)`` scanning — no source
-    pointers, no schedule, no fused cascade.
+    pointers, no schedule, no fused cascade.  Each round orients every
+    bottom tie, smallest atom first, as the schedule's rounds do.
     """
     state = GroundGraphState(gp)
     state.close()
@@ -122,17 +135,11 @@ def _drive_stepwise_oracle(gp) -> tuple[list[int], int]:
             state.assign_many(unfounded, FALSE, ("unfounded", iterations))
             state.close()
             continue
-        tie = None
-        tie_key = None
-        for component in state.bottom_components_live(full_recompute=True):
-            if not component.is_tie:
-                continue
-            key = min(component.atom_ids)
-            if tie_key is None or key < tie_key:
-                tie, tie_key = component, key
-        if tie is None:
+        ties = [c for c in state.bottom_components_live(full_recompute=True) if c.is_tie]
+        if not ties:
             return list(state.status), iterations
-        _orient_min(state, tie)
+        for tie in sorted(ties, key=lambda c: min(c.atom_ids)):
+            _orient_min(state, tie)
         state.close()
     pytest.fail("stepwise oracle did not converge")
 
@@ -144,17 +151,18 @@ def _drive_fused(gp) -> tuple[list[int], int]:
     iterations = 0
     for _ in range(MAX_STEPS):
         iterations += state.falsify_unfounded(numbered=True, start=iterations + 1)
-        tie = state.select_tie()
-        if tie is None:
+        ties = state.select_ties()
+        if not ties:
             return list(state.status), iterations
-        _orient_min(state, tie)
+        for tie in ties:
+            _orient_min(state, tie)
         state.close()
     pytest.fail("fused drive did not converge")
 
 
 @pytest.mark.parametrize("name,gp", GROUND_CASES, ids=[n for n, _ in GROUND_CASES])
 def test_fused_cascade_matches_stepwise_full_recompute(name, gp):
-    """falsify_unfounded + select_tie ≡ the full_recompute step loop."""
+    """falsify_unfounded + select_ties ≡ the full_recompute step loop."""
     fused_status, fused_iters = _drive_fused(gp)
     oracle_status, oracle_iters = _drive_stepwise_oracle(gp)
     assert fused_status == oracle_status
@@ -163,7 +171,7 @@ def test_fused_cascade_matches_stepwise_full_recompute(name, gp):
 
 @pytest.mark.parametrize("name,gp", GROUND_CASES, ids=[n for n, _ in GROUND_CASES])
 def test_incremental_queries_match_oracles_per_step(name, gp):
-    """unfounded_atoms() and select_tie() vs their per-step oracles."""
+    """unfounded_atoms() and select_ties() vs their per-step oracles."""
     state = GroundGraphState(gp)
     state.close()
     for step in range(MAX_STEPS):
@@ -173,20 +181,22 @@ def test_incremental_queries_match_oracles_per_step(name, gp):
             state.assign_many(incremental, FALSE, ("unfounded", step))
             state.close()
             continue
-        scheduled = state.select_tie()
-        scanned = _select_tie(state)
-        if scheduled is None:
-            assert scanned is None
+        scanned = _scan_ties(state)
+        first = _select_tie(state)
+        scheduled = state.select_ties()
+        if not scheduled:
+            assert not scanned and first is None
             return
-        assert scanned is not None
-        assert sorted(scheduled.atom_ids) == sorted(scanned.atom_ids)
-        assert sorted(scheduled.rule_ids) == sorted(scanned.rule_ids)
-        assert scheduled.is_tie and scanned.is_tie
-        sides = scheduled.side_of_atom()
-        made_true = sorted(a for a, s in sides.items() if s == 0)
-        made_false = sorted(a for a, s in sides.items() if s == 1)
-        state.assign_many(made_true, TRUE, ("tie", 0))
-        state.assign_many(made_false, FALSE, ("tie", 1))
+        assert _atoms(scheduled) == _atoms(scanned)
+        assert tuple(scheduled[0].atom_ids) == tuple(first.atom_ids)
+        for tie, ref in zip(scheduled, scanned):
+            assert sorted(tie.rule_ids) == sorted(ref.rule_ids)
+            assert tie.is_tie and ref.is_tie
+            sides = tie.side_of_atom()
+            made_true = sorted(a for a, s in sides.items() if s == 0)
+            made_false = sorted(a for a, s in sides.items() if s == 1)
+            state.assign_many(made_true, TRUE, ("tie", 0))
+            state.assign_many(made_false, FALSE, ("tie", 1))
         state.close()
     pytest.fail("drive did not converge")
 
@@ -194,12 +204,13 @@ def test_incremental_queries_match_oracles_per_step(name, gp):
 @pytest.mark.parametrize("variant", ["well-founded", "pure"])
 @pytest.mark.parametrize("name,gp", GROUND_CASES, ids=[n for n, _ in GROUND_CASES])
 def test_trail_enumeration_matches_clone_reference(name, gp, variant):
-    """Identical (model, choice-trail) run sequences, trail vs clone."""
+    """The same multiset of runs, trail (batched rounds) vs clone (one tie
+    per step), multiplicities included."""
     well_founded = variant == "well-founded"
-    trail_runs = [
-        _run_key(run) for run in _enumerate_tie_breaking_models(gp, well_founded=well_founded)
-    ]
-    clone_runs = [_run_key(run) for run in _enumerate_reference(gp, well_founded=well_founded)]
+    trail_runs = _runs(
+        _enumerate_tie_breaking_models(GroundGraphState(gp), well_founded=well_founded)
+    )
+    clone_runs = _runs(_enumerate_reference(gp, well_founded=well_founded))
     assert trail_runs == clone_runs
     assert trail_runs  # at least one run is always emitted
 
@@ -208,7 +219,9 @@ def test_trail_enumeration_matches_clone_reference(name, gp, variant):
 def test_trail_enumeration_respects_limit(limit):
     program, db = families.committee(4)
     gp = ground(program, db, mode="relevant")
-    runs = list(_enumerate_tie_breaking_models(gp, well_founded=True, limit=limit))
+    runs = list(
+        _enumerate_tie_breaking_models(GroundGraphState(gp), well_founded=True, limit=limit)
+    )
     assert len(runs) == min(limit, 16)
 
 
@@ -338,33 +351,19 @@ def test_trail_undo_restores_clone_equivalent_state(program, steps):
 
     # Wander: break up to `steps` ties (the branchy mutation source).
     for _ in range(steps):
-        tie = state.select_tie()
-        if tie is None:
+        if not _orient_round(state):
             break
-        sides = tie.side_of_atom()
-        state.assign_many([a for a, s in sides.items() if s == 0], TRUE, ("tie", 0))
-        state.assign_many([a for a, s in sides.items() if s == 1], FALSE, ("tie", 1))
-        state.close()
         state.falsify_unfounded(numbered=False)
     state.trail_undo(mark)
 
     assert _state_fingerprint(state) == _state_fingerprint(reference)
     assert state.unfounded_atoms() == reference.unfounded_atoms()
     assert state.unfounded_atoms() == state.unfounded_atoms(full_recompute=True)
-    undone = state.select_tie()
-    cloned = _select_tie(reference)
-    if undone is None:
-        assert cloned is None
-    else:
-        assert cloned is not None
-        assert sorted(undone.atom_ids) == sorted(cloned.atom_ids)
-
-    # The rewound state must still drive to the same final model as the
-    # untouched clone under the same canonical decisions.
-    undone_status, undone_iters = _drive_from(state)
-    clone_status, clone_iters = _drive_from(reference)
-    assert undone_status == clone_status
-    assert undone_iters == clone_iters
+    # The rewound state must serve the untouched clone's rounds (each
+    # pinned against the scan in _drive_from) and drive to the same final
+    # model under the same canonical decisions.
+    assert _atoms(_scan_ties(state)) == _atoms(_scan_ties(reference))
+    assert _drive_from(state) == _drive_from(reference)
 
 
 def test_trail_undo_on_streamed_ground_program():
@@ -398,20 +397,15 @@ def test_trail_undo_on_streamed_ground_program():
     mark = state.trail_mark()
 
     for _ in range(3):
-        tie = state.select_tie()
-        if tie is None:
+        if not _orient_round(state):
             break
-        sides = tie.side_of_atom()
-        state.assign_many([a for a, s in sides.items() if s == 0], TRUE, ("tie", 0))
-        state.assign_many([a for a, s in sides.items() if s == 1], FALSE, ("tie", 1))
-        state.close()
         state.falsify_unfounded(numbered=False)
     state.trail_undo(mark)
 
     assert _state_fingerprint(state) == _state_fingerprint(reference)
     assert state.unfounded_atoms() == state.unfounded_atoms(full_recompute=True)
-    undone_status, _ = _drive_from(state)
-    clone_status, _ = _drive_from(reference)
+    undone_status, _, _ = _drive_from(state)
+    clone_status, _, _ = _drive_from(reference)
     assert undone_status == clone_status
 
 
@@ -427,11 +421,10 @@ def test_close_after_undo_past_rebuild():
     state.falsify_unfounded(numbered=False)
     mark = state.trail_mark()
     labels_before = len(state._labels)
-    tie = state.select_tie()  # first query: appends the rebuild record
-    assert tie is not None
-    sides = tie.side_of_atom()
-    state.assign_many([a for a, s in sides.items() if s == 0], TRUE, ("tie", 0))
-    state.assign_many([a for a, s in sides.items() if s == 1], FALSE, ("tie", 1))
+    ties = state.select_ties()  # first query: appends the rebuild record
+    assert ties
+    sides = [tie.side_of_atom() for tie in ties]
+    _assign_sides(state, sides)
     state.close()
     state.trail_undo(mark)
     # Labels interned since the mark are reclaimed with it.
@@ -439,22 +432,44 @@ def test_close_after_undo_past_rebuild():
     # Mutate and close again WITHOUT an intervening query: tracking must
     # be off until the next query rebuilds the condensation (the undone
     # component ids no longer have edge counts).
-    state.assign_many([a for a, s in sides.items() if s == 0], TRUE, ("tie", 0))
-    state.assign_many([a for a, s in sides.items() if s == 1], FALSE, ("tie", 1))
+    _assign_sides(state, sides)
     state.close()
-    status, _ = _drive_from(state)
+    status, _, _ = _drive_from(state)
     fresh_status, _ = _drive_fused(gp)
     assert status == fresh_status
 
 
-def _drive_from(state: GroundGraphState) -> tuple[list[int], int]:
+def _assign_sides(state: GroundGraphState, sides: list[dict[int, int]]) -> None:
+    """Orient ties side 0 true, from their ``side_of_atom`` maps."""
+    for side in sides:
+        state.assign_many([a for a, s in side.items() if s == 0], TRUE, ("tie", 0))
+        state.assign_many([a for a, s in side.items() if s == 1], FALSE, ("tie", 1))
+
+
+def _orient_round(state: GroundGraphState) -> bool:
+    """Orient every tie the schedule serves (side 0 true) and re-close;
+    False when no tie is left."""
+    ties = state.select_ties()
+    _assign_sides(state, [tie.side_of_atom() for tie in ties])
+    state.close()
+    return bool(ties)
+
+
+def _drive_from(state: GroundGraphState) -> tuple[list[int], int, list]:
+    """Drive to the end; each round's served ties are pinned against the
+    scan.  Returns (status, unfounded rounds, served atoms per round)."""
     iterations = 0
+    served = []
     for _ in range(MAX_STEPS):
         iterations += state.falsify_unfounded(numbered=False)
-        tie = state.select_tie()
-        if tie is None:
-            return list(state.status), iterations
-        _orient_min(state, tie)
+        expected = _atoms(_scan_ties(state))
+        ties = state.select_ties()
+        assert _atoms(ties) == expected
+        if not ties:
+            return list(state.status), iterations, served
+        served.append(expected)
+        for tie in ties:
+            _orient_min(state, tie)
         state.close()
     pytest.fail("post-undo drive did not converge")
 
@@ -463,73 +478,79 @@ def _drive_from(state: GroundGraphState) -> tuple[list[int], int]:
 @given(program=propositional_programs())
 def test_hypothesis_trail_enumeration_matches_clone(program):
     gp = ground(program, Database(), mode="full")
-    trail_runs = [_run_key(run) for run in _enumerate_tie_breaking_models(gp, well_founded=True)]
-    clone_runs = [_run_key(run) for run in _enumerate_reference(gp, well_founded=True)]
+    trail_runs = _runs(_enumerate_tie_breaking_models(GroundGraphState(gp), well_founded=True))
+    clone_runs = _runs(_enumerate_reference(gp, well_founded=True))
     assert trail_runs == clone_runs
 
 
 # ---------------------------------------------------------------------------
-# select_tie lazy-discard edge cases under trail undo.  The min-keyed
-# schedule keeps stale heap entries around after assignments and undos;
-# every resurfaced entry must be re-validated against live state, pinned
-# here by the schedule-free oracle.
+# select_ties lazy-discard edge cases under trail undo.  select_ties pops
+# the schedule for good, and stale heap entries stay around after
+# assignments and undos; every resurfaced entry must be re-validated
+# against live state, pinned here by the schedule-free oracle.
 # ---------------------------------------------------------------------------
 
 
-def _assert_schedule_matches_oracle(state: GroundGraphState) -> None:
-    scheduled = state.select_tie()
-    scanned = _select_tie(state)
-    if scheduled is None:
-        assert scanned is None
+def _assert_schedule_matches_oracle(state: GroundGraphState) -> list:
+    """Serve one round and pin it against the scan; returns the round,
+    which the caller must orient (the pops are permanent)."""
+    scanned = _scan_ties(state)
+    first = _select_tie(state)
+    scheduled = state.select_ties()
+    assert _atoms(scheduled) == _atoms(scanned)
+    assert [t.side_of_atom() for t in scheduled] == [t.side_of_atom() for t in scanned]
+    if scheduled:
+        assert tuple(scheduled[0].atom_ids) == tuple(first.atom_ids)
     else:
-        assert scanned is not None
-        assert sorted(scheduled.atom_ids) == sorted(scanned.atom_ids)
-        assert scheduled.side_of_atom() == scanned.side_of_atom()
+        assert first is None
+    return scheduled
 
 
-def test_select_tie_revalidates_after_undo_of_consumed_tie():
-    """Undoing a tie orientation resurrects it as the scheduled minimum."""
+def test_select_ties_revalidates_after_undo_of_consumed_ties():
+    """Undoing a round resurrects its ties, though select_ties popped them."""
     program, db = families.tie_chain(8)
     state = GroundGraphState(ground(program, db, mode="relevant"))
     state.trail_begin()
     state.close()
     state.falsify_unfounded(numbered=False)
-    first = state.select_tie()
-    assert first is not None
-    first_atoms = tuple(first.atom_ids)
+    first = state.select_ties()
+    assert first
     mark = state.trail_mark()
-    _orient_min(state, first)
+    for tie in first:
+        _orient_min(state, tie)
     state.close()
-    # The heap has discarded/consumed entries for the orientation above;
-    # after undo the same component must be offered again.
+    state.falsify_unfounded(numbered=False)
+    _orient_round(state)  # the next round's query drops the oriented ties
+    # The heap holds no entry for the first round any more; after undo
+    # the same components must be offered again.
     state.trail_undo(mark)
-    again = state.select_tie()
-    assert again is not None
-    assert tuple(again.atom_ids) == first_atoms
-    _assert_schedule_matches_oracle(state)
+    again = _assert_schedule_matches_oracle(state)
+    assert _atoms(again) == _atoms(first)
 
 
-def test_select_tie_discards_stale_entries_after_partial_assignment():
-    """Assigning a tie's atoms outside select-tie flow lazily discards it."""
+def test_select_ties_discards_stale_entries_after_partial_assignment():
+    """Entries an undo pushes again go stale once their ties are oriented."""
     program, db = families.committee(4)
     state = GroundGraphState(ground(program, db, mode="relevant"))
     state.trail_begin()
     state.close()
     state.falsify_unfounded(numbered=False)
-    tie = state.select_tie()
-    assert tie is not None
+    ties = state.select_ties()
+    assert len(ties) == 4
     mark = state.trail_mark()
-    # Orient the scheduled minimum *and* the next tie, then undo only to
-    # the mark: the schedule must resurface exactly the oracle's pick,
-    # not a stale heap head.
-    _orient_min(state, tie)
+    for tie in ties:
+        _orient_min(state, tie)
     state.close()
-    second = state.select_tie()
-    assert second is not None
-    _orient_min(state, second)
-    state.close()
+    assert state.select_ties() == []
+    # The undo pushes all four ties again; orient two of them outside the
+    # schedule: the schedule must serve exactly the oracle's two, not a
+    # stale heap head.
     state.trail_undo(mark)
-    _assert_schedule_matches_oracle(state)
+    for tie in ties[:2]:
+        _orient_min(state, tie)
+    state.close()
+    rest = _assert_schedule_matches_oracle(state)
+    assert _atoms(rest) == _atoms(ties[2:])
 
 
 @settings(max_examples=25, deadline=None)
@@ -537,28 +558,33 @@ def test_select_tie_discards_stale_entries_after_partial_assignment():
     program=propositional_programs(),
     plan=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=4),
 )
-def test_select_tie_schedule_survives_random_undo_cycles(program, plan):
+def test_select_ties_schedule_survives_random_undo_cycles(program, plan):
     """Random orient/undo interleavings: schedule ≡ oracle at every stop.
 
-    Each plan step orients up to three scheduled ties and then either
-    keeps them or undoes back to the step's mark; after every step the
-    min-keyed schedule must agree with the schedule-free scan.
+    Each plan step orients up to three served rounds and then either
+    keeps them or undoes back to the step's mark.  As in the enumerator,
+    the round served at a mark is carried across the undo (its entries
+    were popped before the mark); every round the schedule serves must
+    agree with the schedule-free scan.
     """
     gp = ground(program, Database(), mode="full")
     state = GroundGraphState(gp)
     state.trail_begin()
     state.close()
     state.falsify_unfounded(numbered=False)
-    for breaks, keep in plan:
+    ties = _assert_schedule_matches_oracle(state)
+    for rounds, keep in plan:
         mark = state.trail_mark()
-        for _ in range(breaks):
-            tie = state.select_tie()
-            if tie is None:
+        at_mark = ties
+        for _ in range(rounds):
+            if not ties:
                 break
-            _orient_min(state, tie)
+            for tie in ties:
+                _orient_min(state, tie)
             state.close()
             state.falsify_unfounded(numbered=False)
-            state.close()
+            ties = _assert_schedule_matches_oracle(state)
         if not keep:
             state.trail_undo(mark)
-        _assert_schedule_matches_oracle(state)
+            ties = at_mark
+            assert _atoms(_scan_ties(state)) == _atoms(at_mark)

@@ -4,7 +4,7 @@ An :class:`~repro.api.engine.Engine` serves every ``tie_breaking`` and
 ``pure_tie_breaking`` solve from a clone of one kernel state per
 (grounding mode, ``well_founded``), taken at the end of the prefix no
 policy can change: ``close``, the unfounded step (well-founded variant),
-and the first ``select_tie``.  The oracle is the interpreter run on a
+and the analysis of the first round's bottom components.  The oracle is the interpreter run on a
 fresh :class:`~repro.ground.state.GroundGraphState`, which redoes that
 prefix itself.  The k-th solve on a warm engine must equal it in the
 model, the choice trail, the free-choice count, and ``explain``; after

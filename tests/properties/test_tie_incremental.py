@@ -261,18 +261,19 @@ def _verify_tie_sides(name: str, gp) -> int:
                         f"diverge from the full_recompute oracle"
                     )
             checked += 1
-        tie = state.select_tie()
-        if tie is None:
+        ties = state.select_ties()
+        if not ties:
             return checked
-        sides = tie.side_of_atom()
-        side_atoms: tuple[list[int], list[int]] = ([], [])
-        for atom_id, side in sides.items():
-            side_atoms[side].append(atom_id)
-        true_side = forced_orientation(len(side_atoms[0]), len(side_atoms[1]))
-        if true_side is None:
-            true_side = policy.choose_true_side(side_atoms[0], side_atoms[1])
-        state.assign_many(sorted(side_atoms[true_side]), TRUE, ("tie", true_side))
-        state.assign_many(sorted(side_atoms[1 - true_side]), FALSE, ("tie", 1 - true_side))
+        for tie in ties:
+            sides = tie.side_of_atom()
+            side_atoms: tuple[list[int], list[int]] = ([], [])
+            for atom_id, side in sides.items():
+                side_atoms[side].append(atom_id)
+            true_side = forced_orientation(len(side_atoms[0]), len(side_atoms[1]))
+            if true_side is None:
+                true_side = policy.choose_true_side(side_atoms[0], side_atoms[1])
+            state.assign_many(sorted(side_atoms[true_side]), TRUE, ("tie", true_side))
+            state.assign_many(sorted(side_atoms[1 - true_side]), FALSE, ("tie", 1 - true_side))
         state.close()
 
 
@@ -308,23 +309,24 @@ def _fingerprint(state) -> tuple:
 
 
 def _drive_round(state) -> bool:
-    """One wf-tb round; returns False when the run is complete."""
+    """One batched wf-tb round; returns False when the run is complete."""
     state.falsify_unfounded(numbered=False)
-    tie = state.select_tie()
-    if tie is None:
+    ties = state.select_ties()
+    if not ties:
         return False
-    sides = tie.side_of_atom()
-    side_atoms: tuple[list[int], list[int]] = ([], [])
-    for atom_id, side in sides.items():
-        side_atoms[side].append(atom_id)
-    if not side_atoms[0]:
-        true_side = 0
-    elif not side_atoms[1]:
-        true_side = 1
-    else:
-        true_side = 0 if min(side_atoms[0]) <= min(side_atoms[1]) else 1
-    state.assign_many(sorted(side_atoms[true_side]), TRUE, ("tie", true_side))
-    state.assign_many(sorted(side_atoms[1 - true_side]), FALSE, ("tie", 1 - true_side))
+    for tie in ties:
+        sides = tie.side_of_atom()
+        side_atoms: tuple[list[int], list[int]] = ([], [])
+        for atom_id, side in sides.items():
+            side_atoms[side].append(atom_id)
+        if not side_atoms[0]:
+            true_side = 0
+        elif not side_atoms[1]:
+            true_side = 1
+        else:
+            true_side = 0 if min(side_atoms[0]) <= min(side_atoms[1]) else 1
+        state.assign_many(sorted(side_atoms[true_side]), TRUE, ("tie", true_side))
+        state.assign_many(sorted(side_atoms[1 - true_side]), FALSE, ("tie", 1 - true_side))
     state.close()
     return True
 

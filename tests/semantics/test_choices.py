@@ -122,3 +122,26 @@ class TestSelfDescription:
         replay = RandomChoice(5)
         draws = [policy.choose_true_side([1], [2]) for _ in range(20)]
         assert draws == [replay.choose_true_side([1], [2]) for _ in range(20)]
+
+    def test_an_advanced_random_policy_solves_like_a_fresh_one(self):
+        """A solve runs on a copy, and a copy of a RandomChoice restarts
+        from its seed: where the caller's stream stands does not matter."""
+        import copy
+
+        from repro.api import Engine
+        from repro.workloads.families import committee
+
+        advanced = RandomChoice(5)
+        for _ in range(7):
+            advanced.choose_true_side([1], [2])
+        replay = copy.deepcopy(advanced)
+        assert repr(replay) == repr(advanced)
+        fresh = RandomChoice(5)
+        assert [replay.choose_true_side([1], [2]) for _ in range(20)] == [
+            fresh.choose_true_side([1], [2]) for _ in range(20)
+        ]
+        solved = Engine(*committee(12)).solve("tie_breaking", policy=advanced)
+        expected = Engine(*committee(12)).solve("tie_breaking", policy=RandomChoice(5))
+        assert solved.free_choice_count == 12
+        assert solved.true_atoms == expected.true_atoms
+        assert solved.choices == expected.choices
