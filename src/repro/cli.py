@@ -15,9 +15,10 @@ Subcommands:
   process pool (``--workers``); requests may stream ``insert`` /
   ``retract`` updates into the serving engine;
 * ``server``                  — long-lived concurrent TCP/JSONL server:
-  asyncio front-end over the same artifact with per-session serialized
-  updates, bounded admission (shed responses under overload), and
-  graceful drain on SIGTERM.
+  asyncio front-end over the same artifact, answering on one warm inline
+  engine, with per-session serialized updates, bounded admission (shed
+  responses under overload), per-request deadlines, and graceful drain
+  on SIGTERM.
 
 Program files use the Datalog syntax of :mod:`repro.datalog.parser`;
 databases are fact files (``--db``).  Every subcommand evaluates through
@@ -349,14 +350,13 @@ def _cmd_serve(args) -> int:
     # Aggregate solve-phase stats over *distinct* solves: requests served
     # from an engine's solution cache echo the timings of the solve that
     # populated it, and double-counting those would report more solve
-    # seconds than wall-clock time.  A full reply's encode_s and a pooled
-    # reply's worker_s are its own: they do not tell solves apart.
+    # seconds than wall-clock time.  A full reply's encode_s is its own:
+    # it does not tell solves apart.
     distinct_solves: set[tuple] = set()
     encode_s = 0.0
     for r in results:
         timings = dict(r.get("timings") or {})
         encode_s += timings.pop("encode_s", 0.0)
-        timings.pop("worker_s", None)
         if timings:
             distinct_solves.add(tuple(sorted(timings.items())))
     solve_stats: dict[str, float] = {}
@@ -390,6 +390,13 @@ def _cmd_server(args) -> int:
     if not args.artifact and not args.program:
         print("error: server needs a program file or an existing --artifact", file=sys.stderr)
         return 2
+    if args.workers != 0:
+        print(
+            "error: repro server has no process pool (--workers accepts only 0); "
+            "use repro serve --workers N for a pooled offline batch",
+            file=sys.stderr,
+        )
+        return 2
     program = Path(args.program).read_text() if args.program else None
     database = Path(args.db).read_text() if args.db else None
     server = ReproServer(
@@ -399,7 +406,6 @@ def _cmd_server(args) -> int:
         grounding=args.grounding,
         host=args.host,
         port=args.port,
-        workers=args.workers,
         max_pending=args.max_pending,
         timeout_s=args.timeout,
         session_ttl_s=args.session_ttl,
@@ -538,7 +544,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=0, help="bind port (0 = ephemeral, printed)")
-    p.add_argument("--workers", type=int, default=0, help="worker processes (0 = inline)")
+    # Accepted for existing launch scripts: only 0, the one inline path.
+    p.add_argument("--workers", type=int, default=0, help=argparse.SUPPRESS)
     p.add_argument(
         "--max-pending",
         type=int,

@@ -3,9 +3,18 @@
 All library-raised exceptions derive from :class:`ReproError`, so callers can
 catch everything the library may raise with a single ``except`` clause while
 still being able to discriminate the precise failure mode.
+
+The per-request solve deadline lives here too, beside
+:class:`SolveTimeoutError`: this module imports nothing from the library,
+so the kernel can call :func:`check_deadline` between its rounds.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from time import monotonic
+from typing import Iterator
 
 __all__ = [
     "ReproError",
@@ -15,12 +24,15 @@ __all__ = [
     "GroundingError",
     "ArtifactError",
     "SolveTimeoutError",
+    "WorkerLostError",
     "SessionLimitError",
     "CloseConflictError",
     "NotStronglyConnectedError",
     "NotATieError",
     "SemanticsError",
     "ConstructionError",
+    "check_deadline",
+    "solve_deadline",
 ]
 
 
@@ -70,14 +82,63 @@ class SolveTimeoutError(ReproError):
     """Raised when a solve exceeds its per-request deadline.
 
     The serving layer (:mod:`repro.service`) arms a wall-clock deadline
-    around each request's solve so one pathological program cannot wedge
-    a worker; the request is answered with a structured timeout error
-    instead of propagating this exception.
+    around each request's solve (:func:`solve_deadline`) so one
+    pathological program cannot wedge a worker; the kernel raises this at
+    its next round boundary (:func:`check_deadline`), and the request is
+    answered with a structured timeout error instead of propagating it.
     """
 
     def __init__(self, timeout_s: float, message: str | None = None):
         super().__init__(message or f"solve exceeded the {timeout_s:g}s per-request deadline")
         self.timeout_s = timeout_s
+
+
+#: The current solve's ``(expiry on the monotonic clock, timeout_s)``, or
+#: ``None``.  A context variable, so each thread (and each asyncio task)
+#: sees only the deadline its own caller armed.
+_DEADLINE: ContextVar[tuple[float, float] | None] = ContextVar("repro_deadline", default=None)
+
+
+@contextmanager
+def solve_deadline(timeout_s: float | None) -> Iterator[None]:
+    """Arm a wall-clock deadline of ``timeout_s`` seconds for the block.
+
+    ``None`` arms nothing.  The deadline is cooperative: nothing
+    interrupts the block, but every :func:`check_deadline` inside it
+    raises :class:`SolveTimeoutError` once the time is up.  It works on
+    any thread, and the previous deadline is restored on exit.
+    """
+    if timeout_s is None:
+        yield
+        return
+    token = _DEADLINE.set((monotonic() + timeout_s, timeout_s))
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
+
+def check_deadline() -> None:
+    """Raise :class:`SolveTimeoutError` if the armed deadline has passed.
+
+    The kernel calls this once per interpreter round, unfounded round,
+    DPLL decision and enumerated model — points where its state is
+    consistent — and never inside ``close`` or a propagation loop.
+    Without an armed deadline it costs one context-variable read.
+    """
+    deadline = _DEADLINE.get()
+    if deadline is not None and monotonic() > deadline[0]:
+        raise SolveTimeoutError(deadline[1])
+
+
+class WorkerLostError(ReproError):
+    """Raised for a request left unanswered when a pool worker died.
+
+    When a worker of the offline batch pool
+    (:class:`repro.service.batch.BatchSolver` with ``workers=N``) dies,
+    every request of the batch not answered by then gets a structured
+    ``worker_lost`` error instead of hanging the batch.
+    """
 
 
 class SessionLimitError(ReproError):

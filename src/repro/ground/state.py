@@ -68,7 +68,7 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from repro.datalog.grounding import GroundProgram
-from repro.errors import CloseConflictError, SemanticsError
+from repro.errors import CloseConflictError, SemanticsError, check_deadline
 from repro.graphs.scc import strongly_connected_components
 from repro.graphs.ties import TieAnalysis, TieSides, analyze_component
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
@@ -102,6 +102,7 @@ _T_INCROSS = 3  # (tag, cid): incoming-cross-edge count decremented
 _T_DIRTY = 4  # (tag, cid): cid newly added to the SCC dirty set
 _T_REFINE = 5  # (tag, removed, fresh): a refinement replaced components
 _T_REBUILD = 6  # (tag,): a full condensation rebuild ran
+_T_SERVED = 7  # (tag, cids): select_ties popped these ties off the schedule
 _T_SRC = 8  # (tag, atom, old): source pointer overwritten
 _T_SL_ADD = 9  # (tag, atom): atom added to the sourceless set
 _T_SL_DISCARD = 10  # (tag, atom): atom discarded from the sourceless set
@@ -746,11 +747,14 @@ class GroundGraphState(FinishedState):
         (``numbered=False`` records ``("unfounded", None)``, matching the
         tie-breaking interpreter's convention).  The round number is
         stored in the atom's reason slot, so no label is interned and a
-        state that runs many cascades keeps a bounded label table.
+        state that runs many cascades keeps a bounded label table.  Each
+        round starts with :func:`~repro.errors.check_deadline`: an armed
+        deadline raises between rounds, on a closed state.
         """
         self._require_closed()
         rounds = 0
         while True:
+            check_deadline()
             t0 = perf_counter()
             self._unfounded_refresh()
             sourceless = self._unf_sourceless
@@ -1357,9 +1361,10 @@ class GroundGraphState(FinishedState):
         later are pushed by ``close`` as usual, and a trail undo pushes
         again every bottom component whose removal by a refinement it
         rewinds; component ids are never reused, so a stale entry is
-        never served.  A round's own entries are gone once popped: a
-        caller that rewinds into the middle of a round carries the rest
-        of the round itself.
+        never served.  With a trail active, the call records the ties it
+        served, and an undo to a mark taken before the call pushes them
+        again.  A caller that rewinds to a mark taken after the call, into
+        the middle of its round, carries the rest of the round itself.
         """
         t0 = perf_counter()
         self._ta_overlap = 0.0
@@ -1367,6 +1372,7 @@ class GroundGraphState(FinishedState):
         bottom = self._scc_bottom
         heap = self._tie_heap
         ties: list[BottomComponent] = []
+        served: list[int] = []
         last = -1
         while heap:
             cid = heappop(heap)[1]
@@ -1382,6 +1388,9 @@ class GroundGraphState(FinishedState):
             obj = self._bottom_component(cid)
             if obj.is_tie:
                 ties.append(obj)
+                served.append(cid)
+        if served and self._trail is not None:
+            self._trail.append((_T_SERVED, served))
         self.phase_s["tie_select_s"] += (perf_counter() - t0) - self._ta_overlap
         return ties
 
@@ -1515,6 +1524,13 @@ class GroundGraphState(FinishedState):
                         for node in nodes:
                             comp_of[node] = cid
                         self._scc_dirty.add(cid)
+            elif tag == _T_SERVED:
+                # The state is back to the moment of the select_ties call,
+                # so each served tie is a bottom component again.
+                comps = self._scc_comps
+                if comps is not None:
+                    for cid in entry[1]:
+                        heappush(self._tie_heap, (self._heap_key(comps[cid]), cid))
             elif tag == _T_REBUILD:
                 # Drop the whole condensation (rebuilt on next query).
                 # comp_of must go too: close() keys its tracking off it,

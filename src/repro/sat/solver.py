@@ -9,13 +9,15 @@ caller only needs one fixpoint).
 
 This is deliberately not a CDCL solver: the instances produced by the
 paper's constructions are small (hundreds to a few thousand variables) and
-the priority is auditability.
+the priority is auditability.  Every decision, and every enumerated model,
+checks the armed solve deadline (:func:`repro.errors.check_deadline`).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
+from repro.errors import check_deadline
 from repro.sat.cnf import CNF
 
 __all__ = ["Solver", "solve", "enumerate_models"]
@@ -142,6 +144,7 @@ class Solver:
             if not self._backtrack():
                 return None
         while True:
+            check_deadline()
             decision_var = next(
                 (v for v in self.order if self.value[v] == _UNASSIGNED), None
             )
@@ -175,6 +178,7 @@ def enumerate_models(
     working = cnf.copy()
     seen = 0
     while limit is None or seen < limit:
+        check_deadline()
         model = solve(working)
         if model is None:
             return

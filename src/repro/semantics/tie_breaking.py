@@ -61,6 +61,7 @@ from time import perf_counter
 from typing import Iterator
 
 from repro.datalog.atoms import Atom
+from repro.errors import check_deadline
 from repro.ground.model import FALSE, TRUE, Interpretation
 from repro.ground.state import _R_TIE, BottomComponent, GroundGraphState
 from repro.semantics.choices import ChoicePolicy, forced_orientation
@@ -189,11 +190,14 @@ def _run(
     Each round orients every current bottom tie —
     :meth:`GroundGraphState.select_ties`, in canonical order, so the
     policy sees them in that order — and then re-closes once (and, in
-    the well-founded variant, runs the unfounded step once).
+    the well-founded variant, runs the unfounded step once).  Each round
+    starts with :func:`~repro.errors.check_deadline`, so an armed
+    deadline stops the run between rounds.
     """
     choices: list[TieChoice] = []
     state.close()
     while True:
+        check_deadline()
         if well_founded:
             state.falsify_unfounded(numbered=False)
         ties = state.select_ties()
@@ -226,7 +230,8 @@ def _enumerate_tie_breaking_models(
 
     Worst-case exponential in the number of free choices — this is the
     exhaustive verifier behind the paper's "for all choices" statements,
-    not an interpreter.
+    not an interpreter.  Every round and every leaf checks the armed
+    deadline (:func:`~repro.errors.check_deadline`).
     """
     emitted = 0
     state.trail_begin()
@@ -240,6 +245,7 @@ def _enumerate_tie_breaking_models(
     ties: list[BottomComponent] = []
     first = 0
     while limit is None or emitted < limit:
+        check_deadline()
         for i in range(first, len(ties)):
             tie = ties[i]
             forced = forced_orientation(*tie.side_counts())

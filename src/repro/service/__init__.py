@@ -5,10 +5,11 @@ requests for *one* compiled ground artifact across a pool of worker
 processes, each of which warm-starts via
 :meth:`repro.api.Engine.from_artifact` and never re-parses or re-grounds.
 On top of it, :class:`ReproServer` is the long-lived concurrent tier: an
-asyncio TCP/JSONL front-end with admission control (bounded in-flight,
-structured shed responses) and a :class:`SessionManager` that serializes
-stateful insert/retract streams per session while independent sessions
-proceed in parallel.
+asyncio TCP/JSONL front-end over one warm inline engine, with admission
+control (bounded in-flight, structured shed responses), a per-request
+deadline checked between kernel rounds, and a :class:`SessionManager`
+that serializes stateful insert/retract streams per session while
+independent sessions proceed in parallel.
 
 The CLI surfaces are ``repro serve --batch requests.jsonl`` (one batch,
 then exit) and ``repro server`` (serve until SIGTERM); the wire formats

@@ -10,7 +10,14 @@ afterwards is answered by an engine warm-started from that artifact.
   deterministic mode used by tests;
 * ``workers=N`` shards the batch across ``N`` worker processes; each
   worker loads the artifact once (process-pool initializer), so the
-  per-request cost is pure solve time, never grounding.
+  per-request cost is pure solve time, never grounding.  If a worker
+  dies (killed, out of memory), the batch still returns: every request
+  not answered by then gets ``"error_kind": "worker_lost"``.
+
+A per-request deadline (``timeout_s``) is the same on every path: the
+cooperative :func:`repro.errors.solve_deadline` around the solve, which
+the kernel checks between its rounds.  It holds on any thread, in the
+CLI process and in pool workers alike.
 
 Each request carries its own semantics, grounding mode, tie policy, and
 seed (``repro-batchreq/1``), and may stream EDB updates into the serving
@@ -25,22 +32,25 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import tempfile
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing.pool import AsyncResult, Pool
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.api.engine import Engine
 from repro.datalog.database import Database
 from repro.datalog.grounding import GROUNDING_MODES, GroundingMode
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import Program
-from repro.errors import ReproError, SessionLimitError, SolveTimeoutError, ValidationError
+from repro.errors import (
+    ReproError,
+    SessionLimitError,
+    SolveTimeoutError,
+    ValidationError,
+    WorkerLostError,
+    solve_deadline,
+)
 from repro.io.artifact import program_fingerprint, read_artifact_header
 from repro.io.json_io import solution_to_obj
 from repro.semantics.choices import (
@@ -50,6 +60,9 @@ from repro.semantics.choices import (
     RandomChoice,
     SecondSideTrue,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "REQUEST_SCHEMA",
@@ -268,13 +281,16 @@ def error_kind_of(error: ReproError) -> str:
     """The ``error_kind`` wire tag of one request failure.
 
     ``validation`` (malformed request), ``timeout`` (deadline exceeded),
-    ``session_limit`` (the server's session table is full), or ``error``
-    (every other library failure — unknown semantics, grounding
-    explosion, ...).  The server adds ``overloaded`` and ``draining``
-    (admission control sheds) on top.
+    ``session_limit`` (the server's session table is full),
+    ``worker_lost`` (the offline pool's worker died before answering),
+    or ``error`` (every other library failure — unknown semantics,
+    grounding explosion, ...).  The server adds ``overloaded`` and
+    ``draining`` (admission control sheds) on top.
     """
     if isinstance(error, SolveTimeoutError):
         return "timeout"
+    if isinstance(error, WorkerLostError):
+        return "worker_lost"
     if isinstance(error, SessionLimitError):
         return "session_limit"
     if isinstance(error, ValidationError):
@@ -296,39 +312,6 @@ def failure_result(request_id: Any, error: ReproError) -> dict[str, Any]:
     return result
 
 
-@contextmanager
-def _solve_deadline(timeout_s: float | None) -> Iterator[bool]:
-    """Arm a wall-clock deadline around a solve, where the platform allows.
-
-    Enforcement uses ``SIGALRM`` (via ``signal.setitimer``), so it is only
-    *hard* on the main thread of a POSIX process — exactly where batch
-    solves run: inline in the CLI process, or in the main thread of a
-    worker process.  Anywhere else (executor threads, platforms without
-    ``setitimer``) the deadline degrades to unenforced and the caller's
-    own supervision (e.g. the server's soft ``asyncio`` timeout) applies.
-    Yields whether enforcement is armed.
-    """
-    if (
-        not timeout_s
-        or timeout_s <= 0
-        or not hasattr(signal, "setitimer")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield False
-        return
-
-    def _expired(signum: int, frame: Any) -> None:
-        raise SolveTimeoutError(timeout_s)
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        yield True
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def solve_one(
     engine: Engine,
     request: BatchRequest,
@@ -345,9 +328,12 @@ def solve_one(
 
     ``timeout_s`` arms a per-request deadline around the *solve* (never
     around the stateful ``insert``/``retract`` section, which must not be
-    torn): a solve that exceeds it yields a structured
-    ``"error_kind": "timeout"`` result instead of wedging the worker.
-    See :func:`_solve_deadline` for where enforcement is hard.
+    torn), counted from the start of the solve: a solve that exceeds it
+    yields a structured ``"error_kind": "timeout"`` result instead of
+    wedging the caller.  The deadline is cooperative
+    (:func:`repro.errors.solve_deadline`), so it holds on any thread; a
+    timed-out solve stores nothing on the engine, which answers its next
+    request as if the timed-out one had never run.
     """
     try:
         options: dict[str, Any] = {}
@@ -371,7 +357,7 @@ def solve_one(
                 "inserted": [str(a) for a in inserted],
                 "retracted": [str(a) for a in retracted],
             }
-        with _solve_deadline(timeout_s):
+        with solve_deadline(timeout_s):
             solution = engine.solve(request.semantics, **options)
         result: dict[str, Any] = {
             "schema": BATCH_SCHEMA,
@@ -430,19 +416,9 @@ def _worker_init(artifact_path: str, timeout_s: float | None = None) -> None:
     _WORKER_TIMEOUT_S = timeout_s
 
 
-def _worker_solve(obj: dict[str, Any]) -> dict[str, Any]:
+def _solve_in_worker(obj: dict[str, Any]) -> dict[str, Any]:
     assert _WORKER_ENGINE is not None, "worker used before its initializer ran"
-    t0 = perf_counter()
-    try:
-        request = BatchRequest.from_obj(obj)
-    except ValidationError as error:
-        return failure_result(obj.get("id"), error)
-    result = solve_one(_WORKER_ENGINE, request, timeout_s=_WORKER_TIMEOUT_S)
-    # The worker's own wall clock: the dispatcher (another process, whose
-    # perf_counter is not comparable) subtracts it from the request's
-    # server-side wall time to expose queue + IPC overhead.
-    result.setdefault("timings", {})["worker_s"] = perf_counter() - t0
-    return result
+    return solve_one(_WORKER_ENGINE, BatchRequest.from_obj(obj), timeout_s=_WORKER_TIMEOUT_S)
 
 
 class BatchSolver:
@@ -460,15 +436,16 @@ class BatchSolver:
       is given, the compiled grounding is saved there for the next
       process;
     * ``workers=0`` — answer inline on one warm engine in this process;
-    * ``workers=N`` — fork ``N`` workers, each warm-starting from the
+    * ``workers=N`` — spawn ``N`` workers, each warm-starting from the
       artifact once; requests are handed out one per dispatch (no engine
       is loaded in the parent).  Per-task IPC is microseconds while
       solves are typically milliseconds, so single-request dispatch
-      balances load best;
+      balances load best.  If a worker dies, every request of the batch
+      not answered by then gets a ``worker_lost`` result, and the next
+      batch starts a fresh pool;
     * ``timeout_s`` — per-request solve deadline (see :func:`solve_one`):
       a request whose solve exceeds it is answered with a structured
-      ``"error_kind": "timeout"`` result, enforced by ``SIGALRM`` inline
-      and inside every worker process.
+      ``"error_kind": "timeout"`` result, inline and in every worker.
 
     Use as a context manager (or call :meth:`close`) to reclaim the
     worker pool and any temporary artifact.
@@ -490,14 +467,14 @@ class BatchSolver:
             raise ValidationError(f"timeout_s must be positive, got {timeout_s}")
         self.workers = workers
         self.timeout_s = timeout_s
-        self._pool: Pool | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._engine: Engine | None = None
         self._owns_artifact = False
         path = Path(artifact) if artifact is not None else None
         if path is not None and path.exists():
             # Verify the container up front: a corrupt artifact must fail
             # here, not inside a pool initializer (a raising initializer
-            # puts multiprocessing into an endless worker-respawn loop).
+            # breaks the pool, and every request would come back lost).
             read_artifact_header(path)
             if program is not None:
                 self._check_artifact_matches(path, program, database)
@@ -549,53 +526,20 @@ class BatchSolver:
             self._engine = Engine.from_artifact(self._artifact_path)
         return self._engine
 
-    def _ensure_pool(self) -> Pool:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # Late import keeps multiprocessing out of the common inline path.
-            from multiprocessing import get_context
+            # Late imports keep multiprocessing out of the inline path.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = get_context().Pool(
-                processes=self.workers,
+            # Spawned, not forked: the caller may have threads running.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context("spawn"),
                 initializer=_worker_init,
                 initargs=(str(self._artifact_path), self.timeout_s),
             )
         return self._pool
-
-    def warm_pool(self) -> None:
-        """Fork the worker pool now instead of on first use.
-
-        Long-lived dispatchers (the asyncio server) call this at startup:
-        forking early keeps worker processes free of whatever threads the
-        dispatcher spins up later, and moves the artifact-load cost out of
-        the first request's latency.  A no-op for ``workers=0``.
-        """
-        if self.workers:
-            self._ensure_pool()
-
-    def apply_async(
-        self,
-        request: BatchRequest | dict[str, Any],
-        *,
-        callback: Callable[[dict[str, Any]], None] | None = None,
-        error_callback: Callable[[BaseException], None] | None = None,
-    ) -> AsyncResult:
-        """Dispatch one request to the worker pool without blocking.
-
-        The concurrent server's fan-out path: each stateless request is
-        handed to the pool as it arrives (no batch barrier), and the
-        result comes back through ``callback`` on the pool's result
-        thread.  Requires ``workers >= 1``; stateful requests (updates or
-        a session) must not be sharded and are rejected here.
-        """
-        if not self.workers:
-            raise ValidationError("apply_async needs workers >= 1; solve inline instead")
-        if isinstance(request, BatchRequest):
-            if request.has_updates or request.session is not None:
-                raise ValidationError("stateful requests cannot be sharded across workers")
-            request = request.to_obj()
-        return self._ensure_pool().apply_async(
-            _worker_solve, (request,), callback=callback, error_callback=error_callback
-        )
 
     def solve_many(
         self,
@@ -636,11 +580,20 @@ class BatchSolver:
 
         stateful = any(r.has_updates or r.session is not None for _, r in solvable)
         if self.workers and solvable and not stateful:
+            from concurrent.futures.process import BrokenProcessPool
+
             pool = self._ensure_pool()
             # One request per dispatch (see the class docstring).
-            answers = pool.map(_worker_solve, [r.to_obj() for _, r in solvable], 1)
-            for (i, _), answer in zip(solvable, answers):
-                results[i] = answer
+            futures = [pool.submit(_solve_in_worker, r.to_obj()) for _, r in solvable]
+            for (i, req), future in zip(solvable, futures):
+                try:
+                    results[i] = future.result()
+                except BrokenProcessPool as error:
+                    results[i] = failure_result(
+                        req.id, WorkerLostError(f"worker process lost: {error}")
+                    )
+            if any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
+                self._close_pool()
         else:
             for i, req in solvable:
                 results[i] = solve_one(self.engine, req, timeout_s=self.timeout_s)
@@ -650,12 +603,14 @@ class BatchSolver:
         """Answer a JSONL request stream (see :func:`read_requests`)."""
         return self.solve_many(read_requests(source))
 
-    def close(self) -> None:
-        """Terminate the worker pool and delete a temporary artifact."""
+    def _close_pool(self) -> None:
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+
+    def close(self) -> None:
+        """Shut the worker pool down and delete a temporary artifact."""
+        self._close_pool()
         if self._owns_artifact:
             try:
                 self._artifact_path.unlink()

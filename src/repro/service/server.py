@@ -2,11 +2,11 @@
 
 `repro serve` answers one batch and exits; this module is the long-lived
 front-end over the same warm-start machinery.  One
-:class:`~repro.service.batch.BatchSolver` (and its worker pool, with
-``workers=N``) is shared by every connection; requests and results use
-the exact ``repro-batchreq/1`` / ``repro-batch/1`` line schemas the
-offline batch path uses, so a client can replay a batch file against a
-live server unchanged.
+:class:`~repro.service.batch.BatchSolver` and its warm inline engine are
+shared by every connection; requests and results use the exact
+``repro-batchreq/1`` / ``repro-batch/1`` line schemas the offline batch
+path uses, so a client can replay a batch file against a live server
+unchanged.
 
 Three concerns live here, layered over :mod:`repro.service.batch` and
 :mod:`repro.service.sessions`:
@@ -33,20 +33,23 @@ Dispatch by request shape:
 ===================  ==================================================
 request              execution
 ===================  ==================================================
-stateless, workers=0 serialized on the warm inline engine (one solve
+stateless            serialized on the warm inline engine (one solve
                      thread — the engine is not thread-safe)
-stateless, workers=N fanned out to the worker pool via ``apply_async``
 with ``session``     serialized per session, parallel across sessions
 updates, no session  rejected (``validation`` error)
 ===================  ==================================================
 
-Timeouts are layered: pool workers arm a hard ``SIGALRM`` deadline
-around each solve (see :func:`repro.service.batch.solve_one`), while the
-inline and session paths — whose solves run on executor threads, where
-signals cannot be delivered — get a soft deadline: the dispatcher stops
-waiting and answers with a structured ``timeout`` result.  A soft-timed-
-out session operation still runs to completion under its session lock,
-so a session's engine is never torn mid-update.
+There is no process pool here: on the benchmark's warm traffic a pool's
+IPC cost more than a second CPU gave back (``docs/serving.md``).  The
+offline ``repro serve --workers N`` keeps one.
+
+One deadline serves both paths: ``timeout_s`` is armed around each
+solve by :func:`repro.service.batch.solve_one`, counted from the start
+of that solve, and the kernel checks it between rounds on the executor
+thread, so a runaway solve answers ``timeout`` and frees the thread for
+the requests queued behind it.  A session's ``insert`` / ``retract``
+section is never under the deadline, so its engine is never torn
+mid-update.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from repro.api.engine import Engine
 from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode
 from repro.datalog.program import Program
-from repro.errors import ReproError, SolveTimeoutError, ValidationError
+from repro.errors import ReproError, ValidationError
 from repro.service.batch import (
     BATCH_SCHEMA,
     BatchRequest,
@@ -78,6 +81,13 @@ __all__ = ["ReproServer", "run_server"]
 #: JSON line, so the default 64 KiB limit is far too small.
 _READER_LIMIT = 8 * 2**20
 
+#: Threads for session engines, which are private per session and already
+#: serialized by the session lock.
+_SESSION_THREADS = 4
+
+#: Seconds :meth:`ReproServer.drain` gives admitted requests to finish.
+_DRAIN_TIMEOUT_S = 30.0
+
 
 class ReproServer:
     """Asyncio TCP/JSONL server over one warm :class:`BatchSolver`.
@@ -89,16 +99,12 @@ class ReproServer:
     ``host`` / ``port``
         Bind address; port ``0`` binds an ephemeral port (read it back
         from :attr:`address` after :meth:`start`).
-    ``workers``
-        ``0`` answers stateless requests serialized on one warm inline
-        engine; ``N >= 1`` fans them out to a pool of ``N`` warm worker
-        processes.
     ``max_pending``
         Admission bound: requests admitted but unfinished, server-wide.
         Above it, requests are shed with ``error_kind: "overloaded"``.
     ``timeout_s``
-        Per-request solve deadline (hard in pool workers, soft on the
-        inline/session paths).
+        Per-request solve deadline, counted from the start of the solve
+        (see :func:`~repro.service.batch.solve_one`).
     ``session_ttl_s`` / ``max_sessions``
         Session expiry and table bound (see :mod:`repro.service.sessions`).
 
@@ -119,13 +125,10 @@ class ReproServer:
         grounding: GroundingMode | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 0,
         max_pending: int = 256,
         timeout_s: float | None = None,
         session_ttl_s: float = 600.0,
         max_sessions: int = 64,
-        session_threads: int = 4,
-        drain_timeout_s: float = 30.0,
     ) -> None:
         if max_pending < 1:
             raise ValidationError(f"max_pending must be >= 1, got {max_pending}")
@@ -141,23 +144,19 @@ class ReproServer:
             program=program,
             database=database,
             grounding=grounding,
-            workers=workers,
             timeout_s=timeout_s,
         )
         self.host = host
         self.port = port
-        self.workers = workers
         self.max_pending = max_pending
         self.timeout_s = timeout_s
-        self.drain_timeout_s = drain_timeout_s
         # One solve thread for the shared inline engine (it is not
-        # thread-safe); a small pool for session engines, which are
-        # private per session and already serialized by the session lock.
+        # thread-safe); a small pool for session engines.
         self._inline_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-inline"
         )
         self._session_executor = ThreadPoolExecutor(
-            max_workers=max(1, session_threads), thread_name_prefix="repro-session"
+            max_workers=_SESSION_THREADS, thread_name_prefix="repro-session"
         )
         self._server: asyncio.AbstractServer | None = None
         self._reaper: asyncio.Task[None] | None = None
@@ -178,14 +177,10 @@ class ReproServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound ``(host, port)``.
 
-        With ``workers=N`` the pool is forked *before* the listener (and
-        its executor threads) exists — fork-before-threads hygiene — so
-        startup, not the first request, pays the workers' artifact loads.
+        The inline engine is loaded first, so startup, not the first
+        request, pays the artifact load.
         """
-        if self.workers:
-            self.solver.warm_pool()
-        else:
-            self.solver.engine  # warm the inline engine before traffic
+        self.solver.engine  # warm the inline engine before traffic
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port, limit=_READER_LIMIT
         )
@@ -199,19 +194,19 @@ class ReproServer:
 
         New requests (and new connections) are shed with
         ``error_kind: "draining"``; requests already admitted get up to
-        ``drain_timeout_s`` seconds to finish; live sessions are closed
+        ``_DRAIN_TIMEOUT_S`` seconds to finish; live sessions are closed
         on the way down.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        deadline = perf_counter() + self.drain_timeout_s
+        deadline = perf_counter() + _DRAIN_TIMEOUT_S
         while self._inflight and perf_counter() < deadline:
             await asyncio.sleep(0.02)
         # Hang up the remaining connections (readline sees EOF) and wait
         # for their handler tasks, so nothing is mid-write when the
-        # executors and pool go away — and no task outlives the loop.
+        # executors go away — and no task outlives the loop.
         for writer in list(self._conn_writers):
             try:
                 writer.close()
@@ -353,21 +348,10 @@ class ReproServer:
 
         now = perf_counter()
         timings = result.setdefault("timings", {})
-        if started is not None:
-            timings["queue_wait_s"] = max(0.0, started - t_recv)
-        elif "worker_s" in timings:
-            # Pool path: worker clocks are not comparable across
-            # processes, so the wait is everything the worker did not do.
-            timings["queue_wait_s"] = max(0.0, (now - t_recv) - timings["worker_s"])
-        else:
-            timings.setdefault("queue_wait_s", now - t_recv)
+        timings["queue_wait_s"] = now - t_recv if started is None else max(0.0, started - t_recv)
         timings["queue_depth"] = depth
         timings["server_s"] = now - t_recv
-        result["server"] = {
-            "queue_depth": depth,
-            "max_pending": self.max_pending,
-            "workers": self.workers,
-        }
+        result["server"] = {"queue_depth": depth, "max_pending": self.max_pending}
         if result.get("ok"):
             self.served += 1
         else:
@@ -384,11 +368,7 @@ class ReproServer:
             "error": message,
             "error_kind": kind,
             "timings": {"queue_wait_s": 0.0, "queue_depth": self._inflight},
-            "server": {
-                "queue_depth": self._inflight,
-                "max_pending": self.max_pending,
-                "workers": self.workers,
-            },
+            "server": {"queue_depth": self._inflight, "max_pending": self.max_pending},
         }
 
     async def _dispatch(
@@ -397,9 +377,8 @@ class ReproServer:
         """Route one admitted request; returns ``(result, solve_start)``.
 
         ``solve_start`` is the ``perf_counter`` instant the solve left
-        the queue (``None`` when the path cannot observe it, e.g. a
-        timed-out wait or the worker pool, which reports ``worker_s``
-        instead).
+        the queue (``None`` for a request that failed before it was
+        queued).
         """
         try:
             request = BatchRequest.from_obj(obj)
@@ -413,53 +392,26 @@ class ReproServer:
                     "stateful insert/retract requires a 'session' field on the "
                     "server — the shared serving engines are read-only"
                 )
-            if self.workers:
-                return await self._solve_pooled(request), None
             return await self._solve_inline(request)
         except ReproError as error:
             return failure_result(request.id, error), None
 
-    # -- stateless, workers=0 ------------------------------------------
+    # -- stateless -------------------------------------------------------
 
-    async def _solve_inline(self, request: BatchRequest) -> tuple[dict[str, Any], float | None]:
+    async def _solve_inline(self, request: BatchRequest) -> tuple[dict[str, Any], float]:
         loop = asyncio.get_running_loop()
         started: list[float] = []
 
         def job() -> dict[str, Any]:
             started.append(perf_counter())
-            return solve_one(self.solver.engine, request)
+            return solve_one(self.solver.engine, request, timeout_s=self.timeout_s)
 
-        future = loop.run_in_executor(self._inline_executor, job)
-        result = await self._supervised(future, request.id)
-        return result, (started[0] if started else None)
-
-    # -- stateless, workers=N ------------------------------------------
-
-    async def _solve_pooled(self, request: BatchRequest) -> dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[dict[str, Any]] = loop.create_future()
-
-        def done(result: dict[str, Any]) -> None:
-            loop.call_soon_threadsafe(
-                lambda: future.done() or future.set_result(result)
-            )
-
-        def failed(error: BaseException) -> None:
-            loop.call_soon_threadsafe(
-                lambda: future.done() or future.set_exception(error)
-            )
-
-        self.solver.apply_async(request, callback=done, error_callback=failed)
-        try:
-            return await future
-        except ReproError:
-            raise
-        except BaseException as error:  # worker crash / pool teardown
-            raise ReproError(f"worker dispatch failed: {error}") from error
+        result = await loop.run_in_executor(self._inline_executor, job)
+        return result, started[0]
 
     # -- sessions -------------------------------------------------------
 
-    async def _solve_session(self, request: BatchRequest) -> tuple[dict[str, Any], float | None]:
+    async def _solve_session(self, request: BatchRequest) -> tuple[dict[str, Any], float]:
         loop = asyncio.get_running_loop()
         started: list[float] = []
         name = request.session
@@ -470,10 +422,9 @@ class ReproServer:
 
             def job() -> dict[str, Any]:
                 started.append(perf_counter())
-                # No hard deadline here: the apply section must never be
-                # torn.  The dispatcher's soft deadline answers the
-                # client; the operation itself runs to completion.
-                return solve_one(session.engine, request)
+                # solve_one arms the deadline around the solve only: the
+                # apply section runs to completion and is never torn.
+                return solve_one(session.engine, request, timeout_s=self.timeout_s)
 
             result = await loop.run_in_executor(self._session_executor, job)
             result["session"] = {
@@ -483,30 +434,8 @@ class ReproServer:
             }
             return result
 
-        future = asyncio.ensure_future(self.sessions.run(name, work))
-        result = await self._supervised(future, request.id)
-        return result, (started[0] if started else None)
-
-    async def _supervised(
-        self, future: "asyncio.Future[dict[str, Any]]", request_id: Any
-    ) -> dict[str, Any]:
-        """Await a solve under the soft per-request deadline.
-
-        On timeout the underlying work is *not* cancelled (a session
-        apply must finish; the inline engine thread cannot be
-        interrupted anyway) — the client just gets its structured
-        ``timeout`` answer now instead of never.
-        """
-        if self.timeout_s is None:
-            return await future
-        try:
-            return await asyncio.wait_for(asyncio.shield(future), self.timeout_s)
-        except asyncio.TimeoutError:
-            # Swallow the orphaned result/exception when it eventually lands.
-            future.add_done_callback(
-                lambda f: f.exception() if not f.cancelled() else None
-            )
-            return failure_result(request_id, SolveTimeoutError(self.timeout_s))
+        result = await self.sessions.run(name, work)
+        return result, started[0]
 
     # ------------------------------------------------------------------
     # Control plane
@@ -535,7 +464,6 @@ class ReproServer:
             "shed": self.shed,
             "inflight": self._inflight,
             "connections": self.connections,
-            "workers": self.workers,
             "max_pending": self.max_pending,
             "draining": self._draining,
             "sessions": self.sessions.stats(),
@@ -556,8 +484,7 @@ async def run_server(server: ReproServer, *, ready_stream: TextIO | None = None)
     host, port = server.address
     if ready_stream is not None:
         print(
-            f"repro server listening on {host}:{port} "
-            f"(workers={server.workers}, max_pending={server.max_pending})",
+            f"repro server listening on {host}:{port} (max_pending={server.max_pending})",
             file=ready_stream,
             flush=True,
         )

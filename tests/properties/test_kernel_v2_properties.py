@@ -553,6 +553,31 @@ def test_select_ties_discards_stale_entries_after_partial_assignment():
     assert _atoms(rest) == _atoms(ties[2:])
 
 
+@pytest.mark.parametrize(
+    "well_founded,mode", [(False, "full"), (True, "relevant")], ids=["pure", "well_founded"]
+)
+def test_select_ties_pops_are_undone_with_the_trail(well_founded, mode):
+    """An undo to a mark taken before select_ties serves that round again.
+
+    The state is analysed before the trail starts, so no SCC query runs
+    between the mark and the undo: only the trail can put the popped
+    entries back.
+    """
+    program, db = families.committee(4)
+    state = GroundGraphState(ground(program, db, mode=mode))
+    state.close()
+    if well_founded:
+        state.falsify_unfounded(numbered=False)
+    state.bottom_components_live()
+    state.trail_begin()
+    mark = state.trail_mark()
+    served = state.select_ties()
+    assert len(served) == 4
+    state.trail_undo(mark)
+    again = _assert_schedule_matches_oracle(state)
+    assert _atoms(again) == _atoms(served)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     program=propositional_programs(),

@@ -17,11 +17,16 @@ GAME = "win(X) :- move(X, Y), not win(Y)."
 BOARD = "move(1, 2). move(2, 1). move(2, 3)."
 COMMITTEE = "in(X) :- member(X), not out(X).\nout(X) :- member(X), not in(X)."
 MEMBERS = "member(a). member(b). member(c)."
-# A committee big enough that one tie-breaking solve takes ~100ms+.
-# The soft-timeout tests race a sub-millisecond deadline against it;
-# the margin must dwarf the event loop's wakeup latency (tens of ms on
-# a busy single-CPU box, where the solve thread holds the GIL).
+# A committee big enough that one tie-breaking solve takes ~100ms+; the
+# timeout tests arm a sub-millisecond deadline against it.
 BIG_MEMBERS = " ".join(f"member(m{i})." for i in range(2000))
+# Every fixpoint keeps the self-supported ``s`` true (without it ``bad``
+# would have to equal its own negation), so no fixpoint is stable: a
+# ``stable`` solve checks all 2^20 committee fixpoints before it answers
+# "none".  Tie-breaking answers at once (``s`` is unfounded, ``bad``
+# stays undefined).
+RUNAWAY = COMMITTEE + "\ns :- s.\nbad :- not bad, not s."
+RUNAWAY_MEMBERS = " ".join(f"member(m{i})." for i in range(20))
 
 PROBE = ["in(a)", "in(b)", "in(c)"]
 
@@ -82,27 +87,6 @@ class TestConcurrentServing:
                 assert response["timings"]["queue_wait_s"] >= 0
                 assert response["timings"]["queue_depth"] >= 1
                 assert response["server"]["max_pending"] == 256
-
-    def test_pooled_workers_match_inline_oracle(self, artifact):
-        oracle_engine = Engine.from_artifact(artifact)
-        requests = [{"id": i, "seed": i, "atoms": PROBE} for i in range(6)]
-        expected = {
-            r["id"]: solve_one(
-                oracle_engine, BatchRequest(seed=r["seed"], atoms=tuple(PROBE))
-            )["values"]
-            for r in requests
-        }
-
-        async def main():
-            async with ReproServer(artifact, workers=2) as server:
-                return await send_requests(server.address, requests)
-
-        for response in asyncio.run(main()):
-            assert response["ok"], response
-            assert response["values"] == expected[response["id"]]
-            assert response["server"]["workers"] == 2
-            # The pool path reports the worker's own solve wall clock.
-            assert response["timings"]["worker_s"] > 0
 
     def test_invalid_json_line_fails_that_line_only(self, artifact):
         async def main():
@@ -165,7 +149,7 @@ class TestConcurrentServing:
         ]
 
         async def main():
-            async with ReproServer(artifact, workers=0) as server:
+            async with ReproServer(artifact) as server:
                 return await send_requests(server.address, bad + [{"id": "ok", "atoms": PROBE}])
 
         responses = {r["id"]: r for r in asyncio.run(main())}
@@ -337,8 +321,8 @@ class TestTimeouts:
                 timed_out = await server.handle_line(
                     json.dumps({"id": "u", "session": "s", "insert": ["member(zz)"]})
                 )
-                # The apply ran to completion behind the timeout answer:
-                # wait for the session lock to free, then read the state.
+                # The deadline covers the solve only: the apply ran to
+                # completion first.  Wait for the lock, then read the state.
                 session = server.sessions.get("s")
                 while session.lock.locked() or session.pending:
                     await asyncio.sleep(0.01)
@@ -347,6 +331,34 @@ class TestTimeouts:
         timed_out, update_calls = asyncio.run(main())
         assert not timed_out["ok"] and timed_out["error_kind"] == "timeout"
         assert update_calls == 1
+
+    def test_a_runaway_solve_times_out_and_frees_the_inline_engine(self, tmp_path):
+        """One runaway plus 8 pipelined requests on one connection: the
+        runaway answers ``timeout`` and every request queued behind it on
+        the one solve thread is answered, each against its own deadline."""
+        artifact = tmp_path / "runaway.repro-ground"
+        Engine(RUNAWAY, RUNAWAY_MEMBERS).save_artifact(artifact)
+        probe = ["in(m0)", "in(m1)", "bad"]
+        oracle = Engine.from_artifact(artifact)
+        expected = {
+            i: solve_one(oracle, BatchRequest(seed=i, atoms=tuple(probe)))["values"]
+            for i in range(8)
+        }
+        requests = [{"id": "runaway", "semantics": "stable"}]
+        requests += [{"id": i, "seed": i, "atoms": probe} for i in range(8)]
+
+        async def main():
+            async with ReproServer(artifact, timeout_s=0.5) as server:
+                return await send_requests(server.address, requests)
+
+        responses = {r["id"]: r for r in asyncio.run(main())}
+        runaway = responses.pop("runaway")
+        assert not runaway["ok"] and runaway["error_kind"] == "timeout", runaway
+        assert runaway["timeout_s"] == 0.5
+        assert sorted(responses) == list(range(8))
+        for i, response in responses.items():
+            assert response["ok"], response
+            assert response["values"] == expected[i]
 
 
 class TestControlPlane:
@@ -401,9 +413,8 @@ class TestLifecycle:
             (["--session-ttl", "0"], "ttl_s must be positive"),
             (["--max-sessions", "0"], "max_sessions must be >= 1"),
             (["--timeout", "0"], "timeout_s must be positive"),
-            (["--workers", "-1"], "workers must be >= 0"),
         ],
-        ids=["ttl-negative", "ttl-zero", "max-sessions-zero", "timeout-zero", "workers-negative"],
+        ids=["ttl-negative", "ttl-zero", "max-sessions-zero", "timeout-zero"],
     )
     def test_cli_server_rejects_bad_bounds(self, tmp_path, capsys, flags, message):
         program = tmp_path / "committee.dl"
@@ -415,3 +426,21 @@ class TestLifecycle:
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         # Bounds are checked before anything is compiled or saved.
         assert not artifact.exists()
+
+    @pytest.mark.parametrize("workers", ["-1", "2"])
+    def test_cli_server_workers_flag_accepts_only_zero(self, tmp_path, capsys, workers):
+        program = tmp_path / "committee.dl"
+        program.write_text(COMMITTEE)
+        artifact = tmp_path / "committee.repro-ground"
+        argv = ["server", str(program), "--artifact", str(artifact), "--workers", workers]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "repro serve --workers" in err[0]
+        assert not artifact.exists()
+
+    def test_cli_server_hides_the_workers_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["server", "--help"])
+        assert "--workers" not in capsys.readouterr().out
+
