@@ -20,6 +20,9 @@ benchmark all ride it.
 
 from __future__ import annotations
 
+import sys
+from collections import OrderedDict
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable, Iterator, Mapping
@@ -40,12 +43,23 @@ from repro.datalog.program import Program
 from repro.datalog.terms import Constant
 from repro.engine.plan import ConstantPool
 from repro.errors import GroundingError, SemanticsError
-from repro.ground.state import GroundGraphState
+from repro.ground.model import Interpretation
+from repro.ground.state import FinishedState, GroundGraphState
 from repro.io.artifact import load_artifact, save_ground_program
 from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_spec
 from repro.api.solution import Solution
+from repro.semantics.tie_breaking import FlatTrail, _run
 
 __all__ = ["Engine", "solve", "enumerate_solutions"]
+
+#: The solution cache's bounds: at most this many entries, and at most this
+#: many bytes of entry buffers (see ``_CachedSolve.nbytes``).  The least
+#: recently used entry goes first, counted in ``solution_cache_evictions``.
+SOLUTION_CACHE_ENTRIES = 1024
+SOLUTION_CACHE_BYTES = 64 * 1024 * 1024
+
+#: The tie-breaking semantics, by whether their run takes the unfounded step.
+_TIE_SEMANTICS = {"tie_breaking": True, "pure_tie_breaking": False}
 
 
 def _check_grounding(mode: str | None) -> None:
@@ -53,6 +67,60 @@ def _check_grounding(mode: str | None) -> None:
         raise SemanticsError(
             f"unknown grounding mode {mode!r}; allowed: {', '.join(GROUNDING_MODES)}"
         )
+
+
+class _CachedSolve:
+    """One solution-cache entry: a finished solve as a few flat buffers.
+
+    ``status`` is the model's status: ``bytes`` for a tie-breaking solve,
+    whose ``trail`` (a :class:`~repro.semantics.tie_breaking.FlatTrail`)
+    lets the engine replay its state; the model's own status tuple
+    otherwise, with whatever ``state`` the solve kept — for a
+    well-founded solve, the state the engine already keeps as the mode's
+    base.  ``epoch`` is the engine's ``update_calls`` when the solve ran.
+    ``nbytes`` counts the status and trail buffers; a shared ``state``
+    is not counted.
+    """
+
+    __slots__ = (
+        "semantics",
+        "found",
+        "total",
+        "closed_world",
+        "policy",
+        "iterations",
+        "grounding",
+        "timings",
+        "gp",
+        "status",
+        "state",
+        "trail",
+        "epoch",
+        "nbytes",
+    )
+
+    def __init__(self, solution: Solution, epoch: int) -> None:
+        model = solution.model
+        self.semantics = solution.semantics
+        self.found = solution.found
+        self.total = solution.total
+        self.closed_world = solution.closed_world
+        self.policy = solution.policy
+        self.iterations = solution.iterations
+        self.grounding = solution.grounding
+        self.timings = dict(solution.timings)
+        self.gp = model.ground_program
+        self.epoch = epoch
+        if solution.semantics in _TIE_SEMANTICS:
+            self.status: bytes | tuple[int, ...] = bytes(model.status)
+            self.state: FinishedState | None = None
+            self.trail: FlatTrail | None = FlatTrail(solution.choices, solution.state._reason_arg)
+            self.nbytes = sys.getsizeof(self.status) + self.trail.nbytes
+        else:
+            self.status = model.status
+            self.state = solution.state
+            self.trail = None
+            self.nbytes = sys.getsizeof(self.status)
 
 
 def _change(database: Database, inserted: Iterable[Atom], retracted: Iterable[Atom]) -> None:
@@ -108,7 +176,10 @@ class Engine:
         # the same constant → dense-id mapping (and hence row encodings).
         self._pool = ConstantPool()
         self._ground_cache: dict[GroundingMode, GroundProgram] = {}
-        self._solution_cache: dict[tuple, Solution] = {}
+        # Bounded LRU of compact solves, keyed by _cache_key; see solve.
+        self._solution_cache: OrderedDict[tuple, _CachedSolve] = OrderedDict()
+        self._solution_cache_bytes = 0
+        self.solution_cache_evictions = 0
         # Kernel states at the end of the tie-breaking prefix, keyed by
         # (grounding mode, well_founded); see _tie_state.
         self._checkpoints: dict[tuple[GroundingMode, bool], GroundGraphState] = {}
@@ -376,16 +447,19 @@ class Engine:
 
         Results are cached per (semantics, options): repeated solves — and
         the ``query``/``query_many``/``explain`` helpers built on them —
-        reuse the first computation.  Pass a policy with a different seed
-        for an independent nondeterministic run.
+        reuse the first computation.  A repeat returns a new solution equal
+        to the first (same model, choices, policy and timings), not the
+        same object; see :meth:`_cached_solution`.  Pass a policy with a
+        different seed for an independent nondeterministic run.
         """
         spec = get_spec(semantics)
         key = self._cache_key(spec, options)
         if key is not None:
-            cached = self._solution_cache.get(key)
-            if cached is not None:
+            entry = self._solution_cache.get(key)
+            if entry is not None:
+                self._solution_cache.move_to_end(key)
                 self.solution_cache_hits += 1
-                return cached
+                return self._cached_solution(entry)
         request, used = self._request(spec, dict(options))
         t0 = perf_counter()
         solution = self._finalize(spec.solver(request), perf_counter() - t0, used["mode"])
@@ -393,8 +467,81 @@ class Engine:
         if state is not None:
             self._wf_bases[state.gp.mode] = (state, set())
         if key is not None:
-            self._solution_cache[key] = solution
+            self._cache_solution(key, _CachedSolve(solution, self.update_calls))
         return solution
+
+    def _cache_solution(self, key: tuple, entry: _CachedSolve) -> None:
+        """Store ``entry``, then evict least recently used entries until
+        the cache is within ``SOLUTION_CACHE_ENTRIES`` and
+        ``SOLUTION_CACHE_BYTES``."""
+        cache = self._solution_cache
+        cache[key] = entry
+        self._solution_cache_bytes += entry.nbytes
+        while cache and (
+            len(cache) > SOLUTION_CACHE_ENTRIES or self._solution_cache_bytes > SOLUTION_CACHE_BYTES
+        ):
+            _, evicted = cache.popitem(last=False)
+            self._solution_cache_bytes -= evicted.nbytes
+            self.solution_cache_evictions += 1
+
+    def _cached_solution(self, entry: _CachedSolve) -> Solution:
+        """A new :class:`Solution` equal to the one that filled ``entry``.
+
+        Its model is rebuilt from the status, and its timings are those of
+        the solve that filled the entry.  A tie-breaking solution decodes
+        its ``choices`` from the flat trail on first read, and rebuilds
+        its ``state`` on first read by replaying the trail
+        (:meth:`_replay`).
+        """
+        solution = Solution(
+            entry.semantics,
+            entry.found,
+            entry.total,
+            Interpretation(entry.gp, tuple(entry.status)),
+            entry.closed_world,
+            policy=entry.policy,
+            iterations=entry.iterations,
+            grounding=entry.grounding,
+            timings=dict(entry.timings),
+            state=entry.state,
+        )
+        trail = entry.trail
+        if trail is not None:
+            solution.defer(
+                choices=partial(trail.choices, entry.status, entry.gp.atoms),
+                state=partial(self._replay, entry),
+                free_choice_count=trail.free,
+            )
+        return solution
+
+    def _replay(self, entry: _CachedSolve) -> FinishedState:
+        """The finished state of a cached tie-breaking solve, run again.
+
+        Replays the entry's trail through the tie-breaking loop on a clone
+        of the current checkpoint, with a policy that answers each free tie
+        with its recorded side.  Raises
+        :class:`~repro.errors.SemanticsError` if the engine took an update
+        since the entry was stored, or if the replay's choices or model
+        differ from the entry's.
+        """
+        if entry.epoch != self.update_calls:
+            raise SemanticsError(
+                "the engine took an update since this solution was solved; "
+                "solve again to explain it"
+            )
+        trail = entry.trail
+        well_founded = _TIE_SEMANTICS[entry.semantics]
+        state = self._tie_state(entry.gp, well_founded)
+        choices = _run(state, trail.replay_policy(), well_founded=well_founded)
+        if (
+            tuple(choices) != trail.choices(entry.status, entry.gp.atoms)
+            or bytes(state.status) != entry.status
+        ):
+            raise SemanticsError(
+                "replaying a cached tie trail did not reproduce the cached solution"
+            )
+        state.finish()
+        return state
 
     def enumerate(
         self, semantics: str = "tie_breaking", *, limit: int | None = None, **options: Any
@@ -532,6 +679,7 @@ class Engine:
         self.facts_inserted += len(inserted)
         self.facts_retracted += len(retracted)
         self._solution_cache.clear()
+        self._solution_cache_bytes = 0
         self._checkpoints.clear()
         self._timings["update_s"] = self._timings.get("update_s", 0.0) + perf_counter() - t0
 
@@ -660,7 +808,9 @@ class Engine:
             "interned_constants": len(self._pool),
             "cached_modes": sorted(self._ground_cache),
             "cached_solutions": len(self._solution_cache),
+            "solution_cache_bytes": self._solution_cache_bytes,
             "solution_cache_hits": self.solution_cache_hits,
+            "solution_cache_evictions": self.solution_cache_evictions,
             **self.timings,
         }
 

@@ -36,7 +36,7 @@ the false count then read ``None``, and the wire form writes
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.datalog.atoms import Atom
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
@@ -63,6 +63,8 @@ _FIELDS = (
     "timings",
     "state",
 )
+# Fields a deferred solution builds on first read (see Solution.defer).
+_DEFERRED = ("choices", "state")
 
 
 class Solution:
@@ -111,6 +113,10 @@ class Solution:
       :class:`~repro.ground.state.FinishedState`: the model and its
       reasons, without the kernel's search machinery.
 
+    A solution served from the engine's solution cache is built by
+    :meth:`defer`: its ``choices`` are decoded from the cached trail, and
+    its ``state`` replayed from it, on first read of each.
+
     Thread-safety of the lazy views: decode is idempotent (two racing
     readers build equal frozensets and one wins the cache slot), so
     concurrent reads are safe; only the ``result_s`` booking may
@@ -137,18 +143,58 @@ class Solution:
         self.total = total
         self.model = model
         self.closed_world = closed_world
-        self.choices = choices
+        self._choices = choices
         self.policy = policy
         self.iterations = iterations
         self.grounding = grounding
         self.timings = {} if timings is None else timings
-        self.state = state
+        self._state = state
+        # Loaders of choices / state for a deferred solution (see defer).
+        self._load_choices: Callable[[], tuple["TieChoice", ...]] | None = None
+        self._load_state: Callable[[], "FinishedState"] | None = None
+        self._free: int | None = None
         # Decoded views, filled on first read.
         self._true: frozenset[Atom] | None = None
         self._undefined: frozenset[Atom] | None = None
         self._false: frozenset[Atom] | None = None
         self._ids: _IdPartition | None = None
         self._result_s = 0.0
+
+    # -- deferred trail and state -------------------------------------------
+
+    def defer(
+        self,
+        *,
+        choices: Callable[[], tuple["TieChoice", ...]],
+        state: Callable[[], "FinishedState"],
+        free_choice_count: int,
+    ) -> None:
+        """Build ``choices`` and ``state`` on their first read, not now.
+
+        ``choices()`` and ``state()`` are called at most once each, when
+        the field is first read (an atoms-only reply reads neither);
+        ``free_choice_count`` answers without decoding the trail.  Either
+        loader may raise; the field is then left unbuilt.
+        """
+        self._load_choices = choices
+        self._load_state = state
+        self._free = free_choice_count
+
+    @property
+    def choices(self) -> tuple["TieChoice", ...]:
+        """The tie-orientation trail (decoded on first read when deferred)."""
+        if self._load_choices is not None:
+            self._choices = self._load_choices()
+            self._load_choices = None
+        return self._choices
+
+    @property
+    def state(self) -> Optional["FinishedState"]:
+        """The retained evaluation state (replayed on first read when deferred)."""
+        if self._load_state is not None:
+            self._state = self._load_state()
+            self._load_state = None
+        return self._state
 
     # -- lazy id partition and decoded views -------------------------------
 
@@ -262,7 +308,9 @@ class Solution:
     @property
     def free_choice_count(self) -> int:
         """Number of genuinely nondeterministic tie orientations taken."""
-        return sum(1 for c in self.choices if not c.forced)
+        if self._free is None:
+            self._free = sum(1 for c in self.choices if not c.forced)
+        return self._free
 
     def counts(self) -> tuple[int, int | None, int]:
         """``(true, false, undefined)`` cardinalities without atom decode.
@@ -313,14 +361,19 @@ class Solution:
         Lazy-view caches (the id partition, any already-decoded sets, the
         accumulated ``result_s``) carry over while the model is unchanged,
         so replacing ``timings`` or ``grounding`` never forces or repeats
-        a decode.
+        a decode; deferred ``choices`` and ``state`` stay deferred.
         """
         unknown = sorted(set(changes) - set(_FIELDS))
         if unknown:
             raise TypeError(f"unknown Solution field(s): {', '.join(unknown)}")
-        kwargs = {name: getattr(self, name) for name in _FIELDS}
+        kwargs = {name: getattr(self, name) for name in _FIELDS if name not in _DEFERRED}
+        kwargs["choices"], kwargs["state"] = self._choices, self._state
         kwargs.update(changes)
         new = Solution(**kwargs)
+        if "choices" not in changes:
+            new._load_choices, new._free = self._load_choices, self._free
+        if "state" not in changes:
+            new._load_state = self._load_state
         if new.model is self.model:
             new._true = self._true
             new._undefined = self._undefined

@@ -336,6 +336,7 @@ def _cmd_serve(args) -> int:
         database=database,
         grounding=args.grounding,
         workers=args.workers,
+        timeout_s=args.timeout,
     ) as solver:
         t0 = perf_counter()
         results = solver.solve_file(args.batch)
@@ -520,6 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grounding mode used when compiling the artifact",
     )
     p.add_argument("--workers", type=int, default=0, help="worker processes (0 = inline)")
+    p.add_argument("--timeout", type=float, help="per-request solve deadline in seconds")
     p.add_argument("--output", help="write result lines here instead of stdout")
     p.set_defaults(func=_cmd_serve)
 

@@ -57,16 +57,18 @@ of a fresh-state run.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from time import perf_counter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.datalog.atoms import Atom
-from repro.errors import check_deadline
+from repro.errors import SemanticsError, check_deadline
 from repro.ground.model import FALSE, TRUE, Interpretation
 from repro.ground.state import _R_TIE, BottomComponent, GroundGraphState
 from repro.semantics.choices import ChoicePolicy, forced_orientation
 
-__all__ = ["TieChoice"]
+__all__ = ["FlatTrail", "TieChoice"]
 
 
 class TieChoice:
@@ -125,6 +127,79 @@ class TieChoice:
             f"TieChoice(true_ids={self.true_ids}, false_ids={self.false_ids}, "
             f"forced={self.forced})"
         )
+
+
+class FlatTrail:
+    """A tie trail as a few flat buffers: what a cached solve keeps of it.
+
+    The paper's tie-breaking run is determined by its orientations, so a
+    cache entry stores the trail, not an object per choice:
+
+    * ``ids`` — each choice's true ids, then its false ids (``array("i")``);
+    * ``offsets`` — choice ``k`` owns ``ids[offsets[k]:offsets[k + 1]]``;
+    * ``flags`` — one byte per choice: bit 0 is the side its true atoms
+      took (the ``_R_TIE`` reason argument), bit 1 its ``forced`` flag;
+    * ``free`` — the number of free (not forced) choices.
+
+    A choice's true count is not stored: its true ids are exactly its ids
+    whose status byte in the solve's model is true, so :meth:`choices`
+    reads the split from the status it is given.
+    """
+
+    __slots__ = ("ids", "offsets", "flags", "free")
+
+    def __init__(self, choices: Iterable[TieChoice], reason_arg) -> None:
+        ids: list[int] = []
+        offsets = [0]
+        flags = bytearray()
+        free = 0
+        for choice in choices:
+            ids += choice.true_ids
+            ids += choice.false_ids
+            offsets.append(len(ids))
+            if choice.true_ids:
+                side = reason_arg[choice.true_ids[0]]
+            else:  # a forced choice whose true side is empty
+                side = 1 - reason_arg[choice.false_ids[0]]
+            flags.append(side | (2 if choice.forced else 0))
+            free += not choice.forced
+        self.ids = array("i", ids)
+        self.offsets = array("i", offsets)
+        self.flags = bytes(flags)
+        self.free = free
+
+    @property
+    def nbytes(self) -> int:
+        """The size of the three buffers, object headers included."""
+        return sys.getsizeof(self.ids) + sys.getsizeof(self.offsets) + sys.getsizeof(self.flags)
+
+    def choices(self, status: bytes | tuple[int, ...], table) -> tuple[TieChoice, ...]:
+        """Decode the trail into :class:`TieChoice` objects over ``table``."""
+        ids, offsets = self.ids, self.offsets
+        out = []
+        for k, flag in enumerate(self.flags):
+            chunk = ids[offsets[k] : offsets[k + 1]]
+            made_true = [a for a in chunk if status[a] == TRUE]
+            made_false = [a for a in chunk if status[a] != TRUE]
+            out.append(TieChoice(made_true, made_false, bool(flag & 2), table))
+        return tuple(out)
+
+    def replay_policy(self) -> "_ReplaySides":
+        """A policy that orients the free ties as this trail did, in order."""
+        return _ReplaySides(flag & 1 for flag in self.flags if not flag & 2)
+
+
+class _ReplaySides:
+    """Answers each free tie with the next recorded side (see FlatTrail)."""
+
+    def __init__(self, sides: Iterable[int]) -> None:
+        self._sides = iter(sides)
+
+    def choose_true_side(self, side0_atoms, side1_atoms) -> int:
+        side = next(self._sides, None)
+        if side is None:
+            raise SemanticsError("the replay met more free ties than the trail records")
+        return side
 
 
 def _apply_tie(
@@ -192,7 +267,9 @@ def _run(
     policy sees them in that order — and then re-closes once (and, in
     the well-founded variant, runs the unfounded step once).  Each round
     starts with :func:`~repro.errors.check_deadline`, so an armed
-    deadline stops the run between rounds.
+    deadline stops the run between rounds.  A round that finds no atom
+    left undefined ends the run without asking ``select_ties``, which
+    would refine every component the last close touched to find no tie.
     """
     choices: list[TieChoice] = []
     state.close()
@@ -200,6 +277,8 @@ def _run(
         check_deadline()
         if well_founded:
             state.falsify_unfounded(numbered=False)
+        if not state.live_atom_count:
+            return choices
         ties = state.select_ties()
         if not ties:
             return choices

@@ -11,8 +11,9 @@ afterwards is answered by an engine warm-started from that artifact.
 * ``workers=N`` shards the batch across ``N`` worker processes; each
   worker loads the artifact once (process-pool initializer), so the
   per-request cost is pure solve time, never grounding.  If a worker
-  dies (killed, out of memory), the batch still returns: every request
-  not answered by then gets ``"error_kind": "worker_lost"``.
+  dies (killed, out of memory), the batch still returns: the requests
+  not answered by then go once more to a fresh pool, and only those lost
+  again get ``"error_kind": "worker_lost"``.
 
 A per-request deadline (``timeout_s``) is the same on every path: the
 cooperative :func:`repro.errors.solve_deadline` around the solve, which
@@ -440,9 +441,9 @@ class BatchSolver:
       artifact once; requests are handed out one per dispatch (no engine
       is loaded in the parent).  Per-task IPC is microseconds while
       solves are typically milliseconds, so single-request dispatch
-      balances load best.  If a worker dies, every request of the batch
-      not answered by then gets a ``worker_lost`` result, and the next
-      batch starts a fresh pool;
+      balances load best.  If a worker dies, the requests of the batch
+      not answered by then are resubmitted once to a fresh pool; those
+      lost again get a ``worker_lost`` result;
     * ``timeout_s`` — per-request solve deadline (see :func:`solve_one`):
       a request whose solve exceeds it is answered with a structured
       ``"error_kind": "timeout"`` result, inline and in every worker.
@@ -580,24 +581,49 @@ class BatchSolver:
 
         stateful = any(r.has_updates or r.session is not None for _, r in solvable)
         if self.workers and solvable and not stateful:
-            from concurrent.futures.process import BrokenProcessPool
-
-            pool = self._ensure_pool()
-            # One request per dispatch (see the class docstring).
-            futures = [pool.submit(_solve_in_worker, r.to_obj()) for _, r in solvable]
-            for (i, req), future in zip(solvable, futures):
-                try:
-                    results[i] = future.result()
-                except BrokenProcessPool as error:
-                    results[i] = failure_result(
-                        req.id, WorkerLostError(f"worker process lost: {error}")
-                    )
-            if any(isinstance(f.exception(), BrokenProcessPool) for f in futures):
-                self._close_pool()
+            # A dead worker breaks the whole pool and loses every request
+            # still on it.  Those go once more to a fresh pool; only the
+            # ones lost again are answered worker_lost.
+            lost = self._solve_pooled(solvable, results)
+            if lost:
+                lost = self._solve_pooled([(i, req) for i, req, _ in lost], results)
+            for i, req, error in lost:
+                results[i] = failure_result(
+                    req.id, WorkerLostError(f"worker process lost: {error}")
+                )
         else:
             for i, req in solvable:
                 results[i] = solve_one(self.engine, req, timeout_s=self.timeout_s)
         return [r for r in results if r is not None]
+
+    def _solve_pooled(
+        self, requests: list[tuple[int, BatchRequest]], results: list[dict[str, Any] | None]
+    ) -> list[tuple[int, BatchRequest, Exception]]:
+        """Answer ``requests`` on the pool into ``results``; return the lost ones.
+
+        A request is lost when the pool breaks (a worker died) before it
+        is answered.  The broken pool is shut down, so the next call
+        starts a fresh one.
+        """
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = self._ensure_pool()
+        lost: list[tuple[int, BatchRequest, Exception]] = []
+        futures = []
+        for i, req in requests:
+            try:
+                # One request per dispatch (see the class docstring).
+                futures.append((i, req, pool.submit(_solve_in_worker, req.to_obj())))
+            except BrokenProcessPool as error:
+                lost.append((i, req, error))
+        for i, req, future in futures:
+            try:
+                results[i] = future.result()
+            except BrokenProcessPool as error:
+                lost.append((i, req, error))
+        if lost:
+            self._close_pool()
+        return lost
 
     def solve_file(self, source: str | Path | Iterable[str]) -> list[dict[str, Any]]:
         """Answer a JSONL request stream (see :func:`read_requests`)."""

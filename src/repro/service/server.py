@@ -458,6 +458,7 @@ class ReproServer:
         )
 
     def stats(self) -> dict[str, Any]:
+        engine = self.solver.engine.stats()
         return {
             "served": self.served,
             "failed": self.failed,
@@ -467,6 +468,14 @@ class ReproServer:
             "max_pending": self.max_pending,
             "draining": self._draining,
             "sessions": self.sessions.stats(),
+            # The inline engine's solution cache (session engines keep
+            # their own, private caches).
+            "cache": {
+                "entries": engine["cached_solutions"],
+                "bytes": engine["solution_cache_bytes"],
+                "hits": engine["solution_cache_hits"],
+                "evictions": engine["solution_cache_evictions"],
+            },
         }
 
 

@@ -294,8 +294,11 @@ class TestSolutionCache:
     def test_repeated_solve_is_cached(self):
         engine = Engine(WIN_MOVE, DRAW_DB)
         first = engine.solve("well_founded")
-        assert engine.solve("well_founded") is first
+        again = engine.solve("well_founded")
         assert engine.stats()["solution_cache_hits"] == 1
+        # A hit is a new solution equal to the first, sharing its state.
+        assert again.model == first.model and again.state is first.state
+        assert (again.choices, again.policy) == (first.choices, first.policy)
 
     def test_queries_and_explain_share_one_solve(self):
         engine = Engine(WIN_MOVE, DRAW_DB)
@@ -313,8 +316,11 @@ class TestSolutionCache:
         a = engine.solve("tie_breaking", policy=RandomChoice(1))
         b = engine.solve("tie_breaking", policy=RandomChoice(2))
         assert a is not b
-        # Same self-describing policy spec -> cache hit.
-        assert engine.solve("tie_breaking", policy=RandomChoice(1)) is a
+        # Same self-describing policy spec -> cache hit, equal to the first.
+        again = engine.solve("tie_breaking", policy=RandomChoice(1))
+        assert engine.stats()["solution_cache_hits"] == 1
+        assert again.model == a.model and again.choices == a.choices
+        assert again.policy == a.policy == "RandomChoice(seed=1)"
 
     def test_identity_repr_options_are_not_cached(self):
         class OpaquePolicy:

@@ -24,7 +24,10 @@ def test_encoding_cached_solutions_retains_no_memory_per_solution():
     solutions = [
         engine.solve("tie_breaking", policy=RandomChoice(seed)) for seed in range(SOLUTIONS)
     ]
-    assert engine.solve("tie_breaking", policy=RandomChoice(0)) is solutions[0]  # cached
+    again = engine.solve("tie_breaking", policy=RandomChoice(0))  # a cache hit
+    assert engine.stats()["solution_cache_hits"] == 1
+    first = solutions[0]
+    assert (again.model, again.choices, again.policy) == (first.model, first.choices, first.policy)
     assert len(solutions[0].model.status) > 500
     solution_to_obj(solutions[0])  # builds the one literal table of the atom table
     gc.collect()

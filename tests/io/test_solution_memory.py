@@ -1,11 +1,14 @@
-"""A cached tie-breaking solution keeps its model and reasons, nothing more.
+"""What a tie-breaking solve keeps: a finished state, and a compact cache entry.
 
 After its run, a tie-breaking solve turns its kernel state into a
 :class:`~repro.ground.state.FinishedState`: the SCC cache, the tie
 schedule, the unfounded-set sources, the counters and the live-slot
-arrays are dropped, and only what ``explain`` reads stays.  Each solution
-in the engine's solution cache then costs a few arrays of one entry per
-atom (the model, the state's status and reason buffers) plus its trail.
+arrays are dropped, and only what ``explain`` reads stays.  The solution
+a miss returns keeps that state; the engine's solution cache keeps less.
+An entry is the model's status as ``bytes`` and the trail as a few flat
+buffers, and a cache hit replays the trail on the engine's checkpoint
+when its ``state`` is first read.  The cache is a bounded LRU, by entries
+and by bytes, with counted evictions.
 """
 
 import copy
@@ -15,35 +18,39 @@ import tracemalloc
 
 import pytest
 
+from repro.api import engine as engine_module
 from repro.api.engine import Engine
+from repro.errors import SemanticsError
 from repro.ground.explain import explain
 from repro.ground.state import FinishedState, GroundGraphState
-from repro.semantics.choices import RandomChoice
+from repro.semantics.choices import FewestTrue, RandomChoice, SecondSideTrue
 from repro.semantics.tie_breaking import _run
 from repro.workloads import families
 
 SOLUTIONS = 8
-# Kept state, measured on grounded_argumentation(300): about 6 times the
-# model's status tuple per solution; the whole kernel state was 14 to 17.
-BOUND_IN_MODEL_TUPLES = 8
+# A cache entry on grounded_argumentation(300) measures about 0.4 model
+# status tuples (status bytes, trail buffers, timings); a cached Solution
+# with its finished state measured about 6.
+BOUND_IN_MODEL_TUPLES = 1
 
 
-def test_cached_solutions_keep_no_search_machinery():
+def test_cache_entries_are_smaller_than_one_model_tuple():
     engine = Engine(*families.grounded_argumentation(300))
-    engine.solve("tie_breaking", policy=RandomChoice(SOLUTIONS))  # checkpoint, tables
+    probe = engine.solve("tie_breaking", policy=RandomChoice(SOLUTIONS))  # checkpoint, tables
+    per_model_tuple = sys.getsizeof(probe.model.status)
+    assert probe.free_choice_count > 50
+    del probe
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        solutions = [
-            engine.solve("tie_breaking", policy=RandomChoice(seed)) for seed in range(SOLUTIONS)
-        ]
+        for seed in range(SOLUTIONS):
+            engine.solve("tie_breaking", policy=RandomChoice(seed))  # dropped at once
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert solutions[0].free_choice_count > 50
-    per_model_tuple = sys.getsizeof(solutions[0].model.status)
+    assert engine.stats()["cached_solutions"] == SOLUTIONS + 1
     assert grown / SOLUTIONS < BOUND_IN_MODEL_TUPLES * per_model_tuple, grown
 
 
@@ -112,3 +119,171 @@ def test_kernel_calls_on_a_finished_state_raise():
         with pytest.raises(AttributeError):
             call()
     assert state.status == status
+
+
+# -- cache hits: equal solutions, deferred trail, replayed state -------------
+
+REPLAY_CASES = [
+    (semantics, grounding, well_founded, policy)
+    for semantics, grounding, well_founded in (
+        ("tie_breaking", "relevant", True),
+        ("pure_tie_breaking", "full", False),
+    )
+    for policy in (RandomChoice(5), SecondSideTrue(), FewestTrue())
+]
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded,policy", REPLAY_CASES)
+def test_a_replayed_state_explains_like_the_live_run(semantics, grounding, well_founded, policy):
+    engine = Engine(*families.grounded_argumentation(40))
+    gp = engine.ground_for(grounding)
+    options = {"semantics": semantics, "policy": policy, "grounding": grounding}
+    miss = engine.solve(**options)
+    hit = engine.solve(**options)
+    assert hit is not miss and engine.stats()["solution_cache_hits"] == 1
+    assert hit.model == miss.model and hit.choices == miss.choices
+    assert hit.policy == miss.policy and hit.timings == miss.timings
+    assert hit.free_choice_count == miss.free_choice_count > 0
+    live = GroundGraphState(gp)
+    _run(live, copy.deepcopy(policy), well_founded=well_founded)
+    replayed = hit.state
+    assert type(replayed) is FinishedState and replayed is not miss.state
+    assert replayed.status == live.status
+    for a in range(len(gp.atoms)):
+        atom = gp.atoms.atom(a)
+        expected = explain(live, atom)
+        assert replayed.reason_of(a) == live.reason_of(a)
+        assert explain(replayed, atom) == expected
+        assert engine.explain(atom, **options) == expected
+
+
+def test_an_atoms_only_hit_decodes_no_trail_and_replays_nothing():
+    engine = Engine(*families.grounded_argumentation(40))
+    miss = engine.solve("tie_breaking", policy=RandomChoice(3))
+    builds = engine.stats()["checkpoint_builds"]
+    hit = engine.solve("tie_breaking", policy=RandomChoice(3))
+    atom = miss.model.ground_program.atoms.atom(0)
+    assert hit.value(atom) == miss.value(atom)
+    assert hit.free_choice_count == miss.free_choice_count
+    assert hit._load_choices is not None and hit._load_state is not None
+    assert engine.stats()["checkpoint_builds"] == builds
+    # replace() keeps the trail and the state deferred.
+    copied = hit.replace(grounding="relevant")
+    assert copied._load_choices is not None and copied._load_state is not None
+    assert copied.choices == miss.choices
+
+
+def test_replaying_after_an_update_raises():
+    engine = Engine(*families.grounded_argumentation(40))
+    engine.solve("tie_breaking", policy=RandomChoice(3))
+    hit = engine.solve("tie_breaking", policy=RandomChoice(3))
+    assert engine.insert_facts("attacks(3, 1)")
+    with pytest.raises(SemanticsError, match="update"):
+        hit.state
+    # The engine answers afresh for the updated database.
+    assert engine.solve("tie_breaking", policy=RandomChoice(3)).state is not None
+
+
+def test_a_replay_that_diverges_raises():
+    engine = Engine(*families.grounded_argumentation(40))
+    engine.solve("tie_breaking", policy=RandomChoice(3))
+    (entry,) = engine._solution_cache.values()
+    hit = engine.solve("tie_breaking", policy=RandomChoice(3))
+    flags = bytearray(entry.trail.flags)
+    free = next(k for k, flag in enumerate(flags) if not flag & 2)
+    flags[free] ^= 1  # the other side of one free tie
+    entry.trail.flags = bytes(flags)
+    with pytest.raises(SemanticsError, match="did not reproduce"):
+        hit.state
+
+
+# -- the bound ---------------------------------------------------------------
+
+ENTRY_BOUND = 6
+
+
+def _patch_bounds(monkeypatch, *, entries=None, nbytes=None):
+    if entries is not None:
+        monkeypatch.setattr(engine_module, "SOLUTION_CACHE_ENTRIES", entries)
+    if nbytes is not None:
+        monkeypatch.setattr(engine_module, "SOLUTION_CACHE_BYTES", nbytes)
+
+
+def test_the_entry_bound_evicts_the_least_recently_used(monkeypatch):
+    _patch_bounds(monkeypatch, entries=ENTRY_BOUND)
+    engine = Engine(*families.grounded_argumentation(200))
+
+    def solve(seed):
+        return engine.solve("tie_breaking", policy=RandomChoice(seed))
+
+    def hits():
+        return engine.stats()["solution_cache_hits"]
+
+    first = solve(0)
+    first_choices = first.choices
+    solve(1)
+    solve(0)  # a hit: seed 0 is now more recent than seed 1
+    for seed in range(2, ENTRY_BOUND + 1):
+        solve(seed)
+    assert engine.stats()["solution_cache_evictions"] == 1
+    before = hits()
+    solve(0)  # still cached: the one eviction took seed 1
+    assert hits() == before + 1
+    for seed in range(ENTRY_BOUND + 1, 2 * ENTRY_BOUND + 1):
+        solve(seed)
+    # Seed 0 is evicted by now; it re-solves to the same model and trail.
+    before = hits()
+    again = solve(0)
+    assert hits() == before
+    assert again.model == first.model and again.choices == first_choices
+
+
+def test_twice_the_bound_in_distinct_seeds_stays_within_it(monkeypatch):
+    _patch_bounds(monkeypatch, entries=ENTRY_BOUND)
+    engine = Engine(*families.grounded_argumentation(200))
+    engine._tie_state(engine.ground_for(), True)  # build the checkpoint untraced
+    traced = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for seed in range(2 * ENTRY_BOUND):
+            engine.solve("tie_breaking", policy=RandomChoice(seed))
+            stats = engine.stats()
+            assert stats["cached_solutions"] <= ENTRY_BOUND
+            gc.collect()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert stats["cached_solutions"] == ENTRY_BOUND
+    assert stats["solution_cache_evictions"] == ENTRY_BOUND
+    entries = engine._solution_cache.values()
+    assert stats["solution_cache_bytes"] == sum(entry.nbytes for entry in entries)
+    # Flat over the second half: each new entry evicts one of its size.
+    half = traced[ENTRY_BOUND:]
+    assert max(half) - min(half) < max(entry.nbytes for entry in entries), traced
+
+
+def test_the_byte_bound_keeps_the_counted_bytes_under_it(monkeypatch):
+    engine = Engine(*families.grounded_argumentation(200))
+    engine.solve("tie_breaking", policy=RandomChoice(0))
+    per_entry = engine.stats()["solution_cache_bytes"]
+    bound = int(3.5 * per_entry)
+    _patch_bounds(monkeypatch, nbytes=bound)
+    for seed in range(1, 8):
+        engine.solve("tie_breaking", policy=RandomChoice(seed))
+        assert engine.stats()["solution_cache_bytes"] <= bound
+    stats = engine.stats()
+    assert stats["cached_solutions"] == 3
+    assert stats["solution_cache_evictions"] == 8 - 3
+
+
+def test_an_update_empties_the_cache_without_counting_evictions():
+    engine = Engine(*families.grounded_argumentation(40))
+    for seed in range(3):
+        engine.solve("tie_breaking", policy=RandomChoice(seed))
+    engine.solve("well_founded")
+    assert engine.stats()["solution_cache_bytes"] > 0
+    engine.insert_facts("attacks(3, 1)")
+    stats = engine.stats()
+    assert (stats["cached_solutions"], stats["solution_cache_bytes"]) == (0, 0)
+    assert stats["solution_cache_evictions"] == 0

@@ -289,16 +289,48 @@ class TestBatchSolverWorkers:
             while not multiprocessing.active_children() and time.monotonic() < deadline:
                 time.sleep(0.01)
             time.sleep(0.2)
+            broken = solver._pool
             os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
-            batch.join(timeout=60)
+            batch.join(timeout=120)
             assert not batch.is_alive(), "the batch hung on a dead worker"
             results = answers[0]
             assert [r["id"] for r in results] == list(range(60))
-            lost = [r for r in results if not r["ok"]]
-            assert lost and all(r["error_kind"] == "worker_lost" for r in lost), lost[:3]
-            # The broken pool is replaced: the next batch is answered in full.
+            # The requests the dead worker's pool lost went to a fresh pool.
+            assert broken is not None and solver._pool is not broken
+            assert all(r["ok"] for r in results), [r for r in results if not r["ok"]][:3]
+            # The fresh pool stays: the next batch is answered in full.
             again = solver.solve_many(requests[:4])
             assert all(r["ok"] for r in again), again
+
+    def test_requests_lost_twice_answer_worker_lost(self, tmp_path):
+        artifact = tmp_path / "big.rg"
+        members = " ".join(f"member(m{i})." for i in range(2000))
+        with BatchSolver(artifact, program=COMMITTEE, database=members):
+            pass
+        requests = [{"id": i, "seed": i} for i in range(8)]
+        done = threading.Event()
+
+        def kill_every_worker():
+            while not done.is_set():
+                for child in multiprocessing.active_children():
+                    try:
+                        os.kill(child.pid, signal.SIGKILL)
+                    except (ProcessLookupError, TypeError):
+                        pass
+                time.sleep(0.01)
+
+        killer = threading.Thread(target=kill_every_worker, daemon=True)
+        with BatchSolver(artifact, workers=2) as solver:
+            killer.start()
+            try:
+                results = solver.solve_many(requests)
+            finally:
+                done.set()
+                killer.join()
+            assert [r["id"] for r in results] == list(range(8))
+            assert all(r["error_kind"] == "worker_lost" for r in results), results[:3]
+            # Once nothing kills the workers, the same solver answers again.
+            assert all(r["ok"] for r in solver.solve_many(requests[:2]))
 
     def test_malformed_atom_fails_the_request(self, tmp_path):
         with BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD) as solver:
@@ -512,6 +544,38 @@ class TestServeCli:
         batch.write_text('{"id": "x", "semantics": "nope"}\n')
         code = main(["serve", str(program), "--db", str(db), "--batch", str(batch)])
         assert code == 3
+
+    def test_serve_timeout_stops_a_runaway_request_only(self, tmp_path, capsys):
+        # The stable search has no model to find here and takes far longer
+        # than the deadline; the tie-breaking requests around it answer.
+        program = tmp_path / "runaway.dl"
+        program.write_text(COMMITTEE + "\ns :- s.\nbad :- not bad, not s.\n")
+        db = tmp_path / "members.facts"
+        db.write_text(" ".join(f"member(m{i})." for i in range(20)) + "\n")
+        batch = tmp_path / "requests.jsonl"
+        batch.write_text(
+            '{"id": "before", "seed": 1, "atoms": ["in(m0)"]}\n'
+            '{"id": "runaway", "semantics": "stable"}\n'
+            '{"id": "after", "seed": 2, "atoms": ["in(m1)"]}\n'
+        )
+        argv = ["serve", str(program), "--db", str(db), "--batch", str(batch)]
+        code = main([*argv, "--timeout", "0.5"])
+        replies = {r["id"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+        assert code == 3
+        runaway = replies.pop("runaway")
+        assert not runaway["ok"] and runaway["error_kind"] == "timeout", runaway
+        assert runaway["timeout_s"] == 0.5
+        assert all(r["ok"] for r in replies.values()) and sorted(replies) == ["after", "before"]
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_serve_rejects_a_non_positive_timeout(self, tmp_path, capsys, timeout):
+        program, db = self._files(tmp_path)
+        batch = tmp_path / "requests.jsonl"
+        batch.write_text("{}\n")
+        argv = ["serve", str(program), "--db", str(db), "--batch", str(batch)]
+        assert main([*argv, "--timeout", timeout]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "timeout" in err[0]
 
     def test_serve_needs_program_or_artifact(self, tmp_path, capsys):
         batch = tmp_path / "requests.jsonl"

@@ -9,6 +9,7 @@ import signal
 import pytest
 
 from repro import Engine
+from repro.api import engine as engine_module
 from repro.cli import main
 from repro.service import ReproServer, run_server, solve_one
 from repro.service.batch import BatchRequest
@@ -377,6 +378,20 @@ class TestControlPlane:
         assert stats["ok"] and stats["stats"]["served"] == 1
         assert stats["stats"]["sessions"]["live"] == 0
         assert not unknown["ok"] and "unknown control op" in unknown["error"]
+
+    def test_stats_report_the_inline_solution_cache(self, artifact, monkeypatch):
+        monkeypatch.setattr(engine_module, "SOLUTION_CACHE_ENTRIES", 2)
+
+        async def main():
+            async with ReproServer(artifact) as server:
+                for seed in (1, 2, 1, 3):  # one repeat; the third seed evicts
+                    reply = await server.handle_line(json.dumps({"seed": seed, "atoms": PROBE}))
+                    assert reply["ok"], reply
+                return await server.handle_line(json.dumps({"op": "stats"}))
+
+        cache = asyncio.run(main())["stats"]["cache"]
+        assert cache["entries"] == 2 and cache["hits"] == 1 and cache["evictions"] == 1
+        assert cache["bytes"] > 0
 
 
 class TestLifecycle:
