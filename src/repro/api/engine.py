@@ -42,13 +42,14 @@ from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import Program
 from repro.datalog.terms import Constant
 from repro.engine.plan import ConstantPool
-from repro.errors import GroundingError, SemanticsError
+from repro.errors import GroundingError, SemanticsError, check_deadline
 from repro.ground.model import Interpretation
 from repro.ground.state import FinishedState, GroundGraphState
 from repro.io.artifact import load_artifact, save_ground_program
 from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_spec
 from repro.api.solution import Solution
-from repro.semantics.tie_breaking import FlatTrail, _run
+from repro.semantics.choices import ChoicePolicy
+from repro.semantics.tie_breaking import FlatTrail, TieChoice, TieTable, _run
 
 __all__ = ["Engine", "solve", "enumerate_solutions"]
 
@@ -89,7 +90,6 @@ class _CachedSolve:
         "closed_world",
         "policy",
         "iterations",
-        "grounding",
         "timings",
         "gp",
         "status",
@@ -107,7 +107,6 @@ class _CachedSolve:
         self.closed_world = solution.closed_world
         self.policy = solution.policy
         self.iterations = solution.iterations
-        self.grounding = solution.grounding
         self.timings = dict(solution.timings)
         self.gp = model.ground_program
         self.epoch = epoch
@@ -121,6 +120,20 @@ class _CachedSolve:
             self.state = solution.state
             self.trail = None
             self.nbytes = sys.getsizeof(self.status)
+
+
+class _TieCheckpoint:
+    """A kernel state at the end of the tie-breaking prefix (see
+    :meth:`Engine._tie_checkpoint`), the number of solves it has served,
+    and its :class:`~repro.semantics.tie_breaking.TieTable`: built on the
+    second solve, ``None`` before that and once it does not apply."""
+
+    __slots__ = ("state", "solves", "table")
+
+    def __init__(self, state: GroundGraphState) -> None:
+        self.state = state
+        self.solves = 0
+        self.table: TieTable | None = None
 
 
 def _change(database: Database, inserted: Iterable[Atom], retracted: Iterable[Atom]) -> None:
@@ -180,9 +193,12 @@ class Engine:
         self._solution_cache: OrderedDict[tuple, _CachedSolve] = OrderedDict()
         self._solution_cache_bytes = 0
         self.solution_cache_evictions = 0
-        # Kernel states at the end of the tie-breaking prefix, keyed by
-        # (grounding mode, well_founded); see _tie_state.
-        self._checkpoints: dict[tuple[GroundingMode, bool], GroundGraphState] = {}
+        # Kernel states at the end of the tie-breaking prefix, with their
+        # tie tables, keyed by (grounding mode, well_founded); see
+        # _tie_checkpoint and _tie_solve.
+        self._checkpoints: dict[tuple[GroundingMode, bool], _TieCheckpoint] = {}
+        self.tie_table_solves = 0
+        self.tie_table_fallbacks = 0
         # The last well-founded end state per grounding mode, with the atom
         # ids every update since has touched; see _wf_state.
         self._wf_bases: dict[GroundingMode, tuple[GroundGraphState, set[int]]] = {}
@@ -310,12 +326,8 @@ class Engine:
     def _request(
         self, spec: SemanticsSpec, options: dict[str, Any], *, enumerating: bool = False
     ) -> tuple[SolveRequest, dict[str, Any]]:
-        """The runner's request, plus a record of the grounding it used.
-
-        The record starts at the resolved mode and becomes the mode of the
-        ground program the runner fetches (a pinned program keeps its own
-        mode), so a solution reports the grounding it was computed on.
-        """
+        """The runner's request, plus a record of the well-founded state it
+        ran on, if any (see :meth:`_wf_state`)."""
         requested = options.pop("grounding", None)
         _check_grounding(requested)
         max_instances = options.pop("max_instances", None)
@@ -326,12 +338,10 @@ class Engine:
         checked = {k: v for k, v in options.items() if not (enumerating and k == "limit")}
         _check_options(spec, checked)
         grounding = self._resolve_grounding(spec, requested)
-        used: dict[str, Any] = {"mode": grounding}
+        used: dict[str, Any] = {}
 
         def fetch() -> GroundProgram:
-            gp = self.ground_for(grounding, max_instances=max_instances)
-            used["mode"] = gp.mode
-            return gp
+            return self.ground_for(grounding, max_instances=max_instances)
 
         request = SolveRequest(
             program=self.program,
@@ -340,6 +350,7 @@ class Engine:
             gp=fetch,
             options=options,
             tie_state=lambda well_founded: self._tie_state(fetch(), well_founded),
+            tie_solve=lambda well_founded, policy: self._tie_solve(fetch(), well_founded, policy),
             wf_state=lambda: self._wf_state(fetch(), used),
         )
         return request, used
@@ -365,37 +376,93 @@ class Engine:
         used["wf_state"] = state
         return state
 
-    def _tie_state(self, gp: GroundProgram, well_founded: bool) -> GroundGraphState:
-        """A private kernel state at the end of the tie-breaking prefix.
+    def _tie_checkpoint(self, gp: GroundProgram, well_founded: bool) -> _TieCheckpoint:
+        """The kernel state at the end of the tie-breaking prefix.
 
         Every tie-breaking run on one ground program starts the same way:
         ``close``, the unfounded-set cascade (well-founded variant only),
         and the analysis of the first round's bottom components.  No
         policy or seed can change that prefix, so it runs once per
-        (grounding mode, ``well_founded``) and each solve gets a clone of
-        the result with ``phase_s`` zeroed.  ``bottom_components_live``
+        (grounding mode, ``well_founded``).  ``bottom_components_live``
         memoizes every first-round :class:`BottomComponent` and its
         sides on the checkpoint; clones share them, so no solve analyses
         them again.  The build is booked once under
-        ``timings["checkpoint_s"]``; updates drop every checkpoint.
+        ``timings["checkpoint_s"]``; updates drop every checkpoint, and
+        its tie table with it.
         """
         key = (gp.mode, well_founded)
         checkpoint = self._checkpoints.get(key)
         if checkpoint is None:
             t0 = perf_counter()
-            checkpoint = GroundGraphState(gp)
-            checkpoint.close()
+            state = GroundGraphState(gp)
+            state.close()
             if well_founded:
-                checkpoint.falsify_unfounded(numbered=False)
-            checkpoint.bottom_components_live()
-            self._checkpoints[key] = checkpoint
+                state.falsify_unfounded(numbered=False)
+            state.bottom_components_live()
+            checkpoint = self._checkpoints[key] = _TieCheckpoint(state)
             self.checkpoint_builds += 1
             self._timings["checkpoint_s"] = (
                 self._timings.get("checkpoint_s", 0.0) + perf_counter() - t0
             )
-        state = checkpoint.clone()
+        return checkpoint
+
+    def _tie_state(self, gp: GroundProgram, well_founded: bool) -> GroundGraphState:
+        """A private clone of the checkpoint, with ``phase_s`` zeroed."""
+        state = self._tie_checkpoint(gp, well_founded).state.clone()
         state.phase_s = dict.fromkeys(state.phase_s, 0.0)
         return state
+
+    def _tie_solve(
+        self, gp: GroundProgram, well_founded: bool, policy: ChoicePolicy
+    ) -> tuple[FinishedState, list[TieChoice]]:
+        """One tie-breaking run from the checkpoint: its finished state and trail.
+
+        The first solve of a checkpoint runs ``_run`` on a clone.  The
+        second builds the checkpoint's
+        :class:`~repro.semantics.tie_breaking.TieTable` (or finds that it
+        does not apply), and from then on every solve draws each
+        first-round tie's side from ``policy``.  When the table holds
+        every drawn outcome, the solve is assembled from it: one
+        :func:`~repro.errors.check_deadline`, no clone and no ``close``,
+        booked as ``tie_apply_s`` (counted in ``tie_table_solves``).
+        Otherwise ``_run`` runs on a clone with the drawn sides replayed
+        first, so the policy's stream matches a plain run, and the table
+        records what the run shows (counted in ``tie_table_fallbacks``);
+        a run that goes past its first round, or needs the unfounded
+        step there, marks the table not applicable for good.  A run that
+        raises (a timeout) stores nothing.
+        """
+        checkpoint = self._tie_checkpoint(gp, well_founded)
+        table = checkpoint.table
+        if table is None and checkpoint.solves == 1:
+            table = TieTable.build(checkpoint.state)
+        if table is None:
+            state, choices = self._tie_run(gp, well_founded, policy)
+        else:
+            sides = table.draw(policy, checkpoint.state)
+            if table.covers(sides):
+                check_deadline()
+                t0 = perf_counter()
+                state, choices = table.apply(checkpoint.state, sides)
+                state.phase_s["tie_apply_s"] = perf_counter() - t0
+                self.tie_table_solves += 1
+            else:
+                state, choices = self._tie_run(gp, well_founded, table.replay(sides, policy))
+                self.tie_table_fallbacks += 1
+                if not table.fill(state, sides, choices):
+                    table = None
+        checkpoint.table = table
+        checkpoint.solves += 1
+        return state, choices
+
+    def _tie_run(
+        self, gp: GroundProgram, well_founded: bool, policy: ChoicePolicy
+    ) -> tuple[FinishedState, list[TieChoice]]:
+        """``_run`` on a clone of the checkpoint, finished."""
+        state = self._tie_state(gp, well_founded)
+        choices = _run(state, policy, well_founded=well_founded)
+        state.finish()
+        return state, choices
 
     @staticmethod
     def _cache_key(spec: SemanticsSpec, options: Mapping[str, Any]) -> tuple | None:
@@ -414,11 +481,10 @@ class Engine:
             parts.append((key, description))
         return (spec.name, tuple(parts))
 
-    def _finalize(self, solution: Solution, solve_s: float, grounding: GroundingMode) -> Solution:
+    def _finalize(self, solution: Solution, solve_s: float) -> Solution:
         # Keep whatever the solver recorded (the kernel's per-phase solve
         # breakdown: close_s / unfounded_s / tie_select_s / tie_apply_s /
-        # tie_analysis_s), add the engine-level pipeline costs on top, and
-        # stamp the grounding mode the solve actually ran on.
+        # tie_analysis_s) and add the engine-level pipeline costs on top.
         # Any result_s the solver already accumulated (a lazy view touched
         # inside the solve window) is subtracted from solve_s, so the
         # result phase books non-overlapping — the same discipline as
@@ -427,8 +493,7 @@ class Engine:
         if overlap:
             solve_s = max(0.0, solve_s - overlap)
         return solution.replace(
-            grounding=grounding,
-            timings={**solution.timings, **self._timings, "solve_s": solve_s},
+            timings={**solution.timings, **self._timings, "solve_s": solve_s}
         )
 
     # -- solving -----------------------------------------------------------
@@ -462,7 +527,7 @@ class Engine:
                 return self._cached_solution(entry)
         request, used = self._request(spec, dict(options))
         t0 = perf_counter()
-        solution = self._finalize(spec.solver(request), perf_counter() - t0, used["mode"])
+        solution = self._finalize(spec.solver(request), perf_counter() - t0)
         state = used.get("wf_state")
         if state is not None:
             self._wf_bases[state.gp.mode] = (state, set())
@@ -501,7 +566,6 @@ class Engine:
             entry.closed_world,
             policy=entry.policy,
             iterations=entry.iterations,
-            grounding=entry.grounding,
             timings=dict(entry.timings),
             state=entry.state,
         )
@@ -517,9 +581,9 @@ class Engine:
     def _replay(self, entry: _CachedSolve) -> FinishedState:
         """The finished state of a cached tie-breaking solve, run again.
 
-        Replays the entry's trail through the tie-breaking loop on a clone
-        of the current checkpoint, with a policy that answers each free tie
-        with its recorded side.  Raises
+        Replays the entry's trail through :meth:`_tie_solve`, with a policy
+        that answers each free tie with its recorded side, so a warm tie
+        table serves it without a kernel run.  Raises
         :class:`~repro.errors.SemanticsError` if the engine took an update
         since the entry was stored, or if the replay's choices or model
         differ from the entry's.
@@ -531,8 +595,7 @@ class Engine:
             )
         trail = entry.trail
         well_founded = _TIE_SEMANTICS[entry.semantics]
-        state = self._tie_state(entry.gp, well_founded)
-        choices = _run(state, trail.replay_policy(), well_founded=well_founded)
+        state, choices = self._tie_solve(entry.gp, well_founded, trail.replay_policy())
         if (
             tuple(choices) != trail.choices(entry.status, entry.gp.atoms)
             or bytes(state.status) != entry.status
@@ -540,7 +603,6 @@ class Engine:
             raise SemanticsError(
                 "replaying a cached tie trail did not reproduce the cached solution"
             )
-        state.finish()
         return state
 
     def enumerate(
@@ -558,17 +620,17 @@ class Engine:
         spec = get_spec(semantics)
         all_options = dict(options)
         all_options["limit"] = limit
-        request, used = self._request(spec, all_options, enumerating=True)
+        request, _ = self._request(spec, all_options, enumerating=True)
         if spec.enumerator is None:
             if limit is not None and limit <= 0:
                 return
             t0 = perf_counter()
             solution = spec.solver(request)
-            yield self._finalize(solution, perf_counter() - t0, used["mode"])
+            yield self._finalize(solution, perf_counter() - t0)
             return
         t0 = perf_counter()
         for solution in spec.enumerator(request):
-            yield self._finalize(solution, perf_counter() - t0, used["mode"])
+            yield self._finalize(solution, perf_counter() - t0)
             t0 = perf_counter()
 
     # -- streaming updates -------------------------------------------------
@@ -811,6 +873,11 @@ class Engine:
             "solution_cache_bytes": self._solution_cache_bytes,
             "solution_cache_hits": self.solution_cache_hits,
             "solution_cache_evictions": self.solution_cache_evictions,
+            "tie_table_solves": self.tie_table_solves,
+            "tie_table_fallbacks": self.tie_table_fallbacks,
+            "tie_table_bytes": sum(
+                c.table.nbytes for c in self._checkpoints.values() if c.table is not None
+            ),
             **self.timings,
         }
 

@@ -14,15 +14,18 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram
 from repro.datalog.program import Program
 from repro.errors import SemanticsError
 from repro.ground.model import Interpretation
-from repro.ground.state import GroundGraphState
+from repro.ground.state import FinishedState, GroundGraphState
 from repro.api.solution import Solution
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.semantics.tie_breaking import TieChoice
 
 __all__ = [
     "SemanticsSpec",
@@ -44,7 +47,10 @@ class SolveRequest:
     private kernel state over that ground program, already past the
     tie-breaking prefix every run shares (``close``, the unfounded step
     when ``well_founded``, and the analysis of the first round's bottom
-    components), with zeroed ``phase_s``.  ``wf_state()`` returns the
+    components), with zeroed ``phase_s``.  ``tie_solve(well_founded,
+    policy)`` runs one tie-breaking solve from that checkpoint and returns
+    its finished state and choice trail (see
+    :meth:`~repro.api.engine.Engine._tie_solve`).  ``wf_state()`` returns the
     private, not yet closed state a ``well_founded`` solve runs its
     cascade on: fresh, or the engine's last well-founded end state
     reopened on the forward cone of what updates touched since.
@@ -56,6 +62,7 @@ class SolveRequest:
     gp: Callable[[], GroundProgram]
     options: Mapping[str, Any]
     tie_state: Callable[[bool], GroundGraphState]
+    tie_solve: Callable[[bool, Any], tuple[FinishedState, list[TieChoice]]]
     wf_state: Callable[[], GroundGraphState]
 
 
@@ -173,16 +180,12 @@ def _solve_well_founded(req: SolveRequest) -> Solution:
 
 def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
     from repro.semantics.choices import FirstSideTrue
-    from repro.semantics.tie_breaking import _run
 
-    state = req.tie_state(well_founded)
     policy = req.options.get("policy") or FirstSideTrue()
     # Run on a copy: a stateful policy must replay from its reported
     # description on every solve, not continue where the caller's
     # instance stands (a copy of a RandomChoice restarts from its seed).
-    choices = _run(state, copy.deepcopy(policy), well_founded=well_founded)
-    # A cached solution keeps its state only for explain.
-    state.finish()
+    state, choices = req.tie_solve(well_founded, copy.deepcopy(policy))
     return Solution.from_interpretation(
         name,
         state.interpretation(),

@@ -59,12 +59,14 @@ _FIELDS = (
     "choices",
     "policy",
     "iterations",
-    "grounding",
     "timings",
     "state",
 )
 # Fields a deferred solution builds on first read (see Solution.defer).
 _DEFERRED = ("choices", "state")
+# Fields equality compares: ``state`` is left out, as the model and the
+# trail determine it (comparing it would replay a cache hit's trail).
+_COMPARED = tuple(name for name in _FIELDS if name != "state")
 
 
 class Solution:
@@ -99,7 +101,7 @@ class Solution:
       rounds for ``well_founded``, components for ``modular``), or
       ``None``;
     * ``grounding`` — the grounding mode of the ground program the
-      model is over;
+      model is over (read from the model);
     * ``timings`` — wall-clock seconds per pipeline phase (``parse_s``,
       ``ground_s``, ``compile_s``, ``solve_s``; ``artifact_load_s`` /
       ``artifact_save_s`` when binary artifacts are involved).  The
@@ -115,7 +117,9 @@ class Solution:
 
     A solution served from the engine's solution cache is built by
     :meth:`defer`: its ``choices`` are decoded from the cached trail, and
-    its ``state`` replayed from it, on first read of each.
+    its ``state`` replayed from it, on first read of each.  Equality
+    compares every field but ``state``, so comparing solutions never
+    replays a trail.
 
     Thread-safety of the lazy views: decode is idempotent (two racing
     readers build equal frozensets and one wins the cache slot), so
@@ -134,7 +138,6 @@ class Solution:
         choices: tuple["TieChoice", ...] = (),
         policy: str | None = None,
         iterations: int | None = None,
-        grounding: str | None = None,
         timings: Mapping[str, float] | None = None,
         state: Optional["FinishedState"] = None,
     ) -> None:
@@ -146,7 +149,6 @@ class Solution:
         self._choices = choices
         self.policy = policy
         self.iterations = iterations
-        self.grounding = grounding
         self.timings = {} if timings is None else timings
         self._state = state
         # Loaders of choices / state for a deferred solution (see defer).
@@ -195,6 +197,11 @@ class Solution:
             self._state = self._load_state()
             self._load_state = None
         return self._state
+
+    @property
+    def grounding(self) -> str:
+        """The grounding mode of the ground program the model is over."""
+        return self.model.ground_program.mode
 
     # -- lazy id partition and decoded views -------------------------------
 
@@ -360,7 +367,7 @@ class Solution:
 
         Lazy-view caches (the id partition, any already-decoded sets, the
         accumulated ``result_s``) carry over while the model is unchanged,
-        so replacing ``timings`` or ``grounding`` never forces or repeats
+        so replacing ``timings`` or ``iterations`` never forces or repeats
         a decode; deferred ``choices`` and ``state`` stay deferred.
         """
         unknown = sorted(set(changes) - set(_FIELDS))
@@ -425,7 +432,7 @@ class Solution:
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Solution):
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in _FIELDS)
+        return all(getattr(self, name) == getattr(other, name) for name in _COMPARED)
 
     def summary(self) -> str:
         """One human line, for logs and the CLI (no atom decode)."""

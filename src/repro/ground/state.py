@@ -224,6 +224,28 @@ class FinishedState:
         "phase_s",
     )
 
+    @classmethod
+    def of(
+        cls,
+        base: "FinishedState",
+        status: list[int],
+        reason_kind: bytearray,
+        reason_arg: list[int],
+        phase_s: dict[str, float],
+    ) -> "FinishedState":
+        """A finished state over ``base``'s ground program and labels with
+        the given buffers, assembled without a kernel run."""
+        state = object.__new__(cls)
+        state.gp = base.gp
+        state.n_atoms = base.n_atoms
+        state.n_rules = base.n_rules
+        state.status = status
+        state._reason_kind = reason_kind
+        state._reason_arg = reason_arg
+        state._labels = list(base._labels)
+        state.phase_s = phase_s
+        return state
+
     def reason_of(self, index: int) -> tuple | None:
         """Why atom ``index`` received its value (legacy tuple form).
 

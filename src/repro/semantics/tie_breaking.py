@@ -53,6 +53,13 @@ checkpoint and hands each solve and enumeration a clone
 a run repeats changes nothing and its first round serves the same,
 already analysed, ties, so the schedule, trail and provenance are those
 of a fresh-state run.
+
+From its second solve on, a checkpoint also keeps a :class:`TieTable`:
+the outcome of each first-round tie's orientation on its forward cone,
+filled by the runs that needed it.  When every outcome a solve draws is
+known, the solve writes them onto a copy of the checkpoint's buffers
+instead of cloning the state and closing it
+(:meth:`repro.api.engine.Engine._tie_solve`).
 """
 
 from __future__ import annotations
@@ -64,11 +71,17 @@ from typing import Iterable, Iterator
 
 from repro.datalog.atoms import Atom
 from repro.errors import SemanticsError, check_deadline
-from repro.ground.model import FALSE, TRUE, Interpretation
-from repro.ground.state import _R_TIE, BottomComponent, GroundGraphState
+from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
+from repro.ground.state import (
+    _R_TIE,
+    _R_UNFOUNDED,
+    BottomComponent,
+    FinishedState,
+    GroundGraphState,
+)
 from repro.semantics.choices import ChoicePolicy, forced_orientation
 
-__all__ = ["FlatTrail", "TieChoice"]
+__all__ = ["FlatTrail", "TieChoice", "TieTable"]
 
 
 class TieChoice:
@@ -76,9 +89,10 @@ class TieChoice:
 
     ``forced`` marks decisions where one side of the partition was empty
     (no real nondeterminism).  The trail is *id-based*: ``true_ids`` /
-    ``false_ids`` are the sorted dense atom ids assigned by the decision,
-    and the ground-atom views ``made_true`` / ``made_false`` decode them
-    against the grounding's atom table lazily, on first access — a run
+    ``false_ids`` are the dense atom ids assigned by the decision, which
+    callers pass in ascending order, and the ground-atom views
+    ``made_true`` / ``made_false`` decode them against the grounding's
+    atom table lazily, on first access — a run
     that never inspects its trail never materializes an Atom.  Equality
     and hashing use the id tuples (trails are compared within one
     grounding).
@@ -87,8 +101,8 @@ class TieChoice:
     __slots__ = ("true_ids", "false_ids", "forced", "_table", "_true", "_false")
 
     def __init__(self, true_ids, false_ids, forced: bool, table) -> None:
-        self.true_ids: tuple[int, ...] = tuple(sorted(true_ids))
-        self.false_ids: tuple[int, ...] = tuple(sorted(false_ids))
+        self.true_ids: tuple[int, ...] = tuple(true_ids)
+        self.false_ids: tuple[int, ...] = tuple(false_ids)
         self.forced = forced
         self._table = table
         self._true: frozenset[Atom] | None = None
@@ -190,16 +204,193 @@ class FlatTrail:
 
 
 class _ReplaySides:
-    """Answers each free tie with the next recorded side (see FlatTrail)."""
+    """Answers each free tie with the next recorded side (see FlatTrail),
+    then hands later ties to ``then``; without ``then``, a tie past the
+    record raises."""
 
-    def __init__(self, sides: Iterable[int]) -> None:
+    def __init__(self, sides: Iterable[int], then: ChoicePolicy | None = None) -> None:
         self._sides = iter(sides)
+        self._then = then
 
     def choose_true_side(self, side0_atoms, side1_atoms) -> int:
         side = next(self._sides, None)
-        if side is None:
+        if side is not None:
+            return side
+        if self._then is None:
             raise SemanticsError("the replay met more free ties than the trail records")
-        return side
+        return self._then.choose_true_side(side0_atoms, side1_atoms)
+
+
+class TieTable:
+    """The outcome of each first-round tie's orientation, on a checkpoint.
+
+    A tie-breaking checkpoint's first round orients bottom ties, which
+    are disjoint and have no incoming cross edges, so orienting one
+    changes only its forward cone.  When those cones are pairwise
+    disjoint and cover every live atom and rule, a run that ends with the
+    first round's ``close`` is a set of independent two-way choices:
+    ``close`` is confluent, and the FIFO order restricted to one cone does
+    not depend on the other cones, so each cone's status, and which rule
+    fired first there, depend only on its tie's side.  The table keeps
+    that outcome per (tie, side) once a run has shown it, and
+    :meth:`apply` assembles a solve from it without a kernel run.
+
+    Flat buffers only:
+
+    * ``ids`` (``array("i")``) — per tie, in ``select_ties`` order: its
+      side-0 atom ids, its side-1 atom ids, then the other atoms of its
+      cone, each run sorted;
+    * ``bounds`` — tie ``k``'s three runs start at ``bounds[3k]``,
+      ``bounds[3k + 1]`` and ``bounds[3k + 2]``, and its cone ends at
+      ``bounds[3k + 3]``;
+    * ``status`` / ``kind`` / ``arg`` — per side, each cone atom's
+      status, reason kind and reason argument after that side, aligned
+      with ``ids``;
+    * ``filled`` — per tie, bit ``s`` set once side ``s`` is recorded.
+    """
+
+    __slots__ = ("ids", "bounds", "status", "kind", "arg", "filled")
+
+    def __init__(self, ids: array, bounds: array) -> None:
+        size = len(ids)
+        self.ids = ids
+        self.bounds = bounds
+        self.status = (bytearray(size), bytearray(size))
+        self.kind = (bytearray(size), bytearray(size))
+        self.arg = (array("i", [0]) * size, array("i", [0]) * size)
+        self.filled = bytearray(len(bounds) // 3)
+
+    @classmethod
+    def build(cls, checkpoint: GroundGraphState) -> "TieTable | None":
+        """The table of a closed checkpoint, or ``None`` when its
+        first-round ties' forward cones overlap or leave a live atom or
+        rule outside them."""
+        n_atoms = checkpoint.n_atoms
+        successors = checkpoint._live_successors
+        owner = [-1] * (n_atoms + checkpoint.n_rules)
+        ids = array("i")
+        bounds = array("i", [0])
+        covered = 0
+        for k, tie in enumerate(checkpoint.clone().select_ties()):
+            cone = tie.atom_ids + [n_atoms + r for r in tie.rule_ids]
+            for node in cone:
+                if owner[node] >= 0:
+                    return None
+                owner[node] = k
+            for node in cone:  # the list grows as the search goes
+                for successor, _ in successors(node):
+                    if owner[successor] == k:
+                        continue
+                    if owner[successor] >= 0:
+                        return None
+                    owner[successor] = k
+                    cone.append(successor)
+            covered += len(cone)
+            sides: tuple[list[int], list[int]] = ([], [])
+            for atom_id, side in tie.side_of_atom().items():
+                sides[side].append(atom_id)
+            ids.extend(sorted(sides[0]))
+            bounds.append(len(ids))
+            ids.extend(sorted(sides[1]))
+            bounds.append(len(ids))
+            reached = cone[len(tie.atom_ids) + len(tie.rule_ids) :]
+            ids.extend(sorted(node for node in reached if node < n_atoms))
+            bounds.append(len(ids))
+        if covered != checkpoint.live_atom_count + len(checkpoint._live_rules):
+            return None
+        return cls(ids, bounds)
+
+    @property
+    def nbytes(self) -> int:
+        """The size of the buffers, object headers included."""
+        buffers = (self.ids, self.bounds, self.filled, *self.status, *self.kind, *self.arg)
+        return sum(sys.getsizeof(buffer) for buffer in buffers)
+
+    def _ties(self) -> Iterator[tuple[int, int, int, int]]:
+        """Each tie's ``(side 0 start, side 1 start, rest start, end)``."""
+        bounds = self.bounds
+        return zip(bounds[0::3], bounds[1::3], bounds[2::3], bounds[3::3])
+
+    def draw(self, policy: ChoicePolicy, checkpoint: GroundGraphState) -> bytes:
+        """Each tie's true side, drawn as :func:`_break_tie` draws it, in
+        the same order: forced ties skip the policy."""
+        ids, order = self.ids, checkpoint._order
+        return bytes(
+            _choose_side(policy, order, ids[lo:mid].tolist(), ids[mid:hi].tolist())[0]
+            for lo, mid, hi, _ in self._ties()
+        )
+
+    def covers(self, sides: bytes) -> bool:
+        """Whether every (tie, side) outcome ``sides`` needs is recorded."""
+        filled = self.filled
+        return all(filled[k] >> side & 1 for k, side in enumerate(sides))
+
+    def apply(
+        self, checkpoint: GroundGraphState, sides: bytes
+    ) -> tuple[FinishedState, list[TieChoice]]:
+        """The finished state and trail of the run that orients the ties
+        as ``sides`` says, read from the table (requires :meth:`covers`)."""
+        ids, atoms = self.ids, checkpoint.gp.atoms
+        # Side 0's outcome everywhere, then side 1's over the cones whose
+        # tie took side 1: C-level slice copies, then one scatter.
+        cone_status, cone_kind, cone_arg = (
+            bytearray(self.status[0]),
+            bytearray(self.kind[0]),
+            array("i", self.arg[0]),
+        )
+        choices = []
+        for (lo, mid, hi, end), side in zip(self._ties(), sides):
+            if side:
+                cone_status[lo:end] = self.status[1][lo:end]
+                cone_kind[lo:end] = self.kind[1][lo:end]
+                cone_arg[lo:end] = self.arg[1][lo:end]
+                true_ids, false_ids = ids[mid:hi], ids[lo:mid]
+            else:
+                true_ids, false_ids = ids[lo:mid], ids[mid:hi]
+            choices.append(TieChoice(true_ids, false_ids, lo == mid or mid == hi, atoms))
+        status = list(checkpoint.status)
+        kind = bytearray(checkpoint._reason_kind)
+        arg = list(checkpoint._reason_arg)
+        for a, value, reason, reason_arg in zip(ids, cone_status, cone_kind, cone_arg):
+            status[a] = value
+            kind[a] = reason
+            arg[a] = reason_arg
+        phase_s = dict.fromkeys(checkpoint.phase_s, 0.0)
+        return FinishedState.of(checkpoint, status, kind, arg, phase_s), choices
+
+    def replay(self, sides: bytes, policy: ChoicePolicy) -> _ReplaySides:
+        """A policy that answers the free ties of the first round with
+        ``sides`` and hands every later tie to ``policy``."""
+        return _ReplaySides(
+            (side for (lo, mid, hi, _), side in zip(self._ties(), sides) if lo != mid != hi),
+            then=policy,
+        )
+
+    def fill(self, state: FinishedState, sides: bytes, choices: list[TieChoice]) -> bool:
+        """Record the outcomes of a run that oriented the ties as ``sides``.
+
+        Records only a run that ended in its first round and whose
+        ``close`` alone left no live atom (no atom of a cone undefined or
+        falsified by the unfounded step); returns ``False`` for any other
+        run, whose outcomes no cone determines on its own.
+        """
+        status, kind, arg = state.status, state._reason_kind, state._reason_arg
+        ids, filled = self.ids, self.filled
+        if len(choices) != len(sides) or any(
+            status[a] == UNDEF or kind[a] == _R_UNFOUNDED for a in ids
+        ):
+            return False
+        for k, ((lo, _, _, end), side) in enumerate(zip(self._ties(), sides)):
+            if filled[k] >> side & 1:
+                continue
+            filled[k] |= 1 << side
+            cone_status, cone_kind, cone_arg = self.status[side], self.kind[side], self.arg[side]
+            for i in range(lo, end):
+                a = ids[i]
+                cone_status[i] = status[a]
+                cone_kind[i] = kind[a]
+                cone_arg[i] = arg[a]
+        return True
 
 
 def _apply_tie(
@@ -238,20 +429,29 @@ def _break_tie(
     side_atoms: tuple[list[int], list[int]] = ([], [])
     for atom_id, side in component.side_of_atom().items():
         side_atoms[side].append(atom_id)
-    true_side = forced_orientation(len(side_atoms[0]), len(side_atoms[1]))
-    forced = true_side is not None
-    if true_side is None:
-        # Policies see canonical ranks, not raw ids: a streamed-update
-        # state must make the same choice a fresh re-ground would.  The
-        # overlay is identity for fresh groundings — skip the mapping.
-        order = state._order
-        if order is None:
-            ranks0, ranks1 = side_atoms[0], side_atoms[1]
-        else:
-            ranks0 = [order[a] for a in side_atoms[0]]
-            ranks1 = [order[a] for a in side_atoms[1]]
-        true_side = policy.choose_true_side(ranks0, ranks1)
+    side_atoms[0].sort()
+    side_atoms[1].sort()
+    true_side, forced = _choose_side(policy, state._order, *side_atoms)
     return _apply_tie(state, component, true_side, forced=forced)
+
+
+def _choose_side(
+    policy: ChoicePolicy, order, side0: list[int], side1: list[int]
+) -> tuple[int, bool]:
+    """A tie's true side, and whether it was forced, from its sorted
+    side atom ids: a forced tie skips the policy.
+
+    Policies see canonical ranks, not raw ids: a streamed-update state
+    must make the same choice a fresh re-ground would.  The overlay
+    ``order`` is ``None`` (identity) for fresh groundings.
+    """
+    forced = forced_orientation(len(side0), len(side1))
+    if forced is not None:
+        return forced, True
+    if order is not None:
+        side0 = [order[a] for a in side0]
+        side1 = [order[a] for a in side1]
+    return policy.choose_true_side(side0, side1), False
 
 
 def _run(

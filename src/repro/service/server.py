@@ -468,13 +468,16 @@ class ReproServer:
             "max_pending": self.max_pending,
             "draining": self._draining,
             "sessions": self.sessions.stats(),
-            # The inline engine's solution cache (session engines keep
-            # their own, private caches).
+            # The inline engine's solution cache and first-round tie
+            # tables (session engines keep their own, private ones).
             "cache": {
                 "entries": engine["cached_solutions"],
                 "bytes": engine["solution_cache_bytes"],
                 "hits": engine["solution_cache_hits"],
                 "evictions": engine["solution_cache_evictions"],
+                "tie_table_solves": engine["tie_table_solves"],
+                "tie_table_fallbacks": engine["tie_table_fallbacks"],
+                "tie_table_bytes": engine["tie_table_bytes"],
             },
         }
 

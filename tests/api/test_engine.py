@@ -322,6 +322,18 @@ class TestSolutionCache:
         assert again.model == a.model and again.choices == a.choices
         assert again.policy == a.policy == "RandomChoice(seed=1)"
 
+    def test_hits_and_misses_compare_equal_without_a_replay(self):
+        from repro.semantics.choices import RandomChoice
+
+        engine = Engine(*families.grounded_argumentation(40))
+        miss = engine.solve("tie_breaking", policy=RandomChoice(1))
+        hit = engine.solve("tie_breaking", policy=RandomChoice(1))
+        again = engine.solve("tie_breaking", policy=RandomChoice(1))
+        assert hit == miss and miss == hit and hit == again
+        # Equality leaves the state out: neither hit replayed its trail.
+        assert hit._load_state is not None and again._load_state is not None
+        assert hit != engine.solve("tie_breaking", policy=RandomChoice(2))
+
     def test_identity_repr_options_are_not_cached(self):
         class OpaquePolicy:
             def choose_true_side(self, side0, side1):
@@ -392,6 +404,20 @@ class TestTieCheckpoint:
         engine.solve("well_founded", grounding="full")
         assert engine.stats()["checkpoint_builds"] == 0
         assert "checkpoint_s" not in engine.timings
+
+    def test_stats_report_the_tie_table(self):
+        from repro.semantics.choices import RandomChoice
+
+        engine = Engine(*families.committee(3))
+        engine.solve("tie_breaking", policy=RandomChoice(1))
+        stats = engine.stats()
+        assert (stats["tie_table_solves"], stats["tie_table_fallbacks"]) == (0, 0)
+        assert stats["tie_table_bytes"] == 0
+        for seed in range(2, 7):
+            engine.solve("tie_breaking", policy=RandomChoice(seed))
+        stats = engine.stats()
+        assert (stats["tie_table_solves"], stats["tie_table_fallbacks"]) == (1, 4)
+        assert stats["tie_table_bytes"] > 0
 
     def test_first_solve_books_the_build_inside_solve_s(self):
         engine = Engine(*families.grounded_argumentation(40))

@@ -153,6 +153,12 @@ class TestRetiredFreeFunctions:
 
 
 class TestSolutionSchema:
+    def test_grounding_is_read_from_the_model(self):
+        solution = Engine(WIN_MOVE, "move(1, 2).").solve("well_founded", grounding="full")
+        assert solution.grounding == solution.model.ground_program.mode == "full"
+        with pytest.raises(TypeError, match="unknown Solution field"):
+            solution.replace(grounding="relevant")
+
     def test_closed_world_solution_json(self):
         solution = Engine("t(X) :- e(X), not f(X).", "e(1).").solve("stratified")
         payload = solution.to_json_dict()

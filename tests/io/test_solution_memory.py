@@ -168,7 +168,7 @@ def test_an_atoms_only_hit_decodes_no_trail_and_replays_nothing():
     assert hit._load_choices is not None and hit._load_state is not None
     assert engine.stats()["checkpoint_builds"] == builds
     # replace() keeps the trail and the state deferred.
-    copied = hit.replace(grounding="relevant")
+    copied = hit.replace(iterations=7)
     assert copied._load_choices is not None and copied._load_state is not None
     assert copied.choices == miss.choices
 
@@ -195,6 +195,50 @@ def test_a_replay_that_diverges_raises():
     entry.trail.flags = bytes(flags)
     with pytest.raises(SemanticsError, match="did not reproduce"):
         hit.state
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded,policy", REPLAY_CASES)
+def test_a_hit_on_a_warm_tie_table_replays_without_close(
+    semantics, grounding, well_founded, policy, monkeypatch
+):
+    """Once the checkpoint's tie table holds every side a cached trail
+    took, replaying the trail for ``state`` runs no ``close``."""
+    engine = Engine(*families.grounded_argumentation(40))
+    gp = engine.ground_for(grounding)
+    options = {"semantics": semantics, "policy": policy, "grounding": grounding}
+    engine.solve(**options)
+    for seed in range(24):
+        engine.solve(semantics, policy=RandomChoice(100 + seed), grounding=grounding)
+    hit = engine.solve(**options)
+    closes = []
+    close = GroundGraphState.close
+    monkeypatch.setattr(GroundGraphState, "close", lambda state: closes.append(1) or close(state))
+    served = engine.stats()["tie_table_solves"]
+    replayed = hit.state
+    assert closes == [] and engine.stats()["tie_table_solves"] == served + 1
+    assert type(replayed) is FinishedState
+    live = GroundGraphState(gp)
+    _run(live, copy.deepcopy(policy), well_founded=well_founded)
+    assert replayed.status == live.status
+    for a in range(len(gp.atoms)):
+        atom = gp.atoms.atom(a)
+        expected = explain(live, atom)
+        assert replayed.reason_of(a) == live.reason_of(a)
+        assert explain(replayed, atom) == expected
+    closes.clear()
+    assert engine.explain(gp.atoms.atom(0), **options) == explain(live, gp.atoms.atom(0))
+    assert closes == []
+
+
+def test_the_tie_table_is_smaller_than_one_model_tuple():
+    engine = Engine(*families.grounded_argumentation(300))
+    for seed in range(SOLUTIONS):
+        solution = engine.solve("tie_breaking", policy=RandomChoice(seed))
+    (checkpoint,) = engine._checkpoints.values()
+    assert checkpoint.table is not None
+    size = engine.stats()["tie_table_bytes"]
+    assert size == checkpoint.table.nbytes
+    assert 0 < size < sys.getsizeof(solution.model.status)
 
 
 # -- the bound ---------------------------------------------------------------

@@ -239,7 +239,7 @@ def test_replace_carries_decode_caches():
     engine = Engine(*families.committee(5))
     solution = engine.solve("tie_breaking")
     # Replacing before any decode keeps the views undecoded.
-    early = solution.replace(grounding="relevant")
+    early = solution.replace(iterations=7)
     assert early._true is None and early._ids is None
     # After a decode, replace() reuses the cached objects outright.
     touched = solution.true_atoms

@@ -1,0 +1,243 @@
+"""Solves served from a checkpoint's first-round tie table equal fresh runs.
+
+From the second tie-breaking solve of a checkpoint on, the engine keeps a
+:class:`~repro.semantics.tie_breaking.TieTable`: the outcome of each
+first-round tie's orientation on its forward cone.  A solve whose drawn
+sides are all in the table is assembled from it, with no clone and no
+``close``; any other solve runs the interpreter and fills the table.  The
+oracle is the interpreter run on a fresh
+:class:`~repro.ground.state.GroundGraphState`: every solve, served from
+the table or not, must equal it in the status array, the reason buffers,
+the labels and the choice trail with its ``forced`` flags.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api.engine import Engine
+from repro.datalog.atoms import Atom, Literal
+from repro.datalog.database import Database
+from repro.datalog.program import Program
+from repro.datalog.rules import Rule
+from repro.ground.state import GroundGraphState
+from repro.semantics.choices import FewestTrue, FirstSideTrue, RandomChoice, SecondSideTrue
+from repro.semantics.tie_breaking import _run
+from repro.workloads import families
+
+from tests.properties.strategies import propositional_cases, small_predicate_cases
+from tests.properties.test_deadline import _count_checks, _interrupt
+from tests.properties.test_tie_checkpoint import FAMILIES, VARIANTS
+
+POLICIES = [RandomChoice(seed) for seed in range(24)] + [
+    FirstSideTrue(),
+    SecondSideTrue(),
+    FewestTrue(),
+]
+
+# Families whose first round settles every live atom: the table serves them.
+TABLED = {"committee", "grounded_argumentation"}
+
+
+@st.composite
+def tied_programs(draw):
+    """Propositional programs built around 1-4 ties ``t_i :- not f_i.
+    f_i :- not t_i.`` plus up to 6 random rules over the tie atoms and
+    ``p0``-``p3``: cones that stay apart, overlap, or feed later rounds."""
+    ties = draw(st.integers(1, 4))
+    rules = []
+    for i in range(ties):
+        t, f = Atom(f"t{i}"), Atom(f"f{i}")
+        rules += [Rule(t, (Literal(f, False),)), Rule(f, (Literal(t, False),))]
+    heads = [f"p{i}" for i in range(4)]
+    names = heads + [f"{side}{i}" for i in range(ties) for side in "tf"]
+    for _ in range(draw(st.integers(0, 6))):
+        body = tuple(
+            Literal(Atom(draw(st.sampled_from(names))), draw(st.booleans()))
+            for _ in range(draw(st.integers(1, 3)))
+        )
+        rules.append(Rule(Atom(draw(st.sampled_from(heads))), body))
+    return Program(rules), Database()
+
+
+def _fresh_run(gp, policy, well_founded: bool):
+    state = GroundGraphState(gp)
+    choices = _run(state, copy.deepcopy(policy), well_founded=well_founded)
+    return state, choices
+
+
+def _trail(choices) -> list[tuple]:
+    return [(c.true_ids, c.false_ids, c.forced) for c in choices]
+
+
+def _assert_equals_fresh(solution, gp, policy, well_founded: bool, label: str) -> None:
+    fresh, choices = _fresh_run(gp, policy, well_founded)
+    state = solution.state
+    assert solution.model.status == tuple(fresh.status), f"{label}: model"
+    assert list(state.status) == fresh.status, f"{label}: status"
+    assert state._reason_kind == fresh._reason_kind, f"{label}: reason kinds"
+    assert list(state._reason_arg) == fresh._reason_arg, f"{label}: reason args"
+    assert state._labels == fresh._labels, f"{label}: labels"
+    assert _trail(solution.choices) == _trail(choices), f"{label}: trail"
+
+
+def _solve_all(engine: Engine, gp, semantics, grounding, well_founded, label) -> int:
+    """Solve every policy once, each against its fresh run; returns how
+    many solves the table served."""
+    served = 0
+    for policy in POLICIES:
+        before = engine.tie_table_solves
+        solution = engine.solve(semantics, policy=policy, grounding=grounding)
+        served += engine.tie_table_solves - before
+        _assert_equals_fresh(solution, gp, policy, well_founded, f"{label} {policy!r}")
+    return served
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+@pytest.mark.parametrize("name,build", FAMILIES, ids=[name for name, _ in FAMILIES])
+def test_table_solves_equal_fresh_runs(name, build, semantics, grounding, well_founded):
+    engine = Engine(*build())
+    gp = engine.ground_for(grounding)
+    served = _solve_all(engine, gp, semantics, grounding, well_founded, f"{name} {semantics}")
+    stats = engine.stats()
+    assert served == stats["tie_table_solves"]
+    assert served + stats["tie_table_fallbacks"] <= len(POLICIES) - 1  # never the first
+    if name in TABLED:
+        assert served > 0, name
+        assert stats["tie_table_bytes"] > 0
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+def test_tie_chain_never_takes_the_table(semantics, grounding, well_founded):
+    """tie_chain orients its ties one round after another: the table's
+    first fallback run goes past its first round, and the table is
+    dropped for good."""
+    engine = Engine(*families.tie_chain(6))
+    gp = engine.ground_for(grounding)
+    _solve_all(engine, gp, semantics, grounding, well_founded, f"tie_chain {semantics}")
+    stats = engine.stats()
+    assert stats["tie_table_solves"] == 0
+    assert stats["tie_table_fallbacks"] == 1
+    assert stats["tie_table_bytes"] == 0
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+def test_the_table_serves_grounded_argumentation_once_warm(semantics, grounding, well_founded):
+    engine = Engine(*families.grounded_argumentation(60))
+    gp = engine.ground_for(grounding)
+    served = _solve_all(engine, gp, semantics, grounding, well_founded, "argumentation")
+    assert served > len(POLICIES) // 2
+    assert engine.stats()["tie_table_fallbacks"] < len(POLICIES) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.one_of(propositional_cases(), small_predicate_cases(), tied_programs()),
+    variant=st.sampled_from(VARIANTS),
+)
+def test_table_solves_equal_fresh_runs_on_random_programs(case, variant):
+    semantics, grounding, well_founded = variant
+    engine = Engine(*case)
+    gp = engine.ground_for(grounding)
+    _solve_all(engine, gp, semantics, grounding, well_founded, semantics)
+
+
+TIES = "t0 :- not f0. f0 :- not t0. t1 :- not f1. f1 :- not t1. "
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        TIES + "p :- t0, t1.",  # p is in both ties' cones
+        TIES + "p :- t0. q :- not q.",  # the odd loop is in no tie's cone
+        # Both at once: the node counts alone would match.
+        TIES + "p :- t0, t1. q :- not q.",
+    ],
+    ids=["overlapping cones", "uncovered odd loop", "overlap and odd loop"],
+)
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+def test_a_checkpoint_whose_cones_do_not_partition_it_keeps_no_table(
+    program, semantics, grounding, well_founded
+):
+    engine = Engine(program)
+    gp = engine.ground_for(grounding)
+    served = _solve_all(engine, gp, semantics, grounding, well_founded, program)
+    assert served == 0 and engine.stats()["tie_table_fallbacks"] == 0
+    assert all(c.table is None for c in engine._checkpoints.values())
+
+
+def test_a_single_solve_builds_no_table():
+    engine = Engine(*families.grounded_argumentation(40))
+    engine.solve("tie_breaking", policy=RandomChoice(1))
+    stats = engine.stats()
+    assert (stats["tie_table_solves"], stats["tie_table_fallbacks"]) == (0, 0)
+    assert stats["tie_table_bytes"] == 0
+    assert all(c.table is None for c in engine._checkpoints.values())
+
+
+def test_an_update_drops_the_table():
+    engine = Engine(*families.grounded_argumentation(17), grounding="relevant")
+    for seed in range(12):
+        engine.solve("tie_breaking", policy=RandomChoice(seed))
+    assert engine.stats()["tie_table_bytes"] > 0
+    solves = engine.tie_table_solves
+    assert solves > 0
+    assert engine.insert_facts("attacks(3, 1)")
+    assert engine.stats()["tie_table_bytes"] == 0
+    gp = engine.ground_for("relevant")
+    for seed in range(12):
+        policy = RandomChoice(seed)
+        solution = engine.solve("tie_breaking", policy=policy)
+        _assert_equals_fresh(solution, gp, policy, True, f"after update {policy!r}")
+    assert engine.stats()["tie_table_bytes"] > 0
+    assert engine.tie_table_solves > solves
+
+
+def _covered(engine: Engine, policies):
+    """The first of ``policies`` whose every drawn side is in the table."""
+    (checkpoint,) = engine._checkpoints.values()
+    return next(
+        policy
+        for policy in policies
+        if checkpoint.table.covers(checkpoint.table.draw(copy.deepcopy(policy), checkpoint.state))
+    )
+
+
+def test_a_table_solve_checks_the_deadline_once():
+    engine = Engine(*families.grounded_argumentation(40))
+    for seed in range(16):
+        engine.solve("tie_breaking", policy=RandomChoice(seed))
+    policy = _covered(engine, [FirstSideTrue(), SecondSideTrue(), FewestTrue()])
+    solves = engine.tie_table_solves
+    checks = _count_checks(lambda e: e.solve("tie_breaking", policy=policy), engine)
+    assert engine.tie_table_solves == solves + 1
+    assert checks == 1
+    solution = engine.solve("tie_breaking", policy=policy)
+    assert solution.timings["close_s"] == 0.0 and solution.timings["tie_apply_s"] > 0.0
+
+
+def test_a_timed_out_solve_stores_no_table():
+    """The second solve builds the table; one that times out keeps none,
+    and the engine's later solves equal fresh runs."""
+    engine = Engine(*families.grounded_argumentation(40))
+    gp = engine.ground_for("relevant")
+    engine.solve("tie_breaking", policy=RandomChoice(1))
+    _interrupt(lambda e: e.solve("tie_breaking", policy=RandomChoice(2)), engine, 2)
+    assert engine.stats()["tie_table_bytes"] == 0
+    assert engine.stats()["tie_table_fallbacks"] == 0
+    for seed in range(2, 14):
+        policy = RandomChoice(seed)
+        solution = engine.solve("tie_breaking", policy=policy)
+        _assert_equals_fresh(solution, gp, policy, True, f"after timeout {policy!r}")
+    assert engine.tie_table_solves > 0
+    # A table solve that times out stores nothing either.
+    stats = engine.stats()
+    policy = _covered(engine, [RandomChoice(seed) for seed in range(100, 10_000)])
+    _interrupt(lambda e: e.solve("tie_breaking", policy=policy), engine, 1)
+    assert engine.stats() == stats
+    solution = engine.solve("tie_breaking", policy=policy)
+    _assert_equals_fresh(solution, gp, policy, True, f"after a table timeout {policy!r}")

@@ -392,6 +392,24 @@ class TestControlPlane:
         cache = asyncio.run(main())["stats"]["cache"]
         assert cache["entries"] == 2 and cache["hits"] == 1 and cache["evictions"] == 1
         assert cache["bytes"] > 0
+        # The second and fourth solves went through the tie table built on
+        # the second; neither found every side in it.
+        assert (cache["tie_table_solves"], cache["tie_table_fallbacks"]) == (0, 2)
+        assert cache["tie_table_bytes"] > 0
+
+    def test_stats_report_the_inline_tie_table(self, artifact):
+        async def main():
+            async with ReproServer(artifact) as server:
+                for seed in range(1, 7):
+                    reply = await server.handle_line(json.dumps({"seed": seed, "atoms": PROBE}))
+                    assert reply["ok"], reply
+                stats = await server.handle_line(json.dumps({"op": "stats"}))
+                return stats, server.solver.engine.stats()
+
+        stats, engine = asyncio.run(main())
+        cache = stats["stats"]["cache"]
+        assert (cache["tie_table_solves"], cache["tie_table_fallbacks"]) == (1, 4)
+        assert cache["tie_table_bytes"] == engine["tie_table_bytes"] > 0
 
 
 class TestLifecycle:
