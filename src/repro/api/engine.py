@@ -49,7 +49,7 @@ from repro.io.artifact import load_artifact, save_ground_program
 from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_spec
 from repro.api.solution import Solution
 from repro.semantics.choices import ChoicePolicy
-from repro.semantics.tie_breaking import FlatTrail, TieChoice, TieTable, _run
+from repro.semantics.tie_breaking import FlatTrail, TieSolve, TieTable, _ReplaySides, _run
 
 __all__ = ["Engine", "solve", "enumerate_solutions"]
 
@@ -80,7 +80,8 @@ class _CachedSolve:
     well-founded solve, the state the engine already keeps as the mode's
     base.  ``epoch`` is the engine's ``update_calls`` when the solve ran.
     ``nbytes`` counts the status and trail buffers; a shared ``state``
-    is not counted.
+    is not counted, and neither are the ``ids`` / ``offsets`` of a trail
+    a tie table made, which are the table's (``tie_table_bytes``).
     """
 
     __slots__ = (
@@ -99,7 +100,7 @@ class _CachedSolve:
         "nbytes",
     )
 
-    def __init__(self, solution: Solution, epoch: int) -> None:
+    def __init__(self, solution: Solution, epoch: int, solved: TieSolve | None) -> None:
         model = solution.model
         self.semantics = solution.semantics
         self.found = solution.found
@@ -110,11 +111,12 @@ class _CachedSolve:
         self.timings = dict(solution.timings)
         self.gp = model.ground_program
         self.epoch = epoch
-        if solution.semantics in _TIE_SEMANTICS:
-            self.status: bytes | tuple[int, ...] = bytes(model.status)
+        if solved is not None:
+            self.status: bytes | tuple[int, ...] = bytes(solved.status)
             self.state: FinishedState | None = None
-            self.trail: FlatTrail | None = FlatTrail(solution.choices, solution.state._reason_arg)
-            self.nbytes = sys.getsizeof(self.status) + self.trail.nbytes
+            self.trail: FlatTrail | None = solved.trail
+            trail_bytes = sys.getsizeof(self.trail.flags) if solved.shared else self.trail.nbytes
+            self.nbytes = sys.getsizeof(self.status) + trail_bytes
         else:
             self.status = model.status
             self.state = solution.state
@@ -327,7 +329,7 @@ class Engine:
         self, spec: SemanticsSpec, options: dict[str, Any], *, enumerating: bool = False
     ) -> tuple[SolveRequest, dict[str, Any]]:
         """The runner's request, plus a record of the well-founded state it
-        ran on, if any (see :meth:`_wf_state`)."""
+        ran on (see :meth:`_wf_state`) or of its tie-breaking solve, if any."""
         requested = options.pop("grounding", None)
         _check_grounding(requested)
         max_instances = options.pop("max_instances", None)
@@ -343,6 +345,10 @@ class Engine:
         def fetch() -> GroundProgram:
             return self.ground_for(grounding, max_instances=max_instances)
 
+        def tie_solve(well_founded: bool, policy: ChoicePolicy) -> TieSolve:
+            solved = used["tie_solve"] = self._tie_solve(fetch(), well_founded, policy)
+            return solved
+
         request = SolveRequest(
             program=self.program,
             database=self.database,
@@ -350,7 +356,7 @@ class Engine:
             gp=fetch,
             options=options,
             tie_state=lambda well_founded: self._tie_state(fetch(), well_founded),
-            tie_solve=lambda well_founded, policy: self._tie_solve(fetch(), well_founded, policy),
+            tie_solve=tie_solve,
             wf_state=lambda: self._wf_state(fetch(), used),
         )
         return request, used
@@ -412,57 +418,55 @@ class Engine:
         state.phase_s = dict.fromkeys(state.phase_s, 0.0)
         return state
 
-    def _tie_solve(
-        self, gp: GroundProgram, well_founded: bool, policy: ChoicePolicy
-    ) -> tuple[FinishedState, list[TieChoice]]:
-        """One tie-breaking run from the checkpoint: its finished state and trail.
+    def _tie_solve(self, gp: GroundProgram, well_founded: bool, policy: ChoicePolicy) -> TieSolve:
+        """One tie-breaking solve from the checkpoint.
 
         The first solve of a checkpoint runs ``_run`` on a clone.  The
         second builds the checkpoint's
         :class:`~repro.semantics.tie_breaking.TieTable` (or finds that it
         does not apply), and from then on every solve draws each
         first-round tie's side from ``policy``.  When the table holds
-        every drawn outcome, the solve is assembled from it: one
+        every drawn outcome, the solve is read from it: one
         :func:`~repro.errors.check_deadline`, no clone and no ``close``,
-        booked as ``tie_apply_s`` (counted in ``tie_table_solves``).
-        Otherwise ``_run`` runs on a clone with the drawn sides replayed
-        first, so the policy's stream matches a plain run, and the table
-        records what the run shows (counted in ``tie_table_fallbacks``);
-        a run that goes past its first round, or needs the unfounded
-        step there, marks the table not applicable for good.  A run that
-        raises (a timeout) stores nothing.
+        booked as ``tie_apply_s`` (counted in ``tie_table_solves``).  It
+        is the model's status bytes and the trail flags; its choices and
+        state are built when first asked for.  Otherwise ``_run`` runs
+        on a clone with the drawn sides replayed first, so the policy's
+        stream matches a plain run, and the table records what the run
+        shows (counted in ``tie_table_fallbacks``); a run that goes past
+        its first round, or needs the unfounded step there, marks the
+        table not applicable for good.  A run that raises (a timeout)
+        stores nothing.
         """
         checkpoint = self._tie_checkpoint(gp, well_founded)
         table = checkpoint.table
         if table is None and checkpoint.solves == 1:
             table = TieTable.build(checkpoint.state)
         if table is None:
-            state, choices = self._tie_run(gp, well_founded, policy)
+            solved = self._tie_run(gp, well_founded, policy)
         else:
-            sides = table.draw(policy, checkpoint.state)
-            if table.covers(sides):
+            flags = table.draw(policy)
+            if table.covers(flags):
                 check_deadline()
                 t0 = perf_counter()
-                state, choices = table.apply(checkpoint.state, sides)
-                state.phase_s["tie_apply_s"] = perf_counter() - t0
+                solved = table.solve(checkpoint.state, flags)
+                solved.phase_s["tie_apply_s"] = perf_counter() - t0
                 self.tie_table_solves += 1
             else:
-                state, choices = self._tie_run(gp, well_founded, table.replay(sides, policy))
+                solved = self._tie_run(gp, well_founded, _ReplaySides(flags, then=policy))
                 self.tie_table_fallbacks += 1
-                if not table.fill(state, sides, choices):
+                if not table.fill(solved.state(), flags, solved.choices()):
                     table = None
         checkpoint.table = table
         checkpoint.solves += 1
-        return state, choices
+        return solved
 
-    def _tie_run(
-        self, gp: GroundProgram, well_founded: bool, policy: ChoicePolicy
-    ) -> tuple[FinishedState, list[TieChoice]]:
+    def _tie_run(self, gp: GroundProgram, well_founded: bool, policy: ChoicePolicy) -> TieSolve:
         """``_run`` on a clone of the checkpoint, finished."""
         state = self._tie_state(gp, well_founded)
         choices = _run(state, policy, well_founded=well_founded)
         state.finish()
-        return state, choices
+        return TieSolve.of_run(state, choices)
 
     @staticmethod
     def _cache_key(spec: SemanticsSpec, options: Mapping[str, Any]) -> tuple | None:
@@ -532,7 +536,8 @@ class Engine:
         if state is not None:
             self._wf_bases[state.gp.mode] = (state, set())
         if key is not None:
-            self._cache_solution(key, _CachedSolve(solution, self.update_calls))
+            entry = _CachedSolve(solution, self.update_calls, used.get("tie_solve"))
+            self._cache_solution(key, entry)
         return solution
 
     def _cache_solution(self, key: tuple, entry: _CachedSolve) -> None:
@@ -585,8 +590,8 @@ class Engine:
         that answers each free tie with its recorded side, so a warm tie
         table serves it without a kernel run.  Raises
         :class:`~repro.errors.SemanticsError` if the engine took an update
-        since the entry was stored, or if the replay's choices or model
-        differ from the entry's.
+        since the entry was stored, or if the replay's trail flags or
+        model status differ from the entry's.
         """
         if entry.epoch != self.update_calls:
             raise SemanticsError(
@@ -595,15 +600,12 @@ class Engine:
             )
         trail = entry.trail
         well_founded = _TIE_SEMANTICS[entry.semantics]
-        state, choices = self._tie_solve(entry.gp, well_founded, trail.replay_policy())
-        if (
-            tuple(choices) != trail.choices(entry.status, entry.gp.atoms)
-            or bytes(state.status) != entry.status
-        ):
+        solved = self._tie_solve(entry.gp, well_founded, _ReplaySides(trail.flags))
+        if solved.trail.flags != trail.flags or bytes(solved.status) != entry.status:
             raise SemanticsError(
                 "replaying a cached tie trail did not reproduce the cached solution"
             )
-        return state
+        return solved.state()
 
     def enumerate(
         self, semantics: str = "tie_breaking", *, limit: int | None = None, **options: Any

@@ -20,12 +20,12 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram
 from repro.datalog.program import Program
 from repro.errors import SemanticsError
-from repro.ground.model import Interpretation
-from repro.ground.state import FinishedState, GroundGraphState
+from repro.ground.model import UNDEF, Interpretation
+from repro.ground.state import GroundGraphState
 from repro.api.solution import Solution
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.semantics.tie_breaking import TieChoice
+    from repro.semantics.tie_breaking import TieSolve
 
 __all__ = [
     "SemanticsSpec",
@@ -49,7 +49,7 @@ class SolveRequest:
     when ``well_founded``, and the analysis of the first round's bottom
     components), with zeroed ``phase_s``.  ``tie_solve(well_founded,
     policy)`` runs one tie-breaking solve from that checkpoint and returns
-    its finished state and choice trail (see
+    it as a :class:`~repro.semantics.tie_breaking.TieSolve` (see
     :meth:`~repro.api.engine.Engine._tie_solve`).  ``wf_state()`` returns the
     private, not yet closed state a ``well_founded`` solve runs its
     cascade on: fresh, or the engine's last well-founded end state
@@ -62,7 +62,7 @@ class SolveRequest:
     gp: Callable[[], GroundProgram]
     options: Mapping[str, Any]
     tie_state: Callable[[bool], GroundGraphState]
-    tie_solve: Callable[[bool, Any], tuple[FinishedState, list[TieChoice]]]
+    tie_solve: Callable[[bool, Any], TieSolve]
     wf_state: Callable[[], GroundGraphState]
 
 
@@ -185,15 +185,20 @@ def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
     # Run on a copy: a stateful policy must replay from its reported
     # description on every solve, not continue where the caller's
     # instance stands (a copy of a RandomChoice restarts from its seed).
-    state, choices = req.tie_solve(well_founded, copy.deepcopy(policy))
-    return Solution.from_interpretation(
+    solved = req.tie_solve(well_founded, copy.deepcopy(policy))
+    status = solved.status
+    solution = Solution(
         name,
-        state.interpretation(),
-        choices=tuple(choices),
+        found=True,
+        total=UNDEF not in status,  # a memchr when the status is bytes
+        model=Interpretation(req.gp(), tuple(status)),
         policy=repr(policy),
-        state=state,
-        timings=dict(state.phase_s),
+        timings=dict(solved.phase_s),
     )
+    # A solve read from a tie table builds its choices and state only
+    # when they are first read, as a cache hit does.
+    solution.defer(choices=solved.choices, state=solved.state, free_choice_count=solved.trail.free)
+    return solution
 
 
 def _enumerate_ties(req: SolveRequest, name: str, well_founded: bool) -> Iterator[Solution]:

@@ -64,9 +64,17 @@ _FIELDS = (
 )
 # Fields a deferred solution builds on first read (see Solution.defer).
 _DEFERRED = ("choices", "state")
-# Fields equality compares: ``state`` is left out, as the model and the
-# trail determine it (comparing it would replay a cache hit's trail).
-_COMPARED = tuple(name for name in _FIELDS if name != "state")
+# Fields equality compares as they are: ``state`` is left out, as the model
+# and the trail determine it (comparing it would replay a cache hit's
+# trail), and ``timings`` are compared without ``result_s`` (see __eq__).
+_COMPARED = tuple(name for name in _FIELDS if name not in ("state", "timings"))
+
+
+def _solve_timings(timings: Mapping[str, float]) -> dict[str, float]:
+    """``timings`` without ``result_s``, which each solution books for its
+    own ``*_atoms`` reads: a cache hit equals its miss whichever views
+    either has decoded."""
+    return {name: value for name, value in timings.items() if name != "result_s"}
 
 
 class Solution:
@@ -117,9 +125,14 @@ class Solution:
 
     A solution served from the engine's solution cache is built by
     :meth:`defer`: its ``choices`` are decoded from the cached trail, and
-    its ``state`` replayed from it, on first read of each.  Equality
-    compares every field but ``state``, so comparing solutions never
-    replays a trail.
+    its ``state`` replayed from it, on first read of each.  A
+    tie-breaking miss is built the same way: a solve read from the
+    engine's tie table decodes its choices from the table's trail and
+    rebuilds its state from the table on first read (a run's loaders
+    hand back what the run built).  Equality compares every field but
+    ``state``, and ``timings`` without ``result_s``, so comparing
+    solutions never replays a trail, and a solution equals its cache hit
+    whichever atom views either decoded.
 
     Thread-safety of the lazy views: decode is idempotent (two racing
     readers build equal frozensets and one wins the cache slot), so
@@ -432,6 +445,8 @@ class Solution:
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Solution):
             return NotImplemented
+        if _solve_timings(self.timings) != _solve_timings(other.timings):
+            return False
         return all(getattr(self, name) == getattr(other, name) for name in _COMPARED)
 
     def summary(self) -> str:

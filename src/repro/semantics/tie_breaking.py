@@ -57,8 +57,9 @@ of a fresh-state run.
 From its second solve on, a checkpoint also keeps a :class:`TieTable`:
 the outcome of each first-round tie's orientation on its forward cone,
 filled by the runs that needed it.  When every outcome a solve draws is
-known, the solve writes them onto a copy of the checkpoint's buffers
-instead of cloning the state and closing it
+known, the solve is the model's status, patched from the table, and the
+trail's flag bytes: no clone, no ``close``, and its choices and state
+are built only when first read
 (:meth:`repro.api.engine.Engine._tie_solve`).
 """
 
@@ -66,8 +67,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import partial
+from itertools import chain, compress
 from time import perf_counter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.datalog.atoms import Atom
 from repro.errors import SemanticsError, check_deadline
@@ -81,7 +84,7 @@ from repro.ground.state import (
 )
 from repro.semantics.choices import ChoicePolicy, forced_orientation
 
-__all__ = ["FlatTrail", "TieChoice", "TieTable"]
+__all__ = ["FlatTrail", "TieChoice", "TieSolve", "TieTable"]
 
 
 class TieChoice:
@@ -149,7 +152,10 @@ class FlatTrail:
     The paper's tie-breaking run is determined by its orientations, so a
     cache entry stores the trail, not an object per choice:
 
-    * ``ids`` — each choice's true ids, then its false ids (``array("i")``);
+    * ``ids`` — each choice's true ids, then its false ids (``array("i")``),
+      or, for a trail a :class:`TieTable` made, each tie's side-0 ids then
+      its side-1 ids (the table's own ``ids``, whose cone atoms follow
+      past the last choice);
     * ``offsets`` — choice ``k`` owns ``ids[offsets[k]:offsets[k + 1]]``;
     * ``flags`` — one byte per choice: bit 0 is the side its true atoms
       took (the ``_R_TIE`` reason argument), bit 1 its ``forced`` flag;
@@ -157,12 +163,22 @@ class FlatTrail:
 
     A choice's true count is not stored: its true ids are exactly its ids
     whose status byte in the solve's model is true, so :meth:`choices`
-    reads the split from the status it is given.
+    reads the split from the status it is given, whatever order a
+    choice's ids are stored in.
     """
 
     __slots__ = ("ids", "offsets", "flags", "free")
 
-    def __init__(self, choices: Iterable[TieChoice], reason_arg) -> None:
+    def __init__(self, ids: array, offsets: array, flags: bytes, free: int) -> None:
+        self.ids = ids
+        self.offsets = offsets
+        self.flags = flags
+        self.free = free
+
+    @classmethod
+    def encode(cls, choices: Iterable[TieChoice], reason_arg) -> "FlatTrail":
+        """The trail of a run's ``choices``; ``reason_arg`` is its finished
+        state's reason-argument buffer, where each tie atom keeps its side."""
         ids: list[int] = []
         offsets = [0]
         flags = bytearray()
@@ -177,10 +193,7 @@ class FlatTrail:
                 side = 1 - reason_arg[choice.false_ids[0]]
             flags.append(side | (2 if choice.forced else 0))
             free += not choice.forced
-        self.ids = array("i", ids)
-        self.offsets = array("i", offsets)
-        self.flags = bytes(flags)
-        self.free = free
+        return cls(array("i", ids), array("i", offsets), bytes(flags), free)
 
     @property
     def nbytes(self) -> int:
@@ -198,18 +211,14 @@ class FlatTrail:
             out.append(TieChoice(made_true, made_false, bool(flag & 2), table))
         return tuple(out)
 
-    def replay_policy(self) -> "_ReplaySides":
-        """A policy that orients the free ties as this trail did, in order."""
-        return _ReplaySides(flag & 1 for flag in self.flags if not flag & 2)
-
 
 class _ReplaySides:
-    """Answers each free tie with the next recorded side (see FlatTrail),
-    then hands later ties to ``then``; without ``then``, a tie past the
-    record raises."""
+    """A policy that answers each free tie with the side the next free
+    choice of ``flags`` (see :class:`FlatTrail`) took, then hands later
+    ties to ``then``; without ``then``, a tie past the record raises."""
 
-    def __init__(self, sides: Iterable[int], then: ChoicePolicy | None = None) -> None:
-        self._sides = iter(sides)
+    def __init__(self, flags: bytes, then: ChoicePolicy | None = None) -> None:
+        self._sides = (flag & 1 for flag in flags if not flag & 2)
         self._then = then
 
     def choose_true_side(self, side0_atoms, side1_atoms) -> int:
@@ -219,6 +228,50 @@ class _ReplaySides:
         if self._then is None:
             raise SemanticsError("the replay met more free ties than the trail records")
         return self._then.choose_true_side(side0_atoms, side1_atoms)
+
+
+class TieSolve(NamedTuple):
+    """One tie-breaking solve, as the engine hands it on.
+
+    ``status`` is the model's status, ``phase_s`` the kernel phase times
+    and ``trail`` the solve's :class:`FlatTrail`; ``choices()`` and
+    ``state()`` build the choice trail and the finished state.
+
+    * A run (:meth:`of_run`) leaves its finished state and its choices,
+      and its trail is encoded from them.
+    * A table solve (:meth:`TieTable.solve`) leaves only what a cache
+      entry keeps: the status as ``bytes`` and a trail whose ``ids`` and
+      ``offsets`` are the table's (``shared``).  Its choices are decoded
+      from that trail, and its state rebuilt from the table, when asked
+      for.
+    """
+
+    status: bytes | list[int]
+    phase_s: dict[str, float]
+    trail: FlatTrail
+    shared: bool
+    choices: Callable[[], tuple[TieChoice, ...]]
+    state: Callable[[], FinishedState]
+
+    @classmethod
+    def of_run(cls, state: FinishedState, choices: list[TieChoice]) -> "TieSolve":
+        """The solve a finished run left."""
+        trail = tuple(choices)
+        return cls(
+            state.status,
+            state.phase_s,
+            FlatTrail.encode(trail, state._reason_arg),
+            shared=False,
+            choices=lambda: trail,
+            state=lambda: state,
+        )
+
+
+# Byte translations of a FlatTrail flag: its side, whether it is free, and
+# the bit of its side in TieTable.filled.
+_SIDE = bytes(flag & 1 for flag in range(256))
+_FREE = bytes(not flag & 2 for flag in range(256))
+_NEEDED = bytes(1 << (flag & 1) for flag in range(256))
 
 
 class TieTable:
@@ -233,32 +286,69 @@ class TieTable:
     not depend on the other cones, so each cone's status, and which rule
     fired first there, depend only on its tie's side.  The table keeps
     that outcome per (tie, side) once a run has shown it, and
-    :meth:`apply` assembles a solve from it without a kernel run.
+    :meth:`solve` assembles a solve from it without a kernel run.
 
-    Flat buffers only:
+    Flat buffers only, built once, per tie in ``select_ties`` order:
 
-    * ``ids`` (``array("i")``) — per tie, in ``select_ties`` order: its
-      side-0 atom ids, its side-1 atom ids, then the other atoms of its
-      cone, each run sorted;
-    * ``bounds`` — tie ``k``'s three runs start at ``bounds[3k]``,
-      ``bounds[3k + 1]`` and ``bounds[3k + 2]``, and its cone ends at
-      ``bounds[3k + 3]``;
-    * ``status`` / ``kind`` / ``arg`` — per side, each cone atom's
-      status, reason kind and reason argument after that side, aligned
-      with ``ids``;
+    * ``ids`` (``array("i")``) — each tie's side-0 atom ids then its
+      side-1 atom ids, each run sorted, and after the last tie's sides,
+      each tie's other cone atoms, sorted;
+    * ``offsets`` — tie ``k``'s sides are ``ids[offsets[k]:offsets[k + 1]]``,
+      side 1 from ``mids[k]``: the ``ids`` / ``offsets`` of the trail of
+      every table solve, which shares them;
+    * ``rest`` — tie ``k``'s other cone atoms are ``ids[rest[k]:rest[k + 1]]``;
+    * ``ranks`` — the canonical ranks policies see, aligned with the
+      sides (``ids`` itself on a fresh grounding);
+    * ``template`` — per tie, the trail flag of a forced tie (its side
+      and bit 1) and 0 for a free one;
+
+    and the outcomes, filled by the runs that show them:
+
+    * ``status0`` — the model's status if every tie took side 0, by atom
+      id: the checkpoint's, with each filled side-0 cone written in;
+    * ``status1`` / ``kind`` / ``arg`` — each cone atom's side-1 status,
+      and per side its reason kind and argument, aligned with ``ids``;
     * ``filled`` — per tie, bit ``s`` set once side ``s`` is recorded.
     """
 
-    __slots__ = ("ids", "bounds", "status", "kind", "arg", "filled")
+    __slots__ = (
+        "ids",
+        "offsets",
+        "mids",
+        "rest",
+        "ranks",
+        "template",
+        "status0",
+        "status1",
+        "kind",
+        "arg",
+        "filled",
+        "free",
+    )
 
-    def __init__(self, ids: array, bounds: array) -> None:
+    def __init__(
+        self,
+        status: list[int],
+        ids: array,
+        offsets: array,
+        mids: array,
+        rest: array,
+        ranks: array,
+        template: bytes,
+    ) -> None:
         size = len(ids)
         self.ids = ids
-        self.bounds = bounds
-        self.status = (bytearray(size), bytearray(size))
+        self.offsets = offsets
+        self.mids = mids
+        self.rest = rest
+        self.ranks = ranks
+        self.template = template
+        self.status0 = bytearray(status)
+        self.status1 = bytearray(size)
         self.kind = (bytearray(size), bytearray(size))
         self.arg = (array("i", [0]) * size, array("i", [0]) * size)
-        self.filled = bytearray(len(bounds) // 3)
+        self.filled = bytearray(len(template))
+        self.free = template.translate(_FREE).count(1)
 
     @classmethod
     def build(cls, checkpoint: GroundGraphState) -> "TieTable | None":
@@ -269,7 +359,10 @@ class TieTable:
         successors = checkpoint._live_successors
         owner = [-1] * (n_atoms + checkpoint.n_rules)
         ids = array("i")
-        bounds = array("i", [0])
+        offsets = array("i", [0])
+        mids = array("i")
+        template = bytearray()
+        others: list[list[int]] = []
         covered = 0
         for k, tie in enumerate(checkpoint.clone().select_ties()):
             cone = tie.atom_ids + [n_atoms + r for r in tie.rule_ids]
@@ -290,84 +383,114 @@ class TieTable:
             for atom_id, side in tie.side_of_atom().items():
                 sides[side].append(atom_id)
             ids.extend(sorted(sides[0]))
-            bounds.append(len(ids))
+            mids.append(len(ids))
             ids.extend(sorted(sides[1]))
-            bounds.append(len(ids))
+            offsets.append(len(ids))
+            forced = forced_orientation(len(sides[0]), len(sides[1]))
+            template.append(0 if forced is None else forced | 2)
             reached = cone[len(tie.atom_ids) + len(tie.rule_ids) :]
-            ids.extend(sorted(node for node in reached if node < n_atoms))
-            bounds.append(len(ids))
+            others.append(sorted(node for node in reached if node < n_atoms))
         if covered != checkpoint.live_atom_count + len(checkpoint._live_rules):
             return None
-        return cls(ids, bounds)
+        rest = array("i", [len(ids)])
+        for atoms in others:
+            ids.extend(atoms)
+            rest.append(len(ids))
+        order = checkpoint._order
+        if order is None:
+            ranks = ids
+        else:
+            ranks = array("i", [order[a] for a in ids[: offsets[-1]]])
+        return cls(checkpoint.status, ids, offsets, mids, rest, ranks, bytes(template))
 
     @property
     def nbytes(self) -> int:
         """The size of the buffers, object headers included."""
-        buffers = (self.ids, self.bounds, self.filled, *self.status, *self.kind, *self.arg)
+        buffers = [
+            self.ids,
+            self.offsets,
+            self.mids,
+            self.rest,
+            self.template,
+            self.status0,
+            self.status1,
+            self.filled,
+            *self.kind,
+            *self.arg,
+        ]
+        if self.ranks is not self.ids:
+            buffers.append(self.ranks)
         return sum(sys.getsizeof(buffer) for buffer in buffers)
 
-    def _ties(self) -> Iterator[tuple[int, int, int, int]]:
-        """Each tie's ``(side 0 start, side 1 start, rest start, end)``."""
-        bounds = self.bounds
-        return zip(bounds[0::3], bounds[1::3], bounds[2::3], bounds[3::3])
+    def _cone(self, k: int) -> Iterator[int]:
+        """The positions in ``ids`` of tie ``k``'s cone atoms."""
+        offsets, rest = self.offsets, self.rest
+        return chain(range(offsets[k], offsets[k + 1]), range(rest[k], rest[k + 1]))
 
-    def draw(self, policy: ChoicePolicy, checkpoint: GroundGraphState) -> bytes:
-        """Each tie's true side, drawn as :func:`_break_tie` draws it, in
-        the same order: forced ties skip the policy."""
-        ids, order = self.ids, checkpoint._order
-        return bytes(
-            _choose_side(policy, order, ids[lo:mid].tolist(), ids[mid:hi].tolist())[0]
-            for lo, mid, hi, _ in self._ties()
+    def draw(self, policy: ChoicePolicy) -> bytes:
+        """The trail flags of a run under ``policy``: each tie's true side,
+        drawn as :func:`_break_tie` draws it and in the same order (forced
+        ties skip the policy), and bit 1 on a forced tie."""
+        flags = bytearray(self.template)
+        choose, ranks, offsets = policy.choose_true_side, self.ranks, self.offsets
+        ties = zip(range(len(flags)), offsets, self.mids, offsets[1:])
+        for k, lo, mid, hi in compress(ties, flags.translate(_FREE)):
+            flags[k] = choose(ranks[lo:mid].tolist(), ranks[mid:hi].tolist())
+        return bytes(flags)
+
+    def covers(self, flags: bytes) -> bool:
+        """Whether every (tie, side) outcome ``flags`` needs is recorded."""
+        # Per tie, the bit of the side it took: one big-int test for all.
+        needed = int.from_bytes(flags.translate(_NEEDED), "little")
+        return (int.from_bytes(self.filled, "little") & needed) == needed
+
+    def status(self, flags: bytes) -> bytes:
+        """The model's status for ``flags`` (requires :meth:`covers`):
+        side 0's outcomes, with the cones of the ties that took side 1
+        patched in."""
+        status = bytearray(self.status0)
+        ids, status1, offsets, rest = self.ids, self.status1, self.offsets, self.rest
+        for k in compress(range(len(flags)), flags.translate(_SIDE)):
+            for i in range(offsets[k], offsets[k + 1]):
+                status[ids[i]] = status1[i]
+            for i in range(rest[k], rest[k + 1]):
+                status[ids[i]] = status1[i]
+        return bytes(status)
+
+    def solve(self, checkpoint: FinishedState, flags: bytes) -> TieSolve:
+        """The solve that orients the ties as ``flags`` says, read from the
+        table (requires :meth:`covers`), in the cache entry's compact form."""
+        status = self.status(flags)
+        trail = FlatTrail(self.ids, self.offsets, flags, self.free)
+        phase_s = dict.fromkeys(checkpoint.phase_s, 0.0)
+        return TieSolve(
+            status,
+            phase_s,
+            trail,
+            shared=True,
+            choices=partial(trail.choices, status, checkpoint.gp.atoms),
+            state=partial(self.state, checkpoint, flags, phase_s),
         )
 
-    def covers(self, sides: bytes) -> bool:
-        """Whether every (tie, side) outcome ``sides`` needs is recorded."""
-        filled = self.filled
-        return all(filled[k] >> side & 1 for k, side in enumerate(sides))
-
-    def apply(
-        self, checkpoint: GroundGraphState, sides: bytes
-    ) -> tuple[FinishedState, list[TieChoice]]:
-        """The finished state and trail of the run that orients the ties
-        as ``sides`` says, read from the table (requires :meth:`covers`)."""
-        ids, atoms = self.ids, checkpoint.gp.atoms
-        # Side 0's outcome everywhere, then side 1's over the cones whose
-        # tie took side 1: C-level slice copies, then one scatter.
-        cone_status, cone_kind, cone_arg = (
-            bytearray(self.status[0]),
-            bytearray(self.kind[0]),
-            array("i", self.arg[0]),
-        )
-        choices = []
-        for (lo, mid, hi, end), side in zip(self._ties(), sides):
-            if side:
-                cone_status[lo:end] = self.status[1][lo:end]
-                cone_kind[lo:end] = self.kind[1][lo:end]
-                cone_arg[lo:end] = self.arg[1][lo:end]
-                true_ids, false_ids = ids[mid:hi], ids[lo:mid]
-            else:
-                true_ids, false_ids = ids[lo:mid], ids[mid:hi]
-            choices.append(TieChoice(true_ids, false_ids, lo == mid or mid == hi, atoms))
-        status = list(checkpoint.status)
+    def state(
+        self, checkpoint: FinishedState, flags: bytes, phase_s: dict[str, float]
+    ) -> FinishedState:
+        """The finished state of the run that orients the ties as ``flags``
+        says, with its full reason buffers (requires :meth:`covers`)."""
+        status = list(self.status(flags))
         kind = bytearray(checkpoint._reason_kind)
         arg = list(checkpoint._reason_arg)
-        for a, value, reason, reason_arg in zip(ids, cone_status, cone_kind, cone_arg):
-            status[a] = value
-            kind[a] = reason
-            arg[a] = reason_arg
-        phase_s = dict.fromkeys(checkpoint.phase_s, 0.0)
-        return FinishedState.of(checkpoint, status, kind, arg, phase_s), choices
+        ids = self.ids
+        for k, flag in enumerate(flags):
+            cone_kind, cone_arg = self.kind[flag & 1], self.arg[flag & 1]
+            for i in self._cone(k):
+                a = ids[i]
+                kind[a] = cone_kind[i]
+                arg[a] = cone_arg[i]
+        return FinishedState.of(checkpoint, status, kind, arg, dict(phase_s))
 
-    def replay(self, sides: bytes, policy: ChoicePolicy) -> _ReplaySides:
-        """A policy that answers the free ties of the first round with
-        ``sides`` and hands every later tie to ``policy``."""
-        return _ReplaySides(
-            (side for (lo, mid, hi, _), side in zip(self._ties(), sides) if lo != mid != hi),
-            then=policy,
-        )
-
-    def fill(self, state: FinishedState, sides: bytes, choices: list[TieChoice]) -> bool:
-        """Record the outcomes of a run that oriented the ties as ``sides``.
+    def fill(self, state: FinishedState, flags: bytes, choices: list[TieChoice]) -> bool:
+        """Record the outcomes of a run whose first round took ``flags``.
 
         Records only a run that ended in its first round and whose
         ``close`` alone left no live atom (no atom of a cone undefined or
@@ -376,18 +499,22 @@ class TieTable:
         """
         status, kind, arg = state.status, state._reason_kind, state._reason_arg
         ids, filled = self.ids, self.filled
-        if len(choices) != len(sides) or any(
+        if len(choices) != len(flags) or any(
             status[a] == UNDEF or kind[a] == _R_UNFOUNDED for a in ids
         ):
             return False
-        for k, ((lo, _, _, end), side) in enumerate(zip(self._ties(), sides)):
+        for k, flag in enumerate(flags):
+            side = flag & 1
             if filled[k] >> side & 1:
                 continue
             filled[k] |= 1 << side
-            cone_status, cone_kind, cone_arg = self.status[side], self.kind[side], self.arg[side]
-            for i in range(lo, end):
+            cone_kind, cone_arg = self.kind[side], self.arg[side]
+            for i in self._cone(k):
                 a = ids[i]
-                cone_status[i] = status[a]
+                if side:
+                    self.status1[i] = status[a]
+                else:
+                    self.status0[a] = status[a]
                 cone_kind[i] = kind[a]
                 cone_arg[i] = arg[a]
         return True
@@ -429,29 +556,20 @@ def _break_tie(
     side_atoms: tuple[list[int], list[int]] = ([], [])
     for atom_id, side in component.side_of_atom().items():
         side_atoms[side].append(atom_id)
-    side_atoms[0].sort()
-    side_atoms[1].sort()
-    true_side, forced = _choose_side(policy, state._order, *side_atoms)
+    true_side = forced_orientation(len(side_atoms[0]), len(side_atoms[1]))
+    forced = true_side is not None
+    if true_side is None:
+        # Policies see canonical ranks, in ascending id order (as a
+        # TieTable draws them), not raw ids: a streamed-update state must
+        # make the same choice a fresh re-ground would.  The overlay is
+        # identity for fresh groundings — skip the mapping.
+        ranks0, ranks1 = sorted(side_atoms[0]), sorted(side_atoms[1])
+        order = state._order
+        if order is not None:
+            ranks0 = [order[a] for a in ranks0]
+            ranks1 = [order[a] for a in ranks1]
+        true_side = policy.choose_true_side(ranks0, ranks1)
     return _apply_tie(state, component, true_side, forced=forced)
-
-
-def _choose_side(
-    policy: ChoicePolicy, order, side0: list[int], side1: list[int]
-) -> tuple[int, bool]:
-    """A tie's true side, and whether it was forced, from its sorted
-    side atom ids: a forced tie skips the policy.
-
-    Policies see canonical ranks, not raw ids: a streamed-update state
-    must make the same choice a fresh re-ground would.  The overlay
-    ``order`` is ``None`` (identity) for fresh groundings.
-    """
-    forced = forced_orientation(len(side0), len(side1))
-    if forced is not None:
-        return forced, True
-    if order is not None:
-        side0 = [order[a] for a in side0]
-        side1 = [order[a] for a in side1]
-    return policy.choose_true_side(side0, side1), False
 
 
 def _run(
@@ -498,12 +616,17 @@ def _enumerate_tie_breaking_models(
     and goes in the rounds :func:`_run` goes in: each round's ties come
     from :meth:`GroundGraphState.select_ties`, the search branches over
     their free orientations depth-first inside the round (side 0 first),
-    and each round leaf re-closes once (and, in the well-founded variant,
-    runs the unfounded step once).  One state with a trail-based undo
-    log serves the whole search: every free tie takes a trail mark, and
-    leaving a branch rewinds assignments, counters and the kernel caches
-    — branch cost is proportional to the work undone, never an O(state)
-    copy.  Yields one ``(model, choice trail)`` pair per decision
+    and each round leaf runs the unfounded step once (well-founded
+    variant).  One state with a trail-based undo log serves the whole
+    search: every free tie takes a trail mark, and leaving a branch
+    rewinds assignments, counters and the kernel caches — branch cost is
+    proportional to the work undone, never an O(state) copy.  The state
+    is closed before each free tie's mark, so the mark keeps the ``close``
+    of the ties before it, and a leaf that re-orients one tie undoes and
+    redoes only the work of that tie and the ties after it, not the whole
+    round's (``close`` is confluent, so the round ends in the state one
+    ``close`` after all its ties would leave).  Yields one
+    ``(model, choice trail)`` pair per decision
     *sequence*, the trail in round order; deduplicate on
     ``model.true_set()`` if only models matter.
 
@@ -529,6 +652,7 @@ def _enumerate_tie_breaking_models(
             tie = ties[i]
             forced = forced_orientation(*tie.side_counts())
             if forced is None:
+                state.close()
                 pending.append((state.trail_mark(), len(trail), ties, i))
                 trail.append(_apply_tie(state, tie, 0, forced=False))
             else:

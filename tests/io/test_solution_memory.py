@@ -24,7 +24,7 @@ from repro.errors import SemanticsError
 from repro.ground.explain import explain
 from repro.ground.state import FinishedState, GroundGraphState
 from repro.semantics.choices import FewestTrue, RandomChoice, SecondSideTrue
-from repro.semantics.tie_breaking import _run
+from repro.semantics.tie_breaking import FlatTrail, _run
 from repro.workloads import families
 
 SOLUTIONS = 8
@@ -230,6 +230,47 @@ def test_a_hit_on_a_warm_tie_table_replays_without_close(
     assert closes == []
 
 
+def test_a_table_served_entry_counts_its_status_and_flags_only():
+    """A miss read from the tie table is cached as its status bytes and
+    its trail flags; the trail's ids and offsets are the table's, shared
+    by every such entry and counted once, in ``tie_table_bytes``."""
+    engine = Engine(*families.grounded_argumentation(40))
+    gp = engine.ground_for("relevant")
+    for seed in range(24):
+        engine.solve("tie_breaking", policy=RandomChoice(seed))
+    (checkpoint,) = engine._checkpoints.values()
+    table = checkpoint.table
+    served = []
+    for seed in range(100, 160):
+        before = engine.tie_table_solves
+        engine.solve("tie_breaking", policy=RandomChoice(seed))
+        if engine.tie_table_solves > before:
+            served.append((seed, next(reversed(engine._solution_cache.values()))))
+    assert len(served) > 10
+    for seed, entry in served:
+        assert entry.trail.ids is table.ids and entry.trail.offsets is table.offsets
+        assert entry.nbytes == sys.getsizeof(entry.status) + sys.getsizeof(entry.trail.flags)
+        # The flags and status are those of a live run's trail and model.
+        live = GroundGraphState(gp)
+        choices = _run(live, RandomChoice(seed), well_founded=True)
+        live.finish()
+        assert entry.trail.flags == FlatTrail.encode(choices, live._reason_arg).flags
+        assert entry.status == bytes(live.status)
+        assert entry.trail.free == sum(not choice.forced for choice in choices)
+    stats = engine.stats()
+    assert stats["solution_cache_bytes"] == sum(e.nbytes for e in engine._solution_cache.values())
+    assert stats["tie_table_bytes"] == table.nbytes
+    shared = sys.getsizeof(table.ids) + sys.getsizeof(table.offsets)
+    assert shared < table.nbytes
+    # A hit on such an entry replays its flags through the table.
+    seed, entry = served[0]
+    hit = engine.solve("tie_breaking", policy=RandomChoice(seed))
+    live = GroundGraphState(gp)
+    _run(live, RandomChoice(seed), well_founded=True)
+    assert hit.state.status == live.status
+    assert hit.state._reason_kind == live._reason_kind
+
+
 def test_the_tie_table_is_smaller_than_one_model_tuple():
     engine = Engine(*families.grounded_argumentation(300))
     for seed in range(SOLUTIONS):
@@ -302,9 +343,11 @@ def test_twice_the_bound_in_distinct_seeds_stays_within_it(monkeypatch):
     assert stats["solution_cache_evictions"] == ENTRY_BOUND
     entries = engine._solution_cache.values()
     assert stats["solution_cache_bytes"] == sum(entry.nbytes for entry in entries)
-    # Flat over the second half: each new entry evicts one of its size.
+    # No growth over the second half: each new entry evicts one at least
+    # its size.  (A run's entry owns its trail; a table-served entry shares
+    # the table's ids and offsets, so it is the smaller of the two.)
     half = traced[ENTRY_BOUND:]
-    assert max(half) - min(half) < max(entry.nbytes for entry in entries), traced
+    assert max(half) - half[0] < max(entry.nbytes for entry in entries), traced
 
 
 def test_the_byte_bound_keeps_the_counted_bytes_under_it(monkeypatch):

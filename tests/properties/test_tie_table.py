@@ -24,9 +24,9 @@ from repro.datalog.atoms import Atom, Literal
 from repro.datalog.database import Database
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
-from repro.ground.state import GroundGraphState
+from repro.ground.state import FinishedState, GroundGraphState
 from repro.semantics.choices import FewestTrue, FirstSideTrue, RandomChoice, SecondSideTrue
-from repro.semantics.tie_breaking import _run
+from repro.semantics.tie_breaking import TieChoice, _run
 from repro.workloads import families
 
 from tests.properties.strategies import propositional_cases, small_predicate_cases
@@ -203,7 +203,7 @@ def _covered(engine: Engine, policies):
     return next(
         policy
         for policy in policies
-        if checkpoint.table.covers(checkpoint.table.draw(copy.deepcopy(policy), checkpoint.state))
+        if checkpoint.table.covers(checkpoint.table.draw(copy.deepcopy(policy)))
     )
 
 
@@ -241,3 +241,66 @@ def test_a_timed_out_solve_stores_no_table():
     assert engine.stats() == stats
     solution = engine.solve("tie_breaking", policy=policy)
     _assert_equals_fresh(solution, gp, policy, True, f"after a table timeout {policy!r}")
+
+
+# -- a table-served miss is its status bytes and trail flags -----------------
+
+
+def _warm(engine: Engine, grounding: str = "relevant", semantics: str = "tie_breaking"):
+    """Fill the table with 24 seeds, then return a policy it covers."""
+    for seed in range(24):
+        engine.solve(semantics, policy=RandomChoice(seed), grounding=grounding)
+    return _covered(engine, [RandomChoice(seed) for seed in range(1000, 10_000)])
+
+
+def _counting(monkeypatch, cls, name: str) -> list[int]:
+    calls = [0]
+    method = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_a_table_served_miss_builds_no_choices_or_state_until_read(monkeypatch):
+    engine = Engine(*families.grounded_argumentation(40))
+    gp = engine.ground_for("relevant")
+    policy = _warm(engine)
+    choices_built = _counting(monkeypatch, TieChoice, "__init__")
+    states_built = _counting(monkeypatch, FinishedState, "of")
+    served = engine.tie_table_solves
+    solution = engine.solve("tie_breaking", policy=policy)
+    assert engine.tie_table_solves == served + 1
+    atom = gp.atoms.atom(0)
+    assert solution.value(atom) == solution.model.value(atom)
+    assert solution.free_choice_count > 0 and solution.total
+    assert (choices_built[0], states_built[0]) == (0, 0)
+    trail = solution.choices
+    assert choices_built[0] == len(trail) and states_built[0] == 0
+    assert solution.state is not None and states_built[0] == 1
+    _assert_equals_fresh(solution, gp, policy, True, "table-served miss")
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+def test_a_table_served_state_first_read_after_an_update_equals_the_live_run(
+    semantics, grounding, well_founded
+):
+    engine = Engine(*families.grounded_argumentation(40))
+    gp = engine.ground_for(grounding)
+    policy = _warm(engine, grounding, semantics)
+    fresh, fresh_choices = _fresh_run(gp, policy, well_founded)
+    served = engine.tie_table_solves
+    solution = engine.solve(semantics, policy=policy, grounding=grounding)
+    assert engine.tie_table_solves == served + 1
+    assert engine.insert_facts("attacks(3, 1)")
+    state = solution.state  # first read: after the update dropped the table
+    assert list(state.status) == fresh.status
+    assert state._reason_kind == fresh._reason_kind
+    assert list(state._reason_arg) == fresh._reason_arg
+    assert state._labels == fresh._labels
+    assert _trail(solution.choices) == _trail(fresh_choices)
+    for a in range(len(fresh.status)):
+        assert state.reason_of(a) == fresh.reason_of(a)
