@@ -449,7 +449,7 @@ class Engine:
             if table.covers(flags):
                 check_deadline()
                 t0 = perf_counter()
-                solved = table.solve(checkpoint.state, flags)
+                solved = table.solve(flags)
                 solved.phase_s["tie_apply_s"] = perf_counter() - t0
                 self.tie_table_solves += 1
             else:

@@ -20,7 +20,7 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram
 from repro.datalog.program import Program
 from repro.errors import SemanticsError
-from repro.ground.model import UNDEF, Interpretation
+from repro.ground.model import Interpretation
 from repro.ground.state import GroundGraphState
 from repro.api.solution import Solution
 
@@ -186,12 +186,9 @@ def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
     # description on every solve, not continue where the caller's
     # instance stands (a copy of a RandomChoice restarts from its seed).
     solved = req.tie_solve(well_founded, copy.deepcopy(policy))
-    status = solved.status
-    solution = Solution(
+    solution = Solution.from_interpretation(
         name,
-        found=True,
-        total=UNDEF not in status,  # a memchr when the status is bytes
-        model=Interpretation(req.gp(), tuple(status)),
+        Interpretation(req.gp(), tuple(solved.status)),
         policy=repr(policy),
         timings=dict(solved.phase_s),
     )

@@ -288,7 +288,11 @@ class TieTable:
     that outcome per (tie, side) once a run has shown it, and
     :meth:`solve` assembles a solve from it without a kernel run.
 
-    Flat buffers only, built once, per tie in ``select_ties`` order:
+    ``base`` is what a solve reads of the checkpoint: a
+    :class:`FinishedState` over the checkpoint's own status and reason
+    buffers, not copies, so a solution the table served keeps those
+    alive, not the live state, once an update drops the checkpoint.
+    Then flat buffers only, built once, per tie in ``select_ties`` order:
 
     * ``ids`` (``array("i")``) — each tie's side-0 atom ids then its
       side-1 atom ids, each run sorted, and after the last tie's sides,
@@ -312,6 +316,7 @@ class TieTable:
     """
 
     __slots__ = (
+        "base",
         "ids",
         "offsets",
         "mids",
@@ -328,7 +333,7 @@ class TieTable:
 
     def __init__(
         self,
-        status: list[int],
+        base: FinishedState,
         ids: array,
         offsets: array,
         mids: array,
@@ -337,13 +342,14 @@ class TieTable:
         template: bytes,
     ) -> None:
         size = len(ids)
+        self.base = base
         self.ids = ids
         self.offsets = offsets
         self.mids = mids
         self.rest = rest
         self.ranks = ranks
         self.template = template
-        self.status0 = bytearray(status)
+        self.status0 = bytearray(base.status)
         self.status1 = bytearray(size)
         self.kind = (bytearray(size), bytearray(size))
         self.arg = (array("i", [0]) * size, array("i", [0]) * size)
@@ -364,6 +370,8 @@ class TieTable:
         template = bytearray()
         others: list[list[int]] = []
         covered = 0
+        order = checkpoint._order
+        ranks = ids if order is None else array("i")
         for k, tie in enumerate(checkpoint.clone().select_ties()):
             cone = tie.atom_ids + [n_atoms + r for r in tie.rule_ids]
             for node in cone:
@@ -379,14 +387,15 @@ class TieTable:
                     owner[successor] = k
                     cone.append(successor)
             covered += len(cone)
-            sides: tuple[list[int], list[int]] = ([], [])
-            for atom_id, side in tie.side_of_atom().items():
-                sides[side].append(atom_id)
-            ids.extend(sorted(sides[0]))
+            side0, side1 = _sides(tie)
+            ids.extend(side0)
             mids.append(len(ids))
-            ids.extend(sorted(sides[1]))
+            ids.extend(side1)
             offsets.append(len(ids))
-            forced = forced_orientation(len(sides[0]), len(sides[1]))
+            if ranks is not ids:
+                ranks.extend(_ranks(order, side0))
+                ranks.extend(_ranks(order, side1))
+            forced = forced_orientation(len(side0), len(side1))
             template.append(0 if forced is None else forced | 2)
             reached = cone[len(tie.atom_ids) + len(tie.rule_ids) :]
             others.append(sorted(node for node in reached if node < n_atoms))
@@ -396,12 +405,16 @@ class TieTable:
         for atoms in others:
             ids.extend(atoms)
             rest.append(len(ids))
-        order = checkpoint._order
-        if order is None:
-            ranks = ids
-        else:
-            ranks = array("i", [order[a] for a in ids[: offsets[-1]]])
-        return cls(checkpoint.status, ids, offsets, mids, rest, ranks, bytes(template))
+        # What a table solve reads of the checkpoint, over its buffers (no
+        # copy): a solution it serves keeps this alive, not the live state.
+        base = FinishedState.of(
+            checkpoint,
+            checkpoint.status,
+            checkpoint._reason_kind,
+            checkpoint._reason_arg,
+            dict.fromkeys(checkpoint.phase_s, 0.0),
+        )
+        return cls(base, ids, offsets, mids, rest, ranks, bytes(template))
 
     @property
     def nbytes(self) -> int:
@@ -457,29 +470,28 @@ class TieTable:
                 status[ids[i]] = status1[i]
         return bytes(status)
 
-    def solve(self, checkpoint: FinishedState, flags: bytes) -> TieSolve:
+    def solve(self, flags: bytes) -> TieSolve:
         """The solve that orients the ties as ``flags`` says, read from the
         table (requires :meth:`covers`), in the cache entry's compact form."""
         status = self.status(flags)
         trail = FlatTrail(self.ids, self.offsets, flags, self.free)
-        phase_s = dict.fromkeys(checkpoint.phase_s, 0.0)
+        phase_s = dict(self.base.phase_s)
         return TieSolve(
             status,
             phase_s,
             trail,
             shared=True,
-            choices=partial(trail.choices, status, checkpoint.gp.atoms),
-            state=partial(self.state, checkpoint, flags, phase_s),
+            choices=partial(trail.choices, status, self.base.gp.atoms),
+            state=partial(self.state, status, flags, phase_s),
         )
 
-    def state(
-        self, checkpoint: FinishedState, flags: bytes, phase_s: dict[str, float]
-    ) -> FinishedState:
+    def state(self, status: bytes, flags: bytes, phase_s: dict[str, float]) -> FinishedState:
         """The finished state of the run that orients the ties as ``flags``
-        says, with its full reason buffers (requires :meth:`covers`)."""
-        status = list(self.status(flags))
-        kind = bytearray(checkpoint._reason_kind)
-        arg = list(checkpoint._reason_arg)
+        says and leaves ``status``, with its full reason buffers (requires
+        :meth:`covers`)."""
+        base = self.base
+        kind = bytearray(base._reason_kind)
+        arg = list(base._reason_arg)
         ids = self.ids
         for k, flag in enumerate(flags):
             cone_kind, cone_arg = self.kind[flag & 1], self.arg[flag & 1]
@@ -487,7 +499,7 @@ class TieTable:
                 a = ids[i]
                 kind[a] = cone_kind[i]
                 arg[a] = cone_arg[i]
-        return FinishedState.of(checkpoint, status, kind, arg, dict(phase_s))
+        return FinishedState.of(base, list(status), kind, arg, dict(phase_s))
 
     def fill(self, state: FinishedState, flags: bytes, choices: list[TieChoice]) -> bool:
         """Record the outcomes of a run whose first round took ``flags``.
@@ -542,6 +554,22 @@ def _apply_tie(
     return TieChoice(made_true, made_false, forced, state.gp.atoms)
 
 
+def _sides(component: BottomComponent) -> tuple[list[int], list[int]]:
+    """A tie's side-0 and side-1 atom ids, each ascending."""
+    sides: tuple[list[int], list[int]] = ([], [])
+    for atom_id, side in component.side_of_atom().items():
+        sides[side].append(atom_id)
+    return sorted(sides[0]), sorted(sides[1])
+
+
+def _ranks(order: list[int] | None, ids: list[int]) -> list[int]:
+    """What a policy sees of a tie side's ascending atom ``ids``: their
+    canonical ranks, not raw ids, so a streamed-update state makes the
+    choice a fresh re-ground would.  ``order`` is the state's rank
+    overlay; it is ``None`` (identity) on a fresh grounding."""
+    return ids if order is None else [order[a] for a in ids]
+
+
 def _break_tie(
     state: GroundGraphState, component: BottomComponent, policy: ChoicePolicy
 ) -> TieChoice:
@@ -551,24 +579,16 @@ def _break_tie(
     every rule node's head edge stays in-component and on its own side,
     so a side without atoms has no nodes at all — counting atoms
     (:meth:`BottomComponent.side_counts`) is equivalent to counting
-    nodes, and skips a sweep over the rule half of the partition.
+    nodes, and skips a sweep over the rule half of the partition.  A free
+    tie offers the policy :func:`_ranks` of its :func:`_sides`, as
+    :meth:`TieTable.draw` does.
     """
-    side_atoms: tuple[list[int], list[int]] = ([], [])
-    for atom_id, side in component.side_of_atom().items():
-        side_atoms[side].append(atom_id)
-    true_side = forced_orientation(len(side_atoms[0]), len(side_atoms[1]))
+    side0, side1 = _sides(component)
+    true_side = forced_orientation(len(side0), len(side1))
     forced = true_side is not None
     if true_side is None:
-        # Policies see canonical ranks, in ascending id order (as a
-        # TieTable draws them), not raw ids: a streamed-update state must
-        # make the same choice a fresh re-ground would.  The overlay is
-        # identity for fresh groundings — skip the mapping.
-        ranks0, ranks1 = sorted(side_atoms[0]), sorted(side_atoms[1])
         order = state._order
-        if order is not None:
-            ranks0 = [order[a] for a in ranks0]
-            ranks1 = [order[a] for a in ranks1]
-        true_side = policy.choose_true_side(ranks0, ranks1)
+        true_side = policy.choose_true_side(_ranks(order, side0), _ranks(order, side1))
     return _apply_tie(state, component, true_side, forced=forced)
 
 

@@ -15,6 +15,7 @@ import copy
 import gc
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.api.engine import Engine
 from repro.errors import SemanticsError
 from repro.ground.explain import explain
 from repro.ground.state import FinishedState, GroundGraphState
-from repro.semantics.choices import FewestTrue, RandomChoice, SecondSideTrue
+from repro.semantics.choices import FewestTrue, FirstSideTrue, RandomChoice, SecondSideTrue
 from repro.semantics.tie_breaking import FlatTrail, _run
 from repro.workloads import families
 
@@ -271,6 +272,36 @@ def test_a_table_served_entry_counts_its_status_and_flags_only():
     assert hit.state._reason_kind == live._reason_kind
 
 
+def test_a_held_table_served_miss_keeps_no_kernel_state_after_an_update():
+    """A miss read from the tie table rebuilds its state from the table's
+    base, which shares the checkpoint's status and reason buffers; once an
+    update drops the checkpoint, a held miss keeps those buffers and the
+    table alive, not the live kernel state."""
+    engine = Engine(*families.grounded_argumentation(40))
+    gp = engine.ground_for("relevant")
+    for seed in range(24):
+        engine.solve("tie_breaking", policy=RandomChoice(seed))
+    served = engine.tie_table_solves
+    seed = 100
+    while engine.tie_table_solves == served:
+        seed += 1
+        miss = engine.solve("tie_breaking", policy=RandomChoice(seed))
+    live = GroundGraphState(gp)
+    _run(live, RandomChoice(seed), well_founded=True)
+    (checkpoint,) = engine._checkpoints.values()
+    kernel = weakref.ref(checkpoint.state)
+    base = checkpoint.table.base
+    assert base.status is checkpoint.state.status
+    assert base._reason_kind is checkpoint.state._reason_kind
+    del checkpoint
+    assert engine.insert_facts("attacks(3, 1)")
+    gc.collect()
+    assert kernel() is None
+    state = miss.state  # first read: after the update
+    assert list(state.status) == live.status and state._reason_kind == live._reason_kind
+    assert list(state._reason_arg) == live._reason_arg
+
+
 def test_the_tie_table_is_smaller_than_one_model_tuple():
     engine = Engine(*families.grounded_argumentation(300))
     for seed in range(SOLUTIONS):
@@ -323,10 +354,9 @@ def test_the_entry_bound_evicts_the_least_recently_used(monkeypatch):
     assert again.model == first.model and again.choices == first_choices
 
 
-def test_twice_the_bound_in_distinct_seeds_stays_within_it(monkeypatch):
-    _patch_bounds(monkeypatch, entries=ENTRY_BOUND)
-    engine = Engine(*families.grounded_argumentation(200))
-    engine._tie_state(engine.ground_for(), True)  # build the checkpoint untraced
+def _trace_twice_the_bound(engine):
+    """Solve ``2 * ENTRY_BOUND`` distinct seeds from an empty cache; the
+    engine's stats and the traced memory after each solve."""
     traced = []
     gc.collect()
     tracemalloc.start()
@@ -343,11 +373,33 @@ def test_twice_the_bound_in_distinct_seeds_stays_within_it(monkeypatch):
     assert stats["solution_cache_evictions"] == ENTRY_BOUND
     entries = engine._solution_cache.values()
     assert stats["solution_cache_bytes"] == sum(entry.nbytes for entry in entries)
-    # No growth over the second half: each new entry evicts one at least
-    # its size.  (A run's entry owns its trail; a table-served entry shares
-    # the table's ids and offsets, so it is the smaller of the two.)
+    # Flat over the second half: each new entry evicts one of its size.
     half = traced[ENTRY_BOUND:]
-    assert max(half) - half[0] < max(entry.nbytes for entry in entries), traced
+    assert max(half) - min(half) < max(entry.nbytes for entry in entries), traced
+    return stats
+
+
+def test_twice_the_bound_in_distinct_seeds_stays_within_it(monkeypatch):
+    _patch_bounds(monkeypatch, entries=ENTRY_BOUND)
+    engine = Engine(*families.grounded_argumentation(200))
+    # Build the checkpoint and fill its tie table untraced, outside the
+    # cache, so every traced solve is read from the table and stores an
+    # entry of one size.
+    gp = engine.ground_for()
+    for policy in (FirstSideTrue(), FirstSideTrue(), SecondSideTrue()):
+        engine._tie_solve(gp, True, policy)
+    stats = _trace_twice_the_bound(engine)
+    assert stats["tie_table_solves"] == 2 * ENTRY_BOUND
+
+
+def test_twice_the_bound_in_run_made_entries_stays_within_it(monkeypatch):
+    """The same bound on a program with no tie table (ties over several
+    rounds): every entry is a kernel run's, which owns its trail."""
+    _patch_bounds(monkeypatch, entries=ENTRY_BOUND)
+    engine = Engine(*families.tie_chain(60))
+    engine._tie_state(engine.ground_for(), True)  # build the checkpoint untraced
+    stats = _trace_twice_the_bound(engine)
+    assert stats["tie_table_solves"] == 0
 
 
 def test_the_byte_bound_keeps_the_counted_bytes_under_it(monkeypatch):
