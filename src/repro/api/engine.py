@@ -81,7 +81,8 @@ class _CachedSolve:
     base.  ``epoch`` is the engine's ``update_calls`` when the solve ran.
     ``nbytes`` counts the status and trail buffers; a shared ``state``
     is not counted, and neither are the ``ids`` / ``offsets`` of a trail
-    a tie table made, which are the table's (``tie_table_bytes``).
+    a tie table made, which are the table's (``tie_table_bytes``): such
+    a trail names its table, which the entry keeps alive.
     """
 
     __slots__ = (
@@ -579,7 +580,7 @@ class Engine:
             solution.defer(
                 choices=partial(trail.choices, entry.status, entry.gp.atoms),
                 state=partial(self._replay, entry),
-                free_choice_count=trail.free,
+                trail=trail,
             )
         return solution
 
@@ -879,6 +880,9 @@ class Engine:
             "tie_table_fallbacks": self.tie_table_fallbacks,
             "tie_table_bytes": sum(
                 c.table.nbytes for c in self._checkpoints.values() if c.table is not None
+            ),
+            "tie_text_bytes": sum(
+                c.table.text_nbytes for c in self._checkpoints.values() if c.table is not None
             ),
             **self.timings,
         }

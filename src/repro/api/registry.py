@@ -194,7 +194,7 @@ def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
     )
     # A solve read from a tie table builds its choices and state only
     # when they are first read, as a cache hit does.
-    solution.defer(choices=solved.choices, state=solved.state, free_choice_count=solved.trail.free)
+    solution.defer(choices=solved.choices, state=solved.state, trail=solved.trail)
     return solution
 
 

@@ -35,6 +35,7 @@ the false count then read ``None``, and the wire form writes
 
 from __future__ import annotations
 
+from itertools import compress
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
@@ -42,8 +43,9 @@ from repro.datalog.atoms import Atom
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles at type-check time only
+    from repro.datalog.grounding import LiteralTable
     from repro.ground.state import FinishedState
-    from repro.semantics.tie_breaking import TieChoice
+    from repro.semantics.tie_breaking import FlatTrail, TieChoice
 
 __all__ = ["Solution"]
 
@@ -168,6 +170,7 @@ class Solution:
         self._load_choices: Callable[[], tuple["TieChoice", ...]] | None = None
         self._load_state: Callable[[], "FinishedState"] | None = None
         self._free: int | None = None
+        self.trail: FlatTrail | None = None
         # Decoded views, filled on first read.
         self._true: frozenset[Atom] | None = None
         self._undefined: frozenset[Atom] | None = None
@@ -182,18 +185,21 @@ class Solution:
         *,
         choices: Callable[[], tuple["TieChoice", ...]],
         state: Callable[[], "FinishedState"],
-        free_choice_count: int,
+        trail: "FlatTrail",
     ) -> None:
         """Build ``choices`` and ``state`` on their first read, not now.
 
         ``choices()`` and ``state()`` are called at most once each, when
-        the field is first read (an atoms-only reply reads neither);
-        ``free_choice_count`` answers without decoding the trail.  Either
-        loader may raise; the field is then left unbuilt.
+        the field is first read (an atoms-only reply reads neither).
+        ``trail`` is the solve's flat trail, kept as :attr:`trail`:
+        ``free_choice_count`` answers from it without decoding, and the
+        encoder writes a tie table's trail from the table's side texts.
+        Either loader may raise; the field is then left unbuilt.
         """
         self._load_choices = choices
         self._load_state = state
-        self._free = free_choice_count
+        self._free = trail.free
+        self.trail = trail
 
     @property
     def choices(self) -> tuple["TieChoice", ...]:
@@ -253,13 +259,13 @@ class Solution:
     def texts(self) -> tuple[list[str], list[str] | None, list[str]]:
         """The true / false / undefined atom texts, each in string order.
 
-        One pass over the atom table's string order reading the status
-        array; fresh lists on every call, nothing cached here and nothing
-        booked.  A ``closed_world`` solution lists no false atoms (the
-        false list is ``None``), so it formats and sorts only its true and
-        undefined ids and never builds the literal table: on a full
-        grounding that table is the whole Herbrand base, while the listed
-        atoms are usually a small part of it.
+        The texts :meth:`selection` selects from the literal table, the
+        table's own ``str`` objects; fresh lists on every call, nothing
+        cached here and nothing booked.  A ``closed_world`` solution lists
+        no false atoms (the false list is ``None``), so it formats and
+        sorts only its true and undefined ids and never builds the literal
+        table: on a full grounding that table is the whole Herbrand base,
+        while the listed atoms are usually a small part of it.
         """
         atoms = self.model.ground_program.atoms
         if self.closed_world:
@@ -269,16 +275,23 @@ class Solution:
                 None,
                 sorted([str(atoms.atom(i)) for i in undefined_ids]),
             )
-        table = atoms.literal_table()
-        literals, status = table.literals, self.model.status
-        parts: tuple[list[str], ...] = ([], [], [])  # indexed by status
-        push = [part.append for part in parts]
-        n = len(status)
-        for index in table.order:
-            if index < n:  # atoms the table gained after this solve are not in it
-                push[status[index]](literals[index])
-        false = None if self.closed_world else parts[FALSE]
-        return parts[TRUE], false, parts[UNDEF]
+        table, (true, false, undefined) = self.selection()
+        ordered = table.ordered
+        return (
+            list(compress(ordered, true)),
+            list(compress(ordered, false)),
+            list(compress(ordered, undefined)),
+        )
+
+    def selection(self) -> tuple["LiteralTable", tuple[bytes, bytes, bytes]]:
+        """The atom table's literal table and the true, false and undefined
+        masks over its string order
+        (:meth:`~repro.datalog.grounding.LiteralTable.masks`): the one
+        model-list selection, read by :meth:`texts` and by the
+        ``repro-solution/1`` text encoder."""
+        table = self.model.ground_program.atoms.literal_table()
+        masks = table.masks(self.model.status)
+        return table, (masks[TRUE], masks[FALSE], masks[UNDEF])
 
     @property
     def true_ids(self) -> tuple[int, ...]:
@@ -392,6 +405,7 @@ class Solution:
         new = Solution(**kwargs)
         if "choices" not in changes:
             new._load_choices, new._free = self._load_choices, self._free
+            new.trail = self.trail
         if "state" not in changes:
             new._load_state = self._load_state
         if new.model is self.model:

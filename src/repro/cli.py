@@ -323,7 +323,7 @@ def _cmd_dot(args) -> int:
 def _cmd_serve(args) -> int:
     from time import perf_counter
 
-    from repro.service.batch import BatchSolver
+    from repro.service.batch import BatchSolver, result_line
 
     if not args.artifact and not args.program:
         print("error: serve needs a program file or an existing --artifact", file=sys.stderr)
@@ -341,11 +341,11 @@ def _cmd_serve(args) -> int:
         t0 = perf_counter()
         results = solver.solve_file(args.batch)
         elapsed = perf_counter() - t0
-    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in results)
+    lines = b"".join(map(result_line, results))
     if args.output:
-        Path(args.output).write_text(lines)
+        Path(args.output).write_bytes(lines)
     else:
-        sys.stdout.write(lines)
+        sys.stdout.write(lines.decode())
     failed = sum(1 for r in results if not r.get("ok"))
     rate = len(results) / elapsed if elapsed > 0 else float("inf")
     # Aggregate solve-phase stats over *distinct* solves: requests served

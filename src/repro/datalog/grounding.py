@@ -31,6 +31,7 @@ ids), and the originating substitutions.
 
 from __future__ import annotations
 
+import json
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -73,21 +74,89 @@ GroundingMode = TypingLiteral["full", "relevant", "edb"]
 GROUNDING_MODES: tuple[str, ...] = get_args(GroundingMode)
 
 
+#: Per status value (0, 1, 2), a ``bytes.translate`` table mapping that
+#: value to 1 and every other byte to 0.
+_VALUE_MASKS = tuple(bytes(int(b == value) for b in range(256)) for value in range(3))
+#: The status byte :meth:`LiteralTable.masks` gives an atom past the end of
+#: a status array: it matches no value.
+_ABSENT = b"\xff"
+
+
 @dataclass(frozen=True, slots=True)
 class LiteralTable:
     """The text of every atom of one :class:`AtomTable`, and its string order.
 
-    ``literals[i]`` is ``str()`` of atom ``i``; ``order`` lists the atom
-    ids sorted by that text; ``rank`` is its inverse
-    (``rank[order[k]] == k``).  Every ``repro-solution/1`` encode reads
-    its sorted atom lists from here.  A published table is never mutated:
+    ``order`` lists the atom ids sorted by their text (``str()`` of the
+    atom); ``rank`` is its inverse (``rank[order[k]] == k``); ``ordered``
+    holds the texts in that order (``ordered[rank[i]]`` is atom ``i``'s);
+    ``escaped`` holds them as ``json.dumps`` writes them between quotes,
+    and is ``ordered`` itself unless some text needs escaping (a quoted
+    string constant, non-ASCII text).  Every ``repro-solution/1`` encode
+    reads its sorted atom lists from here, the model lists through
+    :meth:`masks`.  A published table is never mutated:
     :meth:`AtomTable.literal_table` publishes a new one when the atom
     table has grown.
     """
 
-    literals: list[str]
     order: array
     rank: array
+    ordered: list[str]
+    escaped: list[str]
+
+    @property
+    def literals(self) -> list[str]:
+        """The texts by atom id: ``literals[i]`` is ``str()`` of atom ``i``."""
+        return list(map(self.ordered.__getitem__, self.rank))
+
+    def masks(self, status: Sequence[int]) -> tuple[bytes, ...]:
+        """Per status value, a byte mask over string order: byte ``k`` of
+        ``masks(status)[v]`` is 1 iff atom ``order[k]`` has status ``v``.
+
+        ``itertools.compress(self.ordered, mask)`` is then that value's
+        atoms in string order.  Atoms the table gained after ``status``
+        was taken (ids past its end) match no value.
+        """
+        missing = len(self.ordered) - len(status)
+        if missing:
+            status = bytes(status) + _ABSENT * missing
+        ordered = bytes(map(status.__getitem__, self.order))
+        return tuple(ordered.translate(mask) for mask in _VALUE_MASKS)
+
+    def json_selection(self, mask: bytes) -> str:
+        """The JSON list of the texts ``mask`` (from :meth:`masks`) selects,
+        in string order: what ``json.dumps`` writes for that list."""
+        return _json_list('", "'.join(compress(self.escaped, mask)))
+
+    def texts(self, ids: Iterable[int]) -> list[str]:
+        """The texts of atoms ``ids``, in string order."""
+        return list(map(self.ordered.__getitem__, sorted(map(self.rank.__getitem__, ids))))
+
+    def json_list(self, ids: Iterable[int]) -> str:
+        """The JSON list of the texts of atoms ``ids``, in string order."""
+        positions = sorted(map(self.rank.__getitem__, ids))
+        return _json_list('", "'.join(map(self.escaped.__getitem__, positions)))
+
+
+def _json_list(body: str) -> str:
+    """A JSON list of strings around ``body``, its items already quoted and
+    joined (atom texts are never empty, so an empty body is an empty list)."""
+    return f'["{body}"]' if body else "[]"
+
+
+def _escaped(texts: list[str]) -> list[str]:
+    """``texts`` as ``json.dumps`` writes them between their quotes: the
+    list itself when none needs escaping, else a list with only the texts
+    that need it replaced."""
+    joined = "".join(texts)
+    if _plain(joined):
+        return texts
+    return [t if _plain(t) else json.dumps(t)[1:-1] for t in texts]
+
+
+def _plain(text: str) -> bool:
+    """Whether ``json.dumps`` writes ``text`` unchanged between its quotes:
+    printable ASCII without ``"`` or backslash."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 class AtomTable:
@@ -137,12 +206,12 @@ class AtomTable:
         """
         cached = self._literal_table
         n = len(self)
-        if cached is not None and len(cached.literals) == n:
+        if cached is not None and len(cached.ordered) == n:
             return cached
         if cached is None:
             literals, order = self._texts(0, n), list(range(n))
         else:
-            done = len(cached.literals)
+            done = len(cached.ordered)
             literals = cached.literals + self._texts(done, n)
             order = cached.order.tolist()
             order.extend(range(done, n))
@@ -150,7 +219,8 @@ class AtomTable:
         rank = array("i", [0]) * n
         for position, index in enumerate(order):
             rank[index] = position
-        table = LiteralTable(literals, array("i", order), rank)
+        ordered = list(map(literals.__getitem__, order))
+        table = LiteralTable(array("i", order), rank, ordered, _escaped(ordered))
         self._literal_table = table
         return table
 

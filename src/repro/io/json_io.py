@@ -15,9 +15,13 @@ The JSON shape is deliberately simple and stable:
 Atom lists are sorted by their text form, so serializations are
 deterministic and diffable (the CLI golden tests rely on this).
 
-:func:`solution_to_obj` is the one ``repro-solution/1`` encoder: the CLI,
-the batch service and the concurrent server all write ``json.dumps`` of
-its object.
+:func:`solution_to_obj` is the ``repro-solution/1`` object, for the CLI
+and the library.  A served reply writes the same document as text:
+:func:`solution_text` is ``json.dumps(solution_to_obj(s),
+sort_keys=True)`` byte for byte, written from the atom table's
+:class:`~repro.datalog.grounding.LiteralTable` (and, for a solve a tie
+table served, from the table's side texts) without building the object.
+It travels in a reply inside :class:`RawJSON`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from repro.ground.model import Interpretation
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.api.solution import Solution
+    from repro.datalog.grounding import LiteralTable
     from repro.ground.explain import Explanation
 
 SOLUTION_SCHEMA = "repro-solution/1"
@@ -48,6 +53,8 @@ __all__ = [
     "interpretation_to_json",
     "solution_to_obj",
     "solution_to_json",
+    "solution_text",
+    "RawJSON",
     "solution_to_jsonl_chunks",
     "explanation_to_obj",
 ]
@@ -162,16 +169,15 @@ def solution_to_obj(solution: "Solution") -> dict[str, Any]:
     returns fresh lists.
     """
     ties = None
-    if solution.choices or solution.policy is not None:
-        table = solution.model.ground_program.atoms.literal_table()
-        literals, rank = table.literals, table.rank.__getitem__
+    if solution.policy is not None or solution.choices:
+        texts = solution.model.ground_program.atoms.literal_table().texts
         ties = {
             "policy": solution.policy,
             "free_choices": solution.free_choice_count,
             "choices": [
                 {
-                    "made_true": [literals[i] for i in sorted(choice.true_ids, key=rank)],
-                    "made_false": [literals[i] for i in sorted(choice.false_ids, key=rank)],
+                    "made_true": texts(choice.true_ids),
+                    "made_false": texts(choice.false_ids),
                     "forced": choice.forced,
                 }
                 for choice in solution.choices
@@ -194,6 +200,106 @@ def solution_to_obj(solution: "Solution") -> dict[str, Any]:
         "iterations": solution.iterations,
         "timings": dict(solution.timings),
     }
+
+
+def solution_text(solution: "Solution") -> str:
+    """``json.dumps(solution_to_obj(solution), sort_keys=True)``, written
+    without building the object.
+
+    The model lists are one selection over the literal table's string
+    order (:meth:`~repro.datalog.grounding.LiteralTable.masks`, as
+    :meth:`~repro.api.Solution.texts` makes it), each joined once from the
+    table's own texts; a closed-world solution dumps its
+    :meth:`~repro.api.Solution.texts`.  The tie choices of a solve a
+    :class:`~repro.semantics.tie_breaking.TieTable` served (its
+    :attr:`~repro.api.Solution.trail` names the table) are two of the
+    table's side texts each, picked by the flag's side bit; any other
+    trail is written from its ``choices``.
+    """
+    dumps = json.dumps
+    literals = None
+    if solution.closed_world:
+        true, _, undefined = solution.texts()
+        model = {"true": dumps(true), "false": "null", "undefined": dumps(undefined)}
+        counts = {"true": str(len(true)), "false": "null", "undefined": str(len(undefined))}
+    else:
+        literals, masks = solution.selection()
+        model = dict(zip(_LISTS, map(literals.json_selection, masks)))
+        counts = {key: str(mask.count(1)) for key, mask in zip(_LISTS, masks)}
+    ties = "null"
+    if solution.policy is not None or solution.choices:
+        literals = literals or solution.model.ground_program.atoms.literal_table()
+        choices = ", ".join(_choice_texts(solution, literals))
+        ties = _raw_object(
+            {
+                "policy": dumps(solution.policy),
+                "free_choices": str(solution.free_choice_count),
+                "choices": f"[{choices}]",
+            }
+        )
+    return _raw_object(
+        {
+            "schema": dumps(SOLUTION_SCHEMA),
+            "semantics": dumps(solution.semantics),
+            "found": dumps(solution.found),
+            "total": dumps(solution.total),
+            "grounding": dumps(solution.grounding),
+            "model": _raw_object(model),
+            "counts": _raw_object(counts),
+            "ties": ties,
+            "iterations": dumps(solution.iterations),
+            "timings": dumps(dict(solution.timings), sort_keys=True),
+        }
+    )
+
+
+_LISTS = ("true", "false", "undefined")
+
+
+def _raw_object(fields: dict[str, str]) -> str:
+    """The JSON object of ``fields``' already written values, its keys
+    sorted and spaced as ``json.dumps(..., sort_keys=True)`` writes them."""
+    parts = []
+    for key, value in sorted(fields.items()):
+        parts += (", ", json.dumps(key), ": ", value)
+    parts[0] = "{"
+    parts.append("}")
+    return "".join(parts)
+
+
+_CHOICE_HEAD = ('{"forced": false, "made_false": ', '{"forced": true, "made_false": ')
+
+
+def _choice_texts(solution: "Solution", literals: "LiteralTable") -> Iterator[str]:
+    """The JSON object of each tie choice of ``solution``."""
+    trail = solution.trail
+    if trail is not None and trail.tie_table is not None:
+        sides = trail.tie_table.side_texts(literals)
+        for k, flag in enumerate(trail.flags):
+            true = 2 * k + (flag & 1)
+            false = true ^ 1
+            yield f'{_CHOICE_HEAD[flag >> 1]}{sides[false]}, "made_true": {sides[true]}}}'
+        return
+    json_list = literals.json_list
+    for choice in solution.choices:
+        made_false, made_true = json_list(choice.false_ids), json_list(choice.true_ids)
+        yield f'{_CHOICE_HEAD[choice.forced]}{made_false}, "made_true": {made_true}}}'
+
+
+class RawJSON:
+    """One JSON value as UTF-8 ``data``, already written.
+
+    A reply carries its solution in one (:func:`solution_text`, encoded
+    once).  It is neither ``str`` nor ``bytes``, so ``json.dumps`` of a
+    reply holding it raises instead of writing it as a JSON string:
+    :func:`repro.service.batch.result_line` splices it in.  It pickles as
+    its bytes.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
 
 
 def solution_to_json(solution: "Solution", *, indent: int | None = 2) -> str:

@@ -73,6 +73,7 @@ from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.datalog.atoms import Atom
+from repro.datalog.grounding import LiteralTable
 from repro.errors import SemanticsError, check_deadline
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 from repro.ground.state import (
@@ -159,21 +160,33 @@ class FlatTrail:
     * ``offsets`` — choice ``k`` owns ``ids[offsets[k]:offsets[k + 1]]``;
     * ``flags`` — one byte per choice: bit 0 is the side its true atoms
       took (the ``_R_TIE`` reason argument), bit 1 its ``forced`` flag;
-    * ``free`` — the number of free (not forced) choices.
+    * ``free`` — the number of free (not forced) choices;
+    * ``tie_table`` — the :class:`TieTable` whose ``ids`` / ``offsets``
+      these are, or ``None`` for a trail a run made.
 
-    A choice's true count is not stored: its true ids are exactly its ids
-    whose status byte in the solve's model is true, so :meth:`choices`
-    reads the split from the status it is given, whatever order a
-    choice's ids are stored in.
+    A choice's true count is not stored.  On a table's trail, choice
+    ``k`` is tie ``k``: its sides split at the table's ``mids[k]``, and
+    the side bit says which one is true.  On a run's trail, its true ids
+    are exactly its ids whose status byte in the solve's model is true,
+    so :meth:`choices` reads the split from the status it is given,
+    whatever order a choice's ids are stored in.
     """
 
-    __slots__ = ("ids", "offsets", "flags", "free")
+    __slots__ = ("ids", "offsets", "flags", "free", "tie_table")
 
-    def __init__(self, ids: array, offsets: array, flags: bytes, free: int) -> None:
+    def __init__(
+        self,
+        ids: array,
+        offsets: array,
+        flags: bytes,
+        free: int,
+        tie_table: "TieTable | None" = None,
+    ) -> None:
         self.ids = ids
         self.offsets = offsets
         self.flags = flags
         self.free = free
+        self.tie_table = tie_table
 
     @classmethod
     def encode(cls, choices: Iterable[TieChoice], reason_arg) -> "FlatTrail":
@@ -204,6 +217,13 @@ class FlatTrail:
         """Decode the trail into :class:`TieChoice` objects over ``table``."""
         ids, offsets = self.ids, self.offsets
         out = []
+        if self.tie_table is not None:
+            ties = zip(self.flags, offsets, self.tie_table.mids, offsets[1:])
+            for flag, lo, mid, hi in ties:
+                sides = (ids[lo:mid], ids[mid:hi])
+                side = flag & 1
+                out.append(TieChoice(sides[side], sides[1 - side], bool(flag & 2), table))
+            return tuple(out)
         for k, flag in enumerate(self.flags):
             chunk = ids[offsets[k] : offsets[k + 1]]
             made_true = [a for a in chunk if status[a] == TRUE]
@@ -241,9 +261,9 @@ class TieSolve(NamedTuple):
       and its trail is encoded from them.
     * A table solve (:meth:`TieTable.solve`) leaves only what a cache
       entry keeps: the status as ``bytes`` and a trail whose ``ids`` and
-      ``offsets`` are the table's (``shared``).  Its choices are decoded
-      from that trail, and its state rebuilt from the table, when asked
-      for.
+      ``offsets`` are the table's (``shared``) and which names the table.
+      Its choices are decoded from that trail, and its state rebuilt from
+      the table, when asked for.
     """
 
     status: bytes | list[int]
@@ -313,6 +333,13 @@ class TieTable:
     * ``status1`` / ``kind`` / ``arg`` — each cone atom's side-1 status,
       and per side its reason kind and argument, aligned with ``ids``;
     * ``filled`` — per tie, bit ``s`` set once side ``s`` is recorded.
+
+    The first full encode of a solve the table served also leaves
+    ``texts`` (``None`` until then): per tie, the JSON list of each
+    side's atom texts in string order, side 0's at ``2 * k`` and side 1's
+    at ``2 * k + 1``, so a choice's ``made_true`` / ``made_false`` are two
+    of them (:meth:`side_texts`).  They are counted in
+    :attr:`text_nbytes`, not in :attr:`nbytes`.
     """
 
     __slots__ = (
@@ -329,6 +356,7 @@ class TieTable:
         "arg",
         "filled",
         "free",
+        "texts",
     )
 
     def __init__(
@@ -355,6 +383,7 @@ class TieTable:
         self.arg = (array("i", [0]) * size, array("i", [0]) * size)
         self.filled = bytearray(len(template))
         self.free = template.translate(_FREE).count(1)
+        self.texts: list[str] | None = None
 
     @classmethod
     def build(cls, checkpoint: GroundGraphState) -> "TieTable | None":
@@ -435,6 +464,32 @@ class TieTable:
             buffers.append(self.ranks)
         return sum(sys.getsizeof(buffer) for buffer in buffers)
 
+    @property
+    def text_nbytes(self) -> int:
+        """The size of the side texts, 0 before the first encode."""
+        texts = self.texts
+        if texts is None:
+            return 0
+        return sys.getsizeof(texts) + sum(map(sys.getsizeof, texts))
+
+    def side_texts(self, literals: LiteralTable) -> list[str]:
+        """Per (tie, side), the JSON list of that side's atom texts in
+        string order (see the class docstring), built on the first call.
+
+        ``literals`` is the atom table's current literal table.  A table
+        that has grown since gives the same texts: an atom's text and the
+        string order among the older atoms do not change.
+        """
+        texts = self.texts
+        if texts is None:
+            ids, json_list = self.ids, literals.json_list
+            texts = []
+            for lo, mid, hi in zip(self.offsets, self.mids, self.offsets[1:]):
+                texts.append(json_list(ids[lo:mid]))
+                texts.append(json_list(ids[mid:hi]))
+            self.texts = texts
+        return texts
+
     def _cone(self, k: int) -> Iterator[int]:
         """The positions in ``ids`` of tie ``k``'s cone atoms."""
         offsets, rest = self.offsets, self.rest
@@ -474,7 +529,7 @@ class TieTable:
         """The solve that orients the ties as ``flags`` says, read from the
         table (requires :meth:`covers`), in the cache entry's compact form."""
         status = self.status(flags)
-        trail = FlatTrail(self.ids, self.offsets, flags, self.free)
+        trail = FlatTrail(self.ids, self.offsets, flags, self.free, self)
         phase_s = dict(self.base.phase_s)
         return TieSolve(
             status,

@@ -25,6 +25,8 @@ from repro.service.batch import (
     error_kind_of,
     failure_result,
     read_requests,
+    result_line,
+    result_solution,
     solve_one,
 )
 from repro.service.server import ReproServer, run_server
@@ -41,6 +43,8 @@ __all__ = [
     "error_kind_of",
     "failure_result",
     "read_requests",
+    "result_line",
+    "result_solution",
     "run_server",
     "solve_one",
 ]

@@ -53,7 +53,7 @@ from repro.errors import (
     solve_deadline,
 )
 from repro.io.artifact import program_fingerprint, read_artifact_header
-from repro.io.json_io import solution_to_obj
+from repro.io.json_io import RawJSON, solution_text
 from repro.semantics.choices import (
     FewestTrue,
     FirstSideTrue,
@@ -73,6 +73,8 @@ __all__ = [
     "error_kind_of",
     "failure_result",
     "read_requests",
+    "result_line",
+    "result_solution",
     "solve_one",
 ]
 
@@ -321,9 +323,12 @@ def solve_one(
 ) -> dict[str, Any]:
     """Answer one request on a warm engine (wire schema ``repro-batch/1``).
 
-    Returns the JSON-ready result object: ``{"ok": true, ...}`` with
-    either per-atom ``values`` (when the request listed atoms) or the
-    full ``repro-solution/1`` object; or ``{"ok": false, "error": ...,
+    Returns the result object: ``{"ok": true, ...}`` with either
+    per-atom ``values`` (when the request listed atoms) or the full
+    ``repro-solution/1`` document, already written as a
+    :class:`~repro.io.json_io.RawJSON` ``solution`` (write the result
+    with :func:`result_line`, read the document with
+    :func:`result_solution`); or ``{"ok": false, "error": ...,
     "error_kind": ...}`` when the request fails.  Library errors never
     propagate — a batch is fault-isolated per request.
 
@@ -392,14 +397,38 @@ def solve_one(
             # Answered per atom from the interned ids — no set decode.
             result["values"] = {str(a): solution.value(a) for a in parsed}
         else:
-            # This request's own encode, never a cached solution's.
+            # This request's own encode, never a cached solution's, written
+            # here so the line writer only splices it in.
             t0 = perf_counter()
-            result["solution"] = solution_to_obj(solution)
+            result["solution"] = RawJSON(solution_text(solution).encode())
             timings["encode_s"] = perf_counter() - t0
             result.setdefault("timings", timings)
         return result
     except ReproError as error:
         return failure_result(request.id, error)
+
+
+def result_line(result: dict[str, Any]) -> bytes:
+    """One ``repro-batch/1`` line: ``json.dumps(result, sort_keys=True)``
+    and a newline, UTF-8, with a :class:`~repro.io.json_io.RawJSON`
+    ``solution`` spliced in as the JSON it holds.
+
+    Only the small fields are dumped here; the solution's bytes are
+    copied once, into the line.
+    """
+    solution = result.get("solution")
+    if solution is None:
+        return (json.dumps(result, sort_keys=True) + "\n").encode()
+    head = json.dumps({k: v for k, v in result.items() if k < "solution"}, sort_keys=True)
+    tail = json.dumps({k: v for k, v in result.items() if k > "solution"}, sort_keys=True)
+    head = head[:-1] + (', "solution": ' if len(head) > 2 else '"solution": ')
+    tail = (", " + tail[1:] if len(tail) > 2 else "}") + "\n"
+    return b"".join((head.encode(), solution.data, tail.encode()))
+
+
+def result_solution(result: dict[str, Any]) -> dict[str, Any]:
+    """The ``repro-solution/1`` object of a full-model result."""
+    return json.loads(result["solution"].data)
 
 
 # ---------------------------------------------------------------------------

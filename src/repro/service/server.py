@@ -71,6 +71,7 @@ from repro.service.batch import (
     BatchRequest,
     BatchSolver,
     failure_result,
+    result_line,
     solve_one,
 )
 from repro.service.sessions import Session, SessionManager
@@ -297,7 +298,7 @@ class ReproServer:
     async def _write(
         writer: asyncio.StreamWriter, write_lock: asyncio.Lock, result: dict[str, Any]
     ) -> None:
-        data = json.dumps(result, sort_keys=True).encode("utf-8") + b"\n"
+        data = result_line(result)
         async with write_lock:
             if writer.is_closing():
                 return
@@ -478,6 +479,7 @@ class ReproServer:
                 "tie_table_solves": engine["tie_table_solves"],
                 "tie_table_fallbacks": engine["tie_table_fallbacks"],
                 "tie_table_bytes": engine["tie_table_bytes"],
+                "tie_text_bytes": engine["tie_text_bytes"],
             },
         }
 

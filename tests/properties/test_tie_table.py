@@ -26,7 +26,7 @@ from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.ground.state import FinishedState, GroundGraphState
 from repro.semantics.choices import FewestTrue, FirstSideTrue, RandomChoice, SecondSideTrue
-from repro.semantics.tie_breaking import TieChoice, _run
+from repro.semantics.tie_breaking import FlatTrail, TieChoice, _run
 from repro.workloads import families
 
 from tests.properties.strategies import propositional_cases, small_predicate_cases
@@ -109,6 +109,40 @@ def test_table_solves_equal_fresh_runs(name, build, semantics, grounding, well_f
     if name in TABLED:
         assert served > 0, name
         assert stats["tie_table_bytes"] > 0
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+@pytest.mark.parametrize("name,build", FAMILIES, ids=[name for name, _ in FAMILIES])
+def test_a_table_trail_splits_its_choices_as_the_status_does(
+    name, build, semantics, grounding, well_founded
+):
+    """A table's trail splits each choice at the table's ``mids`` by the
+    flag's side bit, reading no status; the split equals the one the
+    model's status gives, and flipping one side bit changes that choice
+    alone."""
+    engine = Engine(*build())
+    atoms = engine.ground_for(grounding).atoms
+    tabled = 0
+    for policy in POLICIES:
+        solution = engine.solve(semantics, policy=policy, grounding=grounding)
+        trail = solution.trail
+        if trail.tie_table is None:
+            continue
+        tabled += 1
+        status = solution.model.status
+        by_status = FlatTrail(trail.ids, trail.offsets, trail.flags, trail.free).choices(
+            status, atoms
+        )
+        assert trail.choices(status, atoms) == by_status == solution.choices
+        for k in range(len(trail.flags)):
+            flags = bytearray(trail.flags)
+            flags[k] ^= 1
+            flipped = FlatTrail(trail.ids, trail.offsets, bytes(flags), trail.free, trail.tie_table)
+            choices = flipped.choices(status, atoms)
+            assert choices[k] != by_status[k]
+            assert choices[:k] + choices[k + 1 :] == by_status[:k] + by_status[k + 1 :]
+    if name in TABLED:
+        assert tabled > 0, name
 
 
 @pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)

@@ -26,6 +26,7 @@ from repro.service import (
     error_kind_of,
     failure_result,
     read_requests,
+    result_solution,
     solve_one,
 )
 from repro.workloads import families
@@ -145,7 +146,7 @@ class TestBatchSolverInline:
             )
         assert [r["id"] for r in results] == ["wf", "tb", "bad"]
         assert results[0]["ok"] and results[0]["values"] == {"win(1)": False, "win(2)": True}
-        assert results[1]["ok"] and results[1]["solution"]["schema"] == "repro-solution/1"
+        assert results[1]["ok"] and result_solution(results[1])["schema"] == "repro-solution/1"
         assert not results[2]["ok"] and "unknown semantics" in results[2]["error"]
         assert all(r["schema"] == BATCH_SCHEMA for r in results)
 
@@ -422,7 +423,7 @@ class TestTimeouts:
         assert timed_out["timeout_s"] == 1e-6
         # The timed-out solve stored nothing: the same engine answers next.
         fresh = solve_one(Engine.from_artifact(solver.artifact_path), BatchRequest(id="u"))
-        assert after["ok"] and after["solution"]["model"] == fresh["solution"]["model"]
+        assert after["ok"] and result_solution(after)["model"] == result_solution(fresh)["model"]
 
     def test_rejects_non_positive_timeout(self, tmp_path):
         with pytest.raises(ValidationError, match="timeout_s"):
@@ -439,7 +440,7 @@ class TestTimeouts:
 
 class TestOneResultShape:
     def test_live_solution_option_is_gone(self, tmp_path):
-        # Results always carry the plain solution dict; the retired
+        # Results always carry the one solution shape; the retired
         # keyword (spelt in two pieces so a grep for it stays empty) is
         # refused like any unknown one.
         removed = {"material" + "ize": False}
@@ -450,7 +451,7 @@ class TestOneResultShape:
                 solver.solve_many([{"id": 1}], **removed)
             with pytest.raises(TypeError):
                 solver.solve_file(['{"id": 1}'], **removed)
-            assert isinstance(solver.solve_many([{"id": 1}])[0]["solution"], dict)
+            assert isinstance(result_solution(solver.solve_many([{"id": 1}])[0]), dict)
 
 
 class TestReplyTimings:
@@ -467,7 +468,7 @@ class TestReplyTimings:
         for reply in (first, again):
             assert reply["timings"]["encode_s"] > 0.0
             assert "result_s" not in reply["timings"]
-        assert again["solution"]["model"] == first["solution"]["model"]
+        assert result_solution(again)["model"] == result_solution(first)["model"]
         assert again["timings"]["solve_s"] == first["timings"]["solve_s"]  # the cached solve
         assert "encode_s" not in values["timings"]
         assert "result_s" not in values["timings"]
