@@ -426,10 +426,11 @@ class Engine:
         second builds the checkpoint's
         :class:`~repro.semantics.tie_breaking.TieTable` (or finds that it
         does not apply), and from then on every solve draws each
-        first-round tie's side from ``policy``.  When the table holds
-        every drawn outcome, the solve is read from it: one
-        :func:`~repro.errors.check_deadline`, no clone and no ``close``,
-        booked as ``tie_apply_s`` (counted in ``tie_table_solves``).  It
+        first-round tie's side from ``policy``, booked as ``tie_select_s``.
+        When the table holds every drawn outcome, the solve is read from
+        it: one :func:`~repro.errors.check_deadline`, no clone and no
+        ``close``, booked as ``tie_apply_s`` (counted in
+        ``tie_table_solves``).  It
         is the model's status bytes and the trail flags; its choices and
         state are built when first asked for.  Otherwise ``_run`` runs
         on a clone with the drawn sides replayed first, so the policy's
@@ -446,7 +447,9 @@ class Engine:
         if table is None:
             solved = self._tie_run(gp, well_founded, policy)
         else:
+            t0 = perf_counter()
             flags = table.draw(policy)
+            draw_s = perf_counter() - t0
             if table.covers(flags):
                 check_deadline()
                 t0 = perf_counter()
@@ -458,6 +461,7 @@ class Engine:
                 self.tie_table_fallbacks += 1
                 if not table.fill(solved.state(), flags, solved.choices()):
                     table = None
+            solved.phase_s["tie_select_s"] += draw_s
         checkpoint.table = table
         checkpoint.solves += 1
         return solved

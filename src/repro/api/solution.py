@@ -248,9 +248,20 @@ class Solution:
             self._ids = ids
         return ids
 
+    def _false_ids(self) -> tuple[int, ...]:
+        """The false ids without the model's ghosts
+        (:attr:`~repro.ground.model.Interpretation.ghost_ids`): left out
+        only when the false atoms are read, so reading the true or
+        undefined ones never looks for ghosts."""
+        false_ids = self._id_partition()[1]
+        ghosts = self.model.ghost_ids
+        if ghosts:
+            false_ids = tuple(a for a in false_ids if a not in ghosts)
+        return false_ids
+
     def _decode(self, which: int) -> frozenset[Atom]:
         t0 = perf_counter()
-        ids = self._id_partition()[which]
+        ids = self._false_ids() if which == 1 else self._id_partition()[which]
         table = self.model.ground_program.atoms
         decoded = frozenset(table.atom(i) for i in ids)
         self._book_result(perf_counter() - t0)
@@ -286,11 +297,12 @@ class Solution:
     def selection(self) -> tuple["LiteralTable", tuple[bytes, bytes, bytes]]:
         """The atom table's literal table and the true, false and undefined
         masks over its string order
-        (:meth:`~repro.datalog.grounding.LiteralTable.masks`): the one
-        model-list selection, read by :meth:`texts` and by the
-        ``repro-solution/1`` text encoder."""
-        table = self.model.ground_program.atoms.literal_table()
-        masks = table.masks(self.model.status)
+        (:meth:`~repro.datalog.grounding.LiteralTable.masks`), the model's
+        ghosts selected by none: the one model-list selection, read by
+        :meth:`texts` and by the ``repro-solution/1`` text encoder."""
+        model = self.model
+        table = model.ground_program.atoms.literal_table()
+        masks = table.masks(model.status, model.ghost_ids)
         return table, (masks[TRUE], masks[FALSE], masks[UNDEF])
 
     @property
@@ -303,7 +315,7 @@ class Solution:
         """Atom-table ids with value false (``None`` when ``closed_world``)."""
         if self.closed_world:
             return None
-        return self._id_partition()[1]
+        return self._false_ids()
 
     @property
     def undefined_ids(self) -> tuple[int, ...]:
@@ -351,8 +363,9 @@ class Solution:
         Scans the status array once (cached) and never builds an atom
         set.  ``false`` is ``None`` when ``closed_world``.
         """
-        true_ids, false_ids, undef_ids = self._id_partition()
-        return len(true_ids), None if self.closed_world else len(false_ids), len(undef_ids)
+        true_ids, _, undef_ids = self._id_partition()
+        false = None if self.closed_world else len(self._false_ids())
+        return len(true_ids), false, len(undef_ids)
 
     def value(self, atom: Atom) -> bool | None:
         """Three-valued lookup: True / False / None (undefined).

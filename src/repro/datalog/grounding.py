@@ -108,17 +108,20 @@ class LiteralTable:
         """The texts by atom id: ``literals[i]`` is ``str()`` of atom ``i``."""
         return list(map(self.ordered.__getitem__, self.rank))
 
-    def masks(self, status: Sequence[int]) -> tuple[bytes, ...]:
+    def masks(self, status: Sequence[int], skip: Iterable[int] = ()) -> tuple[bytes, ...]:
         """Per status value, a byte mask over string order: byte ``k`` of
         ``masks(status)[v]`` is 1 iff atom ``order[k]`` has status ``v``.
 
         ``itertools.compress(self.ordered, mask)`` is then that value's
         atoms in string order.  Atoms the table gained after ``status``
-        was taken (ids past its end) match no value.
+        was taken (ids past its end), and the atoms ``skip`` names, match
+        no value.
         """
         missing = len(self.ordered) - len(status)
-        if missing:
-            status = bytes(status) + _ABSENT * missing
+        if missing or skip:
+            status = bytearray(status) + _ABSENT * missing
+            for a in skip:
+                status[a] = _ABSENT[0]
         ordered = bytes(map(status.__getitem__, self.order))
         return tuple(ordered.translate(mask) for mask in _VALUE_MASKS)
 
@@ -597,9 +600,14 @@ class GroundIndex:
         "initial_rule_alive",
         "live_rules_init",
         "rule_slot_init",
+        "ghost_ids",
     )
 
     def __getattr__(self, name: str):
+        if name == "ghost_ids":
+            # Built on first read: see ghosts().
+            ghosts = self.ghost_ids = self.ghosts()
+            return ghosts
         # Extended (delta-overlay) indexes defer the flat occurrence CSR:
         # the tuple views carry the hot paths, and the flat arrays are
         # only needed by serialization — rebuild them from the views on
@@ -616,6 +624,24 @@ class GroundIndex:
                 setattr(self, f"{prefix}_occ", flat)
             return object.__getattribute__(self, name)
         raise AttributeError(name)
+
+    def ghosts(self) -> frozenset[int]:
+        """The atoms a fresh grounding of the same database would not
+        hold: none, unless streaming updates published this index
+        (:class:`GroundDeltaSession`).  Then they are the ghosts, the ids
+        outside U\\* (ranked from ``n_atoms`` on) that no live instance
+        names in its body; a fresh relevant grounding holds U\\* and the
+        body atoms of its instances.  Read as :attr:`ghost_ids`, built
+        once per index."""
+        order = self.atom_order
+        if order is None:
+            return frozenset()
+        n_atoms, alive, neg_occ = self.n_atoms, self.initial_rule_alive, self.neg_occ_t
+        return frozenset(
+            a
+            for a, rank in enumerate(order)
+            if rank >= n_atoms and not any(alive[r] for r in neg_occ[a])
+        )
 
     def __init__(self, gp: "GroundProgram") -> None:
         # Local imports of the truth values would be circular through
@@ -1449,7 +1475,8 @@ class GroundDeltaSession:
       support falsifies them in the kernel's first ``close()`` — the
       closed-world reading of :class:`~repro.ground.model.Interpretation`
       makes a materialized-false ghost indistinguishable from a fresh
-      grounding that never materialized it;
+      grounding that never materialized it, and a model's false list
+      leaves out the published index's :attr:`GroundIndex.ghost_ids`;
     * ``atom_order`` ranks live atom ids exactly as a fresh relevant
       grounding would assign them (predicate-major, rows ascending), so
       deterministic tie-breaking trajectories match a full rebuild.

@@ -10,12 +10,12 @@ closed-world remainder (EDB atoms by Δ, unmaterialized IDB atoms false).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
-from repro.datalog.grounding import GroundProgram
+from repro.datalog.grounding import GroundIndex, GroundProgram
 
 __all__ = ["UNDEF", "TRUE", "FALSE", "Interpretation"]
 
@@ -24,6 +24,7 @@ TRUE = 1
 FALSE = 2
 
 _BOOL_OF = {TRUE: True, FALSE: False, UNDEF: None}
+_NO_GHOSTS: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,28 @@ class Interpretation:
     semantics because unmaterialized atoms always lie outside the
     upper-bound model U\\* and are false in every run of the well-founded
     (tie-breaking) interpreter.
+
+    On a grounding that streaming updates changed, the snapshot keeps the
+    index it was taken over: its :attr:`ghost_ids`, atoms a fresh
+    grounding of the database would not hold, are false and left out of
+    the false atoms.
     """
 
     ground_program: GroundProgram
     status: tuple[int, ...]
+    index: GroundIndex | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if getattr(self.ground_program, "_delta_session", None) is not None:
+            object.__setattr__(self, "index", self.ground_program.index)
+
+    @property
+    def ghost_ids(self) -> frozenset[int]:
+        """Materialized atoms a fresh grounding would not hold (see
+        :meth:`~repro.datalog.grounding.GroundIndex.ghosts`): empty unless
+        the grounding took streaming updates."""
+        index = self.index
+        return _NO_GHOSTS if index is None else index.ghost_ids
 
     def value(self, atom: Atom) -> Optional[bool]:
         """Truth value of a ground atom: True / False / None (undefined)."""
@@ -69,10 +88,10 @@ class Interpretation:
         """Number of materialized atoms left undefined."""
         return sum(1 for s in self.status if s == UNDEF)
 
-    def _atoms_with(self, wanted: int) -> Iterator[Atom]:
+    def _atoms_with(self, wanted: int, skip: frozenset[int] = _NO_GHOSTS) -> Iterator[Atom]:
         table = self.ground_program.atoms
         for index, s in enumerate(self.status):
-            if s == wanted:
+            if s == wanted and index not in skip:
                 yield table.atom(index)
 
     def true_atoms(self) -> Iterator[Atom]:
@@ -80,8 +99,8 @@ class Interpretation:
         return self._atoms_with(TRUE)
 
     def false_atoms(self) -> Iterator[Atom]:
-        """Materialized atoms with value false."""
-        return self._atoms_with(FALSE)
+        """Materialized atoms with value false, ghosts left out."""
+        return self._atoms_with(FALSE, self.ghost_ids)
 
     def undefined_atoms(self) -> Iterator[Atom]:
         """Materialized atoms left without a truth value."""
@@ -128,10 +147,11 @@ class Interpretation:
     def summary(self) -> str:
         """Counts of true/false/undefined materialized atoms."""
         true = sum(1 for s in self.status if s == TRUE)
-        false = sum(1 for s in self.status if s == FALSE)
+        ghosts = self.ghost_ids
+        false = sum(1 for i, s in enumerate(self.status) if s == FALSE and i not in ghosts)
         return (
             f"Interpretation(true={true}, false={false}, "
-            f"undefined={len(self.status) - true - false}, total={self.is_total})"
+            f"undefined={self.undefined_count}, total={self.is_total})"
         )
 
     def __repr__(self) -> str:

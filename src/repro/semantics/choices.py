@@ -31,7 +31,17 @@ __all__ = [
 
 
 class ChoicePolicy(Protocol):
-    """Strategy resolving the K/L orientation of a tie."""
+    """Strategy resolving the K/L orientation of a tie.
+
+    A policy whose choice never reads the sides may also define
+    ``choose_true_sides(count) -> bytes``: the sides (0 or 1, one byte
+    each) of its next ``count`` free ties, equal to ``count`` consecutive
+    :meth:`choose_true_side` calls and leaving the policy in the state
+    those calls leave.  A first-round tie table draws every free side of
+    a solve with one such call
+    (:meth:`repro.semantics.tie_breaking.TieTable.draw`), when the class
+    that defines it also defines the ``choose_true_side`` in use.
+    """
 
     def choose_true_side(self, side0_atoms: Sequence[int], side1_atoms: Sequence[int]) -> int:
         """Return 0 or 1: the side whose atoms become true (K).
@@ -102,6 +112,12 @@ class MostTrue:
         return "MostTrue()"
 
 
+# A word's top byte: its side (bit 30, the byte's bit 6) when bit 31 is
+# clear; the words with bit 31 set are rejected (deleted).
+_BIT_30 = bytes(top >> 6 & 1 for top in range(256))
+_BIT_31_SET = bytes(range(128, 256))
+
+
 class RandomChoice:
     """Seeded random orientation; reproducible given the seed.
 
@@ -119,6 +135,27 @@ class RandomChoice:
 
     def choose_true_side(self, side0_atoms: Sequence[int], side1_atoms: Sequence[int]) -> int:
         return self._rng.randrange(2)
+
+    def choose_true_sides(self, count: int) -> bytes:
+        """The next ``count`` sides, as ``count`` :meth:`choose_true_side`
+        calls draw them, leaving the generator where they leave it.
+
+        CPython's ``randrange(2)`` is ``getrandbits(2)``, the top two bits
+        of one 32-bit Mersenne Twister word, drawn again while they read 2
+        or 3: a word yields a side exactly when its bit 31 is 0, and the
+        side is its bit 30.  ``getrandbits(32 * m)`` holds ``m`` consecutive
+        words, the first in the low bits, so every fourth little-endian
+        byte from the fourth is a word's top byte, in order.  Each word
+        yields at most one side, so asking for as many words as sides are
+        missing never draws past the last one.
+        """
+        getrandbits = self._rng.getrandbits
+        sides = b""
+        while len(sides) < count:
+            need = count - len(sides)
+            tops = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+            sides += tops.translate(_BIT_30, _BIT_31_SET)
+        return sides
 
     def __deepcopy__(self, memo: dict) -> RandomChoice:
         # A copy is the policy its description names: a fresh stream from

@@ -498,8 +498,20 @@ class TieTable:
     def draw(self, policy: ChoicePolicy) -> bytes:
         """The trail flags of a run under ``policy``: each tie's true side,
         drawn as :func:`_break_tie` draws it and in the same order (forced
-        ties skip the policy), and bit 1 on a forced tie."""
+        ties skip the policy), and bit 1 on a forced tie.
+
+        A side-blind policy (:func:`_batch_sides`) draws every free side
+        in one ``choose_true_sides`` call and sees no ranks; any other is
+        asked once per free tie, with the tie's ranks."""
         flags = bytearray(self.template)
+        batch = _batch_sides(policy)
+        if batch is not None:
+            sides = batch(self.free)
+            if self.free == len(flags):
+                return sides  # no forced tie: the flags are the sides
+            for k, side in zip(compress(range(len(flags)), flags.translate(_FREE)), sides):
+                flags[k] = side
+            return bytes(flags)
         choose, ranks, offsets = policy.choose_true_side, self.ranks, self.offsets
         ties = zip(range(len(flags)), offsets, self.mids, offsets[1:])
         for k, lo, mid, hi in compress(ties, flags.translate(_FREE)):
@@ -585,6 +597,18 @@ class TieTable:
                 cone_kind[i] = kind[a]
                 cone_arg[i] = arg[a]
         return True
+
+
+def _batch_sides(policy: ChoicePolicy) -> Callable[[int], bytes] | None:
+    """``policy.choose_true_sides`` when the class that defines it also
+    defines the ``choose_true_side`` in use, else ``None``: a subclass that
+    overrides only the per-tie choice keeps its per-tie calls."""
+    mro = type(policy).__mro__
+    batch, single = (
+        next((cls for cls in mro if name in vars(cls)), None)
+        for name in ("choose_true_sides", "choose_true_side")
+    )
+    return None if batch is None or batch is not single else policy.choose_true_sides
 
 
 def _apply_tie(

@@ -19,6 +19,7 @@ import pytest
 
 from repro.api.engine import Engine
 from repro.datalog.database import Database
+from repro.datalog.parser import parse_atom
 from repro.errors import ReproError
 from repro.io.artifact import dump_ground_program
 from repro.io.json_io import RawJSON, solution_text, solution_to_obj
@@ -103,11 +104,9 @@ def _served_engine(n: int) -> Engine:
 
 
 def _settled(text: str) -> tuple:
-    """A document's ties and its true and undefined atoms.  Its false
-    atoms are left out: after a retraction a live grounding keeps the
-    retracted fact's atom, false, where a fresh grounding has none."""
+    """A document's ties, model lists and counts: all of it but timings."""
     document = json.loads(text)
-    return document["ties"], document["model"]["true"], document["model"]["undefined"]
+    return document["ties"], document["model"], document["counts"]
 
 
 def _fresh_text(engine: Engine, seed: int) -> str:
@@ -163,6 +162,37 @@ def test_replies_after_updates_write_the_new_ties():
         kinds = _serve(engine, range(100, 110), f"update {step}")
         assert kinds["table"] >= 1, kinds
     assert engine.stats()["tie_text_bytes"] == texts
+
+
+def test_replies_after_a_retraction_list_what_a_fresh_engine_lists():
+    """A live grounding keeps the atom of a retracted fact, false, where a
+    fresh grounding of the database has none: the reply leaves it out of
+    the false list and the counts, in every semantics that lists false
+    atoms."""
+    engine = _served_engine(60)
+    engine.insert_facts("arg(100)", "attacks(100, 5)")
+    engine.solve("tie_breaking", policy=RandomChoice(1))
+    engine.retract_facts("attacks(100, 5)")
+    ghost = parse_atom("attacks(100, 5)")
+    assert engine.ground_for("relevant").atoms.get(ghost) is not None
+    fresh = Engine(engine.program, engine.database.copy())
+    assert fresh.ground_for("relevant").atoms.get(ghost) is None
+    for semantics in ("well_founded", "tie_breaking", "fitting"):
+        seeded = semantics == "tie_breaking"
+        for seed in range(3 if seeded else 1):
+            request = BatchRequest(id=seed, semantics=semantics, seed=seed if seeded else None)
+            live = json.loads(_check_reply(engine, request, semantics)["solution"].data)
+            expected = json.loads(_check_reply(fresh, request, semantics)["solution"].data)
+            assert _settled(json.dumps(live)) == _settled(json.dumps(expected)), semantics
+            if live["grounding"] == "relevant":  # a full grounding holds every atom
+                assert str(ghost) not in live["model"]["false"], semantics
+        options = {"policy": RandomChoice(1)} if seeded else {}
+        solution = engine.solve(semantics, **options)
+        assert solution.counts() == fresh.solve(semantics, **options).counts()
+        assert solution.value(ghost) is False
+        if solution.grounding == "relevant":
+            assert ghost not in solution.false_atoms
+            assert ghost not in set(solution.model.false_atoms())
 
 
 def test_the_side_texts_are_counted_apart_from_the_table():

@@ -9,7 +9,9 @@ step and per deterministic policy:
 * the model (true set and undefined set, decoded to atom strings — live
   and fresh groundings assign different dense ids);
 * the tri-partition, via the two-way :meth:`Interpretation.agrees_with`
-  (false atoms and closed-world defaults included);
+  (false atoms and closed-world defaults included), and the true / false
+  / undefined lists and counts of ``Engine.solve``, which leave out the
+  atoms only the live grounding holds;
 * the tie trail — the decoded ``(made_true, made_false, forced)``
   sequence of every choice the interpreter committed.
 
@@ -98,9 +100,14 @@ def _assert_step_equivalent(live: Engine, mode, label: str, enumerate_too=False)
         assert lm.agrees_with(fm), f"{label} {policy!r}: tri-partition mismatch"
     # The public facade must agree too (solution cache invalidation,
     # delta bookkeeping): same model through Engine.solve on both sides.
-    live_true = frozenset(str(a) for a in live.solve("tie_breaking").true_atoms)
-    fresh_true = frozenset(str(a) for a in fresh.solve("tie_breaking").true_atoms)
+    live_solution, fresh_solution = live.solve("tie_breaking"), fresh.solve("tie_breaking")
+    live_true = frozenset(str(a) for a in live_solution.true_atoms)
+    fresh_true = frozenset(str(a) for a in fresh_solution.true_atoms)
     assert live_true == fresh_true, f"{label}: Engine.solve mismatch"
+    # The lists a reply writes, false atoms included: a live grounding's
+    # ghosts (atoms a fresh grounding would not hold) are left out.
+    assert live_solution.texts() == fresh_solution.texts(), f"{label}: model lists differ"
+    assert live_solution.counts() == fresh_solution.counts(), f"{label}: counts differ"
     if enumerate_too:
         assert _enum_model_set(live_gp) == _enum_model_set(fresh_gp), (
             f"{label}: enumerated model sets differ"

@@ -145,6 +145,54 @@ def test_a_table_trail_splits_its_choices_as_the_status_does(
         assert tabled > 0, name
 
 
+class _PerTie:
+    """``policy`` asked one tie at a time: it has no batch method."""
+
+    def __init__(self, policy) -> None:
+        self.policy = policy
+
+    def choose_true_side(self, side0_atoms, side1_atoms) -> int:
+        return self.policy.choose_true_side(side0_atoms, side1_atoms)
+
+
+# 40 free ties and, for the pure variant, 40 forced ones (positive loops,
+# which the well-founded variant's unfounded step falsifies instead).
+FREE_AND_FORCED = "\n".join(
+    f"p{i} :- not q{i}. q{i} :- not p{i}. r{i} :- s{i}. s{i} :- r{i}." for i in range(40)
+)
+DRAWN = FAMILIES + [
+    ("grounded_argumentation_60", lambda: families.grounded_argumentation(60)),
+    ("free_and_forced", lambda: (FREE_AND_FORCED,)),
+]
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+@pytest.mark.parametrize("name,build", DRAWN, ids=[name for name, _ in DRAWN])
+def test_a_batched_draw_equals_per_tie_draws(name, build, semantics, grounding, well_founded):
+    """``draw`` takes a RandomChoice's free sides in one
+    ``choose_true_sides`` call: the flags, and the generator state after
+    them, are those of the per-tie calls, with forced ties among them
+    too; and the solves equal fresh runs."""
+    engine = Engine(*build())
+    for seed in range(2):
+        engine.solve(semantics, policy=RandomChoice(seed), grounding=grounding)
+    (checkpoint,) = engine._checkpoints.values()
+    table = checkpoint.table
+    if table is None:
+        assert name not in TABLED, name
+        return
+    for policy in POLICIES:
+        batched, single = copy.deepcopy(policy), _PerTie(copy.deepcopy(policy))
+        assert table.draw(batched) == table.draw(single), (name, policy)
+        if isinstance(policy, RandomChoice):
+            assert batched._rng.getstate() == single.policy._rng.getstate(), (name, policy)
+    if name == "free_and_forced":
+        assert table.free == 40 and len(table.template) == (40 if well_founded else 80)
+        gp = engine.ground_for(grounding)
+        served = _solve_all(engine, gp, semantics, grounding, well_founded, name)
+        assert served > 0
+
+
 @pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
 def test_tie_chain_never_takes_the_table(semantics, grounding, well_founded):
     """tie_chain orients its ties one round after another: the table's
@@ -252,6 +300,7 @@ def test_a_table_solve_checks_the_deadline_once():
     assert checks == 1
     solution = engine.solve("tie_breaking", policy=policy)
     assert solution.timings["close_s"] == 0.0 and solution.timings["tie_apply_s"] > 0.0
+    assert solution.timings["tie_select_s"] > 0.0  # the draw
 
 
 def test_a_timed_out_solve_stores_no_table():

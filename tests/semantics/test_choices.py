@@ -1,5 +1,6 @@
 """Unit tests for choice policies and forced orientations."""
 
+import pytest
 
 from repro.semantics.choices import (
     FewestTrue,
@@ -145,3 +146,96 @@ class TestSelfDescription:
         assert solved.free_choice_count == 12
         assert solved.true_atoms == expected.true_atoms
         assert solved.choices == expected.choices
+
+
+# The first 64 sides of RandomChoice(seed), drawn one tie at a time with
+# choose_true_side: the stream every seeded answer depends on.
+GOLDEN_SIDES = {
+    0: "1101111110010010100110111011100010110100000100110110101101101000",
+    1: "0010111100101101100100001010011010011010010110111101011011010011",
+    7: "1010001000011000100001000011001000100001111111000011111001010110",
+    2**32 - 1: "0011111110001100101110010001110110110011101011101111110001101100",
+}
+
+
+def _per_tie(policy, count: int) -> bytes:
+    return bytes(policy.choose_true_side([1], [2]) for _ in range(count))
+
+
+class TestBatchSides:
+    """``RandomChoice.choose_true_sides(n)`` is ``n`` consecutive
+    ``choose_true_side`` calls: the same sides and the same generator
+    state afterwards."""
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SIDES))
+    def test_the_seeded_stream_is_pinned(self, seed):
+        golden = bytes(int(side) for side in GOLDEN_SIDES[seed])
+        assert _per_tie(RandomChoice(seed), 64) == golden
+        assert RandomChoice(seed).choose_true_sides(64) == golden
+
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 375, 1000])
+    def test_a_batch_equals_per_tie_calls(self, count):
+        for seed in range(200):
+            single, batch = RandomChoice(seed), RandomChoice(seed)
+            # Start mid-stream, and check that the stream goes on alike.
+            for _ in range(seed % 3):
+                single.choose_true_side([1], [2])
+                batch.choose_true_side([1], [2])
+            assert batch.choose_true_sides(count) == _per_tie(single, count), (seed, count)
+            assert batch._rng.getstate() == single._rng.getstate(), (seed, count)
+            assert batch.choose_true_sides(3) == _per_tie(single, 3), (seed, count)
+
+
+class TestTableDrawGuard:
+    """A tie table draws every free side in one call only when the class
+    that defines ``choose_true_sides`` also defines the ``choose_true_side``
+    in use: a subclass that overrides the per-tie choice alone is asked
+    once per free tie, with the tie's ranks."""
+
+    @staticmethod
+    def _table():
+        from repro.api import Engine
+        from repro.workloads.families import grounded_argumentation
+
+        engine = Engine(*grounded_argumentation(40))
+        for seed in range(2):
+            engine.solve("tie_breaking", policy=RandomChoice(seed))
+        (checkpoint,) = engine._checkpoints.values()
+        table = checkpoint.table
+        assert table is not None and table.free == len(table.template) > 1  # no forced tie
+        return table
+
+    def test_an_override_of_the_per_tie_choice_alone_is_called_per_tie(self):
+        from repro.semantics.tie_breaking import _batch_sides
+
+        class SecondOnly(RandomChoice):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.calls = 0
+
+            def choose_true_side(self, side0_atoms, side1_atoms):
+                self.calls += 1
+                assert side0_atoms and side1_atoms  # it sees the ranks
+                return 1
+
+        table = self._table()
+        policy = SecondOnly(3)
+        assert _batch_sides(policy) is None
+        assert table.draw(policy) == bytes([1]) * table.free
+        assert policy.calls == table.free
+
+    def test_a_class_defining_both_draws_in_one_call(self):
+        from repro.semantics.tie_breaking import _batch_sides
+
+        class Batched(RandomChoice):
+            def choose_true_side(self, side0_atoms, side1_atoms):
+                raise AssertionError("asked per tie")
+
+            def choose_true_sides(self, count):
+                return bytes([1]) * count
+
+        table = self._table()
+        assert _batch_sides(RandomChoice(3)) is not None
+        assert _batch_sides(FirstSideTrue()) is None
+        assert table.draw(Batched(3)) == bytes([1]) * table.free
+        assert table.draw(RandomChoice(3)) == _per_tie(RandomChoice(3), table.free)
