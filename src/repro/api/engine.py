@@ -49,7 +49,14 @@ from repro.io.artifact import load_artifact, save_ground_program
 from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_spec
 from repro.api.solution import Solution
 from repro.semantics.choices import ChoicePolicy
-from repro.semantics.tie_breaking import FlatTrail, TieSolve, TieTable, _ReplaySides, _run
+from repro.semantics.tie_breaking import (
+    FlatTrail,
+    TableModel,
+    TieSolve,
+    TieTable,
+    _ReplaySides,
+    _run,
+)
 
 __all__ = ["Engine", "solve", "enumerate_solutions"]
 
@@ -78,11 +85,14 @@ class _CachedSolve:
     lets the engine replay its state; the model's own status tuple
     otherwise, with whatever ``state`` the solve kept — for a
     well-founded solve, the state the engine already keeps as the mode's
-    base.  ``epoch`` is the engine's ``update_calls`` when the solve ran.
+    base.  The entry of a solve a tie table served keeps no status: its
+    trail names the table, and the trail flags and the table determine
+    the model, so ``status`` is patched from the table when read.
+    ``epoch`` is the engine's ``update_calls`` when the solve ran.
     ``nbytes`` counts the status and trail buffers; a shared ``state``
     is not counted, and neither are the ``ids`` / ``offsets`` of a trail
     a tie table made, which are the table's (``tie_table_bytes``): such
-    a trail names its table, which the entry keeps alive.
+    an entry counts its flags only, and keeps its table alive.
     """
 
     __slots__ = (
@@ -94,7 +104,7 @@ class _CachedSolve:
         "iterations",
         "timings",
         "gp",
-        "status",
+        "_status",
         "state",
         "trail",
         "epoch",
@@ -102,7 +112,6 @@ class _CachedSolve:
     )
 
     def __init__(self, solution: Solution, epoch: int, solved: TieSolve | None) -> None:
-        model = solution.model
         self.semantics = solution.semantics
         self.found = solution.found
         self.total = solution.total
@@ -110,19 +119,37 @@ class _CachedSolve:
         self.policy = solution.policy
         self.iterations = solution.iterations
         self.timings = dict(solution.timings)
-        self.gp = model.ground_program
+        self.gp = solution.ground_program
         self.epoch = epoch
         if solved is not None:
-            self.status: bytes | tuple[int, ...] = bytes(solved.status)
             self.state: FinishedState | None = None
             self.trail: FlatTrail | None = solved.trail
-            trail_bytes = sys.getsizeof(self.trail.flags) if solved.shared else self.trail.nbytes
-            self.nbytes = sys.getsizeof(self.status) + trail_bytes
+            if solved.shared:
+                self._status: bytes | tuple[int, ...] | None = None
+                self.nbytes = sys.getsizeof(self.trail.flags)
+            else:
+                self._status = bytes(solved.model.status)
+                self.nbytes = sys.getsizeof(self._status) + self.trail.nbytes
         else:
-            self.status = model.status
+            self._status = solution.model.status
             self.state = solution.state
             self.trail = None
-            self.nbytes = sys.getsizeof(self.status)
+            self.nbytes = sys.getsizeof(self._status)
+
+    @property
+    def status(self) -> bytes | tuple[int, ...]:
+        """The model's status (patched from the tie table for an entry
+        that keeps none)."""
+        if self._status is None:
+            return self.trail.tie_table.status(self.trail.flags)
+        return self._status
+
+    def model(self) -> Interpretation | TableModel:
+        """The model a hit is given: the table's for an entry that keeps
+        no status, else an :class:`~repro.ground.model.Interpretation`."""
+        if self._status is None:
+            return TableModel(self.trail.tie_table, self.trail.flags)
+        return Interpretation(self.gp, tuple(self._status))
 
 
 class _TieCheckpoint:
@@ -326,6 +353,20 @@ class Engine:
             return requested or spec.default_grounding
         return requested or self.default_grounding or spec.default_grounding
 
+    def grounded(
+        self, semantics: str, grounding: GroundingMode | None = None
+    ) -> GroundProgram | None:
+        """The ground program a ``solve(semantics, grounding=grounding)``
+        reads, if it is built already; ``None`` when it is not, and for an
+        unknown semantics.  Grounds nothing and raises nothing."""
+        if self._pinned is not None:
+            return self._pinned
+        try:
+            spec = get_spec(semantics)
+        except SemanticsError:
+            return None
+        return self._ground_cache.get(self._resolve_grounding(spec, grounding))
+
     def _request(
         self, spec: SemanticsSpec, options: dict[str, Any], *, enumerating: bool = False
     ) -> tuple[SolveRequest, dict[str, Any]]:
@@ -431,8 +472,9 @@ class Engine:
         it: one :func:`~repro.errors.check_deadline`, no clone and no
         ``close``, booked as ``tie_apply_s`` (counted in
         ``tie_table_solves``).  It
-        is the model's status bytes and the trail flags; its choices and
-        state are built when first asked for.  Otherwise ``_run`` runs
+        is the trail flags over the table (a
+        :class:`~repro.semantics.tie_breaking.TableModel`); its status,
+        choices and state are built when first asked for.  Otherwise ``_run`` runs
         on a clone with the drawn sides replayed first, so the policy's
         stream matches a plain run, and the table records what the run
         shows (counted in ``tie_table_fallbacks``); a run that goes past
@@ -562,17 +604,17 @@ class Engine:
     def _cached_solution(self, entry: _CachedSolve) -> Solution:
         """A new :class:`Solution` equal to the one that filled ``entry``.
 
-        Its model is rebuilt from the status, and its timings are those of
-        the solve that filled the entry.  A tie-breaking solution decodes
-        its ``choices`` from the flat trail on first read, and rebuilds
-        its ``state`` on first read by replaying the trail
-        (:meth:`_replay`).
+        Its model is rebuilt from the status, or read from the tie table
+        (:meth:`_CachedSolve.model`), and its timings are those of the
+        solve that filled the entry.  A tie-breaking solution decodes its
+        ``choices`` from the flat trail on first read, and rebuilds its
+        ``state`` on first read by replaying the trail (:meth:`_replay`).
         """
         solution = Solution(
             entry.semantics,
             entry.found,
             entry.total,
-            Interpretation(entry.gp, tuple(entry.status)),
+            entry.model(),
             entry.closed_world,
             policy=entry.policy,
             iterations=entry.iterations,
@@ -582,7 +624,7 @@ class Engine:
         trail = entry.trail
         if trail is not None:
             solution.defer(
-                choices=partial(trail.choices, entry.status, entry.gp.atoms),
+                choices=partial(trail.choices, entry._status, entry.gp.atoms),
                 state=partial(self._replay, entry),
                 trail=trail,
             )
@@ -596,7 +638,13 @@ class Engine:
         table serves it without a kernel run.  Raises
         :class:`~repro.errors.SemanticsError` if the engine took an update
         since the entry was stored, or if the replay's trail flags or
-        model status differ from the entry's.
+        model status differ from the entry's.  An entry a tie table served
+        keeps no status of its own: its ``status`` is read from the same
+        table and flags, so when the table serves the replay too, only
+        the flags are checked; the status check bites when the replay
+        runs the kernel.  (Such an entry's status does not drift as the
+        table fills: ``fill`` writes only the (tie, side) outcomes not yet
+        recorded, and the entry's flags read recorded ones only.)
         """
         if entry.epoch != self.update_calls:
             raise SemanticsError(
@@ -606,7 +654,7 @@ class Engine:
         trail = entry.trail
         well_founded = _TIE_SEMANTICS[entry.semantics]
         solved = self._tie_solve(entry.gp, well_founded, _ReplaySides(trail.flags))
-        if solved.trail.flags != trail.flags or bytes(solved.status) != entry.status:
+        if solved.trail.flags != trail.flags or bytes(solved.model.status) != entry.status:
             raise SemanticsError(
                 "replaying a cached tie trail did not reproduce the cached solution"
             )
@@ -776,7 +824,7 @@ class Engine:
         solution = self.solve(semantics, **options)
         # Walk the partition ids and decode only the queried predicate's
         # atoms — the full sets are never built.
-        table = solution.model.ground_program.atoms
+        table = solution.ground_program.atoms
         true_rows = frozenset(
             tuple(c.value for c in a.args)
             for a in map(table.atom, solution.true_ids)

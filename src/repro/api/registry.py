@@ -20,7 +20,7 @@ from repro.datalog.database import Database
 from repro.datalog.grounding import GroundingMode, GroundProgram
 from repro.datalog.program import Program
 from repro.errors import SemanticsError
-from repro.ground.model import UNDEF, Interpretation
+from repro.ground.model import Interpretation
 from repro.ground.state import GroundGraphState
 from repro.api.solution import Solution
 
@@ -186,18 +186,17 @@ def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
     # description on every solve, not continue where the caller's
     # instance stands (a copy of a RandomChoice restarts from its seed).
     solved = req.tie_solve(well_founded, copy.deepcopy(policy))
-    # ``total`` from the solve's status (bytes from a tie table), not by
-    # a scan of the model's tuple.
+    # A solve read from a tie table builds its model's Interpretation, its
+    # choices and its state only when they are first read, as a cache hit
+    # does; ``total`` comes with the solve, so no scan of the model's tuple.
     solution = Solution(
         name,
         True,
-        UNDEF not in solved.status,
-        Interpretation(req.gp(), tuple(solved.status)),
+        solved.total,
+        solved.model,
         policy=repr(policy),
         timings=dict(solved.phase_s),
     )
-    # A solve read from a tie table builds its choices and state only
-    # when they are first read, as a cache hit does.
     solution.defer(choices=solved.choices, state=solved.state, trail=solved.trail)
     return solution
 

@@ -16,7 +16,12 @@ with one status scan; ``true_atoms`` / ``false_atoms`` /
 :class:`~repro.datalog.atoms.Atom` sets *once, on first touch* — callers
 that only need membership (``value``, ``query_many``) never pay for the
 eager sets at all.  Decode wall-clock is booked into
-``timings["result_s"]``.
+``timings["result_s"]``.  A solve the engine's tie table served holds
+its model as the table and the trail flags
+(:class:`~repro.semantics.tie_breaking.TableModel`) until ``model`` is
+first read: ``value``, ``value_of_id`` and the model-list selection read
+the table, so an atoms-only reply or a full one never builds the status
+array.
 
 ``texts()`` — what the ``repro-solution/1`` encoder and the CLI print —
 reads the atom table's :class:`~repro.datalog.grounding.LiteralTable`
@@ -43,9 +48,9 @@ from repro.datalog.atoms import Atom
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycles at type-check time only
-    from repro.datalog.grounding import LiteralTable
+    from repro.datalog.grounding import GroundProgram, LiteralTable
     from repro.ground.state import FinishedState
-    from repro.semantics.tie_breaking import FlatTrail, TieChoice
+    from repro.semantics.tie_breaking import FlatTrail, TableModel, TieChoice
 
 __all__ = ["Solution"]
 
@@ -64,8 +69,9 @@ _FIELDS = (
     "timings",
     "state",
 )
-# Fields a deferred solution builds on first read (see Solution.defer).
-_DEFERRED = ("choices", "state")
+# Fields a deferred solution builds on first read (see Solution.defer and
+# Solution.model).
+_DEFERRED = ("model", "choices", "state")
 # Fields equality compares as they are: ``state`` is left out, as the model
 # and the trail determine it (comparing it would replay a cache hit's
 # trail), and ``timings`` are compared without ``result_s`` (see __eq__).
@@ -91,7 +97,12 @@ class Solution:
       produce their (possibly partial) model;
     * ``total`` — every atom is true or false, nothing undefined;
     * ``model`` — the :class:`~repro.ground.model.Interpretation` over the
-      engine's ground program that every view below reads;
+      engine's ground program that every view below reads.  A solve the
+      engine's tie table served is given a
+      :class:`~repro.semantics.tie_breaking.TableModel` instead:
+      :meth:`value`, :meth:`value_of_id` and :meth:`selection` read it
+      from the table, and the ``Interpretation`` is built on first read
+      of ``model``;
     * ``closed_world`` — set by the set-based semantics (stratified,
       stable, completion, modular): the false part is reported as
       ``None``, meaning "everything not listed true or undefined";
@@ -148,7 +159,7 @@ class Solution:
         semantics: str,
         found: bool,
         total: bool,
-        model: Interpretation,
+        model: "Interpretation | TableModel",
         closed_world: bool = False,
         choices: tuple["TieChoice", ...] = (),
         policy: str | None = None,
@@ -159,7 +170,8 @@ class Solution:
         self.semantics = semantics
         self.found = found
         self.total = total
-        self.model = model
+        # An Interpretation, or a TableModel until ``model`` is first read.
+        self._model: Interpretation | TableModel = model
         self.closed_world = closed_world
         self._choices = choices
         self.policy = policy
@@ -218,9 +230,23 @@ class Solution:
         return self._state
 
     @property
+    def model(self) -> Interpretation:
+        """The three-valued model (built on first read from a table-served
+        solve's :class:`~repro.semantics.tie_breaking.TableModel`)."""
+        model = self._model
+        if not isinstance(model, Interpretation):
+            model = self._model = model.interpretation()
+        return model
+
+    @property
+    def ground_program(self) -> "GroundProgram":
+        """The ground program the model is over (builds no model)."""
+        return self._model.ground_program
+
+    @property
     def grounding(self) -> str:
         """The grounding mode of the ground program the model is over."""
-        return self.model.ground_program.mode
+        return self._model.ground_program.mode
 
     # -- lazy id partition and decoded views -------------------------------
 
@@ -242,7 +268,7 @@ class Solution:
                 FALSE: false_ids.append,
                 UNDEF: undef_ids.append,
             }
-            for index, status in enumerate(self.model.status):
+            for index, status in enumerate(self._model.status):
                 push[status](index)
             ids = (tuple(true_ids), tuple(false_ids), tuple(undef_ids))
             self._ids = ids
@@ -254,7 +280,7 @@ class Solution:
         only when the false atoms are read, so reading the true or
         undefined ones never looks for ghosts."""
         false_ids = self._id_partition()[1]
-        ghosts = self.model.ghost_ids
+        ghosts = self._model.ghost_ids
         if ghosts:
             false_ids = tuple(a for a in false_ids if a not in ghosts)
         return false_ids
@@ -262,7 +288,7 @@ class Solution:
     def _decode(self, which: int) -> frozenset[Atom]:
         t0 = perf_counter()
         ids = self._false_ids() if which == 1 else self._id_partition()[which]
-        table = self.model.ground_program.atoms
+        table = self._model.ground_program.atoms
         decoded = frozenset(table.atom(i) for i in ids)
         self._book_result(perf_counter() - t0)
         return decoded
@@ -278,7 +304,7 @@ class Solution:
         table: on a full grounding that table is the whole Herbrand base,
         while the listed atoms are usually a small part of it.
         """
-        atoms = self.model.ground_program.atoms
+        atoms = self._model.ground_program.atoms
         if self.closed_world:
             true_ids, _, undefined_ids = self._id_partition()
             return (
@@ -299,10 +325,12 @@ class Solution:
         masks over its string order
         (:meth:`~repro.datalog.grounding.LiteralTable.masks`), the model's
         ghosts selected by none: the one model-list selection, read by
-        :meth:`texts` and by the ``repro-solution/1`` text encoder."""
-        model = self.model
+        :meth:`texts` and by the ``repro-solution/1`` text encoder.  A
+        table-served model is read in string order from its tie table's
+        view (:meth:`~repro.semantics.tie_breaking.TableModel.masks`)."""
+        model = self._model
         table = model.ground_program.atoms.literal_table()
-        masks = table.masks(model.status, model.ghost_ids)
+        masks = model.masks(table)
         return table, (masks[TRUE], masks[FALSE], masks[UNDEF])
 
     @property
@@ -371,9 +399,13 @@ class Solution:
         """Three-valued lookup: True / False / None (undefined).
 
         Answers straight from the interned atom id (O(1), no set
-        construction).
+        construction; a table-served model reads the tie table).
         """
-        return self.model.value(atom)
+        return self._model.value(atom)
+
+    def value_of_id(self, index: int) -> bool | None:
+        """:meth:`value` of the materialized atom with id ``index``."""
+        return self._model.value_of_id(index)
 
     def holds(self, atom: Atom) -> bool:
         """True iff the atom is *true* (undefined does not hold)."""
@@ -407,13 +439,18 @@ class Solution:
         Lazy-view caches (the id partition, any already-decoded sets, the
         accumulated ``result_s``) carry over while the model is unchanged,
         so replacing ``timings`` or ``iterations`` never forces or repeats
-        a decode; deferred ``choices`` and ``state`` stay deferred.
+        a decode; a deferred ``model``, ``choices`` and ``state`` stay
+        deferred.
         """
         unknown = sorted(set(changes) - set(_FIELDS))
         if unknown:
             raise TypeError(f"unknown Solution field(s): {', '.join(unknown)}")
         kwargs = {name: getattr(self, name) for name in _FIELDS if name not in _DEFERRED}
-        kwargs["choices"], kwargs["state"] = self._choices, self._state
+        kwargs["model"], kwargs["choices"], kwargs["state"] = (
+            self._model,
+            self._choices,
+            self._state,
+        )
         kwargs.update(changes)
         new = Solution(**kwargs)
         if "choices" not in changes:
@@ -421,7 +458,7 @@ class Solution:
             new.trail = self.trail
         if "state" not in changes:
             new._load_state = self._load_state
-        if new.model is self.model:
+        if new._model is self._model:
             new._true = self._true
             new._undefined = self._undefined
             new._false = self._false

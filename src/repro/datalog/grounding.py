@@ -42,6 +42,7 @@ from typing import Iterable, Literal as TypingLiteral, Sequence, get_args
 
 from repro.datalog.atoms import Atom, atom_text
 from repro.datalog.database import Database
+from repro.datalog.parser import PLAIN_ATOM
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant
@@ -122,8 +123,27 @@ class LiteralTable:
             status = bytearray(status) + _ABSENT * missing
             for a in skip:
                 status[a] = _ABSENT[0]
-        ordered = bytes(map(status.__getitem__, self.order))
-        return tuple(ordered.translate(mask) for mask in _VALUE_MASKS)
+        return _value_masks(bytes(map(status.__getitem__, self.order)))
+
+    def ordered_masks(self, ordered: bytes, skip: Iterable[int] = ()) -> tuple[bytes, ...]:
+        """:meth:`masks` of a status already in string order (byte ``k``
+        is atom ``order[k]``'s, ``0xff`` for no value); the atoms ``skip``
+        names match no value."""
+        if skip:
+            ordered = bytearray(ordered)
+            rank = self.rank
+            for a in skip:
+                ordered[rank[a]] = _ABSENT[0]
+        return _value_masks(ordered)
+
+    def id_of(self, text: str) -> int | None:
+        """The id of the atom whose text is ``text``, or ``None``: one
+        bisection on the string order."""
+        ordered = self.ordered
+        k = bisect_left(ordered, text)
+        if k < len(ordered) and ordered[k] == text:
+            return self.order[k]
+        return None
 
     def json_selection(self, mask: bytes) -> str:
         """The JSON list of the texts ``mask`` (from :meth:`masks`) selects,
@@ -138,6 +158,11 @@ class LiteralTable:
         """The JSON list of the texts of atoms ``ids``, in string order."""
         positions = sorted(map(self.rank.__getitem__, ids))
         return _json_list('", "'.join(map(self.escaped.__getitem__, positions)))
+
+
+def _value_masks(ordered: bytes | bytearray) -> tuple[bytes, ...]:
+    """Per status value, the byte mask of the string-order status ``ordered``."""
+    return tuple(ordered.translate(mask) for mask in _VALUE_MASKS)
 
 
 def _json_list(body: str) -> str:
@@ -197,6 +222,40 @@ class AtomTable:
     def atoms(self) -> Sequence[Atom]:
         """All materialized atoms, in id order."""
         return tuple(self._atoms)
+
+    def predicate_of(self, index: int) -> str:
+        """The predicate of the atom with dense id ``index``."""
+        return self._atoms[index].predicate
+
+    def current_literal_table(self) -> LiteralTable | None:
+        """The literal table if it is built and the atom table has not grown
+        since (see :meth:`literal_table`), else ``None``; builds nothing."""
+        cached = self._literal_table
+        if cached is not None and len(cached.ordered) == len(self):
+            return cached
+        return None
+
+    def text_ids(self, texts: Iterable[str]) -> list[int | None]:
+        """Per text, the id of the atom ``parse_atom(text)`` reads, found
+        without a parse, or ``None`` (the caller parses then).
+
+        A text that is an atom's own text in the current literal table
+        (:meth:`LiteralTable.id_of`), in the plain shape
+        (:data:`~repro.datalog.parser.PLAIN_ATOM`), and whose identifier is
+        that atom's predicate, parses back to that atom.  ``None`` for any
+        other text, and for every text when the literal table is not built
+        or is stale: nothing is built here.
+        """
+        literals = self.current_literal_table()
+        if literals is None:
+            return [None for _ in texts]
+        ids: list[int | None] = []
+        for text in texts:
+            index = literals.id_of(text) if PLAIN_ATOM.fullmatch(text) else None
+            if index is not None and self.predicate_of(index) != text.partition("(")[0]:
+                index = None
+            ids.append(index)
+        return ids
 
     def literal_table(self) -> LiteralTable:
         """The atoms' texts, in id order and in string order.
@@ -319,6 +378,9 @@ class _InternedAtomTable(AtomTable):
     def __len__(self) -> int:
         return len(self._atoms) if self._eager else len(self._pred_of)
 
+    def predicate_of(self, index: int) -> str:
+        return self._atoms[index].predicate if self._eager else self._pred_of[index]
+
     def __contains__(self, atom: Atom) -> bool:
         return self.get(atom) is not None
 
@@ -385,6 +447,11 @@ class _DenseAtomTable(AtomTable):
             return idx
         self._materialize()
         return super().id_of(atom)
+
+    def predicate_of(self, index: int) -> str:
+        if self._eager:
+            return self._atoms[index].predicate
+        return self._preds[bisect_right(self._bases, index) - 1]
 
     def get(self, atom: Atom) -> int | None:
         if self._eager:

@@ -40,16 +40,40 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Term, Variable
 from repro.errors import ParseError
 
-__all__ = ["parse_program", "parse_rules", "parse_database", "parse_atom"]
+__all__ = ["PLAIN_ATOM", "parse_program", "parse_rules", "parse_database", "parse_atom"]
 
+# The lexer's INTEGER and identifier rules, shared by ``_TOKEN`` and
+# ``PLAIN_ATOM`` so the two cannot drift apart.
+_INTEGER = r"-?[0-9]+"
+_NAME = r"[^\W\d]\w*"
 # Group 1 is the token text: "" only at the end of the source (the EOF
 # token), and a single character the grammar rejects falls to ``.``.
 _TOKEN = re.compile(
-    r"""(?:\s|[%#][^\n]*)*
-    ( :- | \\\+ | [(),.!¬] | "[^"]*" | -?[0-9]+ | [^\W\d]\w* | . | \Z )""",
+    rf"""(?:\s|[%#][^\n]*)*
+    ( :- | \\\+ | [(),.!¬] | "[^"]*" | {_INTEGER} | {_NAME} | . | \Z )""",
     re.VERBOSE,
 )
 _NEGATIONS = frozenset({"not", "!", "¬", "\\+"})
+
+# A constant identifier: an identifier token the lexer reads as IDENT
+# (neither ``_`` nor an uppercase letter first; see ``_kind``), here only
+# from a lowercase ASCII letter, and no negation word.
+_WORD_NEGATIONS = "|".join(sorted(n for n in _NEGATIONS if n.isidentifier()))
+_PLAIN_NAME = rf"(?!(?:{_WORD_NEGATIONS})\b)(?=[a-z]){_NAME}"
+_PLAIN_TERM = rf"(?:{_INTEGER}|{_PLAIN_NAME})"
+#: The plain shape of an atom text: a constant identifier, then integer
+#: and constant-identifier arguments, spaced as ``str(Atom)`` writes them
+#: (built from the lexer's own token rules).  An atom whose text has this
+#: shape and whose predicate is the text's leading identifier is what
+#: :func:`parse_atom` reads from its text: an integer argument prints as
+#: an INTEGER token and a string one only as itself or quoted
+#: (``Constant.__str__``; ``tests/properties/test_tie_view.py`` pins that
+#: agreement on generated constants).
+#: :meth:`~repro.datalog.grounding.AtomTable.text_ids` answers such texts
+#: without a parse.
+PLAIN_ATOM = re.compile(
+    rf"{_PLAIN_NAME}(?:\({_PLAIN_TERM}(?:, {_PLAIN_TERM})*\))?", re.ASCII
+)
 _KINDS = {":-": "IMPLIES", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "": "EOF"}
 _KINDS.update(dict.fromkeys(_NEGATIONS, "NEG"))
 

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
-from repro.datalog.grounding import GroundIndex, GroundProgram
+from repro.datalog.grounding import GroundIndex, GroundProgram, LiteralTable
 
 __all__ = ["UNDEF", "TRUE", "FALSE", "Interpretation"]
 
@@ -50,8 +50,25 @@ class Interpretation:
     index: GroundIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if getattr(self.ground_program, "_delta_session", None) is not None:
-            object.__setattr__(self, "index", self.ground_program.index)
+        index = self.index_of(self.ground_program)
+        if index is not None:
+            object.__setattr__(self, "index", index)
+
+    @staticmethod
+    def index_of(gp: GroundProgram) -> GroundIndex | None:
+        """The index a snapshot of ``gp`` taken now keeps: ``gp``'s current
+        one if streaming updates can change it, else ``None``."""
+        return gp.index if getattr(gp, "_delta_session", None) is not None else None
+
+    @classmethod
+    def over(
+        cls, gp: GroundProgram, status: tuple[int, ...], index: GroundIndex | None
+    ) -> "Interpretation":
+        """A snapshot whose status was solved when ``gp`` had ``index``
+        (:meth:`index_of` then), built later: its ghosts are that index's."""
+        model = cls(gp, status)
+        object.__setattr__(model, "index", index)
+        return model
 
     @property
     def ghost_ids(self) -> frozenset[int]:
@@ -65,14 +82,32 @@ class Interpretation:
         """Truth value of a ground atom: True / False / None (undefined)."""
         index = self.ground_program.atoms.get(atom)
         if index is not None:
-            # Streaming updates can append atoms to the shared table after
-            # this snapshot was taken.  Such an atom was not materialized
-            # when the snapshot was taken, and every Δ fact of a grounding
-            # is, so the snapshot reads it as false — never from the live
-            # database, which has moved on since.
-            return _BOOL_OF[self.status[index]] if index < len(self.status) else False
-        if atom.predicate in self.ground_program.program.edb_predicates:
-            return self.ground_program.database.contains_atom(atom)
+            return self.value_of_id(index)
+        return self.unmaterialized_value(self.ground_program, atom)
+
+    def value_of_id(self, index: int) -> Optional[bool]:
+        """Truth value of the materialized atom with id ``index``.
+
+        Streaming updates can append atoms to the shared table after this
+        snapshot was taken.  Such an atom was not materialized when the
+        snapshot was taken, and every Δ fact of a grounding is, so the
+        snapshot reads it as false — never from the live database, which
+        has moved on since.
+        """
+        return _BOOL_OF[self.status[index]] if index < len(self.status) else False
+
+    def masks(self, literals: LiteralTable) -> tuple[bytes, ...]:
+        """Per status value, the byte mask over the string order of
+        ``literals`` (:meth:`~repro.datalog.grounding.LiteralTable.masks`),
+        the ghosts selected by none."""
+        return literals.masks(self.status, self.ghost_ids)
+
+    @staticmethod
+    def unmaterialized_value(gp: GroundProgram, atom: Atom) -> bool:
+        """The closed-world value of an atom ``gp`` never materialized: an
+        EDB atom's membership in Δ, false for an IDB atom."""
+        if atom.predicate in gp.program.edb_predicates:
+            return gp.database.contains_atom(atom)
         return False
 
     def __getitem__(self, atom: Atom) -> Optional[bool]:

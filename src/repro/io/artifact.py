@@ -540,6 +540,11 @@ class _ArtifactAtomTable(_InternedAtomTable):
     def __len__(self) -> int:
         return len(self._atoms) if self._eager else len(self._atom_pred)
 
+    def predicate_of(self, index: int) -> str:
+        if self._eager:
+            return self._atoms[index].predicate
+        return self._apreds[self._atom_pred[index]]
+
     def __contains__(self, atom: Atom) -> bool:
         return self.get(atom) is not None
 

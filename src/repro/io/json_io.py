@@ -170,7 +170,7 @@ def solution_to_obj(solution: "Solution") -> dict[str, Any]:
     """
     ties = None
     if solution.policy is not None or solution.choices:
-        texts = solution.model.ground_program.atoms.literal_table().texts
+        texts = solution.ground_program.atoms.literal_table().texts
         ties = {
             "policy": solution.policy,
             "free_choices": solution.free_choice_count,
@@ -228,7 +228,7 @@ def solution_text(solution: "Solution") -> str:
         counts = {key: str(mask.count(1)) for key, mask in zip(_LISTS, masks)}
     ties = "null"
     if solution.policy is not None or solution.choices:
-        literals = literals or solution.model.ground_program.atoms.literal_table()
+        literals = literals or solution.ground_program.atoms.literal_table()
         choices = ", ".join(_choice_texts(solution, literals))
         ties = _raw_object(
             {

@@ -57,8 +57,9 @@ of a fresh-state run.
 From its second solve on, a checkpoint also keeps a :class:`TieTable`:
 the outcome of each first-round tie's orientation on its forward cone,
 filled by the runs that needed it.  When every outcome a solve draws is
-known, the solve is the model's status, patched from the table, and the
-trail's flag bytes: no clone, no ``close``, and its choices and state
+known, the solve is the trail's flag bytes over the table
+(:class:`TableModel`): no clone, no ``close``, no status; its values and
+model lists are read from the table, and its status, choices and state
 are built only when first read
 (:meth:`repro.api.engine.Engine._tie_solve`).
 """
@@ -73,9 +74,9 @@ from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.datalog.atoms import Atom
-from repro.datalog.grounding import LiteralTable
+from repro.datalog.grounding import _ABSENT, LiteralTable
 from repro.errors import SemanticsError, check_deadline
-from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
+from repro.ground.model import _BOOL_OF, _NO_GHOSTS, FALSE, TRUE, UNDEF, Interpretation
 from repro.ground.state import (
     _R_TIE,
     _R_UNFOUNDED,
@@ -85,7 +86,7 @@ from repro.ground.state import (
 )
 from repro.semantics.choices import ChoicePolicy, forced_orientation
 
-__all__ = ["FlatTrail", "TieChoice", "TieSolve", "TieTable"]
+__all__ = ["FlatTrail", "TableModel", "TieChoice", "TieSolve", "TieTable"]
 
 
 class TieChoice:
@@ -213,8 +214,9 @@ class FlatTrail:
         """The size of the three buffers, object headers included."""
         return sys.getsizeof(self.ids) + sys.getsizeof(self.offsets) + sys.getsizeof(self.flags)
 
-    def choices(self, status: bytes | tuple[int, ...], table) -> tuple[TieChoice, ...]:
-        """Decode the trail into :class:`TieChoice` objects over ``table``."""
+    def choices(self, status: bytes | tuple[int, ...] | None, table) -> tuple[TieChoice, ...]:
+        """Decode the trail into :class:`TieChoice` objects over ``table``
+        (``status`` is read only on a run's trail)."""
         ids, offsets = self.ids, self.offsets
         out = []
         if self.tie_table is not None:
@@ -253,20 +255,24 @@ class _ReplaySides:
 class TieSolve(NamedTuple):
     """One tie-breaking solve, as the engine hands it on.
 
-    ``status`` is the model's status, ``phase_s`` the kernel phase times
-    and ``trail`` the solve's :class:`FlatTrail`; ``choices()`` and
-    ``state()`` build the choice trail and the finished state.
+    ``model`` is the model, ``total`` whether it is total (worked out
+    once, on the run's status or by the table), ``phase_s`` the kernel
+    phase times and ``trail`` the solve's :class:`FlatTrail`;
+    ``choices()`` and ``state()`` build the choice trail and the finished
+    state.
 
-    * A run (:meth:`of_run`) leaves its finished state and its choices,
-      and its trail is encoded from them.
+    * A run (:meth:`of_run`) leaves its finished state and its choices:
+      its model is an :class:`~repro.ground.model.Interpretation`, and its
+      trail is encoded from the choices.
     * A table solve (:meth:`TieTable.solve`) leaves only what a cache
-      entry keeps: the status as ``bytes`` and a trail whose ``ids`` and
-      ``offsets`` are the table's (``shared``) and which names the table.
-      Its choices are decoded from that trail, and its state rebuilt from
-      the table, when asked for.
+      entry keeps: a :class:`TableModel` (the table and the trail flags)
+      and a trail whose ``ids`` and ``offsets`` are the table's
+      (``shared``) and which names the table.  Its status, choices and
+      state are built from the table when asked for.
     """
 
-    status: bytes | list[int]
+    model: "Interpretation | TableModel"
+    total: bool
     phase_s: dict[str, float]
     trail: FlatTrail
     shared: bool
@@ -278,7 +284,8 @@ class TieSolve(NamedTuple):
         """The solve a finished run left."""
         trail = tuple(choices)
         return cls(
-            state.status,
+            state.interpretation(),
+            UNDEF not in state.status,
             state.phase_s,
             FlatTrail.encode(trail, state._reason_arg),
             shared=False,
@@ -287,11 +294,116 @@ class TieSolve(NamedTuple):
         )
 
 
-# Byte translations of a FlatTrail flag: its side, whether it is free, and
-# the bit of its side in TieTable.filled.
-_SIDE = bytes(flag & 1 for flag in range(256))
+class TableModel:
+    """The model of a solve a :class:`TieTable` served, read from the table.
+
+    The first-round ties are disjoint bottom components, each split into
+    its Lemma-1 sides (K true, L false), so the model is one side bit per
+    tie (the trail ``flags``) plus the table's outcome per (tie, side).
+    :meth:`value_of_id` and :meth:`masks` read it from the table, and
+    the status by atom id is patched together only when :attr:`status`
+    or :meth:`interpretation` asks for it.  ``index`` is the grounding's
+    index when the solve ran
+    (:meth:`~repro.ground.model.Interpretation.index_of`): its ghosts are
+    the model's.
+    """
+
+    __slots__ = ("table", "flags", "index")
+
+    def __init__(self, table: "TieTable", flags: bytes) -> None:
+        self.table = table
+        self.flags = flags
+        self.index = Interpretation.index_of(table.base.gp)
+
+    @property
+    def ground_program(self):
+        return self.table.base.gp
+
+    @property
+    def status(self) -> bytes:
+        """The status by atom id (patched on every read)."""
+        return self.table.status(self.flags)
+
+    @property
+    def ghost_ids(self) -> frozenset[int]:
+        return _NO_GHOSTS if self.index is None else self.index.ghost_ids
+
+    def interpretation(self) -> Interpretation:
+        """The model as an :class:`~repro.ground.model.Interpretation`."""
+        return Interpretation.over(self.ground_program, tuple(self.status), self.index)
+
+    def value(self, atom: Atom) -> bool | None:
+        """As :meth:`~repro.ground.model.Interpretation.value`."""
+        gp = self.ground_program
+        index = gp.atoms.get(atom)
+        if index is None:
+            return Interpretation.unmaterialized_value(gp, atom)
+        return self.value_of_id(index)
+
+    def value_of_id(self, index: int) -> bool | None:
+        """As :meth:`~repro.ground.model.Interpretation.value_of_id`."""
+        table = self.table
+        if index >= len(table.status0):
+            return False
+        return _BOOL_OF[table.value(self.flags, index)]
+
+    def masks(self, literals: LiteralTable) -> tuple[bytes, ...]:
+        """As :meth:`~repro.ground.model.Interpretation.masks`, from the
+        table's string-order view (:meth:`TieTable.ordered_status`)."""
+        ordered = self.table.ordered_status(self.flags, literals)
+        return literals.ordered_masks(ordered, self.ghost_ids)
+
+
+class TieView(NamedTuple):
+    """A :class:`TieTable`'s outcomes over one order of the atoms: by atom
+    id (``literals`` is ``None``), or by a literal table's string order.
+
+    * ``ties`` — per 255 ties, one byte per atom: its tie's index less
+      ``255 * j`` in plane ``j`` if that tie's cone holds the atom, else
+      ``0xff``;
+    * ``status0`` — the status if every tie took side 0 (``0xff`` past
+      the table's atoms);
+    * ``status1`` — the same with every recorded side-1 outcome written
+      in: ``status0`` outside the cones.
+
+    :meth:`TieTable.fill` keeps both statuses in step.
+    """
+
+    literals: LiteralTable | None
+    ties: list[bytes]
+    status0: bytearray
+    status1: bytearray
+
+    def status(self, flags: bytes) -> bytes:
+        """The model's status for ``flags`` in this view's order: per atom,
+        ``status1``'s byte where its tie took side 1, else ``status0``'s.
+
+        One ``bytes.translate`` per plane marks the atoms of the ties that
+        took side 1 (``0xff``); the pick is then big-integer arithmetic over
+        the whole buffers, with no Python loop per atom."""
+        picked = 0
+        for j, plane in enumerate(self.ties):
+            sides = flags[255 * j : 255 * j + 255].translate(_SIDE_FF)
+            picked |= int.from_bytes(plane.translate(sides.ljust(256, b"\0")), "little")
+        status0 = int.from_bytes(self.status0, "little")
+        status1 = int.from_bytes(self.status1, "little")
+        status = status0 ^ ((status0 ^ status1) & picked)
+        return status.to_bytes(len(self.status0), "little")
+
+    def value(self, flags: bytes, k: int) -> int:
+        """Byte ``k`` of :meth:`status`."""
+        for j, plane in enumerate(self.ties):
+            tie = plane[k]
+            if tie != 255:
+                return (self.status1 if flags[255 * j + tie] & 1 else self.status0)[k]
+        return self.status0[k]
+
+
+# Byte translations of a FlatTrail flag: whether it is free, the bit of its
+# side in TieTable.filled, and 0xff for side 1 (a TieView.status mask).
 _FREE = bytes(not flag & 2 for flag in range(256))
 _NEEDED = bytes(1 << (flag & 1) for flag in range(256))
+_SIDE_FF = bytes(0xFF * (flag & 1) for flag in range(256))
 
 
 class TieTable:
@@ -331,15 +443,30 @@ class TieTable:
     * ``status0`` — the model's status if every tie took side 0, by atom
       id: the checkpoint's, with each filled side-0 cone written in;
     * ``status1`` / ``kind`` / ``arg`` — each cone atom's side-1 status,
-      and per side its reason kind and argument, aligned with ``ids``;
+      and per side its reason kind and argument, aligned with ``ids``
+      (``status1`` only until ``by_id`` is built, which then keeps the
+      side-1 outcomes by atom id, and ``status1`` is ``None``);
     * ``filled`` — per tie, bit ``s`` set once side ``s`` is recorded.
 
-    The first full encode of a solve the table served also leaves
-    ``texts`` (``None`` until then): per tie, the JSON list of each
-    side's atom texts in string order, side 0's at ``2 * k`` and side 1's
-    at ``2 * k + 1``, so a choice's ``made_true`` / ``made_false`` are two
-    of them (:meth:`side_texts`).  They are counted in
-    :attr:`text_nbytes`, not in :attr:`nbytes`.
+    ``total`` says whether a solve the table serves is total: every atom
+    outside the cones is decided on the checkpoint (a recorded outcome
+    leaves no cone atom undefined).
+
+    The table is read without a patched status (:class:`TableModel`).
+    Built on first read, and counted in :attr:`text_nbytes`, not in
+    :attr:`nbytes`:
+
+    * ``by_id`` — a :class:`TieView` by atom id (its ``status0`` is the
+      table's own, its ``status1`` replaces the table's): one atom's value,
+      and the status by atom id;
+    * ``view`` — a :class:`TieView` over the current literal table's
+      string order, from which a full reply's model lists are selected
+      (:meth:`ordered_status`); one per literal table;
+    * ``texts`` — left by the first full encode of a solve the table
+      served: per tie, the JSON list of each side's atom texts in string
+      order, side 0's at ``2 * k`` and side 1's at ``2 * k + 1``, so a
+      choice's ``made_true`` / ``made_false`` are two of them
+      (:meth:`side_texts`).
     """
 
     __slots__ = (
@@ -356,6 +483,9 @@ class TieTable:
         "arg",
         "filled",
         "free",
+        "total",
+        "by_id",
+        "view",
         "texts",
     )
 
@@ -378,11 +508,15 @@ class TieTable:
         self.ranks = ranks
         self.template = template
         self.status0 = bytearray(base.status)
-        self.status1 = bytearray(size)
+        self.status1: bytearray | None = bytearray(size)
         self.kind = (bytearray(size), bytearray(size))
         self.arg = (array("i", [0]) * size, array("i", [0]) * size)
         self.filled = bytearray(len(template))
         self.free = template.translate(_FREE).count(1)
+        status = base.status
+        self.total = status.count(UNDEF) == sum(status[a] == UNDEF for a in ids)
+        self.by_id: TieView | None = None
+        self.view: TieView | None = None
         self.texts: list[str] | None = None
 
     @classmethod
@@ -447,7 +581,8 @@ class TieTable:
 
     @property
     def nbytes(self) -> int:
-        """The size of the buffers, object headers included."""
+        """The size of the buffers, object headers included (``status1``
+        only until ``by_id`` takes its place)."""
         buffers = [
             self.ids,
             self.offsets,
@@ -455,22 +590,32 @@ class TieTable:
             self.rest,
             self.template,
             self.status0,
-            self.status1,
             self.filled,
             *self.kind,
             *self.arg,
         ]
+        if self.status1 is not None:
+            buffers.append(self.status1)
         if self.ranks is not self.ids:
             buffers.append(self.ranks)
         return sum(sys.getsizeof(buffer) for buffer in buffers)
 
     @property
     def text_nbytes(self) -> int:
-        """The size of the side texts, 0 before the first encode."""
+        """The size of the side texts and the views, object headers
+        included (not the ``status0`` the table and ``by_id`` share): 0
+        before the first read."""
+        size = 0
         texts = self.texts
-        if texts is None:
-            return 0
-        return sys.getsizeof(texts) + sum(map(sys.getsizeof, texts))
+        if texts is not None:
+            size += sys.getsizeof(texts) + sum(map(sys.getsizeof, texts))
+        for view in (self.by_id, self.view):
+            if view is not None:
+                size += sys.getsizeof(view) + sys.getsizeof(view.ties)
+                size += sum(map(sys.getsizeof, view.ties)) + sys.getsizeof(view.status1)
+                if view.status0 is not self.status0:
+                    size += sys.getsizeof(view.status0)
+        return size
 
     def side_texts(self, literals: LiteralTable) -> list[str]:
         """Per (tie, side), the JSON list of that side's atom texts in
@@ -524,38 +669,76 @@ class TieTable:
         needed = int.from_bytes(flags.translate(_NEEDED), "little")
         return (int.from_bytes(self.filled, "little") & needed) == needed
 
+    def _by_id(self) -> TieView:
+        """The view by atom id, built on first use; from then on it keeps
+        the side-1 outcomes, and the table drops its ``status1``."""
+        view = self.by_id
+        if view is None:
+            size = len(self.status0)
+            ties = [bytearray(b"\xff") * size for _ in range(0, len(self.template), 255)]
+            status1 = bytearray(self.status0)
+            ids, side1 = self.ids, self.status1
+            for k in range(len(self.template)):
+                plane, tie = ties[k // 255], k % 255
+                for i in self._cone(k):
+                    plane[ids[i]] = tie
+                    status1[ids[i]] = side1[i]
+            view = self.by_id = TieView(None, list(map(bytes, ties)), self.status0, status1)
+            self.status1 = None
+        return view
+
     def status(self, flags: bytes) -> bytes:
-        """The model's status for ``flags`` (requires :meth:`covers`):
-        side 0's outcomes, with the cones of the ties that took side 1
-        patched in."""
-        status = bytearray(self.status0)
-        ids, status1, offsets, rest = self.ids, self.status1, self.offsets, self.rest
-        for k in compress(range(len(flags)), flags.translate(_SIDE)):
-            for i in range(offsets[k], offsets[k + 1]):
-                status[ids[i]] = status1[i]
-            for i in range(rest[k], rest[k + 1]):
-                status[ids[i]] = status1[i]
-        return bytes(status)
+        """The model's status by atom id for ``flags`` (requires
+        :meth:`covers`): side 0's outcomes, with the cones of the ties that
+        took side 1 at their side-1 outcomes (:meth:`TieView.status`)."""
+        return self._by_id().status(flags)
+
+    def value(self, flags: bytes, index: int) -> int:
+        """Byte ``index`` of :meth:`status` (``index`` is one of the
+        table's atoms), read without building the status."""
+        return self._by_id().value(flags, index)
+
+    def ordered_status(self, flags: bytes, literals: LiteralTable) -> bytes:
+        """The model's status for ``flags`` in the string order of
+        ``literals``, the atom table's current literal table (requires
+        :meth:`covers`); ``0xff`` for atoms past the table's.  The view in
+        that order is gathered from :attr:`by_id` once per literal table."""
+        view = self.view
+        if view is None or view.literals is not literals:
+            by_id = self._by_id()
+            pad = len(literals.ordered) - len(self.status0)
+
+            def gather(buffer: bytes | bytearray) -> bytearray:
+                return bytearray(map((buffer + _ABSENT * pad).__getitem__, literals.order))
+
+            view = self.view = TieView(
+                literals,
+                [bytes(gather(plane)) for plane in by_id.ties],
+                gather(by_id.status0),
+                gather(by_id.status1),
+            )
+        return view.status(flags)
 
     def solve(self, flags: bytes) -> TieSolve:
         """The solve that orients the ties as ``flags`` says, read from the
-        table (requires :meth:`covers`), in the cache entry's compact form."""
-        status = self.status(flags)
+        table (requires :meth:`covers`), in the cache entry's compact form:
+        no status is built."""
         trail = FlatTrail(self.ids, self.offsets, flags, self.free, self)
         phase_s = dict(self.base.phase_s)
         return TieSolve(
-            status,
+            TableModel(self, flags),
+            self.total,
             phase_s,
             trail,
             shared=True,
-            choices=partial(trail.choices, status, self.base.gp.atoms),
-            state=partial(self.state, status, flags, phase_s),
+            choices=partial(trail.choices, None, self.base.gp.atoms),
+            state=partial(self.state, flags, phase_s),
         )
 
-    def state(self, status: bytes, flags: bytes, phase_s: dict[str, float]) -> FinishedState:
+    def state(self, flags: bytes, phase_s: dict[str, float]) -> FinishedState:
         """The finished state of the run that orients the ties as ``flags``
-        says and leaves ``status``, with its full reason buffers (requires
-        :meth:`covers`)."""
+        says, with its full reason buffers (requires :meth:`covers`)."""
+        status = self.status(flags)
         base = self.base
         kind = bytearray(base._reason_kind)
         arg = list(base._reason_arg)
@@ -578,6 +761,11 @@ class TieTable:
         """
         status, kind, arg = state.status, state._reason_kind, state._reason_arg
         ids, filled = self.ids, self.filled
+        # The side-1 outcomes go to the table's ``status1`` until ``by_id``
+        # keeps them; ``status0`` is shared with ``by_id``.
+        side1 = self.status1 if self.by_id is None else None
+        by_id, view = self.by_id, self.view
+        rank = None if view is None else view.literals.rank
         if len(choices) != len(flags) or any(
             status[a] == UNDEF or kind[a] == _R_UNFOUNDED for a in ids
         ):
@@ -591,9 +779,16 @@ class TieTable:
             for i in self._cone(k):
                 a = ids[i]
                 if side:
-                    self.status1[i] = status[a]
+                    if side1 is not None:
+                        side1[i] = status[a]
+                    else:
+                        by_id.status1[a] = status[a]
+                    if view is not None:
+                        view.status1[rank[a]] = status[a]
                 else:
                     self.status0[a] = status[a]
+                    if view is not None:
+                        view.status0[rank[a]] = status[a]
                 cone_kind[i] = kind[a]
                 cone_arg[i] = arg[a]
         return True

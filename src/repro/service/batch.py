@@ -37,11 +37,12 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.api.engine import Engine
 from repro.datalog.database import Database
-from repro.datalog.grounding import GROUNDING_MODES, GroundingMode
+from repro.datalog.atoms import Atom
+from repro.datalog.grounding import GROUNDING_MODES, GroundingMode, GroundProgram
 from repro.datalog.parser import parse_atom, parse_database, parse_program
 from repro.datalog.program import Program
 from repro.errors import (
@@ -348,9 +349,13 @@ def solve_one(
         policy = request.resolve_policy()
         if policy is not None:
             options["policy"] = policy
-        # Parse query atoms first: a malformed atom must fail the request
-        # before the (potentially expensive) solve, not after it.
-        parsed = [parse_atom(a) for a in request.atoms]
+        # Look each query text up in the literal table of the grounding the
+        # solve reads: a text found there is an atom's own text and needs no
+        # parse.  Parse the others (all of them when that table is not built
+        # or is stale, or when updates come first) now: a malformed atom
+        # must fail the request before the (potentially expensive) solve.
+        gp = None if request.has_updates else engine.grounded(request.semantics, request.grounding)
+        queries = _queries(request.atoms, gp)
         updates: dict[str, Any] | None = None
         if request.has_updates:
             # Parse both fact lists before applying either: a malformed
@@ -393,9 +398,16 @@ def solve_one(
             result["timings"] = timings
         if updates is not None:
             result["updates"] = updates
-        if parsed:
+        if queries:
             # Answered per atom from the interned ids — no set decode.
-            result["values"] = {str(a): solution.value(a) for a in parsed}
+            if gp is not None and solution.ground_program is not gp:
+                queries = _queries(request.atoms, None)
+            result["values"] = {
+                key: solution.value_of_id(query)
+                if isinstance(query, int)
+                else solution.value(query)
+                for key, query in queries
+            }
         else:
             # This request's own encode, never a cached solution's, written
             # here so the line writer only splices it in.
@@ -406,6 +418,22 @@ def solve_one(
         return result
     except ReproError as error:
         return failure_result(request.id, error)
+
+
+def _queries(texts: Sequence[str], gp: GroundProgram | None) -> list[tuple[str, int | Atom]]:
+    """Per query text, its reply key and what answers it: the atom id of a
+    text ``gp``'s atom table finds without a parse
+    (:meth:`~repro.datalog.grounding.AtomTable.text_ids`), keyed by the
+    text itself, else the parsed atom, keyed by its own text."""
+    ids = [None] * len(texts) if gp is None else gp.atoms.text_ids(texts)
+    queries: list[tuple[str, int | Atom]] = []
+    for text, index in zip(texts, ids):
+        if index is None:
+            atom = parse_atom(text)
+            queries.append((str(atom), atom))
+        else:
+            queries.append((text, index))
+    return queries
 
 
 def result_line(result: dict[str, Any]) -> bytes:

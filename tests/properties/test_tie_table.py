@@ -24,9 +24,11 @@ from repro.datalog.atoms import Atom, Literal
 from repro.datalog.database import Database
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
+from repro.ground.model import Interpretation
 from repro.ground.state import FinishedState, GroundGraphState
 from repro.semantics.choices import FewestTrue, FirstSideTrue, RandomChoice, SecondSideTrue
-from repro.semantics.tie_breaking import FlatTrail, TieChoice, _run
+from repro.semantics.tie_breaking import FlatTrail, TieChoice, TieTable, _run
+from repro.service.batch import BatchRequest, solve_one
 from repro.workloads import families
 
 from tests.properties.strategies import propositional_cases, small_predicate_cases
@@ -354,11 +356,23 @@ def test_a_table_served_miss_builds_no_choices_or_state_until_read(monkeypatch):
     policy = _warm(engine)
     choices_built = _counting(monkeypatch, TieChoice, "__init__")
     states_built = _counting(monkeypatch, FinishedState, "of")
+    statuses_built = _counting(monkeypatch, TieTable, "status")
+    models_built = _counting(monkeypatch, Interpretation, "__init__")
     served = engine.tie_table_solves
     solution = engine.solve("tie_breaking", policy=policy)
     assert engine.tie_table_solves == served + 1
-    atom = gp.atoms.atom(0)
-    assert solution.value(atom) == solution.model.value(atom)
+    # A values miss, then a values hit, read from the table: no status by
+    # atom id and no Interpretation until ``model`` is read.
+    atoms = [gp.atoms.atom(a) for a in range(len(gp.atoms))]
+    values = [solution.value(atom) for atom in atoms]
+    hit = engine.solve("tie_breaking", policy=policy)
+    request = BatchRequest.from_obj({"atoms": [str(a) for a in atoms], "seed": policy.seed})
+    reply = solve_one(engine, request)
+    assert reply["ok"] and list(reply["values"].values()) == values
+    assert [hit.value(atom) for atom in atoms] == values
+    assert (statuses_built[0], models_built[0]) == (0, 0)
+    assert values == [solution.model.value(atom) for atom in atoms]
+    assert (statuses_built[0], models_built[0]) == (1, 1)
     assert solution.free_choice_count > 0 and solution.total
     assert (choices_built[0], states_built[0]) == (0, 0)
     trail = solution.choices
