@@ -664,6 +664,7 @@ class GroundIndex:
         "iota_atoms",
         "iota_rules",
         "atom_order",
+        "canonical_ids",
         "initial_rule_alive",
         "live_rules_init",
         "rule_slot_init",
@@ -675,6 +676,17 @@ class GroundIndex:
             # Built on first read: see ghosts().
             ghosts = self.ghost_ids = self.ghosts()
             return ghosts
+        if name == "atom_order":
+            # A streamed index ranks on first read (only tie paths read
+            # ranks): a canonical atom at its position.  Ghosts and
+            # never-in-U* extras are inert (zero live support falsifies
+            # them before any tie forms); they rank after every canonical
+            # atom, at n_atoms + id.
+            n_atoms = self.n_atoms
+            order = self.atom_order = array("i", range(n_atoms, 2 * n_atoms))
+            for rank, a in enumerate(self.canonical_ids):
+                order[a] = rank
+            return order
         # Extended (delta-overlay) indexes defer the flat occurrence CSR:
         # the tuple views carry the hot paths, and the flat arrays are
         # only needed by serialization — rebuild them from the views on
@@ -696,19 +708,16 @@ class GroundIndex:
         """The atoms a fresh grounding of the same database would not
         hold: none, unless streaming updates published this index
         (:class:`GroundDeltaSession`).  Then they are the ghosts, the ids
-        outside U\\* (ranked from ``n_atoms`` on) that no live instance
+        outside U\\* (not in ``canonical_ids``) that no live instance
         names in its body; a fresh relevant grounding holds U\\* and the
         body atoms of its instances.  Read as :attr:`ghost_ids`, built
         once per index."""
-        order = self.atom_order
-        if order is None:
+        canonical = self.canonical_ids
+        if canonical is None:
             return frozenset()
-        n_atoms, alive, neg_occ = self.n_atoms, self.initial_rule_alive, self.neg_occ_t
-        return frozenset(
-            a
-            for a, rank in enumerate(order)
-            if rank >= n_atoms and not any(alive[r] for r in neg_occ[a])
-        )
+        alive, neg_occ = self.initial_rule_alive, self.neg_occ_t
+        outside = set(range(self.n_atoms)).difference(canonical)
+        return frozenset(a for a in outside if not any(alive[r] for r in neg_occ[a]))
 
     def __init__(self, gp: "GroundProgram") -> None:
         # Local imports of the truth values would be circular through
@@ -851,6 +860,7 @@ class GroundIndex:
         self.iota_atoms = array("i", range(n_atoms))
         self.iota_rules = array("i", range(self.n_rules))
         self.atom_order = None
+        self.canonical_ids = None
         self.initial_rule_alive = None
         self.live_rules_init = None
         self.rule_slot_init = None
@@ -931,6 +941,7 @@ class GroundIndex:
         # Delta-overlay fields: a freshly built index has every instance
         # alive and uses raw atom ids as the canonical order.
         self.atom_order = None
+        self.canonical_ids = None
         self.initial_rule_alive = None
         self.live_rules_init = None
         self.rule_slot_init = None
@@ -1544,21 +1555,26 @@ class GroundDeltaSession:
       makes a materialized-false ghost indistinguishable from a fresh
       grounding that never materialized it, and a model's false list
       leaves out the published index's :attr:`GroundIndex.ghost_ids`;
-    * ``atom_order`` ranks live atom ids exactly as a fresh relevant
-      grounding would assign them (predicate-major, rows ascending), so
-      deterministic tie-breaking trajectories match a full rebuild.
+    * ``canonical`` lists the U\\* atom ids in the order a fresh relevant
+      grounding would assign them (predicate-major, rows ascending), kept
+      sorted beside their keys (``sorted_keys``) by one ``bisect`` insert
+      or pop per atom entering or leaving U\\*.  Each
+      published index holds a snapshot of it (``canonical_ids``) and
+      builds its ``atom_order`` ranks from that on first read, so
+      deterministic tie-breaking trajectories match a full rebuild and
+      a well-founded solve never ranks atoms.
 
     The session also owns the published index's per-atom and per-rule
     arrays (M₀, EDB mask, the sorted ``initial_valued`` and
     ``zero_support_atoms`` worklists, identity permutations, live-rule
-    slots, atom order) and patches only the ids an update touched:
-    atoms it created or whose Δ membership, support or U\\* membership
-    changed, and the rule slots and order ranks from the first changed
-    position on.  An update therefore costs the delta joins plus work
-    proportional to the touched atoms and instances; publishing the new
-    :class:`GroundIndex` adds C-level copies of the patched arrays, so an
-    index handed out earlier is never mutated — no ground-from-scratch,
-    no recompile of join plans, no Python pass over every atom or rule.
+    slots) and patches only the ids an update touched: atoms it created
+    or whose Δ membership, support or U\\* membership changed, and the
+    rule slots from the first changed instance on.  An update therefore
+    costs the delta joins plus work proportional to the touched atoms
+    and instances; publishing the new :class:`GroundIndex` adds C-level
+    copies of the patched arrays and of ``canonical``, so an index handed
+    out earlier is never mutated — no ground-from-scratch, no recompile
+    of join plans, no Python pass over every atom or rule.
     """
 
     def __init__(self, gp: "GroundProgram") -> None:
@@ -1597,22 +1613,19 @@ class GroundDeltaSession:
 
         store = self.sem.store
         pred_of, row_of = self.pred_of, self.row_of
-        self.in_ustar = bytearray(n_atoms)
-        # Atom ids outside U*: ghosts and never-in-U* extras.
-        self.outside: set[int] = set()
-        for a in range(n_atoms):
-            if store.contains(pred_of[a], row_of[a]):
-                self.in_ustar[a] = 1
-            else:
-                self.outside.add(a)
+        self.in_ustar = bytearray(
+            store.contains(pred_of[a], row_of[a]) for a in range(n_atoms)
+        )
         # Canonical order: a fresh relevant grounding assigns ids
         # predicate-major with rows ascending under a pool that interned
         # the (string-sorted) universe first — so ranking live atoms by
         # (predicate, universe-rank row) reproduces fresh ids exactly.
         self._rank_of = {self.pool.intern(c): i for i, c in enumerate(gp.universe)}
-        self.sorted_keys: list[tuple] = sorted(
-            (self._key(a), a) for a in range(n_atoms) if self.in_ustar[a]
-        )
+        ranked = sorted((self._key(a), a) for a in range(n_atoms) if self.in_ustar[a])
+        # The canonical ids and, in step, their keys: a bisect compares
+        # stored keys instead of computing one per probe.
+        self.canonical: list[int] = [a for _key, a in ranked]
+        self.sorted_keys: list[tuple] = [key for key, _a in ranked]
         ri, so, sub = self.csr.rule_index, self.csr.sub_off, self.csr.sub
         self.ledger: dict[tuple[int, IntRow], int] = {
             (ri[r], tuple(sub[so[r] : so[r + 1]])): r for r in range(n_rules)
@@ -1648,18 +1661,11 @@ class GroundDeltaSession:
         self.iota_rules = array("i", idx.iota_rules)
         self.live_rules = array("i", idx.iota_rules)
         self.rule_slot = array("i", idx.iota_rules)
-        # Ghosts and never-in-U* extras are inert (zero live support
-        # falsifies them before any tie forms); they rank after every
-        # canonical atom, at n_atoms + id.
-        self.atom_order = array("i", range(n_atoms, 2 * n_atoms))
-        for rank, (_key, a) in enumerate(self.sorted_keys):
-            self.atom_order[a] = rank
         # What the current update touched: atoms whose M₀, support or U*
-        # membership may have changed, the first instance whose alive flag
-        # changed, and the first sorted_keys position that moved.
+        # membership may have changed, and the first instance whose alive
+        # flag changed.
         self._touched: set[int] = set()
         self._first_rule = n_rules
-        self._first_rank = len(self.sorted_keys)
         self._published = idx
 
     def _key(self, a: int) -> tuple:
@@ -1675,7 +1681,6 @@ class GroundDeltaSession:
             self.pred_of.append(pred)
             self.row_of.append(row)
             self.in_ustar.append(0)
-            self.outside.add(a)
             self.support_live.append(0)
             self.pos_occ_lists.append(())
             self.neg_occ_lists.append(())
@@ -1789,7 +1794,7 @@ class GroundDeltaSession:
         """Apply one update (retractions first, then insertions); the ids
         it touched are added to ``out`` when one is given."""
         intern = self.pool.intern
-        sorted_keys = self.sorted_keys
+        canonical, sorted_keys = self.canonical, self.sorted_keys
         touched = self._touched
         facts: list[tuple[str, IntRow]] = []
         if retracted:
@@ -1805,12 +1810,10 @@ class GroundDeltaSession:
                     a = ids.get(row)
                     if a is not None and self.in_ustar[a]:
                         self.in_ustar[a] = 0
-                        self.outside.add(a)
-                        k = (self._key(a), a)
-                        i = bisect_left(sorted_keys, k)
-                        if i < len(sorted_keys) and sorted_keys[i] == k:
+                        i = bisect_left(sorted_keys, self._key(a))
+                        if i < len(canonical) and canonical[i] == a:
+                            canonical.pop(i)
                             sorted_keys.pop(i)
-                            self._first_rank = min(self._first_rank, i)
                         touched.add(a)
                         dead.append(a)
             for a in dead:
@@ -1826,11 +1829,10 @@ class GroundDeltaSession:
                     a = self._atom_id(pred, row)
                     if not self.in_ustar[a]:
                         self.in_ustar[a] = 1
-                        self.outside.discard(a)
-                        k = (self._key(a), a)
+                        k = self._key(a)
                         i = bisect_left(sorted_keys, k)
                         sorted_keys.insert(i, k)
-                        self._first_rank = min(self._first_rank, i)
+                        canonical.insert(i, a)
             if len(added):
                 self._ground_delta(added)
                 self._recheck_ground_rules()
@@ -1852,18 +1854,13 @@ class GroundDeltaSession:
         n_rules = len(csr.heads)
         old_atoms = len(self.iota_atoms)
         touched = self._touched
-        order = self.atom_order
         if n_atoms > old_atoms:
             new_atoms = range(old_atoms, n_atoms)
             edb = self.edb
             self.edb_mask.extend([pred in edb for pred in self.pred_of[old_atoms:]])
             self.initial_status.frombytes(bytes(len(new_atoms)))
             self.iota_atoms.extend(new_atoms)
-            order.extend(new_atoms)
             touched.update(new_atoms)
-            # Every outside rank is n_atoms + id, so growth re-ranks them all.
-            for a in self.outside:
-                order[a] = n_atoms + a
         if n_rules > len(self.iota_rules):
             self.iota_rules.extend(range(len(self.iota_rules), n_rules))
 
@@ -1877,8 +1874,6 @@ class GroundDeltaSession:
                 status[a] = FALSE if edb_mask[a] else UNDEF
             _set_member(self.initial_valued, a, status[a] != UNDEF)
             _set_member(self.zero_support, a, support[a] == 0)
-            if not self.in_ustar[a]:
-                order[a] = n_atoms + a
 
         # Live-rule slots from the first instance whose alive flag changed.
         first = self._first_rule
@@ -1890,10 +1885,6 @@ class GroundDeltaSession:
             slot[first:] = array("i", [-1]) * (n_rules - first)
             for i, r in enumerate(live[p:], p):
                 slot[r] = i
-        # Canonical ranks from the first sorted_keys position that moved.
-        first = self._first_rank
-        for rank, (_key, a) in enumerate(self.sorted_keys[first:], first):
-            order[a] = rank
 
         prev = self._published
         idx = GroundIndex.__new__(GroundIndex)
@@ -1929,7 +1920,9 @@ class GroundDeltaSession:
         idx.initial_rule_alive = bytes(self.alive)
         idx.live_rules_init = array("i", self.live_rules)
         idx.rule_slot_init = array("i", self.rule_slot)
-        idx.atom_order = array("i", order)
+        # atom_order stays unset: GroundIndex.__getattr__ ranks the
+        # snapshot on first (tie-path) read.
+        idx.canonical_ids = tuple(self.canonical)
         csr.n_atoms = n_atoms
         csr.edb_mask = idx.edb_mask
         csr.initial_status = idx.initial_status
@@ -1939,7 +1932,6 @@ class GroundDeltaSession:
             out.update(touched)
         touched.clear()
         self._first_rule = n_rules
-        self._first_rank = len(self.sorted_keys)
 
 
 def _set_member(ids: array, a: int, member: bool) -> None:

@@ -347,12 +347,6 @@ class GroundGraphState(FinishedState):
             self._rule_slot = list(idx.rule_slot_init)
         self._live_atom_count = n_atoms
 
-        # Canonical atom order installed by the streaming-update overlay:
-        # ranks live atom ids exactly as a fresh grounding would assign
-        # them, so order-sensitive choices (tie scheduling, side
-        # comparisons) match a full rebuild.  None = ids are the order.
-        self._order = idx.atom_order
-
         self._dirty: deque[int] = deque(idx.initial_valued)
         status = self.status
         kind = self._reason_kind
@@ -704,17 +698,21 @@ class GroundGraphState(FinishedState):
         """Canonical rank of atom ``a`` (its fresh-grounding id).
 
         Identity unless the index carries a streaming-update
-        ``atom_order`` overlay; interpreters compare ranks instead of raw
-        ids wherever an order-sensitive choice must match a rebuild.
+        ``atom_order`` overlay (ranks live atom ids exactly as a fresh
+        grounding would assign them, built on the index's first read);
+        interpreters compare ranks instead of raw ids wherever an
+        order-sensitive choice must match a rebuild.  The order is read
+        from the index the state is on, so a clone or a reopened copy
+        never carries another index's ranks.
         """
-        order = self._order
+        order = self._idx.atom_order
         return a if order is None else order[a]
 
     def _heap_key(self, nodes: list[int]) -> int:
         """Tie-schedule key of a component: its first atom in canonical
         order (node lists are sorted, so without an overlay that is just
         the first node — atoms sort before shifted rule nodes)."""
-        order = self._order
+        order = self._idx.atom_order
         if order is None:
             return nodes[0]
         n_atoms = self.n_atoms
@@ -1294,7 +1292,7 @@ class GroundGraphState(FinishedState):
             # orientation on a streamed index as on a fresh grounding.
             # Without an overlay that is the first node (atoms sort
             # before shifted rule nodes).
-            order = self._order
+            order = self._idx.atom_order
             root = (
                 component[0]
                 if order is None
@@ -1618,7 +1616,6 @@ class GroundGraphState(FinishedState):
         other._live_rules = list(self._live_rules)
         other._rule_slot = list(self._rule_slot)
         other._live_atom_count = self._live_atom_count
-        other._order = self._order
         other._reason_kind = bytearray(self._reason_kind)
         other._reason_arg = list(self._reason_arg)
         other._labels = list(self._labels)
@@ -1696,7 +1693,6 @@ class GroundGraphState(FinishedState):
         other._idx = idx
         other.n_atoms = n_atoms
         other.n_rules = n_rules
-        other._order = idx.atom_order
         # Nothing here keeps the condensation: it is rebuilt on demand.
         other._scc_comps = None
         other._scc_comp_of = None

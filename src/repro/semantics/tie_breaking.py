@@ -533,7 +533,7 @@ class TieTable:
         template = bytearray()
         others: list[list[int]] = []
         covered = 0
-        order = checkpoint._order
+        order = checkpoint._idx.atom_order
         ranks = ids if order is None else array("i")
         for k, tie in enumerate(checkpoint.clone().select_ties()):
             cone = tie.atom_ids + [n_atoms + r for r in tie.rule_ids]
@@ -861,7 +861,7 @@ def _break_tie(
     true_side = forced_orientation(len(side0), len(side1))
     forced = true_side is not None
     if true_side is None:
-        order = state._order
+        order = state._idx.atom_order
         true_side = policy.choose_true_side(_ranks(order, side0), _ranks(order, side1))
     return _apply_tie(state, component, true_side, forced=forced)
 

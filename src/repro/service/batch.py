@@ -659,7 +659,9 @@ class BatchSolver:
         """Answer ``requests`` on the pool into ``results``; return the lost ones.
 
         A request is lost when the pool breaks (a worker died) before it
-        is answered.  The broken pool is shut down, so the next call
+        is answered, or when the pool's pipes fail under it: ``submit``
+        can raise ``OSError: handle is closed`` while the pool replaces a
+        killed worker.  The broken pool is shut down, so the next call
         starts a fresh one.
         """
         from concurrent.futures.process import BrokenProcessPool
@@ -671,12 +673,12 @@ class BatchSolver:
             try:
                 # One request per dispatch (see the class docstring).
                 futures.append((i, req, pool.submit(_solve_in_worker, req.to_obj())))
-            except BrokenProcessPool as error:
+            except (BrokenProcessPool, OSError) as error:
                 lost.append((i, req, error))
         for i, req, future in futures:
             try:
                 results[i] = future.result()
-            except BrokenProcessPool as error:
+            except (BrokenProcessPool, OSError) as error:
                 lost.append((i, req, error))
         if lost:
             self._close_pool()

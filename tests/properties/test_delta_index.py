@@ -5,7 +5,7 @@ the touched atoms and instances only (``GroundDeltaSession._publish``).
 The oracle here is the O(atoms + instances) rebuild those patches
 replace: it recomputes every field from the session's raw state — M₀
 from Δ, the worklists by scanning every atom, the live-rule slots by
-scanning every instance, the atom order from ``sorted_keys``.  After
+scanning every instance, the atom order by sorting the U\\* atoms.  After
 every step of a hypothesis trace the published index must equal it, and
 an index published earlier must still hold the values it was published
 with.
@@ -55,6 +55,7 @@ FIELDS = (
     "live_rules_init",
     "rule_slot_init",
     "atom_order",
+    "canonical_ids",
     "support",
     "initial_rule_alive",
     "body_len",
@@ -81,8 +82,9 @@ def _reference_fields(session) -> dict:
         if alive[r]:
             slot[r] = len(live)
             live.append(r)
+    canonical = sorted((a for a in range(n_atoms) if session.in_ustar[a]), key=session._key)
     order = array("i", bytes(4 * n_atoms))
-    for rank, (_key, a) in enumerate(session.sorted_keys):
+    for rank, a in enumerate(canonical):
         order[a] = rank
     for a in range(n_atoms):
         if not session.in_ustar[a]:
@@ -100,6 +102,7 @@ def _reference_fields(session) -> dict:
         "live_rules_init": live,
         "rule_slot_init": slot,
         "atom_order": order,
+        "canonical_ids": tuple(canonical),
         "support": array("i", support),
         "initial_rule_alive": bytes(alive),
         "body_len": array("i", session.body_len),

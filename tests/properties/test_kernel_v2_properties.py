@@ -275,9 +275,10 @@ _DERIVED_CACHES = frozenset(
         "_tie_sides",
     }
 )
-# SHARED structure is immutable and owned by the ground program/index;
-# the fingerprint asserts identity for the overlay's atom order.
-_SHARED_IMMUTABLE = frozenset({"gp", "_idx", "n_atoms", "n_rules", "_order"})
+# SHARED structure is immutable and owned by the ground program/index.
+# The overlay's atom order is no field: it is read through ``_idx``, and
+# the streamed-index audit asserts that clones and undo read their index's.
+_SHARED_IMMUTABLE = frozenset({"gp", "_idx", "n_atoms", "n_rules"})
 # MACHINERY is the trail itself, the epoch-disciplined query scratch,
 # and wall-clock accounting — definitionally outside state equality.
 _MACHINERY = frozenset({"_trail", "_scratch", "phase_s", "_ta_overlap"})
@@ -387,13 +388,22 @@ def test_trail_undo_on_streamed_ground_program():
         assert apply_facts_delta(gp, inserted, retracted)
 
     state = GroundGraphState(gp)
-    assert state._order is gp.index.atom_order  # shared, never copied
+    ranks = [state.order_key(a) for a in range(state.n_atoms)]
+    # The order is the index's own, read through it, never copied, and
+    # it ranks every canonical atom at its fresh-grounding id.
+    assert state._idx is gp.index
+    assert ranks == list(gp.index.atom_order)
+    fresh = ground(program, db, mode="relevant").atoms
+    for a, rank in enumerate(ranks):
+        if rank < state.n_atoms:
+            assert fresh.get(gp.atoms.atom(a)) == rank
     assert bytes(state.rule_alive) == bytes(gp.index.initial_rule_alive)
     state.trail_begin()
     state.close()
     state.falsify_unfounded(numbered=False)
     reference = state.clone()
-    assert reference._order is state._order
+    assert reference._idx is state._idx
+    assert [reference.order_key(a) for a in range(reference.n_atoms)] == ranks
     mark = state.trail_mark()
 
     for _ in range(3):
@@ -402,6 +412,8 @@ def test_trail_undo_on_streamed_ground_program():
         state.falsify_unfounded(numbered=False)
     state.trail_undo(mark)
 
+    assert state._idx is gp.index
+    assert [state.order_key(a) for a in range(state.n_atoms)] == ranks
     assert _state_fingerprint(state) == _state_fingerprint(reference)
     assert state.unfounded_atoms() == state.unfounded_atoms(full_recompute=True)
     undone_status, _, _ = _drive_from(state)

@@ -6,7 +6,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -333,12 +333,73 @@ class TestBatchSolverWorkers:
             # Once nothing kills the workers, the same solver answers again.
             assert all(r["ok"] for r in solver.solve_many(requests[:2]))
 
+    @pytest.mark.parametrize("fail_at", ["submit", "result"])
+    @pytest.mark.parametrize("failing_passes", [1, 2])
+    def test_a_closed_pool_handle_loses_requests_like_a_dead_worker(
+        self, tmp_path, fail_at, failing_passes
+    ):
+        # While a pool replaces a killed worker, its pipes can fail with
+        # OSError("handle is closed"), in submit or in the future.
+        artifact = tmp_path / "c.rg"
+        requests = [{"id": i, "seed": i, "atoms": ["in(a)"]} for i in range(4)]
+        with BatchSolver(artifact, program=COMMITTEE, database=MEMBERS) as inline:
+            expected = inline.solve_many(requests)
+        engine = Engine.from_artifact(artifact)
+        failing = [_FlakyPool(engine, fail_at) for _ in range(failing_passes)]
+        pools = [*failing, _FlakyPool(engine, None)]
+        with BatchSolver(artifact, workers=2) as solver:
+
+            def ensure_pool():
+                if solver._pool is None:
+                    solver._pool = pools.pop(0)
+                return solver._pool
+
+            solver._ensure_pool = ensure_pool
+            results = solver.solve_many(requests)
+            assert [r["id"] for r in results] == list(range(4))
+            if failing_passes == 1:  # the second pass answers them all
+                assert _untimed(results) == _untimed(expected)
+            else:
+                assert all(r["error_kind"] == "worker_lost" for r in results), results
+                assert all("handle is closed" in r["error"] for r in results)
+            # The failed pools were shut down; the solver answers again.
+            assert [pool.shutdowns for pool in failing] == [1] * failing_passes
+            assert _untimed(solver.solve_many(requests)) == _untimed(expected)
+            assert not pools
+
     def test_malformed_atom_fails_the_request(self, tmp_path):
         with BatchSolver(tmp_path / "g.rg", program=GAME, database=BOARD) as solver:
             result = solver.solve_many(
                 [{"id": "bad-atom", "semantics": "well_founded", "atoms": ["win("]}]
             )[0]
         assert result["id"] == "bad-atom" and not result["ok"]
+
+
+class _FlakyPool:
+    """A stand-in worker pool answering in process, or failing as a pool's
+    pipes can while it replaces a killed worker: ``OSError("handle is
+    closed")`` from ``submit`` or from the future's ``result``."""
+
+    def __init__(self, engine: Engine, fail_at: str | None) -> None:
+        self.engine, self.fail_at = engine, fail_at
+        self.shutdowns = 0
+
+    def submit(self, fn, obj):
+        if self.fail_at == "submit":
+            raise OSError("handle is closed")
+        future: Future = Future()
+        if self.fail_at == "result":
+            future.set_exception(OSError("handle is closed"))
+        else:
+            future.set_result(solve_one(self.engine, BatchRequest.from_obj(obj)))
+        return future
+
+    def shutdown(self, wait: bool, cancel_futures: bool) -> None:
+        self.shutdowns += 1
+
+
+def _untimed(results: list[dict]) -> list[dict]:
+    return [{k: v for k, v in r.items() if k != "timings"} for r in results]
 
 
 class TestErrorKinds:
