@@ -84,15 +84,16 @@ class _CachedSolve:
     whose ``trail`` (a :class:`~repro.semantics.tie_breaking.FlatTrail`)
     lets the engine replay its state; the model's own status tuple
     otherwise, with whatever ``state`` the solve kept — for a
-    well-founded solve, the state the engine already keeps as the mode's
-    base.  The entry of a solve a tie table served keeps no status: its
-    trail names the table, and the trail flags and the table determine
-    the model, so ``status`` is patched from the table when read.
-    ``epoch`` is the engine's ``update_calls`` when the solve ran.
-    ``nbytes`` counts the status and trail buffers; a shared ``state``
-    is not counted, and neither are the ``ids`` / ``offsets`` of a trail
-    a tie table made, which are the table's (``tie_table_bytes``): such
-    an entry counts its flags only, and keeps its table alive.
+    well-founded solve, a :class:`~repro.ground.state.FinishedState`
+    snapshot over that same tuple, with reason buffers of its own.  The
+    entry of a solve a tie table served keeps no status: its trail names
+    the table, and the trail flags and the table determine the model, so
+    ``status`` is patched from the table when read.  ``epoch`` is the
+    engine's ``update_calls`` when the solve ran.  ``nbytes`` counts the
+    status, the trail buffers and a snapshot's reason buffers and
+    labels; not counted are the ``ids`` / ``offsets`` of a trail a tie
+    table made, which are the table's (``tie_table_bytes``): such an
+    entry counts its flags only, and keeps its table alive.
     """
 
     __slots__ = (
@@ -132,9 +133,16 @@ class _CachedSolve:
                 self.nbytes = sys.getsizeof(self._status) + self.trail.nbytes
         else:
             self._status = solution.model.status
-            self.state = solution.state
+            self.state = state = solution.state
             self.trail = None
             self.nbytes = sys.getsizeof(self._status)
+            if state is not None:
+                # A well-founded snapshot's reason buffers are its own.
+                self.nbytes += (
+                    sys.getsizeof(state._reason_kind)
+                    + sys.getsizeof(state._reason_arg)
+                    + sys.getsizeof(state._labels)
+                )
 
     @property
     def status(self) -> bytes | tuple[int, ...]:
@@ -408,16 +416,18 @@ class Engine:
 
         After a well-founded solve the engine keeps its end state as the
         mode's base, and updates add the atom ids they touched to the
-        base's set.  The next solve runs on ``base.reopened(touched)``: a
-        copy where only the forward cone of those atoms is reset
-        (counted in ``wf_patches``).  Without a base it is a fresh state.
-        The state is noted in ``used`` so :meth:`solve` can keep it as
-        the next base once the solve has finished.
+        base's set.  The next solve takes the base out of ``_wf_bases``
+        and runs on ``base.reopen(touched)``: the same state, with only
+        the forward cone of those atoms reset in place (counted in
+        ``wf_patches``).  Without a base it is a fresh state.  The state
+        is noted in ``used`` so :meth:`solve` can keep it as the next
+        base once the solve has finished; a solve that raises (deadline,
+        conflict) keeps nothing, so the next one starts fresh.
         """
-        entry = self._wf_bases.get(gp.mode)
+        entry = self._wf_bases.pop(gp.mode, None)
         if entry is not None:
             base, touched = entry
-            state = base.reopened(touched)
+            state = base.reopen(touched)
             self.wf_patches += 1
         else:
             state = GroundGraphState(gp)

@@ -51,9 +51,12 @@ class SolveRequest:
     policy)`` runs one tie-breaking solve from that checkpoint and returns
     it as a :class:`~repro.semantics.tie_breaking.TieSolve` (see
     :meth:`~repro.api.engine.Engine._tie_solve`).  ``wf_state()`` returns the
-    private, not yet closed state a ``well_founded`` solve runs its
-    cascade on: fresh, or the engine's last well-founded end state
-    reopened on the forward cone of what updates touched since.
+    not yet closed state a ``well_founded`` solve runs its cascade on:
+    fresh, or the engine's last well-founded end state, taken from the
+    engine and reopened in place on the forward cone of what updates
+    touched since.  The engine keeps that state once the solve succeeds,
+    so a solution holds a :meth:`~repro.ground.state.GroundGraphState.snapshot`
+    of it, never the state itself.
     """
 
     program: Program
@@ -169,11 +172,14 @@ def _solve_well_founded(req: SolveRequest) -> Solution:
 
     state = req.wf_state()
     iterations = finish_well_founded(state)
+    # The engine reopens ``state`` in place on its next solve, so the
+    # solution keeps a finished snapshot over the model's own status.
+    model = state.interpretation()
     return Solution.from_interpretation(
         "well_founded",
-        state.interpretation(),
+        model,
         iterations=iterations,
-        state=state,
+        state=state.snapshot(model.status),
         timings=dict(state.phase_s),
     )
 

@@ -2078,7 +2078,7 @@ def apply_facts_delta(
     On success the atom ids the update touched are added to ``touched``
     when one is given: atoms whose M₀, support or U\\* membership changed,
     new atoms, and the heads of added, enabled or disabled instances —
-    the seeds of :meth:`~repro.ground.state.GroundGraphState.reopened`.
+    the seeds of :meth:`~repro.ground.state.GroundGraphState.reopen`.
     """
     inserted = list(inserted)
     retracted = list(retracted)

@@ -65,7 +65,7 @@ from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.datalog.grounding import GroundProgram
 from repro.errors import CloseConflictError, SemanticsError, check_deadline
@@ -207,10 +207,12 @@ class FinishedState:
     """The model and provenance a finished run leaves behind.
 
     :meth:`GroundGraphState.finish` turns a live state into one of these
-    in place.  It holds :attr:`FIELDS` only — the ground program, the
-    status array and the flat reason buffers with their labels, plus the
-    run's ``phase_s`` — which is what ``explain`` reads.  The live
-    :class:`GroundGraphState` extends it with the search machinery.
+    in place; :meth:`GroundGraphState.snapshot` copies one out of a live
+    state that runs on.  It holds :attr:`FIELDS` only — the ground
+    program, the status array and the flat reason buffers with their
+    labels, plus the run's ``phase_s`` — which is what ``explain`` reads.
+    The live :class:`GroundGraphState` extends it with the search
+    machinery.
     """
 
     FIELDS = (
@@ -228,7 +230,7 @@ class FinishedState:
     def of(
         cls,
         base: "FinishedState",
-        status: list[int],
+        status: Sequence[int],
         reason_kind: bytearray,
         reason_arg: list[int],
         phase_s: dict[str, float],
@@ -702,7 +704,7 @@ class GroundGraphState(FinishedState):
         grounding would assign them, built on the index's first read);
         interpreters compare ranks instead of raw ids wherever an
         order-sensitive choice must match a rebuild.  The order is read
-        from the index the state is on, so a clone or a reopened copy
+        from the index the state is on, so a clone or a reopened state
         never carries another index's ranks.
         """
         order = self._idx.atom_order
@@ -1644,9 +1646,10 @@ class GroundGraphState(FinishedState):
         other.phase_s = dict(self.phase_s)
         return other
 
-    def reopened(self, touched: Iterable[int]) -> "GroundGraphState":
-        """A copy of this finished well-founded state, moved onto the ground
-        program's current index, with the forward cone of ``touched`` reset.
+    def reopen(self, touched: Iterable[int]) -> "GroundGraphState":
+        """Move this finished well-founded state onto the ground program's
+        current index, in place, with the forward cone of ``touched``
+        reset; return ``self``.
 
         ``self`` must be the end state of a well-founded run (``close``
         and :meth:`falsify_unfounded` to fixpoint) over an earlier index
@@ -1657,56 +1660,59 @@ class GroundGraphState(FinishedState):
         relevant — an atom's value depends only on the rule instances in
         its backward cone — so only atoms in the forward closure of
         ``touched`` (through instances the current index keeps alive) can
-        change value.  The copy resets exactly those atoms to undefined
-        and live with no reason and no source, recomputes liveness and
-        counters of every instance whose head is in the cone from the
-        current values of its body, and queues the cone's M₀ values, the
-        instances that fire at once and the unsupported atoms for
-        ``close``.  The cone is queued as the unfounded query's lost set,
-        so the next query re-derives sources inside it only: no atom
-        outside the cone depends on one inside it.
+        change value.  The arrays grow to the current index and the
+        condensation is dropped.  Exactly the cone's atoms are reset to
+        undefined and live with no reason and no source; liveness and
+        counters of every instance whose head is in the cone are
+        recomputed from the current values of its body; and the cone's
+        M₀ values, the instances that fire at once and the unsupported
+        atoms are queued for ``close``.  The cone is queued as the
+        unfounded query's lost set, so the next query re-derives sources
+        inside it only: no atom outside the cone depends on one inside it.
 
-        The caller finishes the copy with ``close()`` and
+        The caller finishes the state with ``close()`` and
         ``falsify_unfounded()``, which then count only the cone's rounds.
-        ``self`` is not mutated.  Reasons outside the cone carry over and
-        stay valid derivations, since their backward cones did not change.
+        Reasons outside the cone carry over and stay valid derivations,
+        since their backward cones did not change.  Only the flat arrays
+        are patched, so a reopen costs the cone, not the state; a caller
+        that must keep the finished state writes
+        ``state.clone().reopen(touched)``.
         """
         self._require_closed()
-        other = self.clone()
         idx = self.gp.index
         n_atoms, n_rules = idx.n_atoms, idx.n_rules
         grow = n_atoms - self.n_atoms
         if grow:
-            other.status.extend([UNDEF] * grow)
-            other.atom_alive.extend(bytes(grow))
-            other._atom_slot.extend([-1] * grow)
-            other._reason_kind.extend(bytes(grow))
-            other._reason_arg.extend([0] * grow)
-            other.atom_support.extend([0] * grow)
-            other._src.extend([-1] * grow)
+            self.status.extend([UNDEF] * grow)
+            self.atom_alive.extend(bytes(grow))
+            self._atom_slot.extend([-1] * grow)
+            self._reason_kind.extend(bytes(grow))
+            self._reason_arg.extend([0] * grow)
+            self.atom_support.extend([0] * grow)
+            self._src.extend([-1] * grow)
         if n_rules > self.n_rules:
             grow = n_rules - self.n_rules
-            other.rule_alive.extend(bytes(grow))
-            other._rule_slot.extend([-1] * grow)
-            other.rule_pending.extend([0] * grow)
-            other.pos_live.extend([0] * grow)
-        other._idx = idx
-        other.n_atoms = n_atoms
-        other.n_rules = n_rules
+            self.rule_alive.extend(bytes(grow))
+            self._rule_slot.extend([-1] * grow)
+            self.rule_pending.extend([0] * grow)
+            self.pos_live.extend([0] * grow)
+        self._idx = idx
+        self.n_atoms = n_atoms
+        self.n_rules = n_rules
         # Nothing here keeps the condensation: it is rebuilt on demand.
-        other._scc_comps = None
-        other._scc_comp_of = None
-        other._scc_incross = {}
-        other._scc_bottom = set()
-        other._scc_bottom_obj = {}
-        other._scc_dirty = set()
-        other._tie_sides = {}
-        other._tie_heap = []
-        other.phase_s = dict.fromkeys(other.phase_s, 0.0)
+        self._scc_comps = None
+        self._scc_comp_of = None
+        self._scc_incross = {}
+        self._scc_bottom = set()
+        self._scc_bottom_obj = {}
+        self._scc_dirty = set()
+        self._tie_sides = {}
+        self._tie_heap = []
+        self.phase_s = dict.fromkeys(self.phase_s, 0.0)
 
         # The cone: forward closure of the touched atoms through every
         # instance the index keeps alive, fired or killed ones included.
-        scratch = other._scratch
+        scratch = self._scratch
         scratch.grow(n_atoms, n_rules)
         scratch.epoch += 1
         epoch = scratch.epoch
@@ -1728,10 +1734,10 @@ class GroundGraphState(FinishedState):
                             mark[h] = epoch
                             cone.append(h)
 
-        status = other.status
-        atom_alive = other.atom_alive
-        live_atoms, atom_slot = other._live_atoms, other._atom_slot
-        kind, src = other._reason_kind, other._src
+        status = self.status
+        atom_alive = self.atom_alive
+        live_atoms, atom_slot = self._live_atoms, self._atom_slot
+        kind, src = self._reason_kind, self._src
         for a in cone:
             status[a] = UNDEF
             kind[a] = _R_NONE
@@ -1740,15 +1746,15 @@ class GroundGraphState(FinishedState):
                 atom_alive[a] = 1
                 atom_slot[a] = len(live_atoms)
                 live_atoms.append(a)
-                other._live_atom_count += 1
+                self._live_atom_count += 1
 
         # Every instance headed in the cone, from its body's current values
         # (live = undefined at this point: the base was closed).  Any
         # instance the index keeps alive with a cone atom in its body is
         # headed in the cone; the others are dead and never read.
-        rule_alive = other.rule_alive
-        live_rules, rule_slot = other._live_rules, other._rule_slot
-        rule_pending, pos_live, support = other.rule_pending, other.pos_live, other.atom_support
+        rule_alive = self.rule_alive
+        live_rules, rule_slot = self._live_rules, self._rule_slot
+        rule_pending, pos_live, support = self.rule_pending, self.pos_live, self.atom_support
         pos_off, pos_atoms = idx.pos_off, idx.pos_atoms
         neg_off, neg_atoms = idx.neg_off, idx.neg_atoms
         ready: list[int] = []
@@ -1798,16 +1804,27 @@ class GroundGraphState(FinishedState):
         for a in cone:
             value = initial[a]
             if value != UNDEF:
-                other._set(a, value, _R_DELTA if value == TRUE else _R_EDB_ABSENT)
+                self._set(a, value, _R_DELTA if value == TRUE else _R_EDB_ABSENT)
         for r in ready:
-            other._fire(r)
+            self._fire(r)
         for a in cone:
             if status[a] == UNDEF and support[a] == 0:
-                other._set(a, FALSE, _R_NO_SUPPORT)
-        other._unf_lost = cone
-        return other
+                self._set(a, FALSE, _R_NO_SUPPORT)
+        self._unf_lost = cone
+        return self
 
     # -- results -------------------------------------------------------------
+
+    def snapshot(self, status: Sequence[int]) -> FinishedState:
+        """A :class:`FinishedState` of this closed state that no later
+        kernel call reaches: ``status`` (the model's tuple, shared, not
+        copied) with copies of the reason buffers, labels and
+        ``phase_s``.  The engine keeps the live state as the next
+        well-founded base and reopens it in place; a solution keeps this."""
+        self._require_closed()
+        return FinishedState.of(
+            self, status, bytearray(self._reason_kind), list(self._reason_arg), dict(self.phase_s)
+        )
 
     def finish(self) -> None:
         """Drop the search machinery of a finished run, in place.

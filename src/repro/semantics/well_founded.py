@@ -16,11 +16,13 @@ atom's value depends only on the rule instances in its backward
 dependency cone.  A live :class:`~repro.api.Engine` uses that across
 streaming updates.  It keeps the end state of its last well-founded solve
 per grounding mode, and the next solve runs the same cascade
-(:func:`finish_well_founded`) on
-:meth:`~repro.ground.state.GroundGraphState.reopened`: a copy where only
-the forward cone of the atoms the updates touched is reset.  The
+(:func:`finish_well_founded`) on that state after
+:meth:`~repro.ground.state.GroundGraphState.reopen`, which resets, in
+place, only the forward cone of the atoms the updates touched.  The
 solution's ``iterations`` then counts the unfounded rounds that solve
-ran, inside the cone only.
+ran, inside the cone only, and its ``state`` is a finished snapshot
+(:meth:`~repro.ground.state.GroundGraphState.snapshot`), so the next
+reopen leaves it as it was.
 
 >>> from repro.api import Engine
 >>> engine = Engine("win(X) :- move(X, Y), not win(Y).", "move(1, 2). move(2, 3).")

@@ -24,7 +24,7 @@ from repro.api.engine import Engine
 from repro.datalog.parser import parse_database, parse_program
 from repro.ground.explain import explain
 from repro.ground.model import FALSE, TRUE, UNDEF
-from repro.ground.state import _R_NO_SUPPORT, GroundGraphState
+from repro.ground.state import _R_NO_SUPPORT, FinishedState, GroundGraphState
 from repro.workloads import families
 
 from tests.properties.test_delta_index import FAMILIES as SEVEN_FAMILIES
@@ -52,9 +52,11 @@ def _failed(status, idx, r: int) -> bool:
     return any(status[b] == FALSE for b in pos) or any(status[b] == TRUE for b in neg)
 
 
-def assert_reasons_sound(state: GroundGraphState, label: str = "") -> None:
-    """Check every atom's reason against the final model (module docstring)."""
-    idx = state.gp.index
+def assert_reasons_sound(state: FinishedState, label: str = "", *, index=None) -> None:
+    """Check every atom's reason against the final model (module docstring),
+    under ``index``: by default the ground program's current one; a
+    solution held across later updates passes the index it was solved on."""
+    idx = state.gp.index if index is None else index
     assert (state.n_atoms, state.n_rules) == (idx.n_atoms, idx.n_rules), (
         f"{label}: state is not over the current index"
     )
@@ -148,7 +150,9 @@ def _first_with(state: GroundGraphState, kind: str) -> int:
 
 def test_checker_rejects_a_wrong_fired_instance():
     program, database = families.win_move_line(7)
-    state = Engine(program, database).solve("well_founded").state.clone()
+    engine = Engine(program, database)
+    engine.solve("well_founded")
+    state = engine._wf_bases["relevant"][0].clone()
     a = _first_with(state, "fired")
     other = next(r for r in range(state.n_rules) if state.gp.index.head_of_t[r] != a)
     state._reason_arg[a] = other
@@ -158,7 +162,9 @@ def test_checker_rejects_a_wrong_fired_instance():
 
 def test_checker_rejects_a_supported_no_support_atom():
     program, database = families.win_move_line(7)
-    state = Engine(program, database).solve("well_founded").state.clone()
+    engine = Engine(program, database)
+    engine.solve("well_founded")
+    state = engine._wf_bases["relevant"][0].clone()
     a = _first_with(state, "fired")
     state.status[a] = FALSE
     state._reason_kind[a] = _R_NO_SUPPORT

@@ -314,6 +314,33 @@ def test_the_tie_table_is_smaller_than_one_model_tuple():
     assert 0 < size < sys.getsizeof(solution.model.status)
 
 
+@pytest.mark.parametrize(
+    "semantics,build",
+    [
+        ("well_founded", lambda: families.grounded_argumentation(40)),
+        ("stratified", lambda: families.negation_tower(30)),
+    ],
+)
+def test_a_well_founded_entry_counts_the_buffers_it_alone_holds(semantics, build):
+    """The engine reopens its well-founded base in place, so the solution
+    and its cache entry keep a snapshot: the model's status tuple, shared,
+    and reason buffers and labels of their own.  The entry counts exactly
+    those buffers."""
+    engine = Engine(*build())
+    solution = engine.solve(semantics)
+    (entry,) = engine._solution_cache.values()
+    state = entry.state
+    assert type(state) is FinishedState and state is solution.state
+    assert entry.status is solution.model.status is state.status
+    base = engine._wf_bases["relevant"][0]
+    for name in ("_reason_kind", "_reason_arg", "_labels"):
+        assert getattr(state, name) == getattr(base, name), name
+        assert getattr(state, name) is not getattr(base, name), name
+    buffers = (state.status, state._reason_kind, state._reason_arg, state._labels)
+    assert entry.nbytes == sum(map(sys.getsizeof, buffers))
+    assert engine.stats()["solution_cache_bytes"] == entry.nbytes
+
+
 # -- the bound ---------------------------------------------------------------
 
 ENTRY_BOUND = 6

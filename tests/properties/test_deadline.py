@@ -135,8 +135,10 @@ def test_tie_breaking_solve_after_a_deadline_equals_a_fresh_engines(
 def test_well_founded_solve_after_updates_and_a_deadline_equals_a_fresh_engines(
     case, seed, steps, data
 ):
-    """The raise lands in the reopened state's unfounded rounds; the base
-    the engine keeps for the next patch must not have moved."""
+    """The raise lands in the reopened state's unfounded rounds; the engine
+    has taken the base out to reopen it in place, so the aborted solve
+    drops it: the next solve starts fresh, and the one after the next
+    update patches again."""
     name, build = UPDATE_FAMILIES[case]
     program, database = build()
     rng = random.Random(seed)
@@ -156,13 +158,19 @@ def test_well_founded_solve_after_updates_and_a_deadline_equals_a_fresh_engines(
     k = data.draw(st.integers(1, _count_checks(operation, make())), label="k")
     engine = make()
     _interrupt(operation, engine, k)
+    assert "relevant" not in engine._wf_bases, f"{name}: the aborted solve kept its base"
+    patches = engine.wf_patches
     fresh = Engine(engine.program, engine.database.copy())
     assert _summary(operation(engine)) == _summary(operation(fresh)), name
+    assert engine.wf_patches == patches, f"{name}: the solve after the abort patched"
     # And once more: the solve that succeeded became the next base.
+    calls, rebuilds = engine.update_calls, engine.delta_rebuilds
     engine.insert_facts(*updates[0][1])
     engine.retract_facts(*updates[0][0])
     fresh = Engine(engine.program, engine.database.copy())
     assert _summary(operation(engine)) == _summary(operation(fresh)), name
+    patched = engine.update_calls > calls and engine.delta_rebuilds == rebuilds
+    assert engine.wf_patches == patches + patched, f"{name}: the next update did not patch"
 
 
 @settings(max_examples=25, deadline=None)

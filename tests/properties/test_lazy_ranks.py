@@ -149,12 +149,16 @@ def test_a_reopened_state_reads_its_new_index_ranks(rank_builds):
     program, database = families.grounded_argumentation(13)
     engine = Engine(program, database.copy(), grounding="relevant")
     engine.ground_for("relevant")
-    base = engine.solve("well_founded").state
+    engine.solve("well_founded")
+    base = engine._wf_bases["relevant"][0]
     before = [base.order_key(a) for a in range(base.n_atoms)]
+    old_index = base._idx
     engine.insert_facts(*_new_facts(program, database, seed=0)[:2])
     gp = engine.ground_for("relevant")
-    state = engine.solve("well_founded").state
-    assert engine.wf_patches == 1 and state is not base
+    engine.solve("well_founded")
+    state = engine._wf_bases["relevant"][0]
+    assert engine.wf_patches == 1
+    assert state is base and state._idx is gp.index is not old_index
     assert rank_builds == []
     ranks = [state.order_key(a) for a in range(state.n_atoms)]
     assert ranks == list(gp.index.atom_order)

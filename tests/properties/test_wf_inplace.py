@@ -1,0 +1,189 @@
+"""A live engine reopens its well-founded base in place; solutions keep snapshots.
+
+After a ``well_founded`` solve the engine keeps the end state as the base
+of its grounding mode, and the next solve after an in-place update runs
+on ``base.reopen(touched)``: the same state object, with only the forward
+cone of the touched atoms reset.  So no solve clones the base, and a
+solution cannot hold the live state: it keeps a
+:class:`~repro.ground.state.FinishedState` snapshot, over its model's
+status tuple, with reason buffers of its own.  Pinned here:
+
+* hypothesis traces over the delta families, in relevant and full mode,
+  hold every well-founded solution; after the trace each held solution's
+  state is a ``FinishedState`` whose status is its model's, whose reasons
+  are those it had when solved and pass ``assert_reasons_sound`` against
+  the index it was solved on, whose ``explain`` agrees with its model on
+  every atom, and whose model equals a fresh engine's on that step's
+  database;
+* well-founded solves after in-place updates call ``clone`` never, and
+  ``_wf_bases[mode][0]`` is one object until a rebuild drops it;
+* a solve that raises mid-cascade leaves no base, the next solve starts
+  fresh, and the solve after the next update patches again.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api.engine import Engine
+from repro.errors import CloseConflictError
+from repro.ground import state as state_module
+from repro.ground.explain import explain
+from repro.ground.state import FinishedState, GroundGraphState
+
+from tests.ground.test_reason_soundness import FAMILIES, assert_reasons_sound
+from tests.properties.test_delta_index import _candidates, _trace
+from tests.properties.test_wf_patch import MODES, _decoded
+
+
+@pytest.fixture
+def clones(monkeypatch):
+    """The states ``GroundGraphState.clone`` was called on, in call order."""
+    cloned: list[GroundGraphState] = []
+    clone = GroundGraphState.clone
+
+    def counting(self):
+        cloned.append(self)
+        return clone(self)
+
+    monkeypatch.setattr(GroundGraphState, "clone", counting)
+    return cloned
+
+
+def _held_trace(name, build, mode, seed, gaps):
+    """Solve after each gap of updates; yield each solution with the index
+    it was solved on, its reasons then, and a fresh engine's model then."""
+    program, database = build()
+    rng = random.Random(seed)
+    live = Engine(program, database.copy(), grounding=mode)
+    updates = _trace(live.database, _candidates(program, database, rng, fresh=1), rng, sum(gaps))
+    for gap in (0, *gaps):
+        for _ in range(gap):
+            inserted, retracted = next(updates)
+            live.retract_facts(*retracted)
+            live.insert_facts(*inserted)
+        solution = live.solve("well_founded")
+        state = solution.state
+        fresh = Engine(live.program, live.database.copy(), grounding=mode).solve("well_founded")
+        yield (
+            solution,
+            state.gp.index,
+            [state.reason_of(a) for a in range(state.n_atoms)],
+            _decoded(fresh.state.gp, fresh.model.status),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.integers(min_value=0, max_value=len(FAMILIES) - 1),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(min_value=0, max_value=10_000),
+    gaps=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6),
+)
+def test_held_solutions_keep_their_own_snapshot(case, mode, seed, gaps):
+    name, build = FAMILIES[case]
+    held = list(_held_trace(name, build, mode, seed, gaps))
+    for step, (solution, index, reasons, expected) in enumerate(held):
+        label = f"{name}/{mode} seed {seed} step {step}"
+        state = solution.state
+        assert type(state) is FinishedState, label
+        assert state.status == solution.model.status, f"{label}: status is not the model's"
+        assert [state.reason_of(a) for a in range(state.n_atoms)] == reasons, (
+            f"{label}: a later reopen moved the snapshot's reasons"
+        )
+        assert_reasons_sound(state, label, index=index)
+        table = state.gp.atoms
+        for a in range(state.n_atoms):
+            atom = table.atom(a)
+            assert explain(state, atom, max_depth=1).value == solution.value(atom), label
+        assert _decoded(state.gp, solution.model.status) == expected, f"{label}: fresh engine"
+
+
+@pytest.mark.parametrize("name,build", FAMILIES, ids=[name for name, _ in FAMILIES])
+@pytest.mark.parametrize("mode", MODES)
+def test_patched_solves_reopen_one_base_and_clone_nothing(name, build, mode, clones):
+    program, database = build()
+    rng = random.Random(7)
+    live = Engine(program, database.copy(), grounding=mode)
+    live.solve("well_founded")
+    base = live._wf_bases[mode][0]
+    updates = _trace(live.database, _candidates(program, database, rng, fresh=0), rng, 8)
+    for step, (inserted, retracted) in enumerate(updates):
+        rebuilds, patches = live.delta_rebuilds, live.wf_patches
+        live.retract_facts(*retracted)
+        live.insert_facts(*inserted)
+        live.solve("well_founded")
+        if live.delta_rebuilds == rebuilds:
+            assert live.wf_patches == patches + 1, f"{name}/{mode} step {step}: no patch"
+            assert live._wf_bases[mode][0] is base, f"{name}/{mode} step {step}: a new base"
+        base = live._wf_bases[mode][0]
+    assert clones == []
+    if name != "committee":  # its member(k) facts each carry a constant
+        assert live.wf_patches > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.integers(min_value=0, max_value=len(FAMILIES) - 1),
+    seed=st.integers(min_value=0, max_value=10_000),
+    data=st.data(),
+)
+def test_a_solve_that_raises_mid_cascade_drops_the_base(case, seed, data):
+    """The raise lands at the k-th unfounded round of a patched solve."""
+    name, build = FAMILIES[case]
+    program, database = build()
+    rng = random.Random(seed)
+    updates = _trace(database.copy(), _candidates(program, database, rng, fresh=0), rng, 2)
+    (inserted, retracted), (again_in, again_out) = updates
+    live = Engine(program, database.copy())
+    live.solve("well_founded")
+    rebuilds = live.delta_rebuilds
+    live.retract_facts(*retracted)
+    live.insert_facts(*inserted)
+    patched = live.delta_rebuilds == rebuilds
+
+    rounds = []
+    check = state_module.check_deadline
+    k = data.draw(st.integers(min_value=1, max_value=3), label="k")
+
+    def failing() -> None:
+        rounds.append(None)
+        if len(rounds) == k:
+            raise CloseConflictError(0)
+        check()
+
+    patches = live.wf_patches
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(state_module, "check_deadline", failing)
+        try:
+            live.solve("well_founded")
+        except CloseConflictError:
+            assert live.wf_patches == patches + patched
+            assert "relevant" not in live._wf_bases, f"{name}: an aborted solve kept its base"
+        else:
+            assert len(rounds) < k  # the cascade ended before round k
+
+    patches = live.wf_patches
+    solution = live.solve("well_founded")
+    fresh = Engine(live.program, live.database.copy()).solve("well_founded")
+    assert _decoded(solution.state.gp, solution.model.status) == _decoded(
+        fresh.state.gp, fresh.model.status
+    ), name
+    if len(rounds) >= k:
+        assert live.wf_patches == patches, f"{name}: the solve after the abort patched"
+
+    calls, rebuilds = live.update_calls, live.delta_rebuilds
+    live.retract_facts(*again_out)
+    live.insert_facts(*again_in)
+    patches = live.wf_patches
+    solution = live.solve("well_founded")
+    fresh = Engine(live.program, live.database.copy()).solve("well_founded")
+    assert _decoded(solution.state.gp, solution.model.status) == _decoded(
+        fresh.state.gp, fresh.model.status
+    ), name
+    patched_again = live.update_calls > calls and live.delta_rebuilds == rebuilds
+    assert live.wf_patches == patches + patched_again, f"{name}: the next update did not patch"
