@@ -20,9 +20,6 @@ benchmark all ride it.
 
 from __future__ import annotations
 
-import sys
-from collections import OrderedDict
-from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable, Iterator, Mapping
@@ -43,31 +40,18 @@ from repro.datalog.program import Program
 from repro.datalog.terms import Constant
 from repro.engine.plan import ConstantPool
 from repro.errors import GroundingError, SemanticsError, check_deadline
-from repro.ground.model import Interpretation
-from repro.ground.state import FinishedState, GroundGraphState
+from repro.ground.state import GroundGraphState
 from repro.io.artifact import load_artifact, save_ground_program
 from repro.api.registry import SemanticsSpec, SolveRequest, _check_options, get_spec
 from repro.api.solution import Solution
 from repro.semantics.choices import ChoicePolicy
-from repro.semantics.tie_breaking import (
-    FlatTrail,
-    TableModel,
-    TieSolve,
-    TieTable,
-    _ReplaySides,
-    _run,
-)
+from repro.semantics.tie_breaking import TieSolve, TieTable, _ReplaySides, _run
 
 __all__ = ["Engine", "solve", "enumerate_solutions"]
 
-#: The solution cache's bounds: at most this many entries, and at most this
-#: many bytes of entry buffers (see ``_CachedSolve.nbytes``).  The least
-#: recently used entry goes first, counted in ``solution_cache_evictions``.
-SOLUTION_CACHE_ENTRIES = 1024
-SOLUTION_CACHE_BYTES = 64 * 1024 * 1024
-
-#: The tie-breaking semantics, by whether their run takes the unfounded step.
-_TIE_SEMANTICS = {"tie_breaking": True, "pure_tie_breaking": False}
+#: The tie-breaking semantics: their checkpoints' tie tables are their only
+#: cache, so :meth:`Engine.solve` keeps no last solution for them.
+_TIE_SEMANTICS = frozenset({"tie_breaking", "pure_tie_breaking"})
 
 
 def _check_grounding(mode: str | None) -> None:
@@ -75,89 +59,6 @@ def _check_grounding(mode: str | None) -> None:
         raise SemanticsError(
             f"unknown grounding mode {mode!r}; allowed: {', '.join(GROUNDING_MODES)}"
         )
-
-
-class _CachedSolve:
-    """One solution-cache entry: a finished solve as a few flat buffers.
-
-    ``status`` is the model's status: ``bytes`` for a tie-breaking solve,
-    whose ``trail`` (a :class:`~repro.semantics.tie_breaking.FlatTrail`)
-    lets the engine replay its state; the model's own status tuple
-    otherwise, with whatever ``state`` the solve kept — for a
-    well-founded solve, a :class:`~repro.ground.state.FinishedState`
-    snapshot over that same tuple, with reason buffers of its own.  The
-    entry of a solve a tie table served keeps no status: its trail names
-    the table, and the trail flags and the table determine the model, so
-    ``status`` is patched from the table when read.  ``epoch`` is the
-    engine's ``update_calls`` when the solve ran.  ``nbytes`` counts the
-    status, the trail buffers and a snapshot's reason buffers and
-    labels; not counted are the ``ids`` / ``offsets`` of a trail a tie
-    table made, which are the table's (``tie_table_bytes``): such an
-    entry counts its flags only, and keeps its table alive.
-    """
-
-    __slots__ = (
-        "semantics",
-        "found",
-        "total",
-        "closed_world",
-        "policy",
-        "iterations",
-        "timings",
-        "gp",
-        "_status",
-        "state",
-        "trail",
-        "epoch",
-        "nbytes",
-    )
-
-    def __init__(self, solution: Solution, epoch: int, solved: TieSolve | None) -> None:
-        self.semantics = solution.semantics
-        self.found = solution.found
-        self.total = solution.total
-        self.closed_world = solution.closed_world
-        self.policy = solution.policy
-        self.iterations = solution.iterations
-        self.timings = dict(solution.timings)
-        self.gp = solution.ground_program
-        self.epoch = epoch
-        if solved is not None:
-            self.state: FinishedState | None = None
-            self.trail: FlatTrail | None = solved.trail
-            if solved.shared:
-                self._status: bytes | tuple[int, ...] | None = None
-                self.nbytes = sys.getsizeof(self.trail.flags)
-            else:
-                self._status = bytes(solved.model.status)
-                self.nbytes = sys.getsizeof(self._status) + self.trail.nbytes
-        else:
-            self._status = solution.model.status
-            self.state = state = solution.state
-            self.trail = None
-            self.nbytes = sys.getsizeof(self._status)
-            if state is not None:
-                # A well-founded snapshot's reason buffers are its own.
-                self.nbytes += (
-                    sys.getsizeof(state._reason_kind)
-                    + sys.getsizeof(state._reason_arg)
-                    + sys.getsizeof(state._labels)
-                )
-
-    @property
-    def status(self) -> bytes | tuple[int, ...]:
-        """The model's status (patched from the tie table for an entry
-        that keeps none)."""
-        if self._status is None:
-            return self.trail.tie_table.status(self.trail.flags)
-        return self._status
-
-    def model(self) -> Interpretation | TableModel:
-        """The model a hit is given: the table's for an entry that keeps
-        no status, else an :class:`~repro.ground.model.Interpretation`."""
-        if self._status is None:
-            return TableModel(self.trail.tie_table, self.trail.flags)
-        return Interpretation(self.gp, tuple(self._status))
 
 
 class _TieCheckpoint:
@@ -227,10 +128,9 @@ class Engine:
         # the same constant → dense-id mapping (and hence row encodings).
         self._pool = ConstantPool()
         self._ground_cache: dict[GroundingMode, GroundProgram] = {}
-        # Bounded LRU of compact solves, keyed by _cache_key; see solve.
-        self._solution_cache: OrderedDict[tuple, _CachedSolve] = OrderedDict()
-        self._solution_cache_bytes = 0
-        self.solution_cache_evictions = 0
+        # The last solution per deterministic semantics, with the options
+        # it was solved with; see solve.
+        self._last: dict[str, tuple[dict[str, Any], Solution]] = {}
         # Kernel states at the end of the tie-breaking prefix, with their
         # tie tables, keyed by (grounding mode, well_founded); see
         # _tie_checkpoint and _tie_solve.
@@ -379,7 +279,7 @@ class Engine:
         self, spec: SemanticsSpec, options: dict[str, Any], *, enumerating: bool = False
     ) -> tuple[SolveRequest, dict[str, Any]]:
         """The runner's request, plus a record of the well-founded state it
-        ran on (see :meth:`_wf_state`) or of its tie-breaking solve, if any."""
+        ran on (see :meth:`_wf_state`), if any."""
         requested = options.pop("grounding", None)
         _check_grounding(requested)
         max_instances = options.pop("max_instances", None)
@@ -395,10 +295,6 @@ class Engine:
         def fetch() -> GroundProgram:
             return self.ground_for(grounding, max_instances=max_instances)
 
-        def tie_solve(well_founded: bool, policy: ChoicePolicy) -> TieSolve:
-            solved = used["tie_solve"] = self._tie_solve(fetch(), well_founded, policy)
-            return solved
-
         request = SolveRequest(
             program=self.program,
             database=self.database,
@@ -406,7 +302,7 @@ class Engine:
             gp=fetch,
             options=options,
             tie_state=lambda well_founded: self._tie_state(fetch(), well_founded),
-            tie_solve=tie_solve,
+            tie_solve=lambda well_founded, policy: self._tie_solve(fetch(), well_founded, policy),
             wf_state=lambda: self._wf_state(fetch(), used),
         )
         return request, used
@@ -525,23 +421,6 @@ class Engine:
         state.finish()
         return TieSolve.of_run(state, choices)
 
-    @staticmethod
-    def _cache_key(spec: SemanticsSpec, options: Mapping[str, Any]) -> tuple | None:
-        """A reuse key for one solve, or None when reuse would be unsafe.
-
-        Option values are keyed by ``repr`` — every bundled policy is
-        self-describing (``RandomChoice(seed=7)``), so equal reprs mean
-        equal behaviour.  Values whose repr is identity-based (contains a
-        memory address) are not cacheable: ids get recycled.
-        """
-        parts = []
-        for key, value in sorted(options.items()):
-            description = repr(value)
-            if " at 0x" in description:
-                return None
-            parts.append((key, description))
-        return (spec.name, tuple(parts))
-
     def _finalize(self, solution: Solution, solve_s: float) -> Solution:
         # Keep whatever the solver recorded (the kernel's per-phase solve
         # breakdown: close_s / unfounded_s / tie_select_s / tie_apply_s /
@@ -571,104 +450,33 @@ class Engine:
         :class:`~repro.errors.GroundingError` if grounding exceeds a
         requested ``max_instances`` cap.
 
-        Results are cached per (semantics, options): repeated solves — and
-        the ``query``/``query_many``/``explain`` helpers built on them —
-        reuse the first computation.  A repeat returns a new solution equal
-        to the first (same model, choices, policy and timings), not the
-        same object; see :meth:`_cached_solution`.  Pass a policy with a
-        different seed for an independent nondeterministic run.
+        A deterministic semantics keeps its last solution: a repeat with
+        options that compare equal (and no update in between) returns a
+        new solution equal to the first, sharing its ``state``, not the
+        same object (counted in ``solution_cache_hits``); the
+        ``query``/``query_many``/``explain`` helpers ride it.  The
+        tie-breaking semantics keep none: a repeated policy is drawn again
+        and, on a warm checkpoint, served from its tie table (see
+        :meth:`_tie_solve`).  Pass a policy with a different seed for an
+        independent nondeterministic run.
         """
         spec = get_spec(semantics)
-        key = self._cache_key(spec, options)
-        if key is not None:
-            entry = self._solution_cache.get(key)
-            if entry is not None:
-                self._solution_cache.move_to_end(key)
-                self.solution_cache_hits += 1
-                return self._cached_solution(entry)
+        last = self._last.get(spec.name)
+        if last is not None and last[0] == options:
+            self.solution_cache_hits += 1
+            stored = last[1]
+            # A timings dict of its own: each solution books ``result_s``
+            # for the atom views it decodes.
+            return stored.replace(timings=dict(stored.timings))
         request, used = self._request(spec, dict(options))
         t0 = perf_counter()
         solution = self._finalize(spec.solver(request), perf_counter() - t0)
         state = used.get("wf_state")
         if state is not None:
             self._wf_bases[state.gp.mode] = (state, set())
-        if key is not None:
-            entry = _CachedSolve(solution, self.update_calls, used.get("tie_solve"))
-            self._cache_solution(key, entry)
+        if spec.name not in _TIE_SEMANTICS:
+            self._last[spec.name] = (options, solution)
         return solution
-
-    def _cache_solution(self, key: tuple, entry: _CachedSolve) -> None:
-        """Store ``entry``, then evict least recently used entries until
-        the cache is within ``SOLUTION_CACHE_ENTRIES`` and
-        ``SOLUTION_CACHE_BYTES``."""
-        cache = self._solution_cache
-        cache[key] = entry
-        self._solution_cache_bytes += entry.nbytes
-        while cache and (
-            len(cache) > SOLUTION_CACHE_ENTRIES or self._solution_cache_bytes > SOLUTION_CACHE_BYTES
-        ):
-            _, evicted = cache.popitem(last=False)
-            self._solution_cache_bytes -= evicted.nbytes
-            self.solution_cache_evictions += 1
-
-    def _cached_solution(self, entry: _CachedSolve) -> Solution:
-        """A new :class:`Solution` equal to the one that filled ``entry``.
-
-        Its model is rebuilt from the status, or read from the tie table
-        (:meth:`_CachedSolve.model`), and its timings are those of the
-        solve that filled the entry.  A tie-breaking solution decodes its
-        ``choices`` from the flat trail on first read, and rebuilds its
-        ``state`` on first read by replaying the trail (:meth:`_replay`).
-        """
-        solution = Solution(
-            entry.semantics,
-            entry.found,
-            entry.total,
-            entry.model(),
-            entry.closed_world,
-            policy=entry.policy,
-            iterations=entry.iterations,
-            timings=dict(entry.timings),
-            state=entry.state,
-        )
-        trail = entry.trail
-        if trail is not None:
-            solution.defer(
-                choices=partial(trail.choices, entry._status, entry.gp.atoms),
-                state=partial(self._replay, entry),
-                trail=trail,
-            )
-        return solution
-
-    def _replay(self, entry: _CachedSolve) -> FinishedState:
-        """The finished state of a cached tie-breaking solve, run again.
-
-        Replays the entry's trail through :meth:`_tie_solve`, with a policy
-        that answers each free tie with its recorded side, so a warm tie
-        table serves it without a kernel run.  Raises
-        :class:`~repro.errors.SemanticsError` if the engine took an update
-        since the entry was stored, or if the replay's trail flags or
-        model status differ from the entry's.  An entry a tie table served
-        keeps no status of its own: its ``status`` is read from the same
-        table and flags, so when the table serves the replay too, only
-        the flags are checked; the status check bites when the replay
-        runs the kernel.  (Such an entry's status does not drift as the
-        table fills: ``fill`` writes only the (tie, side) outcomes not yet
-        recorded, and the entry's flags read recorded ones only.)
-        """
-        if entry.epoch != self.update_calls:
-            raise SemanticsError(
-                "the engine took an update since this solution was solved; "
-                "solve again to explain it"
-            )
-        trail = entry.trail
-        well_founded = _TIE_SEMANTICS[entry.semantics]
-        solved = self._tie_solve(entry.gp, well_founded, _ReplaySides(trail.flags))
-        if solved.trail.flags != trail.flags or bytes(solved.model.status) != entry.status:
-            raise SemanticsError(
-                "replaying a cached tie trail did not reproduce the cached solution"
-            )
-        return solved.state()
 
     def enumerate(
         self, semantics: str = "tie_breaking", *, limit: int | None = None, **options: Any
@@ -805,8 +613,7 @@ class Engine:
         self.update_calls += 1
         self.facts_inserted += len(inserted)
         self.facts_retracted += len(retracted)
-        self._solution_cache.clear()
-        self._solution_cache_bytes = 0
+        self._last.clear()
         self._checkpoints.clear()
         self._timings["update_s"] = self._timings.get("update_s", 0.0) + perf_counter() - t0
 
@@ -934,10 +741,8 @@ class Engine:
             "wf_patches": self.wf_patches,
             "interned_constants": len(self._pool),
             "cached_modes": sorted(self._ground_cache),
-            "cached_solutions": len(self._solution_cache),
-            "solution_cache_bytes": self._solution_cache_bytes,
+            "cached_solutions": len(self._last),
             "solution_cache_hits": self.solution_cache_hits,
-            "solution_cache_evictions": self.solution_cache_evictions,
             "tie_table_solves": self.tie_table_solves,
             "tie_table_fallbacks": self.tie_table_fallbacks,
             "tie_table_bytes": sum(

@@ -193,17 +193,20 @@ def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
     # instance stands (a copy of a RandomChoice restarts from its seed).
     solved = req.tie_solve(well_founded, copy.deepcopy(policy))
     # A solve read from a tie table builds its model's Interpretation, its
-    # choices and its state only when they are first read, as a cache hit
-    # does; ``total`` comes with the solve, so no scan of the model's tuple.
+    # choices and its state only when they are first read; its model is
+    # also its trail.  ``total`` comes with the solve, so no scan of the
+    # model's tuple.
+    model = solved.model
     solution = Solution(
         name,
         True,
         solved.total,
-        solved.model,
+        model,
         policy=repr(policy),
         timings=dict(solved.phase_s),
     )
-    solution.defer(choices=solved.choices, state=solved.state, trail=solved.trail)
+    trail = None if isinstance(model, Interpretation) else model
+    solution.defer(choices=solved.choices, state=solved.state, trail=trail)
     return solution
 
 

@@ -50,7 +50,7 @@ from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 if TYPE_CHECKING:  # pragma: no cover - import cycles at type-check time only
     from repro.datalog.grounding import GroundProgram, LiteralTable
     from repro.ground.state import FinishedState
-    from repro.semantics.tie_breaking import FlatTrail, TableModel, TieChoice
+    from repro.semantics.tie_breaking import TableModel, TieChoice
 
 __all__ = ["Solution"]
 
@@ -73,8 +73,9 @@ _FIELDS = (
 # Solution.model).
 _DEFERRED = ("model", "choices", "state")
 # Fields equality compares as they are: ``state`` is left out, as the model
-# and the trail determine it (comparing it would replay a cache hit's
-# trail), and ``timings`` are compared without ``result_s`` (see __eq__).
+# and the trail determine it (comparing it would build a table-served
+# solve's state), and ``timings`` are compared without ``result_s`` (see
+# __eq__).
 _COMPARED = tuple(name for name in _FIELDS if name not in ("state", "timings"))
 
 
@@ -136,15 +137,12 @@ class Solution:
       :class:`~repro.ground.state.FinishedState`: the model and its
       reasons, without the kernel's search machinery.
 
-    A solution served from the engine's solution cache is built by
-    :meth:`defer`: its ``choices`` are decoded from the cached trail, and
-    its ``state`` replayed from it, on first read of each.  A
-    tie-breaking miss is built the same way: a solve read from the
-    engine's tie table decodes its choices from the table's trail and
-    rebuilds its state from the table on first read (a run's loaders
-    hand back what the run built).  Equality compares every field but
+    A tie-breaking solve is built by :meth:`defer`: a solve read from the
+    engine's tie table decodes its choices from the table and rebuilds
+    its state from the table on first read of each (a run's loaders hand
+    back what the run built).  Equality compares every field but
     ``state``, and ``timings`` without ``result_s``, so comparing
-    solutions never replays a trail, and a solution equals its cache hit
+    solutions never builds a state, and a solution equals its cache hit
     whichever atom views either decoded.
 
     Thread-safety of the lazy views: decode is idempotent (two racing
@@ -182,7 +180,7 @@ class Solution:
         self._load_choices: Callable[[], tuple["TieChoice", ...]] | None = None
         self._load_state: Callable[[], "FinishedState"] | None = None
         self._free: int | None = None
-        self.trail: FlatTrail | None = None
+        self.trail: TableModel | None = None
         # Decoded views, filled on first read.
         self._true: frozenset[Atom] | None = None
         self._undefined: frozenset[Atom] | None = None
@@ -197,20 +195,22 @@ class Solution:
         *,
         choices: Callable[[], tuple["TieChoice", ...]],
         state: Callable[[], "FinishedState"],
-        trail: "FlatTrail",
+        trail: "TableModel | None" = None,
     ) -> None:
         """Build ``choices`` and ``state`` on their first read, not now.
 
         ``choices()`` and ``state()`` are called at most once each, when
         the field is first read (an atoms-only reply reads neither).
-        ``trail`` is the solve's flat trail, kept as :attr:`trail`:
-        ``free_choice_count`` answers from it without decoding, and the
-        encoder writes a tie table's trail from the table's side texts.
-        Either loader may raise; the field is then left unbuilt.
+        ``trail`` is the table and trail flags of a solve a tie table
+        served, kept as :attr:`trail`: ``free_choice_count`` answers from
+        the table without decoding, and the encoder writes the choices
+        from the table's side texts.  Either loader may raise; the field
+        is then left unbuilt.
         """
         self._load_choices = choices
         self._load_state = state
-        self._free = trail.free
+        if trail is not None:
+            self._free = trail.table.free
         self.trail = trail
 
     @property
@@ -223,7 +223,7 @@ class Solution:
 
     @property
     def state(self) -> Optional["FinishedState"]:
-        """The retained evaluation state (replayed on first read when deferred)."""
+        """The retained evaluation state (built on first read when deferred)."""
         if self._load_state is not None:
             self._state = self._load_state()
             self._load_state = None

@@ -348,10 +348,11 @@ def _cmd_serve(args) -> int:
         sys.stdout.write(lines.decode())
     failed = sum(1 for r in results if not r.get("ok"))
     rate = len(results) / elapsed if elapsed > 0 else float("inf")
-    # Aggregate solve-phase stats over *distinct* solves: requests served
-    # from an engine's solution cache echo the timings of the solve that
-    # populated it, and double-counting those would report more solve
-    # seconds than wall-clock time.  A full reply's encode_s is its own:
+    # Aggregate solve-phase stats over *distinct* solves: requests an
+    # engine serves from its last deterministic solution (tie-breaking
+    # solves are never cached) echo the timings of the solve that filled
+    # it, and double-counting those would report more solve seconds than
+    # wall-clock time.  A full reply's encode_s is its own:
     # it does not tell solves apart.
     distinct_solves: set[tuple] = set()
     encode_s = 0.0

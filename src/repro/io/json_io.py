@@ -212,9 +212,9 @@ def solution_text(solution: "Solution") -> str:
     table's own texts; a closed-world solution dumps its
     :meth:`~repro.api.Solution.texts`.  The tie choices of a solve a
     :class:`~repro.semantics.tie_breaking.TieTable` served (its
-    :attr:`~repro.api.Solution.trail` names the table) are two of the
-    table's side texts each, picked by the flag's side bit; any other
-    trail is written from its ``choices``.
+    :attr:`~repro.api.Solution.trail` is the table and the trail flags)
+    are two of the table's side texts each, picked by the flag's side bit;
+    any other trail is written from its ``choices``.
     """
     dumps = json.dumps
     literals = None
@@ -273,8 +273,8 @@ _CHOICE_HEAD = ('{"forced": false, "made_false": ', '{"forced": true, "made_fals
 def _choice_texts(solution: "Solution", literals: "LiteralTable") -> Iterator[str]:
     """The JSON object of each tie choice of ``solution``."""
     trail = solution.trail
-    if trail is not None and trail.tie_table is not None:
-        sides = trail.tie_table.side_texts(literals)
+    if trail is not None:
+        sides = trail.table.side_texts(literals)
         for k, flag in enumerate(trail.flags):
             true = 2 * k + (flag & 1)
             false = true ^ 1

@@ -61,7 +61,9 @@ known, the solve is the trail's flag bytes over the table
 (:class:`TableModel`): no clone, no ``close``, no status; its values and
 model lists are read from the table, and its status, choices and state
 are built only when first read
-(:meth:`repro.api.engine.Engine._tie_solve`).
+(:meth:`repro.api.engine.Engine._tie_solve`).  The table is the engine's
+only cache of tie-breaking solves: a repeated seed is drawn again and
+served from it.
 """
 
 from __future__ import annotations
@@ -71,11 +73,11 @@ from array import array
 from functools import partial
 from itertools import chain, compress
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from repro.datalog.atoms import Atom
 from repro.datalog.grounding import _ABSENT, LiteralTable
-from repro.errors import SemanticsError, check_deadline
+from repro.errors import check_deadline
 from repro.ground.model import _BOOL_OF, _NO_GHOSTS, FALSE, TRUE, UNDEF, Interpretation
 from repro.ground.state import (
     _R_TIE,
@@ -86,7 +88,7 @@ from repro.ground.state import (
 )
 from repro.semantics.choices import ChoicePolicy, forced_orientation
 
-__all__ = ["FlatTrail", "TableModel", "TieChoice", "TieSolve", "TieTable"]
+__all__ = ["TableModel", "TieChoice", "TieSolve", "TieTable"]
 
 
 class TieChoice:
@@ -148,134 +150,40 @@ class TieChoice:
         )
 
 
-class FlatTrail:
-    """A tie trail as a few flat buffers: what a cached solve keeps of it.
-
-    The paper's tie-breaking run is determined by its orientations, so a
-    cache entry stores the trail, not an object per choice:
-
-    * ``ids`` — each choice's true ids, then its false ids (``array("i")``),
-      or, for a trail a :class:`TieTable` made, each tie's side-0 ids then
-      its side-1 ids (the table's own ``ids``, whose cone atoms follow
-      past the last choice);
-    * ``offsets`` — choice ``k`` owns ``ids[offsets[k]:offsets[k + 1]]``;
-    * ``flags`` — one byte per choice: bit 0 is the side its true atoms
-      took (the ``_R_TIE`` reason argument), bit 1 its ``forced`` flag;
-    * ``free`` — the number of free (not forced) choices;
-    * ``tie_table`` — the :class:`TieTable` whose ``ids`` / ``offsets``
-      these are, or ``None`` for a trail a run made.
-
-    A choice's true count is not stored.  On a table's trail, choice
-    ``k`` is tie ``k``: its sides split at the table's ``mids[k]``, and
-    the side bit says which one is true.  On a run's trail, its true ids
-    are exactly its ids whose status byte in the solve's model is true,
-    so :meth:`choices` reads the split from the status it is given,
-    whatever order a choice's ids are stored in.
-    """
-
-    __slots__ = ("ids", "offsets", "flags", "free", "tie_table")
-
-    def __init__(
-        self,
-        ids: array,
-        offsets: array,
-        flags: bytes,
-        free: int,
-        tie_table: "TieTable | None" = None,
-    ) -> None:
-        self.ids = ids
-        self.offsets = offsets
-        self.flags = flags
-        self.free = free
-        self.tie_table = tie_table
-
-    @classmethod
-    def encode(cls, choices: Iterable[TieChoice], reason_arg) -> "FlatTrail":
-        """The trail of a run's ``choices``; ``reason_arg`` is its finished
-        state's reason-argument buffer, where each tie atom keeps its side."""
-        ids: list[int] = []
-        offsets = [0]
-        flags = bytearray()
-        free = 0
-        for choice in choices:
-            ids += choice.true_ids
-            ids += choice.false_ids
-            offsets.append(len(ids))
-            if choice.true_ids:
-                side = reason_arg[choice.true_ids[0]]
-            else:  # a forced choice whose true side is empty
-                side = 1 - reason_arg[choice.false_ids[0]]
-            flags.append(side | (2 if choice.forced else 0))
-            free += not choice.forced
-        return cls(array("i", ids), array("i", offsets), bytes(flags), free)
-
-    @property
-    def nbytes(self) -> int:
-        """The size of the three buffers, object headers included."""
-        return sys.getsizeof(self.ids) + sys.getsizeof(self.offsets) + sys.getsizeof(self.flags)
-
-    def choices(self, status: bytes | tuple[int, ...] | None, table) -> tuple[TieChoice, ...]:
-        """Decode the trail into :class:`TieChoice` objects over ``table``
-        (``status`` is read only on a run's trail)."""
-        ids, offsets = self.ids, self.offsets
-        out = []
-        if self.tie_table is not None:
-            ties = zip(self.flags, offsets, self.tie_table.mids, offsets[1:])
-            for flag, lo, mid, hi in ties:
-                sides = (ids[lo:mid], ids[mid:hi])
-                side = flag & 1
-                out.append(TieChoice(sides[side], sides[1 - side], bool(flag & 2), table))
-            return tuple(out)
-        for k, flag in enumerate(self.flags):
-            chunk = ids[offsets[k] : offsets[k + 1]]
-            made_true = [a for a in chunk if status[a] == TRUE]
-            made_false = [a for a in chunk if status[a] != TRUE]
-            out.append(TieChoice(made_true, made_false, bool(flag & 2), table))
-        return tuple(out)
-
-
 class _ReplaySides:
     """A policy that answers each free tie with the side the next free
-    choice of ``flags`` (see :class:`FlatTrail`) took, then hands later
-    ties to ``then``; without ``then``, a tie past the record raises."""
+    choice of ``flags`` took (trail flags, as :meth:`TieTable.draw` makes
+    them), then hands later ties to ``then``."""
 
-    def __init__(self, flags: bytes, then: ChoicePolicy | None = None) -> None:
+    def __init__(self, flags: bytes, then: ChoicePolicy) -> None:
         self._sides = (flag & 1 for flag in flags if not flag & 2)
         self._then = then
 
     def choose_true_side(self, side0_atoms, side1_atoms) -> int:
         side = next(self._sides, None)
-        if side is not None:
-            return side
-        if self._then is None:
-            raise SemanticsError("the replay met more free ties than the trail records")
-        return self._then.choose_true_side(side0_atoms, side1_atoms)
+        if side is None:
+            return self._then.choose_true_side(side0_atoms, side1_atoms)
+        return side
 
 
 class TieSolve(NamedTuple):
     """One tie-breaking solve, as the engine hands it on.
 
     ``model`` is the model, ``total`` whether it is total (worked out
-    once, on the run's status or by the table), ``phase_s`` the kernel
-    phase times and ``trail`` the solve's :class:`FlatTrail`;
-    ``choices()`` and ``state()`` build the choice trail and the finished
-    state.
+    once, on the run's status or by the table) and ``phase_s`` the kernel
+    phase times; ``choices()`` and ``state()`` build the choice trail and
+    the finished state.
 
     * A run (:meth:`of_run`) leaves its finished state and its choices:
-      its model is an :class:`~repro.ground.model.Interpretation`, and its
-      trail is encoded from the choices.
-    * A table solve (:meth:`TieTable.solve`) leaves only what a cache
-      entry keeps: a :class:`TableModel` (the table and the trail flags)
-      and a trail whose ``ids`` and ``offsets`` are the table's
-      (``shared``) and which names the table.  Its status, choices and
-      state are built from the table when asked for.
+      its model is an :class:`~repro.ground.model.Interpretation`.
+    * A table solve (:meth:`TieTable.solve`) leaves a :class:`TableModel`
+      (the table and the trail flags); its status, choices and state are
+      built from the table when asked for.
     """
 
     model: "Interpretation | TableModel"
     total: bool
     phase_s: dict[str, float]
-    trail: FlatTrail
-    shared: bool
     choices: Callable[[], tuple[TieChoice, ...]]
     state: Callable[[], FinishedState]
 
@@ -287,8 +195,6 @@ class TieSolve(NamedTuple):
             state.interpretation(),
             UNDEF not in state.status,
             state.phase_s,
-            FlatTrail.encode(trail, state._reason_arg),
-            shared=False,
             choices=lambda: trail,
             state=lambda: state,
         )
@@ -299,7 +205,10 @@ class TableModel:
 
     The first-round ties are disjoint bottom components, each split into
     its Lemma-1 sides (K true, L false), so the model is one side bit per
-    tie (the trail ``flags``) plus the table's outcome per (tie, side).
+    tie (the trail ``flags``: per tie, bit 0 is the side it made true and
+    bit 1 marks a forced tie) plus the table's outcome per (tie, side).
+    The pair is the solve's trail too (:attr:`repro.api.Solution.trail`):
+    :meth:`TieTable.choices` decodes it.
     :meth:`value_of_id` and :meth:`masks` read it from the table, and
     the status by atom id is patched together only when :attr:`status`
     or :meth:`interpretation` asks for it.  ``index`` is the grounding's
@@ -399,7 +308,7 @@ class TieView(NamedTuple):
         return self.status0[k]
 
 
-# Byte translations of a FlatTrail flag: whether it is free, the bit of its
+# Byte translations of a trail flag: whether it is free, the bit of its
 # side in TieTable.filled, and 0xff for side 1 (a TieView.status mask).
 _FREE = bytes(not flag & 2 for flag in range(256))
 _NEEDED = bytes(1 << (flag & 1) for flag in range(256))
@@ -430,8 +339,7 @@ class TieTable:
       side-1 atom ids, each run sorted, and after the last tie's sides,
       each tie's other cone atoms, sorted;
     * ``offsets`` — tie ``k``'s sides are ``ids[offsets[k]:offsets[k + 1]]``,
-      side 1 from ``mids[k]``: the ``ids`` / ``offsets`` of the trail of
-      every table solve, which shares them;
+      side 1 from ``mids[k]``;
     * ``rest`` — tie ``k``'s other cone atoms are ``ids[rest[k]:rest[k + 1]]``;
     * ``ranks`` — the canonical ranks policies see, aligned with the
       sides (``ids`` itself on a fresh grounding);
@@ -721,19 +629,27 @@ class TieTable:
 
     def solve(self, flags: bytes) -> TieSolve:
         """The solve that orients the ties as ``flags`` says, read from the
-        table (requires :meth:`covers`), in the cache entry's compact form:
-        no status is built."""
-        trail = FlatTrail(self.ids, self.offsets, flags, self.free, self)
+        table (requires :meth:`covers`): no status is built."""
         phase_s = dict(self.base.phase_s)
         return TieSolve(
             TableModel(self, flags),
             self.total,
             phase_s,
-            trail,
-            shared=True,
-            choices=partial(trail.choices, None, self.base.gp.atoms),
+            choices=partial(self.choices, flags),
             state=partial(self.state, flags, phase_s),
         )
+
+    def choices(self, flags: bytes) -> tuple[TieChoice, ...]:
+        """The choice trail of the solve that orients the ties as ``flags``
+        says: choice ``k`` is tie ``k``, its sides split at ``mids[k]``,
+        and the flag's side bit says which one is true."""
+        ids, offsets, atoms = self.ids, self.offsets, self.base.gp.atoms
+        out = []
+        for flag, lo, mid, hi in zip(flags, offsets, self.mids, offsets[1:]):
+            sides = (ids[lo:mid], ids[mid:hi])
+            side = flag & 1
+            out.append(TieChoice(sides[side], sides[1 - side], bool(flag & 2), atoms))
+        return tuple(out)
 
     def state(self, flags: bytes, phase_s: dict[str, float]) -> FinishedState:
         """The finished state of the run that orients the ties as ``flags``

@@ -469,13 +469,12 @@ class ReproServer:
             "max_pending": self.max_pending,
             "draining": self._draining,
             "sessions": self.sessions.stats(),
-            # The inline engine's solution cache and first-round tie
-            # tables (session engines keep their own, private ones).
+            # The inline engine's last deterministic solutions and its
+            # first-round tie tables, the tie-breaking cache (session
+            # engines keep their own, private ones).
             "cache": {
                 "entries": engine["cached_solutions"],
-                "bytes": engine["solution_cache_bytes"],
                 "hits": engine["solution_cache_hits"],
-                "evictions": engine["solution_cache_evictions"],
                 "tie_table_solves": engine["tie_table_solves"],
                 "tie_table_fallbacks": engine["tie_table_fallbacks"],
                 "tie_table_bytes": engine["tie_table_bytes"],

@@ -8,7 +8,7 @@ from repro.datalog.atoms import Atom
 from repro.datalog.grounding import GroundIndex, ground
 from repro.datalog.terms import Constant, Variable
 from repro.datalog.parser import parse_database, parse_program
-from repro.errors import SemanticsError, ValidationError
+from repro.errors import GroundingError, SemanticsError, ValidationError
 from repro.workloads import families
 
 WIN_MOVE = "win(X) :- move(X, Y), not win(Y)."
@@ -289,7 +289,9 @@ class TestGroundingSafety:
 
 
 class TestSolutionCache:
-    """Repeated solves (and the helpers on top) reuse the first computation."""
+    """A deterministic semantics keeps its last solution; a repeat with
+    equal options (and the helpers on top) reuses it.  Tie-breaking
+    solves keep none: their checkpoint's tie table is their cache."""
 
     def test_repeated_solve_is_cached(self):
         engine = Engine(WIN_MOVE, DRAW_DB)
@@ -302,37 +304,66 @@ class TestSolutionCache:
 
     def test_queries_and_explain_share_one_solve(self):
         engine = Engine(WIN_MOVE, DRAW_DB)
-        engine.query("win", semantics="tie_breaking")
+        engine.query("win", semantics="well_founded")
+        engine.query_many(["win(1)"], semantics="well_founded")
+        engine.explain("win(1)", semantics="well_founded")
+        engine.explain("win(2)", semantics="well_founded")
+        assert engine.stats()["cached_solutions"] == 1
+        assert engine.stats()["solution_cache_hits"] == 3
+        # The tie-breaking helpers solve again each time.
         engine.query_many(["win(1)"], semantics="tie_breaking")
         engine.explain("win(1)", semantics="tie_breaking")
-        engine.explain("win(2)", semantics="tie_breaking")
         assert engine.stats()["cached_solutions"] == 1
         assert engine.stats()["solution_cache_hits"] == 3
 
-    def test_distinct_options_get_distinct_entries(self):
+    def test_a_repeated_tie_seed_is_solved_again(self):
         from repro.semantics.choices import RandomChoice
 
         engine = Engine(WIN_MOVE, DRAW_DB)
         a = engine.solve("tie_breaking", policy=RandomChoice(1))
         b = engine.solve("tie_breaking", policy=RandomChoice(2))
         assert a is not b
-        # Same self-describing policy spec -> cache hit, equal to the first.
+        # Same self-describing policy spec -> a new solve, equal to the first.
         again = engine.solve("tie_breaking", policy=RandomChoice(1))
-        assert engine.stats()["solution_cache_hits"] == 1
+        assert engine.stats()["solution_cache_hits"] == 0
+        assert engine.stats()["cached_solutions"] == 0
         assert again.model == a.model and again.choices == a.choices
         assert again.policy == a.policy == "RandomChoice(seed=1)"
 
-    def test_hits_and_misses_compare_equal_without_a_replay(self):
+    def test_same_repr_policies_do_not_share_an_answer(self):
+        class Flip:
+            """Always picks ``side``; its repr does not say which."""
+
+            def __init__(self, side):
+                self.side = side
+
+            def choose_true_side(self, side0, side1):
+                return self.side
+
+            def __repr__(self):
+                return "Flip()"
+
+        engine = Engine(WIN_MOVE, DRAW_DB)
+        win = Atom("win", (Constant(1),))
+        assert engine.solve("tie_breaking", policy=Flip(0)).value(win) is True
+        fresh = Engine(WIN_MOVE, DRAW_DB).solve("tie_breaking", policy=Flip(1))
+        assert fresh.value(win) is False
+        assert engine.solve("tie_breaking", policy=Flip(1)).value(win) is False
+
+    def test_repeats_match_without_building_a_state(self):
         from repro.semantics.choices import RandomChoice
 
         engine = Engine(*families.grounded_argumentation(40))
-        miss = engine.solve("tie_breaking", policy=RandomChoice(1))
-        hit = engine.solve("tie_breaking", policy=RandomChoice(1))
+        first = engine.solve("tie_breaking", policy=RandomChoice(1))
         again = engine.solve("tie_breaking", policy=RandomChoice(1))
-        assert hit == miss and miss == hit and hit == again
-        # Equality leaves the state out: neither hit replayed its trail.
-        assert hit._load_state is not None and again._load_state is not None
-        assert hit != engine.solve("tie_breaking", policy=RandomChoice(2))
+        third = engine.solve("tie_breaking", policy=RandomChoice(1))  # from the tie table
+        assert engine.stats()["tie_table_solves"] == 1
+        for repeat in (again, third):
+            assert (repeat.model, repeat.choices) == (first.model, first.choices)
+            assert repeat.policy == first.policy
+        # Equality leaves the state out: comparing builds none.
+        assert third == third.replace() and third._load_state is not None
+        assert third != engine.solve("tie_breaking", policy=RandomChoice(2))
 
     def test_identity_repr_options_are_not_cached(self):
         class OpaquePolicy:
@@ -344,6 +375,67 @@ class TestSolutionCache:
         b = engine.solve("tie_breaking", policy=OpaquePolicy())
         assert a is not b
         assert engine.stats()["solution_cache_hits"] == 0
+
+    def test_one_slot_per_deterministic_semantics(self):
+        engine = Engine(STRATIFIED, STRATIFIED_DB)
+        for _ in range(2):
+            for name in available_semantics():
+                for options in ({}, {"grounding": "full"}):
+                    engine.solve(name, **options)
+        stats = engine.stats()
+        assert 0 < stats["cached_solutions"] <= len(available_semantics())
+        assert stats["cached_solutions"] == len(set(engine._last))
+
+    def test_a_change_of_options_is_a_miss(self):
+        engine = Engine(WIN_MOVE, DRAW_DB)
+        first = engine.solve("well_founded")
+        full = engine.solve("well_founded", grounding="full")
+        assert engine.stats()["solution_cache_hits"] == 0
+        assert full.grounding == "full" and first.grounding == "relevant"
+        assert engine.solve("well_founded", grounding="full") == full
+        assert engine.stats()["solution_cache_hits"] == 1
+        # The slot holds the last options only.
+        assert engine.solve("well_founded").model == first.model
+        assert engine.stats()["solution_cache_hits"] == 1
+        assert engine.stats()["cached_solutions"] == 1
+
+    def test_an_update_empties_the_slots(self):
+        engine = Engine(WIN_MOVE, DRAW_DB)
+        engine.solve("well_founded")
+        engine.solve("fitting")
+        assert engine.stats()["cached_solutions"] == 2
+        engine.insert_facts("move(2, 3)")
+        assert engine.stats()["cached_solutions"] == 0
+        after = engine.solve("well_founded")
+        assert engine.stats()["solution_cache_hits"] == 0
+        assert after.value(Atom("win", (Constant(2),))) is True
+
+    def test_tie_solves_leave_the_deterministic_slots(self):
+        from repro.semantics.choices import RandomChoice
+
+        engine = Engine(*families.grounded_argumentation(40))
+        first = engine.solve("well_founded")
+        for seed in range(4):
+            engine.solve("tie_breaking", policy=RandomChoice(seed))
+            engine.solve("pure_tie_breaking", policy=RandomChoice(seed))
+        again = engine.solve("well_founded")
+        assert engine.stats()["solution_cache_hits"] == 1
+        assert engine.stats()["cached_solutions"] == 1
+        assert again.state is first.state
+
+    def test_a_run_made_solve_counts_its_held_choices(self):
+        engine = Engine(*families.committee(3))
+        solution = engine.solve("tie_breaking")
+        assert engine.stats()["tie_table_solves"] == 0
+        assert solution.trail is None
+        assert solution.free_choice_count == 3 == len(solution.choices)
+        assert not any(c.forced for c in solution.choices)
+
+    def test_a_raising_solve_stores_nothing(self):
+        engine = Engine(WIN_MOVE, DRAW_DB)
+        with pytest.raises(GroundingError):
+            engine.solve("well_founded", grounding="full", max_instances=1)
+        assert engine.stats()["cached_solutions"] == 0
 
 
 class TestTieCheckpoint:
@@ -358,7 +450,7 @@ class TestTieCheckpoint:
             engine.solve("tie_breaking", policy=RandomChoice(seed))
         stats = engine.stats()
         assert stats["checkpoint_builds"] == 1
-        assert stats["cached_solutions"] == 10
+        assert stats["cached_solutions"] == 0
         assert engine.timings["checkpoint_s"] > 0
         assert "checkpoint_s" in stats
 

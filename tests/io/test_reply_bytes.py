@@ -116,18 +116,22 @@ def _fresh_text(engine: Engine, seed: int) -> str:
     return solution_text(fresh.solve("tie_breaking", policy=RandomChoice(seed)))
 
 
-def _serve(engine: Engine, seeds, label: str) -> dict[str, int]:
-    """Full replies for ``seeds``, each checked; counts the kinds of solve."""
-    kinds = dict.fromkeys(("run", "table", "run_hit", "table_hit"), 0)
+def _serve(engine: Engine, seeds, label: str, replies=None) -> dict[str, int]:
+    """Full replies for ``seeds``, each checked, and each seed solved once
+    more; counts those repeats by kind (a kernel run, or read from the tie
+    table).  Each reply's document is kept in ``replies`` by seed, or, if
+    the seed is there already, must equal the one kept but for timings."""
+    kinds = dict.fromkeys(("run", "table"), 0)
     for seed in seeds:
-        before = engine.stats()
         result = _check_reply(engine, BatchRequest(id=seed, seed=seed), (label, seed))
-        solution = engine.solve("tie_breaking", policy=RandomChoice(seed))  # a cache hit
-        tabled = solution.trail is not None and solution.trail.tie_table is not None
-        hit = engine.stats()["solution_cache_hits"] - before["solution_cache_hits"] > 1
-        kinds[("table" if tabled else "run") + ("_hit" if hit else "")] += 1
+        document = _untimed(result["solution"].data.decode())
+        if replies is not None:
+            assert replies.setdefault(seed, document) == document, (label, seed)
+        solution = engine.solve("tie_breaking", policy=RandomChoice(seed))  # the seed again
+        tabled = solution.trail is not None
+        kinds["table" if tabled else "run"] += 1
         text = _check_text(solution, (label, seed))
-        assert _untimed(text) == _untimed(result["solution"].data.decode()), (label, seed)
+        assert _untimed(text) == document, (label, seed)
         if tabled:
             assert _settled(text) == _settled(_fresh_text(engine, seed)), (label, seed)
     return kinds
@@ -135,13 +139,17 @@ def _serve(engine: Engine, seeds, label: str) -> dict[str, int]:
 
 def test_warm_serve_shaped_replies_write_the_dumped_bytes():
     engine = _served_engine(60)
+    replies: dict[int, dict] = {}
     # First solve, then the table's build and its fallbacks, then table
-    # solves; each seed twice more as cache hits.
-    kinds = _serve(engine, range(12), "fresh")
-    assert kinds["run"] >= 2 and kinds["table"] >= 1, kinds
-    # Repeats: every seed is now a hit on a run-made or a table-made entry.
-    kinds = _serve(engine, range(12), "repeats")
-    assert kinds["run_hit"] >= 2 and kinds["table_hit"] >= 1, kinds
+    # solves; each seed once more right after its reply.
+    kinds = _serve(engine, range(12), "fresh", replies)
+    assert kinds["run"] >= 1 and kinds["table"] >= 1, kinds
+    # Repeats: the table holds every seed's sides by now, so each repeated
+    # seed is read from it, with the reply its first solve wrote.
+    served = engine.stats()["tie_table_solves"]
+    kinds = _serve(engine, range(12), "repeats", replies)
+    assert kinds == {"run": 0, "table": 12}, kinds
+    assert engine.stats()["tie_table_solves"] == served + 24
     assert engine.stats()["tie_text_bytes"] > 0
 
 
@@ -213,12 +221,12 @@ def test_the_side_texts_are_counted_apart_from_the_table():
     assert before["tie_table_bytes"] > 0 and before["tie_text_bytes"] == 0
     for seed in range(8, 60):
         solution = engine.solve("tie_breaking", policy=RandomChoice(seed))
-        if solution.trail.tie_table is not None:
+        if solution.trail is not None:
             break
     else:
         pytest.fail("no solve came from the tie table")
     assert engine.stats()["tie_text_bytes"] == 0
-    table = solution.trail.tie_table
+    table = solution.trail.table
     status1 = sys.getsizeof(table.status1)
     solution_text(solution)
     after = engine.stats()
@@ -263,7 +271,7 @@ ESCAPED = Database.from_dict(
 @pytest.mark.parametrize("semantics", ["tie_breaking", "well_founded", "stable"])
 def test_texts_that_need_escaping_write_the_dumped_bytes(semantics):
     engine = Engine(GAME, ESCAPED.copy())
-    for seed in range(6):  # runs, then table solves and cache hits
+    for seed in range(6):  # runs, then table solves
         options = {"policy": RandomChoice(seed)} if semantics == "tie_breaking" else {}
         _check_text(engine.solve(semantics, **options), (semantics, seed))
         request = BatchRequest(semantics=semantics, seed=seed if options else None)

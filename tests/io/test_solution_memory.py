@@ -1,45 +1,52 @@
-"""What a tie-breaking solve keeps: a finished state, and a compact cache entry.
+"""What a tie-breaking solve keeps: a finished state, and nothing on the engine.
 
 After its run, a tie-breaking solve turns its kernel state into a
 :class:`~repro.ground.state.FinishedState`: the SCC cache, the tie
 schedule, the unfounded-set sources, the counters and the live-slot
-arrays are dropped, and only what ``explain`` reads stays.  The solution
-a miss returns keeps that state; the engine's solution cache keeps less.
-An entry is the model's status as ``bytes`` and the trail as a few flat
-buffers, and a cache hit replays the trail on the engine's checkpoint
-when its ``state`` is first read.  The cache is a bounded LRU, by entries
-and by bytes, with counted evictions.
+arrays are dropped, and only what ``explain`` reads stays.  The engine
+keeps no tie-breaking solution: the checkpoint's tie table is their
+cache, so a repeated seed is drawn again and, once the table holds its
+sides, read from the table.  A deterministic semantics keeps one last
+solution per semantics, emptied by an update.
 """
 
 import copy
 import gc
+import json
 import sys
 import tracemalloc
 import weakref
 
 import pytest
 
-from repro.api import engine as engine_module
 from repro.api.engine import Engine
-from repro.errors import SemanticsError
 from repro.ground.explain import explain
 from repro.ground.state import FinishedState, GroundGraphState
-from repro.semantics.choices import FewestTrue, FirstSideTrue, RandomChoice, SecondSideTrue
-from repro.semantics.tie_breaking import FlatTrail, _run
+from repro.io.json_io import solution_text
+from repro.semantics.choices import FewestTrue, RandomChoice, SecondSideTrue
+from repro.semantics.tie_breaking import _run
 from repro.workloads import families
 
 SOLUTIONS = 8
-# A cache entry on grounded_argumentation(300) measures about 0.4 model
-# status tuples (status bytes, trail buffers, timings); a cached Solution
-# with its finished state measured about 6.
+# Solving SOLUTIONS distinct seeds, each solution dropped at once, grows
+# the engine by less than one model status tuple per solve.
 BOUND_IN_MODEL_TUPLES = 1
 
 
-def test_cache_entries_are_smaller_than_one_model_tuple():
-    engine = Engine(*families.grounded_argumentation(300))
-    probe = engine.solve("tie_breaking", policy=RandomChoice(SOLUTIONS))  # checkpoint, tables
+@pytest.mark.parametrize(
+    "build",
+    [lambda: families.grounded_argumentation(300), lambda: families.tie_chain(150)],
+    ids=["table_served", "run_made"],
+)
+def test_distinct_tie_seeds_grow_the_engine_by_no_per_solve_memory(build):
+    """Read from the tie table (grounded_argumentation) or run on the
+    kernel (tie_chain, whose ties span several rounds): either way the
+    engine keeps nothing per solve."""
+    engine = Engine(*build())
+    for seed in (SOLUTIONS, SOLUTIONS + 1):  # the checkpoint, then its table
+        probe = engine.solve("tie_breaking", policy=RandomChoice(seed))
     per_model_tuple = sys.getsizeof(probe.model.status)
-    assert probe.free_choice_count > 50
+    assert probe.free_choice_count > 10
     del probe
     gc.collect()
     tracemalloc.start()
@@ -51,7 +58,7 @@ def test_cache_entries_are_smaller_than_one_model_tuple():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert engine.stats()["cached_solutions"] == SOLUTIONS + 1
+    assert engine.stats()["cached_solutions"] == 0
     assert grown / SOLUTIONS < BOUND_IN_MODEL_TUPLES * per_model_tuple, grown
 
 
@@ -122,9 +129,9 @@ def test_kernel_calls_on_a_finished_state_raise():
     assert state.status == status
 
 
-# -- cache hits: equal solutions, deferred trail, replayed state -------------
+# -- repeated seeds: equal solutions, deferred trail and state ---------------
 
-REPLAY_CASES = [
+REPEAT_CASES = [
     (semantics, grounding, well_founded, policy)
     for semantics, grounding, well_founded in (
         ("tie_breaking", "relevant", True),
@@ -134,143 +141,98 @@ REPLAY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("semantics,grounding,well_founded,policy", REPLAY_CASES)
-def test_a_replayed_state_explains_like_the_live_run(semantics, grounding, well_founded, policy):
-    engine = Engine(*families.grounded_argumentation(40))
-    gp = engine.ground_for(grounding)
-    options = {"semantics": semantics, "policy": policy, "grounding": grounding}
-    miss = engine.solve(**options)
-    hit = engine.solve(**options)
-    assert hit is not miss and engine.stats()["solution_cache_hits"] == 1
-    assert hit.model == miss.model and hit.choices == miss.choices
-    assert hit.policy == miss.policy and hit.timings == miss.timings
-    assert hit.free_choice_count == miss.free_choice_count > 0
-    live = GroundGraphState(gp)
-    _run(live, copy.deepcopy(policy), well_founded=well_founded)
-    replayed = hit.state
-    assert type(replayed) is FinishedState and replayed is not miss.state
-    assert replayed.status == live.status
+def _explains_like(state, live, gp) -> None:
+    assert type(state) is FinishedState
+    assert list(state.status) == list(live.status)
     for a in range(len(gp.atoms)):
         atom = gp.atoms.atom(a)
-        expected = explain(live, atom)
-        assert replayed.reason_of(a) == live.reason_of(a)
-        assert explain(replayed, atom) == expected
-        assert engine.explain(atom, **options) == expected
+        assert state.reason_of(a) == live.reason_of(a)
+        assert explain(state, atom) == explain(live, atom)
 
 
-def test_an_atoms_only_hit_decodes_no_trail_and_replays_nothing():
-    engine = Engine(*families.grounded_argumentation(40))
-    miss = engine.solve("tie_breaking", policy=RandomChoice(3))
-    builds = engine.stats()["checkpoint_builds"]
-    hit = engine.solve("tie_breaking", policy=RandomChoice(3))
-    atom = miss.model.ground_program.atoms.atom(0)
-    assert hit.value(atom) == miss.value(atom)
-    assert hit.free_choice_count == miss.free_choice_count
-    assert hit._load_choices is not None and hit._load_state is not None
-    assert engine.stats()["checkpoint_builds"] == builds
-    # replace() keeps the trail and the state deferred.
-    copied = hit.replace(iterations=7)
-    assert copied._load_choices is not None and copied._load_state is not None
-    assert copied.choices == miss.choices
-
-
-def test_replaying_after_an_update_raises():
-    engine = Engine(*families.grounded_argumentation(40))
-    engine.solve("tie_breaking", policy=RandomChoice(3))
-    hit = engine.solve("tie_breaking", policy=RandomChoice(3))
-    assert engine.insert_facts("attacks(3, 1)")
-    with pytest.raises(SemanticsError, match="update"):
-        hit.state
-    # The engine answers afresh for the updated database.
-    assert engine.solve("tie_breaking", policy=RandomChoice(3)).state is not None
-
-
-def test_a_replay_that_diverges_raises():
-    engine = Engine(*families.grounded_argumentation(40))
-    engine.solve("tie_breaking", policy=RandomChoice(3))
-    (entry,) = engine._solution_cache.values()
-    hit = engine.solve("tie_breaking", policy=RandomChoice(3))
-    flags = bytearray(entry.trail.flags)
-    free = next(k for k, flag in enumerate(flags) if not flag & 2)
-    flags[free] ^= 1  # the other side of one free tie
-    entry.trail.flags = bytes(flags)
-    with pytest.raises(SemanticsError, match="did not reproduce"):
-        hit.state
-
-
-@pytest.mark.parametrize("semantics,grounding,well_founded,policy", REPLAY_CASES)
-def test_a_hit_on_a_warm_tie_table_replays_without_close(
-    semantics, grounding, well_founded, policy, monkeypatch
+@pytest.mark.parametrize("semantics,grounding,well_founded,policy", REPEAT_CASES)
+def test_a_repeated_seeds_state_explains_like_the_first_solves(
+    semantics, grounding, well_founded, policy
 ):
-    """Once the checkpoint's tie table holds every side a cached trail
-    took, replaying the trail for ``state`` runs no ``close``."""
     engine = Engine(*families.grounded_argumentation(40))
     gp = engine.ground_for(grounding)
     options = {"semantics": semantics, "policy": policy, "grounding": grounding}
-    engine.solve(**options)
+    first = engine.solve(**options)
+    again = engine.solve(**options)
+    assert again is not first and engine.stats()["solution_cache_hits"] == 0
+    assert again.model == first.model and again.choices == first.choices
+    assert again.policy == first.policy
+    assert again.free_choice_count == first.free_choice_count > 0
+    assert again.state is not first.state
+    _explains_like(again.state, first.state, gp)
+    live = GroundGraphState(gp)
+    _run(live, copy.deepcopy(policy), well_founded=well_founded)
+    _explains_like(again.state, live, gp)
+    for a in range(len(gp.atoms)):
+        atom = gp.atoms.atom(a)
+        assert engine.explain(atom, **options) == explain(first.state, atom)
+
+
+def _warm(engine: Engine, semantics: str, grounding: str) -> None:
+    """Fill the checkpoint's tie table with the sides of 24 seeds."""
     for seed in range(24):
         engine.solve(semantics, policy=RandomChoice(100 + seed), grounding=grounding)
-    hit = engine.solve(**options)
+
+
+def test_an_atoms_only_repeat_decodes_no_trail_and_builds_no_state():
+    engine = Engine(*families.grounded_argumentation(40))
+    first = engine.solve("tie_breaking", policy=RandomChoice(3))
+    _warm(engine, "tie_breaking", "relevant")
+    builds = engine.stats()["checkpoint_builds"]
+    served = engine.stats()["tie_table_solves"]
+    again = engine.solve("tie_breaking", policy=RandomChoice(3))
+    assert engine.stats()["tie_table_solves"] == served + 1
+    atom = first.model.ground_program.atoms.atom(0)
+    assert again.value(atom) == first.value(atom)
+    assert again.free_choice_count == first.free_choice_count
+    assert again._load_choices is not None and again._load_state is not None
+    assert engine.stats()["checkpoint_builds"] == builds
+    # replace() keeps the trail and the state deferred.
+    copied = again.replace(iterations=7)
+    assert copied._load_choices is not None and copied._load_state is not None
+    assert copied.choices == first.choices
+
+
+def _untimed(solution) -> str:
+    document = json.loads(solution_text(solution))
+    del document["timings"]
+    return json.dumps(document, sort_keys=True)
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded,policy", REPEAT_CASES)
+def test_a_repeated_seed_on_a_warm_tie_table_is_table_served(
+    semantics, grounding, well_founded, policy, monkeypatch
+):
+    """Once the checkpoint's tie table holds every side a seed took, the
+    seed's repeat is read from the table: no ``close``, for the solve or
+    for its ``state``, and a full reply equal to the first's but for its
+    timings."""
+    engine = Engine(*families.grounded_argumentation(40))
+    gp = engine.ground_for(grounding)
+    options = {"semantics": semantics, "policy": policy, "grounding": grounding}
+    first = engine.solve(**options)
+    first_text = _untimed(first)
+    _warm(engine, semantics, grounding)
+    engine.solve(**options)  # fills the seed's sides if the warm-up did not
+    live = GroundGraphState(gp)
+    _run(live, copy.deepcopy(policy), well_founded=well_founded)
     closes = []
     close = GroundGraphState.close
     monkeypatch.setattr(GroundGraphState, "close", lambda state: closes.append(1) or close(state))
     served = engine.stats()["tie_table_solves"]
-    replayed = hit.state
-    assert closes == [] and engine.stats()["tie_table_solves"] == served + 1
-    assert type(replayed) is FinishedState
-    live = GroundGraphState(gp)
-    _run(live, copy.deepcopy(policy), well_founded=well_founded)
-    assert replayed.status == live.status
-    for a in range(len(gp.atoms)):
-        atom = gp.atoms.atom(a)
-        expected = explain(live, atom)
-        assert replayed.reason_of(a) == live.reason_of(a)
-        assert explain(replayed, atom) == expected
-    closes.clear()
+    again = engine.solve(**options)
+    assert engine.stats()["tie_table_solves"] == served + 1
+    assert again.trail is not None and again.trail.table is not None
+    assert _untimed(again) == first_text
+    _explains_like(again.state, live, gp)
+    assert closes == []
     assert engine.explain(gp.atoms.atom(0), **options) == explain(live, gp.atoms.atom(0))
     assert closes == []
-
-
-def test_a_table_served_entry_counts_its_flags_only():
-    """A miss read from the tie table is cached as its trail flags, its
-    status derived from the table on demand; the trail's ids and offsets
-    are the table's, shared by every such entry and counted once, in
-    ``tie_table_bytes``."""
-    engine = Engine(*families.grounded_argumentation(40))
-    gp = engine.ground_for("relevant")
-    for seed in range(24):
-        engine.solve("tie_breaking", policy=RandomChoice(seed))
-    (checkpoint,) = engine._checkpoints.values()
-    table = checkpoint.table
-    served = []
-    for seed in range(100, 160):
-        before = engine.tie_table_solves
-        engine.solve("tie_breaking", policy=RandomChoice(seed))
-        if engine.tie_table_solves > before:
-            served.append((seed, next(reversed(engine._solution_cache.values()))))
-    assert len(served) > 10
-    for seed, entry in served:
-        assert entry.trail.ids is table.ids and entry.trail.offsets is table.offsets
-        assert entry.nbytes == sys.getsizeof(entry.trail.flags)
-        # The flags and status are those of a live run's trail and model.
-        live = GroundGraphState(gp)
-        choices = _run(live, RandomChoice(seed), well_founded=True)
-        live.finish()
-        assert entry.trail.flags == FlatTrail.encode(choices, live._reason_arg).flags
-        assert entry.status == bytes(live.status)
-        assert entry.trail.free == sum(not choice.forced for choice in choices)
-    stats = engine.stats()
-    assert stats["solution_cache_bytes"] == sum(e.nbytes for e in engine._solution_cache.values())
-    assert stats["tie_table_bytes"] == table.nbytes
-    shared = sys.getsizeof(table.ids) + sys.getsizeof(table.offsets)
-    assert shared < table.nbytes
-    # A hit on such an entry replays its flags through the table.
-    seed, entry = served[0]
-    hit = engine.solve("tie_breaking", policy=RandomChoice(seed))
-    live = GroundGraphState(gp)
-    _run(live, RandomChoice(seed), well_founded=True)
-    assert hit.state.status == live.status
-    assert hit.state._reason_kind == live._reason_kind
 
 
 def test_a_held_table_served_miss_keeps_no_kernel_state_after_an_update():
@@ -321,153 +283,20 @@ def test_the_tie_table_is_smaller_than_one_model_tuple():
         ("stratified", lambda: families.negation_tower(30)),
     ],
 )
-def test_a_well_founded_entry_counts_the_buffers_it_alone_holds(semantics, build):
+def test_a_well_founded_slot_keeps_a_snapshot_of_its_own(semantics, build):
     """The engine reopens its well-founded base in place, so the solution
-    and its cache entry keep a snapshot: the model's status tuple, shared,
-    and reason buffers and labels of their own.  The entry counts exactly
-    those buffers."""
+    it keeps as the semantics' last answer holds a snapshot: the model's
+    status tuple, shared, and reason buffers and labels of its own.  A
+    repeat shares that snapshot."""
     engine = Engine(*build())
     solution = engine.solve(semantics)
-    (entry,) = engine._solution_cache.values()
-    state = entry.state
-    assert type(state) is FinishedState and state is solution.state
-    assert entry.status is solution.model.status is state.status
+    state = solution.state
+    assert type(state) is FinishedState
+    assert solution.model.status is state.status
     base = engine._wf_bases["relevant"][0]
     for name in ("_reason_kind", "_reason_arg", "_labels"):
         assert getattr(state, name) == getattr(base, name), name
         assert getattr(state, name) is not getattr(base, name), name
-    buffers = (state.status, state._reason_kind, state._reason_arg, state._labels)
-    assert entry.nbytes == sum(map(sys.getsizeof, buffers))
-    assert engine.stats()["solution_cache_bytes"] == entry.nbytes
-
-
-# -- the bound ---------------------------------------------------------------
-
-ENTRY_BOUND = 6
-
-
-def _patch_bounds(monkeypatch, *, entries=None, nbytes=None):
-    if entries is not None:
-        monkeypatch.setattr(engine_module, "SOLUTION_CACHE_ENTRIES", entries)
-    if nbytes is not None:
-        monkeypatch.setattr(engine_module, "SOLUTION_CACHE_BYTES", nbytes)
-
-
-def test_the_entry_bound_evicts_the_least_recently_used(monkeypatch):
-    _patch_bounds(monkeypatch, entries=ENTRY_BOUND)
-    engine = Engine(*families.grounded_argumentation(200))
-
-    def solve(seed):
-        return engine.solve("tie_breaking", policy=RandomChoice(seed))
-
-    def hits():
-        return engine.stats()["solution_cache_hits"]
-
-    first = solve(0)
-    first_choices = first.choices
-    solve(1)
-    solve(0)  # a hit: seed 0 is now more recent than seed 1
-    for seed in range(2, ENTRY_BOUND + 1):
-        solve(seed)
-    assert engine.stats()["solution_cache_evictions"] == 1
-    before = hits()
-    solve(0)  # still cached: the one eviction took seed 1
-    assert hits() == before + 1
-    for seed in range(ENTRY_BOUND + 1, 2 * ENTRY_BOUND + 1):
-        solve(seed)
-    # Seed 0 is evicted by now; it re-solves to the same model and trail.
-    before = hits()
-    again = solve(0)
-    assert hits() == before
-    assert again.model == first.model and again.choices == first_choices
-
-
-def _trace_twice_the_bound(engine):
-    """Solve ``2 * ENTRY_BOUND`` distinct seeds from an empty cache; the
-    engine's stats and the traced memory after each solve."""
-    traced = []
-    gc.collect()
-    tracemalloc.start()
-    try:
-        for seed in range(2 * ENTRY_BOUND):
-            engine.solve("tie_breaking", policy=RandomChoice(seed))
-            stats = engine.stats()
-            assert stats["cached_solutions"] <= ENTRY_BOUND
-            gc.collect()
-            traced.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-    assert stats["cached_solutions"] == ENTRY_BOUND
-    assert stats["solution_cache_evictions"] == ENTRY_BOUND
-    entries = engine._solution_cache.values()
-    assert stats["solution_cache_bytes"] == sum(entry.nbytes for entry in entries)
-    # Flat over the second half: each new entry evicts one of its size.
-    sizes = [entry.nbytes for entry in entries]
-    if all(entry.trail is not None and entry.trail.tie_table is not None for entry in entries):
-        # A table-served entry counts its flags only, less than one resize
-        # of the cache's dict: its size is also what it holds beside them.
-        sizes = [_held_bytes(key, entry) for key, entry in engine._solution_cache.items()]
-    half = traced[ENTRY_BOUND:]
-    assert max(half) - min(half) < max(sizes), traced
-    return stats
-
-
-def _held_bytes(key, entry) -> int:
-    """What a table-served cache entry holds apart from the table it
-    shares: its counted flags, its object, its timings and its key."""
-
-    def size(obj) -> int:
-        return sys.getsizeof(obj) + (sum(map(size, obj)) if isinstance(obj, tuple) else 0)
-
-    timings = entry.timings
-    held = entry.nbytes + sys.getsizeof(entry) + size(key)
-    return held + sys.getsizeof(timings) + sum(map(sys.getsizeof, timings.values()))
-
-
-def test_twice_the_bound_in_distinct_seeds_stays_within_it(monkeypatch):
-    _patch_bounds(monkeypatch, entries=ENTRY_BOUND)
-    engine = Engine(*families.grounded_argumentation(200))
-    # Build the checkpoint and fill its tie table untraced, outside the
-    # cache, so every traced solve is read from the table and stores an
-    # entry of one size.
-    gp = engine.ground_for()
-    for policy in (FirstSideTrue(), FirstSideTrue(), SecondSideTrue()):
-        engine._tie_solve(gp, True, policy)
-    stats = _trace_twice_the_bound(engine)
-    assert stats["tie_table_solves"] == 2 * ENTRY_BOUND
-
-
-def test_twice_the_bound_in_run_made_entries_stays_within_it(monkeypatch):
-    """The same bound on a program with no tie table (ties over several
-    rounds): every entry is a kernel run's, which owns its trail."""
-    _patch_bounds(monkeypatch, entries=ENTRY_BOUND)
-    engine = Engine(*families.tie_chain(60))
-    engine._tie_state(engine.ground_for(), True)  # build the checkpoint untraced
-    stats = _trace_twice_the_bound(engine)
-    assert stats["tie_table_solves"] == 0
-
-
-def test_the_byte_bound_keeps_the_counted_bytes_under_it(monkeypatch):
-    engine = Engine(*families.grounded_argumentation(200))
-    engine.solve("tie_breaking", policy=RandomChoice(0))
-    per_entry = engine.stats()["solution_cache_bytes"]
-    bound = int(3.5 * per_entry)
-    _patch_bounds(monkeypatch, nbytes=bound)
-    for seed in range(1, 8):
-        engine.solve("tie_breaking", policy=RandomChoice(seed))
-        assert engine.stats()["solution_cache_bytes"] <= bound
-    stats = engine.stats()
-    assert stats["cached_solutions"] == 3
-    assert stats["solution_cache_evictions"] == 8 - 3
-
-
-def test_an_update_empties_the_cache_without_counting_evictions():
-    engine = Engine(*families.grounded_argumentation(40))
-    for seed in range(3):
-        engine.solve("tie_breaking", policy=RandomChoice(seed))
-    engine.solve("well_founded")
-    assert engine.stats()["solution_cache_bytes"] > 0
-    engine.insert_facts("attacks(3, 1)")
-    stats = engine.stats()
-    assert (stats["cached_solutions"], stats["solution_cache_bytes"]) == (0, 0)
-    assert stats["solution_cache_evictions"] == 0
+    again = engine.solve(semantics)
+    assert engine.stats()["solution_cache_hits"] == 1
+    assert again == solution and again.state is state

@@ -122,7 +122,8 @@ def test_tie_breaking_solve_after_a_deadline_equals_a_fresh_engines(
     engine = make()
     _interrupt(operation, engine, k)
     assert _summary(operation(engine)) == _summary(operation(Engine(*build()))), name
-    assert engine.stats()["cached_solutions"] == (2 if warm else 1)
+    # The tie table is the only cache of tie-breaking solves.
+    assert engine.stats()["cached_solutions"] == 0
 
 
 @settings(max_examples=40, deadline=None)

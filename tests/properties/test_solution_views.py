@@ -291,11 +291,10 @@ def test_result_s_never_double_books():
 def test_a_miss_equals_its_hit_after_its_views_decode():
     """``result_s`` is booked per solution as its ``*_atoms`` views
     decode, so equality compares ``timings`` without it."""
-    from repro.semantics.choices import RandomChoice
-
     engine = Engine(*families.grounded_argumentation(40))
-    miss = engine.solve("tie_breaking", policy=RandomChoice(3))
-    hit = engine.solve("tie_breaking", policy=RandomChoice(3))
+    miss = engine.solve("well_founded")
+    hit = engine.solve("well_founded")
+    assert engine.stats()["solution_cache_hits"] == 1
     assert miss == hit and hit == miss
     miss.true_atoms
     assert "result_s" in miss.timings and "result_s" not in hit.timings

@@ -24,10 +24,10 @@ from repro.datalog.atoms import Atom, Literal
 from repro.datalog.database import Database
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
-from repro.ground.model import Interpretation
+from repro.ground.model import TRUE, Interpretation
 from repro.ground.state import FinishedState, GroundGraphState
 from repro.semantics.choices import FewestTrue, FirstSideTrue, RandomChoice, SecondSideTrue
-from repro.semantics.tie_breaking import FlatTrail, TieChoice, TieTable, _run
+from repro.semantics.tie_breaking import TieChoice, TieTable, _run
 from repro.service.batch import BatchRequest, solve_one
 from repro.workloads import families
 
@@ -118,29 +118,32 @@ def test_table_solves_equal_fresh_runs(name, build, semantics, grounding, well_f
 def test_a_table_trail_splits_its_choices_as_the_status_does(
     name, build, semantics, grounding, well_founded
 ):
-    """A table's trail splits each choice at the table's ``mids`` by the
-    flag's side bit, reading no status; the split equals the one the
-    model's status gives, and flipping one side bit changes that choice
-    alone."""
+    """A table's trail (:meth:`TieTable.choices`) splits each choice at the
+    table's ``mids`` by the flag's side bit, reading no status; the split
+    equals the one the model's status gives, and flipping one side bit
+    changes that choice alone."""
     engine = Engine(*build())
     atoms = engine.ground_for(grounding).atoms
     tabled = 0
     for policy in POLICIES:
         solution = engine.solve(semantics, policy=policy, grounding=grounding)
         trail = solution.trail
-        if trail.tie_table is None:
+        if trail is None:
             continue
         tabled += 1
-        status = solution.model.status
-        by_status = FlatTrail(trail.ids, trail.offsets, trail.flags, trail.free).choices(
-            status, atoms
-        )
-        assert trail.choices(status, atoms) == by_status == solution.choices
+        table, status = trail.table, solution.model.status
+        by_status = []
+        for flag, lo, hi in zip(trail.flags, table.offsets, table.offsets[1:]):
+            chunk = table.ids[lo:hi]
+            true_ids = [a for a in chunk if status[a] == TRUE]
+            false_ids = [a for a in chunk if status[a] != TRUE]
+            by_status.append(TieChoice(true_ids, false_ids, bool(flag & 2), atoms))
+        by_status = tuple(by_status)
+        assert table.choices(trail.flags) == by_status == solution.choices
         for k in range(len(trail.flags)):
             flags = bytearray(trail.flags)
             flags[k] ^= 1
-            flipped = FlatTrail(trail.ids, trail.offsets, bytes(flags), trail.free, trail.tie_table)
-            choices = flipped.choices(status, atoms)
+            choices = table.choices(bytes(flags))
             assert choices[k] != by_status[k]
             assert choices[:k] + choices[k + 1 :] == by_status[:k] + by_status[k + 1 :]
     if name in TABLED:
@@ -166,6 +169,22 @@ DRAWN = FAMILIES + [
     ("grounded_argumentation_60", lambda: families.grounded_argumentation(60)),
     ("free_and_forced", lambda: (FREE_AND_FORCED,)),
 ]
+
+
+@pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)
+@pytest.mark.parametrize("name,build", DRAWN, ids=[name for name, _ in DRAWN])
+def test_free_choice_count_equals_the_fresh_runs(name, build, semantics, grounding, well_founded):
+    """A table-served solve counts its free ties from the table, before
+    any trail is decoded; a run-made one counts the choices it holds.
+    Both equal the unforced choices of the fresh run."""
+    engine = Engine(*build())
+    gp = engine.ground_for(grounding)
+    for policy in POLICIES:
+        solution = engine.solve(semantics, policy=policy, grounding=grounding)
+        _, choices = _fresh_run(gp, policy, well_founded)
+        expected = sum(1 for c in choices if not c.forced)
+        assert solution.free_choice_count == expected, f"{name} {policy!r}"
+        assert sum(1 for c in solution.choices if not c.forced) == expected
 
 
 @pytest.mark.parametrize("semantics,grounding,well_founded", VARIANTS)

@@ -517,13 +517,13 @@ class TestOneResultShape:
 
 class TestReplyTimings:
     def test_each_reply_reports_its_own_encode(self):
-        # Full, full again (a solution-cache hit), then values, on one
-        # engine: only full replies carry encode_s, each measured around
-        # its own encode, and no reply carries a decode time booked by
-        # another request.
+        # Full, full again (a hit on the engine's last well-founded
+        # solution), then values, on one engine: only full replies carry
+        # encode_s, each measured around its own encode, and no reply
+        # carries a decode time booked by another request.
         engine = Engine(*families.committee(50))
-        first = solve_one(engine, BatchRequest(id=1, seed=3))
-        again = solve_one(engine, BatchRequest(id=2, seed=3))
+        first = solve_one(engine, BatchRequest(id=1, semantics="well_founded"))
+        again = solve_one(engine, BatchRequest(id=2, semantics="well_founded"))
         values = solve_one(engine, BatchRequest(id=3, seed=3, atoms=("in(m1)",)))
         assert all(r["ok"] for r in (first, again, values))
         for reply in (first, again):
@@ -587,10 +587,11 @@ class TestServeCli:
         assert scrub(warm) == scrub(lines)
 
     def test_serve_summary_counts_one_solve_for_pooled_cache_hits(self, tmp_path, capsys):
-        # The three pooled replies come from one solve in the worker's engine.
+        # The three pooled replies come from one solve in the worker's
+        # engine: the well-founded repeats are hits on its last solution.
         program, db = self._files(tmp_path)
         batch = tmp_path / "requests.jsonl"
-        batch.write_text('{"id": "v", "semantics": "tie_breaking", "atoms": ["win(2)"]}\n' * 3)
+        batch.write_text('{"id": "v", "semantics": "well_founded", "atoms": ["win(2)"]}\n' * 3)
         code = main(
             ["serve", str(program), "--db", str(db), "--batch", str(batch), "--workers", "1"]
         )

@@ -9,7 +9,6 @@ import signal
 import pytest
 
 from repro import Engine
-from repro.api import engine as engine_module
 from repro.cli import main
 from repro.service import ReproServer, run_server, solve_one
 from repro.service.batch import BatchRequest
@@ -379,22 +378,30 @@ class TestControlPlane:
         assert stats["stats"]["sessions"]["live"] == 0
         assert not unknown["ok"] and "unknown control op" in unknown["error"]
 
-    def test_stats_report_the_inline_solution_cache(self, artifact, monkeypatch):
-        monkeypatch.setattr(engine_module, "SOLUTION_CACHE_ENTRIES", 2)
-
+    def test_stats_report_the_inline_solution_cache(self, artifact):
         async def main():
             async with ReproServer(artifact) as server:
-                for seed in (1, 2, 1, 3):  # one repeat; the third seed evicts
-                    reply = await server.handle_line(json.dumps({"seed": seed, "atoms": PROBE}))
+                requests = [{"seed": seed, "atoms": PROBE} for seed in (1, 2, 1)]
+                requests += [{"semantics": "well_founded", "atoms": PROBE}] * 2
+                for request in requests:  # one tie repeat, one well-founded repeat
+                    reply = await server.handle_line(json.dumps(request))
                     assert reply["ok"], reply
                 return await server.handle_line(json.dumps({"op": "stats"}))
 
         cache = asyncio.run(main())["stats"]["cache"]
-        assert cache["entries"] == 2 and cache["hits"] == 1 and cache["evictions"] == 1
-        assert cache["bytes"] > 0
-        # The second and fourth solves went through the tie table built on
-        # the second; neither found every side in it.
-        assert (cache["tie_table_solves"], cache["tie_table_fallbacks"]) == (0, 2)
+        assert set(cache) == {
+            "entries",
+            "hits",
+            "tie_table_solves",
+            "tie_table_fallbacks",
+            "tie_table_bytes",
+            "tie_text_bytes",
+        }
+        # Only the well-founded repeat is a hit: the tie table is the
+        # tie-breaking cache, built on the second tie solve and used by the
+        # second and third.
+        assert cache["entries"] == 1 and cache["hits"] == 1
+        assert cache["tie_table_solves"] + cache["tie_table_fallbacks"] == 2
         assert cache["tie_table_bytes"] > 0
 
     def test_stats_report_the_inline_tie_table(self, artifact):
