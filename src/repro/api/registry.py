@@ -195,7 +195,7 @@ def _solve_ties(req: SolveRequest, name: str, well_founded: bool) -> Solution:
     # A solve read from a tie table builds its model's Interpretation, its
     # choices and its state only when they are first read; its model is
     # also its trail.  ``total`` comes with the solve, so no scan of the
-    # model's tuple.
+    # model's status.
     model = solved.model
     solution = Solution(
         name,
@@ -266,7 +266,7 @@ def _enumerate_completion(req: SolveRequest) -> Iterator[Solution]:
 def _solve_completion(req: SolveRequest) -> Solution:
     for solution in _enumerate_completion(req):
         return solution
-    return Solution.not_found("completion", Interpretation(req.gp(), ()))
+    return Solution.not_found("completion", Interpretation(req.gp(), b""))
 
 
 def _enumerate_stable(req: SolveRequest) -> Iterator[Solution]:
@@ -279,7 +279,7 @@ def _enumerate_stable(req: SolveRequest) -> Iterator[Solution]:
 def _solve_stable(req: SolveRequest) -> Solution:
     for solution in _enumerate_stable(req):
         return solution
-    return Solution.not_found("stable", Interpretation(req.gp(), ()))
+    return Solution.not_found("stable", Interpretation(req.gp(), b""))
 
 
 register(

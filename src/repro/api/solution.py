@@ -492,7 +492,7 @@ class Solution:
     def not_found(cls, semantics: str, model: Interpretation, **extra: Any) -> "Solution":
         """The empty answer of a search semantics with no model.
 
-        ``model`` is ``Interpretation(gp, ())`` over the ground program
+        ``model`` is ``Interpretation(gp, b"")`` over the ground program
         that was searched: no atom has a value.
         """
         return cls(

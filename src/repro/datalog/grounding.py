@@ -1555,14 +1555,14 @@ class GroundDeltaSession:
       makes a materialized-false ghost indistinguishable from a fresh
       grounding that never materialized it, and a model's false list
       leaves out the published index's :attr:`GroundIndex.ghost_ids`;
-    * ``canonical`` lists the U\\* atom ids in the order a fresh relevant
-      grounding would assign them (predicate-major, rows ascending), kept
-      sorted beside their keys (``sorted_keys``) by one ``bisect`` insert
-      or pop per atom entering or leaving U\\*.  Each
-      published index holds a snapshot of it (``canonical_ids``) and
-      builds its ``atom_order`` ranks from that on first read, so
-      deterministic tie-breaking trajectories match a full rebuild and
-      a well-founded solve never ranks atoms.
+    * ``canonical`` (an ``array('i')``) lists the U\\* atom ids in the
+      order a fresh relevant grounding would assign them (predicate-major,
+      rows ascending), kept sorted beside their keys (``sorted_keys``) by
+      one ``bisect`` insert or pop per atom entering or leaving U\\*.  Each
+      published index holds an ``array('i')`` copy of it
+      (``canonical_ids``) and builds its ``atom_order`` ranks from that on
+      first read, so deterministic tie-breaking trajectories match a full
+      rebuild and a well-founded solve never ranks atoms.
 
     The session also owns the published index's per-atom and per-rule
     arrays (M₀, EDB mask, the sorted ``initial_valued`` and
@@ -1571,7 +1571,7 @@ class GroundDeltaSession:
     or whose Δ membership, support or U\\* membership changed, and the
     rule slots from the first changed instance on.  An update therefore
     costs the delta joins plus work proportional to the touched atoms
-    and instances; publishing the new :class:`GroundIndex` adds C-level
+    and instances; publishing the new :class:`GroundIndex` adds memcpy
     copies of the patched arrays and of ``canonical``, so an index handed
     out earlier is never mutated — no ground-from-scratch, no recompile
     of join plans, no Python pass over every atom or rule.
@@ -1624,7 +1624,7 @@ class GroundDeltaSession:
         ranked = sorted((self._key(a), a) for a in range(n_atoms) if self.in_ustar[a])
         # The canonical ids and, in step, their keys: a bisect compares
         # stored keys instead of computing one per probe.
-        self.canonical: list[int] = [a for _key, a in ranked]
+        self.canonical = array("i", [a for _key, a in ranked])
         self.sorted_keys: list[tuple] = [key for key, _a in ranked]
         ri, so, sub = self.csr.rule_index, self.csr.sub_off, self.csr.sub
         self.ledger: dict[tuple[int, IntRow], int] = {
@@ -1922,7 +1922,7 @@ class GroundDeltaSession:
         idx.rule_slot_init = array("i", self.rule_slot)
         # atom_order stays unset: GroundIndex.__getattr__ ranks the
         # snapshot on first (tie-path) read.
-        idx.canonical_ids = tuple(self.canonical)
+        idx.canonical_ids = array("i", self.canonical)
         csr.n_atoms = n_atoms
         csr.edb_mask = idx.edb_mask
         csr.initial_status = idx.initial_status

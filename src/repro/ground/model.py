@@ -32,9 +32,12 @@ class Interpretation:
     """A (possibly partial) model of a ground program.
 
     ``status[i]`` is the truth value of atom ``i`` in the ground program's
-    atom table.  Atoms that were never materialized (possible only under
-    relevant grounding) are resolved by the closed-world convention: EDB
-    atoms by membership in Δ, IDB atoms false — this matches the paper's
+    atom table, one byte per atom: ``status`` is always ``bytes`` (any
+    other sequence of ints is converted once, on construction), so a
+    snapshot is copied and freed as one buffer.  Atoms that were never
+    materialized (possible only under relevant grounding) are resolved by
+    the closed-world convention: EDB atoms by membership in Δ, IDB atoms
+    false — this matches the paper's
     semantics because unmaterialized atoms always lie outside the
     upper-bound model U\\* and are false in every run of the well-founded
     (tie-breaking) interpreter.
@@ -46,10 +49,12 @@ class Interpretation:
     """
 
     ground_program: GroundProgram
-    status: tuple[int, ...]
+    status: bytes
     index: GroundIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.status, bytes):
+            object.__setattr__(self, "status", bytes(self.status))
         index = self.index_of(self.ground_program)
         if index is not None:
             object.__setattr__(self, "index", index)
@@ -62,7 +67,7 @@ class Interpretation:
 
     @classmethod
     def over(
-        cls, gp: GroundProgram, status: tuple[int, ...], index: GroundIndex | None
+        cls, gp: GroundProgram, status: bytes, index: GroundIndex | None
     ) -> "Interpretation":
         """A snapshot whose status was solved when ``gp`` had ``index``
         (:meth:`index_of` then), built later: its ghosts are that index's."""
@@ -121,7 +126,7 @@ class Interpretation:
     @property
     def undefined_count(self) -> int:
         """Number of materialized atoms left undefined."""
-        return sum(1 for s in self.status if s == UNDEF)
+        return self.status.count(UNDEF)
 
     def _atoms_with(self, wanted: int, skip: frozenset[int] = _NO_GHOSTS) -> Iterator[Atom]:
         table = self.ground_program.atoms
@@ -181,11 +186,12 @@ class Interpretation:
 
     def summary(self) -> str:
         """Counts of true/false/undefined materialized atoms."""
-        true = sum(1 for s in self.status if s == TRUE)
-        ghosts = self.ghost_ids
-        false = sum(1 for i, s in enumerate(self.status) if s == FALSE and i not in ghosts)
+        status = self.status
+        false = status.count(FALSE) - sum(
+            1 for g in self.ghost_ids if g < len(status) and status[g] == FALSE
+        )
         return (
-            f"Interpretation(true={true}, false={false}, "
+            f"Interpretation(true={status.count(TRUE)}, false={false}, "
             f"undefined={self.undefined_count}, total={self.is_total})"
         )
 

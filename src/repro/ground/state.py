@@ -61,11 +61,12 @@ operation order); a property test shuffles worklist order to confirm.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.datalog.grounding import GroundProgram
 from repro.errors import CloseConflictError, SemanticsError, check_deadline
@@ -209,8 +210,11 @@ class FinishedState:
     :meth:`GroundGraphState.finish` turns a live state into one of these
     in place; :meth:`GroundGraphState.snapshot` copies one out of a live
     state that runs on.  It holds :attr:`FIELDS` only — the ground
-    program, the status array and the flat reason buffers with their
-    labels, plus the run's ``phase_s`` — which is what ``explain`` reads.
+    program, the status bytes and the flat reason buffers (a kind
+    ``bytearray`` and an argument ``array('i')``) with their labels, plus
+    the run's ``phase_s`` — which is what ``explain`` reads.  Every
+    per-atom buffer is a machine array, so a copy is one memcpy and
+    freeing one costs O(1).
     The live :class:`GroundGraphState` extends it with the search
     machinery.
     """
@@ -230,13 +234,15 @@ class FinishedState:
     def of(
         cls,
         base: "FinishedState",
-        status: Sequence[int],
+        status: bytes | bytearray,
         reason_kind: bytearray,
-        reason_arg: list[int],
+        reason_arg: array,
         phase_s: dict[str, float],
     ) -> "FinishedState":
         """A finished state over ``base``'s ground program and labels with
-        the given buffers, assembled without a kernel run."""
+        the given buffers (status bytes, a kind ``bytearray`` and an
+        ``array('i')`` of arguments, kept as they are), assembled without
+        a kernel run."""
         state = object.__new__(cls)
         state.gp = base.gp
         state.n_atoms = base.n_atoms
@@ -271,7 +277,7 @@ class FinishedState:
 
     def interpretation(self) -> Interpretation:
         """Snapshot the current (possibly partial) model."""
-        return Interpretation(self.gp, tuple(self.status))
+        return Interpretation(self.gp, bytes(self.status))
 
     def __repr__(self) -> str:
         return f"FinishedState(atoms={self.n_atoms}, rules={self.n_rules})"
@@ -285,10 +291,16 @@ class GroundGraphState(FinishedState):
     atoms — but does **not** run ``close``; interpreters call
     :meth:`close` explicitly, mirroring the paper's pseudocode.
 
-    All per-state storage is flat (lists, bytearrays, and parallel
-    kind/argument buffers) and initialized by C-level copies from the
-    shared :class:`~repro.datalog.grounding.GroundIndex`, so construction
-    and :meth:`clone` cost O(n) memcpy rather than O(edges) Python loops.
+    All per-state storage is flat and initialized by C-level copies from
+    the shared :class:`~repro.datalog.grounding.GroundIndex`, so
+    construction and :meth:`clone` cost O(n) memcpy rather than O(edges)
+    Python loops.  The buffers a finished model or snapshot takes along
+    are machine arrays: ``status`` and ``_reason_kind`` are bytearrays
+    and ``_reason_arg`` an ``array('i')``, so :meth:`interpretation` and
+    :meth:`snapshot` copy bytes, not Python ints.  The counters and
+    live-slot arrays that never leave the live state (``atom_support``,
+    ``rule_pending``, ``pos_live``, the source pointers) stay lists,
+    which CPython indexes fastest in the hot loops.
     ``phase_s`` accumulates wall-clock seconds per kernel phase
     (``close_s`` / ``unfounded_s`` / ``tie_select_s`` / ``tie_apply_s`` /
     ``tie_analysis_s`` — the last carved out of tie selection so the
@@ -307,7 +319,7 @@ class GroundGraphState(FinishedState):
         self.n_rules = n_rules
 
         # M0(Δ): values for EDB atoms and for atoms of Δ, precompiled.
-        self.status: list[int] = list(idx.initial_status)
+        self.status = bytearray(idx.initial_status)
         self.atom_alive = bytearray(b"\x01" * n_atoms)
         alive_init = idx.initial_rule_alive
         if alive_init is None:
@@ -329,7 +341,7 @@ class GroundGraphState(FinishedState):
         #                           and a tie orientation its side instead
         #                           of interning ("unfounded", k) / ("tie", s)
         self._reason_kind = bytearray(n_atoms)
-        self._reason_arg: list[int] = [0] * n_atoms
+        self._reason_arg = array("i", [0]) * n_atoms
         self._labels: list[tuple | None] = []
         self.rule_pending: list[int] = list(idx.body_len)
         self.atom_support: list[int] = list(idx.support)
@@ -1607,7 +1619,7 @@ class GroundGraphState(FinishedState):
         other._idx = self._idx
         other.n_atoms = self.n_atoms
         other.n_rules = self.n_rules
-        other.status = list(self.status)
+        other.status = bytearray(self.status)
         other.atom_alive = bytearray(self.atom_alive)
         other.rule_alive = bytearray(self.rule_alive)
         other.rule_pending = list(self.rule_pending)
@@ -1619,7 +1631,7 @@ class GroundGraphState(FinishedState):
         other._rule_slot = list(self._rule_slot)
         other._live_atom_count = self._live_atom_count
         other._reason_kind = bytearray(self._reason_kind)
-        other._reason_arg = list(self._reason_arg)
+        other._reason_arg = array("i", self._reason_arg)
         other._labels = list(self._labels)
         other._dirty = deque(self._dirty)
         other._initial = self._initial
@@ -1683,11 +1695,11 @@ class GroundGraphState(FinishedState):
         n_atoms, n_rules = idx.n_atoms, idx.n_rules
         grow = n_atoms - self.n_atoms
         if grow:
-            self.status.extend([UNDEF] * grow)
+            self.status.extend(bytes(grow))
             self.atom_alive.extend(bytes(grow))
             self._atom_slot.extend([-1] * grow)
             self._reason_kind.extend(bytes(grow))
-            self._reason_arg.extend([0] * grow)
+            self._reason_arg.extend(array("i", [0]) * grow)
             self.atom_support.extend([0] * grow)
             self._src.extend([-1] * grow)
         if n_rules > self.n_rules:
@@ -1815,15 +1827,20 @@ class GroundGraphState(FinishedState):
 
     # -- results -------------------------------------------------------------
 
-    def snapshot(self, status: Sequence[int]) -> FinishedState:
+    def snapshot(self, status: bytes) -> FinishedState:
         """A :class:`FinishedState` of this closed state that no later
-        kernel call reaches: ``status`` (the model's tuple, shared, not
-        copied) with copies of the reason buffers, labels and
-        ``phase_s``.  The engine keeps the live state as the next
-        well-founded base and reopens it in place; a solution keeps this."""
+        kernel call reaches: ``status`` (the model's bytes, shared, not
+        copied) with copies of the reason buffers — a ``bytearray`` and
+        an ``array('i')``, one memcpy each — labels and ``phase_s``.  The
+        engine keeps the live state as the next well-founded base and
+        reopens it in place; a solution keeps this."""
         self._require_closed()
         return FinishedState.of(
-            self, status, bytearray(self._reason_kind), list(self._reason_arg), dict(self.phase_s)
+            self,
+            status,
+            bytearray(self._reason_kind),
+            array("i", self._reason_arg),
+            dict(self.phase_s),
         )
 
     def finish(self) -> None:

@@ -109,7 +109,7 @@ def _alternating_fixpoint_model(gp: GroundProgram) -> Interpretation:
             break
         under, over = new_under, new_over
 
-    status = []
+    status = bytearray()
     for index in range(gp.atom_count):
         if index in under:
             status.append(TRUE)
@@ -117,7 +117,7 @@ def _alternating_fixpoint_model(gp: GroundProgram) -> Interpretation:
             status.append(FALSE)
         else:
             status.append(UNDEF)
-    return Interpretation(gp, tuple(status))
+    return Interpretation(gp, status)
 
 
 def is_stable_via_gamma(

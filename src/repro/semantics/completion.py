@@ -58,7 +58,7 @@ class CompletionEncoding:
         """Translate a projected SAT model into the fixpoint over the ground
         program: Δ and the projected true atoms TRUE, every other atom FALSE."""
         initial = self.ground_program.index.initial_status
-        status = tuple(
+        status = bytes(
             TRUE if initial[index] == TRUE or projection.get(var) else FALSE
             for index, var in enumerate(self.atom_var)
         )

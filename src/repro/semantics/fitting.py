@@ -41,7 +41,7 @@ def _fitting_model(gp: GroundProgram) -> Interpretation:
         )
     database = gp.database
     n_atoms = gp.atom_count
-    status = [UNDEF] * n_atoms
+    status = bytearray([UNDEF]) * n_atoms
     edb = gp.program.edb_predicates
 
     by_head: dict[int, list[int]] = {}
@@ -92,4 +92,4 @@ def _fitting_model(gp: GroundProgram) -> Interpretation:
             elif all(v == FALSE for v in values):
                 status[index] = FALSE
                 changed = True
-    return Interpretation(gp, tuple(status))
+    return Interpretation(gp, status)

@@ -48,11 +48,11 @@ def _on_table(
     is FALSE.
     """
     table = gp.atoms
-    status = [FALSE] * gp.atom_count
+    status = bytearray([FALSE]) * gp.atom_count
     for value, atoms in ((TRUE, true_atoms), (UNDEF, undefined_atoms)):
         for atom in atoms:
             status[table.get(atom)] = value
-    return Interpretation(gp, tuple(status))
+    return Interpretation(gp, status)
 
 
 def _modular_model(gp: GroundProgram) -> tuple[Interpretation, int]:

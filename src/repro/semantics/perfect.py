@@ -86,7 +86,7 @@ def _perfect_model(gp: GroundProgram) -> Interpretation:
                     f"SCC of {gp.atoms.atom(gr.head)} contains a negative edge"
                 )
 
-    status = [UNDEF] * n_atoms
+    status = bytearray([UNDEF]) * n_atoms
     edb = gp.program.edb_predicates
     pending = [len(gr.pos) + len(gr.neg) for gr in gp.rules]
     dead = [False] * gp.rule_count
@@ -137,4 +137,4 @@ def _perfect_model(gp: GroundProgram) -> Interpretation:
         for a in component_atoms:
             if status[a] == UNDEF:
                 settle(a, FALSE)
-    return Interpretation(gp, tuple(status))
+    return Interpretation(gp, status)

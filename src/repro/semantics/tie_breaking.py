@@ -239,7 +239,7 @@ class TableModel:
 
     def interpretation(self) -> Interpretation:
         """The model as an :class:`~repro.ground.model.Interpretation`."""
-        return Interpretation.over(self.ground_program, tuple(self.status), self.index)
+        return Interpretation.over(self.ground_program, self.status, self.index)
 
     def value(self, atom: Atom) -> bool | None:
         """As :meth:`~repro.ground.model.Interpretation.value`."""
@@ -654,10 +654,9 @@ class TieTable:
     def state(self, flags: bytes, phase_s: dict[str, float]) -> FinishedState:
         """The finished state of the run that orients the ties as ``flags``
         says, with its full reason buffers (requires :meth:`covers`)."""
-        status = self.status(flags)
         base = self.base
         kind = bytearray(base._reason_kind)
-        arg = list(base._reason_arg)
+        arg = array("i", base._reason_arg)
         ids = self.ids
         for k, flag in enumerate(flags):
             cone_kind, cone_arg = self.kind[flag & 1], self.arg[flag & 1]
@@ -665,7 +664,7 @@ class TieTable:
                 a = ids[i]
                 kind[a] = cone_kind[i]
                 arg[a] = cone_arg[i]
-        return FinishedState.of(base, list(status), kind, arg, dict(phase_s))
+        return FinishedState.of(base, self.status(flags), kind, arg, dict(phase_s))
 
     def fill(self, state: FinishedState, flags: bytes, choices: list[TieChoice]) -> bool:
         """Record the outcomes of a run whose first round took ``flags``.

@@ -102,7 +102,7 @@ def _reference_fields(session) -> dict:
         "live_rules_init": live,
         "rule_slot_init": slot,
         "atom_order": order,
-        "canonical_ids": tuple(canonical),
+        "canonical_ids": array("i", canonical),
         "support": array("i", support),
         "initial_rule_alive": bytes(alive),
         "body_len": array("i", session.body_len),

@@ -61,7 +61,7 @@ def _bottoms_key(components):
 
 
 def _assert_states_agree(fast: GroundGraphState, slow: SeedGroundGraphState):
-    assert fast.status == slow.status
+    assert list(fast.status) == list(slow.status)
     assert [bool(b) for b in fast.atom_alive] == [bool(b) for b in slow.atom_alive]
     assert [bool(b) for b in fast.rule_alive] == [bool(b) for b in slow.rule_alive]
     assert fast.live_atom_count == slow.live_atom_count
@@ -166,7 +166,7 @@ def test_clone_independence_under_interleaving(program, clone_at):
     clone, snapshot = clone_pair
     # The original ran to completion after the clone was taken; the clone
     # must still be exactly at the snapshot...
-    assert clone.status == snapshot
+    assert list(clone.status) == snapshot
     # ...and driving the clone (against a fresh seed state fast-forwarded
     # by the same canonical decisions) must agree step for step.
     replay = SeedGroundGraphState(gp)

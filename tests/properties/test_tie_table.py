@@ -79,10 +79,10 @@ def _trail(choices) -> list[tuple]:
 def _assert_equals_fresh(solution, gp, policy, well_founded: bool, label: str) -> None:
     fresh, choices = _fresh_run(gp, policy, well_founded)
     state = solution.state
-    assert solution.model.status == tuple(fresh.status), f"{label}: model"
-    assert list(state.status) == fresh.status, f"{label}: status"
+    assert bytes(solution.model.status) == bytes(fresh.status), f"{label}: model"
+    assert list(state.status) == list(fresh.status), f"{label}: status"
     assert state._reason_kind == fresh._reason_kind, f"{label}: reason kinds"
-    assert list(state._reason_arg) == fresh._reason_arg, f"{label}: reason args"
+    assert list(state._reason_arg) == list(fresh._reason_arg), f"{label}: reason args"
     assert state._labels == fresh._labels, f"{label}: labels"
     assert _trail(solution.choices) == _trail(choices), f"{label}: trail"
 
@@ -413,9 +413,9 @@ def test_a_table_served_state_first_read_after_an_update_equals_the_live_run(
     assert engine.tie_table_solves == served + 1
     assert engine.insert_facts("attacks(3, 1)")
     state = solution.state  # first read: after the update dropped the table
-    assert list(state.status) == fresh.status
+    assert list(state.status) == list(fresh.status)
     assert state._reason_kind == fresh._reason_kind
-    assert list(state._reason_arg) == fresh._reason_arg
+    assert list(state._reason_arg) == list(fresh._reason_arg)
     assert state._labels == fresh._labels
     assert _trail(solution.choices) == _trail(fresh_choices)
     for a in range(len(fresh.status)):

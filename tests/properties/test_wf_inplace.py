@@ -6,7 +6,7 @@ on ``base.reopen(touched)``: the same state object, with only the forward
 cone of the touched atoms reset.  So no solve clones the base, and a
 solution cannot hold the live state: it keeps a
 :class:`~repro.ground.state.FinishedState` snapshot, over its model's
-status tuple, with reason buffers of its own.  Pinned here:
+status bytes, with reason buffers of its own.  Pinned here:
 
 * hypothesis traces over the delta families, in relevant and full mode,
   hold every well-founded solution; after the trace each held solution's
@@ -18,12 +18,19 @@ status tuple, with reason buffers of its own.  Pinned here:
 * well-founded solves after in-place updates call ``clone`` never, and
   ``_wf_bases[mode][0]`` is one object until a rebuild drops it;
 * a solve that raises mid-cascade leaves no base, the next solve starts
-  fresh, and the solve after the next update patches again.
+  fresh, and the solve after the next update patches again;
+* a held solution keeps compact buffers: its model's status is ``bytes``,
+  its snapshot's reasons are a ``bytearray`` and an ``array('i')`` of
+  its own, so it costs six bytes per atom plus a fixed part; a published
+  index keeps its canonical ids as an ``array('i')`` copy.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +41,7 @@ from repro.errors import CloseConflictError
 from repro.ground import state as state_module
 from repro.ground.explain import explain
 from repro.ground.state import FinishedState, GroundGraphState
+from repro.workloads import families
 
 from tests.ground.test_reason_soundness import FAMILIES, assert_reasons_sound
 from tests.properties.test_delta_index import _candidates, _trace
@@ -187,3 +195,111 @@ def test_a_solve_that_raises_mid_cascade_drops_the_base(case, seed, data):
     ), name
     patched_again = live.update_calls > calls and live.delta_rebuilds == rebuilds
     assert live.wf_patches == patches + patched_again, f"{name}: the next update did not patch"
+
+
+# -- compact buffers ----------------------------------------------------------
+
+# Per atom, a held well-founded solution keeps one status byte, one reason
+# kind byte and one 4-byte reason argument.  The fixed part (the Solution,
+# Interpretation and FinishedState objects, the timings and phase_s dicts
+# and the buffers' headers) is about 1.5 KiB on CPython 3.11.
+HELD_BYTES_PER_ATOM = 6
+HELD_FIXED_BYTES = 2048
+
+
+def _absent_attacks(database, n: int, count: int) -> list[str]:
+    """``count`` ``attacks`` facts between existing arguments that
+    ``database`` does not hold."""
+    present = {tuple(c.value for c in row) for row in database["attacks"]}
+    out = []
+    source = 0
+    while len(out) < count:
+        pair = (source, (source + 7) % n)
+        if pair not in present:
+            out.append("attacks(%d, %d)" % pair)
+        source += 5
+    return out
+
+
+def _assert_compact(solution, base, label: str) -> None:
+    state = solution.state
+    status = solution.model.status
+    assert type(status) is bytes and len(status) == state.n_atoms, label
+    assert state.status is status, label
+    assert type(state._reason_kind) is bytearray, label
+    assert type(state._reason_arg) is array and state._reason_arg.typecode == "i", label
+    assert len(state._reason_kind) == len(state._reason_arg) == state.n_atoms, label
+    assert state._reason_kind is not base._reason_kind, label
+    assert state._reason_arg is not base._reason_arg, label
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_held_solution_keeps_byte_and_int_buffers_of_its_own(mode):
+    program, database = families.grounded_argumentation(40)
+    engine = Engine(program, database.copy(), grounding=mode)
+    first = engine.solve("well_founded")
+    _assert_compact(first, engine._wf_bases[mode][0], f"{mode}: first solve")
+    (fact,) = _absent_attacks(database, 40, 1)
+    assert engine.insert_facts(fact)
+    patches = engine.wf_patches
+    patched = engine.solve("well_founded")
+    assert engine.wf_patches == patches + 1, mode
+    base = engine._wf_bases[mode][0]
+    _assert_compact(patched, base, f"{mode}: patched solve")
+    _assert_compact(first, base, f"{mode}: first solve, after the reopen")
+
+
+def test_each_held_solution_keeps_six_bytes_per_atom():
+    """On grounded_argumentation(1200), a live_updates-like toggle holds
+    every well-founded solution it solves.  Dropping them frees, per
+    solution, its status bytes and its snapshot's reason buffers (six
+    bytes per atom) plus a fixed part.  The indexes the models were
+    solved on are held apart, so only the solutions' own memory is
+    freed."""
+    program, database = families.grounded_argumentation(1200)
+    engine = Engine(program, database.copy())
+    engine.solve("well_founded")
+    held, indexes = [], []
+    tracemalloc.start()
+    try:
+        for fact in _absent_attacks(database, 1200, 3):
+            for update in (engine.insert_facts, engine.retract_facts):
+                update(fact)
+                held.append(engine.solve("well_founded"))
+                indexes.append(held[-1].model.index)
+        engine.insert_facts(fact)  # empties the engine's last-answer slot
+        bound = sum(
+            HELD_BYTES_PER_ATOM * solution.state.n_atoms + HELD_FIXED_BYTES
+            for solution in held
+        )
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        del held
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert engine.delta_rebuilds == 0
+    assert all(index is not None for index in indexes)
+    assert 0 < freed <= bound, (freed, bound)
+
+
+def test_a_published_index_keeps_an_int_array_copy_of_the_canonical_ids():
+    program, database = families.grounded_argumentation(40)
+    engine = Engine(program, database.copy())
+    engine.solve("well_founded")
+    first, second = _absent_attacks(database, 40, 2)
+    assert engine.insert_facts(first)
+    gp = engine.ground_for("relevant")
+    session = gp._delta_session
+    index = gp.index
+    canonical = index.canonical_ids
+    assert type(canonical) is array and canonical.typecode == "i"
+    assert type(session.canonical) is array and session.canonical.typecode == "i"
+    assert canonical is not session.canonical
+    assert list(canonical) == list(session.canonical)
+    held = list(canonical)
+    assert engine.insert_facts(second)
+    assert gp.index is not index and gp.index.canonical_ids is not canonical
+    assert list(session.canonical) != held  # the new attacks atom joined U*
+    assert list(canonical) == held
