@@ -596,6 +596,10 @@ class Engine:
             touched = base[1] if base is not None else None
             if apply_facts_delta(gp, inserted, retracted, touched=touched):
                 self.delta_applied += 1
+                if base is not None:
+                    # The base's reopen reads gp.index; the index it was
+                    # solved on would otherwise stay alive until then.
+                    base[0]._idx = None
             elif gp is self._pinned:
                 # apply_facts_delta left the ground program untouched;
                 # undo the database change so the engine is unchanged too.

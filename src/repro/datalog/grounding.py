@@ -616,7 +616,9 @@ class GroundIndex:
       positive (negative) body atom ids, ``pos_atoms[pos_off[r]:pos_off[r+1]]``;
     * ``pos_occ_off``/``pos_occ`` (and ``neg_occ_off``/``neg_occ``) — the
       transposed adjacency: atom → rule instances whose body contains the
-      atom positively (negatively), in ascending rule order;
+      atom positively (negatively), in ascending rule order; built from
+      the tuple views on first read, since only serialization reads them
+      (a loaded index gets them from its artifact);
     * ``body_len[r]`` / ``pos_len[r]`` — body-literal counters, the initial
       values of the state's ``rule_pending`` / ``pos_live`` arrays;
     * ``support[a]`` — number of rule instances with head ``a``;
@@ -687,9 +689,9 @@ class GroundIndex:
             for rank, a in enumerate(self.canonical_ids):
                 order[a] = rank
             return order
-        # Extended (delta-overlay) indexes defer the flat occurrence CSR:
-        # the tuple views carry the hot paths, and the flat arrays are
-        # only needed by serialization — rebuild them from the views on
+        # The flat occurrence CSR is deferred on every index but a loaded
+        # one: the tuple views carry the hot paths, and the flat arrays
+        # are only needed by serialization — build them from the views on
         # first touch.
         if name in ("pos_occ_off", "pos_occ", "neg_occ_off", "neg_occ"):
             for prefix in ("pos", "neg"):
@@ -910,20 +912,10 @@ class GroundIndex:
 
         # Atom → rule adjacency (the transposed occurrence lists), in
         # ascending rule order — keeping traversals deterministic.  Tuple
-        # views for the hot loops; flat CSR alongside.
+        # views for the hot loops; the flat CSR is built from them on
+        # first read (see __getattr__).
         self.pos_occ_t = tuple(tuple(rs) for rs in pos_lists)
         self.neg_occ_t = tuple(tuple(rs) for rs in neg_lists)
-        pos_occ_off = array("i", [0])
-        neg_occ_off = array("i", [0])
-        pos_occ = array("i")
-        neg_occ = array("i")
-        for a in range(n_atoms):
-            pos_occ.extend(pos_lists[a])
-            neg_occ.extend(neg_lists[a])
-            pos_occ_off.append(len(pos_occ))
-            neg_occ_off.append(len(neg_occ))
-        self.pos_occ_off, self.pos_occ = pos_occ_off, pos_occ
-        self.neg_occ_off, self.neg_occ = neg_occ_off, neg_occ
 
         self.initial_status = initial_status
         self.initial_valued = array("i", (a for a in range(n_atoms) if initial_status[a]))

@@ -10,9 +10,13 @@ long chains cannot hit the Python recursion limit.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, Sequence
 
-__all__ = ["strongly_connected_components", "scc_of_signed_digraph"]
+__all__ = [
+    "strongly_connected_components",
+    "signed_strongly_connected_components",
+    "scc_of_signed_digraph",
+]
 
 
 def strongly_connected_components(
@@ -90,6 +94,85 @@ def strongly_connected_components(
                     if w == u:
                         break
                 components.append(component)
+    return components
+
+
+def signed_strongly_connected_components(
+    node_count: int,
+    adj: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],
+    nodes: Iterable[int],
+    parity: bytearray,
+) -> list[list[int]]:
+    """Tarjan's algorithm over a sign-encoded adjacency, labelling parity.
+
+    ``adj[u]`` lists the arcs out of ``u``: ``v`` for a positive arc and
+    ``~v`` for a negative one; arcs must stay within ``nodes``, the
+    traversal roots in order.  Visits, components and their order are
+    those of :func:`strongly_connected_components` over the same
+    adjacency with signs dropped.
+
+    Each node's ``parity`` byte is written once, when the DFS discovers
+    it: 0 for a DFS root, ``parity[u] ^ 1`` through a negative tree arc
+    ``u → v`` and ``parity[u]`` through a positive one.  Tarjan's
+    components are subtrees of the DFS forest, so inside each component
+    these bits are Lemma 1's spanning-tree labelling: the component is a
+    tie exactly when every arc inside it joins equal bits if positive and
+    different bits if negative, and its two sides are then its two bit
+    classes (up to a global flip).
+    """
+    index = [0] * node_count  # discovery number from 1; 0 = unvisited
+    low = [0] * node_count
+    done = node_count + 1  # above every discovery number: a finished node
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    # The DFS path as parallel lists of nodes and their arc iterators;
+    # the node being expanded is held in locals, not on the lists.
+    path_node: list[int] = []
+    path_iter: list[object] = []
+    for root in nodes:
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        parity[root] = 0
+        stack.append(root)
+        u = root
+        it = iter(adj[root])
+        while True:
+            ll_u = low[u]
+            for t in it:  # type: ignore[attr-defined]
+                v = t if t >= 0 else ~t
+                iv = index[v]
+                if not iv:
+                    low[u] = ll_u
+                    path_node.append(u)
+                    path_iter.append(it)
+                    counter += 1
+                    index[v] = low[v] = counter
+                    parity[v] = parity[u] ^ (t < 0)
+                    stack.append(v)
+                    u = v
+                    it = iter(adj[v])
+                    break
+                if iv < ll_u:
+                    ll_u = iv
+            else:
+                if ll_u == index[u]:
+                    component: list[int] = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = done
+                        component.append(w)
+                        if w == u:
+                            break
+                    components.append(component)
+                if not path_node:
+                    break
+                u = path_node.pop()
+                it = path_iter.pop()
+                if ll_u < low[u]:
+                    low[u] = ll_u
     return components
 
 

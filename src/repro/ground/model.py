@@ -27,7 +27,7 @@ _BOOL_OF = {TRUE: True, FALSE: False, UNDEF: None}
 _NO_GHOSTS: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interpretation:
     """A (possibly partial) model of a ground program.
 

@@ -39,7 +39,11 @@ views, built once per ground program):
   ids, Tarjan is re-run only inside components that lost a node, and each
   component carries a count of incoming cross edges that ``close``
   decrements as edges disappear — a component is a bottom component
-  exactly when that count hits zero.  On top of the cache sits a
+  exactly when that count hits zero.  The same signed Tarjan pass labels
+  every node with its Lemma-1 side bit (parity of negative edges along
+  the DFS tree) and checks every in-component edge against the bits, so
+  each component's tie verdict and sides come with the condensation,
+  with no second walk per component.  On top of the cache sits a
   **min-keyed tie schedule**: every component that becomes bottom is
   pushed onto a heap keyed by its smallest atom id, and
   :meth:`select_ties` drains the schedule for a batched round (discarding
@@ -69,9 +73,9 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from repro.datalog.grounding import GroundProgram
-from repro.errors import CloseConflictError, SemanticsError, check_deadline
-from repro.graphs.scc import strongly_connected_components
-from repro.graphs.ties import TieAnalysis, TieSides, analyze_component
+from repro.errors import CloseConflictError, NotATieError, SemanticsError, check_deadline
+from repro.graphs.scc import signed_strongly_connected_components
+from repro.graphs.ties import TieAnalysis, analyze_component
 from repro.ground.model import FALSE, TRUE, UNDEF, Interpretation
 
 __all__ = ["GroundGraphState", "FinishedState", "BottomComponent"]
@@ -101,7 +105,7 @@ _T_ATOM = 1  # (tag, atom, slot): atom left the live set
 _T_RULE = 2  # (tag, rule, slot): rule left the live set
 _T_INCROSS = 3  # (tag, cid): incoming-cross-edge count decremented
 _T_DIRTY = 4  # (tag, cid): cid newly added to the SCC dirty set
-_T_REFINE = 5  # (tag, removed, fresh): a refinement replaced components
+_T_REFINE = 5  # (tag, removed, fresh, nodes, bits): a refinement replaced components
 _T_REBUILD = 6  # (tag,): a full condensation rebuild ran
 _T_SERVED = 7  # (tag, cids): select_ties popped these ties off the schedule
 _T_SRC = 8  # (tag, atom, old): source pointer overwritten
@@ -116,10 +120,25 @@ _T_UNF_VALID = 14  # (tag, old): validity flag overwritten
 class BottomComponent:
     """One bottom SCC of the live graph, with its tie analysis.
 
-    ``atom_ids`` / ``rule_ids`` split the component's nodes; for ties,
-    ``side_of_atom`` maps atom id → 0/1 (the two Lemma-1 sides; which one
-    plays K is the interpreter's choice).
+    ``atom_ids`` / ``rule_ids`` split the component's nodes.  A tie's
+    :attr:`sides` are its two Lemma-1 side atom lists, each ascending
+    (which one plays K is the interpreter's choice).  The kernel builds a
+    tie from those lists alone, read off its side bits, and
+    :attr:`analysis` and :meth:`side_of_atom` are views built on first
+    read; a component built from an :class:`~repro.graphs.ties.TieAnalysis`
+    (a non-tie's odd-cycle witness, a fresh oracle analysis, the seed
+    kernel) derives its lists from that analysis instead.
     """
+
+    __slots__ = (
+        "atom_ids",
+        "rule_ids",
+        "_analysis",
+        "_sides",
+        "_atom_count",
+        "_head_of",
+        "_side_of_atom",
+    )
 
     def __init__(
         self,
@@ -127,53 +146,76 @@ class BottomComponent:
         rule_ids: list[int],
         analysis: TieAnalysis | None,
         atom_count: int,
-        sides_map: dict[int, int] | None = None,
+        sides: tuple[list[int], list[int]] | None = None,
+        head_of: tuple[int, ...] | None = None,
     ):
         self.atom_ids = atom_ids
         self.rule_ids = rule_ids
-        # Either a materialized analysis, or (hot path: served from the
-        # incremental sides cache) just the canonical node → side dict;
-        # the TieAnalysis view is then built on first ``.analysis`` touch.
         self._analysis = analysis
-        self._sides_map = sides_map
+        self._sides = sides
         self._atom_count = atom_count
+        # The index's head map, for the rule nodes' sides in ``analysis``
+        # (a rule of a bottom SCC is on the side of its head atom).
+        self._head_of = head_of
         self._side_of_atom: dict[int, int] | None = None
 
     @property
     def analysis(self) -> TieAnalysis:
-        """The frozen Lemma-1 analysis (materialized lazily)."""
+        """The frozen Lemma-1 analysis (built on first read for a tie
+        made from its side lists: every node, rule nodes included)."""
         a = self._analysis
         if a is None:
-            a = TieAnalysis(is_tie=True, sides=self._sides_map)
-            self._analysis = a
+            side0, side1 = self.sides
+            sides = dict.fromkeys(side0, 0)
+            sides.update(dict.fromkeys(side1, 1))
+            head_of, n_atoms = self._head_of, self._atom_count
+            assert head_of is not None
+            for r in self.rule_ids:
+                sides[n_atoms + r] = sides[head_of[r]]
+            a = self._analysis = TieAnalysis(is_tie=True, sides=sides)
         return a
 
     @property
     def is_tie(self) -> bool:
         """True iff the component has no cycle with odd negative parity."""
-        a = self._analysis
-        return True if a is None else a.is_tie
+        return self._sides is not None or self._analysis.is_tie  # type: ignore[union-attr]
+
+    @property
+    def sides(self) -> tuple[list[int], list[int]]:
+        """The side-0 and side-1 atom ids, each ascending; requires a tie.
+        Built once and shared by every clone that memoized the component,
+        so callers never mutate them."""
+        sides = self._sides
+        if sides is None:
+            analysis = self._analysis
+            assert analysis is not None
+            if analysis.sides is None:
+                raise NotATieError("component has an odd cycle; no (K, L) partition exists")
+            sides = ([], [])
+            atom_count = self._atom_count
+            for node, side in analysis.sides.items():
+                if node < atom_count:
+                    sides[side].append(node)
+            sides[0].sort()
+            sides[1].sort()
+            self._sides = sides
+        return sides
 
     def side_of_atom(self) -> dict[int, int]:
-        """Atom id → side (0/1) under the Lemma-1 partition (cached)."""
-        cached = self._side_of_atom
-        if cached is None:
-            sides = self._sides_map
-            if sides is None:
-                sides = self.analysis.sides
-            assert sides is not None
-            atom_count = self._atom_count
-            cached = {
-                node: side for node, side in sides.items() if node < atom_count
-            }
-            self._side_of_atom = cached
-        return cached
+        """Atom id → side (0/1) under the Lemma-1 partition (a view over
+        :attr:`sides`, built on first read)."""
+        mapping = self._side_of_atom
+        if mapping is None:
+            side0, side1 = self.sides
+            mapping = dict.fromkeys(side0, 0)
+            mapping.update(dict.fromkeys(side1, 1))
+            self._side_of_atom = mapping
+        return mapping
 
     def side_counts(self) -> tuple[int, int]:
         """Number of *atoms* on side 0 and side 1."""
-        sides = self.side_of_atom()
-        ones = sum(sides.values())
-        return len(sides) - ones, ones
+        side0, side1 = self.sides
+        return len(side0), len(side1)
 
 
 class _QueryScratch:
@@ -303,9 +345,15 @@ class GroundGraphState(FinishedState):
     which CPython indexes fastest in the hot loops.
     ``phase_s`` accumulates wall-clock seconds per kernel phase
     (``close_s`` / ``unfounded_s`` / ``tie_select_s`` / ``tie_apply_s`` /
-    ``tie_analysis_s`` — the last carved out of tie selection so the
-    Lemma-1 sides work is attributable on its own) for the solve-phase
-    accounting surfaced in :class:`~repro.api.solution.Solution` timings.
+    ``tie_analysis_s``) for the solve-phase accounting surfaced in
+    :class:`~repro.api.solution.Solution` timings.  ``tie_analysis_s``
+    books the building of bottom components: a tie's two side lists read
+    off the side bits, a non-tie's odd-cycle witness.  It is carved out
+    of tie selection; the labelling and the tie verdicts themselves come
+    with the condensation's signed Tarjan and are booked where that runs:
+    ``tie_select_s`` inside :meth:`select_ties`, no phase inside
+    :meth:`bottom_components_live` (the engine's checkpoint build books
+    its call as ``checkpoint_s``).
     """
 
     def __init__(self, ground_program: GroundProgram):
@@ -394,17 +442,16 @@ class GroundGraphState(FinishedState):
         self._scc_next_cid = 0
         self._scc_dirty: set[int] = set()
 
-        # Incremental Lemma-1 (K, L) sides per component (clean/tie
-        # components only — non-ties fall back to analyze_component for
-        # the odd-cycle witness).  Keyed by cid; because component node
-        # lists are immutable, cids are never reused, and any component
-        # that loses a member is replaced by _refine_scc before the next
-        # query, an entry for a *current* cid can never be stale — the
-        # sides are a pure function of the cid.  Refinement derives the
-        # pieces' sides by restriction (a valid partition stays valid on
-        # any subgraph); a full rebuild assigns new cids, so the dict is
-        # simply reset there.
-        self._tie_sides: dict[int, TieSides] = {}
+        # Lemma-1 side bits, one byte per node, written by the signed
+        # Tarjan that builds the condensation: inside each component they
+        # are the parity labelling along its DFS tree, so a tie's two
+        # sides are its two bit classes.  The same pass checks every
+        # in-component edge against them; _scc_odd holds the cids that
+        # failed (the non-ties).  Clones share the bits until either side
+        # rewrites them (_scc_bits_own is False while shared).
+        self._scc_bits: bytearray | None = None
+        self._scc_bits_own = False
+        self._scc_odd: set[int] = set()
         # tie_analysis_s seconds accrued inside the current select_ties
         # window, subtracted so the two phases never overlap.
         self._ta_overlap = 0.0
@@ -1014,45 +1061,44 @@ class GroundGraphState(FinishedState):
                 yield head, True
 
     def _rebuild_scc(self) -> None:
-        """Full Tarjan over the live graph; installs a fresh condensation.
+        """Full signed Tarjan over the live graph; installs a fresh
+        condensation with its side bits and tie verdicts.
 
         Component ids continue from ``_scc_next_cid`` so ids are never
         reused across rebuilds — stale schedule entries and trail records
         referring to pre-rebuild components can be recognized as such.
-        The sides cache is reset (its keys are pre-rebuild cids) and
-        repopulated lazily per bottom query.
         """
         if self._trail is not None:
             self._trail.append((_T_REBUILD,))
-        self._tie_sides = {}
         n_atoms = self.n_atoms
         node_count = n_atoms + self.n_rules
         live_nodes = sorted(self._live_atoms)
         live_nodes.extend(sorted(n_atoms + r for r in self._live_rules))
 
-        # Materialize live out-edges as plain lists up front: Tarjan and
-        # the incross sweep below then iterate them at C speed instead of
-        # paying two generator frames per edge.  Dead slots share one
-        # (never-mutated) empty list and are never visited.
+        # Materialize live out-edges as plain lists up front, an edge to
+        # ``v`` through a negative body literal as ``~v``: the signed
+        # Tarjan and the edge sweep below then iterate them at C speed
+        # instead of paying two generator frames per edge.  Dead slots
+        # share one (never-mutated) empty list and are never visited.
         idx = self._idx
         rule_alive = self.rule_alive
         atom_alive = self.atom_alive
         pos_occ_t, neg_occ_t = idx.pos_occ_t, idx.neg_occ_t
         head_of = idx.head_of_t
+        neg = ~n_atoms  # ~(n_atoms + r) == neg - r
         empty: list[int] = []
         adj: list[list[int]] = [empty] * node_count
         for u in self._live_atoms:
-            adj[u] = [
-                n_atoms + r for r in pos_occ_t[u] if rule_alive[r]
-            ] + [n_atoms + r for r in neg_occ_t[u] if rule_alive[r]]
+            adj[u] = [n_atoms + r for r in pos_occ_t[u] if rule_alive[r]] + [
+                neg - r for r in neg_occ_t[u] if rule_alive[r]
+            ]
         for r in self._live_rules:
             head = head_of[r]
             if atom_alive[head]:
                 adj[n_atoms + r] = [head]
 
-        components = strongly_connected_components(
-            node_count, adj.__getitem__, nodes=live_nodes
-        )
+        bits = bytearray(node_count)
+        components = signed_strongly_connected_components(node_count, adj, live_nodes, bits)
         if self._scc_comp_of is None:
             self._scc_comp_of = [-1] * node_count
         comp_of = self._scc_comp_of
@@ -1071,24 +1117,40 @@ class GroundGraphState(FinishedState):
         self._scc_next_cid = base + len(components)
         self._scc_bottom_obj = {}
         self._scc_dirty.clear()
+        self._scc_bits = bits
+        self._scc_bits_own = True
 
-        # Count incoming cross edges per component in one edge sweep
-        # over the adjacency lists built above.
+        # One sweep over the adjacency lists built above: an edge between
+        # components counts as incoming for its target's, and an edge
+        # inside one must join equal bits if positive and different bits
+        # if negative, or its component is not a tie.
         incross = dict.fromkeys(comps, 0)
+        odd: set[int] = set()
         for u in live_nodes:
             cu = comp_of[u]
-            for v in adj[u]:
-                cv = comp_of[v]
-                if cv != cu:
-                    incross[cv] += 1
+            bu = bits[u]
+            for t in adj[u]:
+                if t >= 0:
+                    cv = comp_of[t]
+                    if cv != cu:
+                        incross[cv] += 1
+                    elif bits[t] != bu:
+                        odd.add(cu)
+                else:
+                    cv = comp_of[~t]
+                    if cv != cu:
+                        incross[cv] += 1
+                    elif bits[~t] == bu:
+                        odd.add(cu)
         self._scc_incross = incross
+        self._scc_odd = odd
         self._scc_bottom = {cid for cid, count in incross.items() if count == 0}
         heap = self._tie_heap
         for cid in self._scc_bottom:
             heappush(heap, (self._heap_key(comps[cid]), cid))
 
     def _refine_scc(self) -> None:
-        """Re-run Tarjan only inside components that lost a node.
+        """Re-run the signed Tarjan only inside components that lost a node.
 
         Deletion-only dynamics make this sound: the live graph is a
         subgraph of the one the cache was built on, so every current SCC
@@ -1097,10 +1159,16 @@ class GroundGraphState(FinishedState):
         their surviving members.  Incoming-edge counts of surviving
         components are exact (close decrements them per vanished edge);
         only the new pieces are recounted, via the reverse adjacency.
+        The pass rewrites the side bits of the surviving members, and
+        the recount decides each piece's tie verdict: a piece of a tie
+        is a tie (a valid partition stays valid on any subgraph), so only
+        the pieces of a non-tie check their in-piece edges.  With a trail
+        active, the record keeps the bits the pass overwrote.
         """
         comps = self._scc_comps
         comp_of = self._scc_comp_of
-        assert comps is not None and comp_of is not None
+        bits = self._scc_bits
+        assert comps is not None and comp_of is not None and bits is not None
         dirty = self._scc_dirty
         n_atoms = self.n_atoms
         atom_alive = self.atom_alive
@@ -1108,12 +1176,12 @@ class GroundGraphState(FinishedState):
         incross = self._scc_incross
         bottom = self._scc_bottom
         bottom_obj = self._scc_bottom_obj
+        odd = self._scc_odd
         trail = self._trail
 
-        tie_sides = self._tie_sides
-        popped_sides: dict[int, TieSides] = {}
         removed: list[tuple] = []
         affected: list[int] = []
+        odd_before: set[int] = set()
         for cid in dirty:
             for node in comps[cid]:
                 alive = (
@@ -1123,19 +1191,13 @@ class GroundGraphState(FinishedState):
                 )
                 if alive:
                     affected.append(node)
-            sides = tie_sides.pop(cid, None)
-            if sides is not None:
-                popped_sides[cid] = sides
+            was_odd = cid in odd
+            if was_odd:
+                odd.discard(cid)
+                odd_before.add(cid)
             if trail is not None:
                 removed.append(
-                    (
-                        cid,
-                        comps[cid],
-                        incross[cid],
-                        cid in bottom,
-                        bottom_obj.get(cid),
-                        sides,
-                    )
+                    (cid, comps[cid], incross[cid], cid in bottom, bottom_obj.get(cid), was_odd)
                 )
             del comps[cid]
             del incross[cid]
@@ -1144,197 +1206,142 @@ class GroundGraphState(FinishedState):
         dirty.clear()
         if not affected:
             if trail is not None:
-                trail.append((_T_REFINE, removed, []))
+                trail.append((_T_REFINE, removed, [], affected, b""))
             return
 
-        # Successors restricted to the same *old* component (comp_of still
-        # holds the old ids for affected nodes): refinement never crosses
-        # cached component boundaries.
-        def succ_ids(u: int) -> Iterator[int]:
+        # Signed out-edges restricted to the same *old* component (comp_of
+        # still holds the old ids for affected nodes): refinement never
+        # crosses cached component boundaries.
+        idx = self._idx
+        pos_occ_t, neg_occ_t = idx.pos_occ_t, idx.neg_occ_t
+        head_of = idx.head_of_t
+        neg = ~n_atoms
+        adj: dict[int, list[int]] = {}
+        for u in affected:
             cu = comp_of[u]
-            return (v for v, _ in self._live_successors(u) if comp_of[v] == cu)
+            if u < n_atoms:
+                adj[u] = [
+                    n_atoms + r
+                    for r in pos_occ_t[u]
+                    if rule_alive[r] and comp_of[n_atoms + r] == cu
+                ] + [
+                    neg - r
+                    for r in neg_occ_t[u]
+                    if rule_alive[r] and comp_of[n_atoms + r] == cu
+                ]
+            else:
+                h = head_of[u - n_atoms]
+                adj[u] = [h] if atom_alive[h] and comp_of[h] == cu else []
 
-        pieces = strongly_connected_components(
-            n_atoms + self.n_rules, succ_ids, nodes=affected
+        if not self._scc_bits_own:
+            bits = self._scc_bits = bytearray(bits)
+            self._scc_bits_own = True
+        saved = bytes(map(bits.__getitem__, affected)) if trail is not None else b""
+        pieces = signed_strongly_connected_components(
+            n_atoms + self.n_rules, adj, affected, bits
         )
-        fresh: list[tuple[int, list[int]]] = []
+        fresh: list[tuple[int, list[int], bool]] = []
         for piece in pieces:
             piece.sort()
             cid = self._scc_next_cid
             self._scc_next_cid += 1
             comps[cid] = piece
-            fresh.append((cid, piece))
-            if len(piece) > 1:
-                # Derive the piece's (K, L) sides from its old component:
-                # a clean partition restricted to any subgraph stays
-                # clean, so the surviving piece inherits its labels with
-                # no re-verification — the incremental reuse this cache
-                # exists for.  comp_of still holds the old cid here.
-                old = popped_sides.get(comp_of[piece[0]])
-                if old is not None and old.is_tie:
-                    tie_sides[cid] = old.restricted(piece)
-        for cid, piece in fresh:
+            # comp_of still holds the old cid here.
+            fresh.append((cid, piece, comp_of[piece[0]] in odd_before))
+        for cid, piece, _ in fresh:
             for node in piece:
                 comp_of[node] = cid
         if trail is not None:
-            trail.append((_T_REFINE, removed, [cid for cid, _ in fresh]))
+            trail.append((_T_REFINE, removed, [cid for cid, _, _ in fresh], affected, saved))
 
         # Recount incoming cross edges of each new piece from its reverse
         # adjacency (edges from other pieces of the same old component
-        # became cross edges; edges from other components stayed).
-        idx = self._idx
+        # became cross edges; edges from other components stayed), and
+        # check the in-piece edges of the pieces of a non-tie.
         rules_by_head_t = idx.rules_by_head_t
         pos_off, pos_atoms = idx.pos_off, idx.pos_atoms
         neg_off, neg_atoms = idx.neg_off, idx.neg_atoms
         heap = self._tie_heap
-        for cid, piece in fresh:
+        for cid, piece, check in fresh:
             count = 0
+            tie = True
             for node in piece:
+                b = bits[node]
                 if node < n_atoms:
                     for r in rules_by_head_t[node]:
-                        if rule_alive[r] and comp_of[n_atoms + r] != cid:
-                            count += 1
+                        if rule_alive[r]:
+                            if comp_of[n_atoms + r] != cid:
+                                count += 1
+                            elif check and bits[n_atoms + r] != b:
+                                tie = False
                 else:
                     r = node - n_atoms
                     for a in pos_atoms[pos_off[r] : pos_off[r + 1]]:
-                        if atom_alive[a] and comp_of[a] != cid:
-                            count += 1
+                        if atom_alive[a]:
+                            if comp_of[a] != cid:
+                                count += 1
+                            elif check and bits[a] != b:
+                                tie = False
                     for a in neg_atoms[neg_off[r] : neg_off[r + 1]]:
-                        if atom_alive[a] and comp_of[a] != cid:
-                            count += 1
+                        if atom_alive[a]:
+                            if comp_of[a] != cid:
+                                count += 1
+                            elif check and bits[a] == b:
+                                tie = False
             incross[cid] = count
+            if not tie:
+                odd.add(cid)
             if count == 0:
                 bottom.add(cid)
                 heappush(heap, (self._heap_key(piece), cid))
 
-    def _sides_scalar(self, component: list[int]) -> TieSides | None:
-        """One CSR-direct Lemma-1 pass over a live component; ``None`` if
-        the component is not a tie.
-
-        Equivalent to the spanning-walk-plus-verify of
-        :func:`analyze_component` (root ``component[0]``, side 0) but
-        reads the compiled adjacency directly instead of going through
-        the ``_live_successors`` generator.  Membership and liveness are
-        one test: a node belongs to the component iff ``comp_of`` maps it
-        to this cid — dead nodes keep their stale, never-reused cids, so
-        they can never collide with a current one.
-        """
-        idx = self._idx
-        n_atoms = self.n_atoms
-        comp_of = self._scc_comp_of
-        assert comp_of is not None
-        cid = comp_of[component[0]]
-        pos_occ_t, neg_occ_t = idx.pos_occ_t, idx.neg_occ_t
-        head_of = idx.head_of_t
-        root = component[0]
-        side: dict[int, int] = {root: 0}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            su = side[u]
-            if u < n_atoms:
-                for r in pos_occ_t[u]:
-                    v = n_atoms + r
-                    if comp_of[v] == cid and v not in side:
-                        side[v] = su
-                        stack.append(v)
-                for r in neg_occ_t[u]:
-                    v = n_atoms + r
-                    if comp_of[v] == cid and v not in side:
-                        side[v] = su ^ 1
-                        stack.append(v)
-            else:
-                h = head_of[u - n_atoms]
-                if comp_of[h] == cid and h not in side:
-                    side[h] = su
-                    stack.append(h)
-        for u in component:
-            su = side[u]
-            if u < n_atoms:
-                for r in pos_occ_t[u]:
-                    v = n_atoms + r
-                    if comp_of[v] == cid and side[v] != su:
-                        return None
-                for r in neg_occ_t[u]:
-                    v = n_atoms + r
-                    if comp_of[v] == cid and side[v] == su:
-                        return None
-            else:
-                h = head_of[u - n_atoms]
-                if comp_of[h] == cid and side[h] != su:
-                    return None
-        return TieSides(set(component), side)
-
-    def _cached_sides(self, cid: int, component: list[int]) -> TieSides | None:
-        """Sides for ``cid`` from the incremental cache, computing (and
-        installing) them on a miss; ``None`` marks a non-tie.
-
-        Installs need no trail record: the sides are a pure function of
-        the (never reused) cid, so an entry that survives a rewind — like
-        a memoized ``_scc_bottom_obj`` — revalidates naturally, and a
-        missing one is simply recomputed.  Time is attributed to
-        ``tie_analysis_s`` (and to the overlap accumulator, so an
-        enclosing select window does not double-count it).
-        """
-        sides = self._tie_sides.get(cid)
-        if sides is None:
-            t0 = perf_counter()
-            sides = self._sides_scalar(component)
-            if sides is not None:
-                self._tie_sides[cid] = sides
-            dt = perf_counter() - t0
-            self.phase_s["tie_analysis_s"] += dt
-            self._ta_overlap += dt
-        return sides
-
     def _bottom_component(self, cid: int, *, fresh: bool = False) -> BottomComponent:
         """Memoized :class:`BottomComponent` (with analysis) for one cid.
 
-        Serves the analysis from the incremental sides cache when it can;
-        non-ties (and ``fresh=True``, the ``full_recompute`` oracle) run
-        the one-shot :func:`analyze_component`, which also produces the
-        odd-cycle witness.
+        A tie's two side lists are read off the side bits; non-ties (and
+        ``fresh=True``, the ``full_recompute`` oracle) run the one-shot
+        :func:`analyze_component`, which also produces the odd-cycle
+        witness.  Either way side 0 is the side of the component's first
+        atom in canonical order (its smallest atom id without a rank
+        overlay), so order-sensitive policies see the same orientation on
+        a streamed index as on a fresh grounding.  The build is booked as
+        ``tie_analysis_s`` (and to the overlap accumulator, so an
+        enclosing select window does not double-count it).
         """
         obj = self._scc_bottom_obj.get(cid)
         if obj is None:
+            t0 = perf_counter()
             comps = self._scc_comps
             assert comps is not None
             component = comps[cid]
             n_atoms = self.n_atoms
-            # Side 0 is the side of the component's first atom in
-            # canonical order, so order-sensitive policies see the same
-            # orientation on a streamed index as on a fresh grounding.
-            # Without an overlay that is the first node (atoms sort
-            # before shifted rule nodes).
-            order = self._idx.atom_order
-            root = (
-                component[0]
-                if order is None
-                else min((n for n in component if n < n_atoms), key=order.__getitem__)
-            )
-            analysis: TieAnalysis | None = None
-            sides_map: dict[int, int] | None = None
-            if not fresh:
-                sides = self._cached_sides(cid, component)
-                if sides is not None:
-                    # Canonicalize without the TieAnalysis round trip;
-                    # flip 0 shares the cached dict, which the kernel
-                    # never mutates in place.
-                    s = sides.side
-                    sides_map = s if s[root] == 0 else {n: s[n] ^ 1 for n in component}
-            if sides_map is None:
-                analysis = analyze_component(component, self._live_successors)
-                if analysis.sides is not None and analysis.sides[root]:
-                    analysis = TieAnalysis(
-                        is_tie=True, sides={n: v ^ 1 for n, v in analysis.sides.items()}
-                    )
             # Component node lists are sorted, so the atom/rule halves are
             # contiguous slices.
             cut = bisect_left(component, n_atoms)
             atom_ids = component[:cut]
             rule_ids = [n - n_atoms for n in component[cut:]]
-            obj = BottomComponent(atom_ids, rule_ids, analysis, n_atoms, sides_map)
+            idx = self._idx
+            order = idx.atom_order
+            root = atom_ids[0] if order is None else min(atom_ids, key=order.__getitem__)
+            if fresh or cid in self._scc_odd:
+                analysis = analyze_component(component, self._live_successors)
+                if analysis.sides is not None and analysis.sides[root]:
+                    analysis = TieAnalysis(
+                        is_tie=True, sides={n: v ^ 1 for n, v in analysis.sides.items()}
+                    )
+                obj = BottomComponent(atom_ids, rule_ids, analysis, n_atoms)
+            else:
+                bits = self._scc_bits
+                assert bits is not None
+                flip = bits[root]
+                sides: tuple[list[int], list[int]] = ([], [])
+                for a in atom_ids:
+                    sides[bits[a] ^ flip].append(a)
+                obj = BottomComponent(atom_ids, rule_ids, None, n_atoms, sides, idx.head_of_t)
             self._scc_bottom_obj[cid] = obj
+            dt = perf_counter() - t0
+            self.phase_s["tie_analysis_s"] += dt
+            self._ta_overlap += dt
         return obj
 
     def _current_scc(self, *, rebuild: bool = False) -> dict[int, list[int]]:
@@ -1360,12 +1367,12 @@ class GroundGraphState(FinishedState):
         returned component is a genuine cyclic component.
 
         Incremental: the condensation, the per-component incoming-edge
-        counts, and the (K, L) sides are all cached; only components
-        touched by deletions since the last query cost work.
-        ``full_recompute=True`` rebuilds everything from scratch — the
-        condensation via a full Tarjan and every analysis via a fresh
-        :func:`analyze_component`, bypassing the incremental sides cache
-        (the differential oracle for it).
+        counts, the side bits and tie verdicts, and the components built
+        from them are all cached; only components touched by deletions
+        since the last query cost work.  ``full_recompute=True`` rebuilds
+        everything from scratch — the condensation via a full Tarjan and
+        every analysis via a fresh :func:`analyze_component`, not read
+        off the side bits (the differential oracle for them).
         """
         comps = self._current_scc(rebuild=full_recompute)
         result: list[BottomComponent] = []
@@ -1534,15 +1541,16 @@ class GroundGraphState(FinishedState):
             elif tag == _T_REFINE:
                 comps = self._scc_comps
                 if comps is not None:
+                    odd = self._scc_odd
                     for cid in entry[2]:
                         comps.pop(cid, None)
                         self._scc_incross.pop(cid, None)
                         self._scc_bottom.discard(cid)
                         self._scc_bottom_obj.pop(cid, None)
-                        self._tie_sides.pop(cid, None)
+                        odd.discard(cid)
                     comp_of = self._scc_comp_of
                     assert comp_of is not None
-                    for cid, nodes, count, was_bottom, obj, sides in entry[1]:
+                    for cid, nodes, count, was_bottom, obj, was_odd in entry[1]:
                         comps[cid] = nodes
                         self._scc_incross[cid] = count
                         if was_bottom:
@@ -1553,11 +1561,20 @@ class GroundGraphState(FinishedState):
                             heappush(self._tie_heap, (self._heap_key(nodes), cid))
                         if obj is not None:
                             self._scc_bottom_obj[cid] = obj
-                        if sides is not None:
-                            self._tie_sides[cid] = sides
+                        if was_odd:
+                            odd.add(cid)
                         for node in nodes:
                             comp_of[node] = cid
                         self._scc_dirty.add(cid)
+                    if entry[3]:
+                        # The restored components read their own labelling.
+                        bits = self._scc_bits
+                        assert bits is not None
+                        if not self._scc_bits_own:
+                            bits = self._scc_bits = bytearray(bits)
+                            self._scc_bits_own = True
+                        for node, bit in zip(entry[3], entry[4]):
+                            bits[node] = bit
             elif tag == _T_SERVED:
                 # The state is back to the moment of the select_ties call,
                 # so each served tie is a bottom component again.
@@ -1575,7 +1592,9 @@ class GroundGraphState(FinishedState):
                 self._scc_bottom = set()
                 self._scc_bottom_obj = {}
                 self._scc_dirty = set()
-                self._tie_sides = {}
+                self._scc_bits = None
+                self._scc_bits_own = False
+                self._scc_odd = set()
             elif tag == _T_SRC:
                 self._src[entry[1]] = entry[2]
             elif tag == _T_SL_ADD:
@@ -1651,7 +1670,10 @@ class GroundGraphState(FinishedState):
         other._scc_bottom_obj = dict(self._scc_bottom_obj)
         other._scc_next_cid = self._scc_next_cid
         other._scc_dirty = set(self._scc_dirty)
-        other._tie_sides = dict(self._tie_sides)
+        # The side bits are shared until either state rewrites them.
+        other._scc_bits = self._scc_bits
+        other._scc_bits_own = self._scc_bits_own = False
+        other._scc_odd = set(self._scc_odd)
         other._ta_overlap = 0.0
         other._tie_heap = list(self._tie_heap)
         other._trail = None
@@ -1718,7 +1740,9 @@ class GroundGraphState(FinishedState):
         self._scc_bottom = set()
         self._scc_bottom_obj = {}
         self._scc_dirty = set()
-        self._tie_sides = {}
+        self._scc_bits = None
+        self._scc_bits_own = False
+        self._scc_odd = set()
         self._tie_heap = []
         self.phase_s = dict.fromkeys(self.phase_s, 0.0)
 

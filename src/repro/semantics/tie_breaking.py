@@ -458,7 +458,7 @@ class TieTable:
                     owner[successor] = k
                     cone.append(successor)
             covered += len(cone)
-            side0, side1 = _sides(tie)
+            side0, side1 = tie.sides
             ids.extend(side0)
             mids.append(len(ids))
             ids.extend(side1)
@@ -726,16 +726,13 @@ def _apply_tie(
 ) -> TieChoice:
     """Orient one tie: assign the chosen side true, the other false.
 
-    Assignment batches are sorted by atom id so the trail/decision
-    trajectory is independent of the side dict's iteration order (fresh
-    BFS and cached sides enumerate differently).
+    Each side list is ascending, so the assignment batches, and with them
+    the trail and decision trajectory, do not depend on how the sides
+    were found (side bits or a fresh analysis).
     """
-    made_true: list[int] = []
-    made_false: list[int] = []
-    for a, s in component.side_of_atom().items():
-        (made_true if s == true_side else made_false).append(a)
-    made_true.sort()
-    made_false.sort()
+    sides = component.sides
+    made_true = sides[true_side]
+    made_false = sides[1 - true_side]
     t0 = perf_counter()
     state._assign_batch(made_true, TRUE, _R_TIE, true_side)
     state._assign_batch(made_false, FALSE, _R_TIE, 1 - true_side)
@@ -743,20 +740,14 @@ def _apply_tie(
     return TieChoice(made_true, made_false, forced, state.gp.atoms)
 
 
-def _sides(component: BottomComponent) -> tuple[list[int], list[int]]:
-    """A tie's side-0 and side-1 atom ids, each ascending."""
-    sides: tuple[list[int], list[int]] = ([], [])
-    for atom_id, side in component.side_of_atom().items():
-        sides[side].append(atom_id)
-    return sorted(sides[0]), sorted(sides[1])
-
-
 def _ranks(order: list[int] | None, ids: list[int]) -> list[int]:
     """What a policy sees of a tie side's ascending atom ``ids``: their
     canonical ranks, not raw ids, so a streamed-update state makes the
     choice a fresh re-ground would.  ``order`` is the state's rank
-    overlay; it is ``None`` (identity) on a fresh grounding."""
-    return ids if order is None else [order[a] for a in ids]
+    overlay; it is ``None`` (identity) on a fresh grounding.  Always a
+    new list: a tie's side lists are shared by every clone of the state,
+    and a policy may keep or change what it is given."""
+    return list(ids) if order is None else [order[a] for a in ids]
 
 
 def _break_tie(
@@ -769,10 +760,11 @@ def _break_tie(
     so a side without atoms has no nodes at all — counting atoms
     (:meth:`BottomComponent.side_counts`) is equivalent to counting
     nodes, and skips a sweep over the rule half of the partition.  A free
-    tie offers the policy :func:`_ranks` of its :func:`_sides`, as
+    tie offers the policy :func:`_ranks` of its
+    :attr:`~repro.ground.state.BottomComponent.sides`, as
     :meth:`TieTable.draw` does.
     """
-    side0, side1 = _sides(component)
+    side0, side1 = component.sides
     true_side = forced_orientation(len(side0), len(side1))
     forced = true_side is not None
     if true_side is None:

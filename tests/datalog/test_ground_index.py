@@ -2,7 +2,8 @@
 
 Pins three invariants of :class:`repro.datalog.grounding.GroundIndex`:
 
-* the flat CSR arrays and the tuple views describe the same adjacency;
+* the flat CSR arrays and the tuple views describe the same adjacency
+  (the occurrence CSR is built from the views on first read);
 * every compiled quantity (heads, counters, occurrence lists, M₀ status,
   EDB mask, initial worklists) matches a direct recomputation from
   ``gp.rules`` / ``gp.atoms`` / Δ;
@@ -67,6 +68,29 @@ def test_csr_and_views_agree_with_rules(mode):
         tuple(r for r, gr in enumerate(gp.rules) if gr.head == a)
         for a in range(n_atoms)
     )
+
+
+_OCC_CSR = ("pos_occ_off", "pos_occ", "neg_occ_off", "neg_occ")
+
+
+@pytest.mark.parametrize("mode", ["full", "relevant"])
+def test_a_fresh_index_builds_the_occurrence_csr_on_first_read(mode):
+    """Only serialization reads the flat occurrence CSR, so a fresh index
+    holds none of its four arrays until one is read; the first read
+    builds all four, equal to the CSR of the tuple views."""
+    gp = _ground_for(
+        "win(X) :- move(X, Y), not win(Y).", "move(1, 2). move(2, 1). move(2, 3).", mode
+    )
+    idx = gp.index
+    for name in _OCC_CSR:
+        # object.__getattribute__ reads the slot without the lazy fallback.
+        with pytest.raises(AttributeError):
+            object.__getattribute__(idx, name)
+    assert tuple(_csr_rows(idx.pos_occ_off, idx.pos_occ, gp.atom_count)) == idx.pos_occ_t
+    for name in _OCC_CSR:
+        object.__getattribute__(idx, name)
+    assert tuple(_csr_rows(idx.neg_occ_off, idx.neg_occ, gp.atom_count)) == idx.neg_occ_t
+    assert idx.pos_occ.typecode == idx.neg_occ_off.typecode == "i"
 
 
 def test_initial_model_matches_paper_m0():

@@ -1,11 +1,17 @@
 """Tests for SCCs, tie analysis (Lemma 1), and odd-cycle extraction."""
 
+import random
+
 import pytest
 
 from repro.errors import NotATieError
 from repro.graphs.condensation import bottom_components, component_ids
 from repro.graphs.odd_cycles import find_odd_cycle, has_odd_cycle, is_cycle_balanced
-from repro.graphs.scc import scc_of_signed_digraph, strongly_connected_components
+from repro.graphs.scc import (
+    scc_of_signed_digraph,
+    signed_strongly_connected_components,
+    strongly_connected_components,
+)
 from repro.graphs.signed_digraph import SignedDigraph
 from repro.graphs.ties import analyze_component, extract_simple_odd_cycle
 
@@ -44,6 +50,54 @@ class TestSCC:
     def test_self_loop(self):
         g = graph_of(("a", "a", "+"))
         assert scc_of_signed_digraph(g) == [["a"]]
+
+
+class TestSignedSCC:
+    """The signed Tarjan: the components of the unsigned one, in the same
+    order, and side bits whose classes are Lemma 1's partition."""
+
+    @staticmethod
+    def _random_graph(seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        adj = [[] for _ in range(n)]
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                adj[u].append(v if rng.random() < 0.5 else ~v)
+        roots = list(range(n))
+        rng.shuffle(roots)
+        return n, adj, roots
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_components_and_bits_match_the_oracles(self, seed):
+        n, adj, roots = self._random_graph(seed)
+        unsigned = strongly_connected_components(
+            n, lambda u: [t if t >= 0 else ~t for t in adj[u]], nodes=roots
+        )
+        bits = bytearray(n)
+        assert signed_strongly_connected_components(n, adj, roots, bits) == unsigned
+        comp = {node: k for k, nodes in enumerate(unsigned) for node in nodes}
+        for k, nodes in enumerate(unsigned):
+            inside = [(u, t) for u in nodes for t in adj[u] if comp[t if t >= 0 else ~t] == k]
+            fresh = analyze_component(
+                nodes, lambda u: [(t if t >= 0 else ~t, t >= 0) for x, t in inside if x == u]
+            )
+            consistent = all(bits[u] ^ bits[t if t >= 0 else ~t] == (t < 0) for u, t in inside)
+            assert consistent == fresh.is_tie
+            if fresh.is_tie:
+                root = nodes[0]
+                assert all(
+                    bits[x] ^ bits[root] == fresh.sides[x] ^ fresh.sides[root] for x in nodes
+                )
+
+    def test_long_negative_chain_labels_alternately(self):
+        n = 50_000
+        adj = [[~(i + 1)] if i + 1 < n else [] for i in range(n)]
+        bits = bytearray(n)
+        comps = signed_strongly_connected_components(n, adj, range(n), bits)
+        assert len(comps) == n
+        assert bits == bytearray(i & 1 for i in range(n))
 
 
 class TestTieAnalysis:

@@ -10,8 +10,8 @@ pin every run at four granularities:
   schedule-free scan (``_scan_ties``), with a full raw-buffer snapshot
   compared after every round, and a whole batched drive against the
   one-tie-per-step drive of ``_select_tie``;
-* **sides cache** — the incremental (K, L) sides cache against fresh
-  analyses on every round;
+* **side bits** — sides read off the condensation's side bits against
+  fresh analyses on every round;
 * **clone / trail** — a ``clone`` or a ``trail_undo`` to the start
   replays the identical run and leaves no trace on the original;
 * **end state** — a finished drive is a fixpoint with no unfounded atom
@@ -163,12 +163,14 @@ def test_lockstep_schedule_vs_oracle(name, gp):
 
 @pytest.mark.parametrize("name,gp", GROUND_CASES, ids=GROUND_IDS)
 def test_lockstep_with_and_without_sides_cache(name, gp):
-    """The incremental (K, L) sides cache is invisible to the semantics.
+    """The side bits and memoized components are invisible to the semantics.
 
-    Drives the kernel twice through identical rounds — once with the
-    cache operating normally, once with the cache and the memoized bottom
-    components cleared before every select (forcing fresh analyses
-    throughout) — and requires the identical tie-decision sequence and
+    Drives the kernel twice through identical rounds — once through
+    ``select_ties`` as usual (sides read off the side bits of the cached
+    condensation, components memoized), once taking every round's bottom
+    ties from ``bottom_components_live(full_recompute=True)``: a fresh
+    Tarjan and a fresh ``analyze_component`` per component, in schedule
+    order — and requires the identical tie-decision sequence and
     identical raw buffers after every round.
     """
     cached = GroundGraphState(gp)
@@ -177,10 +179,10 @@ def test_lockstep_with_and_without_sides_cache(name, gp):
     _settle(uncached)
     assert _snapshot(cached) == _snapshot(uncached)
     for _ in range(MAX_STEPS):
-        uncached._tie_sides.clear()  # cache-off leg: every analysis fresh
-        uncached._scc_bottom_obj.clear()
         tc = cached.select_ties()
-        tu = uncached.select_ties()
+        # Cache-off leg: every analysis fresh.
+        fresh = uncached.bottom_components_live(full_recompute=True)
+        tu = sorted((t for t in fresh if t.is_tie), key=lambda t: t.atom_ids[0])
         assert _atoms(tc) == _atoms(tu)
         if not tc:
             break

@@ -272,7 +272,9 @@ _DERIVED_CACHES = frozenset(
         "_scc_next_cid",
         "_scc_dirty",
         "_tie_heap",
-        "_tie_sides",
+        "_scc_bits",
+        "_scc_bits_own",
+        "_scc_odd",
     }
 )
 # SHARED structure is immutable and owned by the ground program/index.
