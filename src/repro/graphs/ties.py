@@ -12,12 +12,9 @@ edges on its tree path, then verify every non-tree edge.  A violating edge
 yields a closed walk with an odd number of negative edges, from which a
 *simple* odd cycle is spliced out (the decomposition argument of §3).
 
-:func:`analyze_component` is the frozen one-shot form (the differential
-oracle); :class:`TieSides` is its mutable, incrementally-maintained
-sibling: it keeps the spanning forest, the per-node parity, and the set
-of currently violated edges alive across ``delete_edges`` /
-``delete_nodes`` calls, re-rooting only the orphaned subtree(s) and
-re-verifying only the edges incident to the touched region.
+:func:`analyze_component` is the one-shot form: the kernel's odd-cycle
+witness for non-ties and the ``full_recompute`` oracle for the side bits
+it reads off its own condensation (:mod:`repro.ground.state`).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.errors import NotATieError
 
-__all__ = ["TieAnalysis", "TieSides", "analyze_component", "extract_simple_odd_cycle"]
+__all__ = ["TieAnalysis", "analyze_component", "extract_simple_odd_cycle"]
 
 SignedArc = tuple[int, int, bool]  # (source, target, positive)
 
@@ -55,292 +52,6 @@ class TieAnalysis:
         if self.sides is None:
             raise NotATieError("component has an odd cycle; no (K, L) partition exists")
         return sorted(node for node, s in self.sides.items() if s == side)
-
-
-class TieSides:
-    """Mutable Lemma-1 (K, L) state, maintained incrementally under deletions.
-
-    Where :class:`TieAnalysis` is a frozen one-shot verdict, ``TieSides``
-    keeps the underlying machinery alive: the undirected incidence lists,
-    the spanning forest (as parent arcs), the per-node parity labelling,
-    and the set of edges currently violating the partition.  The component
-    is a tie exactly while ``violations`` is empty.
-
-    :meth:`delete_edges` and :meth:`delete_nodes` update the structure in
-    place.  Only the orphaned subtree(s) — the forest subtrees hanging off
-    a deleted parent arc or node — are re-rooted, by re-attaching them
-    through any surviving edge into the anchored region, and only edges
-    incident to re-labelled nodes are re-verified.  Both return ``True``
-    when the surviving nodes remain (weakly) connected; ``False`` signals
-    that the component split, in which case the structure is stale and the
-    caller must fall back to a fresh analysis per piece (the kernel does
-    this in ``_refine_scc`` / ``_rebuild_scc``).
-
-    Side values are relative to the original root (side 0); after
-    re-rooting they remain a valid (K, L) labelling but may be the global
-    flip of what a fresh :func:`analyze_component` would assign.  Compare
-    through relabelling, or use :meth:`to_analysis` which canonicalises.
-    """
-
-    __slots__ = ("members", "side", "parent", "children", "violations", "adj")
-
-    def __init__(
-        self,
-        members: set[int],
-        side: dict[int, int],
-        parent: dict[int, SignedArc | None] | None = None,
-        children: dict[int, list[int]] | None = None,
-        violations: set[SignedArc] | None = None,
-        adj: dict[int, list[SignedArc]] | None = None,
-    ) -> None:
-        self.members = members
-        self.side = side
-        self.parent = parent
-        self.children = children
-        self.violations = violations if violations is not None else set()
-        self.adj = adj
-
-    @classmethod
-    def analyze(
-        cls,
-        component: Sequence[int],
-        successors: Callable[[int], Iterable[tuple[int, bool]]],
-    ) -> "TieSides":
-        """Build the full incremental structure for one component.
-
-        Mirrors :func:`analyze_component` — root ``component[0]`` gets
-        side 0, and on a tie the labelling is identical — but spans via
-        the *undirected* incidence so the input only needs to be weakly
-        connected (deletions preserve weak connectivity longer than
-        strong, and Lemma 1's parity argument never uses direction).
-        """
-        members = set(component)
-        adj: dict[int, list[SignedArc]] = {n: [] for n in component}
-        for u in component:
-            for v, positive in successors(u):
-                if v not in members:
-                    continue
-                arc = (u, v, positive)
-                adj[u].append(arc)
-                if v != u:
-                    adj[v].append(arc)
-
-        root = component[0]
-        side: dict[int, int] = {root: 0}
-        parent: dict[int, SignedArc | None] = {root: None}
-        children: dict[int, list[int]] = {n: [] for n in component}
-        queue: deque[int] = deque([root])
-        while queue:
-            u = queue.popleft()
-            for arc in adj[u]:
-                v = arc[1] if arc[0] == u else arc[0]
-                if v in side:
-                    continue
-                side[v] = side[u] ^ (0 if arc[2] else 1)
-                parent[v] = arc
-                children[u].append(v)
-                queue.append(v)
-
-        violations: set[SignedArc] = set()
-        for u in component:
-            for arc in adj[u]:
-                if arc[0] != u:  # each arc is listed under both endpoints
-                    continue
-                if not _consistent(arc, side):
-                    violations.add(arc)
-        return cls(members, side, parent, children, violations, adj)
-
-    @property
-    def is_tie(self) -> bool:
-        return not self.violations
-
-    def copy(self) -> "TieSides":
-        return TieSides(
-            set(self.members),
-            dict(self.side),
-            dict(self.parent) if self.parent is not None else None,
-            {k: list(v) for k, v in self.children.items()}
-            if self.children is not None
-            else None,
-            set(self.violations),
-            {k: list(v) for k, v in self.adj.items()} if self.adj is not None else None,
-        )
-
-    def restricted(self, nodes: Iterable[int]) -> "TieSides":
-        """Side-only restriction to ``nodes`` (a subset of ``members``).
-
-        A valid (K, L) partition stays valid on any subgraph (the
-        partition condition is per-edge), so restricting a clean
-        labelling to a surviving piece needs no re-verification.  The
-        result carries no forest/incidence — it answers side queries and
-        further restrictions only; it cannot absorb deletions itself.
-        """
-        keep = set(nodes)
-        return TieSides(
-            keep,
-            {n: self.side[n] for n in keep},
-            None,
-            None,
-            {a for a in self.violations if a[0] in keep and a[1] in keep},
-            None,
-        )
-
-    def to_analysis(self, component: Sequence[int] | None = None) -> TieAnalysis:
-        """Frozen :class:`TieAnalysis` view with canonical side naming.
-
-        Requires a clean (tie) state.  ``component`` fixes the node order
-        of the ``sides`` dict (defaults to sorted members); sides are
-        flipped so the first listed node gets side 0, matching what
-        :func:`analyze_component` assigns when rooted there.
-        """
-        if self.violations:
-            raise NotATieError("component has violating edges; no (K, L) partition")
-        order = list(component) if component is not None else sorted(self.members)
-        flip = self.side[order[0]]
-        if flip == 0:
-            # Already canonical (the common case: kernel passes root the
-            # component head); a plain copy beats a per-node xor.
-            return TieAnalysis(is_tie=True, sides=dict(self.side))
-        return TieAnalysis(is_tie=True, sides={n: self.side[n] ^ flip for n in order})
-
-    def delete_edges(self, arcs: Iterable[SignedArc]) -> bool:
-        """Remove arcs; returns ``False`` if the component disconnects."""
-        if self.adj is None or self.parent is None:
-            raise ValueError("restricted TieSides cannot absorb deletions")
-        assert self.children is not None
-        orphan_roots: list[int] = []
-        for arc in arcs:
-            u, v, _positive = arc
-            self.adj[u].remove(arc)
-            if v != u:
-                self.adj[v].remove(arc)
-            if arc not in self.adj[u] and (v == u or arc not in self.adj[v]):
-                # Last copy of this arc is gone.
-                self.violations.discard(arc)
-                for node in (u, v):
-                    if self.parent.get(node) == arc:
-                        p = v if node == u else u
-                        self.children[p].remove(node)
-                        self.parent[node] = None
-                        orphan_roots.append(node)
-        return self._repair(orphan_roots)
-
-    def delete_nodes(self, nodes: Iterable[int]) -> bool:
-        """Remove nodes and all incident arcs; ``False`` on disconnect."""
-        if self.adj is None or self.parent is None:
-            raise ValueError("restricted TieSides cannot absorb deletions")
-        assert self.children is not None
-        dead = set(nodes) & self.members
-        orphan_roots: list[int] = []
-        for d in dead:
-            for arc in self.adj.pop(d):
-                u, v, _positive = arc
-                other = v if u == d else u
-                if other != d and other not in dead:
-                    try:
-                        self.adj[other].remove(arc)
-                    except ValueError:
-                        pass  # duplicate arc already removed via this loop
-                    if self.parent.get(other) == arc:
-                        self.parent[other] = None
-                        orphan_roots.append(other)
-                self.violations.discard(arc)
-            parc = self.parent.pop(d)
-            if parc is not None:
-                p = parc[0] if parc[1] == d else parc[1]
-                if p in self.children:
-                    try:
-                        self.children[p].remove(d)
-                    except ValueError:
-                        pass
-            self.members.discard(d)
-            del self.side[d]
-        for d in dead:
-            # Children of d were orphaned by the incident-arc sweep above
-            # (their parent arc touches d); only the list itself remains.
-            self.children.pop(d, None)
-        return self._repair(orphan_roots)
-
-    def _repair(self, orphan_roots: list[int]) -> bool:
-        """Re-root detached subtrees and re-verify touched edges.
-
-        ``orphan_roots`` are nodes whose parent arc was deleted.  Their
-        forest subtrees form the *touched region*: every node in it is
-        detached, re-attached through some surviving edge into the
-        anchored remainder, and relabelled; afterwards only arcs incident
-        to the region are re-checked against the partition.
-        """
-        assert self.adj is not None and self.parent is not None
-        assert self.children is not None
-        if not orphan_roots:
-            return True
-        # Collect the full orphan region (subtrees under the cut points).
-        pending: set[int] = set()
-        stack = [r for r in orphan_roots if r in self.members]
-        while stack:
-            n = stack.pop()
-            if n in pending:
-                continue
-            pending.add(n)
-            stack.extend(self.children[n])
-        if not pending:
-            return True
-        # Detach: clear forest links internal bookkeeping for the region.
-        for n in pending:
-            parc = self.parent[n]
-            if parc is not None:
-                p = parc[1] if parc[0] == n else parc[0]
-                if p not in pending:
-                    self.children[p].remove(n)
-            self.parent[n] = None
-            self.children[n] = []
-        # Re-attach via BFS from the anchored boundary.
-        queue: deque[int] = deque()
-        for n in sorted(pending):
-            for arc in self.adj[n]:
-                u, v, positive = arc
-                other = v if u == n else u
-                if other in self.members and other not in pending:
-                    self.side[n] = self.side[other] ^ (0 if positive else 1)
-                    self.parent[n] = arc
-                    self.children[other].append(n)
-                    queue.append(n)
-                    break
-        attached = set(queue)
-        if not attached and pending == self.members:
-            # The whole component was orphaned (the forest root died or
-            # was cut loose), so no anchored label exists to grow from:
-            # re-root at the smallest survivor, keeping its current side
-            # so the labelling stays maximally stable, and regrow.
-            new_root = min(pending)
-            attached = {new_root}
-            queue.append(new_root)
-        pending -= attached
-        while queue:
-            x = queue.popleft()
-            for arc in self.adj[x]:
-                u, v, positive = arc
-                y = v if u == x else u
-                if y in pending:
-                    self.side[y] = self.side[x] ^ (0 if positive else 1)
-                    self.parent[y] = arc
-                    self.children[x].append(y)
-                    pending.discard(y)
-                    attached.add(y)
-                    queue.append(y)
-        # Re-verify every arc incident to a relabelled node.
-        for n in attached:
-            for arc in self.adj[n]:
-                if _consistent(arc, self.side):
-                    self.violations.discard(arc)
-                else:
-                    self.violations.add(arc)
-        return not pending
-
-
-def _consistent(arc: SignedArc, side: dict[int, int]) -> bool:
-    u, v, positive = arc
-    return (side[u] == side[v]) if positive else (side[u] != side[v])
 
 
 def analyze_component(

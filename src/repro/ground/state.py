@@ -51,13 +51,9 @@ views, built once per ground program):
   tie) instead of rescanning all bottom components per round.
   ``bottom_components_live(full_recompute=True)`` bypasses the cache (the
   escape hatch the property suite pins against the incremental path);
-* branching interpreters use a **trail-based undo log** instead of
-  ``clone``: :meth:`trail_begin` starts recording, :meth:`trail_mark`
-  marks a decision point, and :meth:`trail_undo` rewinds assignments,
-  liveness, counters, and the SCC/unfounded/schedule caches to the mark —
-  cost proportional to the work performed since the mark, not to the
-  state size.  ``clone`` remains for callers that need an independent
-  copy (trails are not cloned).
+* a branching caller (the tie enumerator) branches by :meth:`clone`:
+  the per-state arrays are copied at C level, and the condensation's
+  node lists, side bits and memoized components are shared.
 
 ``close`` is confluent (the paper notes the result is independent of
 operation order); a property test shuffles worklist order to confirm.
@@ -68,7 +64,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Iterable, Iterator
 
@@ -98,23 +94,6 @@ _KIND_TUPLES = {
     _R_EDB_ABSENT: ("edb-absent",),
     _R_NO_SUPPORT: ("no-support",),
 }
-
-# Trail entry tags (first element of each undo-log entry).
-_T_SET = 0  # (tag, atom): status/reason were written
-_T_ATOM = 1  # (tag, atom, slot): atom left the live set
-_T_RULE = 2  # (tag, rule, slot): rule left the live set
-_T_INCROSS = 3  # (tag, cid): incoming-cross-edge count decremented
-_T_DIRTY = 4  # (tag, cid): cid newly added to the SCC dirty set
-_T_REFINE = 5  # (tag, removed, fresh, nodes, bits): a refinement replaced components
-_T_REBUILD = 6  # (tag,): a full condensation rebuild ran
-_T_SERVED = 7  # (tag, cids): select_ties popped these ties off the schedule
-_T_SRC = 8  # (tag, atom, old): source pointer overwritten
-_T_SL_ADD = 9  # (tag, atom): atom added to the sourceless set
-_T_SL_DISCARD = 10  # (tag, atom): atom discarded from the sourceless set
-_T_SL_REPLACE = 11  # (tag, old_set): sourceless set replaced wholesale
-_T_LOST_CLEAR = 12  # (tag, old_list): lost queue consumed
-_T_LOST_APPEND = 13  # (tag,): one entry appended to the lost queue
-_T_UNF_VALID = 14  # (tag, old): validity flag overwritten
 
 
 class BottomComponent:
@@ -462,9 +441,6 @@ class GroundGraphState(FinishedState):
         # by select_ties().
         self._tie_heap: list[tuple[int, int]] = []
 
-        # Undo trail (None = disabled).  See trail_begin/trail_mark/undo.
-        self._trail: list[tuple] | None = None
-
         # Per-phase wall-clock accounting (seconds, accumulated).
         self.phase_s: dict[str, float] = {
             "close_s": 0.0,
@@ -495,8 +471,6 @@ class GroundGraphState(FinishedState):
         self.status[index] = value
         self._reason_kind[index] = kind
         self._reason_arg[index] = arg
-        if self._trail is not None:
-            self._trail.append((_T_SET, index))
         self._dirty.append(index)
 
     def assign(self, index: int, value: int, label: tuple | None = None) -> None:
@@ -529,7 +503,6 @@ class GroundGraphState(FinishedState):
         kind = self._reason_kind
         reason_arg = self._reason_arg
         dirty = self._dirty
-        trail = self._trail
         for index in indices:
             current = status[index]
             if current == value:
@@ -539,8 +512,6 @@ class GroundGraphState(FinishedState):
             status[index] = value
             kind[index] = reason
             reason_arg[index] = arg
-            if trail is not None:
-                trail.append((_T_SET, index))
             dirty.append(index)
 
     def close(self) -> None:
@@ -580,7 +551,6 @@ class GroundGraphState(FinishedState):
         bottom = self._scc_bottom
         heap = self._tie_heap
         sourceless = self._unf_sourceless
-        trail = self._trail
         n_atoms = self.n_atoms
         heap_key = self._heap_key
 
@@ -596,19 +566,12 @@ class GroundGraphState(FinishedState):
                 live_atoms[slot] = last
                 atom_slot[last] = slot
             atom_slot[index] = -1
-            if trail is not None:
-                trail.append((_T_ATOM, index, slot))
-            if sourceless and index in sourceless:
+            if sourceless:
                 sourceless.discard(index)
-                if trail is not None:
-                    trail.append((_T_SL_DISCARD, index))
             cu = -1
             if track:
                 cu = comp_of[index]
-                if cu not in scc_dirty:
-                    scc_dirty.add(cu)
-                    if trail is not None:
-                        trail.append((_T_DIRTY, cu))
+                scc_dirty.add(cu)
             value = status[index]
             if value == TRUE:
                 # A true exit can only make *more* atoms derivable, which
@@ -617,8 +580,6 @@ class GroundGraphState(FinishedState):
                 # the incremental machinery surrenders to a full rebuild.
                 if self._unf_valid and sourceless:
                     self._unf_valid = False
-                    if trail is not None:
-                        trail.append((_T_UNF_VALID, True))
                 # Positive occurrences are satisfied, negative ones violated.
                 for r in pos_occ_t[index]:
                     pos_live[r] -= 1
@@ -628,8 +589,6 @@ class GroundGraphState(FinishedState):
                             if cr != cu:
                                 count = incross[cr] - 1
                                 incross[cr] = count
-                                if trail is not None:
-                                    trail.append((_T_INCROSS, cr))
                                 if count == 0:
                                     bottom.add(cr)
                                     heappush(heap, (heap_key(comps[cr]), cr))
@@ -644,17 +603,14 @@ class GroundGraphState(FinishedState):
                             if cr != cu:
                                 count = incross[cr] - 1
                                 incross[cr] = count
-                                if trail is not None:
-                                    trail.append((_T_INCROSS, cr))
                                 if count == 0:
                                     bottom.add(cr)
                                     heappush(heap, (heap_key(comps[cr]), cr))
                         self._kill_rule(r)
             else:
                 # Negative occurrences first (satisfaction decrements),
-                # then positive ones (kills): decrements strictly precede
-                # same-atom kills, so the trail undo can replay the exact
-                # inverse without recording per-edge entries.
+                # then positive ones (kills); the order fixes the close
+                # trajectory, and with it the reasons a run records.
                 for r in neg_occ_t[index]:
                     if rule_alive[r]:
                         if track:
@@ -662,8 +618,6 @@ class GroundGraphState(FinishedState):
                             if cr != cu:
                                 count = incross[cr] - 1
                                 incross[cr] = count
-                                if trail is not None:
-                                    trail.append((_T_INCROSS, cr))
                                 if count == 0:
                                     bottom.add(cr)
                                     heappush(heap, (heap_key(comps[cr]), cr))
@@ -679,8 +633,6 @@ class GroundGraphState(FinishedState):
                             if cr != cu:
                                 count = incross[cr] - 1
                                 incross[cr] = count
-                                if trail is not None:
-                                    trail.append((_T_INCROSS, cr))
                                 if count == 0:
                                     bottom.add(cr)
                                     heappush(heap, (heap_key(comps[cr]), cr))
@@ -711,9 +663,6 @@ class GroundGraphState(FinishedState):
             # incremental unfounded query to re-derive or falsify.
             self._src[head] = -1
             self._unf_lost.append(head)
-            if self._trail is not None:
-                self._trail.append((_T_SRC, head, r_index))
-                self._trail.append((_T_LOST_APPEND,))
         if support == 0 and self.status[head] == UNDEF:
             self._set(head, FALSE, _R_NO_SUPPORT)
 
@@ -731,24 +680,16 @@ class GroundGraphState(FinishedState):
             self._live_rules[slot] = last
             self._rule_slot[last] = slot
         self._rule_slot[r_index] = -1
-        trail = self._trail
-        if trail is not None:
-            trail.append((_T_RULE, r_index, slot))
         comp_of = self._scc_comp_of
         if comp_of is not None:
             cr = comp_of[self.n_atoms + r_index]
-            if cr not in self._scc_dirty:
-                self._scc_dirty.add(cr)
-                if trail is not None:
-                    trail.append((_T_DIRTY, cr))
+            self._scc_dirty.add(cr)
             head = self._idx.head_of_t[r_index]
             if self.atom_alive[head]:
                 ch = comp_of[head]
                 if ch != cr:
                     count = self._scc_incross[ch] - 1
                     self._scc_incross[ch] = count
-                    if trail is not None:
-                        trail.append((_T_INCROSS, ch))
                     if count == 0:
                         self._scc_bottom.add(ch)
                         heappush(self._tie_heap, (self._heap_key(self._scc_comps[ch]), ch))
@@ -916,7 +857,6 @@ class GroundGraphState(FinishedState):
         head_of = idx.head_of_t
         pos_occ_t = idx.pos_occ_t
         src = self._src
-        trail = self._trail
 
         stack = [r for r in self._live_rules if not pos_live[r]]
         while stack:
@@ -925,8 +865,6 @@ class GroundGraphState(FinishedState):
             if atom_mark[head] == epoch or not atom_alive[head]:
                 continue
             atom_mark[head] = epoch
-            if trail is not None:
-                trail.append((_T_SRC, head, src[head]))
             src[head] = r
             for r2 in pos_occ_t[head]:
                 if rule_alive[r2]:
@@ -941,15 +879,7 @@ class GroundGraphState(FinishedState):
         for i in self._live_atoms:
             if atom_mark[i] != epoch:
                 new_sourceless.add(i)
-                if src[i] != -1:
-                    if trail is not None:
-                        trail.append((_T_SRC, i, src[i]))
-                    src[i] = -1
-        if trail is not None:
-            trail.append((_T_SL_REPLACE, self._unf_sourceless))
-            if self._unf_lost:
-                trail.append((_T_LOST_CLEAR, self._unf_lost))
-            trail.append((_T_UNF_VALID, self._unf_valid))
+                src[i] = -1
         self._unf_sourceless = new_sourceless
         self._unf_lost = []
         self._unf_valid = True
@@ -972,7 +902,6 @@ class GroundGraphState(FinishedState):
         head_of = idx.head_of_t
         pos_occ_t = idx.pos_occ_t
         src = self._src
-        trail = self._trail
         scratch = self._scratch
         scratch.grow(self.n_atoms, self.n_rules)
         scratch.epoch += 1
@@ -982,8 +911,6 @@ class GroundGraphState(FinishedState):
         rule_pend = scratch.rule_pend
 
         stack = [a for a in self._unf_lost if atom_alive[a]]
-        if trail is not None:
-            trail.append((_T_LOST_CLEAR, self._unf_lost))
         self._unf_lost = []
         affected: list[int] = []
         while stack:
@@ -996,8 +923,6 @@ class GroundGraphState(FinishedState):
                 if rule_alive[r]:
                     h = head_of[r]
                     if src[h] == r:
-                        if trail is not None:
-                            trail.append((_T_SRC, h, r))
                         src[h] = -1
                         if atom_alive[h]:
                             stack.append(h)
@@ -1023,8 +948,6 @@ class GroundGraphState(FinishedState):
             h = head_of[r]
             if src[h] != -1 or not atom_alive[h] or atom_mark[h] != epoch:
                 continue
-            if trail is not None:
-                trail.append((_T_SRC, h, -1))
             src[h] = r
             for r2 in pos_occ_t[h]:
                 if rule_alive[r2] and rule_mark[r2] == epoch:
@@ -1036,8 +959,6 @@ class GroundGraphState(FinishedState):
         for a in affected:
             if src[a] == -1 and atom_alive[a]:
                 sourceless.add(a)
-                if trail is not None:
-                    trail.append((_T_SL_ADD, a))
 
     def _require_closed(self) -> None:
         if self._dirty or self._initial:
@@ -1065,11 +986,9 @@ class GroundGraphState(FinishedState):
         condensation with its side bits and tie verdicts.
 
         Component ids continue from ``_scc_next_cid`` so ids are never
-        reused across rebuilds — stale schedule entries and trail records
-        referring to pre-rebuild components can be recognized as such.
+        reused across rebuilds.  Every component is new, so the schedule
+        is replaced by one entry per bottom component.
         """
-        if self._trail is not None:
-            self._trail.append((_T_REBUILD,))
         n_atoms = self.n_atoms
         node_count = n_atoms + self.n_rules
         live_nodes = sorted(self._live_atoms)
@@ -1144,10 +1063,10 @@ class GroundGraphState(FinishedState):
                         odd.add(cu)
         self._scc_incross = incross
         self._scc_odd = odd
-        self._scc_bottom = {cid for cid, count in incross.items() if count == 0}
-        heap = self._tie_heap
-        for cid in self._scc_bottom:
-            heappush(heap, (self._heap_key(comps[cid]), cid))
+        bottom = self._scc_bottom = {cid for cid, count in incross.items() if count == 0}
+        heap = [(self._heap_key(comps[cid]), cid) for cid in bottom]
+        heapify(heap)
+        self._tie_heap = heap
 
     def _refine_scc(self) -> None:
         """Re-run the signed Tarjan only inside components that lost a node.
@@ -1162,8 +1081,7 @@ class GroundGraphState(FinishedState):
         The pass rewrites the side bits of the surviving members, and
         the recount decides each piece's tie verdict: a piece of a tie
         is a tie (a valid partition stays valid on any subgraph), so only
-        the pieces of a non-tie check their in-piece edges.  With a trail
-        active, the record keeps the bits the pass overwrote.
+        the pieces of a non-tie check their in-piece edges.
         """
         comps = self._scc_comps
         comp_of = self._scc_comp_of
@@ -1177,9 +1095,7 @@ class GroundGraphState(FinishedState):
         bottom = self._scc_bottom
         bottom_obj = self._scc_bottom_obj
         odd = self._scc_odd
-        trail = self._trail
 
-        removed: list[tuple] = []
         affected: list[int] = []
         odd_before: set[int] = set()
         for cid in dirty:
@@ -1191,22 +1107,15 @@ class GroundGraphState(FinishedState):
                 )
                 if alive:
                     affected.append(node)
-            was_odd = cid in odd
-            if was_odd:
+            if cid in odd:
                 odd.discard(cid)
                 odd_before.add(cid)
-            if trail is not None:
-                removed.append(
-                    (cid, comps[cid], incross[cid], cid in bottom, bottom_obj.get(cid), was_odd)
-                )
             del comps[cid]
             del incross[cid]
             bottom.discard(cid)
             bottom_obj.pop(cid, None)
         dirty.clear()
         if not affected:
-            if trail is not None:
-                trail.append((_T_REFINE, removed, [], affected, b""))
             return
 
         # Signed out-edges restricted to the same *old* component (comp_of
@@ -1236,7 +1145,6 @@ class GroundGraphState(FinishedState):
         if not self._scc_bits_own:
             bits = self._scc_bits = bytearray(bits)
             self._scc_bits_own = True
-        saved = bytes(map(bits.__getitem__, affected)) if trail is not None else b""
         pieces = signed_strongly_connected_components(
             n_atoms + self.n_rules, adj, affected, bits
         )
@@ -1251,8 +1159,6 @@ class GroundGraphState(FinishedState):
         for cid, piece, _ in fresh:
             for node in piece:
                 comp_of[node] = cid
-        if trail is not None:
-            trail.append((_T_REFINE, removed, [cid for cid, _, _ in fresh], affected, saved))
 
         # Recount incoming cross edges of each new piece from its reverse
         # adjacency (edges from other pieces of the same old component
@@ -1391,21 +1297,19 @@ class GroundGraphState(FinishedState):
 
         Drains the min-keyed heap: the result lists each current bottom
         tie once, by its smallest atom in canonical order, and the stale
-        entries (the component split, resolved, or belongs to a timeline
-        a trail undo rewound) and the non-tie entries are discarded on
-        the way.  Equivalent to scanning ``bottom_components_live()`` for
-        its ties, at O(log n) per entry instead of O(components) per
-        round.  Pops are permanent, so the caller orients every returned
-        tie before the next :meth:`close` (bottom ties are disjoint and
-        have no incoming cross edges, so orienting one leaves the others
-        bottom ties with the same sides).  Components that become bottom
-        later are pushed by ``close`` as usual, and a trail undo pushes
-        again every bottom component whose removal by a refinement it
-        rewinds; component ids are never reused, so a stale entry is
-        never served.  With a trail active, the call records the ties it
-        served, and an undo to a mark taken before the call pushes them
-        again.  A caller that rewinds to a mark taken after the call, into
-        the middle of its round, carries the rest of the round itself.
+        entries (the component split or resolved) and the non-tie entries
+        are discarded on the way.  Equivalent to scanning
+        ``bottom_components_live()`` for its ties, at O(log n) per entry
+        instead of O(components) per round.  Pops are permanent, so the
+        caller orients every returned tie before the next :meth:`close`
+        (bottom ties are disjoint and have no incoming cross edges, so
+        orienting one leaves the others bottom ties with the same sides);
+        a :meth:`clone` taken in between carries the rest of the round
+        itself.  Components that become bottom later are pushed by
+        ``close`` as usual.  A component is pushed once, when it becomes
+        bottom, and component ids are never reused, so the heap never
+        holds two entries for one component and a stale entry is never
+        served.
         """
         t0 = perf_counter()
         self._ta_overlap = 0.0
@@ -1413,15 +1317,10 @@ class GroundGraphState(FinishedState):
         bottom = self._scc_bottom
         heap = self._tie_heap
         ties: list[BottomComponent] = []
-        served: list[int] = []
-        last = -1
         while heap:
             cid = heappop(heap)[1]
-            # A trail undo may re-push an entry that is still queued;
-            # equal entries pop back to back.
-            if cid == last or cid not in bottom:
+            if cid not in bottom:
                 continue
-            last = cid
             if len(comps[cid]) == 1:
                 raise AssertionError(
                     "singleton bottom component survived close(); graph state corrupt"
@@ -1429,194 +1328,8 @@ class GroundGraphState(FinishedState):
             obj = self._bottom_component(cid)
             if obj.is_tie:
                 ties.append(obj)
-                served.append(cid)
-        if served and self._trail is not None:
-            self._trail.append((_T_SERVED, served))
         self.phase_s["tie_select_s"] += (perf_counter() - t0) - self._ta_overlap
         return ties
-
-    # -- trail-based undo ----------------------------------------------------
-
-    def trail_begin(self) -> None:
-        """Start recording an undo trail (idempotent).
-
-        Every subsequent mutation — assignments, liveness changes,
-        counter updates, SCC-cache and schedule maintenance, source
-        pointer moves — appends an inverse record, so
-        :meth:`trail_undo` can rewind to any :meth:`trail_mark` at cost
-        proportional to the work performed since.  Clones never inherit
-        an active trail.
-        """
-        if self._trail is None:
-            self._trail = []
-
-    def trail_mark(self):
-        """An opaque mark for the current state (requires an active trail)."""
-        trail = self._trail
-        if trail is None:
-            raise SemanticsError("trail_mark() requires trail_begin() first")
-        return (len(trail), len(self._labels), self._initial, tuple(self._dirty))
-
-    def trail_undo(self, mark) -> None:
-        """Rewind the state to ``mark``, undoing everything since.
-
-        Replays the trail in reverse: each record restores exactly the
-        state its operation observed (liveness conditions at undo time
-        equal those at do time because every later change has already
-        been reverted).  Auxiliary caches are restored to a *consistent*
-        view: component ids are never reused, so schedule entries and
-        memoized analyses that were re-pushed or survive the rewind
-        revalidate naturally.
-        """
-        trail = self._trail
-        if trail is None:
-            raise SemanticsError("trail_undo() requires trail_begin() first")
-        length, labels_len, initial, dirty_snapshot = mark
-        idx = self._idx
-        status = self.status
-        reason_kind = self._reason_kind
-        atom_alive = self.atom_alive
-        rule_alive = self.rule_alive
-        rule_pending = self.rule_pending
-        pos_live = self.pos_live
-        pos_occ_t = idx.pos_occ_t
-        neg_occ_t = idx.neg_occ_t
-        head_of = idx.head_of_t
-        live_atoms, atom_slot = self._live_atoms, self._atom_slot
-        live_rules, rule_slot = self._live_rules, self._rule_slot
-        for pos in range(len(trail) - 1, length - 1, -1):
-            entry = trail[pos]
-            tag = entry[0]
-            if tag == _T_SET:
-                a = entry[1]
-                status[a] = UNDEF
-                reason_kind[a] = _R_NONE
-            elif tag == _T_ATOM:
-                a, slot = entry[1], entry[2]
-                if slot == len(live_atoms):
-                    live_atoms.append(a)
-                else:
-                    moved = live_atoms[slot]
-                    live_atoms.append(moved)
-                    atom_slot[moved] = len(live_atoms) - 1
-                    live_atoms[slot] = a
-                atom_slot[a] = slot
-                atom_alive[a] = 1
-                self._live_atom_count += 1
-                # The atom's value is still set (its _T_SET record is
-                # earlier in the trail); replay the inverse edge updates
-                # under the liveness the original operation observed.
-                if status[a] == TRUE:
-                    for r in pos_occ_t[a]:
-                        pos_live[r] += 1
-                        if rule_alive[r]:
-                            rule_pending[r] += 1
-                else:
-                    for r in pos_occ_t[a]:
-                        pos_live[r] += 1
-                    for r in neg_occ_t[a]:
-                        if rule_alive[r]:
-                            rule_pending[r] += 1
-            elif tag == _T_RULE:
-                r, slot = entry[1], entry[2]
-                if slot == len(live_rules):
-                    live_rules.append(r)
-                else:
-                    moved = live_rules[slot]
-                    live_rules.append(moved)
-                    rule_slot[moved] = len(live_rules) - 1
-                    live_rules[slot] = r
-                rule_slot[r] = slot
-                rule_alive[r] = 1
-                self.atom_support[head_of[r]] += 1
-            elif tag == _T_INCROSS:
-                cid = entry[1]
-                count = self._scc_incross.get(cid)
-                if count is not None:
-                    if count == 0:
-                        self._scc_bottom.discard(cid)
-                    self._scc_incross[cid] = count + 1
-            elif tag == _T_DIRTY:
-                self._scc_dirty.discard(entry[1])
-            elif tag == _T_REFINE:
-                comps = self._scc_comps
-                if comps is not None:
-                    odd = self._scc_odd
-                    for cid in entry[2]:
-                        comps.pop(cid, None)
-                        self._scc_incross.pop(cid, None)
-                        self._scc_bottom.discard(cid)
-                        self._scc_bottom_obj.pop(cid, None)
-                        odd.discard(cid)
-                    comp_of = self._scc_comp_of
-                    assert comp_of is not None
-                    for cid, nodes, count, was_bottom, obj, was_odd in entry[1]:
-                        comps[cid] = nodes
-                        self._scc_incross[cid] = count
-                        if was_bottom:
-                            self._scc_bottom.add(cid)
-                            # Its schedule entry may have been dropped as
-                            # stale meanwhile; restore the invariant that
-                            # every bottom component has a live entry.
-                            heappush(self._tie_heap, (self._heap_key(nodes), cid))
-                        if obj is not None:
-                            self._scc_bottom_obj[cid] = obj
-                        if was_odd:
-                            odd.add(cid)
-                        for node in nodes:
-                            comp_of[node] = cid
-                        self._scc_dirty.add(cid)
-                    if entry[3]:
-                        # The restored components read their own labelling.
-                        bits = self._scc_bits
-                        assert bits is not None
-                        if not self._scc_bits_own:
-                            bits = self._scc_bits = bytearray(bits)
-                            self._scc_bits_own = True
-                        for node, bit in zip(entry[3], entry[4]):
-                            bits[node] = bit
-            elif tag == _T_SERVED:
-                # The state is back to the moment of the select_ties call,
-                # so each served tie is a bottom component again.
-                comps = self._scc_comps
-                if comps is not None:
-                    for cid in entry[1]:
-                        heappush(self._tie_heap, (self._heap_key(comps[cid]), cid))
-            elif tag == _T_REBUILD:
-                # Drop the whole condensation (rebuilt on next query).
-                # comp_of must go too: close() keys its tracking off it,
-                # and the counts it would maintain no longer exist.
-                self._scc_comps = None
-                self._scc_comp_of = None
-                self._scc_incross = {}
-                self._scc_bottom = set()
-                self._scc_bottom_obj = {}
-                self._scc_dirty = set()
-                self._scc_bits = None
-                self._scc_bits_own = False
-                self._scc_odd = set()
-            elif tag == _T_SRC:
-                self._src[entry[1]] = entry[2]
-            elif tag == _T_SL_ADD:
-                self._unf_sourceless.discard(entry[1])
-            elif tag == _T_SL_DISCARD:
-                self._unf_sourceless.add(entry[1])
-            elif tag == _T_SL_REPLACE:
-                self._unf_sourceless = entry[1]
-            elif tag == _T_LOST_CLEAR:
-                self._unf_lost = entry[1]
-            elif tag == _T_LOST_APPEND:
-                self._unf_lost.pop()
-            else:  # _T_UNF_VALID
-                self._unf_valid = entry[1]
-        del trail[length:]
-        # Labels interned since the mark are unreferenced once the _T_SET
-        # records are unwound; reclaim them so a long DFS on one state
-        # stays bounded by its current depth, not its total history.
-        del self._labels[labels_len:]
-        self._initial = initial
-        self._dirty.clear()
-        self._dirty.extend(dirty_snapshot)
 
     # -- cloning ------------------------------------------------------------
 
@@ -1630,8 +1343,7 @@ class GroundGraphState(FinishedState):
         and shared; the id map, edge counts, and bookkeeping sets are
         copied), as is the incremental unfounded-set state.  The query
         scratch is shared because the epoch discipline makes concurrent
-        reuse safe.  An active undo trail is *not* inherited — clones
-        start with recording disabled.
+        reuse safe.
         """
         other = object.__new__(GroundGraphState)
         other.gp = self.gp
@@ -1676,7 +1388,6 @@ class GroundGraphState(FinishedState):
         other._scc_odd = set(self._scc_odd)
         other._ta_overlap = 0.0
         other._tie_heap = list(self._tie_heap)
-        other._trail = None
         other.phase_s = dict(self.phase_s)
         return other
 
@@ -1876,7 +1587,7 @@ class GroundGraphState(FinishedState):
         the SCC cache and tie schedule, the unfounded-set sources, the
         counters and the live-slot arrays.  The state becomes a
         :class:`FinishedState`, which has no kernel methods, so any
-        later ``close``, assignment, query, trail call or ``clone``
+        later ``close``, assignment, query or ``clone``
         raises ``AttributeError`` before it touches anything.
         """
         self._require_closed()

@@ -37,9 +37,8 @@ nondeterministic; a :class:`~repro.semantics.choices.ChoicePolicy`
 resolves it and every run returns its trace of :class:`TieChoice`
 decisions (id-based, decoded to atoms lazily).
 ``Engine.enumerate("tie_breaking")`` explores *all* orientations on the
-same rounds, branching inside each round with a trail-based undo log —
-branching costs the work undone, not a state copy.  Everything here
-takes a kernel state over the engine's
+same rounds, branching inside each round on a state copy per free tie.
+Everything here takes a kernel state over the engine's
 :class:`~repro.datalog.grounding.GroundProgram` and returns kernel
 values; :mod:`repro.api.registry` wraps them into solutions.
 
@@ -70,6 +69,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import deque
 from functools import partial
 from itertools import chain, compress
 from time import perf_counter
@@ -818,18 +818,18 @@ def _enumerate_tie_breaking_models(
     from :meth:`GroundGraphState.select_ties`, the search branches over
     their free orientations depth-first inside the round (side 0 first),
     and each round leaf runs the unfounded step once (well-founded
-    variant).  One state with a trail-based undo log serves the whole
-    search: every free tie takes a trail mark, and leaving a branch
-    rewinds assignments, counters and the kernel caches — branch cost is
-    proportional to the work undone, never an O(state) copy.  The state
-    is closed before each free tie's mark, so the mark keeps the ``close``
-    of the ties before it, and a leaf that re-orients one tie undoes and
-    redoes only the work of that tie and the ties after it, not the whole
-    round's (``close`` is confluent, so the round ends in the state one
-    ``close`` after all its ties would leave).  Yields one
-    ``(model, choice trail)`` pair per decision
-    *sequence*, the trail in round order; deduplicate on
-    ``model.true_set()`` if only models matter.
+    variant).  Each free tie branches by :meth:`GroundGraphState.clone`:
+    the state is closed, a copy is kept for side 1, and side 0 goes on
+    in place.  Since the state is closed before each free tie's copy, a
+    leaf that re-orients one tie redoes only the work of that tie and the
+    ties after it, not the whole round's (``close`` is confluent, so the
+    round ends in the state one ``close`` after all its ties would
+    leave).  Every pending branch yields at least one more sequence, so
+    with a ``limit`` only the newest ``limit - 1`` copies can ever be
+    reached, and the older ones are dropped.  Yields one
+    ``(model, choice trail)`` pair per decision *sequence*, the trail in
+    round order; deduplicate on ``model.true_set()`` if only models
+    matter.
 
     Worst-case exponential in the number of free choices — this is the
     exhaustive verifier behind the paper's "for all choices" statements,
@@ -837,14 +837,12 @@ def _enumerate_tie_breaking_models(
     deadline (:func:`~repro.errors.check_deadline`).
     """
     emitted = 0
-    state.trail_begin()
     trail: list[TieChoice] = []
-    # Unexplored side-1 branches, deepest last: (trail mark, choice depth,
-    # the round's ties, the tie's index).  select_ties pops the schedule
-    # for good, so a branch carries the rest of its round itself; the
-    # entries an undo pushes again go stale once the round is closed.
+    # Unexplored side-1 branches, deepest last: (closed state copy, choice
+    # depth, the round's ties, the tie's index).  select_ties pops the
+    # schedule for good, so a branch carries the rest of its round itself.
     # Iterative so depth is bounded by memory, not the interpreter stack.
-    pending: list[tuple] = []
+    pending: deque[tuple] = deque(maxlen=None if limit is None else max(limit - 1, 0))
     ties: list[BottomComponent] = []
     first = 0
     while limit is None or emitted < limit:
@@ -854,7 +852,7 @@ def _enumerate_tie_breaking_models(
             forced = forced_orientation(*tie.side_counts())
             if forced is None:
                 state.close()
-                pending.append((state.trail_mark(), len(trail), ties, i))
+                pending.append((state.clone(), len(trail), ties, i))
                 trail.append(_apply_tie(state, tie, 0, forced=False))
             else:
                 trail.append(_apply_tie(state, tie, forced, forced=True))
@@ -868,8 +866,7 @@ def _enumerate_tie_breaking_models(
         yield state.interpretation(), tuple(trail)
         if not pending:
             return
-        mark, depth, ties, i = pending.pop()
+        state, depth, ties, i = pending.pop()
         del trail[depth:]
-        state.trail_undo(mark)
         trail.append(_apply_tie(state, ties[i], 1, forced=False))
         first = i + 1

@@ -12,8 +12,8 @@ pin every run at four granularities:
   one-tie-per-step drive of ``_select_tie``;
 * **side bits** — sides read off the condensation's side bits against
   fresh analyses on every round;
-* **clone / trail** — a ``clone`` or a ``trail_undo`` to the start
-  replays the identical run and leaves no trace on the original;
+* **clone** — a ``clone`` of the start replays the identical run and
+  leaves no trace on the original, whichever of the two drives first;
 * **end state** — a finished drive is a fixpoint with no unfounded atom
   and no bottom tie left, and every orientation is a disjoint partition
   of its tie that the final model keeps.
@@ -211,17 +211,16 @@ def test_clone_drive_leaves_original_untouched(name, gp):
 
 
 @pytest.mark.parametrize("name,gp", GROUND_CASES, ids=GROUND_IDS)
-def test_trail_undo_to_start_replays_identically(name, gp):
-    """Undoing a whole drive restores the start; re-driving repeats it."""
+def test_a_clone_of_the_start_replays_identically(name, gp):
+    """The original drives first: the clone of its start is untouched by
+    the whole drive, and driving it repeats the run."""
     state = GroundGraphState(gp)
-    state.trail_begin()
     _settle(state)
-    mark = state.trail_mark()
     before = _snapshot(state)
+    start = state.clone()
     first = _drive(state)
-    state.trail_undo(mark)
-    assert _snapshot(state) == before
-    assert _drive(state) == first
+    assert _snapshot(start) == before
+    assert _drive(start) == first
 
 
 @pytest.mark.parametrize("name,gp", GROUND_CASES, ids=GROUND_IDS)

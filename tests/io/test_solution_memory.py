@@ -121,7 +121,6 @@ def test_kernel_calls_on_a_finished_state_raise():
         lambda: state.falsify_unfounded(),
         lambda: state.bottom_components_live(),
         lambda: state.clone(),
-        lambda: state.trail_begin(),
         lambda: state.finish(),
     ):
         with pytest.raises(AttributeError):

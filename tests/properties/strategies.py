@@ -98,10 +98,10 @@ def small_predicate_programs(draw, max_rules: int = 5):
     return Program(rules)
 
 
-# -- signed tie components and deletion traces ---------------------------
+# -- signed tie components -------------------------------------------------
 #
-# Generators for the Lemma-1 incremental machinery
-# (:class:`repro.graphs.ties.TieSides`).  A component is built from a
+# Generator for the Lemma-1 analysis
+# (:func:`repro.graphs.ties.analyze_component`).  A component is built from a
 # *planted* side assignment: signs are derived from it (positive inside a
 # side, negative across), so the graph is 2-colorable by construction and
 # the planted labelling is a ground-truth witness.  Strong connectivity
@@ -152,60 +152,6 @@ def signed_tie_components(draw, max_nodes: int = 10, flipped: bool | None = None
             arcs[i] = (u, v, not positive)
         n_flipped = len(indices)
     return nodes, arcs, planted, n_flipped
-
-
-@st.composite
-def tie_deletion_traces(draw, max_nodes: int = 10, max_steps: int = 6):
-    """A component plus a random deletion trace over it.
-
-    Returns ``(nodes, arcs, steps)`` where each step is ``("edges",
-    [signed arcs])`` or ``("nodes", [node ids])``.  Traces cover the
-    interesting regimes by construction: deletions on an intact planted
-    component stay tie-preserving until one *splits* the component, and
-    traces drawn over a sign-flipped component carry violated edges whose
-    set must shrink/move correctly as the trace deletes around them.
-    """
-    nodes, arcs, _planted, _n_flipped = draw(signed_tie_components(max_nodes=max_nodes))
-    live_arcs = list(arcs)
-    live_nodes = set(nodes)
-    steps = []
-    for _ in range(draw(st.integers(1, max_steps))):
-        kinds = []
-        if live_arcs:
-            kinds.append("edges")
-        if live_nodes:
-            kinds.append("nodes")
-        if not kinds:
-            break
-        kind = draw(st.sampled_from(kinds))
-        if kind == "edges":
-            count = draw(st.integers(1, min(3, len(live_arcs))))
-            chosen = draw(
-                st.lists(
-                    st.sampled_from(live_arcs),
-                    min_size=count,
-                    max_size=count,
-                    unique=True,
-                )
-            )
-            steps.append(("edges", chosen))
-            gone = set(chosen)
-            live_arcs = [a for a in live_arcs if a not in gone]
-        else:
-            count = draw(st.integers(1, min(2, len(live_nodes))))
-            chosen = draw(
-                st.lists(
-                    st.sampled_from(sorted(live_nodes)),
-                    min_size=count,
-                    max_size=count,
-                    unique=True,
-                )
-            )
-            steps.append(("nodes", chosen))
-            dead = set(chosen)
-            live_nodes -= dead
-            live_arcs = [a for a in live_arcs if a[0] not in dead and a[1] not in dead]
-    return nodes, arcs, steps
 
 
 @st.composite

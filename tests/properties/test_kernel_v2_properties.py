@@ -11,12 +11,10 @@ of its bookkeeping:
   every interpreter step;
 * the **min-keyed tie schedule** (``select_ties``) against the
   schedule-free scan of ``bottom_components_live()`` at every round;
-* the **trail-based undo log** — the trail-undo DFS enumerator, which
-  branches inside batched rounds, must emit the same multiset of
-  (model, multiset of choices) runs as the clone-based reference
-  explorer, which branches one tie per step, and a ``trail_undo`` must
-  land on a state indistinguishable (statuses, liveness, counters, query
-  answers) from a ``clone`` taken at the mark.
+* the **enumerator** — it branches inside batched rounds on a clone
+  per free tie and must emit the same multiset of (model, multiset of
+  choices) runs as the reference explorer, which branches one tie per
+  step; with a ``limit`` it keeps at most ``limit - 1`` clones.
 
 Random inputs come from the hypothesis strategies and from the library's
 own :mod:`repro.workloads.random_programs` distributions, plus every
@@ -25,12 +23,14 @@ named workload family at small sizes.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.api import Engine
 from repro.datalog.database import Database
 from repro.datalog.grounding import apply_facts_delta, ground
 from repro.ground.model import FALSE, TRUE
@@ -203,20 +203,18 @@ def test_incremental_queries_match_oracles_per_step(name, gp):
 
 @pytest.mark.parametrize("variant", ["well-founded", "pure"])
 @pytest.mark.parametrize("name,gp", GROUND_CASES, ids=[n for n, _ in GROUND_CASES])
-def test_trail_enumeration_matches_clone_reference(name, gp, variant):
-    """The same multiset of runs, trail (batched rounds) vs clone (one tie
-    per step), multiplicities included."""
+def test_enumeration_matches_clone_reference(name, gp, variant):
+    """The same multiset of runs, enumerator (batched rounds) vs reference
+    (one tie per step), multiplicities included."""
     well_founded = variant == "well-founded"
-    trail_runs = _runs(
-        _enumerate_tie_breaking_models(GroundGraphState(gp), well_founded=well_founded)
-    )
+    runs = _runs(_enumerate_tie_breaking_models(GroundGraphState(gp), well_founded=well_founded))
     clone_runs = _runs(_enumerate_reference(gp, well_founded=well_founded))
-    assert trail_runs == clone_runs
-    assert trail_runs  # at least one run is always emitted
+    assert runs == clone_runs
+    assert runs  # at least one run is always emitted
 
 
 @pytest.mark.parametrize("limit", [0, 1, 3])
-def test_trail_enumeration_respects_limit(limit):
+def test_enumeration_respects_limit(limit):
     program, db = families.committee(4)
     gp = ground(program, db, mode="relevant")
     runs = list(
@@ -230,11 +228,10 @@ def test_trail_enumeration_respects_limit(limit):
 # fails on any attribute in none of them — so a new mutable field (the
 # way the streaming-update overlay added rule_alive seeding and the
 # canonical atom order) cannot be added without deciding how the
-# trail-undo ≡ clone fingerprint covers it.
+# clone fingerprint covers it.
 #
 # CORE state is captured by _state_fingerprint (raw, normalized, or —
-# for the provenance buffers — decoded through reason_of, since undo
-# clears reason kinds but leaves the unreferenced argument slots stale).
+# for the provenance buffers — decoded through reason_of).
 _CORE_STATE = frozenset(
     {
         "status",
@@ -255,9 +252,8 @@ _CORE_STATE = frozenset(
         "_initial",
     }
 )
-# DERIVED caches rebuild on demand; undo restores them only to a
-# *consistent* view, so the audit pins their query answers (unfounded
-# set, selected tie) rather than their representation.
+# DERIVED caches rebuild on demand, so the audit pins their query
+# answers (unfounded set, selected tie) rather than their representation.
 _DERIVED_CACHES = frozenset(
     {
         "_src",
@@ -279,23 +275,23 @@ _DERIVED_CACHES = frozenset(
 )
 # SHARED structure is immutable and owned by the ground program/index.
 # The overlay's atom order is no field: it is read through ``_idx``, and
-# the streamed-index audit asserts that clones and undo read their index's.
+# the streamed-index audit asserts that clones read their index's.
 _SHARED_IMMUTABLE = frozenset({"gp", "_idx", "n_atoms", "n_rules"})
-# MACHINERY is the trail itself, the epoch-disciplined query scratch,
-# and wall-clock accounting — definitionally outside state equality.
-_MACHINERY = frozenset({"_trail", "_scratch", "phase_s", "_ta_overlap"})
+# MACHINERY is the epoch-disciplined query scratch and wall-clock
+# accounting — definitionally outside state equality.
+_MACHINERY = frozenset({"_scratch", "phase_s", "_ta_overlap"})
 
 
 def test_state_fields_are_classified():
-    """Every GroundGraphState field is classified for the trail audit."""
+    """Every GroundGraphState field is classified for the clone audit."""
     program, db = families.win_move_line(4)
     state = GroundGraphState(ground(program, db, mode="relevant"))
     fields = set(vars(state))
     classified = _CORE_STATE | _DERIVED_CACHES | _SHARED_IMMUTABLE | _MACHINERY
     unclassified = fields - classified
     assert not unclassified, (
-        f"unclassified GroundGraphState field(s) {sorted(unclassified)}: add "
-        "trail coverage and extend _state_fingerprint (core), or classify "
+        f"unclassified GroundGraphState field(s) {sorted(unclassified)}: copy "
+        "it in clone() and extend _state_fingerprint (core), or classify "
         "them as derived/shared/machinery here"
     )
     stale = classified - fields
@@ -315,9 +311,8 @@ def _state_fingerprint(state: GroundGraphState) -> tuple:
     """Comparable view of every _CORE_STATE field of one state.
 
     The swap-remove live lists and their slot maps are order-sensitive
-    representations of sets (undo may repack them differently than the
-    timeline it rewinds), so they are normalized: sorted contents plus an
-    internal-consistency check.  Provenance is compared decoded.
+    representations of sets, so they are normalized: sorted contents plus
+    an internal-consistency check.  Provenance is compared decoded.
     """
     for node in state._live_atoms:
         assert state._live_atoms[state._atom_slot[node]] == node
@@ -340,42 +335,13 @@ def _state_fingerprint(state: GroundGraphState) -> tuple:
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(program=propositional_programs(), steps=st.integers(min_value=1, max_value=4))
-def test_trail_undo_restores_clone_equivalent_state(program, steps):
-    """After trail_undo, the state answers like a clone taken at the mark."""
-    gp = ground(program, Database(), mode="full")
-    state = GroundGraphState(gp)
-    state.trail_begin()
-    state.close()
-    state.falsify_unfounded(numbered=False)
-    reference = state.clone()
-    mark = state.trail_mark()
-
-    # Wander: break up to `steps` ties (the branchy mutation source).
-    for _ in range(steps):
-        if not _orient_round(state):
-            break
-        state.falsify_unfounded(numbered=False)
-    state.trail_undo(mark)
-
-    assert _state_fingerprint(state) == _state_fingerprint(reference)
-    assert state.unfounded_atoms() == reference.unfounded_atoms()
-    assert state.unfounded_atoms() == state.unfounded_atoms(full_recompute=True)
-    # The rewound state must serve the untouched clone's rounds (each
-    # pinned against the scan in _drive_from) and drive to the same final
-    # model under the same canonical decisions.
-    assert _atoms(_scan_ties(state)) == _atoms(_scan_ties(reference))
-    assert _drive_from(state) == _drive_from(reference)
-
-
-def test_trail_undo_on_streamed_ground_program():
-    """The trail audit holds on a delta-updated index (overlay fields).
+def test_clone_on_streamed_ground_program():
+    """The clone audit holds on a delta-updated index (overlay fields).
 
     After streaming updates the index carries the overlay's extra state —
     disabled instances seeding ``rule_alive``, ghost atoms, and the
-    canonical ``atom_order`` — and the trail-undo ≡ clone equivalence
-    must survive all of it.
+    canonical ``atom_order`` — and a clone must read the same index and
+    replay the same run.
     """
     program, db = families.win_move_cycle(8)
     db = db.copy()
@@ -400,73 +366,20 @@ def test_trail_undo_on_streamed_ground_program():
         if rank < state.n_atoms:
             assert fresh.get(gp.atoms.atom(a)) == rank
     assert bytes(state.rule_alive) == bytes(gp.index.initial_rule_alive)
-    state.trail_begin()
     state.close()
     state.falsify_unfounded(numbered=False)
     reference = state.clone()
     assert reference._idx is state._idx
     assert [reference.order_key(a) for a in range(reference.n_atoms)] == ranks
-    mark = state.trail_mark()
+    before = _state_fingerprint(state)
+    assert _state_fingerprint(reference) == before
 
-    for _ in range(3):
-        if not _orient_round(state):
-            break
-        state.falsify_unfounded(numbered=False)
-    state.trail_undo(mark)
-
-    assert state._idx is gp.index
-    assert [state.order_key(a) for a in range(state.n_atoms)] == ranks
-    assert _state_fingerprint(state) == _state_fingerprint(reference)
-    assert state.unfounded_atoms() == state.unfounded_atoms(full_recompute=True)
-    undone_status, _, _ = _drive_from(state)
-    clone_status, _, _ = _drive_from(reference)
-    assert undone_status == clone_status
-
-
-def test_close_after_undo_past_rebuild():
-    """Undoing past the first condensation build must disarm close()'s
-    SCC tracking (regression: stale comp_of against an empty incross map
-    raised KeyError on the next close)."""
-    program, db = families.tie_chain(4)
-    gp = ground(program, db, mode="relevant")
-    state = GroundGraphState(gp)
-    state.trail_begin()
-    state.close()
-    state.falsify_unfounded(numbered=False)
-    mark = state.trail_mark()
-    labels_before = len(state._labels)
-    ties = state.select_ties()  # first query: appends the rebuild record
-    assert ties
-    sides = [tie.side_of_atom() for tie in ties]
-    _assign_sides(state, sides)
-    state.close()
-    state.trail_undo(mark)
-    # Labels interned since the mark are reclaimed with it.
-    assert len(state._labels) == labels_before
-    # Mutate and close again WITHOUT an intervening query: tracking must
-    # be off until the next query rebuilds the condensation (the undone
-    # component ids no longer have edge counts).
-    _assign_sides(state, sides)
-    state.close()
     status, _, _ = _drive_from(state)
-    fresh_status, _ = _drive_fused(gp)
-    assert status == fresh_status
-
-
-def _assign_sides(state: GroundGraphState, sides: list[dict[int, int]]) -> None:
-    """Orient ties side 0 true, from their ``side_of_atom`` maps."""
-    for side in sides:
-        state.assign_many([a for a, s in side.items() if s == 0], TRUE, ("tie", 0))
-        state.assign_many([a for a, s in side.items() if s == 1], FALSE, ("tie", 1))
-
-
-def _orient_round(state: GroundGraphState) -> bool:
-    """Orient every tie the schedule serves (side 0 true) and re-close;
-    False when no tie is left."""
-    ties = state.select_ties()
-    _assign_sides(state, [tie.side_of_atom() for tie in ties])
-    state.close()
-    return bool(ties)
+    assert state._idx is gp.index
+    assert _state_fingerprint(reference) == before
+    assert reference.unfounded_atoms() == reference.unfounded_atoms(full_recompute=True)
+    clone_status, _, _ = _drive_from(reference)
+    assert clone_status == status
 
 
 def _drive_from(state: GroundGraphState) -> tuple[list[int], int, list]:
@@ -485,23 +398,23 @@ def _drive_from(state: GroundGraphState) -> tuple[list[int], int, list]:
         for tie in ties:
             _orient_min(state, tie)
         state.close()
-    pytest.fail("post-undo drive did not converge")
+    pytest.fail("drive did not converge")
 
 
 @settings(max_examples=30, deadline=None)
 @given(program=propositional_programs())
-def test_hypothesis_trail_enumeration_matches_clone(program):
+def test_hypothesis_enumeration_matches_clone(program):
     gp = ground(program, Database(), mode="full")
-    trail_runs = _runs(_enumerate_tie_breaking_models(GroundGraphState(gp), well_founded=True))
+    runs = _runs(_enumerate_tie_breaking_models(GroundGraphState(gp), well_founded=True))
     clone_runs = _runs(_enumerate_reference(gp, well_founded=True))
-    assert trail_runs == clone_runs
+    assert runs == clone_runs
 
 
 # ---------------------------------------------------------------------------
-# select_ties lazy-discard edge cases under trail undo.  select_ties pops
-# the schedule for good, and stale heap entries stay around after
-# assignments and undos; every resurfaced entry must be re-validated
-# against live state, pinned here by the schedule-free oracle.
+# select_ties lazy-discard edge cases.  select_ties pops the schedule for
+# good, and stale heap entries stay around after assignments the schedule
+# did not serve; every resurfaced entry must be re-validated against live
+# state, pinned here by the schedule-free oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -520,110 +433,75 @@ def _assert_schedule_matches_oracle(state: GroundGraphState) -> list:
     return scheduled
 
 
-def test_select_ties_revalidates_after_undo_of_consumed_ties():
-    """Undoing a round resurrects its ties, though select_ties popped them."""
-    program, db = families.tie_chain(8)
-    state = GroundGraphState(ground(program, db, mode="relevant"))
-    state.trail_begin()
-    state.close()
-    state.falsify_unfounded(numbered=False)
-    first = state.select_ties()
-    assert first
-    mark = state.trail_mark()
-    for tie in first:
-        _orient_min(state, tie)
-    state.close()
-    state.falsify_unfounded(numbered=False)
-    _orient_round(state)  # the next round's query drops the oriented ties
-    # The heap holds no entry for the first round any more; after undo
-    # the same components must be offered again.
-    state.trail_undo(mark)
-    again = _assert_schedule_matches_oracle(state)
-    assert _atoms(again) == _atoms(first)
-
-
 def test_select_ties_discards_stale_entries_after_partial_assignment():
-    """Entries an undo pushes again go stale once their ties are oriented."""
+    """Entries of ties oriented outside the schedule go stale."""
     program, db = families.committee(4)
     state = GroundGraphState(ground(program, db, mode="relevant"))
-    state.trail_begin()
     state.close()
     state.falsify_unfounded(numbered=False)
+    branch = state.clone()
     ties = state.select_ties()
     assert len(ties) == 4
-    mark = state.trail_mark()
     for tie in ties:
         _orient_min(state, tie)
     state.close()
     assert state.select_ties() == []
-    # The undo pushes all four ties again; orient two of them outside the
-    # schedule: the schedule must serve exactly the oracle's two, not a
-    # stale heap head.
-    state.trail_undo(mark)
+    # The clone was taken before the pops, so its schedule still holds all
+    # four ties; orient two of them outside the schedule: the schedule
+    # must serve exactly the oracle's two, not a stale heap head.
     for tie in ties[:2]:
-        _orient_min(state, tie)
-    state.close()
-    rest = _assert_schedule_matches_oracle(state)
+        _orient_min(branch, tie)
+    branch.close()
+    rest = _assert_schedule_matches_oracle(branch)
     assert _atoms(rest) == _atoms(ties[2:])
 
 
+@pytest.mark.parametrize("mode", ["relevant", "full"])
 @pytest.mark.parametrize(
-    "well_founded,mode", [(False, "full"), (True, "relevant")], ids=["pure", "well_founded"]
+    "generator,n,ties",
+    [(families.committee, 200, 200), (families.tie_chain, 12, 1), (families.win_move_cycle, 8, 1)],
+    ids=["committee(200)", "tie_chain(12)", "win_move_cycle(8)"],
 )
-def test_select_ties_pops_are_undone_with_the_trail(well_founded, mode):
-    """An undo to a mark taken before select_ties serves that round again.
-
-    The state is analysed before the trail starts, so no SCC query runs
-    between the mark and the undo: only the trail can put the popped
-    entries back.
-    """
-    program, db = families.committee(4)
+def test_rebuilds_leave_one_schedule_entry_per_bottom_component(generator, n, ties, mode):
+    """A rebuild gives every component a new id, so it replaces the
+    schedule instead of adding to it: however often the condensation is
+    rebuilt, the heap holds one entry per bottom component, and the
+    schedule still serves the oracle's round."""
+    program, db = generator(n)
     state = GroundGraphState(ground(program, db, mode=mode))
     state.close()
-    if well_founded:
-        state.falsify_unfounded(numbered=False)
-    state.bottom_components_live()
-    state.trail_begin()
-    mark = state.trail_mark()
-    served = state.select_ties()
-    assert len(served) == 4
-    state.trail_undo(mark)
-    again = _assert_schedule_matches_oracle(state)
-    assert _atoms(again) == _atoms(served)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    program=propositional_programs(),
-    plan=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=4),
-)
-def test_select_ties_schedule_survives_random_undo_cycles(program, plan):
-    """Random orient/undo interleavings: schedule ≡ oracle at every stop.
-
-    Each plan step orients up to three served rounds and then either
-    keeps them or undoes back to the step's mark.  As in the enumerator,
-    the round served at a mark is carried across the undo (its entries
-    were popped before the mark); every round the schedule serves must
-    agree with the schedule-free scan.
-    """
-    gp = ground(program, Database(), mode="full")
-    state = GroundGraphState(gp)
-    state.trail_begin()
-    state.close()
     state.falsify_unfounded(numbered=False)
-    ties = _assert_schedule_matches_oracle(state)
-    for rounds, keep in plan:
-        mark = state.trail_mark()
-        at_mark = ties
-        for _ in range(rounds):
-            if not ties:
-                break
-            for tie in ties:
-                _orient_min(state, tie)
-            state.close()
-            state.falsify_unfounded(numbered=False)
-            ties = _assert_schedule_matches_oracle(state)
-        if not keep:
-            state.trail_undo(mark)
-            ties = at_mark
-            assert _atoms(_scan_ties(state)) == _atoms(at_mark)
+    for _ in range(4):
+        bottom = state.bottom_components_live(full_recompute=True)
+        assert len(bottom) == len(state._scc_bottom) > 0
+        assert sorted(cid for _, cid in state._tie_heap) == sorted(state._scc_bottom)
+    assert len(_assert_schedule_matches_oracle(state)) == ties
+    assert state._tie_heap == []
+
+
+@pytest.mark.parametrize("semantics", ["tie_breaking", "pure_tie_breaking"])
+@pytest.mark.parametrize("limit", [1, 3, 5])
+def test_enumeration_keeps_at_most_limit_minus_one_clones(monkeypatch, limit, semantics):
+    """A pending branch yields at least one more sequence, so with
+    ``limit`` only the newest ``limit - 1`` copies can be reached: the
+    enumerator keeps no more alive, whatever the number of free ties."""
+    engine = Engine(*families.committee(200))
+    engine.solve(semantics)  # build the checkpoint before counting
+    alive: list[weakref.ref] = []
+    clone = GroundGraphState.clone
+
+    def tracked(self):
+        other = clone(self)
+        alive.append(weakref.ref(other))
+        return other
+
+    monkeypatch.setattr(GroundGraphState, "clone", tracked)
+    pending = []
+    for _ in engine.enumerate(semantics, limit=limit):
+        gc.collect()
+        # One live clone is the state the enumeration is on: the engine's
+        # copy of its checkpoint, or the branch it popped last.
+        pending.append(sum(ref() is not None for ref in alive) - 1)
+    assert len(pending) == limit
+    assert len(alive) > 200  # a copy per free tie
+    assert max(pending) <= limit - 1

@@ -14,12 +14,12 @@ the live graph:
   pieces refinements leave included) has the fresh verdict, and every
   bottom tie the fresh sides, canonically oriented (the component's
   first atom on side 0), rule nodes included;
-* **enumeration** — the same holds at every round of a ``trail_undo``
-  driven enumeration, where undo hands restored components their bits
-  back;
-* **clones** — a clone's refinements and undos leave its checkpoint's
-  bits, verdicts and memoized components as they were, and a policy
-  that changes the side lists it is handed changes no component.
+* **enumeration** — the same holds at every round of the enumerator,
+  on every clone it branches to: deep chains of clones share the side
+  bits copy-on-write;
+* **clones** — a clone's refinements leave its checkpoint's bits,
+  verdicts and memoized components as they were, and a policy that
+  changes the side lists it is handed changes no component.
 """
 
 from __future__ import annotations
@@ -136,18 +136,18 @@ def test_every_round_matches_fresh_analysis(gp, well_founded):
 
 
 @pytest.mark.parametrize("gp", CASES)
-def test_a_trail_enumeration_matches_fresh_analysis(gp):
-    """Every round of the trail enumerator, the undone branches included."""
+def test_a_clone_enumeration_matches_fresh_analysis(gp, monkeypatch):
+    """Every round of the enumerator, on every branch's clone."""
     state = GroundGraphState(gp)
-    select = state.select_ties
+    select = GroundGraphState.select_ties
     rounds = []
 
-    def checked_select():
-        ties = select()
-        rounds.append(_check_components(state))
+    def checked_select(self):
+        ties = select(self)
+        rounds.append(_check_components(self))
         return ties
 
-    state.select_ties = checked_select  # type: ignore[method-assign]
+    monkeypatch.setattr(GroundGraphState, "select_ties", checked_select)
     state.close()
     state.falsify_unfounded(numbered=False)
     models = list(_enumerate_tie_breaking_models(state, well_founded=True, limit=48))
@@ -170,8 +170,8 @@ def _checkpoint_view(state: GroundGraphState) -> tuple:
 @pytest.mark.parametrize("gp", CASES)
 def test_a_clone_leaves_its_checkpoint_bits_and_components_alone(gp):
     """The engine's checkpoint shape: closed, unfounded step, first round
-    analysed.  Clones share its bits; a clone that refines copies them
-    first, and an undo restores the clone's own copy."""
+    analysed.  Clones share its bits, and a clone that refines copies
+    them first."""
     checkpoint = GroundGraphState(gp)
     checkpoint.close()
     checkpoint.falsify_unfounded(numbered=False)
@@ -181,8 +181,6 @@ def test_a_clone_leaves_its_checkpoint_bits_and_components_alone(gp):
 
     clone = checkpoint.clone()
     assert clone._scc_bits is bits
-    clone.trail_begin()
-    mark = clone.trail_mark()
     policy = RandomChoice(3)
     for _ in range(MAX_ROUNDS):
         clone.falsify_unfounded(numbered=False)
@@ -192,20 +190,14 @@ def test_a_clone_leaves_its_checkpoint_bits_and_components_alone(gp):
         for tie in ties:
             _break_tie(clone, tie, policy)
         clone.close()
-    clone.trail_undo(mark)
     assert _checkpoint_view(checkpoint) == before
     assert checkpoint._scc_bits is bits
-    # The undo rewound every refinement, so the clone's bits, whether
-    # still shared or its own copy, read as the checkpoint's.
-    assert bytes(clone._scc_bits) == before[0]
-    assert clone._scc_odd == checkpoint._scc_odd
 
-    # A second clone runs to the end with no trail; the checkpoint and
-    # the first clone's rewound state are untouched.
+    # A second clone enumerates, cloning in turn; the checkpoint is
+    # untouched.
     other = checkpoint.clone()
     list(_enumerate_tie_breaking_models(other, well_founded=True, limit=4))
     assert _checkpoint_view(checkpoint) == before
-    assert bytes(clone._scc_bits) == before[0]
 
 
 class _Scribbler:

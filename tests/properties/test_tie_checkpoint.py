@@ -71,11 +71,11 @@ def _ids_with(status, value: int) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(status) if s == value)
 
 
-def _trail(choices) -> list[tuple]:
+def _choice_ids(choices) -> list[tuple]:
     return [(c.true_ids, c.false_ids, c.forced) for c in choices]
 
 
-def _atom_trail(choices) -> list[tuple]:
+def _choice_atoms(choices) -> list[tuple]:
     return [(c.made_true, c.made_false, c.forced) for c in choices]
 
 
@@ -94,7 +94,7 @@ def _assert_equals_fresh(solution, gp, policy, well_founded: bool, label: str) -
     status = state.status
     assert solution.true_ids == _ids_with(status, TRUE), f"{label}: true ids"
     assert solution.undefined_ids == _ids_with(status, UNDEF), f"{label}: undefined ids"
-    assert _trail(solution.choices) == _trail(choices), f"{label}: trail"
+    assert _choice_ids(solution.choices) == _choice_ids(choices), f"{label}: trail"
     assert solution.free_choice_count == sum(not c.forced for c in choices), (
         f"{label}: free choices"
     )
@@ -176,7 +176,7 @@ def test_solves_after_updates_equal_a_fresh_engine(case, seed, steps, policy):
             )
             assert solution.true_atoms == fresh.true_atoms, f"{label}: true atoms"
             assert solution.undefined_atoms == fresh.undefined_atoms, f"{label}: undefined"
-            assert _atom_trail(solution.choices) == _atom_trail(fresh.choices), (
+            assert _choice_atoms(solution.choices) == _choice_atoms(fresh.choices), (
                 f"{label}: trail"
             )
             _assert_equals_fresh(solution, live.ground_for("relevant"), other, True, label)

@@ -1,21 +1,19 @@
-"""Differential properties of the incremental Lemma-1 (K, L) machinery.
+"""Differential properties of the Lemma-1 (K, L) analysis.
 
-Three layers, all lockstep against a fresh-analysis oracle:
+Three layers, all against a ground truth:
 
-* **structure level** — a :class:`repro.graphs.ties.TieSides` absorbing a
-  random deletion trace must, after *every* step, agree with a fresh
-  :meth:`TieSides.analyze` of the surviving graph: same tie verdict, and
-  on ties the same partition through side relabelling.  When a deletion
-  splits the component the mutator reports it (``False``) and the caller
-  falls back to fresh analyses per piece — exactly the kernel's
-  ``_refine_scc`` contract.
+* **structure level** — :func:`repro.graphs.ties.analyze_component` on a
+  random signed component with a *planted* partition recovers the
+  planted sides (up to a global flip), and a component with one flipped
+  arc sign is a non-tie with a valid odd-cycle witness.
 * **kernel level** — a full well-founded tie-breaking drive on each workload
   family where, before every tie round, the incremental path (cached
-  condensation + sides cache) is compared against a
+  condensation and its side bits) is compared against a
   ``full_recompute=True`` clone.
-* **trail level** — undoing a prefix of a trailed run must restore the
-  exact pre-round fingerprint (including the served tie partitions), and
-  redoing from there must land on the original final model.
+* **clone level** — clones taken before every round of a run keep the
+  exact pre-round fingerprint (including the served tie partitions)
+  while the run moves on, and replaying one lands on the original final
+  model.
 """
 
 from __future__ import annotations
@@ -28,12 +26,12 @@ from hypothesis import HealthCheck, given, settings
 from repro.workloads import families
 from repro.datalog.grounding import ground
 from repro.errors import ReproError
-from repro.graphs.ties import TieSides
+from repro.graphs.ties import analyze_component
 from repro.ground.model import FALSE, TRUE
 from repro.ground.state import GroundGraphState
 from repro.semantics.choices import FirstSideTrue, forced_orientation
 
-from tests.properties.strategies import signed_tie_components, tie_deletion_traces
+from tests.properties.strategies import signed_tie_components
 
 MAX_ROUNDS = 4000
 
@@ -63,143 +61,37 @@ def _normalized(side: dict[int, int], nodes) -> dict[int, int]:
     return {n: side[n] ^ flip for n in nodes}
 
 
-def _weak_pieces(nodes, arcs) -> list[set[int]]:
-    """Weakly connected components of the surviving graph."""
-    neighbours: dict[int, set[int]] = {n: set() for n in nodes}
-    for u, v, _positive in arcs:
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-    pieces = []
-    seen: set[int] = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        piece = {start}
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in neighbours[u]:
-                if v not in piece:
-                    piece.add(v)
-                    queue.append(v)
-        seen |= piece
-        pieces.append(piece)
-    return pieces
-
-
-def _check_self_consistent(sides: TieSides, live_arcs) -> None:
-    """Structural invariants: labels cover the members, and the violation
-    set is exactly the set of live arcs inconsistent under the labels."""
-    assert set(sides.side) == sides.members
-    expected_violations = set()
-    for arc in live_arcs:
-        u, v, positive = arc
-        consistent = (
-            sides.side[u] == sides.side[v]
-            if positive
-            else sides.side[u] != sides.side[v]
-        )
-        if not consistent:
-            expected_violations.add(arc)
-    assert sides.violations == expected_violations
-
-
-def _check_matches_fresh(sides: TieSides, live_nodes, live_arcs) -> None:
-    """The incremental structure ≡ a fresh analysis of the live graph."""
-    component = sorted(live_nodes)
-    fresh = TieSides.analyze(component, _successors_from(live_arcs))
-    assert sides.is_tie == fresh.is_tie
-    if sides.is_tie:
-        assert _normalized(sides.side, live_nodes) == _normalized(
-            fresh.side, live_nodes
-        )
-
-
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=signed_tie_components())
 def test_analyze_matches_planted_partition(case):
-    """On an unflipped component the analysis recovers the planted sides;
-    flipping any arc makes it a non-tie (every arc lies on a cycle)."""
+    """On an unflipped component the analysis recovers the planted sides
+    (up to a global flip); flipping one arc makes it a non-tie whose
+    witness is a simple cycle of the component's arcs with an odd number
+    of negative arcs (every arc lies on a cycle)."""
     nodes, arcs, planted, n_flipped = case
-    sides = TieSides.analyze(sorted(nodes), _successors_from(arcs))
-    _check_self_consistent(sides, arcs)
+    analysis = analyze_component(nodes, _successors_from(arcs))
+    if analysis.is_tie:
+        assert analysis.odd_cycle is None
+        assert set(analysis.sides) == set(nodes)
+        for u, v, positive in arcs:
+            assert (analysis.sides[u] == analysis.sides[v]) == positive
+    else:
+        assert analysis.sides is None
+        cycle = analysis.odd_cycle
+        assert cycle and set(cycle) <= set(arcs)
+        sources = [u for u, _, _ in cycle]
+        assert len(set(sources)) == len(sources), "witness cycle is not simple"
+        assert [v for _, v, _ in cycle] == sources[1:] + sources[:1]
+        assert sum(1 for _, _, positive in cycle if not positive) % 2 == 1
     if n_flipped == 0:
-        assert sides.is_tie
-        assert _normalized(sides.side, nodes) == _normalized(planted, nodes)
+        assert analysis.is_tie
+        assert _normalized(analysis.sides, nodes) == _normalized(planted, nodes)
     elif n_flipped == 1:
         # One flipped arc lies on some cycle (strong connectivity), and
         # that cycle's negative parity became odd.  Two or more flips can
         # cancel along a shared cycle, so only the single-flip case has a
         # guaranteed verdict.
-        assert not sides.is_tie
-
-
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=tie_deletion_traces())
-def test_deletion_trace_matches_fresh_analysis(case):
-    """After every deletion step: incremental ≡ fresh, split ⟺ reported."""
-    nodes, arcs, steps = case
-    live_nodes = set(nodes)
-    live_arcs = list(arcs)
-    sides = TieSides.analyze(sorted(nodes), _successors_from(arcs))
-    for kind, payload in steps:
-        if kind == "edges":
-            payload = [a for a in payload if a in live_arcs]
-            if not payload:
-                continue
-            gone = set(payload)
-            live_arcs = [a for a in live_arcs if a not in gone]
-            intact = sides.delete_edges(payload)
-        else:
-            payload = [n for n in payload if n in live_nodes]
-            if not payload:
-                continue
-            dead = set(payload)
-            live_nodes -= dead
-            live_arcs = [
-                a for a in live_arcs if a[0] not in dead and a[1] not in dead
-            ]
-            intact = sides.delete_nodes(payload)
-        if not live_nodes:
-            # Everything died: the structure is empty, not split.
-            assert intact
-            assert not sides.members and not sides.side and not sides.violations
-            return
-        pieces = _weak_pieces(sorted(live_nodes), live_arcs)
-        assert intact == (len(pieces) == 1)
-        if not intact:
-            # Split: the incremental structure is stale by contract; the
-            # caller re-analyzes per piece (the kernel's refine fallback).
-            for piece in pieces:
-                piece_arcs = [
-                    a for a in live_arcs if a[0] in piece and a[1] in piece
-                ]
-                fresh = TieSides.analyze(sorted(piece), _successors_from(piece_arcs))
-                _check_self_consistent(fresh, piece_arcs)
-            return
-        _check_self_consistent(sides, live_arcs)
-        _check_matches_fresh(sides, live_nodes, live_arcs)
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=signed_tie_components(flipped=False))
-def test_restricted_partition_stays_valid(case):
-    """A clean partition restricted to any node subset stays clean — the
-    monotonicity fact ``_refine_scc`` relies on when it derives a fresh
-    piece's sides from its parent component."""
-    nodes, arcs, _planted, _n_flipped = case
-    sides = TieSides.analyze(sorted(nodes), _successors_from(arcs))
-    assert sides.is_tie
-    keep = {n for n in nodes if n % 2 == 0} or set(nodes)
-    restricted = sides.restricted(keep)
-    kept_arcs = [a for a in arcs if a[0] in keep and a[1] in keep]
-    for u, v, positive in kept_arcs:
-        if positive:
-            assert restricted.side[u] == restricted.side[v]
-        else:
-            assert restricted.side[u] != restricted.side[v]
-    with pytest.raises(ValueError):
-        restricted.delete_edges(kept_arcs[:1])
+        assert not analysis.is_tie
 
 
 # -- kernel level ---------------------------------------------------------
@@ -217,11 +109,11 @@ def _normalized_sides(sides: Mapping[int, int]) -> dict[int, int]:
 
 
 def _verify_tie_sides(name: str, gp) -> int:
-    """Lockstep differential of the incremental (K, L) sides cache.
+    """Lockstep differential of the kernel's (K, L) side bits.
 
     Drives one untimed well-founded tie-breaking run; before every tie
     round, each bottom component served by the incremental path (cached
-    condensation + sides cache) is compared against a
+    condensation and its side bits) is compared against a
     ``full_recompute=True`` pass on a clone — the fresh-Tarjan,
     fresh-``analyze_component`` oracle.  Components are matched by node
     set and sides are compared through the canonical relabelling.
@@ -288,7 +180,7 @@ def test_kernel_lockstep_vs_full_recompute(name, generator, n, mode):
     assert checked > 0
 
 
-# -- trail level ----------------------------------------------------------
+# -- clone level ----------------------------------------------------------
 
 
 def _fingerprint(state) -> tuple:
@@ -334,41 +226,42 @@ def _drive_round(state) -> bool:
 @pytest.mark.parametrize(
     "name,generator,n,mode", FAMILY_CASES, ids=[c[0] for c in FAMILY_CASES]
 )
-def test_trail_undo_replay_preserves_tie_state(name, generator, n, mode):
-    """Undo a prefix of a trailed run, redo it, compare fingerprints.
+def test_round_clones_replay_preserves_tie_state(name, generator, n, mode):
+    """Clone before every round, finish the run, then replay the clones.
 
-    The rewound state must reproduce the exact pre-round fingerprint —
-    including the tie partitions served by the (trail-aware) sides cache
-    — and the redo must land on the original final model.
+    Each clone shares its parent's condensation and side bits until one
+    of them writes, so the original run moving on must leave every clone
+    with the exact fingerprint it had when taken — including the tie
+    partitions it serves — and driving a clone must land on the original
+    final model.
     """
     program, db = generator(n)
     gp = ground(program, db, mode=mode)
     state = GroundGraphState(gp)
-    state.trail_begin()
     state.close()
 
-    marks = []
+    clones = []
     fingerprints = []
     for _ in range(MAX_ROUNDS):
-        marks.append(state.trail_mark())
         fingerprints.append(_fingerprint(state))
+        clones.append(state.clone())
         if not _drive_round(state):
             break
     else:
         pytest.fail("drive did not converge")
     final = (tuple(state.status), frozenset(state.live_atom_ids()))
-    assert len(marks) >= 2, "family too small to exercise an undo prefix"
+    assert len(clones) >= 2, "family too small to exercise a replay prefix"
 
-    for target in {0, len(marks) // 2, len(marks) - 1}:
-        state.trail_undo(marks[target])
-        assert _fingerprint(state) == fingerprints[target], (
-            f"{name}: fingerprint diverges after undo to round {target}"
+    for target in sorted({0, len(clones) // 2, len(clones) - 1}):
+        branch = clones[target]
+        assert _fingerprint(branch) == fingerprints[target], (
+            f"{name}: clone of round {target} diverges after the run moved on"
         )
         for _ in range(MAX_ROUNDS):
-            if not _drive_round(state):
+            if not _drive_round(branch):
                 break
         else:
-            pytest.fail("redo did not converge")
-        assert (tuple(state.status), frozenset(state.live_atom_ids())) == final, (
-            f"{name}: redo from round {target} missed the original model"
+            pytest.fail("replay did not converge")
+        assert (tuple(branch.status), frozenset(branch.live_atom_ids())) == final, (
+            f"{name}: replay from round {target} missed the original model"
         )

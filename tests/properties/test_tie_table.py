@@ -72,7 +72,7 @@ def _fresh_run(gp, policy, well_founded: bool):
     return state, choices
 
 
-def _trail(choices) -> list[tuple]:
+def _choice_ids(choices) -> list[tuple]:
     return [(c.true_ids, c.false_ids, c.forced) for c in choices]
 
 
@@ -84,7 +84,7 @@ def _assert_equals_fresh(solution, gp, policy, well_founded: bool, label: str) -
     assert state._reason_kind == fresh._reason_kind, f"{label}: reason kinds"
     assert list(state._reason_arg) == list(fresh._reason_arg), f"{label}: reason args"
     assert state._labels == fresh._labels, f"{label}: labels"
-    assert _trail(solution.choices) == _trail(choices), f"{label}: trail"
+    assert _choice_ids(solution.choices) == _choice_ids(choices), f"{label}: trail"
 
 
 def _solve_all(engine: Engine, gp, semantics, grounding, well_founded, label) -> int:
@@ -417,6 +417,6 @@ def test_a_table_served_state_first_read_after_an_update_equals_the_live_run(
     assert state._reason_kind == fresh._reason_kind
     assert list(state._reason_arg) == list(fresh._reason_arg)
     assert state._labels == fresh._labels
-    assert _trail(solution.choices) == _trail(fresh_choices)
+    assert _choice_ids(solution.choices) == _choice_ids(fresh_choices)
     for a in range(len(fresh.status)):
         assert state.reason_of(a) == fresh.reason_of(a)

@@ -2,17 +2,18 @@
 
 The library has one tie schedule: the kernel's min-keyed heap, drained a
 round at a time by :meth:`~repro.ground.state.GroundGraphState.select_ties`
-in :func:`~repro.semantics.tie_breaking._run` and in the trail enumerator.
+in :func:`~repro.semantics.tie_breaking._run` and in the enumerator.
 These are the independent paths the tests check it against:
 
 * :func:`_select_tie` scans every bottom component for the tie with the
   smallest atom in canonical order — no heap, no lazy discard;
 * :func:`_scan_ties` is the same scan returning every bottom tie, in the
   order ``select_ties`` must serve them;
-* :func:`_enumerate_reference` is the clone-based explorer the trail
-  enumerator replaced: one tie per step picked by :func:`_select_tie`,
-  the unfounded step through ``unfounded_atoms`` after every tie, and a
-  full state copy per branch.
+* :func:`_enumerate_reference` is the one-tie-per-step explorer: one tie
+  per step picked by :func:`_select_tie`, the unfounded step through
+  ``unfounded_atoms`` after every tie, and a state copy per branch.  The
+  enumerator copies a state per free tie too, but inside batched rounds
+  served by the schedule.
 """
 
 from __future__ import annotations
@@ -66,19 +67,19 @@ def _enumerate_reference(
     well_founded: bool,
     limit: int | None = None,
 ) -> Iterator[tuple[Interpretation, tuple[TieChoice, ...]]]:
-    """Clone-based reference explorer (the pre-trail algorithm).
+    """Clone-based reference explorer, one tie per step.
 
     Branches by copying the whole evaluation state and uses the
     schedule-free queries (``unfounded_atoms`` + ``bottom_components_live``
-    scan), so it shares none of the trail/undo or tie-schedule machinery —
-    the differential oracle the property suite drives against the
-    trail-based explorer.
+    scan), so it shares none of the batched rounds or the tie-schedule
+    machinery — the differential oracle the property suite drives against
+    the enumerator.
     """
     emitted = 0
     start = GroundGraphState(gp)
     start.close()
     # Closed states ready to drive, deepest last (depth-first, side 0
-    # first; the trail explorer emits the same runs, its trails in round
+    # first; the enumerator emits the same runs, its trails in round
     # order).
     pending: list[tuple[GroundGraphState, list[TieChoice]]] = [(start, [])]
     while pending:
@@ -107,9 +108,9 @@ def _enumerate_reference(
             # Side 1 continues later on an independent copy; side 0
             # consumes this state now.
             other = state.clone()
-            other_trail = list(trail)
-            other_trail.append(_apply_tie(other, tie, 1, forced=False))
+            other_choices = list(trail)
+            other_choices.append(_apply_tie(other, tie, 1, forced=False))
             other.close()
-            pending.append((other, other_trail))
+            pending.append((other, other_choices))
             trail.append(_apply_tie(state, tie, 0, forced=False))
             state.close()
