@@ -825,8 +825,10 @@ def _enumerate_tie_breaking_models(
     ties after it, not the whole round's (``close`` is confluent, so the
     round ends in the state one ``close`` after all its ties would
     leave).  Every pending branch yields at least one more sequence, so
-    with a ``limit`` only the newest ``limit - 1`` copies can ever be
-    reached, and the older ones are dropped.  Yields one
+    with a ``limit`` only the newest ``limit - 1`` branches can ever be
+    reached.  A free tie followed in its round by ``limit - 1`` or more
+    free ties is never copied; an older copy that a later round's pushes
+    overtake is dropped unread.  Yields one
     ``(model, choice trail)`` pair per decision *sequence*, the trail in
     round order; deduplicate on ``model.true_set()`` if only models
     matter.
@@ -847,12 +849,19 @@ def _enumerate_tie_breaking_models(
     first = 0
     while limit is None or emitted < limit:
         check_deadline()
-        for i in range(first, len(ties)):
+        # Whether a tie is free depends on the tie alone, so the free ties
+        # still to come in this round are known now.  A copy that
+        # ``maxlen`` later pushes of the same round would evict unread is
+        # never made.
+        forced_sides = [forced_orientation(*tie.side_counts()) for tie in ties[first:]]
+        free_after = forced_sides.count(None)
+        for i, forced in enumerate(forced_sides, first):
             tie = ties[i]
-            forced = forced_orientation(*tie.side_counts())
             if forced is None:
+                free_after -= 1
                 state.close()
-                pending.append((state.clone(), len(trail), ties, i))
+                if pending.maxlen is None or free_after < pending.maxlen:
+                    pending.append((state.clone(), len(trail), ties, i))
                 trail.append(_apply_tie(state, tie, 0, forced=False))
             else:
                 trail.append(_apply_tie(state, tie, forced, forced=True))

@@ -33,21 +33,27 @@ Dispatch by request shape:
 ===================  ==================================================
 request              execution
 ===================  ==================================================
-stateless            serialized on the warm inline engine (one solve
-                     thread — the engine is not thread-safe)
-with ``session``     serialized per session, parallel across sessions
+stateless            on the event loop's own thread, one at a time, on
+                     the warm inline engine (it is not thread-safe)
+with ``session``     on a ``repro-session`` thread, serialized per
+                     session, parallel across sessions
 updates, no session  rejected (``validation`` error)
 ===================  ==================================================
 
-There is no process pool here: on the benchmark's warm traffic a pool's
-IPC cost more than a second CPU gave back (``docs/serving.md``).  The
-offline ``repro serve --workers N`` keeps one.
+There is no process pool and no inline solve thread here: on the
+benchmark's warm traffic a pool's IPC, or a thread's hop before and
+after each solve, cost more than it gave back under the GIL
+(``docs/serving.md``, "Where solves run").  The offline
+``repro serve --workers N`` keeps a pool.
 
 One deadline serves both paths: ``timeout_s`` is armed around each
 solve by :func:`repro.service.batch.solve_one`, counted from the start
-of that solve, and the kernel checks it between rounds on the executor
-thread, so a runaway solve answers ``timeout`` and frees the thread for
-the requests queued behind it.  A session's ``insert`` / ``retract``
+of that solve, and the kernel checks it between rounds.  The deadline
+is a context variable, so it holds on the loop thread as on a session
+thread.  An inline solve holds the loop while it runs: control ops,
+sheds and session dispatch wait for it, at most ``timeout_s`` when a
+deadline is set, and a runaway solve answers ``timeout`` and frees the
+loop for the requests behind it.  A session's ``insert`` / ``retract``
 section is never under the deadline, so its engine is never torn
 mid-update.
 """
@@ -151,11 +157,8 @@ class ReproServer:
         self.port = port
         self.max_pending = max_pending
         self.timeout_s = timeout_s
-        # One solve thread for the shared inline engine (it is not
-        # thread-safe); a small pool for session engines.
-        self._inline_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-inline"
-        )
+        # The shared inline engine solves on the loop's own thread (it is
+        # not thread-safe); a small pool runs the private session engines.
         self._session_executor = ThreadPoolExecutor(
             max_workers=_SESSION_THREADS, thread_name_prefix="repro-session"
         )
@@ -207,7 +210,7 @@ class ReproServer:
             await asyncio.sleep(0.02)
         # Hang up the remaining connections (readline sees EOF) and wait
         # for their handler tasks, so nothing is mid-write when the
-        # executors go away — and no task outlives the loop.
+        # session executor goes away — and no task outlives the loop.
         for writer in list(self._conn_writers):
             try:
                 writer.close()
@@ -219,7 +222,6 @@ class ReproServer:
             self._reaper.cancel()
             self._reaper = None
         self.sessions.close_all()
-        self._inline_executor.shutdown(wait=False)
         self._session_executor.shutdown(wait=False)
         self.solver.close()
 
@@ -268,8 +270,11 @@ class ReproServer:
                     break
                 if not line.strip():
                     continue
-                # Pipelining: each line is served on its own task, so a
-                # slow solve does not head-of-line block the connection.
+                # Pipelining: each line is served on its own task, so the
+                # next line is read and admitted while this one waits.
+                # Inline solves still run one at a time on the loop (a
+                # slow one delays the rest by at most ``timeout_s``);
+                # session solves run on their own threads.
                 task = asyncio.create_task(self._serve_line(line, writer, write_lock))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
@@ -400,15 +405,13 @@ class ReproServer:
     # -- stateless -------------------------------------------------------
 
     async def _solve_inline(self, request: BatchRequest) -> tuple[dict[str, Any], float]:
-        loop = asyncio.get_running_loop()
-        started: list[float] = []
-
-        def job() -> dict[str, Any]:
-            started.append(perf_counter())
-            return solve_one(self.solver.engine, request, timeout_s=self.timeout_s)
-
-        result = await loop.run_in_executor(self._inline_executor, job)
-        return result, started[0]
+        # Yield once before solving on the loop: the requests that arrived
+        # in the same loop turn are admitted first and see this one in
+        # flight, so admission and shedding stay as if the solve ran
+        # elsewhere.
+        await asyncio.sleep(0)
+        started = perf_counter()
+        return solve_one(self.solver.engine, request, timeout_s=self.timeout_s), started
 
     # -- sessions -------------------------------------------------------
 

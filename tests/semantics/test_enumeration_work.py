@@ -1,15 +1,15 @@
 """The tie-breaking enumerator redoes only the ties a leaf re-orients.
 
-The enumerator branches over a round's free ties depth first, one trail
-mark per free tie.  The state is closed before each mark, so a leaf that
-re-orients a tie undoes and redoes the ``close`` of that tie and the ties
-after it in the round, never the ``close`` of the whole round.  On
-committee(n) the first round is n free ties with disjoint cones, and
-orienting one of them removes the same number of rules whichever side it
-takes; a depth-first search over the n binary choices orients
-``2 ** (n + 1) - 2`` ties in all.  So the rules the whole enumeration
-removes are exactly that many ties' worth.  Were each leaf to redo its
-whole round, it would remove n ties' worth per leaf.
+The enumerator branches over a round's free ties depth first, one state
+copy per free tie.  The state is closed before each copy, so a leaf that
+re-orients a tie starts from that tie's copy and redoes the ``close`` of
+that tie and the ties after it in the round, never the ``close`` of the
+whole round.  On committee(n) the first round is n free ties with
+disjoint cones, and orienting one of them removes the same number of
+rules whichever side it takes; a depth-first search over the n binary
+choices orients ``2 ** (n + 1) - 2`` ties in all.  So the rules the
+whole enumeration removes are exactly that many ties' worth.  Were each
+leaf to redo its whole round, it would remove n ties' worth per leaf.
 """
 
 from __future__ import annotations

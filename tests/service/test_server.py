@@ -5,9 +5,13 @@ import io
 import json
 import os
 import signal
+import socket
+import threading
+import time
 
 import pytest
 
+import repro.service.server as server_module
 from repro import Engine
 from repro.cli import main
 from repro.service import ReproServer, run_server, solve_one
@@ -295,6 +299,33 @@ class TestServerSessions:
         assert result["error_kind"] == "session_limit"
         assert "session table full" in result["error"]
 
+    def test_inline_solves_run_on_the_loop_thread_and_sessions_off_it(self, artifact, monkeypatch):
+        """The shared inline engine solves on the event loop's own thread
+        (no executor hop); a session's engine solves on a session thread."""
+        seen = []
+
+        def recording(engine, request, **options):
+            seen.append((request.session, threading.get_ident(), threading.current_thread().name))
+            return solve_one(engine, request, **options)
+
+        monkeypatch.setattr(server_module, "solve_one", recording)
+        requests = [{"id": i, "seed": i, "atoms": PROBE} for i in range(4)]
+        requests += [{"id": "s", "session": "s", "semantics": "well_founded", "atoms": PROBE}]
+
+        async def main():
+            async with ReproServer(artifact) as server:
+                responses = await send_requests(server.address, requests)
+                return threading.get_ident(), responses
+
+        loop_thread, responses = asyncio.run(main())
+        assert all(r["ok"] for r in responses), responses
+        inline = [ident for session, ident, _ in seen if session is None]
+        sessions = [(ident, name) for session, ident, name in seen if session is not None]
+        assert inline == [loop_thread] * 4
+        assert len(sessions) == 1
+        ident, name = sessions[0]
+        assert ident != loop_thread and name.startswith("repro-session")
+
 
 class TestTimeouts:
     def test_soft_timeout_answers_inline_requests(self, tmp_path):
@@ -335,7 +366,7 @@ class TestTimeouts:
     def test_a_runaway_solve_times_out_and_frees_the_inline_engine(self, tmp_path):
         """One runaway plus 8 pipelined requests on one connection: the
         runaway answers ``timeout`` and every request queued behind it on
-        the one solve thread is answered, each against its own deadline."""
+        the event loop is answered, each against its own deadline."""
         artifact = tmp_path / "runaway.repro-ground"
         Engine(RUNAWAY, RUNAWAY_MEMBERS).save_artifact(artifact)
         probe = ["in(m0)", "in(m1)", "bad"]
@@ -359,6 +390,42 @@ class TestTimeouts:
         for i, response in responses.items():
             assert response["ok"], response
             assert response["values"] == expected[i]
+
+    def test_a_control_op_waits_at_most_the_deadline_behind_a_runaway(self, tmp_path):
+        """An inline solve holds the event loop, so a ``stats`` op sent on a
+        second connection while the runaway solves is answered once the
+        runaway's ``timeout_s`` frees the loop: no later than the deadline
+        plus slack after it was sent, with counts that agree with the
+        replies."""
+        artifact = tmp_path / "runaway.repro-ground"
+        Engine(RUNAWAY, RUNAWAY_MEMBERS).save_artifact(artifact)
+
+        def client(address):
+            # Blocking sockets on a worker thread, so the stats op is sent
+            # while the server's loop is busy with the runaway.
+            with socket.create_connection(address, timeout=30) as first:
+                with socket.create_connection(address, timeout=30) as second:
+                    first.sendall(b'{"id": "runaway", "semantics": "stable"}\n')
+                    time.sleep(0.1)
+                    sent = time.perf_counter()
+                    second.sendall(b'{"op": "stats", "id": "stats"}\n')
+                    stats = json.loads(second.makefile("rb").readline())
+                    waited = time.perf_counter() - sent
+                runaway = json.loads(first.makefile("rb").readline())
+            return runaway, stats, waited
+
+        async def main():
+            async with ReproServer(artifact, timeout_s=0.5) as server:
+                return await asyncio.to_thread(client, server.address)
+
+        runaway, stats, waited = asyncio.run(main())
+        assert not runaway["ok"] and runaway["error_kind"] == "timeout", runaway
+        assert stats["ok"] and stats["id"] == "stats", stats
+        assert waited < 0.5 + 1.0
+        counts = stats["stats"]
+        assert counts["served"] == 0 and counts["shed"] == 0
+        # The runaway is either still in flight or already counted failed.
+        assert counts["failed"] + counts["inflight"] == 1
 
 
 class TestControlPlane:
